@@ -4,7 +4,7 @@
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test race lint vet ftclint static verify bench adaptft clean
+.PHONY: build test race lint vet ftclint static verify bench bench-compare adaptft clean
 
 build:
 	go build ./...
@@ -41,8 +41,18 @@ static: ftclint
 # verify is the full local gate: what CI enforces, in one command.
 verify: build lint test
 
+# bench runs the repo's one benchmark suite (BENCHMARK.json, bench/):
+# four workloads on live clusters plus the per-layer ledger, written to
+# bench/results/BENCH_local.json. Pass suite flags through ARGS, e.g.
+# `make bench ARGS="-label 12 -runs 3"`.
 bench:
-	go test -run=NONE -bench=. -benchtime=100x ./internal/hashring ./internal/rpc
+	bash bench/run.sh $(ARGS)
+
+# bench-compare prints the per-workload verdict between two suite
+# results and fails on a regression past a BENCHMARK.json bound:
+# `make bench-compare OLD=bench/results/BENCH_11.json NEW=bench/results/BENCH_local.json`.
+bench-compare:
+	go run ./bench -compare $(OLD) $(NEW)
 
 # adaptft regenerates the adaptive-vs-static policy comparison
 # (results/BENCH_adaptft.json): 2 phase-shift schedules x 3 seeds,

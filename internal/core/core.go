@@ -177,6 +177,7 @@ func (c *Cluster) NewClientNet(network rpc.Network) (*hvac.Client, hvac.Router, 
 		LoadControl:       c.cfg.LoadControl,
 		Retry:             c.cfg.Retry,
 		Ingest:            c.cfg.Ingest,
+		Manifest:          c.pfs.Paths,
 	})
 	if err != nil {
 		return nil, nil, err

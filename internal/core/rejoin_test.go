@@ -103,8 +103,9 @@ func TestHeartbeatDrivenAutoRejoin(t *testing.T) {
 		Timeout:         60 * time.Millisecond,
 		ReviveThreshold: 2,
 		OnRevive: func(n cluster.NodeID) {
-			rep, err := cli.Rejoin(context.Background(), n,
-				hvac.RejoinOptions{Probes: 1, Keys: ds.AllPaths()})
+			// No Keys: the warm set is planned from the client's manifest,
+			// the listing the failure path plans over.
+			rep, err := cli.Rejoin(context.Background(), n, hvac.RejoinOptions{Probes: 1})
 			if err == nil {
 				rejoined <- rep
 			}

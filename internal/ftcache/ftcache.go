@@ -163,15 +163,24 @@ func (r *RingRecache) Route(path string) hvac.Decision {
 	return hvac.Decision{Kind: hvac.RouteNode, Node: owner}
 }
 
-// NodeFailed implements hvac.Router: drop the node from the ring; its
-// arcs flow to the clockwise successors. The recache itself is elastic —
-// the new owners fill on miss — so the "plan" here is implicit; the
-// event marks the moment recaching became the routing policy's answer
-// for the lost arcs.
-func (r *RingRecache) NodeFailed(node cluster.NodeID) {
-	r.ring.Remove(node)
-	telemetry.TraceEvent(telemetry.EventRecachePlanned, string(node), "elastic", int64(r.ring.Len()))
+// PlanRecache implements hvac.RecachePlanner: who inherits each of
+// failed's keys, computed against the current — pre-removal — snapshot,
+// so it agrees key for key with what Route answers once NodeFailed has
+// dropped the node. The client calls it just before NodeFailed and ships
+// every receiver its share, which the receivers then prefetch from the
+// PFS in parallel. A node that is not on the ring has nothing to plan.
+func (r *RingRecache) PlanRecache(failed cluster.NodeID, keys []string) map[cluster.NodeID][]string {
+	if !r.ring.Contains(failed) {
+		return nil
+	}
+	return r.ring.PlanRecache(failed, keys).Moves
 }
+
+// NodeFailed implements hvac.Router: drop the node from the ring; its
+// arcs flow to the clockwise successors, which own the lost files from
+// this instant. Recaching them is the new owners' job: ahead of demand
+// when the client hinted them the plan, on first miss otherwise.
+func (r *RingRecache) NodeFailed(node cluster.NodeID) { r.ring.Remove(node) }
 
 // NodeRecovered implements hvac.RecoveryAware: re-adding the node
 // restores its original virtual points, so it reclaims exactly the arcs
@@ -202,13 +211,14 @@ func (r *RingRecache) Replicas(path string, n int) []cluster.NodeID {
 }
 
 var (
-	_ hvac.Router        = (*NoFT)(nil)
-	_ hvac.Router        = (*PFSRedirect)(nil)
-	_ hvac.Router        = (*RingRecache)(nil)
-	_ hvac.Replicator    = (*RingRecache)(nil)
-	_ hvac.RecoveryAware = (*RingRecache)(nil)
-	_ hvac.RejoinPlanner = (*RingRecache)(nil)
-	_ hvac.RecoveryAware = (*PFSRedirect)(nil)
+	_ hvac.Router         = (*NoFT)(nil)
+	_ hvac.Router         = (*PFSRedirect)(nil)
+	_ hvac.Router         = (*RingRecache)(nil)
+	_ hvac.Replicator     = (*RingRecache)(nil)
+	_ hvac.RecoveryAware  = (*RingRecache)(nil)
+	_ hvac.RejoinPlanner  = (*RingRecache)(nil)
+	_ hvac.RecachePlanner = (*RingRecache)(nil)
+	_ hvac.RecoveryAware  = (*PFSRedirect)(nil)
 )
 
 // StrategyKind enumerates the three policies for config surfaces.

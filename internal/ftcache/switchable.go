@@ -141,8 +141,9 @@ type switchState struct {
 // hvac.Router whose active member is swapped atomically at runtime.
 //
 // Invariants:
-//   - Route/Replicas/PlanRejoin observe exactly one member's answer per
-//     call (one atomic load — never a torn mix of two strategies).
+//   - Route/Replicas/PlanRejoin/PlanRecache observe exactly one
+//     member's answer per call (one atomic load — never a torn mix of
+//     two strategies).
 //   - NodeFailed/NodeRecovered fan out to every member, active or not,
 //     so switching never has to reconcile missed evidence.
 //   - A RouteAbort from the active member (noft mode after a failure)
@@ -285,11 +286,23 @@ func (s *Switchable) PlanRejoin(node cluster.NodeID, keys []string) []string {
 	return s.members[KindNVMe].(*RingRecache).PlanRejoin(node, keys)
 }
 
+// PlanRecache implements hvac.RecachePlanner, but only while the ring
+// member is the active strategy: under ftpfs or noft a failed owner's
+// reads go to the PFS (or abort), no survivor inherits them, and a
+// prefetch would fill caches nothing routes to.
+func (s *Switchable) PlanRecache(failed cluster.NodeID, keys []string) map[cluster.NodeID][]string {
+	if st := s.active.Load(); st.kind == KindNVMe {
+		return st.router.(*RingRecache).PlanRecache(failed, keys)
+	}
+	return nil
+}
+
 var (
-	_ hvac.Router        = (*RingStatic)(nil)
-	_ hvac.RecoveryAware = (*RingStatic)(nil)
-	_ hvac.Router        = (*Switchable)(nil)
-	_ hvac.RecoveryAware = (*Switchable)(nil)
-	_ hvac.Replicator    = (*Switchable)(nil)
-	_ hvac.RejoinPlanner = (*Switchable)(nil)
+	_ hvac.Router         = (*RingStatic)(nil)
+	_ hvac.RecoveryAware  = (*RingStatic)(nil)
+	_ hvac.Router         = (*Switchable)(nil)
+	_ hvac.RecoveryAware  = (*Switchable)(nil)
+	_ hvac.Replicator     = (*Switchable)(nil)
+	_ hvac.RejoinPlanner  = (*Switchable)(nil)
+	_ hvac.RecachePlanner = (*Switchable)(nil)
 )

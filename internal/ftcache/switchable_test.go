@@ -178,3 +178,66 @@ func TestSwitchableConcurrentSwitchRoute(t *testing.T) {
 	close(stop)
 	<-switcherDone
 }
+
+// The recache plan and the routing table are two views of one ring: for
+// every key, the plan computed just before NodeFailed names receiver n
+// exactly when Route answers n afterwards, and keys the failed node did
+// not own are in nobody's share. Holds for the ring strategy alone and
+// behind Switchable, which plans only while the ring member is active.
+func TestRecachePlanAgreesWithRoute(t *testing.T) {
+	nodes := switchNodes(8)
+	keys := make([]string, 5000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("/data/train/shard-%05d.bin", i)
+	}
+	type planRouter interface {
+		hvac.Router
+		hvac.RecachePlanner
+	}
+	for name, r := range map[string]planRouter{
+		"RingRecache": NewRingRecache(nodes, 100),
+		"Switchable":  NewSwitchable(nodes, 100, KindNVMe),
+	} {
+		for _, failed := range []cluster.NodeID{nodes[3], nodes[6]} { // the second plans on an already-shrunk ring
+			before := make(map[string]cluster.NodeID, len(keys))
+			for _, k := range keys {
+				before[k] = r.Route(k).Node
+			}
+			plan := r.PlanRecache(failed, keys)
+			r.NodeFailed(failed)
+			planned := make(map[string]cluster.NodeID, len(keys)/len(nodes))
+			for n, share := range plan {
+				for _, k := range share {
+					if prev, dup := planned[k]; dup {
+						t.Fatalf("%s: %q planned onto both %s and %s", name, k, prev, n)
+					}
+					planned[k] = n
+				}
+			}
+			if len(planned) == 0 {
+				t.Fatalf("%s: empty plan for %s", name, failed)
+			}
+			for _, k := range keys {
+				after := r.Route(k)
+				if after.Kind != hvac.RouteNode {
+					t.Fatalf("%s: %q routes with kind %d after the failure", name, k, after.Kind)
+				}
+				n, inPlan := planned[k]
+				switch {
+				case before[k] == failed && (!inPlan || n != after.Node):
+					t.Fatalf("%s: lost key %q routes to %s but the plan says %q (planned=%v)", name, k, after.Node, n, inPlan)
+				case before[k] != failed && (inPlan || after.Node != before[k]):
+					t.Fatalf("%s: key %q of surviving owner %s: planned=%v, now routes to %s", name, k, before[k], inPlan, after.Node)
+				}
+			}
+			if again := r.PlanRecache(failed, keys); len(again) != 0 {
+				t.Errorf("%s: planning for %s after its removal moved %d shares, want none", name, failed, len(again))
+			}
+		}
+	}
+
+	s := NewSwitchable(nodes, 100, KindPFS)
+	if plan := s.PlanRecache(nodes[1], keys); plan != nil {
+		t.Errorf("Switchable planned %d shares with the ftpfs member active, want none", len(plan))
+	}
+}

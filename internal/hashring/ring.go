@@ -420,8 +420,9 @@ func (r *Ring) Clone() *Ring {
 func (r *Ring) Config() Config { return r.cfg }
 
 // RecachePlan describes where the keys previously owned by a failed node
-// land after its removal: the mapping every surviving client computes
-// implicitly when it drops the dead node from its ring.
+// land after its removal: the mapping a client computes, just before it
+// drops the dead node from its ring, to tell each new owner what to
+// prefetch.
 type RecachePlan struct {
 	Failed NodeID
 	// Moves maps each new owner to the keys it inherits.

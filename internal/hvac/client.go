@@ -70,6 +70,17 @@ type Replicator interface {
 	Replicas(path string, n int) []cluster.NodeID
 }
 
+// RecachePlanner is the optional Router extension that makes the recache
+// plan explicit: called just before NodeFailed(failed), it returns, for
+// the key population, which surviving node inherits each key failed owns
+// — the same answer Route gives once the node is dropped. The client
+// ships every receiver its share so the new owners prefetch in parallel
+// instead of missing on one file at a time. The ring strategy answers
+// from hashring.PlanRecache; a nil or empty plan means recache on demand.
+type RecachePlanner interface {
+	PlanRecache(failed cluster.NodeID, keys []string) map[cluster.NodeID][]string
+}
+
 // Client errors.
 var (
 	// ErrAborted: the router declared the job dead (NoFT after failure).
@@ -123,6 +134,14 @@ type ClientConfig struct {
 	// retries — every failure is evidence immediately, the pre-retry
 	// behavior.
 	Retry *rpc.RetryPolicy
+	// Manifest lists the dataset's paths — the key population the failure
+	// and rejoin paths plan over. With a Router implementing
+	// RecachePlanner, a declared failure ships each new owner the paths
+	// it inherited (OpRecache) so it prefetches them; Rejoin without
+	// explicit Keys warms from the same listing. It is called at those
+	// moments only, never retained. nil keeps recaching on demand and
+	// rejoin cold.
+	Manifest func() []string
 }
 
 // ClientStats are cumulative per-client counters.
@@ -197,6 +216,21 @@ type Client struct {
 	replWG  sync.WaitGroup
 	closed  atomic.Bool
 
+	// baseCtx is the client's lifetime context: the recache hint senders
+	// have no caller to inherit a context from, so they hang off this
+	// root and Close cuts them loose. The ingest senders stay off it: a
+	// child context per batch would take this root's lock on every put
+	// batch, and dropped connections already fail those fast on Close.
+	baseCtx   context.Context
+	closeBase context.CancelFunc
+
+	// Recache hint senders: one goroutine per declared failure ships the
+	// plan to its receivers. hinting holds each one's cancel, keyed by
+	// failed node, so re-adding the node drops what is still unsent.
+	hintMu  sync.Mutex
+	hinting map[cluster.NodeID]context.CancelFunc
+	hintWG  sync.WaitGroup
+
 	// latMu guards the streaming latency estimators (P² is not
 	// concurrency-safe; reads are RPC-bound so contention is negligible).
 	latMu   sync.Mutex
@@ -236,9 +270,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		rejoining: make(map[cluster.NodeID]bool),
 		replSem:   make(chan struct{}, 16),
 		latency:   stats.NewLatencyTracker(),
+		hinting:   make(map[cluster.NodeID]context.CancelFunc),
 	}
+	//ftclint:ignore ctxflow client lifetime root; Close cancels it, and the hint senders it bounds have no caller context to inherit
+	c.baseCtx, c.closeBase = context.WithCancel(context.Background())
 	c.retryBudget.Store(-1)
-	c.tracker.OnFailure(cfg.Router.NodeFailed)
+	c.tracker.OnFailure(c.nodeFailed)
+	c.tracker.OnRecovery(c.dropHints)
 	if ra, ok := cfg.Router.(RecoveryAware); ok {
 		c.tracker.OnRecovery(ra.NodeRecovered)
 	}
@@ -371,8 +409,98 @@ func (c *Client) dropConn(node cluster.NodeID) {
 	}
 }
 
+// nodeFailed is the detector's failure listener: plan the recache against
+// the placement the node is still part of, reshape routing, then hand the
+// plan to a sender goroutine. Only the planning runs on the reading
+// goroutine that tripped the detector (about a millisecond per ten
+// thousand keys); the hint RPCs never do.
+func (c *Client) nodeFailed(node cluster.NodeID) {
+	var plan map[cluster.NodeID][]string
+	if planner, ok := c.cfg.Router.(RecachePlanner); ok && c.cfg.Manifest != nil {
+		plan = planner.PlanRecache(node, c.cfg.Manifest())
+	}
+	c.cfg.Router.NodeFailed(node)
+	if len(plan) > 0 {
+		c.hintRecache(node, plan)
+	}
+}
+
+// recacheChunk bounds the paths in one OpRecache frame, so a large share
+// travels as several modest frames instead of one the receiver must
+// decode and queue in a single step.
+const recacheChunk = 1024
+
+// hintRecache starts the sender that ships plan — failed's keys by new
+// owner — to the receivers. Hints are best-effort and never detector
+// evidence, like fan-out legs: a receiver that does not take its hint
+// (down, slow, queue full) recaches those paths on demand, and its
+// silence here says nothing the read path will not find out for itself.
+// An error skips the rest of that receiver's share.
+func (c *Client) hintRecache(failed cluster.NodeID, plan map[cluster.NodeID][]string) {
+	ctx, cancel := context.WithCancel(c.baseCtx)
+	c.hintMu.Lock()
+	if c.closed.Load() {
+		c.hintMu.Unlock()
+		cancel()
+		return
+	}
+	if prev := c.hinting[failed]; prev != nil {
+		prev()
+	}
+	c.hinting[failed] = cancel
+	c.hintWG.Add(1) // under hintMu with closed false: Close has not reached hintWG.Wait
+	c.hintMu.Unlock()
+	go func() {
+		defer c.hintWG.Done()
+		defer cancel() // release the context; the stale entry in hinting is harmless
+		for receiver, paths := range plan {
+			for len(paths) > 0 && ctx.Err() == nil {
+				n := min(len(paths), recacheChunk)
+				if c.sendRecache(ctx, receiver, failed, paths[:n]) != nil {
+					break
+				}
+				paths = paths[n:]
+			}
+		}
+	}()
+}
+
+// sendRecache delivers one hint frame to receiver.
+func (c *Client) sendRecache(ctx context.Context, receiver, failed cluster.NodeID, paths []string) error {
+	cli, err := c.conn(receiver)
+	if err != nil {
+		return err
+	}
+	req := RecacheReq{Failed: string(failed), Paths: paths}
+	callCtx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
+	defer cancel()
+	_, status, err := cli.Call(callCtx, OpRecache, req.Marshal())
+	if err != nil {
+		if errors.Is(err, rpc.ErrClosed) {
+			c.dropConn(receiver)
+		}
+		return err
+	}
+	if status != rpc.StatusOK {
+		return fmt.Errorf("hvac: recache hint status %d", status)
+	}
+	return nil
+}
+
+// dropHints is the detector's recovery listener: the node is back in the
+// placement, so whatever part of its recache plan is still unsent would
+// only prefetch files nothing routes to the receivers for.
+func (c *Client) dropHints(node cluster.NodeID) {
+	c.hintMu.Lock()
+	if cancel := c.hinting[node]; cancel != nil {
+		cancel()
+		delete(c.hinting, node)
+	}
+	c.hintMu.Unlock()
+}
+
 // noteTimeout records failure evidence against node; the tracker invokes
-// Router.NodeFailed when the threshold is crossed.
+// the failure listeners when the threshold is crossed.
 func (c *Client) noteTimeout(node cluster.NodeID) {
 	c.timeouts.Add(1)
 	cliMetrics().timeouts.Inc()
@@ -1215,10 +1343,13 @@ func (c *Client) Ping(ctx context.Context, node cluster.NodeID) error {
 }
 
 // Close tears down all connections, then waits for in-flight replica
-// pushes and ingest senders (both fail fast once their connections
-// drop).
+// pushes, ingest senders and recache hint senders (all fail fast once
+// the lifetime context is cancelled and their connections drop).
 func (c *Client) Close() {
+	c.hintMu.Lock()
 	c.closed.Store(true)
+	c.hintMu.Unlock()
+	c.closeBase()
 	c.mu.Lock()
 	slots := c.conns
 	c.conns = make(map[cluster.NodeID]*connSlot)
@@ -1236,4 +1367,5 @@ func (c *Client) Close() {
 		c.ingest.close()
 	}
 	c.replWG.Wait()
+	c.hintWG.Wait()
 }

@@ -39,6 +39,12 @@ const (
 	// list; the response carries one status per entry, so a single bad
 	// object never fails its batch-mates.
 	OpPutBatch
+	// OpRecache hints a server the paths it inherited from a failed node
+	// so it can prefetch them from the PFS ahead of demand. Best-effort
+	// in both directions: the server may drop what its queue cannot hold
+	// (those paths fill on first miss), and the client never treats the
+	// call's outcome as failure-detector evidence.
+	OpRecache
 )
 
 // Application statuses (beyond rpc.StatusOK).
@@ -309,6 +315,49 @@ func (r *PutBatchResp) Unmarshal(b []byte) error {
 	r.Statuses = make([]uint16, n)
 	for i := range r.Statuses {
 		r.Statuses[i] = d.U16()
+	}
+	if d.Err() != nil || d.Remaining() != 0 {
+		return ErrDecode
+	}
+	return nil
+}
+
+// minPathWire is the smallest possible encoded path (an empty
+// length-prefixed string).
+const minPathWire = 4
+
+// RecacheReq is one chunk of a recache plan: paths the receiving server
+// now owns because Failed left the ring.
+type RecacheReq struct {
+	Failed string
+	Paths  []string
+}
+
+// Marshal encodes the request.
+func (r *RecacheReq) Marshal() []byte {
+	size := minPathWire + len(r.Failed) + 4 // failed node, path count
+	for _, p := range r.Paths {
+		size += minPathWire + len(p)
+	}
+	e := wire.NewBuffer(size).String(r.Failed).U32(uint32(len(r.Paths)))
+	for _, p := range r.Paths {
+		e.String(p)
+	}
+	return e.Bytes()
+}
+
+// Unmarshal decodes the request. The paths are copied off b, so the
+// server may keep them after the RPC buffer is recycled.
+func (r *RecacheReq) Unmarshal(b []byte) error {
+	d := wire.NewReader(b)
+	r.Failed = d.String()
+	n := d.U32()
+	if d.Err() != nil || int64(n)*minPathWire > int64(d.Remaining()) {
+		return ErrDecode
+	}
+	r.Paths = make([]string, 0, n)
+	for i := uint32(0); i < n; i++ {
+		r.Paths = append(r.Paths, d.String())
 	}
 	if d.Err() != nil || d.Remaining() != 0 {
 		return ErrDecode

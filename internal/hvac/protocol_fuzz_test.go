@@ -134,3 +134,64 @@ func TestPutBatchCountOverflowRejected(t *testing.T) {
 		t.Fatal("absurd count accepted")
 	}
 }
+
+// FuzzRecacheReq hardens the hint decoder: arbitrary bytes must yield
+// ErrDecode or a request that round-trips, never a panic or an
+// allocation sized by a corrupt count — and the decoded paths must not
+// alias the pooled frame buffer, because the server queues them past
+// the RPC's lifetime.
+func FuzzRecacheReq(f *testing.F) {
+	f.Add((&RecacheReq{}).Marshal())
+	f.Add((&RecacheReq{Failed: "node-0003"}).Marshal())
+	multi := (&RecacheReq{Failed: "node-0003", Paths: []string{"a/b", "", "long/path/name"}}).Marshal()
+	f.Add(multi)
+	f.Add(multi[:len(multi)-1]) // truncated tail
+	f.Add(multi[:15])           // truncated mid-count
+	f.Add(append(append([]byte(nil), multi...), 0))
+	f.Add([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var framed bytes.Buffer
+		if err := wire.WriteFrame(&framed, &wire.Frame{Type: wire.TypeRequest, ID: 1, Op: OpRecache, Payload: data}); err != nil {
+			t.Fatalf("frame: %v", err)
+		}
+		fr, lease, err := wire.ReadFramePooled(&framed, 1<<22)
+		if err != nil {
+			t.Fatalf("pooled read of a valid frame: %v", err)
+		}
+		var req RecacheReq
+		err = req.Unmarshal(fr.Payload)
+		// Scribble over the frame, then recycle it: a path aliasing the
+		// buffer would change under us.
+		for i := range fr.Payload {
+			fr.Payload[i] = 0xA5
+		}
+		lease.Release()
+		var plain RecacheReq
+		if (plain.Unmarshal(data) == nil) != (err == nil) {
+			t.Fatal("pooled and plain decode disagree")
+		}
+		if err != nil {
+			return
+		}
+		if req.Failed != plain.Failed || len(req.Paths) != len(plain.Paths) {
+			t.Fatalf("decoded request changed after its buffer was recycled")
+		}
+		for i := range req.Paths {
+			if req.Paths[i] != plain.Paths[i] {
+				t.Fatalf("path %d aliases the recycled frame buffer", i)
+			}
+		}
+		re := req.Marshal()
+		if !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding differs from the accepted input: %x vs %x", re, data)
+		}
+		if len(req.Paths) > 0 {
+			var trunc RecacheReq
+			if trunc.Unmarshal(re[:len(re)-1]) == nil {
+				t.Fatal("truncated encoding decoded successfully")
+			}
+		}
+	})
+}

@@ -35,8 +35,9 @@ type RejoinOptions struct {
 	// Callers driving Rejoin from a Heartbeat that already required K
 	// probes may pass 1.
 	Probes int
-	// Keys is the key population to plan warming over (typically the
-	// dataset manifest). Empty skips warmup: the node rejoins cold and
+	// Keys is the key population to plan warming over. Empty selects
+	// ClientConfig.Manifest — the listing the failure path plans over —
+	// and without one either skips warmup: the node rejoins cold and
 	// self-fills from the PFS on first touch.
 	Keys []string
 	// WarmConcurrency bounds parallel warm transfers; <= 0 selects 4.
@@ -105,8 +106,14 @@ func (c *Client) Rejoin(ctx context.Context, node cluster.NodeID, opts RejoinOpt
 	}
 
 	var warm []string
-	if planner, ok := c.cfg.Router.(RejoinPlanner); ok && len(opts.Keys) > 0 {
-		warm = planner.PlanRejoin(node, opts.Keys)
+	if planner, ok := c.cfg.Router.(RejoinPlanner); ok {
+		keys := opts.Keys
+		if len(keys) == 0 && c.cfg.Manifest != nil {
+			keys = c.cfg.Manifest()
+		}
+		if len(keys) > 0 {
+			warm = planner.PlanRejoin(node, keys)
+		}
 	}
 	rep.PlannedKeys = len(warm)
 

@@ -73,12 +73,18 @@ type Server struct {
 	baseCtx   context.Context
 	closeBase context.CancelFunc
 
-	// RAM tier (all nil when RAMCapacity == 0): the sketch decides who
-	// gets promoted, the singleflight group makes each hot fill happen
-	// once, and the tier itself holds the bytes.
+	// fill is the one flight every NVMe miss goes through, keyed by
+	// path: a demand read, a herd of them, and the recache stage's
+	// prefetch of the same path share a single PFS fetch, and the leader
+	// stores to NVMe before the flight completes — so a fetched object is
+	// at every instant either in flight or cached, and nothing fetches it
+	// twice. RAM promotion dedups through the same group.
+	fill *loadctl.Group
+
+	// RAM tier (both nil when RAMCapacity == 0): the sketch decides who
+	// gets promoted and the tier itself holds the bytes.
 	ram       *memtier.Tier
 	ramSketch *loadctl.Sketch
-	ramFill   *loadctl.Group
 
 	reads        atomic.Int64
 	pfsFallbacks atomic.Int64
@@ -96,6 +102,7 @@ func NewServer(cfg ServerConfig, pfs storage.Store) *Server {
 		nvme:    storage.NewNVMe(cfg.NVMeCapacity),
 		pfs:     pfs,
 		limiter: loadctl.NewLimiter(cfg.AdmissionLimit, cfg.AdmissionQueue, cfg.AdmissionWait),
+		fill:    loadctl.NewGroup(),
 	}
 	//ftclint:ignore ctxflow server lifetime root; Close cancels it, and the wire protocol has no caller context to inherit
 	s.baseCtx, s.closeBase = context.WithCancel(context.Background())
@@ -105,10 +112,10 @@ func NewServer(cfg ServerConfig, pfs storage.Store) *Server {
 	if cfg.RAMCapacity > 0 {
 		s.ram = memtier.New(cfg.RAMCapacity, s.demoteRAM)
 		s.ramSketch = loadctl.NewSketch(cfg.RAMSketch)
-		s.ramFill = loadctl.NewGroup()
 	}
 	s.mover = NewMover(s.nvme, cfg.MoverQueueDepth, cfg.MoverWorkers)
 	s.mover.node = string(cfg.Node)
+	s.mover.fetch = s.prefetch
 	s.rpc = rpc.NewServer(s)
 	s.registerTelemetry()
 	return s
@@ -160,7 +167,8 @@ func (s *Server) SetUnresponsive(v bool) { s.rpc.SetUnresponsive(v) }
 // Unresponsive reports whether fault-injection mode is active.
 func (s *Server) Unresponsive() bool { return s.rpc.Unresponsive() }
 
-// Close stops the RPC server and drains the mover.
+// Close stops the RPC server, drains the mover's queued fills and stops
+// its recache workers.
 func (s *Server) Close() {
 	s.closeBase()
 	s.rpc.Close()
@@ -225,6 +233,8 @@ func (s *Server) HandleLeased(op uint16, payload []byte, connWait time.Duration)
 		return plainResp(s.handlePut(payload))
 	case OpPutBatch:
 		return plainResp(s.handlePutBatch(payload, connWait))
+	case OpRecache:
+		return plainResp(s.handleRecache(payload))
 	default:
 		return rpc.LeasedResp{Status: StatusError, Head: []byte("unknown opcode")}
 	}
@@ -363,13 +373,12 @@ func (s *Server) handlePutBatch(payload []byte, connWait time.Duration) (uint16,
 
 // handleRead is the tiered server read path: RAM hit → serve zero-copy
 // (no device model — RAM pays no NVMe service time); RAM miss → NVMe;
-// NVMe miss → PFS, serve, and enqueue an async cache fill. Published-
-// hot keys are promoted into the RAM tier on the way out, and a hot
-// NVMe miss runs its PFS fetch + RAM/NVMe fill through the
-// singleflight group so a thundering herd fills each tier exactly
-// once. connWait and admissionWait are the two server-side queueing
-// delays already paid before this point; the span reports them so the
-// client can attribute its observed RPC time to queueing vs. storage.
+// NVMe miss → the miss flight (PFS fetch + NVMe fill, once per path
+// however many readers and prefetches want it). Published-hot keys are
+// promoted into the RAM tier on the way out. connWait and admissionWait
+// are the two server-side queueing delays already paid before this
+// point; the span reports them so the client can attribute its observed
+// RPC time to queueing vs. storage.
 func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duration) rpc.LeasedResp {
 	var req ReadReq
 	if err := req.Unmarshal(payload); err != nil {
@@ -429,25 +438,10 @@ func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duratio
 	source := SourceNVMe
 	data, err := s.nvme.Get(req.Path)
 	if err != nil {
-		if hot {
-			// Hot miss: coalesce the PFS fetch and both tier fills
-			// into one flight — followers share the leader's bytes.
-			var shared bool
-			data, err, shared = s.ramFill.Do(s.baseCtx, req.Path, loadctl.FetcherFunc(s.hotFillFetch))
-			if shared {
-				st.Annotate("coalesced", "true")
-			}
-		} else {
-			data, err = s.pfs.Get(req.Path)
-			if err == nil {
-				s.pfsFallbacks.Add(1)
-				telemetry.TraceEvent(telemetry.EventPFSFallback, string(s.cfg.Node), req.Path, int64(len(data)))
-				if s.mover.Enqueue(req.Path, data) {
-					st.Annotate("recache", "queued")
-				} else {
-					st.Annotate("recache", "dropped")
-				}
-			}
+		var shared bool
+		data, err, shared = s.fill.Do(s.baseCtx, req.Path, (*missFetcher)(s))
+		if shared {
+			st.Annotate("coalesced", "true")
 		}
 		if err != nil {
 			st.SetErrorString("not found")
@@ -456,9 +450,8 @@ func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duratio
 			return rpc.LeasedResp{Status: StatusNotFound, Head: []byte(req.Path)}
 		}
 		source = SourcePFS
-	} else if hot && !s.ram.Has(req.Path) {
-		// Hot NVMe hit: promote into RAM (deduped through the same
-		// singleflight so concurrent hits copy the bytes once).
+	}
+	if hot && !s.ram.Has(req.Path) {
 		s.promoteRAM(req.Path, data, sp)
 	}
 	st.Annotate("source", sourceName(source))
@@ -472,29 +465,69 @@ func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duratio
 	return rpc.LeasedResp{Status: rpc.StatusOK, Head: resp.Marshal()}
 }
 
-// hotFillFetch is the singleflight body of a hot-key miss: one PFS
-// read, one async NVMe fill, one RAM admission — however many readers
-// piled onto the flight. Runs as the flight leader; the returned bytes
-// are shared read-only with every waiter.
-func (s *Server) hotFillFetch(_ context.Context, path string) ([]byte, error) {
+// missFetcher is the body of the miss flight; the pointer conversion
+// keeps the per-miss path free of a closure allocation.
+type missFetcher Server
+
+// Fetch implements loadctl.Fetcher as the flight leader: one PFS read
+// and one NVMe fill, stored before the flight completes, however many
+// demand reads and prefetches piled onto it. The returned bytes are
+// shared read-only with every waiter.
+func (f *missFetcher) Fetch(_ context.Context, path string) ([]byte, error) {
+	s := (*Server)(f)
+	// A caller that missed just before an earlier flight for path landed
+	// its fill leads a new flight; the object is already here.
+	if data, ok := s.nvme.Peek(path); ok {
+		return data, nil
+	}
 	data, err := s.pfs.Get(path)
 	if err != nil {
 		return nil, err
 	}
 	s.pfsFallbacks.Add(1)
 	telemetry.TraceEvent(telemetry.EventPFSFallback, string(s.cfg.Node), path, int64(len(data)))
-	s.mover.Enqueue(path, data)
-	s.ram.Admit(path, data)
+	// An object too large to cache is still served; the mover counts the
+	// failed fill.
+	s.mover.FillSync(path, data)
 	return data, nil
 }
 
-// promoteRAM copies a hot NVMe-resident object up into the RAM tier,
-// deduping concurrent promotions of the same key through the
-// singleflight group (the admit is a copy; N concurrent hits should
-// pay for one).
+// prefetch is the recache stage's fetch: it makes one hinted path
+// resident through the miss flight — joining a demand read's fetch if
+// one is open — and reports the bytes brought in. A path a demand read
+// already filled costs one map probe.
+func (s *Server) prefetch(path string) (int, bool) {
+	if s.nvme.Has(path) {
+		return 0, false
+	}
+	_, sp := trace.StartTrace(s.baseCtx, "mover.recache")
+	sp.Annotate("node", string(s.cfg.Node))
+	sp.Annotate("path", path)
+	data, err, _ := s.fill.Do(s.baseCtx, path, (*missFetcher)(s))
+	sp.SetError(err)
+	sp.End()
+	return len(data), err == nil
+}
+
+// handleRecache accepts one chunk of a recache plan: paths this node
+// inherited from a failed one, queued for prefetch. The acknowledgement
+// says only that the hint arrived; how much of it the queue took is the
+// mover's counters' business.
+func (s *Server) handleRecache(payload []byte) (uint16, []byte) {
+	var req RecacheReq
+	if err := req.Unmarshal(payload); err != nil {
+		return StatusError, []byte(err.Error())
+	}
+	s.mover.Recache(req.Failed, req.Paths)
+	return rpc.StatusOK, nil
+}
+
+// promoteRAM copies a hot object up into the RAM tier, deduping
+// concurrent promotions of the same key through the flight group (the
+// admit is a copy; N concurrent readers should pay for one).
 func (s *Server) promoteRAM(path string, data []byte, sp *trace.Span) {
 	ps := sp.StartChild("memtier.promote")
-	_, _, shared := s.ramFill.Do(s.baseCtx, path, loadctl.FetcherFunc(
+	_, _, shared := s.fill.Do(s.baseCtx, path, loadctl.FetcherFunc(
 		func(_ context.Context, key string) ([]byte, error) {
 			s.ram.Admit(key, data)
 			return data, nil
@@ -537,15 +570,17 @@ func (s *Server) handleStat(payload []byte) (uint16, []byte) {
 	if err := req.Unmarshal(payload); err != nil {
 		return StatusError, []byte(err.Error())
 	}
-	if data, err := s.nvme.Get(req.Path); err == nil {
-		resp := StatResp{Size: int64(len(data)), Cached: true}
-		return rpc.StatusOK, resp.Marshal()
+	// Metadata only: a stat must not look like a read to either tier's
+	// counters, refresh LRU recency, or pay the PFS read delay.
+	size, cached := s.nvme.Size(req.Path)
+	if !cached {
+		var ok bool
+		if size, ok = s.pfs.Size(req.Path); !ok {
+			return StatusNotFound, []byte(req.Path)
+		}
 	}
-	if data, err := s.pfs.Get(req.Path); err == nil {
-		resp := StatResp{Size: int64(len(data)), Cached: false}
-		return rpc.StatusOK, resp.Marshal()
-	}
-	return StatusNotFound, []byte(req.Path)
+	resp := StatResp{Size: size, Cached: cached}
+	return rpc.StatusOK, resp.Marshal()
 }
 
 func (s *Server) handleStats() (uint16, []byte) {

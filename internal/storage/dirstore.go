@@ -80,6 +80,19 @@ func (d *DirStore) Has(path string) bool {
 	return err == nil && !info.IsDir()
 }
 
+// Size implements Store with a stat, never opening the file.
+func (d *DirStore) Size(path string) (int64, bool) {
+	fp, err := d.resolve(path)
+	if err != nil {
+		return 0, false
+	}
+	info, err := os.Stat(fp)
+	if err != nil || info.IsDir() {
+		return 0, false
+	}
+	return info.Size(), true
+}
+
 // Delete implements Store.
 func (d *DirStore) Delete(path string) {
 	if fp, err := d.resolve(path); err == nil {

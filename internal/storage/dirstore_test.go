@@ -28,6 +28,12 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	if !d.Has("cosmo/train/a.tfrecord") || d.Has("cosmo/other") {
 		t.Error("Has mismatch")
 	}
+	if size, ok := d.Size("cosmo/train/a.tfrecord"); !ok || size != 6 {
+		t.Errorf("Size = %d, %v", size, ok)
+	}
+	if _, ok := d.Size("cosmo/train"); ok {
+		t.Error("Size reported a directory as an object")
+	}
 	objs, b := d.Stats()
 	if objs != 1 || b != 6 {
 		t.Errorf("stats = %d, %d", objs, b)
@@ -57,6 +63,9 @@ func TestDirStoreRejectsEscapes(t *testing.T) {
 		}
 		if d.Has(p) {
 			t.Errorf("Has(%q) should be false", p)
+		}
+		if _, ok := d.Size(p); ok {
+			t.Errorf("Size(%q) should be rejected", p)
 		}
 	}
 }

@@ -61,6 +61,9 @@ type Store interface {
 	Get(path string) ([]byte, error)
 	// Has reports whether path is present.
 	Has(path string) bool
+	// Size returns the byte size of the object at path without reading it:
+	// a metadata lookup that touches neither recency nor read counters.
+	Size(path string) (int64, bool)
 	// Delete removes path if present; absent paths are a no-op.
 	Delete(path string)
 	// Stats returns object count and total bytes.
@@ -386,6 +389,28 @@ func (n *NVMe) Has(path string) bool {
 	return ok
 }
 
+// Peek returns the object at path like Get, but as a pure lookup: it
+// neither refreshes recency nor counts a hit or miss. The miss flight
+// uses it to re-check residency once it holds the flight, and Size
+// answers metadata ops with it.
+func (n *NVMe) Peek(path string) ([]byte, bool) {
+	sh := n.shardFor(path)
+	sh.mu.Lock()
+	el, ok := sh.items[path]
+	var data []byte
+	if ok {
+		data = el.Value.(*nvmeEntry).data
+	}
+	sh.mu.Unlock()
+	return data, ok
+}
+
+// Size implements Store.
+func (n *NVMe) Size(path string) (int64, bool) {
+	data, ok := n.Peek(path)
+	return int64(len(data)), ok
+}
+
 // Delete implements Store.
 func (n *NVMe) Delete(path string) {
 	sh := n.shardFor(path)
@@ -571,6 +596,34 @@ func (p *PFS) Has(path string) bool {
 	_, ok := sh.items[path]
 	sh.mu.RUnlock()
 	return ok
+}
+
+// Size implements Store, counting one metadata op — and nothing else:
+// no read, no bytes, no read delay.
+func (p *PFS) Size(path string) (int64, bool) {
+	p.metadataOps.Add(1)
+	sh := p.shardFor(path)
+	sh.mu.RLock()
+	data, ok := sh.items[path]
+	sh.mu.RUnlock()
+	return int64(len(data)), ok
+}
+
+// Paths lists every staged path (unordered), one shard at a time — the
+// dataset manifest that recache and rejoin planning run over. Counts one
+// metadata op.
+func (p *PFS) Paths() []string {
+	p.metadataOps.Add(1)
+	var out []string
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.RLock()
+		for path := range sh.items {
+			out = append(out, path)
+		}
+		sh.mu.RUnlock()
+	}
+	return out
 }
 
 // Delete implements Store.

@@ -70,6 +70,33 @@ func TestNVMeLRUEviction(t *testing.T) {
 	}
 }
 
+// Peek and Size are pure lookups: unlike Get they leave the LRU order
+// and the hit/miss counters alone.
+func TestNVMePeekAndSizeArePure(t *testing.T) {
+	n := NewNVMeShards(100, 1)
+	n.Put("a", make([]byte, 40))
+	n.Put("b", make([]byte, 40))
+	if data, ok := n.Peek("a"); !ok || len(data) != 40 {
+		t.Fatalf("Peek(a) = %d bytes, %v", len(data), ok)
+	}
+	if size, ok := n.Size("a"); !ok || size != 40 {
+		t.Fatalf("Size(a) = %d, %v", size, ok)
+	}
+	if _, ok := n.Peek("missing"); ok {
+		t.Error("Peek found a missing path")
+	}
+	if _, ok := n.Size("missing"); ok {
+		t.Error("Size found a missing path")
+	}
+	if hits, misses, _ := n.Counters(); hits != 0 || misses != 0 {
+		t.Errorf("Peek/Size counted hits=%d misses=%d", hits, misses)
+	}
+	n.Put("c", make([]byte, 40)) // "a" was only peeked at, so it is still the LRU victim
+	if n.Has("a") || !n.Has("b") || !n.Has("c") {
+		t.Errorf("Peek/Size refreshed recency: a=%v b=%v c=%v", n.Has("a"), n.Has("b"), n.Has("c"))
+	}
+}
+
 func TestNVMeTooLarge(t *testing.T) {
 	n := NewNVMe(10)
 	if err := n.Put("a", make([]byte, 11)); !errors.Is(err, ErrTooLarge) {
@@ -193,6 +220,42 @@ func TestPFSCounters(t *testing.T) {
 	p.ResetCounters()
 	if r, b, m := p.Counters(); r != 0 || b != 0 || m != 0 {
 		t.Error("counters not reset")
+	}
+}
+
+// Size is a metadata op: no data read is counted and the injected read
+// delay does not apply. Paths lists what was staged.
+func TestPFSSizeAndPaths(t *testing.T) {
+	p := NewPFS()
+	want := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		path := fmt.Sprintf("d/f%03d", i)
+		p.Put(path, make([]byte, i))
+		want[path] = true
+	}
+	p.SetReadDelay(time.Second)
+	start := time.Now()
+	if size, ok := p.Size("d/f007"); !ok || size != 7 {
+		t.Errorf("Size = %d, %v", size, ok)
+	}
+	if _, ok := p.Size("d/missing"); ok {
+		t.Error("Size found a missing path")
+	}
+	got := p.Paths()
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("Size and Paths took %v: they paid the read delay", d)
+	}
+	if reads, rb, meta := p.Counters(); reads != 0 || rb != 0 || meta != 3 {
+		t.Errorf("reads=%d bytes=%d metadataOps=%d, want 0, 0, 3", reads, rb, meta)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Paths listed %d of %d", len(got), len(want))
+	}
+	for _, path := range got {
+		if !want[path] {
+			t.Errorf("Paths listed %q, never staged", path)
+		}
+		delete(want, path)
 	}
 }
 

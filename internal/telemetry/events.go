@@ -8,8 +8,9 @@ import (
 // EventType enumerates the structured fault-tolerance events the stack
 // emits. The live failure sequence a client drives is, in order:
 // node-suspected (first timeout) → node-declared-dead (threshold) →
-// ring-membership-change + recache-planned (router drops the node) →
-// pfs-fallback / recache-file-done (new owners refill on demand).
+// recache-planned + ring-membership-change (router plans, then drops the
+// node) → pfs-fallback / recache-file-done (new owners prefetch their
+// share) → recache-complete (one per receiver, when its queue drains).
 type EventType uint8
 
 // Event types.
@@ -22,9 +23,10 @@ const (
 	// EventRingChange: a node joined or left the hash ring. Detail is
 	// "add" or "remove"; Value is the member count after the change.
 	EventRingChange
-	// EventRecachePlanned: a failure was absorbed by re-owning the dead
-	// node's arcs (ftcache live path) or an explicit RecachePlan was
-	// computed (offline analysis; Value = keys moved).
+	// EventRecachePlanned: a RecachePlan or RejoinPlan was computed over
+	// a key population — on the live path, the plan a client ships to the
+	// receivers when it declares a node failed. Node is the failed (or
+	// joining) node, Detail "plan" or "rejoin", Value the keys moved.
 	EventRecachePlanned
 	// EventRecacheFileDone: a cache fill landed on NVMe (the elastic
 	// recache action; also fires for first-touch fills). Detail is the
@@ -48,6 +50,12 @@ const (
 	// hatch) swapped the active fault-tolerance strategy. Detail is
 	// "from->to", Value the cumulative switch count.
 	EventPolicySwitch
+	// EventRecacheComplete: a receiver finished prefetching what it
+	// inherited from a failed node — its recache queue for that node
+	// drained (Fig 6(a) "time to recache"). Node is the receiver, Detail
+	// "<failed node> files=<n> bytes=<n>" counting what the prefetch
+	// made resident, Value the first-hint-to-drained duration in ns.
+	EventRecacheComplete
 )
 
 // String implements fmt.Stringer with stable wire-friendly names.
@@ -73,6 +81,8 @@ func (t EventType) String() string {
 		return "node-rejoined"
 	case EventPolicySwitch:
 		return "policy-switch"
+	case EventRecacheComplete:
+		return "recache-complete"
 	default:
 		return "unknown"
 	}

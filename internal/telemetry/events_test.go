@@ -61,6 +61,7 @@ func TestEventTypeStrings(t *testing.T) {
 		EventPFSFallback:     "pfs-fallback",
 		EventNodeRevived:     "node-revived",
 		EventNodeRejoined:    "node-rejoined",
+		EventRecacheComplete: "recache-complete",
 	} {
 		if typ.String() != want {
 			t.Errorf("EventType %d = %q, want %q", typ, typ.String(), want)

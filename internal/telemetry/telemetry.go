@@ -16,7 +16,7 @@
 //   - EventTrace (events.go): a bounded ring buffer of structured
 //     fault-tolerance events (node-suspected, node-declared-dead,
 //     ring-membership-change, recache-planned, recache-file-done,
-//     pfs-fallback). Events are rare (failure-path only), so a small
+//     pfs-fallback, recache-complete). Events are rare (failure-path only), so a small
 //     mutex is acceptable there.
 //
 // Metrics are registered once (start-up or first use, via sync.Once in
