@@ -56,10 +56,6 @@ func main() {
 	ingBatch := flag.Int("batch", 64, "ingest: max entries per wire batch")
 	ingFlushEvery := flag.Int("flushevery", 4096, "ingest: puts between explicit Flush barriers")
 	ingOut := flag.String("out", filepath.Join("results", "BENCH_ingest.json"), "ingest: JSON result path ('' = stdout only)")
-	mtBench := flag.Bool("memtier", false, "A/B the RAM hot-object tier: same per-node memory budget with and without a RAM slice, JSON to -memout")
-	mtRAMFrac := flag.Float64("ramfrac", 0.25, "memtier: fraction of the per-node budget carved out as RAM tier in the ON phase")
-	mtBudget := flag.Int64("tierbudget", 0, "memtier: per-node memory budget in bytes (0 = files*filebytes)")
-	mtOut := flag.String("memout", filepath.Join("results", "BENCH_memtier.json"), "memtier: JSON result path ('' = stdout only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
@@ -103,42 +99,6 @@ func main() {
 			out:        *ingOut,
 		}); err != nil {
 			benchLog.Error("ingest run failed", "err", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *mtBench {
-		// Memtier defaults differ from hotpath's: the A/B needs a skewed
-		// pattern (there is no hot set to promote under uniform access)
-		// and a nonzero device service time (the tier's win is skipping
-		// it). Explicit flags still override.
-		skew, delay := *hpSkew, *hpServiceDelay
-		skewSet, delaySet := false, false
-		flag.Visit(func(f *flag.Flag) {
-			skewSet = skewSet || f.Name == "skew"
-			delaySet = delaySet || f.Name == "servicedelay"
-		})
-		if !skewSet {
-			skew = 1.1
-		}
-		if !delaySet {
-			delay = 150 * time.Microsecond
-		}
-		if err := runMemtierAB(memtierConfig{
-			nodes:        *hpNodes,
-			clients:      *hpClients,
-			files:        *hpFiles,
-			fileBytes:    *hpFileBytes,
-			duration:     *hpDuration,
-			seed:         *seed,
-			skew:         skew,
-			ramFrac:      *mtRAMFrac,
-			budget:       *mtBudget,
-			serviceDelay: delay,
-			out:          *mtOut,
-		}); err != nil {
-			benchLog.Error("memtier run failed", "err", err)
 			os.Exit(1)
 		}
 		return

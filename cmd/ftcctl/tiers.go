@@ -11,8 +11,10 @@ import (
 
 // runTiers fetches /debug/ftcache from each telemetry endpoint and
 // prints every server's per-tier storage breakdown (RAM / NVMe / PFS
-// capacity, occupancy, hit ratio) in one fleet-wide table — the
-// operator view of where reads are actually being served from.
+// capacity, occupancy, hit ratio, and for RAM the admissions it turned
+// away) in one fleet-wide table — the operator view of where reads are
+// actually being served from, and of a RAM tier that sits empty (low
+// USE%, nothing rejected) or full and defended (rejecting).
 func runTiers(urls []string) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 
@@ -30,6 +32,7 @@ func runTiers(urls []string) error {
 		Hits     int64   `json:"hits"`
 		Misses   int64   `json:"misses"`
 		HitRatio float64 `json:"hit_ratio"`
+		Rejected *int64  `json:"rejected"` // RAM only
 		Served   int64   `json:"served"`
 		Leases   int64   `json:"leases"`
 	}
@@ -77,8 +80,8 @@ func runTiers(urls []string) error {
 	}
 	sort.Slice(fleet, func(i, j int) bool { return fleet[i].node < fleet[j].node })
 
-	fmt.Printf("%-12s %-5s %12s %12s %6s %10s %10s %7s\n",
-		"NODE", "TIER", "CAPACITY", "BYTES", "USE%", "HITS", "MISSES", "HIT%")
+	fmt.Printf("%-12s %-5s %12s %12s %6s %10s %10s %10s %7s\n",
+		"NODE", "TIER", "CAPACITY", "BYTES", "USE%", "REJECTED", "HITS", "MISSES", "HIT%")
 	for _, nt := range fleet {
 		for _, tr := range nt.tiers {
 			use := "-"
@@ -89,14 +92,18 @@ func runTiers(urls []string) error {
 			if tr.Capacity > 0 {
 				capacity = fmt.Sprintf("%d", tr.Capacity)
 			}
+			rejected := "-"
+			if tr.Rejected != nil {
+				rejected = fmt.Sprintf("%d", *tr.Rejected)
+			}
 			hits, misses := tr.Hits, tr.Misses
 			if tr.Tier == "pfs" {
 				// PFS reports serves, not hit/miss pairs: every serve is
 				// a fallback, and its hit ratio is the fallback fraction.
 				hits = tr.Served
 			}
-			fmt.Printf("%-12s %-5s %12s %12d %6s %10d %10d %6.1f%%\n",
-				nt.node, tr.Tier, capacity, tr.Bytes, use, hits, misses, 100*tr.HitRatio)
+			fmt.Printf("%-12s %-5s %12s %12d %6s %10s %10d %10d %6.1f%%\n",
+				nt.node, tr.Tier, capacity, tr.Bytes, use, rejected, hits, misses, 100*tr.HitRatio)
 		}
 	}
 	return nil

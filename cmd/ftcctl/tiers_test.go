@@ -4,11 +4,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/hvac"
-	"repro/internal/loadctl"
 	"repro/internal/rpc"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
@@ -20,15 +20,21 @@ import (
 func TestRunTiers(t *testing.T) {
 	pfs := storage.NewPFS()
 	pfs.Put("hot", []byte("hot-object-bytes"))
+	pfs.Put("cold", []byte("cold-object-byte"))
+	// RAM room for one of the two 16-byte objects.
 	srv := hvac.NewServer(hvac.ServerConfig{
 		Node:        "node-00",
-		RAMCapacity: 1 << 20,
-		RAMSketch:   loadctl.Config{SampleRate: 1},
+		RAMCapacity: 16,
 	}, pfs)
 	defer srv.Close()
-	// Serve a few reads directly so the tier counters are nonzero.
+	// Serve reads directly so the tier counters are nonzero: "hot" fills
+	// the tier, and the single read of "cold" is turned away by it.
 	for i := 0; i < 32; i++ {
-		if status, _ := srv.Handle(hvac.OpRead, (&hvac.ReadReq{Path: "hot", Length: -1}).Marshal()); status != rpc.StatusOK {
+		path := "hot"
+		if i == 31 {
+			path = "cold"
+		}
+		if status, _ := srv.Handle(hvac.OpRead, (&hvac.ReadReq{Path: path, Length: -1}).Marshal()); status != rpc.StatusOK {
 			t.Fatalf("read %d: status %d", i, status)
 		}
 	}
@@ -41,10 +47,15 @@ func TestRunTiers(t *testing.T) {
 			t.Fatalf("runTiers: %v", err)
 		}
 	})
-	for _, want := range []string{"NODE", "node-00", "ram", "nvme", "pfs"} {
+	for _, want := range []string{"NODE", "REJECTED", "node-00", "ram", "nvme", "pfs"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("tiers output missing %q:\n%s", want, out)
 		}
+	}
+	// The RAM row: full (16 of 16 bytes, 100.0%) with one admission rejected.
+	ram := regexp.MustCompile(`node-00\s+ram\s+16\s+16\s+100\.0\s+1\s`)
+	if !ram.MatchString(out) {
+		t.Errorf("RAM row does not show a full tier with 1 rejected admission:\n%s", out)
 	}
 }
 

@@ -9,14 +9,11 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/loadctl"
 	"repro/internal/rpc"
 	"repro/internal/storage"
 )
 
-// newRAMServer boots one server with the RAM tier enabled and an
-// every-touch sketch (SampleRate 1) so tests control hotness exactly:
-// minHotCount guaranteed touches make a key hot on the next touch.
+// newRAMServer boots one server with the RAM tier enabled.
 func newRAMServer(t *testing.T, ramCapacity int64) (*Server, *rpc.InprocNetwork, *storage.PFS) {
 	t.Helper()
 	network := rpc.NewInprocNetwork()
@@ -24,7 +21,6 @@ func newRAMServer(t *testing.T, ramCapacity int64) (*Server, *rpc.InprocNetwork,
 	srv := NewServer(ServerConfig{
 		Node:        "node-00",
 		RAMCapacity: ramCapacity,
-		RAMSketch:   loadctl.Config{SampleRate: 1},
 	}, pfs)
 	lis, err := network.Listen("node-00")
 	if err != nil {
@@ -52,9 +48,9 @@ func ramClient(t *testing.T, network *rpc.InprocNetwork, pfs *storage.PFS) *Clie
 	return c
 }
 
-// heat reads path until the server promotes it into RAM (the sketch
-// needs minHotCount sampled touches before the key publishes hot, and
-// promotion happens on the touch after that).
+// heat reads path until the server promotes it into RAM: the first
+// device-served read does while the tier has room; into a full tier it
+// takes as many reads as make path clearly hotter than the victim.
 func heat(t *testing.T, c *Client, srv *Server, path string) {
 	t.Helper()
 	ctx := context.Background()
@@ -76,7 +72,14 @@ func TestRAMTierPromoteAndServe(t *testing.T) {
 	c := ramClient(t, network, pfs)
 	ctx := context.Background()
 
-	heat(t, c, srv, "data/hot")
+	// The first device-served read promotes while the tier has room; the
+	// second is already a RAM hit.
+	if _, err := c.Read(ctx, "data/hot"); err != nil {
+		t.Fatalf("first read: %v", err)
+	}
+	if !srv.RAM().Has("data/hot") {
+		t.Fatal("first device-served read did not promote into a tier with room")
+	}
 	before := c.Stats().ServedRAM
 	got, err := c.Read(ctx, "data/hot")
 	if err != nil || !bytes.Equal(got, payload) {
@@ -96,6 +99,43 @@ func TestRAMTierPromoteAndServe(t *testing.T) {
 			t.Fatalf("leaked leases: %d", srv.RAM().ActiveLeases())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHandleWaitFlattensReadResponses: a read answers head + by-reference
+// body from every tier, and the copying dispatch path must hand direct
+// callers exactly the bytes ReadResp.Marshal would have produced —
+// whether or not the response carries a lease to release.
+func TestHandleWaitFlattensReadResponses(t *testing.T) {
+	srv, _, pfs := newRAMServer(t, 1<<20)
+	payload := []byte("0123456789abcdef")
+	pfs.Put("data/f", payload)
+	whole := (&ReadReq{Path: "data/f", Length: -1}).Marshal()
+	ranged := (&ReadReq{Path: "data/f", Offset: 4, Length: 8}).Marshal()
+	for _, tc := range []struct {
+		name    string
+		dropRAM bool // invalidate the RAM copy first, so NVMe answers
+		req     []byte
+		source  uint8
+		data    []byte
+	}{
+		{"pfs", false, whole, SourcePFS, payload}, // cold: the miss flight fills NVMe and the tier
+		{"ram", false, whole, SourceRAM, payload},
+		{"ram range", false, ranged, SourceRAM, payload[4:12]},
+		{"nvme", true, whole, SourceNVMe, payload},
+		{"nvme range", true, ranged, SourceNVMe, payload[4:12]}, // the NVMe read above promoted it again
+	} {
+		if tc.dropRAM {
+			srv.RAM().Invalidate("data/f")
+		}
+		status, got := srv.HandleWait(OpRead, tc.req, 0)
+		want := (&ReadResp{Source: tc.source, FileSize: int64(len(payload)), Data: tc.data}).Marshal()
+		if status != rpc.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s: status=%d payload=%x, want %x", tc.name, status, got, want)
+		}
+	}
+	if n := srv.RAM().ActiveLeases(); n != 0 {
+		t.Errorf("HandleWait left %d leases behind", n)
 	}
 }
 

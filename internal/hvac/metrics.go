@@ -151,6 +151,7 @@ func (s *Server) registerTelemetry() {
 		reg.CounterFunc("ftc_server_ram_hits_total", func() int64 { h, _, _, _, _, _ := ram.Counters(); return h }, "node", node)
 		reg.CounterFunc("ftc_server_ram_misses_total", func() int64 { _, m, _, _, _, _ := ram.Counters(); return m }, "node", node)
 		reg.CounterFunc("ftc_server_ram_admits_total", func() int64 { _, _, a, _, _, _ := ram.Counters(); return a }, "node", node)
+		reg.CounterFunc("ftc_server_ram_admit_rejected_total", ram.Rejected, "node", node)
 		reg.CounterFunc("ftc_server_ram_evictions_total", func() int64 { _, _, _, e, _, _ := ram.Counters(); return e }, "node", node)
 		reg.CounterFunc("ftc_server_ram_demotions_total", func() int64 { _, _, _, _, d, _ := ram.Counters(); return d }, "node", node)
 		reg.CounterFunc("ftc_server_ram_invalidations_total", func() int64 { _, _, _, _, _, i := ram.Counters(); return i }, "node", node)
@@ -213,7 +214,10 @@ func (s *Server) debugSnapshot() any {
 
 // tierSnapshot is the per-tier breakdown of /debug/ftcache's storage
 // section: capacity, occupancy, and hit ratio for each serving tier in
-// paper order (RAM → NVMe → PFS). The PFS tier is the shared backstop —
+// paper order (RAM → NVMe → PFS), plus the admissions the RAM tier
+// refused — occupancy far below capacity with nothing rejected is a tier
+// not being offered objects; a full tier rejecting is one defending its
+// residents. The PFS tier is the shared backstop —
 // it has no node-local capacity, and every read it serves is by
 // definition a miss of the tiers above, so its "hit ratio" is the
 // fallback fraction.
@@ -231,6 +235,7 @@ func (s *Server) tierSnapshot() []map[string]any {
 			"hits":      hits,
 			"misses":    misses,
 			"hit_ratio": ratio(hits, hits+misses),
+			"rejected":  s.ram.Rejected(),
 			"served":    s.ramServed.Load(),
 			"leases":    s.ram.ActiveLeases(),
 		})

@@ -120,8 +120,15 @@ type ReadResp struct {
 
 // Marshal encodes the response.
 func (r *ReadResp) Marshal() []byte {
-	return wire.NewBuffer(len(r.Data) + 16).
-		U8(r.Source).I64(r.FileSize).Bytes32(r.Data).Bytes()
+	return append(r.marshalHead(), r.Data...)
+}
+
+// marshalHead encodes everything of the response but the bytes of Data
+// itself (a Bytes32 length prefix without its body). The server sends
+// head and Data separately so the stored object is never copied.
+func (r *ReadResp) marshalHead() []byte {
+	return wire.NewBuffer(16).
+		U8(r.Source).I64(r.FileSize).U32(uint32(len(r.Data))).Bytes()
 }
 
 // Unmarshal decodes the response. Data aliases b.

@@ -13,7 +13,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // ServerConfig configures one HVAC server daemon.
@@ -42,14 +41,12 @@ type ServerConfig struct {
 	// simulation entirely.
 	ReadDelay time.Duration
 	// RAMCapacity, when > 0, enables the RAM tier: a sharded in-memory
-	// hot-object cache (internal/memtier) above NVMe on the read path.
-	// Only keys the server-side hot-key sketch publishes as hot are
-	// admitted; hits skip the device model entirely and serve zero-copy
-	// from the tier's pooled buffers. 0 (the default) disables the tier.
+	// object cache (internal/memtier) above NVMe on the read path. Every
+	// device-served read is offered to it; the tier fills its budget and
+	// then keeps what is read most often. Hits skip the device model
+	// entirely and serve zero-copy from the slice the tier holds by
+	// reference. 0 (the default) disables the tier.
 	RAMCapacity int64
-	// RAMSketch tunes the server-side hot-key sketch driving RAM
-	// admission; the zero value selects loadctl defaults.
-	RAMSketch loadctl.Config
 }
 
 // readDeviceWidth is the number of simulated reads a node's device
@@ -78,13 +75,12 @@ type Server struct {
 	// prefetch of the same path share a single PFS fetch, and the leader
 	// stores to NVMe before the flight completes — so a fetched object is
 	// at every instant either in flight or cached, and nothing fetches it
-	// twice. RAM promotion dedups through the same group.
+	// twice.
 	fill *loadctl.Group
 
-	// RAM tier (both nil when RAMCapacity == 0): the sketch decides who
-	// gets promoted and the tier itself holds the bytes.
-	ram       *memtier.Tier
-	ramSketch *loadctl.Sketch
+	// ram is the RAM tier (nil when RAMCapacity == 0); it decides for
+	// itself which of the objects offered to it stay.
+	ram *memtier.Tier
 
 	reads        atomic.Int64
 	pfsFallbacks atomic.Int64
@@ -111,7 +107,6 @@ func NewServer(cfg ServerConfig, pfs storage.Store) *Server {
 	}
 	if cfg.RAMCapacity > 0 {
 		s.ram = memtier.New(cfg.RAMCapacity, s.demoteRAM)
-		s.ramSketch = loadctl.NewSketch(cfg.RAMSketch)
 	}
 	s.mover = NewMover(s.nvme, cfg.MoverQueueDepth, cfg.MoverWorkers)
 	s.mover.node = string(cfg.Node)
@@ -135,16 +130,15 @@ func (s *Server) RAMServed() int64 { return s.ramServed.Load() }
 
 // demoteRAM is the tier's eviction callback: an object squeezed out of
 // RAM falls back to NVMe so its bytes stay node-local (RAM → NVMe →
-// PFS, the paper's tier order). Bytes are pinned by the tier for the
-// duration of the call; the NVMe fill copies them. Objects already on
-// NVMe (the common case — promotion never removed them) cost one Has.
-// Invalidation and Clear never demote: stale bytes must not resurrect
-// into a lower tier.
+// PFS, the paper's tier order). The slice is the immutable one the tier
+// held by reference, so the mover stores it as is. Objects already on
+// NVMe (promotion never removed them) cost one Has. Invalidation and
+// Clear never demote: stale bytes must not resurrect into a lower tier.
 func (s *Server) demoteRAM(path string, data []byte) {
 	if s.nvme.Has(path) {
 		return
 	}
-	s.mover.Enqueue(path, append([]byte(nil), data...))
+	s.mover.Enqueue(path, data)
 }
 
 // Mover exposes the data mover (tests flush it for determinism).
@@ -182,24 +176,27 @@ func (s *Server) Handle(op uint16, payload []byte) (uint16, []byte) {
 }
 
 // HandleWait implements rpc.WaitHandler — the copying dispatch path.
-// A zero-copy read response is flattened (head and leased tail joined
-// into one owned slice) and its lease released before return, so
-// direct callers never see tier internals.
+// A zero-copy read response is flattened (head and by-reference tail
+// joined into one owned slice) and its lease, if it carries one,
+// released before return, so direct callers never see store internals.
 func (s *Server) HandleWait(op uint16, payload []byte, connWait time.Duration) (uint16, []byte) {
 	lr := s.HandleLeased(op, payload, connWait)
-	if lr.Release == nil {
-		return lr.Status, lr.Head
+	resp := lr.Head
+	if lr.Ext != nil {
+		resp = make([]byte, 0, len(lr.Head)+len(lr.Ext))
+		resp = append(append(resp, lr.Head...), lr.Ext...)
 	}
-	resp := make([]byte, 0, len(lr.Head)+len(lr.Ext))
-	resp = append(append(resp, lr.Head...), lr.Ext...)
-	lr.Release()
+	if lr.Release != nil {
+		lr.Release()
+	}
 	return lr.Status, resp
 }
 
 // HandleLeased implements rpc.LeasedHandler: the RPC server dispatches
-// every request here, and a RAM-tier read hit answers with a leased
-// zero-copy payload tail that stays pinned until the coalesced
-// response flush has it on the wire. connWait is the time the request
+// every request here, and a read answers with a zero-copy payload tail —
+// the stored object itself, leased when it comes from the RAM tier —
+// that stays referenced until the coalesced response flush has it on
+// the wire. connWait is the time the request
 // sat in the per-connection fan-out queue, which tracing reports as
 // the first slice of the server-side queue component.
 func (s *Server) HandleLeased(op uint16, payload []byte, connWait time.Duration) rpc.LeasedResp {
@@ -371,14 +368,16 @@ func (s *Server) handlePutBatch(payload []byte, connWait time.Duration) (uint16,
 	return rpc.StatusOK, resp.Marshal()
 }
 
-// handleRead is the tiered server read path: RAM hit → serve zero-copy
-// (no device model — RAM pays no NVMe service time); RAM miss → NVMe;
-// NVMe miss → the miss flight (PFS fetch + NVMe fill, once per path
-// however many readers and prefetches want it). Published-hot keys are
-// promoted into the RAM tier on the way out. connWait and admissionWait
-// are the two server-side queueing delays already paid before this
-// point; the span reports them so the client can attribute its observed
-// RPC time to queueing vs. storage.
+// handleRead is the tiered server read path: RAM hit → serve with no
+// device model (RAM pays no NVMe service time); RAM miss → NVMe; NVMe
+// miss → the miss flight (PFS fetch + NVMe fill, once per path however
+// many readers and prefetches want it). Every device-served object is
+// offered to the RAM tier on the way out, and whichever tier answers,
+// the body leaves by reference: the stored slice is immutable, so the
+// response is a 13-byte head plus that slice. connWait and
+// admissionWait are the two server-side queueing delays already paid
+// before this point; the span reports them so the client can attribute
+// its observed RPC time to queueing vs. storage.
 func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duration) rpc.LeasedResp {
 	var req ReadReq
 	if err := req.Unmarshal(payload); err != nil {
@@ -394,17 +393,12 @@ func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duratio
 	if admissionWait > 0 {
 		sp.AnnotateDuration("admission_wait_ns", admissionWait)
 	}
-	hot := false
 	if s.ram != nil {
-		hot = s.ramSketch.Touch(req.Path)
 		if lease, ok := s.ram.Get(req.Path); ok {
-			// RAM hit: no device-slot wait, no storage read, no copy.
-			// The response head (source/size/length prefix) goes into
-			// the shared flush buffer; the body rides as a leased
-			// segment released only after the flush completes.
+			// RAM hit: no device-slot wait, no storage read. The lease
+			// rides the response and is released only after the flush.
 			hs := sp.StartChild("memtier.hit")
-			data := lease.Bytes()
-			body, inRange := slice(data, req.Offset, req.Length)
+			body, inRange := slice(lease.Bytes(), req.Offset, req.Length)
 			if !inRange {
 				lease.Release()
 				hs.SetErrorString("range out of bounds")
@@ -415,9 +409,8 @@ func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duratio
 			hs.AnnotateInt("bytes", int64(len(body)))
 			hs.End()
 			s.ramServed.Add(1)
-			head := wire.NewBuffer(16).
-				U8(SourceRAM).I64(int64(len(data))).U32(uint32(len(body))).Bytes()
-			return rpc.LeasedResp{Status: rpc.StatusOK, Head: head, Ext: body, Release: lease.Release}
+			resp := ReadResp{Source: SourceRAM, FileSize: lease.Size(), Data: body}
+			return rpc.LeasedResp{Status: rpc.StatusOK, Head: resp.marshalHead(), Ext: body, Release: lease.Release}
 		}
 	}
 	if s.device != nil {
@@ -451,8 +444,8 @@ func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duratio
 		}
 		source = SourcePFS
 	}
-	if hot && !s.ram.Has(req.Path) {
-		s.promoteRAM(req.Path, data, sp)
+	if s.ram != nil && s.ram.Admit(req.Path, data) {
+		st.Annotate("promoted", "ram")
 	}
 	st.Annotate("source", sourceName(source))
 	st.End()
@@ -462,7 +455,7 @@ func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duratio
 		return rpc.LeasedResp{Status: StatusError, Head: []byte("range out of bounds")}
 	}
 	resp := ReadResp{Source: source, FileSize: int64(len(data)), Data: body}
-	return rpc.LeasedResp{Status: rpc.StatusOK, Head: resp.Marshal()}
+	return rpc.LeasedResp{Status: rpc.StatusOK, Head: resp.marshalHead(), Ext: body}
 }
 
 // missFetcher is the body of the miss flight; the pointer conversion
@@ -520,23 +513,6 @@ func (s *Server) handleRecache(payload []byte) (uint16, []byte) {
 	}
 	s.mover.Recache(req.Failed, req.Paths)
 	return rpc.StatusOK, nil
-}
-
-// promoteRAM copies a hot object up into the RAM tier, deduping
-// concurrent promotions of the same key through the flight group (the
-// admit is a copy; N concurrent readers should pay for one).
-func (s *Server) promoteRAM(path string, data []byte, sp *trace.Span) {
-	ps := sp.StartChild("memtier.promote")
-	_, _, shared := s.fill.Do(s.baseCtx, path, loadctl.FetcherFunc(
-		func(_ context.Context, key string) ([]byte, error) {
-			s.ram.Admit(key, data)
-			return data, nil
-		}))
-	if shared {
-		ps.Annotate("coalesced", "true")
-	}
-	ps.AnnotateInt("bytes", int64(len(data)))
-	ps.End()
 }
 
 // sourceName renders a read source for span annotations.

@@ -1,23 +1,31 @@
 // Package memtier is the RAM tier of the FT-Cache storage stack: a
-// sharded in-memory hot-object cache that sits in front of the NVMe
-// store on the server read path (Hoard-style — RAM above local flash
-// above the PFS).
+// sharded in-memory object cache that sits in front of the NVMe store
+// on the server read path (Hoard-style — RAM above local flash above
+// the PFS).
 //
-// Only published-hot objects are admitted (the server gates Admit on
-// the loadctl hot-key sketch), so the tier's byte budget is spent
-// exclusively on the head of the access distribution. Hits serve
-// zero-copy: Get returns a refcounted Lease into the tier's pooled
-// buffers, which the response writer holds until the coalesced flush
-// has the bytes on the wire — an evicted entry's buffer returns to the
-// pool only after the last lease drops.
+// Admission is driven by the byte budget, not by a hotness threshold:
+// while the tier has free bytes every object offered to Admit becomes
+// resident; once it is full a candidate displaces the least-recently-
+// used object of its shard only if the candidate has recently been
+// read clearly more often (see admitMargin). The read counts come from
+// a small aging count-min sketch per shard that Get updates under the
+// shard lock it already holds. A uniform scan of a dataset larger than
+// the tier therefore leaves the resident set alone, while under skew
+// the budget converges on the head of the access distribution.
+//
+// Residency is by reference: the tier keeps the immutable slice it was
+// handed (the one NVMe and the miss flight already share with every
+// reader) and never copies it. Get returns a Lease on that slice, which
+// the response writer holds until the coalesced flush has the bytes on
+// the wire; eviction only drops the tier's reference, so a leased
+// object stays intact for as long as anyone still reads it.
 //
 // Accounting mirrors storage.NVMe: a single global atomic byte budget
-// across power-of-two shards (per-shard mutex + map + LRU), per-shard
-// atomic byte/object mirrors for lock-free telemetry, and cross-shard
-// eviction spill so one shard's admit pressure cannot strand budget in
-// the others. Demotion is RAM→NVMe→PFS: every eviction hands the
-// object to the OnDemote callback, which the server uses to guarantee
-// the next tier down still holds it before the RAM copy dies.
+// across power-of-two shards (per-shard mutex + map + LRU) and
+// per-shard atomic byte/object mirrors for lock-free telemetry.
+// Demotion is RAM→NVMe→PFS: every eviction hands the object to the
+// OnDemote callback, which the server uses to guarantee the next tier
+// down still holds it before the RAM reference dies.
 package memtier
 
 import (
@@ -36,9 +44,17 @@ const DefaultShards = 16
 // ring's key hash (same constant as the NVMe store, same reason).
 const shardSeed = 0x9E3779B97F4A7C15
 
+// admitMargin is the hysteresis of the admission rule: into a full tier
+// a candidate is admitted only if its estimated read count exceeds the
+// victim's by more than this. One of the margin is the very read that
+// is offering the candidate (Get counted it before Admit runs); the
+// other keeps near-ties at the cold edge of the resident set from
+// trading places on every read, which is what a uniform scan would
+// otherwise turn into per-read churn.
+const admitMargin = 2
+
 // OnDemote is called for every object evicted by admission pressure,
-// outside any shard lock, with the object's bytes still valid for the
-// duration of the call. The server's demotion hook re-fills NVMe when
+// outside any shard lock. The server's demotion hook re-fills NVMe when
 // the object is no longer resident there, completing the RAM→NVMe→PFS
 // chain. Invalidate and Clear do NOT demote: an invalidated object is
 // being removed because its bytes are no longer true.
@@ -55,6 +71,7 @@ type Tier struct {
 	hits          atomic.Int64
 	misses        atomic.Int64
 	admits        atomic.Int64
+	rejected      atomic.Int64 // Admit calls the frequency rule turned away
 	evictions     atomic.Int64
 	demotions     atomic.Int64 // evictions that ran the OnDemote hook
 	invalidations atomic.Int64
@@ -65,18 +82,20 @@ type shard struct {
 	mu    sync.Mutex
 	items map[string]*list.Element
 	lru   *list.List // front = most recently used
+	freq  sketch     // read counts of this shard's keys, resident or not
 	// bytes/objects mirror the shard's content for lock-free telemetry
 	// reads; written under mu, loaded without it.
 	bytes   atomic.Int64
 	objects atomic.Int64
-	_       [40]byte // pad to a cache line so shard locks don't false-share
+	_       [32]byte // pad to three cache lines so shard locks don't false-share
 }
 
-// entry is one resident object. buf holds one reference for residency;
-// each outstanding Lease holds one more.
+// entry is one resident object. hash is the path's shard hash, kept so
+// a victim's read count can be looked up without rehashing its path.
 type entry struct {
 	path string
-	buf  *buffer
+	hash uint64
+	data []byte
 }
 
 // New creates a tier with the given byte capacity and DefaultShards
@@ -106,15 +125,20 @@ func NewShards(capacity int64, shards int, onDemote OnDemote) *Tier {
 	for i := range t.shards {
 		t.shards[i].items = make(map[string]*list.Element)
 		t.shards[i].lru = list.New()
+		t.shards[i].freq = newSketch(capacity / int64(n))
 	}
 	return t
 }
 
-func (t *Tier) shardFor(path string) *shard {
-	return &t.shards[xhash.XXH64String(path, shardSeed)&t.mask]
+// locate hashes path once; the low bits pick the shard and the sketch
+// derives its counter indexes from the rest.
+func (t *Tier) locate(path string) (*shard, uint64) {
+	h := xhash.XXH64String(path, shardSeed)
+	return &t.shards[h&t.mask], h
 }
 
-// Get returns a zero-copy lease on path's bytes, refreshing recency.
+// Get returns a zero-copy lease on path's bytes, refreshing recency and
+// counting the read — hit or miss — toward path's admission frequency.
 // ok=false means not resident (and the returned lease is nil). The
 // caller owns exactly one Release on the returned lease; the bytes
 // stay valid — even across a concurrent eviction or Invalidate — until
@@ -122,8 +146,11 @@ func (t *Tier) shardFor(path string) *shard {
 //
 //ftc:hotpath
 func (t *Tier) Get(path string) (*Lease, bool) {
-	sh := t.shardFor(path)
+	sh, h := t.locate(path)
 	sh.mu.Lock() //ftclint:ignore hotpathlock per-shard LRU lock is the sharded design; contention is 1/N by construction
+	if sh.freq.touch(h) {
+		sh.freq.age(t.agePeriod())
+	}
 	el, ok := sh.items[path]
 	if !ok {
 		sh.mu.Unlock()
@@ -131,185 +158,196 @@ func (t *Tier) Get(path string) (*Lease, bool) {
 		return nil, false
 	}
 	sh.lru.MoveToFront(el)
-	buf := el.Value.(*entry).buf
-	buf.refs.Add(1) // lease reference, taken under the shard lock
+	data := el.Value.(*entry).data
 	sh.mu.Unlock()
 	t.hits.Add(1)
 	t.leases.Add(1)
-	return &Lease{tier: t, buf: buf}, true
+	return &Lease{tier: t, data: data}, true
+}
+
+// agePeriod is how many reads a shard counts between halvings of its
+// sketch: agePerObject for each object the shard holds on average, so
+// the frequency window tracks the resident set whatever the object
+// size (the sketch caps it at what its width can tell apart).
+func (t *Tier) agePeriod() int {
+	objects, _ := t.StatsAtomic()
+	return int(objects) * agePerObject / len(t.shards)
 }
 
 // Has reports residency without perturbing recency or counters.
 func (t *Tier) Has(path string) bool {
-	sh := t.shardFor(path)
+	sh, _ := t.locate(path)
 	sh.mu.Lock()
 	_, ok := sh.items[path]
 	sh.mu.Unlock()
 	return ok
 }
 
-// Admit copies data into a pooled buffer and makes it resident,
-// evicting least-recently-used objects (own shard first, then spilling
-// across the others) until the global budget is met. Objects larger
-// than the whole tier are refused (false) — they live on NVMe only.
-// Admitting an already-resident path replaces its bytes.
+// Admit offers data for residency under path and reports whether the
+// tier took it. data is kept by reference: it must be immutable and
+// owned by the store (the slice NVMe or the miss flight hands out),
+// never an RPC or pool buffer that will be reused.
+//
+// While the budget has room the object is simply inserted. Into a full
+// tier it displaces least-recently-used objects of its own shard (of
+// the next non-empty shard when its own has none to give), and only
+// while each victim's estimated read count is more than admitMargin
+// below the candidate's; at the first victim that is not, the candidate
+// is refused. Objects larger than the whole tier are always refused —
+// they live on NVMe only. Admitting an already-resident path replaces
+// its bytes under the same rule, paying only for the size difference;
+// a refusal leaves the resident copy where it was.
+//
+// The whole decision normally runs in one critical section of the home
+// shard; that lock is dropped only to look for victims on other shards.
 func (t *Tier) Admit(path string, data []byte) bool {
 	size := int64(len(data))
 	if t.capacity <= 0 || size > t.capacity {
 		return false
 	}
-	buf := acquireBuffer(len(data))
-	copy(buf.b, data)
-	sh := t.shardFor(path)
-	var demote []*entry
-	sh.mu.Lock()
-	kept := t.insertLocked(sh, path, buf, &demote)
-	t.evictShardLocked(sh, kept, &demote)
-	sh.mu.Unlock()
-	if t.used.Load() > t.capacity {
-		t.evictSpill(sh, kept, &demote)
+	var victims []*entry
+	home, h := t.locate(path)
+	home.mu.Lock()
+	old := home.items[path] // nil when path is not resident
+	need := size
+	if old != nil {
+		need -= int64(len(old.Value.(*entry).data))
 	}
-	t.admits.Add(1)
-	t.finishEvictions(demote)
-	return true
+	count := home.freq.estimate(h)
+	admitted, refused := t.displaceLocked(home, old, count, need, &victims)
+	if admitted {
+		t.insertLocked(home, old, &entry{path: path, hash: h, data: data})
+	}
+	home.mu.Unlock()
+
+	if !admitted && !refused {
+		for off := uint64(1); off <= t.mask && !admitted && !refused; off++ {
+			sh := &t.shards[(h+off)&t.mask]
+			sh.mu.Lock()
+			admitted, refused = t.displaceLocked(sh, nil, count, size, &victims)
+			sh.mu.Unlock()
+		}
+		if admitted {
+			// The full size is reserved, so whatever copy of path is
+			// resident by now (the old one, or a racing Admit's) goes
+			// and its bytes return to the budget.
+			home.mu.Lock()
+			if el := home.items[path]; el != nil {
+				t.removeLocked(home, el)
+			}
+			t.insertLocked(home, nil, &entry{path: path, hash: h, data: data})
+			home.mu.Unlock()
+		}
+	}
+	if admitted {
+		t.admits.Add(1)
+	} else {
+		t.rejected.Add(1)
+	}
+	t.evictions.Add(int64(len(victims)))
+	if t.onDemote != nil {
+		for _, v := range victims {
+			t.onDemote(v.path, v.data)
+			t.demotions.Add(1)
+		}
+	}
+	return admitted
 }
 
-// insertLocked stores or replaces path in sh (lock held), maintaining
-// the accounting, and returns the entry's LRU element. A replaced
-// buffer joins demote-less teardown via out (no demotion: the replacer
-// is the fresher copy).
-func (t *Tier) insertLocked(sh *shard, path string, buf *buffer, out *[]*entry) *list.Element {
-	size := int64(len(buf.b))
-	if el, ok := sh.items[path]; ok {
-		old := el.Value.(*entry)
-		t.used.Add(size - int64(len(old.buf.b)))
-		sh.bytes.Add(size - int64(len(old.buf.b)))
-		// The old buffer dies without demotion — mark it so
-		// finishEvictions drops it straight to the pool.
-		*out = append(*out, &entry{path: "", buf: old.buf})
-		el.Value = &entry{path: path, buf: buf}
-		sh.lru.MoveToFront(el)
-		return el
-	}
-	el := sh.lru.PushFront(&entry{path: path, buf: buf})
-	sh.items[path] = el
-	t.used.Add(size)
-	sh.bytes.Add(size)
-	sh.objects.Add(1)
-	return el
-}
-
-// evictShardLocked evicts LRU-order objects from sh (lock held) until
-// the global budget is met or only keep remains, collecting victims
-// into out for demotion outside the lock.
-func (t *Tier) evictShardLocked(sh *shard, keep *list.Element, out *[]*entry) {
-	for t.used.Load() > t.capacity {
-		tail := sh.lru.Back()
+// displaceLocked reserves need bytes of budget, evicting from the LRU
+// end of sh (lock held) residents read clearly less often than count
+// until they fit; keep is never evicted. refused means it met a
+// resident that is not; neither means sh ran out of residents.
+func (t *Tier) displaceLocked(sh *shard, keep *list.Element, count int, need int64, victims *[]*entry) (reserved, refused bool) {
+	tail := sh.lru.Back()
+	for !t.reserve(need) {
 		if tail != nil && tail == keep {
 			tail = tail.Prev()
 		}
 		if tail == nil {
-			return
+			return false, false
 		}
-		ent := tail.Value.(*entry)
-		sh.lru.Remove(tail)
-		delete(sh.items, ent.path)
-		size := int64(len(ent.buf.b))
-		t.used.Add(-size)
-		sh.bytes.Add(-size)
-		sh.objects.Add(-1)
-		t.evictions.Add(1)
-		*out = append(*out, ent)
+		if sh.freq.estimate(tail.Value.(*entry).hash)+admitMargin >= count {
+			return false, true
+		}
+		next := tail.Prev()
+		*victims = append(*victims, t.removeLocked(sh, tail))
+		tail = next
+	}
+	return true, false
+}
+
+// insertLocked makes ent resident in sh (lock held) as its most recently
+// used object, in place of old when that is non-nil. The caller has
+// reserved the bytes ent adds.
+func (t *Tier) insertLocked(sh *shard, old *list.Element, ent *entry) {
+	added := int64(len(ent.data))
+	if old != nil {
+		added -= int64(len(old.Value.(*entry).data))
+		old.Value = ent
+		sh.lru.MoveToFront(old)
+	} else {
+		sh.items[ent.path] = sh.lru.PushFront(ent)
+		sh.objects.Add(1)
+	}
+	sh.bytes.Add(added)
+}
+
+// reserve claims size bytes of the budget if that many are free.
+func (t *Tier) reserve(size int64) bool {
+	for {
+		used := t.used.Load()
+		if used+size > t.capacity {
+			return false
+		}
+		if t.used.CompareAndSwap(used, used+size) {
+			return true
+		}
 	}
 }
 
-// evictSpill walks the other shards (one lock at a time) until the
-// budget is met; from is revisited last with keep still protected.
-func (t *Tier) evictSpill(from *shard, keep *list.Element, out *[]*entry) {
-	start := 0
-	for i := range t.shards {
-		if &t.shards[i] == from {
-			start = i
-			break
-		}
-	}
-	for off := 1; off <= len(t.shards); off++ {
-		if t.used.Load() <= t.capacity {
-			return
-		}
-		sh := &t.shards[(start+off)&int(t.mask)]
-		k := keep
-		if sh != from {
-			k = nil
-		}
-		sh.mu.Lock()
-		t.evictShardLocked(sh, k, out)
-		sh.mu.Unlock()
-	}
-}
-
-// finishEvictions runs outside every shard lock: victims with a path
-// are offered to the demotion hook while their residency reference
-// still pins the bytes, then the reference drops — the buffer returns
-// to the pool once the last lease (if any) releases.
-func (t *Tier) finishEvictions(victims []*entry) {
-	for _, ent := range victims {
-		if ent.path != "" && t.onDemote != nil {
-			t.onDemote(ent.path, ent.buf.b)
-			t.demotions.Add(1)
-		}
-		ent.buf.decRef()
-	}
-}
-
-// Invalidate removes path if resident, reporting whether it was. The
-// bytes are torn down without demotion: invalidation means the object
-// is stale (ownership moved, or a writer replaced it), so pushing the
-// old bytes down a tier would resurrect them. Outstanding leases stay
-// valid until released.
-func (t *Tier) Invalidate(path string) bool {
-	sh := t.shardFor(path)
-	sh.mu.Lock()
-	el, ok := sh.items[path]
-	if !ok {
-		sh.mu.Unlock()
-		return false
-	}
-	ent := el.Value.(*entry)
-	sh.lru.Remove(el)
-	delete(sh.items, path)
-	size := int64(len(ent.buf.b))
+// removeLocked unlinks el from sh (lock held) and returns its bytes to
+// the budget.
+func (t *Tier) removeLocked(sh *shard, el *list.Element) *entry {
+	ent := sh.lru.Remove(el).(*entry)
+	delete(sh.items, ent.path)
+	size := int64(len(ent.data))
 	t.used.Add(-size)
 	sh.bytes.Add(-size)
 	sh.objects.Add(-1)
+	return ent
+}
+
+// Invalidate removes path if resident, reporting whether it was. The
+// object is dropped without demotion: invalidation means it is stale
+// (ownership moved, or a writer replaced it), so pushing the old bytes
+// down a tier would resurrect them. Outstanding leases stay valid
+// until released.
+func (t *Tier) Invalidate(path string) bool {
+	sh, _ := t.locate(path)
+	sh.mu.Lock()
+	el, ok := sh.items[path]
+	if ok {
+		t.removeLocked(sh, el)
+	}
 	sh.mu.Unlock()
-	t.invalidations.Add(1)
-	ent.buf.decRef()
-	return true
+	if ok {
+		t.invalidations.Add(1)
+	}
+	return ok
 }
 
 // Clear drops every resident object without demotion — the crash /
-// re-own path (a node losing its tier on restart starts empty).
+// re-own path (a node losing its tier on restart starts empty). Read
+// counts survive: they describe the traffic, not the content.
 func (t *Tier) Clear() {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		var bytes int64
-		victims := make([]*buffer, 0, len(sh.items))
-		for _, el := range sh.items {
-			ent := el.Value.(*entry)
-			bytes += int64(len(ent.buf.b))
-			victims = append(victims, ent.buf)
+		for sh.lru.Len() > 0 {
+			t.removeLocked(sh, sh.lru.Back())
 		}
-		sh.items = make(map[string]*list.Element)
-		sh.lru.Init()
-		t.used.Add(-bytes)
-		sh.bytes.Add(-bytes)
-		sh.objects.Store(0)
 		sh.mu.Unlock()
-		for _, b := range victims {
-			b.decRef()
-		}
 	}
 }
 
@@ -342,6 +380,11 @@ func (t *Tier) Counters() (hits, misses, admits, evictions, demotions, invalidat
 	return t.hits.Load(), t.misses.Load(), t.admits.Load(),
 		t.evictions.Load(), t.demotions.Load(), t.invalidations.Load()
 }
+
+// Rejected returns how many Admit calls the frequency rule refused — a
+// full tier turning candidates away is working; a tier that is neither
+// full nor admitting is not being offered anything.
+func (t *Tier) Rejected() int64 { return t.rejected.Load() }
 
 // ActiveLeases returns the number of leases handed out by Get and not
 // yet released — the leak observable the chaos soak asserts is zero

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"repro/internal/workload"
 )
 
 func get(t *testing.T, tier *Tier, path string) []byte {
@@ -15,6 +18,16 @@ func get(t *testing.T, tier *Tier, path string) []byte {
 	}
 	defer lease.Release()
 	return append([]byte(nil), lease.Bytes()...)
+}
+
+// touch reads path n times, as n client reads would: each Get counts
+// toward path's admission frequency whether or not it is resident.
+func touch(tier *Tier, path string, n int) {
+	for i := 0; i < n; i++ {
+		if lease, ok := tier.Get(path); ok {
+			lease.Release()
+		}
+	}
 }
 
 func TestAdmitGetRoundtrip(t *testing.T) {
@@ -50,6 +63,30 @@ func TestAdmitReplacesBytes(t *testing.T) {
 	}
 }
 
+// A resident path offered again is decided before it is touched: a copy
+// no bigger swaps in place whatever the read counts say, and a bigger
+// one that loses under the rule leaves the resident where it was.
+func TestReadmitKeepsResidentUntilDecided(t *testing.T) {
+	tier := NewShards(20, 1, nil)
+	tier.Admit("a", []byte("0123456789"))
+	tier.Admit("b", []byte("bbbbbbbbbb"))
+	touch(tier, "b", 4*admitMargin)
+	if !tier.Admit("a", []byte("AAAAAAAAAA")) {
+		t.Fatal("same-size re-admit into a full tier refused")
+	}
+	if tier.Admit("a", make([]byte, 15)) {
+		t.Fatal("bigger re-admit displaced a hotter resident")
+	}
+	if got := get(t, tier, "a"); string(got) != "AAAAAAAAAA" {
+		t.Fatalf("got %q, want AAAAAAAAAA", got)
+	}
+	objects, bytes := tier.StatsAtomic()
+	_, _, _, evictions, _, _ := tier.Counters()
+	if objects != 2 || bytes != 20 || evictions != 0 || tier.Rejected() != 1 {
+		t.Fatalf("objects=%d bytes=%d evictions=%d rejected=%d, want 2/20/0/1", objects, bytes, evictions, tier.Rejected())
+	}
+}
+
 func TestCapacityRefusals(t *testing.T) {
 	tier := New(10, nil)
 	if tier.Admit("big", make([]byte, 11)) {
@@ -73,9 +110,19 @@ func TestLRUEvictionOrderSingleShard(t *testing.T) {
 	tier.Admit("b", make([]byte, 10))
 	tier.Admit("c", make([]byte, 10))
 	// Touch a so b is the LRU victim.
-	lease, _ := tier.Get("a")
-	lease.Release()
-	tier.Admit("d", make([]byte, 10))
+	touch(tier, "a", 1)
+	// The tier is full: a candidate nobody has read is turned away...
+	if tier.Admit("e", make([]byte, 10)) {
+		t.Fatal("unread candidate displaced a resident of a full tier")
+	}
+	if got := tier.Rejected(); got != 1 {
+		t.Fatalf("Rejected() = %d, want 1", got)
+	}
+	// ...and one read clearly more often than the victim takes its place.
+	touch(tier, "d", admitMargin+1)
+	if !tier.Admit("d", make([]byte, 10)) {
+		t.Fatal("hotter candidate refused")
+	}
 	if tier.Has("b") {
 		t.Fatal("b survived eviction")
 	}
@@ -93,21 +140,38 @@ func TestLRUEvictionOrderSingleShard(t *testing.T) {
 	}
 }
 
-func TestCrossShardSpill(t *testing.T) {
-	// Budget for exactly one object: every admit must be able to evict
-	// victims on *other* shards, or the tier would overshoot.
-	tier := NewShards(10, 8, nil)
-	for i := 0; i < 64; i++ {
-		if !tier.Admit(fmt.Sprintf("f%04d", i), make([]byte, 10)) {
-			t.Fatalf("admit %d refused", i)
-		}
-		if _, bytes := tier.StatsAtomic(); bytes > 10 {
-			t.Fatalf("budget overshoot: %d bytes resident", bytes)
-		}
+func TestShardIsCacheLinePadded(t *testing.T) {
+	if size := unsafe.Sizeof(shard{}); size%64 != 0 {
+		t.Fatalf("shard is %d bytes: neighbouring shards' locks and counters share a cache line", size)
 	}
-	objects, bytes := tier.StatsAtomic()
-	if objects != 1 || bytes != 10 {
-		t.Fatalf("stats objects=%d bytes=%d, want 1/10", objects, bytes)
+}
+
+func TestCrossShardSpill(t *testing.T) {
+	// Budget for exactly one object: every admit must find its victim
+	// on *another* shard (its own is empty), without overshooting.
+	tier := NewShards(10, 8, nil)
+	seen := map[*shard]bool{}
+	admitted := 0
+	for i := 0; admitted < 3; i++ {
+		path := fmt.Sprintf("f%04d", i)
+		sh, _ := tier.locate(path)
+		if seen[sh] {
+			continue // one candidate per shard, so counts never mix
+		}
+		seen[sh] = true
+		// Each candidate is read admitMargin+1 times more than the
+		// resident it has to displace.
+		touch(tier, path, admitted*(admitMargin+1))
+		if !tier.Admit(path, make([]byte, 10)) {
+			t.Fatalf("admit %d (%s) refused", admitted, path)
+		}
+		admitted++
+		if objects, bytes := tier.StatsAtomic(); objects != 1 || bytes != 10 {
+			t.Fatalf("after admit %d: objects=%d bytes=%d, want 1/10", admitted, objects, bytes)
+		}
+		if !tier.Has(path) {
+			t.Fatalf("%s not resident after its admit", path)
+		}
 	}
 }
 
@@ -118,13 +182,18 @@ func TestLeaseOutlivesEviction(t *testing.T) {
 	if !ok {
 		t.Fatal("a not resident")
 	}
-	// Evict a while the lease is live, then admit more objects that
-	// would recycle a's buffer if the refcount were broken.
+	// Evict a while the lease is live, then turn the slot over again:
+	// the lease pins a's own slice, whatever the tier does next.
+	touch(tier, "b", 2*admitMargin)
 	tier.Admit("b", []byte("bbbbbbbbbb"))
 	if tier.Has("a") {
 		t.Fatal("a survived eviction")
 	}
+	touch(tier, "c", 4*admitMargin)
 	tier.Admit("c", []byte("cccccccccc"))
+	if !tier.Has("c") {
+		t.Fatal("c not admitted")
+	}
 	if got := string(lease.Bytes()); got != "0123456789" {
 		t.Fatalf("leased bytes corrupted after eviction: %q", got)
 	}
@@ -203,7 +272,10 @@ func TestDoubleReleaseIsNoOp(t *testing.T) {
 // content their path implies (each path's bytes are a function of its
 // name, so a recycled buffer serving the wrong object is detected).
 func TestConcurrentChurn(t *testing.T) {
-	tier := NewShards(1<<14, 4, nil)
+	// Budget for a quarter of the keys, drawn with a skew, so admission
+	// has rejections and evictions to race with, not only free inserts.
+	const budget = 16 * 128
+	tier := NewShards(budget, 4, nil)
 	content := func(i int) []byte {
 		b := make([]byte, 128)
 		for j := range b {
@@ -219,7 +291,7 @@ func TestConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for n := 0; n < 2000; n++ {
-				i := rng.Intn(keys)
+				i := min(rng.Intn(keys), rng.Intn(keys))
 				path := fmt.Sprintf("f%04d", i)
 				switch rng.Intn(10) {
 				case 0:
@@ -245,7 +317,87 @@ func TestConcurrentChurn(t *testing.T) {
 	if tier.ActiveLeases() != 0 {
 		t.Fatalf("leaked leases: %d", tier.ActiveLeases())
 	}
-	if _, bytes := tier.StatsAtomic(); bytes > 1<<14 {
+	if _, bytes := tier.StatsAtomic(); bytes > budget {
 		t.Fatalf("budget overshoot: %d", bytes)
+	}
+	if _, _, _, evictions, _, _ := tier.Counters(); evictions == 0 || tier.Rejected() == 0 {
+		t.Fatalf("churn never exercised the admission rule: evictions=%d rejected=%d", evictions, tier.Rejected())
+	}
+}
+
+// The admission-policy tests drive a tier the way the server does — Get,
+// and on a miss offer the object — with 4 KiB objects (one shared body:
+// residency is by reference) and a budget of policyObjects of them.
+const (
+	policyObjects = 1024
+	policyBody    = 4096
+)
+
+func policyPath(i int) string { return fmt.Sprintf("data/f%06d", i) }
+
+// read is one server-side read of key i; it reports a RAM hit.
+func read(tier *Tier, body []byte, i int) bool {
+	path := policyPath(i)
+	if lease, ok := tier.Get(path); ok {
+		lease.Release()
+		return true
+	}
+	tier.Admit(path, body)
+	return false
+}
+
+// zipfFilled returns a tier after a seeded Zipf 1.1 run over a key space
+// 8x its capacity, and the share of those reads it served.
+func zipfFilled() (tier *Tier, body []byte, served float64) {
+	tier = New(policyObjects*policyBody, nil)
+	body = make([]byte, policyBody)
+	z := workload.NewZipf(1.1, 8*policyObjects, 1)
+	const reads = 200 * policyObjects
+	hits := 0
+	for n := 0; n < reads; n++ {
+		if read(tier, body, z.Next()) {
+			hits++
+		}
+	}
+	return tier, body, float64(hits) / reads
+}
+
+// TestBudgetFillUnderZipf: under skew the tier spends its whole budget
+// and spends it on the head of the distribution.
+func TestBudgetFillUnderZipf(t *testing.T) {
+	tier, _, served := zipfFilled()
+	_, bytes := tier.StatsAtomic()
+	if occupancy := float64(bytes) / float64(tier.Capacity()); occupancy < 0.95 {
+		t.Errorf("occupancy %.3f of the budget, want >= 0.95", occupancy)
+	}
+	if served < 0.75 {
+		t.Errorf("RAM served %.3f of the reads, want >= 0.75", served)
+	}
+	t.Logf("served %.3f, rejected %d", served, tier.Rejected())
+}
+
+// TestScanResistance: uniform passes over a dataset 16x the tier — the
+// paper's epoch traffic — must leave the resident set where skew put it,
+// not turn every read into an insert, an eviction and a demotion.
+func TestScanResistance(t *testing.T) {
+	tier, body, _ := zipfFilled()
+	residents, _ := tier.StatsAtomic()
+	_, _, _, before, _, _ := tier.Counters()
+	rng := rand.New(rand.NewSource(1))
+	for pass := 0; pass < 3; pass++ {
+		for _, i := range rng.Perm(16 * policyObjects) {
+			read(tier, body, i)
+		}
+	}
+	_, _, _, after, _, _ := tier.Counters()
+	if evicted := after - before; float64(evicted) > 0.02*float64(residents) {
+		t.Errorf("three uniform passes evicted %d of %d residents, want <= 2%%", evicted, residents)
+	} else {
+		t.Logf("three uniform passes evicted %d of %d residents", evicted, residents)
+	}
+	for i := 0; i < 16; i++ {
+		if !tier.Has(policyPath(i)) {
+			t.Errorf("top-16 key %d lost its residency to the scan", i)
+		}
 	}
 }
