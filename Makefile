@@ -4,7 +4,7 @@
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test race lint vet ftclint static verify bench bench-compare adaptft clean
+.PHONY: build test race lint vet ftclint static verify bench bench-compare bench-ab adaptft clean
 
 build:
 	go build ./...
@@ -53,6 +53,14 @@ bench:
 # `make bench-compare OLD=bench/results/BENCH_11.json NEW=bench/results/BENCH_local.json`.
 bench-compare:
 	go run ./bench -compare $(OLD) $(NEW)
+
+# bench-ab is the interleaved A/B a performance change is judged by: a
+# parent revision against the working tree on one workload, alternating
+# which side runs first, with median [q1, q3] and wins per end-to-end
+# metric (scripts/ab.sh):
+# `make bench-ab PARENT=HEAD~1 WORKLOAD=epoch_uniform PAIRS=10 SEED=1 ARGS="-seconds 6"`.
+bench-ab:
+	PAIRS=$(PAIRS) SEED=$(SEED) bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(ARGS)
 
 # adaptft regenerates the adaptive-vs-static policy comparison
 # (results/BENCH_adaptft.json): 2 phase-shift schedules x 3 seeds,

@@ -217,10 +217,8 @@ type Client struct {
 	closed  atomic.Bool
 
 	// baseCtx is the client's lifetime context: the recache hint senders
-	// have no caller to inherit a context from, so they hang off this
-	// root and Close cuts them loose. The ingest senders stay off it: a
-	// child context per batch would take this root's lock on every put
-	// batch, and dropped connections already fail those fast on Close.
+	// and the ingest senders have no caller to inherit a context from, so
+	// their calls run under this root and Close cuts them loose.
 	baseCtx   context.Context
 	closeBase context.CancelFunc
 
@@ -231,10 +229,10 @@ type Client struct {
 	hinting map[cluster.NodeID]context.CancelFunc
 	hintWG  sync.WaitGroup
 
-	// latMu guards the streaming latency estimators (P² is not
-	// concurrency-safe; reads are RPC-bound so contention is negligible).
-	latMu   sync.Mutex
-	latency *stats.LatencyTracker
+	// latency is this client's own read-latency histogram (ns), the
+	// source of Latency(); the process-wide one in cliMetrics aggregates
+	// every client.
+	latency telemetry.Histogram
 }
 
 // NewClient wires a client: the failure detector is connected to the
@@ -269,7 +267,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		conns:     make(map[cluster.NodeID]*connSlot),
 		rejoining: make(map[cluster.NodeID]bool),
 		replSem:   make(chan struct{}, 16),
-		latency:   stats.NewLatencyTracker(),
 		hinting:   make(map[cluster.NodeID]context.CancelFunc),
 	}
 	//ftclint:ignore ctxflow client lifetime root; Close cancels it, and the hint senders it bounds have no caller context to inherit
@@ -311,12 +308,17 @@ func (c *Client) ReviveNode(node cluster.NodeID) bool {
 // Tracker exposes the client's failure detector.
 func (c *Client) Tracker() *cluster.Tracker { return c.tracker }
 
-// Latency returns the streaming read-latency summary in milliseconds
-// (count, mean, min/max, p50/p95/p99 via the P² estimator).
+// Latency returns this client's read-latency summary in milliseconds,
+// read off its log-bucket histogram: quantiles are exact to a bucket
+// (25 % wide at worst), and min/max are the bounds of the lowest and
+// highest occupied buckets.
 func (c *Client) Latency() stats.LatencySnapshot {
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	return c.latency.Snapshot()
+	h := c.latency.Snapshot()
+	ms := func(q float64) float64 { return h.Quantile(q) / float64(time.Millisecond) }
+	return stats.LatencySnapshot{
+		N: int(h.Count), Mean: h.Mean() / float64(time.Millisecond),
+		Min: ms(0), Max: ms(1), P50: ms(0.50), P95: ms(0.95), P99: ms(0.99),
+	}
 }
 
 // Stats snapshots the client counters.
@@ -409,6 +411,24 @@ func (c *Client) dropConn(node cluster.NodeID) {
 	}
 }
 
+// callNode is the one way a control or write RPC reaches node: over the
+// cached connection, bounded by RPCTimeout through the connection's
+// deadline table (no context or timer is made for the call; ctx still
+// cancels it). A connection that turns out dead is dropped so the next
+// call dials fresh — a restarted node has new sockets. Reads go through
+// readNodeOnce instead, which must tell dial failures from call failures.
+func (c *Client) callNode(ctx context.Context, node cluster.NodeID, op uint16, payload []byte) ([]byte, uint16, error) {
+	cli, err := c.conn(node)
+	if err != nil {
+		return nil, 0, err
+	}
+	resp, status, err := cli.CallTimeout(ctx, op, payload, time.Now(), c.cfg.RPCTimeout)
+	if errors.Is(err, rpc.ErrClosed) {
+		c.dropConn(node)
+	}
+	return resp, status, err
+}
+
 // nodeFailed is the detector's failure listener: plan the recache against
 // the placement the node is still part of, reshape routing, then hand the
 // plan to a sender goroutine. Only the planning runs on the reading
@@ -467,18 +487,9 @@ func (c *Client) hintRecache(failed cluster.NodeID, plan map[cluster.NodeID][]st
 
 // sendRecache delivers one hint frame to receiver.
 func (c *Client) sendRecache(ctx context.Context, receiver, failed cluster.NodeID, paths []string) error {
-	cli, err := c.conn(receiver)
-	if err != nil {
-		return err
-	}
 	req := RecacheReq{Failed: string(failed), Paths: paths}
-	callCtx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-	defer cancel()
-	_, status, err := cli.Call(callCtx, OpRecache, req.Marshal())
+	_, status, err := c.callNode(ctx, receiver, OpRecache, req.Marshal())
 	if err != nil {
-		if errors.Is(err, rpc.ErrClosed) {
-			c.dropConn(receiver)
-		}
 		return err
 	}
 	if status != rpc.StatusOK {
@@ -524,13 +535,10 @@ func (c *Client) ReadRange(ctx context.Context, path string, offset, length int6
 	ctx, sp := trace.StartTrace(ctx, "client.read")
 	sp.Annotate("path", path)
 	defer func() {
-		elapsed := time.Since(start)
+		elapsed := int64(time.Since(start))
 		m.reads.Inc()
-		m.readLatency.Observe(int64(elapsed))
-		ms := float64(elapsed) / float64(time.Millisecond)
-		c.latMu.Lock()
-		c.latency.Add(ms)
-		c.latMu.Unlock()
+		m.readLatency.Observe(elapsed)
+		c.latency.Observe(elapsed)
 		sp.SetError(err)
 		sp.End()
 	}()
@@ -540,7 +548,7 @@ func (c *Client) ReadRange(ctx context.Context, path string, offset, length int6
 	if c.load != nil && offset == 0 && length < 0 {
 		return c.readCoalesced(ctx, path)
 	}
-	return c.readAttempts(ctx, path, offset, length)
+	return c.readAttempts(ctx, path, offset, length, start)
 }
 
 // coalesceRetries bounds how often a waiter re-enters the flight group
@@ -556,7 +564,7 @@ type fullReadFetcher Client
 
 // Fetch implements loadctl.Fetcher: a whole-file read via readAttempts.
 func (f *fullReadFetcher) Fetch(ctx context.Context, path string) ([]byte, error) {
-	return (*Client)(f).readAttempts(ctx, path, 0, -1)
+	return (*Client)(f).readAttempts(ctx, path, 0, -1, time.Now())
 }
 
 // readCoalesced funnels a whole-file read through the singleflight
@@ -602,13 +610,19 @@ func (c *Client) readCoalesced(ctx context.Context, path string) ([]byte, error)
 }
 
 // readAttempts is the routing/failover loop: route, read, note evidence,
-// re-route — bounded by MaxAttempts.
-func (c *Client) readAttempts(ctx context.Context, path string, offset, length int64) ([]byte, error) {
+// re-route — bounded by MaxAttempts. now is the caller's reading of the
+// clock on entry: the first attempt's RPC counts its timeout from it
+// instead of reading the clock again; every later attempt takes a fresh
+// reading.
+func (c *Client) readAttempts(ctx context.Context, path string, offset, length int64, now time.Time) ([]byte, error) {
 	m := cliMetrics()
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt == 1 {
 			c.failoverReads.Add(1)
 			m.failovers.Inc()
+		}
+		if attempt > 0 {
+			now = time.Now()
 		}
 		d := c.cfg.Router.Route(path)
 		switch d.Kind {
@@ -623,7 +637,15 @@ func (c *Client) readAttempts(ctx context.Context, path string, offset, length i
 			actx, asp := trace.StartSpan(ctx, "read.attempt")
 			asp.AnnotateInt("attempt", int64(attempt))
 			asp.Annotate("node", string(d.Node))
-			data, err := c.readRouted(actx, d.Node, path, offset, length)
+			// With load control the access feeds the hot-key sketch, and
+			// a hot key's read fans out over the owner's replica set.
+			var data []byte
+			var err error
+			if c.load != nil && c.load.Sketch.Touch(path) {
+				data, err = c.readHot(actx, d.Node, path, offset, length)
+			} else {
+				data, err = c.readFromNode(actx, d.Node, path, offset, length, true, now)
+			}
 			asp.SetError(err)
 			asp.End()
 			if err == nil {
@@ -717,25 +739,6 @@ func (c *Client) SetRetryBudget(n int) {
 	c.retryBudget.Store(int32(n))
 }
 
-// readRouted performs one routed read attempt. Without load control it
-// is a plain owner read; with it, the access feeds the hot-key sketch
-// and reads of hot keys fan out over the owner's replica set.
-func (c *Client) readRouted(ctx context.Context, node cluster.NodeID, path string, offset, length int64) ([]byte, error) {
-	if c.load == nil {
-		return c.readFromNode(ctx, node, path, offset, length)
-	}
-	if c.load.Sketch.Touch(path) {
-		return c.readHot(ctx, node, path, offset, length)
-	}
-	return c.readFromNode(ctx, node, path, offset, length)
-}
-
-// readFromNode performs one RPC read attempt against node, recording
-// failure evidence against it.
-func (c *Client) readFromNode(ctx context.Context, node cluster.NodeID, path string, offset, length int64) ([]byte, error) {
-	return c.readFromNodeOpts(ctx, node, path, offset, length, true)
-}
-
 // errClass buckets a failed read attempt for the retry/evidence split.
 type errClass uint8
 
@@ -747,8 +750,8 @@ const (
 	classCtx              // the caller's context ended
 )
 
-// readFromNodeOpts is the RPC read primitive plus the retry policy.
-// note controls whether a failure feeds the failure detector: the
+// readFromNode is the RPC read primitive plus the retry policy. note
+// controls whether a failure feeds the failure detector: the
 // hot-key fan-out path passes false because a hedged or raced leg is
 // expected to be abandoned — a leg cancelled since a sibling won must
 // never accumulate as evidence against a healthy node (the fan-out
@@ -758,7 +761,10 @@ const (
 // failures are evidence immediately and never retried here; conn-class
 // failures are retried with jittered backoff and become evidence only
 // when the budget is exhausted.
-func (c *Client) readFromNodeOpts(ctx context.Context, node cluster.NodeID, path string, offset, length int64, note bool) ([]byte, error) {
+//
+// now is the caller's reading of the clock just before the call; the
+// first try's RPC timeout counts from it.
+func (c *Client) readFromNode(ctx context.Context, node cluster.NodeID, path string, offset, length int64, note bool, now time.Time) ([]byte, error) {
 	m := cliMetrics()
 	budget := 0
 	if c.cfg.Retry != nil {
@@ -768,7 +774,7 @@ func (c *Client) readFromNodeOpts(ctx context.Context, node cluster.NodeID, path
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		data, err, class := c.readNodeOnce(ctx, node, path, offset, length, note, attempt)
+		data, err, class := c.readNodeOnce(ctx, node, path, offset, length, note, attempt, now)
 		switch class {
 		case classOK, classApp, classCtx:
 			return data, err
@@ -783,6 +789,7 @@ func (c *Client) readFromNodeOpts(ctx context.Context, node cluster.NodeID, path
 				if c.cfg.Retry.Sleep(ctx, attempt) != nil {
 					return nil, ctx.Err()
 				}
+				now = time.Now()
 				continue
 			}
 			if budget > 0 {
@@ -803,8 +810,10 @@ func (c *Client) readFromNodeOpts(ctx context.Context, node cluster.NodeID, path
 // readNodeOnce performs exactly one RPC read attempt against node and
 // classifies the outcome; evidence and retries are the caller's job.
 // try is the conn-class retry ordinal (0 = first try), recorded on the
-// span so retried RPCs are distinguishable from fresh ones.
-func (c *Client) readNodeOnce(ctx context.Context, node cluster.NodeID, path string, offset, length int64, note bool, try int) (rdata []byte, rerr error, rclass errClass) {
+// span so retried RPCs are distinguishable from fresh ones. The RPC
+// expires at now+RPCTimeout — an entry in the connection's deadline
+// table, so the attempt derives no context and arms no timer.
+func (c *Client) readNodeOnce(ctx context.Context, node cluster.NodeID, path string, offset, length int64, note bool, try int, now time.Time) (rdata []byte, rerr error, rclass errClass) {
 	// "rpc.read" is the client half of one wire round-trip; the server
 	// stitches its "server.read" fragment under this span's id, carried
 	// in the request's trace extension.
@@ -838,10 +847,7 @@ func (c *Client) readNodeOnce(ctx context.Context, node cluster.NodeID, path str
 	if sp != nil {
 		req.Trace = wire.TraceExt{TraceID: uint64(sp.TraceID()), SpanID: uint64(sp.ID())}
 	}
-	start := time.Now()
-	callCtx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-	payload, status, err := cli.Call(callCtx, OpRead, req.Marshal())
-	cancel()
+	payload, status, err := cli.CallTimeout(ctx, OpRead, req.Marshal(), now, c.cfg.RPCTimeout)
 	if err != nil {
 		switch {
 		case errors.Is(err, rpc.ErrTimeout):
@@ -860,8 +866,9 @@ func (c *Client) readNodeOnce(ctx context.Context, node cluster.NodeID, path str
 	}
 	// Any answer — including an overload shed — proves the node alive.
 	c.tracker.RecordSuccess(node)
-	elapsed := time.Since(start)
+	var elapsed time.Duration
 	if c.load != nil {
+		elapsed = time.Since(now)
 		c.load.Latency.Observe(node, elapsed)
 	}
 	switch status {
@@ -950,7 +957,7 @@ func (c *Client) annotateChaos(sp *trace.Span, node cluster.NodeID) {
 func (c *Client) readHot(ctx context.Context, owner cluster.NodeID, path string, offset, length int64) ([]byte, error) {
 	cands := c.hotCandidates(owner, path)
 	if len(cands) <= 1 {
-		return c.readFromNode(ctx, owner, path, offset, length)
+		return c.readFromNode(ctx, owner, path, offset, length, true, time.Now())
 	}
 	data, err := c.readFanout(ctx, owner, cands, path, offset, length)
 	if err == nil && offset == 0 && length < 0 {
@@ -1025,7 +1032,7 @@ func (c *Client) readFanout(ctx context.Context, primary cluster.NodeID, cands [
 			if hedged {
 				lsp.Annotate("hedged", "true")
 			}
-			data, err := c.readFromNodeOpts(lctx, node, path, offset, length, false)
+			data, err := c.readFromNode(lctx, node, path, offset, length, false, time.Now())
 			lsp.SetError(err)
 			lsp.End()
 			results <- legResult{node: node, data: data, err: err, hedged: hedged}
@@ -1218,21 +1225,12 @@ func (c *Client) replicateAsync(path string, data []byte) {
 // A span in ctx propagates on the wire, so the server's "server.put"
 // fragment stitches under the caller's trace.
 func (c *Client) Push(ctx context.Context, node cluster.NodeID, path string, data []byte) error {
-	cli, err := c.conn(node)
-	if err != nil {
-		return err
-	}
 	req := PutReq{Path: path, Data: data}
 	if tid, sid, ok := trace.ContextIDs(ctx); ok {
 		req.Trace = wire.TraceExt{TraceID: uint64(tid), SpanID: uint64(sid)}
 	}
-	callCtx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-	defer cancel()
-	_, status, err := cli.Call(callCtx, OpPut, req.Marshal())
+	_, status, err := c.callNode(ctx, node, OpPut, req.Marshal())
 	if err != nil {
-		if errors.Is(err, rpc.ErrClosed) {
-			c.dropConn(node) // stale conn to a restarted node: redial next time
-		}
 		return err
 	}
 	if status != rpc.StatusOK {
@@ -1275,14 +1273,8 @@ func (c *Client) Stat(ctx context.Context, path string) (StatResp, error) {
 	if d.Kind != RouteNode {
 		return StatResp{}, fmt.Errorf("hvac: stat unavailable (route kind %d)", d.Kind)
 	}
-	cli, err := c.conn(d.Node)
-	if err != nil {
-		return StatResp{}, err
-	}
 	req := StatReq{Path: path}
-	callCtx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-	defer cancel()
-	payload, status, err := cli.Call(callCtx, OpStat, req.Marshal())
+	payload, status, err := c.callNode(ctx, d.Node, OpStat, req.Marshal())
 	if err != nil {
 		return StatResp{}, err
 	}
@@ -1301,13 +1293,7 @@ func (c *Client) Stat(ctx context.Context, path string) (StatResp, error) {
 
 // ServerStats fetches the counters of a specific server.
 func (c *Client) ServerStats(ctx context.Context, node cluster.NodeID) (StatsResp, error) {
-	cli, err := c.conn(node)
-	if err != nil {
-		return StatsResp{}, err
-	}
-	callCtx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-	defer cancel()
-	payload, status, err := cli.Call(callCtx, OpStats, nil)
+	payload, status, err := c.callNode(ctx, node, OpStats, nil)
 	if err != nil || status != rpc.StatusOK {
 		return StatsResp{}, fmt.Errorf("hvac: stats from %s: status=%d err=%v", node, status, err)
 	}
@@ -1320,20 +1306,11 @@ func (c *Client) ServerStats(ctx context.Context, node cluster.NodeID) (StatsRes
 
 // Ping checks liveness of a node without touching the failure detector.
 func (c *Client) Ping(ctx context.Context, node cluster.NodeID) error {
-	cli, err := c.conn(node)
+	// callNode drops a conn that died with the old process, so a revival
+	// probe does not keep failing on it: the next one dials the restarted
+	// listener fresh.
+	_, status, err := c.callNode(ctx, node, OpPing, nil)
 	if err != nil {
-		return err
-	}
-	callCtx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-	defer cancel()
-	_, status, err := cli.Call(callCtx, OpPing, nil)
-	if err != nil {
-		if errors.Is(err, rpc.ErrClosed) {
-			// A revival probe over a conn that died with the old process
-			// must not keep failing forever: drop it so the next probe
-			// dials the restarted listener fresh.
-			c.dropConn(node)
-		}
 		return err
 	}
 	if status != rpc.StatusOK {

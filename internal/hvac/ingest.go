@@ -305,19 +305,10 @@ func (w *appendWorker) send(b *ingestBatch) {
 		m.ingestErrors.Add(int64(b.entries()))
 		w.ing.recordErr(err)
 	}
-	cli, err := c.conn(w.node)
+	// The sender outlives every enqueueing caller, so the call runs under
+	// the client's lifetime context; RPCTimeout bounds it.
+	payload, status, err := c.callNode(c.baseCtx, w.node, OpPutBatch, b.enc.Bytes())
 	if err != nil {
-		failBatch(err)
-		return
-	}
-	//ftclint:ignore ctxflow the sender goroutine outlives every enqueueing caller, so there is no caller context; RPCTimeout bounds the call instead
-	callCtx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-	defer cancel()
-	payload, status, err := cli.Call(callCtx, OpPutBatch, b.enc.Bytes())
-	if err != nil {
-		if errors.Is(err, rpc.ErrClosed) {
-			c.dropConn(w.node)
-		}
 		failBatch(err)
 		return
 	}

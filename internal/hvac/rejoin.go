@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/telemetry"
@@ -134,7 +135,7 @@ func (c *Client) Rejoin(ctx context.Context, node cluster.NodeID, opts RejoinOpt
 			// Read from the current owner (the ring has not swapped yet,
 			// so this routes to whoever inherited the key), then place it
 			// on the rejoining node's NVMe.
-			data, err := c.readAttempts(ctx, key, 0, -1)
+			data, err := c.readAttempts(ctx, key, 0, -1, time.Now())
 			if err == nil {
 				err = c.Push(ctx, node, key, data)
 			}

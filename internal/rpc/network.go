@@ -160,8 +160,17 @@ type pipeHalf struct {
 	wclosed bool // writer side closed: reads drain then io.EOF
 	rclosed bool // reader side closed: writes fail immediately
 
-	rexpired, wexpired bool // deadline state, one flag per conn using this half
-	rtimer, wtimer     *time.Timer
+	rdl, wdl pipeDeadline // one per conn using this half: its reader's, its writer's
+}
+
+// pipeDeadline is one conn's deadline on a pipeHalf, guarded by the
+// half's mutex. gen counts settings: a timer callback that fired and was
+// still waiting for the mutex when the deadline was re-armed or cleared
+// belongs to an older generation and must not expire the new one.
+type pipeDeadline struct {
+	expired bool
+	timer   *time.Timer
+	gen     uint64
 }
 
 func newPipeHalf() *pipeHalf {
@@ -191,7 +200,7 @@ func (h *pipeHalf) read(b []byte) (int, error) {
 		if h.wclosed {
 			return 0, io.EOF
 		}
-		if h.rexpired {
+		if h.rdl.expired {
 			return 0, os.ErrDeadlineExceeded
 		}
 		h.cond.Wait()
@@ -201,7 +210,7 @@ func (h *pipeHalf) read(b []byte) (int, error) {
 func (h *pipeHalf) write(b []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.wexpired {
+	if h.wdl.expired {
 		return 0, os.ErrDeadlineExceeded
 	}
 	if h.wclosed || h.rclosed {
@@ -226,29 +235,32 @@ func (h *pipeHalf) closeRead() {
 	h.mu.Unlock()
 }
 
-// setDeadline arms one of the half's deadline flags. expired and timer
-// select the reader's or writer's pair; t.IsZero clears the deadline.
-func (h *pipeHalf) setDeadline(t time.Time, expired *bool, timer **time.Timer) {
+// setDeadline arms one of the half's two deadlines; t.IsZero clears it.
+func (h *pipeHalf) setDeadline(t time.Time, d *pipeDeadline) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if *timer != nil {
-		(*timer).Stop()
-		*timer = nil
+	if d.timer != nil {
+		d.timer.Stop()
+		d.timer = nil
 	}
-	*expired = false
+	d.gen++
+	d.expired = false
 	if t.IsZero() {
 		return
 	}
-	d := time.Until(t)
-	if d <= 0 {
-		*expired = true
+	wait := time.Until(t)
+	if wait <= 0 {
+		d.expired = true
 		h.cond.Broadcast()
 		return
 	}
-	*timer = time.AfterFunc(d, func() {
+	gen := d.gen
+	d.timer = time.AfterFunc(wait, func() {
 		h.mu.Lock()
-		*expired = true
-		h.cond.Broadcast()
+		if d.gen == gen {
+			d.expired = true
+			h.cond.Broadcast()
+		}
 		h.mu.Unlock()
 	})
 }
@@ -305,12 +317,12 @@ func (p *bufferedPipe) SetDeadline(t time.Time) error {
 
 // SetReadDeadline implements net.Conn.
 func (p *bufferedPipe) SetReadDeadline(t time.Time) error {
-	p.rb.setDeadline(t, &p.rb.rexpired, &p.rb.rtimer)
+	p.rb.setDeadline(t, &p.rb.rdl)
 	return nil
 }
 
 // SetWriteDeadline implements net.Conn.
 func (p *bufferedPipe) SetWriteDeadline(t time.Time) error {
-	p.wb.setDeadline(t, &p.wb.wexpired, &p.wb.wtimer)
+	p.wb.setDeadline(t, &p.wb.wdl)
 	return nil
 }

@@ -8,9 +8,10 @@
 //     with an "unresponsive" switch used by the failure-injection harness
 //     to emulate a node that is up at the TCP level but no longer answers
 //     (the network-timeout failure mode §III classifies as node failure).
-//   - Client: a multiplexing client with per-call deadlines. A deadline
-//     expiry surfaces as ErrTimeout, the signal the HVAC client's
-//     timeout-counting failure detector consumes.
+//   - Client: a multiplexing client whose calls carry deadlines as a
+//     column of its pending-call table, expired by one timer per
+//     connection. A deadline expiry surfaces as ErrTimeout, the signal
+//     the HVAC client's timeout-counting failure detector consumes.
 //   - Network interfaces over TCP and an in-process pipe network so whole
 //     clusters can run inside one test binary.
 package rpc
@@ -33,8 +34,9 @@ const StatusOK uint16 = 0
 
 // Errors surfaced by Client.Call.
 var (
-	// ErrTimeout reports that the per-call deadline expired before a
-	// response arrived. The connection stays usable; a late response is
+	// ErrTimeout reports that the call's deadline passed before a
+	// response arrived. The connection stays usable (unless the request
+	// itself could not be written in that time); a late response is
 	// discarded.
 	ErrTimeout = errors.New("rpc: call timed out")
 	// ErrClosed reports that the connection failed or was closed.
@@ -231,7 +233,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 				var werr error
 				if lr.Ext != nil || lr.Release != nil {
-					werr = cw.WriteFrameExt(&out, lr.Ext, lr.Release, time.Time{})
+					werr = cw.WriteFrameExt(&out, lr.Ext, lr.Release)
 				} else {
 					werr = cw.WriteFrame(&out)
 				}
@@ -311,31 +313,53 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// pendingCall is one row of a Client's pending-call table.
 type pendingCall struct {
+	// ch carries the call's outcome: the response frame from the read
+	// loop, or a zero frame from the expiry path when the deadline
+	// passed first. Whoever sends has removed the row under Client.mu
+	// beforehand, so a row's channel sees at most one send (or, on
+	// connection failure, one close).
 	ch chan wire.Frame
+	// deadline is when the call expires with ErrTimeout; zero means
+	// never. Set before the row is inserted, read under Client.mu.
+	deadline time.Time
+	// written is set once WriteFrame returned. An overdue row without it
+	// has a caller that is not waiting on ch yet, possibly blocked in a
+	// flush: expire keeps it and watches the writer instead.
+	written atomic.Bool
 }
 
-// callPool recycles pendingCall structs (and their response channels)
-// across Calls. A pendingCall is only returned to the pool on the happy
-// path, after its single buffered response has been consumed: a call
-// that timed out or failed may still receive a late send or a close on
-// its channel, so those channels are abandoned to the GC instead.
+// callPool recycles pendingCall structs (and their outcome channels)
+// across Calls. A pendingCall returns to the pool only after its single
+// outcome has been received: a call abandoned on context cancellation,
+// write failure or connection failure may still see a late send or a
+// close on its channel, so those are left to the GC instead.
 var callPool = sync.Pool{
 	New: func() any { return &pendingCall{ch: make(chan wire.Frame, 1)} },
 }
 
-func acquireCall() *pendingCall {
+func acquireCall(deadline time.Time) *pendingCall {
 	p := callPool.Get().(*pendingCall)
 	select { // defensive drain; the pool discipline should keep it empty
 	case <-p.ch:
 	default:
 	}
+	p.deadline = deadline
+	p.written.Store(false)
 	return p
 }
 
 // Client is a multiplexing RPC client over a single connection. Calls
 // may be issued concurrently from any goroutine; requests issued while
 // another caller's frame is on the wire coalesce into a single write.
+//
+// Deadlines are a column of the pending-call table, not a timer per
+// call. One timer per connection is armed to the earliest deadline it
+// has been told about; a call touches it only when its own deadline is
+// earlier than that, so back-to-back calls with the same timeout never
+// do. When it fires, expire walks the table, fails every overdue call
+// with ErrTimeout and re-arms to the earliest deadline still pending.
 type Client struct {
 	conn   net.Conn
 	cw     *wire.CoalescedWriter
@@ -345,6 +369,11 @@ type Client struct {
 	pending map[uint64]*pendingCall
 	err     error // terminal connection error
 	done    chan struct{}
+	timer   *time.Timer // runs expire; created by the first call with a deadline
+	armed   time.Time   // when timer will next fire; zero while it is idle
+	// watched is the flush expire last saw in flight with an overdue call
+	// still inside the writer; zero (no flush has that ordinal) otherwise.
+	watched uint64
 }
 
 // NewClient wraps an established connection and starts the read loop.
@@ -384,6 +413,9 @@ func (c *Client) failAll(err error) {
 	if c.err == nil {
 		c.err = err
 		close(c.done)
+		if c.timer != nil {
+			c.timer.Stop() // an expire already running sees c.err and returns
+		}
 	}
 	for id, p := range c.pending {
 		delete(c.pending, id)
@@ -392,15 +424,118 @@ func (c *Client) failAll(err error) {
 	c.mu.Unlock()
 }
 
-// Call sends op/payload and waits for the matching response, the context
-// deadline, or connection failure. Status is the application status from
-// the server. Context expiry maps to ErrTimeout so failure detectors can
-// distinguish "slow/silent node" from "connection refused" (ErrClosed).
+// armLocked points the expiry timer at deadline. Caller holds c.mu.
+func (c *Client) armLocked(deadline time.Time) {
+	c.armed = deadline
+	if c.timer == nil {
+		c.timer = time.AfterFunc(time.Until(deadline), c.expire)
+	} else {
+		c.timer.Reset(time.Until(deadline))
+	}
+}
+
+// stuckGrace is how long expire waits between its two looks at a flush
+// that an overdue call is still waiting on before it calls the flush
+// stuck. A healthy Write returns in microseconds; one that has not
+// moved in this long, with a call behind it already past its deadline,
+// is blocked on a peer that stopped reading.
+const stuckGrace = 2 * time.Millisecond
+
+// expire is the timer's callback: it fails every call whose deadline has
+// passed and re-arms the timer to the earliest deadline still pending,
+// leaving it idle when there is none (the next call with a deadline arms
+// it again). It decides from the table alone, so a firing that raced a
+// re-arm is harmless.
+//
+// This is also the only place the conn's write deadline is ever set. An
+// overdue call whose request has not left WriteFrame stays in the table
+// — its caller is not listening for an outcome yet — and is looked at
+// again every stuckGrace. Usually its write has finished by then and it
+// expires like any other. If instead the writer is found in the same
+// flush on two successive looks, that Write is blocked on a peer that
+// stopped reading, and only failing it gets the callers back: the write
+// deadline is set in the past and never cleared, so the blocked callers
+// return ErrTimeout, and the connection, whose stream may now end
+// mid-frame, is failed so later calls return ErrClosed at once instead
+// of queueing behind the stall.
+func (c *Client) expire() {
+	now := time.Now()
+	flush, flushing := c.cw.Flushing()
+	var overdue []*pendingCall
+	var next time.Time
+	unwritten := false
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return
+	}
+	for id, p := range c.pending {
+		switch {
+		case p.deadline.IsZero():
+		case p.deadline.After(now):
+			if next.IsZero() || p.deadline.Before(next) {
+				next = p.deadline
+			}
+		case !p.written.Load():
+			unwritten = true
+		default:
+			delete(c.pending, id)
+			overdue = append(overdue, p)
+		}
+	}
+	stuck := false
+	if unwritten && flushing {
+		stuck = flush == c.watched
+		c.watched = flush
+	} else {
+		c.watched = 0
+	}
+	if unwritten {
+		if look := now.Add(stuckGrace); next.IsZero() || look.Before(next) {
+			next = look
+		}
+	}
+	c.armed = time.Time{}
+	if !next.IsZero() && !stuck {
+		c.armLocked(next)
+	}
+	c.mu.Unlock()
+	for _, p := range overdue {
+		p.ch <- wire.Frame{} // buffered; never blocks
+	}
+	if stuck {
+		_ = c.conn.SetWriteDeadline(now) // the conn is failed next; nothing to do with an error here
+		c.failAll(fmt.Errorf("%w: write blocked past a call's deadline", ErrClosed))
+	}
+}
+
+// Call sends op/payload and waits for the matching response, the end of
+// ctx, or connection failure. Status is the application status from the
+// server. A ctx deadline is the call's deadline, and its expiry maps to
+// ErrTimeout so failure detectors can distinguish "slow/silent node"
+// from "connection refused" (ErrClosed).
 func (c *Client) Call(ctx context.Context, op uint16, payload []byte) (resp []byte, status uint16, err error) {
+	deadline, _ := ctx.Deadline()
+	return c.do(ctx, op, payload, time.Now(), deadline)
+}
+
+// CallTimeout is Call with a deadline of its own, start+timeout, kept in
+// the pending-call table: no context is derived and no timer is created
+// for it. It returns ErrTimeout once that deadline passes; ctx is still
+// honoured, and its cancellation returns ctx.Err(). start is the
+// caller's reading of the clock for the operation this call serves —
+// time.Now() if it has none — and is also where the round-trip
+// histogram starts counting, so a caller that timed its own operation
+// does not pay for a second reading.
+func (c *Client) CallTimeout(ctx context.Context, op uint16, payload []byte, start time.Time, timeout time.Duration) (resp []byte, status uint16, err error) {
+	return c.do(ctx, op, payload, start, start.Add(timeout))
+}
+
+// do is the instrumented body shared by Call and CallTimeout.
+func (c *Client) do(ctx context.Context, op uint16, payload []byte, start, deadline time.Time) (resp []byte, status uint16, err error) {
 	m := metrics()
 	m.inflight.Add(1)
-	start := time.Now()
-	resp, status, err = c.call(ctx, op, payload)
+	resp, status, err = c.call(ctx, op, payload, deadline)
 	m.inflight.Add(-1)
 	m.calls.Inc()
 	switch {
@@ -414,10 +549,12 @@ func (c *Client) Call(ctx context.Context, op uint16, payload []byte) (resp []by
 	return resp, status, err
 }
 
-// call is the uninstrumented body of Call.
-func (c *Client) call(ctx context.Context, op uint16, payload []byte) (resp []byte, status uint16, err error) {
+// call is the uninstrumented body of do. On the happy path it reads no
+// clock, touches no timer and allocates nothing but what ReadFrame
+// allocated for the response.
+func (c *Client) call(ctx context.Context, op uint16, payload []byte, deadline time.Time) (resp []byte, status uint16, err error) {
 	id := c.nextID.Add(1)
-	p := acquireCall()
+	p := acquireCall(deadline)
 
 	c.mu.Lock()
 	if c.err != nil {
@@ -426,42 +563,38 @@ func (c *Client) call(ctx context.Context, op uint16, payload []byte) (resp []by
 		return nil, 0, err
 	}
 	c.pending[id] = p
+	if !deadline.IsZero() && (c.armed.IsZero() || deadline.Before(c.armed)) {
+		c.armLocked(deadline)
+	}
 	c.mu.Unlock()
 
-	f := wire.Frame{Type: wire.TypeRequest, ID: id, Op: op, Payload: payload}
 	// The coalescing writer batches this frame with any concurrent
-	// callers' frames into one Write, arming the conn write deadline to
-	// the earliest deadline in the batch (and only touching it when some
-	// frame has one — SetWriteDeadline is a timer dance on every conn
-	// type, and the steady-state hot path has no deadline).
-	var dl time.Time
-	if d, ok := ctx.Deadline(); ok {
-		dl = d
-	}
-	werr := c.cw.WriteFrameDeadline(&f, dl)
-	if werr != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+	// callers' frames into one Write. It sets no write deadline; if the
+	// Write blocks past this call's deadline, expire unblocks it.
+	f := wire.Frame{Type: wire.TypeRequest, ID: id, Op: op, Payload: payload}
+	if werr := c.cw.WriteFrame(&f); werr != nil {
+		c.forget(id)
 		if isTimeoutErr(werr) {
 			return nil, 0, fmt.Errorf("%w: write: %v", ErrTimeout, werr)
 		}
 		return nil, 0, fmt.Errorf("%w: write: %v", ErrClosed, werr)
 	}
+	p.written.Store(true)
 
 	select {
 	case got, ok := <-p.ch:
 		if !ok {
 			return nil, 0, c.terminalErr()
 		}
-		// Happy path: the readLoop removed id from pending before the
-		// send, so no further send or close can reach this channel.
+		// The sender removed id from pending before the send, so no
+		// further send or close can reach this channel.
 		callPool.Put(p)
+		if got.Type != wire.TypeResponse { // expire's zero frame
+			return nil, 0, ErrTimeout
+		}
 		return got.Payload, got.Status, nil
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.forget(id)
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return nil, 0, ErrTimeout
 		}
@@ -469,6 +602,13 @@ func (c *Client) call(ctx context.Context, op uint16, payload []byte) (resp []by
 	case <-c.done:
 		return nil, 0, c.terminalErr()
 	}
+}
+
+// forget drops a call the caller has given up on from the table.
+func (c *Client) forget(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
 }
 
 func (c *Client) terminalErr() error {
@@ -485,7 +625,8 @@ func isTimeoutErr(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Close tears down the connection; in-flight calls fail with ErrClosed.
+// Close tears down the connection and stops the expiry timer; in-flight
+// calls fail with ErrClosed.
 func (c *Client) Close() error {
 	err := c.conn.Close()
 	c.failAll(ErrClosed)

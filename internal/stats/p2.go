@@ -117,46 +117,9 @@ func (e *P2Quantile) Value() float64 {
 	return e.q[2]
 }
 
-// LatencyTracker bundles count/mean plus streaming p50/p95/p99 — the
-// per-operation observability record used by the cache client.
-type LatencyTracker struct {
-	mean Running
-	p50  *P2Quantile
-	p95  *P2Quantile
-	p99  *P2Quantile
-}
-
-// NewLatencyTracker creates an empty tracker.
-func NewLatencyTracker() *LatencyTracker {
-	return &LatencyTracker{
-		p50: NewP2Quantile(0.50),
-		p95: NewP2Quantile(0.95),
-		p99: NewP2Quantile(0.99),
-	}
-}
-
-// Add records one latency observation (any consistent unit).
-func (l *LatencyTracker) Add(x float64) {
-	l.mean.Add(x)
-	l.p50.Add(x)
-	l.p95.Add(x)
-	l.p99.Add(x)
-}
-
-// Snapshot returns the current summary.
-func (l *LatencyTracker) Snapshot() LatencySnapshot {
-	return LatencySnapshot{
-		N:    l.mean.N(),
-		Mean: l.mean.Mean(),
-		Min:  l.mean.Min(),
-		Max:  l.mean.Max(),
-		P50:  l.p50.Value(),
-		P95:  l.p95.Value(),
-		P99:  l.p99.Value(),
-	}
-}
-
-// LatencySnapshot is a point-in-time latency summary.
+// LatencySnapshot is a point-in-time latency summary (count, mean,
+// extremes and three quantiles, in any consistent unit) — the shape the
+// cache client reports its read latency in.
 type LatencySnapshot struct {
 	N              int
 	Mean, Min, Max float64

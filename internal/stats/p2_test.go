@@ -85,36 +85,6 @@ func TestP2PanicsOnBadQuantile(t *testing.T) {
 	}
 }
 
-func TestLatencyTracker(t *testing.T) {
-	lt := NewLatencyTracker()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		lt.Add(1 + rng.Float64()*9) // uniform [1,10)
-	}
-	s := lt.Snapshot()
-	if s.N != 10000 {
-		t.Errorf("n = %d", s.N)
-	}
-	if s.Mean < 5 || s.Mean > 6 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if s.P50 < 4.5 || s.P50 > 6.5 {
-		t.Errorf("p50 = %v", s.P50)
-	}
-	if s.P95 < 8.8 || s.P95 > 10 {
-		t.Errorf("p95 = %v", s.P95)
-	}
-	if s.P99 < 9.3 || s.P99 > 10 {
-		t.Errorf("p99 = %v", s.P99)
-	}
-	if !(s.Min >= 1 && s.Max < 10 && s.Min < s.Max) {
-		t.Errorf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if s.P50 > s.P95 || s.P95 > s.P99 {
-		t.Errorf("quantiles unordered: %v %v %v", s.P50, s.P95, s.P99)
-	}
-}
-
 func BenchmarkP2Add(b *testing.B) {
 	e := NewP2Quantile(0.95)
 	rng := rand.New(rand.NewSource(1))

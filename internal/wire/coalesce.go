@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 )
 
 // ErrWriterBroken reports that a previous flush left the stream in an
@@ -18,15 +17,10 @@ var ErrWriterBroken = errors.New("wire: writer broken by partial flush")
 // goroutine-safe and cheap (the callback runs on the flush path).
 type FlushObserver func(frames int, bytes int)
 
-// deadlineWriter is the optional conn capability the coalescing writer
-// uses to honor per-frame write deadlines (every net.Conn has it).
-type deadlineWriter interface {
-	SetWriteDeadline(t time.Time) error
-}
-
-// flushGen is one flush generation: the set of frames encoded into a
-// shared buffer that will leave in a single Write. Every enqueuer of the
-// generation waits on done and reads err afterwards.
+// flushGen is one flush generation: the frames that queued behind an
+// active flusher, encoded into a shared buffer that will leave in a
+// single Write. Every enqueuer of the generation waits on done and reads
+// err afterwards.
 type flushGen struct {
 	done   chan struct{}
 	err    error
@@ -34,10 +28,10 @@ type flushGen struct {
 }
 
 // extSeg is one external payload segment spliced into a flush at byte
-// offset off of the generation's encode buffer: the zero-copy tail of a
-// frame written with WriteFrameExt. release fires once the flush
-// attempt carrying the segment has completed (or the generation is
-// abandoned), ending the caller's lease on b.
+// offset off of the encode buffer: the zero-copy tail of a frame written
+// with WriteFrameExt. release fires once the flush attempt carrying the
+// segment has completed (or the generation is abandoned), ending the
+// caller's lease on b.
 type extSeg struct {
 	off     int
 	b       []byte
@@ -45,77 +39,75 @@ type extSeg struct {
 }
 
 // CoalescedWriter turns per-frame writes from many goroutines into
-// group-committed flushes: each caller encodes its frame into a shared
-// pending buffer, and the first caller to arrive while no flush is in
-// progress becomes the flusher — it swaps the buffer out and issues one
-// Write for every frame that accumulated, including frames enqueued by
-// callers that arrived while a previous flush was on the wire. Under
-// concurrency the syscall count amortizes across the batch (writev-style
-// without the iovec plumbing); a lone caller degenerates to exactly the
-// old one-Write-per-frame behavior with one extra mutex pair.
+// group-committed flushes. A caller that finds no flush in progress is
+// its own flusher: it encodes its frame into a pooled buffer and issues
+// the Write itself — no generation, no channel, nothing allocated. A
+// caller that arrives while a flush is on the wire encodes into a shared
+// pending buffer and waits; the active flusher drains that buffer with
+// one Write per generation before it returns. Under concurrency the
+// syscall count amortizes across the batch (writev-style without the
+// iovec plumbing); a lone caller pays one mutex pair over a bare Write.
 //
 // WriteFrame returns only after the frame's bytes have been handed to
 // the underlying Write, preserving the send-before-wait ordering the
-// RPC layers rely on.
+// RPC layers rely on. The writer never sets a deadline on the
+// connection: a Write that must be bounded is bounded by whoever owns
+// the connection (rpc.Client arms one only when a flush is stuck past a
+// pending call's deadline).
 type CoalescedWriter struct {
 	w  io.Writer
-	dw deadlineWriter // nil when w cannot set write deadlines
-	ob FlushObserver  // nil = no instrumentation
+	ob FlushObserver // nil = no instrumentation
 
 	mu       sync.Mutex
-	pend     *Buf      // frames encoded and not yet flushed (nil = none)
+	pend     *Buf      // frames queued behind the active flusher (nil = none)
 	segs     []extSeg  // external segments spliced into pend's frames
 	gen      *flushGen // waiters for the frames in pend
-	earliest time.Time // earliest nonzero deadline among pending frames
-	flushing bool      // a flusher is active (owns the fields below)
+	flushing bool      // a flusher is active (owns the scratch below)
+	flushes  uint64    // flushes started, the one in flight included
 	broken   bool      // a partial flush corrupted the stream
 
-	// armed is owned by whichever caller holds flushing — only one
-	// flusher exists at a time, so no lock is needed around it.
-	armed bool // the conn currently has a write deadline set
+	// Scratch of whichever caller holds flushing — only one flusher
+	// exists at a time, so no lock is needed around it. solo carries the
+	// flusher's own external segment, vec backs the vectored write, and
+	// bufs is the net.Buffers header WriteTo consumes (a field, because
+	// WriteTo's pointer receiver would force a local one to the heap).
+	solo [1]extSeg
+	vec  [][]byte
+	bufs net.Buffers
 }
 
 // NewCoalescedWriter wraps w. The observer may be nil.
 func NewCoalescedWriter(w io.Writer, ob FlushObserver) *CoalescedWriter {
-	cw := &CoalescedWriter{w: w, ob: ob}
-	if dw, ok := w.(deadlineWriter); ok {
-		cw.dw = dw
-	}
-	return cw
+	return &CoalescedWriter{w: w, ob: ob}
 }
 
 // WriteFrame encodes f and returns once a flush carrying it completed.
+// A flush error fails every frame in its batch — each caller sees it and
+// classifies it independently, exactly as if its own solo write had
+// failed.
 func (cw *CoalescedWriter) WriteFrame(f *Frame) error {
-	return cw.writeFrame(f, nil, nil, time.Time{})
+	return cw.writeFrame(f, nil, nil)
 }
 
-// WriteFrameDeadline is WriteFrame with a write deadline: the flush
-// carrying this frame runs under the earliest deadline of its batch
-// (zero means none). A deadline expiry fails every frame in the batch —
-// each caller sees the timeout and classifies it independently, exactly
-// as if its own solo write had timed out.
-func (cw *CoalescedWriter) WriteFrameDeadline(f *Frame, dl time.Time) error {
-	return cw.writeFrame(f, nil, nil, dl)
-}
-
-// WriteFrameExt is WriteFrameDeadline for a frame whose payload tail
-// lives outside the shared encode buffer: the frame's declared length
-// covers f.Payload plus ext, f.Payload (the head) is copied into the
-// pending buffer, and ext is spliced in at flush time without copying —
-// the zero-copy path a leased RAM-tier read rides.
+// WriteFrameExt is WriteFrame for a frame whose payload tail lives
+// outside the encode buffer: the frame's declared length covers
+// f.Payload plus ext, f.Payload (the head) is copied into the buffer,
+// and ext is spliced in at flush time without copying — the zero-copy
+// path a leased RAM-tier read rides.
 //
 // release (which may be nil) is invoked exactly once, after the flush
 // attempt carrying the frame finishes — success, error, or abandonment
 // on an already-broken writer — ending the caller's lease on ext. It
 // runs on the flusher's goroutine and must be cheap, non-blocking, and
 // must not call back into this writer.
-func (cw *CoalescedWriter) WriteFrameExt(f *Frame, ext []byte, release func(), dl time.Time) error {
-	return cw.writeFrame(f, ext, release, dl)
+func (cw *CoalescedWriter) WriteFrameExt(f *Frame, ext []byte, release func()) error {
+	return cw.writeFrame(f, ext, release)
 }
 
-// writeFrame encodes f (plus an optional external segment) into the
-// pending generation and drives or awaits its flush.
-func (cw *CoalescedWriter) writeFrame(f *Frame, ext []byte, release func(), dl time.Time) error {
+// writeFrame flushes f (plus an optional external segment) itself when
+// no flusher is active, and otherwise queues it behind the active one.
+func (cw *CoalescedWriter) writeFrame(f *Frame, ext []byte, release func()) error {
+	hasExt := ext != nil || release != nil
 	cw.mu.Lock()
 	if cw.broken {
 		cw.mu.Unlock()
@@ -124,63 +116,91 @@ func (cw *CoalescedWriter) writeFrame(f *Frame, ext []byte, release func(), dl t
 		}
 		return ErrWriterBroken
 	}
-	if cw.pend == nil {
-		cw.pend = acquireBuf(0)
-		cw.gen = &flushGen{done: make(chan struct{})}
-	}
-	if ext == nil && release == nil {
-		cw.pend.b = AppendFrame(cw.pend.b, f)
-	} else {
-		cw.pend.b = appendFrameHead(cw.pend.b, f, len(ext))
-		cw.segs = append(cw.segs, extSeg{off: len(cw.pend.b), b: ext, release: release})
-	}
-	cw.gen.frames++
-	if !dl.IsZero() && (cw.earliest.IsZero() || dl.Before(cw.earliest)) {
-		cw.earliest = dl
-	}
-	gen := cw.gen
 	if cw.flushing {
-		// A flusher is on the wire; it will pick this generation up in
-		// its drain loop (or a later caller will become the flusher).
+		// A flusher is on the wire; it picks this generation up in its
+		// drain loop before it gives up the role.
+		if cw.pend == nil {
+			cw.pend = acquireBuf(0)
+			cw.gen = &flushGen{done: make(chan struct{})}
+		}
+		if hasExt {
+			cw.pend.b = appendFrameHead(cw.pend.b, f, len(ext))
+			cw.segs = append(cw.segs, extSeg{off: len(cw.pend.b), b: ext, release: release})
+		} else {
+			cw.pend.b = AppendFrame(cw.pend.b, f)
+		}
+		gen := cw.gen
+		gen.frames++
 		cw.mu.Unlock()
 		<-gen.done
 		return gen.err
 	}
+	// No flusher means nothing is queued either (a flusher drains before
+	// it leaves), so this frame travels alone, encoded outside the lock.
 	cw.flushing = true
-	for cw.pend != nil {
-		buf, segs, g, dl := cw.pend, cw.segs, cw.gen, cw.earliest
-		cw.pend, cw.segs, cw.gen, cw.earliest = nil, nil, nil, time.Time{}
-		cw.mu.Unlock()
+	cw.flushes++
+	cw.mu.Unlock()
 
-		g.err = cw.flush(buf.b, segs, dl, g.frames)
-		releaseSegs(segs)
-		buf.Release()
-		close(g.done)
+	buf := acquireBuf(0)
+	buf.b = appendFrameHead(buf.b, f, len(ext))
+	var segs []extSeg
+	if hasExt {
+		cw.solo[0] = extSeg{off: len(buf.b), b: ext, release: release}
+		segs = cw.solo[:]
+	}
+	own := cw.flush(buf.b, segs, 1)
+	releaseSegs(segs)
+	cw.solo[0] = extSeg{}
+	buf.Release()
 
-		cw.mu.Lock()
-		if g.err != nil && cw.brokenByFlush(g.err) {
+	cw.mu.Lock()
+	for last := own; ; {
+		if last != nil && brokenByFlush(last) {
 			cw.broken = true
 			// Fail everything that queued behind the corrupting flush:
 			// its bytes must never reach the wire. Queued external
 			// leases are released — abandoned, not written.
 			if cw.pend != nil {
 				cw.pend.Release()
-				cw.pend = nil
 				releaseSegs(cw.segs)
-				cw.segs = nil
 				cw.gen.err = ErrWriterBroken
 				close(cw.gen.done)
-				cw.gen = nil
-				cw.earliest = time.Time{}
+				cw.pend, cw.segs, cw.gen = nil, nil, nil
 			}
 		}
+		if cw.pend == nil {
+			break
+		}
+		qbuf, qsegs, g := cw.pend, cw.segs, cw.gen
+		cw.pend, cw.segs, cw.gen = nil, nil, nil
+		cw.flushes++
+		cw.mu.Unlock()
+
+		g.err = cw.flush(qbuf.b, qsegs, g.frames)
+		releaseSegs(qsegs)
+		qbuf.Release()
+		last = g.err
+		close(g.done)
+
+		cw.mu.Lock()
 	}
 	cw.flushing = false
 	cw.mu.Unlock()
-	return gen.err
+	return own
 }
 
-// releaseSegs ends the leases of a generation's external segments.
+// Flushing reports whether a flush is in flight, and its ordinal among
+// the flushes this writer has started. Two calls that both report busy
+// with the same ordinal bracket one Write that did not return in
+// between — how the connection's owner tells a blocked Write from a
+// busy writer.
+func (cw *CoalescedWriter) Flushing() (flush uint64, busy bool) {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	return cw.flushes, cw.flushing
+}
+
+// releaseSegs ends the leases of a batch's external segments.
 func releaseSegs(segs []extSeg) {
 	for i := range segs {
 		if segs[i].release != nil {
@@ -189,22 +209,12 @@ func releaseSegs(segs []extSeg) {
 	}
 }
 
-// flush issues the write for one batch, arming or clearing the conn
-// write deadline first. A batch without external segments leaves in a
-// single Write call; one with segments leaves as a vectored write
-// (net.Buffers — writev on TCP conns, sequential writes elsewhere)
-// that interleaves encode-buffer spans with the spliced segments.
-// Runs with flushing held (no lock).
-func (cw *CoalescedWriter) flush(buf []byte, segs []extSeg, dl time.Time, frames int) error {
-	if cw.dw != nil {
-		if !dl.IsZero() {
-			_ = cw.dw.SetWriteDeadline(dl)
-			cw.armed = true
-		} else if cw.armed {
-			_ = cw.dw.SetWriteDeadline(time.Time{})
-			cw.armed = false
-		}
-	}
+// flush issues the write for one batch. A batch without external
+// segments leaves in a single Write call; one with segments leaves as a
+// vectored write (net.Buffers — writev on TCP conns, sequential writes
+// elsewhere) that interleaves encode-buffer spans with the spliced
+// segments. Runs with flushing held (no lock).
+func (cw *CoalescedWriter) flush(buf []byte, segs []extSeg, frames int) error {
 	var n int64
 	var err error
 	total := len(buf)
@@ -213,22 +223,24 @@ func (cw *CoalescedWriter) flush(buf []byte, segs []extSeg, dl time.Time, frames
 		ni, err = cw.w.Write(buf)
 		n = int64(ni)
 	} else {
-		bufs := make(net.Buffers, 0, 2*len(segs)+1)
+		vec := cw.vec[:0]
 		prev := 0
 		for i := range segs {
 			if segs[i].off > prev {
-				bufs = append(bufs, buf[prev:segs[i].off])
+				vec = append(vec, buf[prev:segs[i].off])
 				prev = segs[i].off
 			}
 			if len(segs[i].b) > 0 {
-				bufs = append(bufs, segs[i].b)
+				vec = append(vec, segs[i].b)
 				total += len(segs[i].b)
 			}
 		}
 		if prev < len(buf) {
-			bufs = append(bufs, buf[prev:])
+			vec = append(vec, buf[prev:])
 		}
-		n, err = bufs.WriteTo(cw.w)
+		cw.vec, cw.bufs = vec, vec
+		n, err = cw.bufs.WriteTo(cw.w)
+		clear(vec) // the scratch must not pin leased segments past the flush
 	}
 	if cw.ob != nil {
 		cw.ob(frames, total)
@@ -249,7 +261,7 @@ func (e *partialFlushError) Error() string { return "wire: partial flush: " + e.
 func (e *partialFlushError) Unwrap() error { return e.err }
 
 // brokenByFlush reports whether a flush error corrupted the stream.
-func (cw *CoalescedWriter) brokenByFlush(err error) bool {
+func brokenByFlush(err error) bool {
 	var p *partialFlushError
 	return errors.As(err, &p)
 }

@@ -18,7 +18,7 @@ func TestWriteFrameExtWireEquivalence(t *testing.T) {
 	cw := NewCoalescedWriter(&got, nil)
 	released := 0
 	f := Frame{Type: TypeResponse, ID: 42, Op: 2, Status: 0, Payload: head}
-	if err := cw.WriteFrameExt(&f, ext, func() { released++ }, time.Time{}); err != nil {
+	if err := cw.WriteFrameExt(&f, ext, func() { released++ }); err != nil {
 		t.Fatalf("WriteFrameExt: %v", err)
 	}
 	if released != 1 {
@@ -39,7 +39,7 @@ func TestWriteFrameExtNilExt(t *testing.T) {
 	cw := NewCoalescedWriter(&buf, nil)
 	released := 0
 	f := Frame{Type: TypeResponse, ID: 1, Payload: []byte("head-only")}
-	if err := cw.WriteFrameExt(&f, nil, func() { released++ }, time.Time{}); err != nil {
+	if err := cw.WriteFrameExt(&f, nil, func() { released++ }); err != nil {
 		t.Fatal(err)
 	}
 	if released != 1 {
@@ -69,7 +69,7 @@ func TestWriteFrameExtConcurrentMix(t *testing.T) {
 				body := fmt.Sprintf("g%d-i%d", g, i)
 				if i%2 == 0 {
 					f := Frame{Type: TypeResponse, ID: id, Payload: []byte("H:")}
-					if err := cw.WriteFrameExt(&f, []byte(body), func() { releases.Add(1) }, time.Time{}); err != nil {
+					if err := cw.WriteFrameExt(&f, []byte(body), func() { releases.Add(1) }); err != nil {
 						t.Errorf("ext write %d: %v", id, err)
 						return
 					}
@@ -105,14 +105,14 @@ func TestWriteFrameExtReleasedOnCleanError(t *testing.T) {
 	cw := NewCoalescedWriter(w, nil)
 	released := 0
 	f := Frame{Type: TypeResponse, ID: 1, Payload: []byte("h")}
-	if err := cw.WriteFrameExt(&f, []byte("x"), func() { released++ }, time.Time{}); err == nil {
+	if err := cw.WriteFrameExt(&f, []byte("x"), func() { released++ }); err == nil {
 		t.Fatal("want error from failing writer")
 	}
 	if released != 1 {
 		t.Fatalf("release fired %d times on clean error, want 1", released)
 	}
 	// Clean failure (nothing consumed) must not latch the writer.
-	if err := cw.WriteFrameExt(&f, []byte("y"), func() { released++ }, time.Time{}); err != nil {
+	if err := cw.WriteFrameExt(&f, []byte("y"), func() { released++ }); err != nil {
 		t.Fatalf("writer stuck after clean failure: %v", err)
 	}
 	if released != 2 {
@@ -124,7 +124,7 @@ func TestWriteFrameExtReleasedOnBrokenWriter(t *testing.T) {
 	cw := NewCoalescedWriter(&partialWriter{}, nil)
 	f := Frame{Type: TypeResponse, ID: 1, Payload: []byte("corruptible")}
 	released := 0
-	if err := cw.WriteFrameExt(&f, []byte("tail"), func() { released++ }, time.Time{}); err == nil {
+	if err := cw.WriteFrameExt(&f, []byte("tail"), func() { released++ }); err == nil {
 		t.Fatal("want error from partial write")
 	}
 	if released != 1 {
@@ -132,7 +132,7 @@ func TestWriteFrameExtReleasedOnBrokenWriter(t *testing.T) {
 	}
 	// The writer is now broken: further ext writes must refuse AND still
 	// consume their release — the lease must never leak.
-	err := cw.WriteFrameExt(&f, []byte("tail2"), func() { released++ }, time.Time{})
+	err := cw.WriteFrameExt(&f, []byte("tail2"), func() { released++ })
 	if !errors.Is(err, ErrWriterBroken) {
 		t.Fatalf("err=%v, want ErrWriterBroken", err)
 	}

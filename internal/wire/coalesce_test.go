@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // collectFrames decodes every frame in buf.
@@ -183,46 +185,87 @@ func TestCoalescedWriterPartialFlushBreaksStream(t *testing.T) {
 	}
 }
 
-// deadlineBuffer records SetWriteDeadline calls.
+// deadlineBuffer counts SetWriteDeadline calls.
 type deadlineBuffer struct {
-	bytes.Buffer
-	deadlines []time.Time
+	slowBuffer
+	deadlines atomic.Int64
 }
 
-func (w *deadlineBuffer) SetWriteDeadline(t time.Time) error {
-	w.deadlines = append(w.deadlines, t)
+func (w *deadlineBuffer) SetWriteDeadline(time.Time) error {
+	w.deadlines.Add(1)
 	return nil
 }
 
-func TestCoalescedWriterDeadlineArming(t *testing.T) {
-	w := &deadlineBuffer{}
+// TestCoalescedWriterNeverArmsDeadline pins the deadline contract: the
+// writer leaves the conn's write deadline to the conn's owner. Neither a
+// solo flush nor a contended one (frames queued behind a slow flush) may
+// touch SetWriteDeadline — on every conn type that is a timer armed and
+// stopped per flush.
+func TestCoalescedWriterNeverArmsDeadline(t *testing.T) {
+	w := &deadlineBuffer{slowBuffer: slowBuffer{delay: 200 * time.Microsecond}}
 	cw := NewCoalescedWriter(w, nil)
 	f := Frame{Type: TypeRequest, ID: 1, Payload: []byte("d")}
+	if err := cw.WriteFrame(&f); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.WriteFrameExt(&f, []byte("tail"), nil); err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, perG = 8, 20
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := Frame{Type: TypeRequest, ID: 2, Payload: []byte("q")}
+			for i := 0; i < perG; i++ {
+				if err := cw.WriteFrame(&f); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := w.deadlines.Load(); n != 0 {
+		t.Fatalf("writer set the conn write deadline %d times, want never", n)
+	}
+	if got := collectFrames(t, &w.buf); len(got) != 2+goroutines*perG {
+		t.Fatalf("decoded %d frames, want %d", len(got), 2+goroutines*perG)
+	}
+}
 
-	// No deadline: SetWriteDeadline must not be touched at all.
-	if err := cw.WriteFrameDeadline(&f, time.Time{}); err != nil {
-		t.Fatal(err)
+// TestCoalescedWriterSoloAllocs is the ceiling on the uncontended path:
+// a caller that is its own flusher allocates nothing — no generation, no
+// channel, no vectored-write header — with or without an external
+// segment. The next feature that puts one back fails here, not in a
+// benchmark.
+func TestCoalescedWriterSoloAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
 	}
-	if len(w.deadlines) != 0 {
-		t.Fatalf("deadline-free write armed the conn: %v", w.deadlines)
+	cw := NewCoalescedWriter(io.Discard, nil)
+	f := Frame{Type: TypeResponse, ID: 1, Op: 2, Payload: make([]byte, 4096)}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := cw.WriteFrame(&f); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("solo WriteFrame: %v allocs/op, want 0", n)
 	}
-
-	// Deadline write arms; the next deadline-free write disarms.
-	dl := time.Now().Add(time.Hour)
-	if err := cw.WriteFrameDeadline(&f, dl); err != nil {
-		t.Fatal(err)
+	head := Frame{Type: TypeResponse, ID: 1, Op: 2, Payload: make([]byte, 16)}
+	ext := make([]byte, 4096)
+	released := 0
+	release := func() { released++ }
+	if n := testing.AllocsPerRun(200, func() {
+		if err := cw.WriteFrameExt(&head, ext, release); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("solo WriteFrameExt: %v allocs/op, want 0", n)
 	}
-	if len(w.deadlines) != 1 || !w.deadlines[0].Equal(dl) {
-		t.Fatalf("arming calls %v, want [%v]", w.deadlines, dl)
-	}
-	if err := cw.WriteFrameDeadline(&f, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.deadlines) != 2 || !w.deadlines[1].IsZero() {
-		t.Fatalf("disarm calls %v, want zero-time clear", w.deadlines)
-	}
-	if got := collectFrames(t, &w.Buffer); len(got) != 3 {
-		t.Fatalf("decoded %d frames, want 3", len(got))
+	if released != 201 { // AllocsPerRun makes one warm-up call first
+		t.Errorf("release fired %d times, want 201", released)
 	}
 }
 
