@@ -3,6 +3,7 @@ package hvac
 import (
 	"sync"
 
+	"repro/internal/shardcache"
 	"repro/internal/telemetry"
 )
 
@@ -140,24 +141,24 @@ func (s *Server) registerTelemetry() {
 		reg.GaugeFunc("ftc_server_admission_inflight", s.limiter.Inflight, "node", node)
 	}
 
-	reg.CounterFunc("ftc_server_nvme_hits_total", func() int64 { h, _, _ := nvme.Counters(); return h }, "node", node)
-	reg.CounterFunc("ftc_server_nvme_misses_total", func() int64 { _, m, _ := nvme.Counters(); return m }, "node", node)
-	reg.CounterFunc("ftc_server_nvme_evictions_total", func() int64 { _, _, e := nvme.Counters(); return e }, "node", node)
-	reg.CounterFunc("ftc_server_nvme_spills_total", nvme.Spills, "node", node)
-	reg.GaugeFunc("ftc_server_nvme_bytes", func() int64 { _, b := nvme.StatsAtomic(); return b }, "node", node)
-	reg.GaugeFunc("ftc_server_nvme_objects", func() int64 { o, _ := nvme.StatsAtomic(); return o }, "node", node)
+	reg.CounterFunc("ftc_server_nvme_hits_total", func() int64 { return nvme.Snapshot().Hits }, "node", node)
+	reg.CounterFunc("ftc_server_nvme_misses_total", func() int64 { return nvme.Snapshot().Misses }, "node", node)
+	reg.CounterFunc("ftc_server_nvme_evictions_total", func() int64 { return nvme.Snapshot().Evictions }, "node", node)
+	reg.CounterFunc("ftc_server_nvme_spills_total", func() int64 { return nvme.Snapshot().Spills }, "node", node)
+	reg.GaugeFunc("ftc_server_nvme_bytes", func() int64 { return nvme.Snapshot().Bytes }, "node", node)
+	reg.GaugeFunc("ftc_server_nvme_objects", func() int64 { return nvme.Snapshot().Objects }, "node", node)
 
 	if ram := s.ram; ram != nil {
-		reg.CounterFunc("ftc_server_ram_hits_total", func() int64 { h, _, _, _, _, _ := ram.Counters(); return h }, "node", node)
-		reg.CounterFunc("ftc_server_ram_misses_total", func() int64 { _, m, _, _, _, _ := ram.Counters(); return m }, "node", node)
+		reg.CounterFunc("ftc_server_ram_hits_total", func() int64 { return ram.Snapshot().Hits }, "node", node)
+		reg.CounterFunc("ftc_server_ram_misses_total", func() int64 { return ram.Snapshot().Misses }, "node", node)
 		reg.CounterFunc("ftc_server_ram_admits_total", func() int64 { _, _, a, _, _, _ := ram.Counters(); return a }, "node", node)
 		reg.CounterFunc("ftc_server_ram_admit_rejected_total", ram.Rejected, "node", node)
-		reg.CounterFunc("ftc_server_ram_evictions_total", func() int64 { _, _, _, e, _, _ := ram.Counters(); return e }, "node", node)
+		reg.CounterFunc("ftc_server_ram_evictions_total", func() int64 { return ram.Snapshot().Evictions }, "node", node)
 		reg.CounterFunc("ftc_server_ram_demotions_total", func() int64 { _, _, _, _, d, _ := ram.Counters(); return d }, "node", node)
 		reg.CounterFunc("ftc_server_ram_invalidations_total", func() int64 { _, _, _, _, _, i := ram.Counters(); return i }, "node", node)
 		reg.CounterFunc("ftc_server_ram_served_total", s.ramServed.Load, "node", node)
-		reg.GaugeFunc("ftc_server_ram_bytes", func() int64 { _, b := ram.StatsAtomic(); return b }, "node", node)
-		reg.GaugeFunc("ftc_server_ram_objects", func() int64 { o, _ := ram.StatsAtomic(); return o }, "node", node)
+		reg.GaugeFunc("ftc_server_ram_bytes", func() int64 { return ram.Snapshot().Bytes }, "node", node)
+		reg.GaugeFunc("ftc_server_ram_objects", func() int64 { return ram.Snapshot().Objects }, "node", node)
 		reg.GaugeFunc("ftc_server_ram_leases", ram.ActiveLeases, "node", node)
 	}
 
@@ -172,20 +173,19 @@ func (s *Server) registerTelemetry() {
 
 // debugSnapshot is this server's section of /debug/ftcache.
 func (s *Server) debugSnapshot() any {
-	objects, bytes := s.nvme.StatsAtomic()
-	hits, misses, evictions := s.nvme.Counters()
+	nvme := s.nvme.Snapshot()
 	enq, drop := s.mover.Counters()
 	inline, fillErrs, lastErr := s.mover.FillStats()
 	snap := map[string]any{
 		"node":            string(s.cfg.Node),
-		"nvme_objects":    objects,
-		"nvme_bytes":      bytes,
-		"nvme_capacity":   s.nvme.Capacity(),
-		"nvme_hits":       hits,
-		"nvme_misses":     misses,
-		"nvme_evictions":  evictions,
-		"nvme_spills":     s.nvme.Spills(),
-		"shard_bytes":     s.nvme.ShardBytes(),
+		"nvme_objects":    nvme.Objects,
+		"nvme_bytes":      nvme.Bytes,
+		"nvme_capacity":   nvme.Capacity,
+		"nvme_hits":       nvme.Hits,
+		"nvme_misses":     nvme.Misses,
+		"nvme_evictions":  nvme.Evictions,
+		"nvme_spills":     nvme.Spills,
+		"shard_bytes":     nvme.ShardBytes,
 		"pfs_fallbacks":   s.pfsFallbacks.Load(),
 		"fills_enqueued":  enq,
 		"fills_dropped":   drop,
@@ -208,7 +208,7 @@ func (s *Server) debugSnapshot() any {
 			"shed":     shed,
 		}
 	}
-	snap["tiers"] = s.tierSnapshot()
+	snap["tiers"] = s.tierSnapshot(nvme)
 	return snap
 }
 
@@ -221,41 +221,32 @@ func (s *Server) debugSnapshot() any {
 // it has no node-local capacity, and every read it serves is by
 // definition a miss of the tiers above, so its "hit ratio" is the
 // fallback fraction.
-func (s *Server) tierSnapshot() []map[string]any {
-	tiers := make([]map[string]any, 0, 3)
-	reads := s.reads.Load()
-	if s.ram != nil {
-		objects, bytes := s.ram.StatsAtomic()
-		hits, misses, _, _, _, _ := s.ram.Counters()
-		tiers = append(tiers, map[string]any{
-			"tier":      "ram",
-			"capacity":  s.ram.Capacity(),
-			"bytes":     bytes,
-			"objects":   objects,
-			"hits":      hits,
-			"misses":    misses,
-			"hit_ratio": ratio(hits, hits+misses),
-			"rejected":  s.ram.Rejected(),
-			"served":    s.ramServed.Load(),
-			"leases":    s.ram.ActiveLeases(),
-		})
+func (s *Server) tierSnapshot(nvme shardcache.Snapshot) []map[string]any {
+	row := func(tier string, c shardcache.Snapshot) map[string]any {
+		return map[string]any{
+			"tier":      tier,
+			"capacity":  c.Capacity,
+			"bytes":     c.Bytes,
+			"objects":   c.Objects,
+			"hits":      c.Hits,
+			"misses":    c.Misses,
+			"hit_ratio": ratio(c.Hits, c.Hits+c.Misses),
+		}
 	}
-	nvmeObjects, nvmeBytes := s.nvme.StatsAtomic()
-	nvmeHits, nvmeMisses, _ := s.nvme.Counters()
-	tiers = append(tiers, map[string]any{
-		"tier":      "nvme",
-		"capacity":  s.nvme.Capacity(),
-		"bytes":     nvmeBytes,
-		"objects":   nvmeObjects,
-		"hits":      nvmeHits,
-		"misses":    nvmeMisses,
-		"hit_ratio": ratio(nvmeHits, nvmeHits+nvmeMisses),
-	})
+	tiers := make([]map[string]any, 0, 3)
+	if s.ram != nil {
+		ram := row("ram", s.ram.Snapshot())
+		ram["rejected"] = s.ram.Rejected()
+		ram["served"] = s.ramServed.Load()
+		ram["leases"] = s.ram.ActiveLeases()
+		tiers = append(tiers, ram)
+	}
+	tiers = append(tiers, row("nvme", nvme))
 	fallbacks := s.pfsFallbacks.Load()
 	tiers = append(tiers, map[string]any{
 		"tier":      "pfs",
 		"served":    fallbacks,
-		"hit_ratio": ratio(fallbacks, reads),
+		"hit_ratio": ratio(fallbacks, s.reads.Load()),
 	})
 	return tiers
 }

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"unsafe"
 
+	"repro/internal/shardcache"
 	"repro/internal/workload"
 )
 
@@ -18,6 +18,11 @@ func get(t *testing.T, tier *Tier, path string) []byte {
 	}
 	defer lease.Release()
 	return append([]byte(nil), lease.Bytes()...)
+}
+
+func stats(tier *Tier) (objects, bytes int64) {
+	s := tier.Snapshot()
+	return s.Objects, s.Bytes
 }
 
 // touch reads path n times, as n client reads would: each Get counts
@@ -57,7 +62,7 @@ func TestAdmitReplacesBytes(t *testing.T) {
 	if got := get(t, tier, "a"); string(got) != "newer" {
 		t.Fatalf("got %q, want newer", got)
 	}
-	objects, bytes := tier.StatsAtomic()
+	objects, bytes := stats(tier)
 	if objects != 1 || bytes != 5 {
 		t.Fatalf("stats objects=%d bytes=%d, want 1/5", objects, bytes)
 	}
@@ -80,7 +85,7 @@ func TestReadmitKeepsResidentUntilDecided(t *testing.T) {
 	if got := get(t, tier, "a"); string(got) != "AAAAAAAAAA" {
 		t.Fatalf("got %q, want AAAAAAAAAA", got)
 	}
-	objects, bytes := tier.StatsAtomic()
+	objects, bytes := stats(tier)
 	_, _, _, evictions, _, _ := tier.Counters()
 	if objects != 2 || bytes != 20 || evictions != 0 || tier.Rejected() != 1 {
 		t.Fatalf("objects=%d bytes=%d evictions=%d rejected=%d, want 2/20/0/1", objects, bytes, evictions, tier.Rejected())
@@ -140,21 +145,15 @@ func TestLRUEvictionOrderSingleShard(t *testing.T) {
 	}
 }
 
-func TestShardIsCacheLinePadded(t *testing.T) {
-	if size := unsafe.Sizeof(shard{}); size%64 != 0 {
-		t.Fatalf("shard is %d bytes: neighbouring shards' locks and counters share a cache line", size)
-	}
-}
-
 func TestCrossShardSpill(t *testing.T) {
 	// Budget for exactly one object: every admit must find its victim
 	// on *another* shard (its own is empty), without overshooting.
 	tier := NewShards(10, 8, nil)
-	seen := map[*shard]bool{}
+	seen := map[uint64]bool{}
 	admitted := 0
 	for i := 0; admitted < 3; i++ {
 		path := fmt.Sprintf("f%04d", i)
-		sh, _ := tier.locate(path)
+		sh := shardcache.Hash(path) & 7
 		if seen[sh] {
 			continue // one candidate per shard, so counts never mix
 		}
@@ -166,7 +165,7 @@ func TestCrossShardSpill(t *testing.T) {
 			t.Fatalf("admit %d (%s) refused", admitted, path)
 		}
 		admitted++
-		if objects, bytes := tier.StatsAtomic(); objects != 1 || bytes != 10 {
+		if objects, bytes := stats(tier); objects != 1 || bytes != 10 {
 			t.Fatalf("after admit %d: objects=%d bytes=%d, want 1/10", admitted, objects, bytes)
 		}
 		if !tier.Has(path) {
@@ -242,7 +241,7 @@ func TestClear(t *testing.T) {
 	}
 	lease, _ := tier.Get("f0")
 	tier.Clear()
-	objects, bytes := tier.StatsAtomic()
+	objects, bytes := stats(tier)
 	if objects != 0 || bytes != 0 {
 		t.Fatalf("stats after Clear: objects=%d bytes=%d", objects, bytes)
 	}
@@ -317,7 +316,7 @@ func TestConcurrentChurn(t *testing.T) {
 	if tier.ActiveLeases() != 0 {
 		t.Fatalf("leaked leases: %d", tier.ActiveLeases())
 	}
-	if _, bytes := tier.StatsAtomic(); bytes > budget {
+	if _, bytes := stats(tier); bytes > budget {
 		t.Fatalf("budget overshoot: %d", bytes)
 	}
 	if _, _, _, evictions, _, _ := tier.Counters(); evictions == 0 || tier.Rejected() == 0 {
@@ -366,8 +365,8 @@ func zipfFilled() (tier *Tier, body []byte, served float64) {
 // and spends it on the head of the distribution.
 func TestBudgetFillUnderZipf(t *testing.T) {
 	tier, _, served := zipfFilled()
-	_, bytes := tier.StatsAtomic()
-	if occupancy := float64(bytes) / float64(tier.Capacity()); occupancy < 0.95 {
+	_, bytes := stats(tier)
+	if occupancy := float64(bytes) / float64(tier.Snapshot().Capacity); occupancy < 0.95 {
 		t.Errorf("occupancy %.3f of the budget, want >= 0.95", occupancy)
 	}
 	if served < 0.75 {
@@ -381,7 +380,7 @@ func TestBudgetFillUnderZipf(t *testing.T) {
 // not turn every read into an insert, an eviction and a demotion.
 func TestScanResistance(t *testing.T) {
 	tier, body, _ := zipfFilled()
-	residents, _ := tier.StatsAtomic()
+	residents, _ := stats(tier)
 	_, _, _, before, _, _ := tier.Counters()
 	rng := rand.New(rand.NewSource(1))
 	for pass := 0; pass < 3; pass++ {
@@ -399,5 +398,33 @@ func TestScanResistance(t *testing.T) {
 		if !tier.Has(policyPath(i)) {
 			t.Errorf("top-16 key %d lost its residency to the scan", i)
 		}
+	}
+}
+
+// TestTierAllocs pins the tier's allocations per operation at the layer
+// ledger's figures (bench: memtier.*_allocs): a hit allocates its lease
+// and nothing else, and a full tier turns a candidate away without
+// allocating at all.
+func TestTierAllocs(t *testing.T) {
+	tier, body, _ := zipfFilled()
+	hottest := policyPath(0)
+	if !tier.Has(hottest) {
+		t.Fatal("the head of the distribution is not resident")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if lease, ok := tier.Get(hottest); ok {
+			lease.Release()
+		}
+	}); allocs > 1 {
+		t.Errorf("Get + Release: %.1f allocations, ceiling 1", allocs)
+	}
+	before := tier.Rejected()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tier.Admit("data/never-read", body)
+	}); allocs != 0 {
+		t.Errorf("Admit refused by a full tier: %.1f allocations, want 0", allocs)
+	}
+	if refused := tier.Rejected() - before; refused != 1001 {
+		t.Errorf("%d of 1001 unread candidates refused: the tier was not full", refused)
 	}
 }

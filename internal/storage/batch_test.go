@@ -166,3 +166,61 @@ func TestPutBatchConcurrentWithReads(t *testing.T) {
 		t.Fatalf("capacity exceeded: %d bytes", bytes)
 	}
 }
+
+// TestNVMeAllocs pins the store's allocations per operation at the layer
+// ledger's figures (bench: storage.nvme_*_allocs), so the shared cache
+// underneath cannot grow the hot path unnoticed: a hit allocates
+// nothing, and an insert into a full store little beyond the entry it
+// makes resident.
+func TestNVMeAllocs(t *testing.T) {
+	const (
+		objects = 1024
+		batch   = 64 // hvac.DefaultMaxBatchEntries
+	)
+	body := make([]byte, 4096)
+	paths := make([]string, 8*objects) // a path comes round again long after its eviction
+	for i := range paths {
+		paths[i] = fmt.Sprintf("cosmoUniverse/train/univ_%06d.tfrecord", i)
+	}
+	n := NewNVMe(objects * int64(len(body)))
+	next := 0
+	newKey := func() string { next++; return paths[next%len(paths)] }
+	for i := 0; i < objects; i++ {
+		if err := n.Put(newKey(), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := make([]BatchEntry, batch)
+	for _, c := range []struct {
+		op      string
+		per     float64 // objects per run
+		ceiling float64
+		run     func()
+	}{
+		{"Get hit", 1, 0, func() {
+			if _, err := n.Get(paths[next%len(paths)]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Put of a new key into a full store", 1, 2, func() {
+			if err := n.Put(newKey(), body); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"PutBatch of new keys into a full store, per entry", batch, 3.5, func() {
+			for k := range entries {
+				entries[k] = BatchEntry{Path: newKey(), Data: body}
+			}
+			n.PutBatch(entries)
+		}},
+	} {
+		if got := testing.AllocsPerRun(50, c.run) / c.per; got > c.ceiling {
+			t.Errorf("%s: %.2f allocations, ceiling %.1f", c.op, got, c.ceiling)
+		} else {
+			t.Logf("%s: %.2f allocations", c.op, got)
+		}
+	}
+	if _, _, evictions := n.Counters(); evictions == 0 {
+		t.Error("the store was never full")
+	}
+}

@@ -1,135 +1,10 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 )
-
-// TestNVMeShardedEvictionConcurrent hammers a sharded cache from many
-// goroutines with capacity set to half the working set, so eviction and
-// cross-shard spill run constantly while Gets, Deletes and Stats race
-// them. Invariants checked after the storm: the byte budget was
-// respected, the books balance (deleting everything returns used to 0),
-// and no stored object was corrupted. Run under -race in CI.
-func TestNVMeShardedEvictionConcurrent(t *testing.T) {
-	const (
-		workers  = 8
-		files    = 256
-		fileSize = 128
-	)
-	n := NewNVMeShards(files*fileSize/2, 8)
-	keys := make([]string, files)
-	vals := make([][]byte, files)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("train/f%04d", i)
-		vals[i] = bytes.Repeat([]byte{byte(i)}, fileSize)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 4000; i++ {
-				k := (i*7 + w*13) % files
-				switch i % 5 {
-				case 0, 1:
-					if err := n.Put(keys[k], vals[k]); err != nil {
-						t.Errorf("put %s: %v", keys[k], err)
-						return
-					}
-				case 2, 3:
-					if data, err := n.Get(keys[k]); err == nil {
-						if len(data) != fileSize || data[0] != byte(k) || data[fileSize-1] != byte(k) {
-							t.Errorf("get %s: corrupt data", keys[k])
-							return
-						}
-					}
-				case 4:
-					if i%50 == 0 {
-						n.Delete(keys[k])
-					} else {
-						n.Stats()
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if _, used := n.Stats(); used > n.Capacity() {
-		t.Errorf("used %d exceeds capacity %d after quiescence", used, n.Capacity())
-	}
-	hits, misses, evictions := n.Counters()
-	if evictions == 0 {
-		t.Error("expected eviction churn at half-capacity")
-	}
-	if hits == 0 || misses == 0 {
-		t.Errorf("implausible counters: hits=%d misses=%d", hits, misses)
-	}
-	// The books must balance exactly: empty cache, zero bytes.
-	for _, k := range keys {
-		n.Delete(k)
-	}
-	if objs, used := n.Stats(); objs != 0 || used != 0 {
-		t.Errorf("after deleting all: objs=%d used=%d, want 0,0", objs, used)
-	}
-}
-
-// TestNVMeSpillEvictsOtherShards pins the cross-shard budget: with many
-// shards and sequential inserts of distinct keys, the global byte bound
-// holds even though each insert's victims usually live on other shards.
-func TestNVMeSpillEvictsOtherShards(t *testing.T) {
-	n := NewNVMeShards(1024, 16)
-	for i := 0; i < 200; i++ {
-		if err := n.Put(fmt.Sprintf("f%03d", i), make([]byte, 256)); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-		if _, used := n.Stats(); used > 1024 {
-			t.Fatalf("after put %d: used %d exceeds capacity", i, used)
-		}
-		// The object just inserted must never be its own victim.
-		if !n.Has(fmt.Sprintf("f%03d", i)) {
-			t.Fatalf("put %d evicted itself", i)
-		}
-	}
-	if _, _, ev := n.Counters(); ev == 0 {
-		t.Error("expected evictions")
-	}
-}
-
-// TestNVMeClearConcurrentWithPuts races Clear (node failure simulation)
-// against writers; afterwards the accounting must still balance.
-func TestNVMeClearConcurrentWithPuts(t *testing.T) {
-	n := NewNVMeShards(1<<20, 8)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				n.Put(fmt.Sprintf("w%d/f%d", w, i%64), make([]byte, 64))
-			}
-		}(w)
-	}
-	for i := 0; i < 50; i++ {
-		n.Clear()
-	}
-	close(stop)
-	wg.Wait()
-	n.Clear()
-	if objs, used := n.Stats(); objs != 0 || used != 0 {
-		t.Errorf("after final clear: objs=%d used=%d, want 0,0", objs, used)
-	}
-}
 
 // TestPFSShardedConcurrent races reads, writes, deletes and stats on the
 // sharded PFS; byte accounting must balance after a full delete.

@@ -344,12 +344,12 @@ func BenchmarkNVMePutGet(b *testing.B) {
 
 // TestNVMeBatchSpillEvictionRace drives concurrent PutBatch calls into
 // a store whose budget forces constant cross-shard spill and eviction:
-// batches large relative to capacity mean every insert triggers the
-// evictShardLockedProtected / evictSpill machinery while other batches
-// and single puts race it. Under -race this exercises the lock-ordering
-// and accounting paths; the assertions pin the invariants — the global
-// byte budget is never overshot, per-shard atomic mirrors reconcile
-// with the locked maps, and every surviving object reads back intact.
+// batches large relative to capacity mean every insert has to displace,
+// usually across shards, while other batches and single puts race it.
+// Under -race this exercises the lock-ordering and accounting paths;
+// the assertions pin the invariants — the global byte budget is never
+// overshot, per-shard atomic mirrors reconcile with the locked maps, and
+// every surviving object reads back intact.
 func TestNVMeBatchSpillEvictionRace(t *testing.T) {
 	const (
 		capacity   = 4096
