@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
@@ -62,7 +63,7 @@ func (r *relay) pump(from, to net.Conn, fromName, toName string, rng *rand.Rand)
 			}
 			if d > 0 {
 				r.ctl.Record(KindFrameDelay)
-				time.Sleep(d)
+				storage.Wait(d)
 				// Rules may have changed while the frame was "in flight":
 				// a partition installed mid-delay eats it, like a packet
 				// still on the wire when the link dies.

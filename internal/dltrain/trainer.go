@@ -10,6 +10,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/hvac"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -288,9 +289,7 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 				}
 				return rep, err
 			}
-			if t.cfg.ComputePerBatch > 0 {
-				time.Sleep(t.cfg.ComputePerBatch)
-			}
+			storage.Wait(t.cfg.ComputePerBatch)
 		}
 
 		valSamples := 0

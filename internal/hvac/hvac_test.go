@@ -487,3 +487,28 @@ func TestWarmReadAllocs(t *testing.T) {
 		t.Errorf("warm Read: %v allocs, want <= 6", n)
 	}
 }
+
+// TestDeviceReadAllocs: a read that waits out the simulated device
+// allocates no more than one that does not (bench's
+// hvac.server_read_nvme_allocs, 4) — the wait parks on a pooled waiter,
+// and a traced read's device_wait_ns is the queue share the device
+// computed, not a second clock read.
+func TestDeviceReadAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	srv := NewServer(ServerConfig{Node: "n", ReadDelay: 20 * time.Microsecond}, storage.NewPFS())
+	defer srv.Close()
+	if err := srv.NVMe().Put("f", make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	req := (&ReadReq{Path: "f", Length: -1}).Marshal()
+	n := testing.AllocsPerRun(200, func() {
+		if lr := srv.HandleLeased(OpRead, req, 0); lr.Status != rpc.StatusOK || len(lr.Ext) != 4096 {
+			t.Fatalf("read: status %d, %d bytes", lr.Status, len(lr.Ext))
+		}
+	})
+	if n > 4 {
+		t.Errorf("device-served read: %v allocs, want <= 4", n)
+	}
+}

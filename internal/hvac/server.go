@@ -34,10 +34,12 @@ type ServerConfig struct {
 	// loadctl.DefaultAdmissionWait.
 	AdmissionWait time.Duration
 	// ReadDelay simulates the device/network service time of one read.
-	// When > 0, each read holds one of readDeviceWidth device slots for
-	// this long, giving every node finite serving capacity — so queueing
-	// at an overloaded node is real wall-clock time even when the whole
-	// in-process cluster shares one core. 0 (the default) disables the
+	// When > 0, each read that misses RAM is one read of a constant
+	// storage.Device, storage.NVMeQueueWidth wide: it waits for a device
+	// slot and then this long, giving every node finite serving capacity
+	// — queueing at an overloaded node is real wall-clock time, and the
+	// wait costs what it says (the device's completion engine, not a
+	// runtime timer whose floor is 1.1 ms). 0 (the default) disables the
 	// simulation entirely.
 	ReadDelay time.Duration
 	// RAMCapacity, when > 0, enables the RAM tier: a sharded in-memory
@@ -49,10 +51,6 @@ type ServerConfig struct {
 	RAMCapacity int64
 }
 
-// readDeviceWidth is the number of simulated reads a node's device
-// serves concurrently when ReadDelay is set (an NVMe-like queue width).
-const readDeviceWidth = 4
-
 // Server is one node's HVAC daemon: it owns the node-local NVMe cache
 // and falls back to the shared PFS on miss.
 type Server struct {
@@ -62,7 +60,7 @@ type Server struct {
 	mover   *Mover
 	rpc     *rpc.Server
 	limiter *loadctl.Limiter // nil → admission control disabled
-	device  chan struct{}    // simulated device slots; nil → no ReadDelay
+	device  *storage.Device  // simulated device; nil → no ReadDelay
 
 	// baseCtx is the server's lifetime context: the wire protocol
 	// carries no per-request cancellation, so server-side coalesced
@@ -103,7 +101,7 @@ func NewServer(cfg ServerConfig, pfs storage.Store) *Server {
 	//ftclint:ignore ctxflow server lifetime root; Close cancels it, and the wire protocol has no caller context to inherit
 	s.baseCtx, s.closeBase = context.WithCancel(context.Background())
 	if cfg.ReadDelay > 0 {
-		s.device = make(chan struct{}, readDeviceWidth)
+		s.device = storage.ConstantDevice(cfg.ReadDelay, storage.NVMeQueueWidth)
 	}
 	if cfg.RAMCapacity > 0 {
 		s.ram = memtier.New(cfg.RAMCapacity, s.demoteRAM)
@@ -414,18 +412,11 @@ func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duratio
 		}
 	}
 	if s.device != nil {
-		// Device-slot wait is timed only for traced requests: the
-		// untraced path (sp == nil) must not pay the clock reads.
-		var t0 time.Time
-		if sp != nil {
-			t0 = time.Now()
-		}
-		s.device <- struct{}{}
-		if sp != nil {
-			sp.AnnotateDuration("device_wait_ns", time.Since(t0))
-		}
-		time.Sleep(s.cfg.ReadDelay)
-		<-s.device
+		// One blocking wait covers slot queueing and service; the queue
+		// share is what the device computed at admission, so reporting it
+		// costs the untraced path (sp == nil) no clock read.
+		size, _ := s.nvme.Size(req.Path)
+		sp.AnnotateDuration("device_wait_ns", s.device.Read(size))
 	}
 	st := sp.StartChild("storage.read")
 	source := SourceNVMe

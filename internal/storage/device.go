@@ -1,6 +1,10 @@
 package storage
 
-import "time"
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // Byte-rate helpers for readable model definitions.
 const (
@@ -136,4 +140,83 @@ func (m PFSModel) MetadataTime(concurrent int) time.Duration {
 		wait = m.MetadataWaitCap
 	}
 	return wait
+}
+
+// NVMeQueueWidth is the number of reads a node-local device serves at
+// once (an NVMe-like queue width); further reads wait for a slot.
+const NVMeQueueWidth = 4
+
+// Device is one storage device's timing, the same type under the live
+// stack and the simulator: a service-time model and a queue width. The
+// simulator reads ReadTime, which is pure; the live stack calls Read,
+// which blocks the caller for the modelled time on the completion
+// engine (engine.go).
+type Device struct {
+	service func(bytes int64, concurrent int) time.Duration
+
+	inflight atomic.Int32 // reads admitted and not yet complete
+	mu       sync.Mutex   // guards free
+	// free holds, per slot of the queue width, the instant the slot's
+	// last admitted read completes. No slots = unqueued: every read
+	// starts at once.
+	free []int64
+}
+
+func newDevice(width int, service func(bytes int64, concurrent int) time.Duration) *Device {
+	return &Device{service: service, free: make([]int64, width)}
+}
+
+// ConstantDevice serves every read in d, width at a time (0 = unqueued).
+func ConstantDevice(d time.Duration, width int) *Device {
+	return newDevice(width, func(int64, int) time.Duration { return d })
+}
+
+// Device returns the node-local device m describes, NVMeQueueWidth wide.
+func (m NVMeModel) Device() *Device {
+	return newDevice(NVMeQueueWidth, func(bytes int64, _ int) time.Duration { return m.ReadTime(bytes) })
+}
+
+// Device returns the shared file system m describes: unqueued, because
+// contention is in the model — each read is served at the rate its
+// concurrency leaves it.
+func (m PFSModel) Device() *Device {
+	return newDevice(0, m.ReadTime)
+}
+
+// ReadTime returns the service time of one read of size bytes while
+// `concurrent` reads (including this one) are in service. Pure.
+func (d *Device) ReadTime(bytes int64, concurrent int) time.Duration {
+	return d.service(bytes, concurrent)
+}
+
+// Read blocks for one read of size bytes: the wait for the earliest
+// free slot plus the service time, computed once at admission and handed
+// to the engine as a single wait. It returns the queue share of that
+// wait.
+func (d *Device) Read(bytes int64) (queued time.Duration) {
+	service := int64(d.service(bytes, int(d.inflight.Add(1))))
+	due, queued := d.admit(service)
+	waitUntil(due)
+	d.inflight.Add(-1)
+	return queued
+}
+
+// admit fixes a read's completion instant, max(now, earliest free slot)
+// + service, and books the slot until then.
+func (d *Device) admit(service int64) (due int64, queued time.Duration) {
+	if len(d.free) == 0 {
+		return now() + service, 0
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	admitted := now() // read under the lock, so admission order is clock order
+	slot := 0
+	for i, t := range d.free {
+		if t < d.free[slot] {
+			slot = i
+		}
+	}
+	start := max(admitted, d.free[slot])
+	d.free[slot] = start + service
+	return start + service, time.Duration(start - admitted)
 }

@@ -16,9 +16,10 @@
 //
 // Functional behaviour (what is stored where) is separated from
 // performance behaviour: device *models* in device.go turn byte counts
-// and concurrency into service times for the discrete-event simulator,
-// so live tests run at memory speed while experiments reproduce
-// Frontier-like timing.
+// and concurrency into service times. The discrete-event simulator reads
+// them; the live stack runs at memory speed unless a Device is
+// configured, and then blocks each read for the modelled time on the
+// completion engine (engine.go).
 package storage
 
 import (
@@ -156,10 +157,10 @@ func (n *NVMe) Spills() int64 { return n.Snapshot().Spills }
 type PFS struct {
 	objects *shardcache.Cache
 
-	// readDelay, when > 0 (ns), stalls every Get by that long — the
+	// device, when set, makes every Get wait out one modelled read — the
 	// chaos harness's PFS-contention model (a loaded Lustre answering
 	// slowly fleet-wide). One atomic load when unset.
-	readDelay atomic.Int64
+	device atomic.Pointer[Device]
 
 	reads       atomic.Int64
 	readBytes   atomic.Int64
@@ -182,8 +183,8 @@ func (p *PFS) Put(path string, data []byte) error {
 //
 //ftc:hotpath
 func (p *PFS) Get(path string) ([]byte, error) {
-	if d := p.readDelay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
+	if dev := p.device.Load(); dev != nil {
+		dev.Read(p.sizeOf(path)) //ftclint:ignore hotpathlock the modelled wait is the point of a configured delay; its queue locks are held for a heap push, never across the wait
 	}
 	p.metadataOps.Add(1)
 	data, ok := p.objects.Peek(path) //ftclint:ignore hotpathlock per-shard lock is the sharded design; contention is 1/N by construction
@@ -193,6 +194,13 @@ func (p *PFS) Get(path string) ([]byte, error) {
 	p.reads.Add(1)
 	p.readBytes.Add(int64(len(data)))
 	return data, nil
+}
+
+// sizeOf is the byte size a modelled read of path is charged for (0 when
+// absent: a miss pays the access, not a transfer).
+func (p *PFS) sizeOf(path string) int64 {
+	size, _ := p.objects.Size(path)
+	return size
 }
 
 // Has implements Store, counting one metadata op.
@@ -237,17 +245,24 @@ func (p *PFS) ResetCounters() {
 	p.metadataOps.Store(0)
 }
 
-// SetReadDelay injects a per-Get service delay (contention model);
-// d <= 0 clears it. Takes effect on the next read, fleet-wide — every
-// consumer of this PFS (server fallback, client direct read, policy
-// probe) observes the same slowdown, exactly like a congested shared
-// file system.
+// SetReadDelay injects a per-Get service delay (contention model): an
+// unqueued constant Device; d <= 0 clears it. Takes effect on the next
+// read — one already waiting keeps the delay it was admitted with —
+// fleet-wide: every consumer of this PFS (server fallback, client direct
+// read, policy probe) observes the same slowdown, exactly like a
+// congested shared file system.
 func (p *PFS) SetReadDelay(d time.Duration) {
-	if d < 0 {
-		d = 0
+	if d <= 0 {
+		p.device.Store(nil)
+		return
 	}
-	p.readDelay.Store(int64(d))
+	p.device.Store(ConstantDevice(d, 0))
 }
 
 // ReadDelay returns the injected per-Get delay (0 = none).
-func (p *PFS) ReadDelay() time.Duration { return time.Duration(p.readDelay.Load()) }
+func (p *PFS) ReadDelay() time.Duration {
+	if dev := p.device.Load(); dev != nil {
+		return dev.ReadTime(0, 1)
+	}
+	return 0
+}

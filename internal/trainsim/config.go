@@ -69,8 +69,12 @@ type Config struct {
 	// Seed drives shuffles and random victim selection.
 	Seed int64
 
-	// Device models.
-	NVMe storage.NVMeModel
+	// Device models. NVMe is the type the live servers block on
+	// (hvac.ServerConfig.ReadDelay builds one too); the simulator reads
+	// only its pure ReadTime. PFS stays the bare model: a step charges
+	// its metadata queue by the step's ops and its bandwidth share by the
+	// step's reading ranks, two concurrencies one ReadTime cannot carry.
+	NVMe *storage.Device
 	Net  storage.NetworkModel
 	PFS  storage.PFSModel
 
@@ -130,7 +134,7 @@ func Frontier(nodes int, strategy ftcache.StrategyKind) Config {
 		Strategy:           strategy,
 		VirtualNodes:       100,
 		Seed:               1,
-		NVMe:               storage.FrontierNVMe(),
+		NVMe:               storage.FrontierNVMe().Device(),
 		Net:                storage.FrontierNetwork(),
 		PFS:                pfs,
 		ComputePerSample:   70 * time.Millisecond,

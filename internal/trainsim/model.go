@@ -464,9 +464,9 @@ func (m *model) stepTime() time.Duration {
 		class := m.classify(int32(f), reader)
 		switch class {
 		case classLocal:
-			m.sHidden[reader] += m.cfg.NVMe.ReadTime(size)
+			m.sHidden[reader] += m.cfg.NVMe.ReadTime(size, 1)
 		case classRemote:
-			m.sHidden[reader] += m.cfg.Net.TransferTime(size) + m.cfg.NVMe.ReadTime(size)
+			m.sHidden[reader] += m.cfg.Net.TransferTime(size) + m.cfg.NVMe.ReadTime(size, 1)
 		case classPFSServer:
 			m.sPFSCount[reader]++
 			if m.owner[f] != reader {
