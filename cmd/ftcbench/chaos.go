@@ -89,7 +89,7 @@ func runChaos(cfg chaosConfig) error {
 		if err != nil {
 			return err
 		}
-		cc := &chaosClient{cli: cli, ring: router.(*ftcache.RingRecache).Ring()}
+		cc := &chaosClient{cli: cli, ring: router.(*ftcache.Strategy).Ring()}
 		cc.hb = cluster.NewHeartbeat(cli.Tracker(), cli, cluster.HeartbeatConfig{
 			Interval:        15 * time.Millisecond,
 			Timeout:         rpcTimeout,

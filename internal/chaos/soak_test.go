@@ -156,7 +156,7 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := &soakClient{cli: cli, router: router, ring: router.(*ftcache.RingRecache).Ring()}
+		sc := &soakClient{cli: cli, router: router, ring: router.(*ftcache.Strategy).Ring()}
 		sc.hb = cluster.NewHeartbeat(cli.Tracker(), cli, cluster.HeartbeatConfig{
 			Interval:        15 * time.Millisecond,
 			Timeout:         rpcTimeout,

@@ -19,6 +19,7 @@ import (
 	"repro/internal/loadctl"
 	"repro/internal/rpc"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -162,6 +163,14 @@ func (c *Cluster) NewClient() (*hvac.Client, hvac.Router, error) {
 // fault-injected network while servers listen on the shared inner one.
 func (c *Cluster) NewClientNet(network rpc.Network) (*hvac.Client, hvac.Router, error) {
 	router := ftcache.NewRouter(c.cfg.Strategy, c.Nodes(), c.cfg.VirtualNodes)
+	if router.Ring() != nil {
+		// Latest wins: the endpoint shows a ring some client routes with.
+		telemetry.Default().RegisterDebug("ring", router.DebugSnapshot)
+	} else if c.cfg.Replication > 1 {
+		// Modulo placement has no successors to hold the copies: refuse
+		// instead of silently not replicating.
+		return nil, nil, fmt.Errorf("core: Replication > 1 requires a ring strategy, not %q", c.cfg.Strategy)
+	}
 	endpoints := make(map[NodeID]string, len(c.nodes))
 	for _, n := range c.nodes {
 		endpoints[n] = string(n)
@@ -186,21 +195,20 @@ func (c *Cluster) NewClientNet(network rpc.Network) (*hvac.Client, hvac.Router, 
 }
 
 // NewAdaptiveClientNet is NewClientNet for adaptive-strategy clusters:
-// it returns the client together with its Switchable router and, when
+// it returns the client together with its switchable strategy and, when
 // ctl is non-nil, attaches both to the policy controller so the
 // client's detector feeds the control loop and committed decisions
 // swap this client's routing. The cluster must have been built with
 // Strategy == ftcache.KindAdaptive.
-func (c *Cluster) NewAdaptiveClientNet(network rpc.Network, ctl *ftpolicy.Controller) (*hvac.Client, *ftcache.Switchable, error) {
+func (c *Cluster) NewAdaptiveClientNet(network rpc.Network, ctl *ftpolicy.Controller) (*hvac.Client, *ftcache.Strategy, error) {
+	if c.cfg.Strategy != ftcache.KindAdaptive {
+		return nil, nil, fmt.Errorf("core: cluster strategy %q is not adaptive", c.cfg.Strategy)
+	}
 	cli, router, err := c.NewClientNet(network)
 	if err != nil {
 		return nil, nil, err
 	}
-	sw, ok := router.(*ftcache.Switchable)
-	if !ok {
-		cli.Close()
-		return nil, nil, fmt.Errorf("core: cluster strategy %q is not adaptive", c.cfg.Strategy)
-	}
+	sw := router.(*ftcache.Strategy)
 	if ctl != nil {
 		ctl.Attach(cli, sw)
 	}
@@ -309,13 +317,13 @@ func (c *Cluster) FlushMovers() {
 // what clients will compute.
 func (c *Cluster) WarmCache(ds workload.Dataset) error {
 	router := ftcache.NewRouter(c.cfg.Strategy, c.Nodes(), c.cfg.VirtualNodes)
-	replicator, _ := router.(hvac.Replicator)
 	for i := 0; i < ds.NumFiles; i++ {
 		path := ds.FilePath(i)
 		var targets []NodeID
-		if c.cfg.Replication > 1 && replicator != nil {
-			targets = replicator.Replicas(path, c.cfg.Replication)
-		} else {
+		if c.cfg.Replication > 1 {
+			targets = router.Replicas(path, c.cfg.Replication)
+		}
+		if len(targets) == 0 {
 			d := router.Route(path)
 			if d.Kind != hvac.RouteNode {
 				return fmt.Errorf("core: warm route for %s gave kind %d", path, d.Kind)

@@ -187,7 +187,7 @@ func TestStrategyPFSRedirect(t *testing.T) {
 		t.Errorf("PFS reads: epoch2=%d epoch3=%d; redirection should repeat identically",
 			epoch2Reads, epoch3Reads)
 	}
-	if pr, ok := router.(*ftcache.PFSRedirect); !ok || pr.FailedCount() != 1 {
+	if pr, ok := router.(*ftcache.Strategy); !ok || pr.FailedCount() != 1 {
 		t.Errorf("router state: %T", router)
 	}
 }
@@ -235,7 +235,7 @@ func TestStrategyRingRecache(t *testing.T) {
 	if reads != 0 {
 		t.Errorf("PFS reads after heal = %d, want 0", reads)
 	}
-	if rr, ok := router.(*ftcache.RingRecache); !ok || rr.Ring().Len() != 3 {
+	if rr, ok := router.(*ftcache.Strategy); !ok || rr.Ring().Len() != 3 {
 		t.Errorf("ring state: %T", router)
 	}
 }

@@ -40,7 +40,7 @@ func TestFailureRecachesWithoutReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cliB.Close()
-	ring := router.(*ftcache.RingRecache).Ring()
+	ring := router.(*ftcache.Strategy).Ring()
 
 	victim := c.Nodes()[5]
 	var lost []string

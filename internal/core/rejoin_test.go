@@ -24,7 +24,7 @@ func TestRejoinWarmsKilledNode(t *testing.T) {
 	cli, router, _ := c.NewClient()
 	defer cli.Close()
 	ctx := context.Background()
-	ring := router.(*ftcache.RingRecache).Ring()
+	ring := router.(*ftcache.Strategy).Ring()
 
 	victim := c.Nodes()[2]
 	if err := c.Fail(victim, FailKill); err != nil {
@@ -95,7 +95,7 @@ func TestHeartbeatDrivenAutoRejoin(t *testing.T) {
 	c.WarmCache(ds)
 	cli, router, _ := c.NewClient()
 	defer cli.Close()
-	ring := router.(*ftcache.RingRecache).Ring()
+	ring := router.(*ftcache.Strategy).Ring()
 
 	rejoined := make(chan hvac.RejoinReport, 1)
 	hb := cluster.NewHeartbeat(cli.Tracker(), cli, cluster.HeartbeatConfig{

@@ -107,7 +107,7 @@ func TestReplicationOnMissPath(t *testing.T) {
 		t.Errorf("replica pushes = %d, want %d", pushes, ds.NumFiles)
 	}
 	// Every file must now live on its two ring owners.
-	repl := router.(*ftcache.RingRecache)
+	repl := router.(*ftcache.Strategy)
 	for i := 0; i < ds.NumFiles; i++ {
 		path := ds.FilePath(i)
 		owners := repl.Replicas(path, 2)

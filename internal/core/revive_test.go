@@ -27,7 +27,7 @@ func TestReviveUnresponsiveNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ring := router.(*ftcache.RingRecache).Ring()
+	ring := router.(*ftcache.Strategy).Ring()
 	if ring.Len() != 3 {
 		t.Fatalf("ring members = %d after failure", ring.Len())
 	}

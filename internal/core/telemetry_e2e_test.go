@@ -44,7 +44,12 @@ func TestFailureEventOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	ring := router.(*ftcache.RingRecache).Ring()
+	ring := router.(*ftcache.Strategy).Ring()
+	// Warming again builds a throwaway router after the client's; the
+	// debug endpoint's ring section must stay the client's ring.
+	if err := c.WarmCache(ds); err != nil {
+		t.Fatal(err)
+	}
 
 	// Pick a victim node and a file it owns, so one read exercises the
 	// whole pipeline: two timeouts → declaration → ring removal → re-route

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/hvac"
+	"repro/internal/testutil"
 )
 
 func nodes(n int) []cluster.NodeID {
@@ -206,6 +207,28 @@ func TestRepeatedFailuresRingKeepsWorking(t *testing.T) {
 			if prev[p] != victim && d.Node != prev[p] {
 				t.Fatalf("failure %d: collateral move of %q", i, p)
 			}
+		}
+	}
+}
+
+// TestRouteAllocs: Route allocates nothing under any kind, healthy or
+// with a node failed — the failed set is read, never copied, per lookup.
+func TestRouteAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ns, ps := nodes(8), paths(64)
+	for _, kind := range []StrategyKind{KindNoFT, KindPFS, KindNVMe, KindAdaptive} {
+		r := NewRouter(kind, ns, 100)
+		for _, state := range []string{"healthy", "one failed"} {
+			i := 0
+			if n := testing.AllocsPerRun(1000, func() {
+				r.Route(ps[i%len(ps)])
+				i++
+			}); n != 0 {
+				t.Errorf("%s, %s: Route allocates %v objects, want 0", kind, state, n)
+			}
+			r.NodeFailed(ns[3])
 		}
 	}
 }

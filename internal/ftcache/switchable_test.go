@@ -2,7 +2,9 @@ package ftcache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -17,30 +19,30 @@ func switchNodes(n int) []cluster.NodeID {
 	return nodes
 }
 
-// The whole adaptive family shares ring placement: with the same vnode
-// config every member must agree bit-for-bit on healthy-state
-// ownership, so a switch moves zero keys while the fleet is healthy.
+// The adaptive responses share ring placement: every response must
+// agree bit-for-bit on healthy-state ownership, so a switch moves zero
+// keys while the fleet is healthy.
 func TestSwitchableHealthyOwnershipIdentical(t *testing.T) {
 	nodes := switchNodes(16)
 	s := NewSwitchable(nodes, 100, KindNVMe)
 	for i := 0; i < 2000; i++ {
 		path := fmt.Sprintf("/data/train/shard-%04d.bin", i)
-		want := s.Member(KindNVMe).Route(path)
+		want := s.route(respNVMe, path)
 		if want.Kind != hvac.RouteNode {
-			t.Fatalf("recache member did not route %q to a node: %+v", path, want)
+			t.Fatalf("recache response did not route %q to a node: %+v", path, want)
 		}
-		for _, kind := range []StrategyKind{KindNoFT, KindPFS} {
-			got := s.Member(kind).Route(path)
+		for _, resp := range []int32{respNoFT, respPFS} {
+			got := s.route(resp, path)
 			if got.Kind != hvac.RouteNode || got.Node != want.Node {
-				t.Fatalf("%s owner for %q = %+v, recache owner %+v", kind, path, got, want)
+				t.Fatalf("%s owner for %q = %+v, recache owner %+v", respKinds[resp], path, got, want)
 			}
 		}
 	}
 }
 
-// Failure evidence must fan out to every member, active or not, so a
-// later switch needs no catch-up: the PFS member redirects, the recache
-// member remaps, the noft member aborts — all from one NodeFailed.
+// Failure evidence must reach every response, in force or not, so a
+// later switch needs no catch-up: the PFS response redirects, the recache
+// response remaps, the noft response aborts — all from one NodeFailed.
 func TestSwitchableEvidenceFanOut(t *testing.T) {
 	nodes := switchNodes(8)
 	s := NewSwitchable(nodes, 100, KindNVMe)
@@ -55,21 +57,21 @@ func TestSwitchableEvidenceFanOut(t *testing.T) {
 
 	s.NodeFailed(owner)
 
-	if got := s.Member(KindPFS).Route(path); got.Kind != hvac.RoutePFS {
-		t.Fatalf("pfs member after failure: %+v, want RoutePFS", got)
+	if got := s.route(respPFS, path); got.Kind != hvac.RoutePFS {
+		t.Fatalf("pfs response after failure: %+v, want RoutePFS", got)
 	}
-	if got := s.Member(KindNoFT).Route(path); got.Kind != hvac.RouteAbort {
-		t.Fatalf("noft member after failure: %+v, want RouteAbort", got)
+	if got := s.route(respNoFT, path); got.Kind != hvac.RouteAbort {
+		t.Fatalf("noft response after failure: %+v, want RouteAbort", got)
 	}
-	if got := s.Member(KindNVMe).Route(path); got.Kind != hvac.RouteNode || got.Node == owner {
-		t.Fatalf("recache member after failure: %+v, want a different live node", got)
+	if got := s.route(respNVMe, path); got.Kind != hvac.RouteNode || got.Node == owner {
+		t.Fatalf("recache response after failure: %+v, want a different live node", got)
 	}
 
 	s.NodeRecovered(owner)
 
-	for _, kind := range []StrategyKind{KindNoFT, KindPFS, KindNVMe} {
-		if got := s.Member(kind).Route(path); got.Kind != hvac.RouteNode || got.Node != owner {
-			t.Fatalf("%s member after recovery: %+v, want owner %s back", kind, got, owner)
+	for resp, kind := range respKinds {
+		if got := s.route(int32(resp), path); got.Kind != hvac.RouteNode || got.Node != owner {
+			t.Fatalf("%s response after recovery: %+v, want owner %s back", kind, got, owner)
 		}
 	}
 }
@@ -123,9 +125,9 @@ func TestSwitchableSwitchTo(t *testing.T) {
 }
 
 // Torn-snapshot check (run under -race): concurrent routing during
-// rapid switching must always observe exactly one member's coherent
-// answer — a RouteNode to a live node or a RoutePFS, never an abort,
-// never an empty node.
+// rapid switching and live failure evidence must always observe exactly
+// one response's coherent answer — a RouteNode to a live node or a
+// RoutePFS, never an abort, never an empty node.
 func TestSwitchableConcurrentSwitchRoute(t *testing.T) {
 	nodes := switchNodes(8)
 	s := NewSwitchable(nodes, 100, KindNVMe)
@@ -137,7 +139,28 @@ func TestSwitchableConcurrentSwitchRoute(t *testing.T) {
 	s.NodeFailed(nodes[0])
 	live[nodes[0]] = false
 
+	// nodes[1] fails and recovers throughout. down is odd exactly while
+	// it has been failed and is not yet being recovered, so a Route that
+	// reads the same odd value before and after ran wholly inside a
+	// failure and must not have answered nodes[1].
+	var down atomic.Int64
 	stop := make(chan struct{})
+	flapperDone := make(chan struct{})
+	go func() {
+		defer close(flapperDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.NodeFailed(nodes[1])
+			down.Add(1)
+			runtime.Gosched()
+			down.Add(1)
+			s.NodeRecovered(nodes[1])
+		}
+	}()
 	switcherDone := make(chan struct{})
 	go func() {
 		defer close(switcherDone)
@@ -158,11 +181,16 @@ func TestSwitchableConcurrentSwitchRoute(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
 				path := fmt.Sprintf("/data/%d/shard-%04d.bin", g, i)
+				before := down.Load()
 				d := s.Route(path)
 				switch d.Kind {
 				case hvac.RouteNode:
 					if !live[d.Node] {
 						t.Errorf("routed to dead node %s", d.Node)
+						return
+					}
+					if d.Node == nodes[1] && before%2 == 1 && down.Load() == before {
+						t.Errorf("routed to %s, failed for the whole call", d.Node)
 						return
 					}
 				case hvac.RoutePFS:
@@ -177,24 +205,39 @@ func TestSwitchableConcurrentSwitchRoute(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-switcherDone
+	<-flapperDone
+}
+
+// An adaptive strategy builds one ring, not one per response: what
+// NewSwitchable allocates is what NewRingRecache does for the same nodes.
+func TestSwitchableBuildsOneRing(t *testing.T) {
+	nodes := switchNodes(64)
+	allocated := func(build func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	one := allocated(func() { NewRingRecache(nodes, 100) })
+	adaptive := allocated(func() { NewSwitchable(nodes, 100, KindPFS) })
+	if adaptive > 1.1*one || adaptive < 0.9*one {
+		t.Errorf("NewSwitchable allocated %.0f B, NewRingRecache %.0f B: want within 10%%", adaptive, one)
+	}
 }
 
 // The recache plan and the routing table are two views of one ring: for
 // every key, the plan computed just before NodeFailed names receiver n
 // exactly when Route answers n afterwards, and keys the failed node did
 // not own are in nobody's share. Holds for the ring strategy alone and
-// behind Switchable, which plans only while the ring member is active.
+// for the adaptive one, which plans only while the ring response is in force.
 func TestRecachePlanAgreesWithRoute(t *testing.T) {
 	nodes := switchNodes(8)
 	keys := make([]string, 5000)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("/data/train/shard-%05d.bin", i)
 	}
-	type planRouter interface {
-		hvac.Router
-		hvac.RecachePlanner
-	}
-	for name, r := range map[string]planRouter{
+	for name, r := range map[string]hvac.Router{
 		"RingRecache": NewRingRecache(nodes, 100),
 		"Switchable":  NewSwitchable(nodes, 100, KindNVMe),
 	} {
@@ -238,6 +281,6 @@ func TestRecachePlanAgreesWithRoute(t *testing.T) {
 
 	s := NewSwitchable(nodes, 100, KindPFS)
 	if plan := s.PlanRecache(nodes[1], keys); plan != nil {
-		t.Errorf("Switchable planned %d shares with the ftpfs member active, want none", len(plan))
+		t.Errorf("Switchable planned %d shares with the ftpfs response in force, want none", len(plan))
 	}
 }

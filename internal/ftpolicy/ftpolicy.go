@@ -7,7 +7,7 @@
 // recovery declarations from each client's timeout detector, PFS
 // fallback traffic and read latency from the clients, shed/hedge/
 // timeout counters from loadctl — aggregates them per tick, and drives
-// every attached ftcache.Switchable to the strategy the current regime
+// every attached ftcache.Strategy to the strategy the current regime
 // favors:
 //
 //   - PFS contention (slow probe/EWMA latency with PFS traffic or
@@ -18,17 +18,17 @@
 //     churning the ring, wasting recache work, or polluting bounded
 //     NVMe caches with transient copies.
 //   - Sustained calm (no evidence for CalmTicks) → NoFT when allowed:
-//     zero failure bookkeeping; the Switchable escape hatch converts a
+//     zero failure bookkeeping; the strategy's escape hatch converts a
 //     surprise failure into an automatic switch, never an abort.
 //   - Anything else → FT w/ NVMe, the paper's best static default.
 //
 // Decisions are made by a pure function of (state, Signals) with
 // hysteresis watermarks and a tick-counted cooldown, so the controller
 // never flaps and every run can be replayed deterministically from its
-// exported decision log. Strategy switches are a single atomic pointer
-// swap in the Switchable (see internal/ftcache/switchable.go): the
-// read hot path consults the policy with one atomic load, and requests
-// in flight across a switch observe exactly one strategy each.
+// exported decision log. A switch is a single atomic swap of the
+// response an adaptive ftcache.Strategy has in force: the read hot path
+// consults the policy with one atomic load, and requests in flight
+// across a switch observe exactly one response each.
 package ftpolicy
 
 import (
@@ -267,7 +267,7 @@ func decide(cfg Config, st *decideState, sig Signals) (to ftcache.StrategyKind, 
 	return target, reason, true
 }
 
-// Controller drives one or more attached clients' Switchable routers
+// Controller drives one or more attached clients' adaptive strategies
 // from aggregated live signals.
 type Controller struct {
 	cfg Config
@@ -276,7 +276,7 @@ type Controller struct {
 	st      decideState
 	tick    atomic.Int64
 	clients []*attachedClient
-	targets []*ftcache.Switchable
+	targets []*ftcache.Strategy
 	prev    prevCounters
 	log     []Decision
 	seq     atomic.Int64
@@ -301,7 +301,7 @@ type Controller struct {
 
 type attachedClient struct {
 	client *hvac.Client
-	sw     *ftcache.Switchable
+	sw     *ftcache.Strategy
 }
 
 // prevCounters holds the previous tick's cumulative sums for delta
@@ -323,12 +323,12 @@ func New(cfg Config) *Controller {
 // SetPFSProbe installs the per-tick PFS latency probe.
 func (c *Controller) SetPFSProbe(fn func() (time.Duration, bool)) { c.probe = fn }
 
-// Attach registers a client and its Switchable router with the
+// Attach registers a client and its adaptive strategy with the
 // controller. The client's detector feeds the controller's failure/
-// recovery rates; the Switchable both follows committed decisions and
+// recovery rates; the strategy both follows committed decisions and
 // reports escape switches back into the decision log. The first
-// attached Switchable's kind seeds the controller state.
-func (c *Controller) Attach(cli *hvac.Client, sw *ftcache.Switchable) {
+// attached strategy's kind seeds the controller state.
+func (c *Controller) Attach(cli *hvac.Client, sw *ftcache.Strategy) {
 	c.mu.Lock()
 	if len(c.targets) == 0 {
 		c.st.active = sw.Kind()
@@ -346,7 +346,7 @@ func (c *Controller) Attach(cli *hvac.Client, sw *ftcache.Switchable) {
 	})
 }
 
-// recordEscape logs a Switchable-initiated escape (noft abort hatch)
+// recordEscape logs a strategy-initiated escape (noft abort hatch)
 // and re-syncs the controller state and sibling targets to it.
 func (c *Controller) recordEscape(from, to ftcache.StrategyKind) {
 	c.mu.Lock()
@@ -447,7 +447,7 @@ func (c *Controller) Tick() {
 		Seq: c.seq.Add(1), Tick: tick,
 		From: from, To: to, Reason: reason, Signals: sig, State: pre,
 	})
-	targets := append([]*ftcache.Switchable(nil), c.targets...)
+	targets := append([]*ftcache.Strategy(nil), c.targets...)
 	c.mu.Unlock()
 
 	for _, t := range targets {
@@ -474,7 +474,7 @@ func (c *Controller) commit(to ftcache.StrategyKind, reason string, forced bool)
 		From: from, To: to, Reason: reason, Forced: forced,
 		Signals: c.snapshotSignals(),
 	})
-	targets := append([]*ftcache.Switchable(nil), c.targets...)
+	targets := append([]*ftcache.Strategy(nil), c.targets...)
 	c.mu.Unlock()
 	for _, t := range targets {
 		t.SwitchTo(to)

@@ -166,7 +166,7 @@ func TestControllerOscillationNoFlap(t *testing.T) {
 	nodes := []cluster.NodeID{"n0", "n1", "n2", "n3"}
 	sw := ftcache.NewSwitchable(nodes, 100, ftcache.KindNVMe)
 	c := New(testCfg())
-	c.targets = []*ftcache.Switchable{sw}
+	c.targets = []*ftcache.Strategy{sw}
 
 	c.failures.Add(5)
 	c.Tick() // enter burst → ftpfs
@@ -198,7 +198,7 @@ func TestControllerForce(t *testing.T) {
 	nodes := []cluster.NodeID{"n0", "n1"}
 	sw := ftcache.NewSwitchable(nodes, 100, ftcache.KindNVMe)
 	c := New(testCfg())
-	c.targets = []*ftcache.Switchable{sw}
+	c.targets = []*ftcache.Strategy{sw}
 
 	if err := c.Force("bogus"); err == nil {
 		t.Fatal("Force(bogus) succeeded")
@@ -288,7 +288,7 @@ func TestControllerConcurrency(t *testing.T) {
 	nodes := []cluster.NodeID{"n0", "n1", "n2"}
 	sw := ftcache.NewSwitchable(nodes, 100, ftcache.KindNVMe)
 	c := New(testCfg())
-	c.targets = []*ftcache.Switchable{sw}
+	c.targets = []*ftcache.Strategy{sw}
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)

@@ -115,7 +115,7 @@ func runAdaptiveSoak(t *testing.T, seed int64, phases []chaos.Phase) {
 
 	type soakClient struct {
 		cli *hvac.Client
-		sw  *ftcache.Switchable
+		sw  *ftcache.Strategy
 		hb  *cluster.Heartbeat
 	}
 	clients := make([]*soakClient, nClients)
@@ -240,7 +240,7 @@ func runAdaptiveSoak(t *testing.T, seed int64, phases []chaos.Phase) {
 	// membership.
 	converged := func() bool {
 		for _, sc := range clients {
-			ring := sc.sw.Member(ftcache.KindNVMe).(*ftcache.RingRecache).Ring()
+			ring := sc.sw.Ring()
 			if ring.Len() != nodes || len(sc.cli.Tracker().Alive()) != nodes {
 				return false
 			}
@@ -251,7 +251,7 @@ func runAdaptiveSoak(t *testing.T, seed int64, phases []chaos.Phase) {
 	for !converged() {
 		if time.Now().After(healDeadline) {
 			for i, sc := range clients {
-				ring := sc.sw.Member(ftcache.KindNVMe).(*ftcache.RingRecache).Ring()
+				ring := sc.sw.Ring()
 				t.Errorf("seed=%d: client %d not converged: ring=%d alive=%d",
 					seed, i, ring.Len(), len(sc.cli.Tracker().Alive()))
 			}

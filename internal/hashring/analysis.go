@@ -149,10 +149,10 @@ func (r *Ring) SuccessorMembers(failed NodeID) []NodeID {
 
 // AssignKeys maps every key to its owner, returning per-node key counts.
 // It is the bulk form of Owner used by the load-distribution experiments.
-func AssignKeys(l Locator, keys []string) map[NodeID]int {
+func AssignKeys(r *Ring, keys []string) map[NodeID]int {
 	counts := make(map[NodeID]int)
 	for _, k := range keys {
-		if owner, ok := l.Owner(k); ok {
+		if owner, ok := r.Owner(k); ok {
 			counts[owner]++
 		}
 	}

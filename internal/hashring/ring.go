@@ -7,20 +7,15 @@
 // virtual points so that, when a node fails, its load is spread over many
 // successors instead of a single neighbour.
 //
-// Two interchangeable implementations are provided:
-//
-//   - Ring: copy-on-write sorted point slices — lock-free O(log P)
-//     lookups against an immutable snapshot, O(P) membership change
-//     (P = total virtual points). This is the default and the fastest
-//     for the read-dominated cache path: Owner never takes a lock and
-//     never contends with other readers, no matter how many cores are
-//     issuing I/O.
-//   - TreeRing (llrb.go): a left-leaning red-black tree, the closest Go
-//     equivalent of the std::map the paper's C++ artifact used —
-//     O(log P) for both lookups and membership changes.
-//
-// The shared behaviour is captured by the Locator interface so the two
-// can be tested and benchmarked against each other.
+// Ring keeps its points in copy-on-write sorted slices: lock-free
+// O(log P) lookups against an immutable snapshot, O(P) membership change
+// (P = total virtual points) — the right trade for the read-dominated
+// cache path, where Owner runs on every I/O request and never takes a
+// lock or contends with other readers, and membership changes only when
+// a node fails or rejoins. The paper's C++ artifact kept its points in a
+// std::map; the closest Go equivalent, a left-leaning red-black tree,
+// lives in treering_test.go as the reference Ring's ownership is checked
+// and benchmarked against.
 package hashring
 
 import (
@@ -60,20 +55,6 @@ func metrics() *ringMetrics { return ringMetricsInst }
 
 // NodeID identifies a physical node (an HVAC server instance).
 type NodeID string
-
-// Locator is the lookup surface shared by ring implementations.
-type Locator interface {
-	// Owner returns the node owning key, or ok=false if the ring is empty.
-	Owner(key string) (NodeID, bool)
-	// Add inserts a physical node (with its virtual points).
-	Add(node NodeID)
-	// Remove deletes a physical node and all its virtual points.
-	Remove(node NodeID)
-	// Nodes returns the current physical members in unspecified order.
-	Nodes() []NodeID
-	// Len returns the number of physical members.
-	Len() int
-}
 
 type point struct {
 	hash uint64

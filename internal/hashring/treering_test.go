@@ -2,6 +2,21 @@ package hashring
 
 import "sync"
 
+// Locator is the lookup surface the reference TreeRing shares with Ring,
+// stated so the equivalence tests hold both to it.
+type Locator interface {
+	// Owner returns the node owning key, or ok=false if the ring is empty.
+	Owner(key string) (NodeID, bool)
+	// Add inserts a physical node (with its virtual points).
+	Add(node NodeID)
+	// Remove deletes a physical node and all its virtual points.
+	Remove(node NodeID)
+	// Nodes returns the current physical members in unspecified order.
+	Nodes() []NodeID
+	// Len returns the number of physical members.
+	Len() int
+}
+
 // TreeRing is a consistent-hash ring backed by a left-leaning red-black
 // tree keyed on (hash, node). It mirrors the paper's C++ implementation,
 // which stored ring points in a std::map and used lower_bound for the
@@ -9,6 +24,9 @@ import "sync"
 // structure ... The logarithmic time complexity of map operations enables
 // swift adaptation to node failures").
 //
+// It lives with the tests: Ring is the one production implementation and
+// TreeRing the reference it is checked and benchmarked against
+// (TestOwnershipEquivalenceUnderChurn, BenchmarkRingVsTree).
 // Compared to Ring it trades slower lookups (pointer chasing) for
 // O(V log P) membership changes instead of O(P) re-sorts; the ablation
 // bench BenchmarkRingVsTree quantifies the difference.

@@ -39,10 +39,13 @@ type Decision struct {
 	Node cluster.NodeID
 }
 
-// Router is the pluggable fault-tolerance policy: it maps paths to
-// targets and absorbs failure notifications. Package ftcache provides
-// the paper's three policies (NoFT, PFS redirection, ring recaching).
-// Implementations must be goroutine-safe.
+// Router is the pluggable fault-tolerance policy, and the one interface
+// the client consults about placement: it maps paths to targets, absorbs
+// failure and recovery notifications, and plans what a membership change
+// moves. ftcache.Strategy implements the paper's policies (NoFT, PFS
+// redirection, ring recaching). A router with nothing to say to one of
+// the three planning questions returns nil. Implementations must be
+// goroutine-safe.
 type Router interface {
 	// Name identifies the policy in experiment output.
 	Name() string
@@ -50,35 +53,27 @@ type Router interface {
 	Route(path string) Decision
 	// NodeFailed informs the policy that node was declared failed.
 	NodeFailed(node cluster.NodeID)
-}
-
-// RecoveryAware is the optional Router extension for elastic scale-up:
-// routers implementing it are told when a previously failed node is
-// revived, so placement can re-admit it (the ring adds it back; the
-// redirection strategy stops bypassing it).
-type RecoveryAware interface {
+	// NodeRecovered informs the policy that a failed node was revived, so
+	// placement can re-admit it (the ring adds it back; the redirection
+	// strategy stops bypassing it).
 	NodeRecovered(node cluster.NodeID)
-}
-
-// Replicator is the optional Router extension enabling the replication
-// feature: Replicas returns up to n distinct live nodes for path, the
-// first being the primary owner. When a client is configured with
-// ReplicationFactor > 1 and its Router implements Replicator, objects
-// fetched from the PFS are pushed to the secondary owners so a primary
-// failure costs no PFS traffic at all.
-type Replicator interface {
+	// Replicas returns up to n distinct live nodes for path, the primary
+	// owner first. With ReplicationFactor > 1, objects fetched from the
+	// PFS are pushed to the secondaries so a primary failure costs no PFS
+	// traffic at all; hot-object fan-out reads from the same set. nil
+	// means no secondaries: the routed owner is the only copy.
 	Replicas(path string, n int) []cluster.NodeID
-}
-
-// RecachePlanner is the optional Router extension that makes the recache
-// plan explicit: called just before NodeFailed(failed), it returns, for
-// the key population, which surviving node inherits each key failed owns
-// — the same answer Route gives once the node is dropped. The client
-// ships every receiver its share so the new owners prefetch in parallel
-// instead of missing on one file at a time. The ring strategy answers
-// from hashring.PlanRecache; a nil or empty plan means recache on demand.
-type RecachePlanner interface {
+	// PlanRecache, called just before NodeFailed(failed), returns which
+	// surviving node inherits each of keys that failed owns — the same
+	// answer Route gives once the node is dropped. The client ships every
+	// receiver its share so the new owners prefetch in parallel instead
+	// of missing on one file at a time. nil or empty means recache on
+	// demand.
 	PlanRecache(failed cluster.NodeID, keys []string) map[cluster.NodeID][]string
+	// PlanRejoin is the inverse: the keys node will own once re-added to
+	// the placement, which Rejoin warms onto it before NodeRecovered. nil
+	// means the node rejoins cold.
+	PlanRejoin(node cluster.NodeID, keys []string) []string
 }
 
 // Client errors.
@@ -114,13 +109,13 @@ type ClientConfig struct {
 	// MaxAttempts bounds routing retries per read; <= 0 selects
 	// TimeoutLimit + 8.
 	MaxAttempts int
-	// ReplicationFactor, when > 1 and the Router implements Replicator,
-	// pushes PFS-fetched objects to that many distinct ring owners.
+	// ReplicationFactor, when > 1, pushes PFS-fetched objects to that
+	// many distinct owners (Router.Replicas).
 	ReplicationFactor int
 	// LoadControl enables the hot-object load-control subsystem (read
 	// coalescing, hot-key detection, replica fan-out with hedged reads).
 	// nil leaves the client's behavior exactly as before. Replica fan-out
-	// additionally requires the Router to implement Replicator.
+	// additionally needs a Router whose Replicas names secondaries.
 	LoadControl *loadctl.Config
 	// Ingest, when non-nil, enables the batched async ingest pipeline:
 	// PutAsync buffers puts per destination node and ships them as
@@ -135,12 +130,11 @@ type ClientConfig struct {
 	// behavior.
 	Retry *rpc.RetryPolicy
 	// Manifest lists the dataset's paths — the key population the failure
-	// and rejoin paths plan over. With a Router implementing
-	// RecachePlanner, a declared failure ships each new owner the paths
-	// it inherited (OpRecache) so it prefetches them; Rejoin without
-	// explicit Keys warms from the same listing. It is called at those
-	// moments only, never retained. nil keeps recaching on demand and
-	// rejoin cold.
+	// and rejoin paths plan over. A declared failure ships each new owner
+	// the paths Router.PlanRecache says it inherited (OpRecache) so it
+	// prefetches them; Rejoin without explicit Keys warms from the same
+	// listing. It is called at those moments only, never retained. nil
+	// keeps recaching on demand and rejoin cold.
 	Manifest func() []string
 }
 
@@ -256,11 +250,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		}
 		cfg.MaxAttempts = limit + 8
 	}
-	if cfg.ReplicationFactor > 1 {
-		if _, ok := cfg.Router.(Replicator); !ok {
-			return nil, errors.New("hvac: ReplicationFactor > 1 requires a Router implementing Replicator")
-		}
-	}
 	c := &Client{
 		cfg:       cfg,
 		tracker:   cluster.NewTracker(nodes, cfg.TimeoutLimit),
@@ -274,9 +263,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c.retryBudget.Store(-1)
 	c.tracker.OnFailure(c.nodeFailed)
 	c.tracker.OnRecovery(c.dropHints)
-	if ra, ok := cfg.Router.(RecoveryAware); ok {
-		c.tracker.OnRecovery(ra.NodeRecovered)
-	}
+	c.tracker.OnRecovery(cfg.Router.NodeRecovered)
 	if cfg.LoadControl != nil {
 		c.load = loadctl.New(*cfg.LoadControl, nodes)
 		// Registered after the router hookups: by the time the fan-out
@@ -296,7 +283,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 func (c *Client) LoadControl() *loadctl.Controller { return c.load }
 
 // ReviveNode re-admits a failed node (elastic scale-up): the failure
-// detector clears its state and, if the router is RecoveryAware, routing
+// detector clears its state and the router re-admits it, so routing
 // resumes sending it traffic. Returns false if the node was not failed.
 func (c *Client) ReviveNode(node cluster.NodeID) bool {
 	// Drop any stale connection so the next request dials fresh (a
@@ -436,8 +423,8 @@ func (c *Client) callNode(ctx context.Context, node cluster.NodeID, op uint16, p
 // thousand keys); the hint RPCs never do.
 func (c *Client) nodeFailed(node cluster.NodeID) {
 	var plan map[cluster.NodeID][]string
-	if planner, ok := c.cfg.Router.(RecachePlanner); ok && c.cfg.Manifest != nil {
-		plan = planner.PlanRecache(node, c.cfg.Manifest())
+	if c.cfg.Manifest != nil {
+		plan = c.cfg.Router.PlanRecache(node, c.cfg.Manifest())
 	}
 	c.cfg.Router.NodeFailed(node)
 	if len(plan) > 0 {
@@ -968,13 +955,9 @@ func (c *Client) readHot(ctx context.Context, owner cluster.NodeID, path string,
 
 // hotCandidates returns the live replica set for path: the ring owner
 // first, then its successors. Falls back to just the routed owner when
-// the router cannot enumerate replicas.
+// the router names no replicas.
 func (c *Client) hotCandidates(owner cluster.NodeID, path string) []cluster.NodeID {
-	repl, ok := c.cfg.Router.(Replicator)
-	if !ok {
-		return []cluster.NodeID{owner}
-	}
-	owners := repl.Replicas(path, 1+c.load.Replicas())
+	owners := c.cfg.Router.Replicas(path, 1+c.load.Replicas())
 	cands := make([]cluster.NodeID, 0, len(owners))
 	for _, n := range owners {
 		if c.tracker.IsAlive(n) {
@@ -1119,11 +1102,10 @@ func (c *Client) readFanout(ctx context.Context, primary cluster.NodeID, cands [
 // failures are best-effort — a missed replica only means that server
 // self-fills from the PFS on its first fanned-out read.
 func (c *Client) maybePushHot(path string, data []byte) {
-	repl, ok := c.cfg.Router.(Replicator)
-	if !ok || c.closed.Load() || !c.load.MarkPushed(path) {
+	if c.closed.Load() || !c.load.MarkPushed(path) {
 		return
 	}
-	owners := repl.Replicas(path, 1+c.load.Replicas())
+	owners := c.cfg.Router.Replicas(path, 1+c.load.Replicas())
 	if len(owners) <= 1 {
 		return
 	}
@@ -1174,11 +1156,7 @@ func (c *Client) maybePushHot(path string, data []byte) {
 // bounded by the replication semaphore; failures are best-effort (a
 // missed replica costs one PFS read later, never correctness).
 func (c *Client) replicateAsync(path string, data []byte) {
-	repl, ok := c.cfg.Router.(Replicator)
-	if !ok {
-		return
-	}
-	owners := repl.Replicas(path, c.cfg.ReplicationFactor)
+	owners := c.cfg.Router.Replicas(path, c.cfg.ReplicationFactor)
 	if len(owners) <= 1 {
 		return
 	}

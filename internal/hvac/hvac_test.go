@@ -15,9 +15,23 @@ import (
 	"repro/internal/testutil"
 )
 
+// noPlans gives a test router the Router answers of a policy with
+// nothing to say beyond Route and NodeFailed.
+type noPlans struct{}
+
+func (noPlans) NodeRecovered(cluster.NodeID)                 {}
+func (noPlans) Replicas(string, int) []cluster.NodeID        { return nil }
+func (noPlans) PlanRejoin(cluster.NodeID, []string) []string { return nil }
+func (noPlans) PlanRecache(cluster.NodeID, []string) map[cluster.NodeID][]string {
+	return nil
+}
+
 // staticRouter always routes to one node — a minimal Router for tests
 // that exercise the client/server path without fault-tolerance policy.
-type staticRouter struct{ node cluster.NodeID }
+type staticRouter struct {
+	noPlans
+	node cluster.NodeID
+}
 
 func (s staticRouter) Name() string              { return "static" }
 func (s staticRouter) Route(string) Decision     { return Decision{Kind: RouteNode, Node: s.node} }
@@ -252,6 +266,7 @@ func TestTimeoutEvidenceAndRouterNotification(t *testing.T) {
 
 // notifyRouter routes to target until told it failed, then to node-01.
 type notifyRouter struct {
+	noPlans
 	mu     sync.Mutex
 	target cluster.NodeID
 	onFail func(cluster.NodeID)

@@ -489,8 +489,8 @@ func (c *Client) Put(ctx context.Context, path string, data []byte) error {
 // extended to the replica set when replication is configured. Empty
 // when the router does not currently map the path to a node.
 func (c *Client) putOwners(path string) []cluster.NodeID {
-	if repl, ok := c.cfg.Router.(Replicator); ok && c.cfg.ReplicationFactor > 1 {
-		if owners := repl.Replicas(path, c.cfg.ReplicationFactor); len(owners) > 0 {
+	if c.cfg.ReplicationFactor > 1 {
+		if owners := c.cfg.Router.Replicas(path, c.cfg.ReplicationFactor); len(owners) > 0 {
 			return owners
 		}
 	}

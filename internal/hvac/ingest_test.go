@@ -13,10 +13,13 @@ import (
 	"repro/internal/storage"
 )
 
-// hashRouter spreads paths over all nodes (fnv mod n) and, as a
-// Replicator, returns consecutive nodes — a deterministic stand-in for
-// the ring so ingest tests cover multi-destination batching.
-type hashRouter struct{ nodes []cluster.NodeID }
+// hashRouter spreads paths over all nodes (fnv mod n) and names
+// consecutive nodes as replicas — a deterministic stand-in for the ring
+// so ingest tests cover multi-destination batching.
+type hashRouter struct {
+	noPlans
+	nodes []cluster.NodeID
+}
 
 func (r hashRouter) Name() string { return "hash" }
 func (r hashRouter) Route(path string) Decision {

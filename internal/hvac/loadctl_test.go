@@ -16,11 +16,12 @@ import (
 	"repro/internal/testutil"
 )
 
-// replRouter is a minimal ring-like Replicator for load-control tests:
-// every path's candidate order is the fixed node list with failed nodes
-// skipped, so the owner is deterministic and the replica set is the
-// remaining nodes in order.
+// replRouter is a minimal ring-like replicating Router for load-control
+// tests: every path's candidate order is the fixed node list with failed
+// nodes skipped, so the owner is deterministic and the replica set is
+// the remaining nodes in order.
 type replRouter struct {
+	noPlans
 	mu     sync.Mutex
 	nodes  []cluster.NodeID
 	failed map[cluster.NodeID]bool

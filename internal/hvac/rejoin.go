@@ -12,15 +12,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// RejoinPlanner is the optional Router extension for elastic
-// re-expansion: given a rejoining node and the key population, it
-// returns the keys that node will own once re-added to the placement —
-// the inverse of the recache plan computed when the node was removed.
-// The ring strategy answers from hashring.PlanRejoin.
-type RejoinPlanner interface {
-	PlanRejoin(node cluster.NodeID, keys []string) []string
-}
-
 // Rejoin errors.
 var (
 	// ErrRejoinActive: another Rejoin for the same node is in flight.
@@ -61,12 +52,12 @@ type RejoinReport struct {
 //
 //  1. Probe: K consecutive pings must succeed (a flapping node is
 //     rejected before any work is spent on it).
-//  2. Warm: plan the keys the node will own once re-added (RejoinPlanner,
-//     the inverse of PlanRecache), read each from its *current* owner —
+//  2. Warm: plan the keys the node will own once re-added
+//     (Router.PlanRejoin), read each from its *current* owner —
 //     the ring still routes around the rejoining node — and push it onto
 //     the node's NVMe. Warm failures are best-effort: a missed key is a
 //     PFS self-fill on first touch, never an error.
-//  3. Swap: Tracker.Revive fires OnRecovery, the RecoveryAware router
+//  3. Swap: Tracker.Revive fires OnRecovery, the router's NodeRecovered
 //     re-adds the node (the ring strategy swaps in a new COW snapshot),
 //     and traffic starts routing to the now-warm node atomically.
 //
@@ -106,15 +97,13 @@ func (c *Client) Rejoin(ctx context.Context, node cluster.NodeID, opts RejoinOpt
 		rep.Probes++
 	}
 
+	keys := opts.Keys
+	if len(keys) == 0 && c.cfg.Manifest != nil {
+		keys = c.cfg.Manifest()
+	}
 	var warm []string
-	if planner, ok := c.cfg.Router.(RejoinPlanner); ok {
-		keys := opts.Keys
-		if len(keys) == 0 && c.cfg.Manifest != nil {
-			keys = c.cfg.Manifest()
-		}
-		if len(keys) > 0 {
-			warm = planner.PlanRejoin(node, keys)
-		}
+	if len(keys) > 0 {
+		warm = c.cfg.Router.PlanRejoin(node, keys)
 	}
 	rep.PlannedKeys = len(warm)
 

@@ -21,6 +21,7 @@ package partition
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hashring"
 	"repro/internal/xhash"
@@ -44,15 +45,19 @@ type Partitioner interface {
 
 // Modulo is HVAC's original static hash partitioner: FNV-1a of the path,
 // modulo the number of live nodes, indexed into the sorted live list.
+// Owner takes no lock — it is ftcache's per-read placement under the
+// static strategies — so the list is published copy-on-write.
 type Modulo struct {
-	mu   sync.RWMutex
-	live []NodeID // sorted
+	mu   sync.Mutex               // serializes Fail
+	live atomic.Pointer[[]NodeID] // sorted; replaced, never edited
 }
 
 // NewModulo creates a Modulo partitioner over nodes.
 func NewModulo(nodes []NodeID) *Modulo {
-	m := &Modulo{live: append([]NodeID(nil), nodes...)}
-	sort.Slice(m.live, func(i, j int) bool { return m.live[i] < m.live[j] })
+	live := append([]NodeID(nil), nodes...)
+	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	m := &Modulo{}
+	m.live.Store(&live)
 	return m
 }
 
@@ -61,13 +66,12 @@ func (m *Modulo) Name() string { return "modulo" }
 
 // Owner implements Partitioner.
 func (m *Modulo) Owner(key string) (NodeID, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(m.live) == 0 {
+	live := *m.live.Load()
+	if len(live) == 0 {
 		return "", false
 	}
 	h := xhash.FNV1aString(key)
-	return m.live[h%uint64(len(m.live))], true
+	return live[h%uint64(len(live))], true
 }
 
 // Fail implements Partitioner. Removing a node changes len(live) and so
@@ -76,20 +80,18 @@ func (m *Modulo) Owner(key string) (NodeID, bool) {
 func (m *Modulo) Fail(node NodeID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, n := range m.live {
+	cur := *m.live.Load()
+	for i, n := range cur {
 		if n == node {
-			m.live = append(m.live[:i], m.live[i+1:]...)
+			next := append(append([]NodeID(nil), cur[:i]...), cur[i+1:]...)
+			m.live.Store(&next)
 			return
 		}
 	}
 }
 
 // Live implements Partitioner.
-func (m *Modulo) Live() []NodeID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]NodeID(nil), m.live...)
-}
+func (m *Modulo) Live() []NodeID { return append([]NodeID(nil), *m.live.Load()...) }
 
 // MultiHash keeps the original slot table fixed and probes derived hash
 // functions until it finds a live slot. The i-th hash of a key is a
