@@ -15,7 +15,7 @@
 //     detector and double the latency bill. Concretely: a case clause
 //     covering classTimeout must not call any rpc.RetryPolicy method
 //     and must not `continue` an enclosing loop (the retry idiom of
-//     readFromNode).
+//     the node-read stage, readNode).
 //
 // The pass applies to packages named "hvac" and keys the enum by its
 // type name, errClass.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -403,7 +404,7 @@ func (c *Client) dropConn(node cluster.NodeID) {
 // deadline table (no context or timer is made for the call; ctx still
 // cancels it). A connection that turns out dead is dropped so the next
 // call dials fresh — a restarted node has new sockets. Reads go through
-// readNodeOnce instead, which must tell dial failures from call failures.
+// readNode instead, which must tell dial failures from call failures.
 func (c *Client) callNode(ctx context.Context, node cluster.NodeID, op uint16, payload []byte) ([]byte, uint16, error) {
 	cli, err := c.conn(node)
 	if err != nil {
@@ -439,7 +440,7 @@ const recacheChunk = 1024
 
 // hintRecache starts the sender that ships plan — failed's keys by new
 // owner — to the receivers. Hints are best-effort and never detector
-// evidence, like fan-out legs: a receiver that does not take its hint
+// evidence, like replica pushes: a receiver that does not take its hint
 // (down, slow, queue full) recaches those paths on demand, and its
 // silence here says nothing the read path will not find out for itself.
 // An error skips the rest of that receiver's share.
@@ -596,11 +597,13 @@ func (c *Client) readCoalesced(ctx context.Context, path string) ([]byte, error)
 	return data, err
 }
 
-// readAttempts is the routing/failover loop: route, read, note evidence,
-// re-route — bounded by MaxAttempts. now is the caller's reading of the
-// clock on entry: the first attempt's RPC counts its timeout from it
-// instead of reading the clock again; every later attempt takes a fresh
-// reading.
+// readAttempts is the attempt loop: route, read the legs, note evidence,
+// fall back — bounded by MaxAttempts. It is the read path's one source of
+// failure evidence: the routed owner is noted when the legs stage failed
+// timeout- or conn-class, meaning the single leg failed that way or every
+// raced leg did. now is the caller's reading of the clock on entry: the
+// first attempt's RPC counts its timeout from it instead of reading the
+// clock again; every later attempt takes a fresh reading.
 func (c *Client) readAttempts(ctx context.Context, path string, offset, length int64, now time.Time) ([]byte, error) {
 	m := cliMetrics()
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -613,55 +616,45 @@ func (c *Client) readAttempts(ctx context.Context, path string, offset, length i
 		}
 		d := c.cfg.Router.Route(path)
 		switch d.Kind {
+		case RouteNode:
+		case RoutePFS:
+			return c.readPFS(ctx, path, offset, length)
 		case RouteAbort:
 			m.aborts.Inc()
 			return nil, ErrAborted
-
-		case RoutePFS:
-			return c.readPFS(ctx, path, offset, length)
-
-		case RouteNode:
-			actx, asp := trace.StartSpan(ctx, "read.attempt")
-			asp.AnnotateInt("attempt", int64(attempt))
-			asp.Annotate("node", string(d.Node))
-			// With load control the access feeds the hot-key sketch, and
-			// a hot key's read fans out over the owner's replica set.
-			var data []byte
-			var err error
-			if c.load != nil && c.load.Sketch.Touch(path) {
-				data, err = c.readHot(actx, d.Node, path, offset, length)
-			} else {
-				data, err = c.readFromNode(actx, d.Node, path, offset, length, true, now)
-			}
-			asp.SetError(err)
-			asp.End()
-			if err == nil {
-				return data, nil
-			}
+		default:
+			return nil, fmt.Errorf("hvac: unknown routing kind %d", d.Kind)
+		}
+		actx, asp := trace.StartSpan(ctx, "read.attempt")
+		asp.AnnotateInt("attempt", int64(attempt))
+		asp.Annotate("node", string(d.Node))
+		data, err, class := c.readLegs(actx, d.Node, path, offset, length, now)
+		asp.SetError(err)
+		asp.End()
+		switch class {
+		case classOK:
+			return data, nil
+		case classTimeout, classConn:
+			c.noteTimeout(d.Node)
+		case classApp:
 			if errors.Is(err, ErrNotFound) {
 				return nil, err
 			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
 			if errors.Is(err, ErrOverloaded) {
-				// The whole candidate set shed the request: the data is
-				// hot beyond what the cache tier will serve right now.
-				// Fall through to the PFS if we can — that converts an
-				// overload wall into bounded extra PFS traffic — else
-				// loop and retry (the shed queue drains in milliseconds).
+				// Every leg shed the request: the data is hot beyond what
+				// the cache tier will serve right now. The PFS converts an
+				// overload wall into bounded extra PFS traffic; without one,
+				// re-route (the shed queue drains in milliseconds).
 				c.shedRedirects.Add(1)
 				m.shedRedirects.Inc()
 				if c.cfg.PFS != nil {
 					return c.readPFS(ctx, path, offset, length)
 				}
-				continue
 			}
-			// Timeout or connection failure: evidence recorded, re-route.
-			continue
-
-		default:
-			return nil, fmt.Errorf("hvac: unknown routing kind %d", d.Kind)
+		case classCtx:
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
 	}
 	return nil, fmt.Errorf("%w: %s", ErrExhausted, path)
@@ -726,7 +719,7 @@ func (c *Client) SetRetryBudget(n int) {
 	c.retryBudget.Store(int32(n))
 }
 
-// errClass buckets a failed read attempt for the retry/evidence split.
+// errClass buckets a failed read for the retry/evidence split.
 type errClass uint8
 
 const (
@@ -737,21 +730,179 @@ const (
 	classCtx              // the caller's context ended
 )
 
-// readFromNode is the RPC read primitive plus the retry policy. note
-// controls whether a failure feeds the failure detector: the
-// hot-key fan-out path passes false because a hedged or raced leg is
-// expected to be abandoned — a leg cancelled since a sibling won must
-// never accumulate as evidence against a healthy node (the fan-out
-// notes the primary itself, once, only on total failure).
-//
-// The retry/detector split (see rpc.RetryPolicy): timeout-class
-// failures are evidence immediately and never retried here; conn-class
-// failures are retried with jittered backoff and become evidence only
-// when the budget is exhausted.
-//
-// now is the caller's reading of the clock just before the call; the
-// first try's RPC timeout counts from it.
-func (c *Client) readFromNode(ctx context.Context, node cluster.NodeID, path string, offset, length int64, note bool, now time.Time) ([]byte, error) {
+// readLegs is the legs stage. A read's legs are normally [owner]; with
+// load control, a sketch-hot key's are the live Router.Replicas set,
+// raced by raceLegs, and a won whole-file race pushes the object to the
+// owner's successors once per ring epoch. One leg runs inline: no
+// goroutine, slice or allocation. Under load control every reply feeds
+// the p2c latency estimate, and single-leg successes the hedge's p99
+// (raced legs finish near the hedge delay by construction and would
+// ratchet it downward).
+func (c *Client) readLegs(ctx context.Context, owner cluster.NodeID, path string, offset, length int64, now time.Time) ([]byte, error, errClass) {
+	if c.load == nil {
+		return c.readNode(ctx, owner, path, offset, length, now)
+	}
+	if c.load.Sketch.Touch(path) {
+		owners := c.cfg.Router.Replicas(path, 1+c.load.Replicas())
+		legs := make([]cluster.NodeID, 0, len(owners))
+		for _, n := range owners {
+			if c.tracker.IsAlive(n) {
+				legs = append(legs, n)
+			}
+		}
+		if len(legs) > 1 {
+			data, err, class := c.raceLegs(ctx, owner, legs, path, offset, length)
+			if class == classOK && offset == 0 && length < 0 && c.load.MarkPushed(path) {
+				telemetry.TraceEvent(telemetry.EventHotKey, "", path, int64(len(data)))
+				c.pushCopies(path, data, owners, true)
+			}
+			return data, err, class
+		}
+	}
+	data, err, class := c.readNode(ctx, owner, path, offset, length, now)
+	if class == classOK || class == classApp {
+		elapsed := time.Since(now)
+		c.load.Latency.Observe(owner, elapsed)
+		if class == classOK {
+			c.load.Hedge.Observe(elapsed)
+		}
+	}
+	return data, err, class
+}
+
+// raceLegs races a hot read over legs. The p2c pick over observed
+// latency launches first; the hedge timer or a failed leg launches the
+// next. The first success wins and cancels the rest; ErrNotFound is
+// definitive. When every leg fails, the race fails timeout- or
+// conn-class only if every leg failed that way; otherwise it returns the
+// first other failure (a shed, a server error), which is never evidence.
+// The legs themselves note nothing: that is the attempt loop's call.
+func (c *Client) raceLegs(ctx context.Context, owner cluster.NodeID, legs []cluster.NodeID, path string, offset, length int64) ([]byte, error, errClass) {
+	m := cliMetrics()
+	// The p2c pick goes first; the rest keep their ring order.
+	first := c.load.Latency.Pick(legs)
+	i := slices.Index(legs, first)
+	copy(legs[1:i+1], legs[:i])
+	legs[0] = first
+
+	// asp is the enclosing read.attempt span; raceLegs runs on the
+	// goroutine that created it, so annotating it here is race-free.
+	// Leg goroutines get their own child spans instead — a losing leg
+	// that outlives the root is simply dropped at End.
+	asp := trace.FromContext(ctx)
+	raceCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type legResult struct {
+		node   cluster.NodeID
+		data   []byte
+		err    error
+		class  errClass
+		hedged bool
+	}
+	// Buffered to the race width: losing legs complete into the buffer
+	// after we return and their goroutines exit — no leak.
+	results := make(chan legResult, len(legs))
+	start := time.Now()
+	launched := 0
+	launch := func(hedged bool) {
+		node := legs[launched]
+		launched++
+		go func() {
+			lctx, lsp := trace.StartSpan(raceCtx, "read.leg")
+			lsp.Annotate("node", string(node))
+			if hedged {
+				lsp.Annotate("hedged", "true")
+			}
+			t0 := time.Now()
+			data, err, class := c.readNode(lctx, node, path, offset, length, t0)
+			if class == classOK || class == classApp {
+				c.load.Latency.Observe(node, time.Since(t0))
+			}
+			lsp.SetError(err)
+			lsp.End()
+			results <- legResult{node: node, data: data, err: err, class: class, hedged: hedged}
+		}()
+	}
+	launch(false)
+
+	var hedgeC <-chan time.Time
+	if delay, ok := c.load.Hedge.Delay(); ok {
+		t := time.NewTimer(delay)
+		defer t.Stop()
+		hedgeC = t.C
+	}
+
+	var err error
+	class := classOK
+	for outstanding := 1; ; {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err(), classCtx
+
+		case <-hedgeC:
+			hedgeC = nil
+			if launched < len(legs) {
+				c.hedgedReads.Add(1)
+				m.hedges.Inc()
+				asp.Annotate("hedge", "fired")
+				launch(true)
+				outstanding++
+			}
+
+		case r := <-results:
+			outstanding--
+			switch r.class {
+			case classOK:
+				elapsed := int64(time.Since(start))
+				switch {
+				case r.hedged:
+					c.hedgeWins.Add(1)
+					m.hedgeWins.Inc()
+					m.hedgeLatency.Observe(elapsed)
+					asp.Annotate("hedge", "win")
+				case r.node == owner:
+					m.ownerLatency.Observe(elapsed)
+				default:
+					m.replLatency.Observe(elapsed)
+				}
+				asp.Annotate("winner", string(r.node))
+				return r.data, nil, classOK
+			case classApp, classCtx:
+				if errors.Is(r.err, ErrNotFound) {
+					return nil, r.err, classApp
+				}
+				if errors.Is(r.err, ErrOverloaded) {
+					c.shedRedirects.Add(1)
+					m.shedRedirects.Inc()
+				}
+				if err == nil || class == classTimeout || class == classConn {
+					err, class = r.err, r.class
+				}
+			case classTimeout, classConn:
+				if err == nil {
+					err, class = r.err, r.class
+				}
+			}
+			// A failed leg is an immediate go-signal for the next one —
+			// no point waiting for the hedge timer.
+			if launched < len(legs) {
+				launch(r.hedged)
+				outstanding++
+			} else if outstanding == 0 {
+				return nil, err, class
+			}
+		}
+	}
+}
+
+// readNode is the node-read stage: one read of path from node, with
+// conn-class failures retried in place under cfg.Retry and timeout-class
+// ones never (see rpc.RetryPolicy). It classifies the outcome and notes
+// no evidence — that is the attempt loop's — though any reply, even an
+// overload shed, records the node alive. The first try's RPC expires at
+// now+RPCTimeout: an entry in the connection's deadline table, so a read
+// derives no context and arms no timer.
+func (c *Client) readNode(ctx context.Context, node cluster.NodeID, path string, offset, length int64, now time.Time) ([]byte, error, errClass) {
 	m := cliMetrics()
 	budget := 0
 	if c.cfg.Retry != nil {
@@ -760,144 +911,111 @@ func (c *Client) readFromNode(ctx context.Context, node cluster.NodeID, path str
 			budget = int(o)
 		}
 	}
-	for attempt := 0; ; attempt++ {
-		data, err, class := c.readNodeOnce(ctx, node, path, offset, length, note, attempt, now)
-		switch class {
-		case classOK, classApp, classCtx:
-			return data, err
-		case classTimeout:
-			if note {
-				c.noteTimeout(node)
+	for try := 0; ; try++ {
+		// "rpc.read" is the client half of one wire round-trip; the server
+		// stitches its "server.read" fragment under this span's id, carried
+		// in the request's trace extension. A retry carries its ordinal.
+		_, sp := trace.StartSpan(ctx, "rpc.read")
+		sp.Annotate("node", string(node))
+		if try > 0 {
+			sp.AnnotateInt("try", int64(try))
+		}
+		c.annotateChaos(sp, node)
+		var payload []byte
+		var status uint16
+		cli, err := c.conn(node)
+		if err == nil {
+			req := ReadReq{Path: path, Offset: offset, Length: length}
+			if sp != nil {
+				req.Trace = wire.TraceExt{TraceID: uint64(sp.TraceID()), SpanID: uint64(sp.ID())}
 			}
-			return nil, err
-		case classConn:
-			if attempt < budget && !c.closed.Load() {
-				m.retries.Inc()
-				if c.cfg.Retry.Sleep(ctx, attempt) != nil {
-					return nil, ctx.Err()
-				}
-				now = time.Now()
-				continue
+			payload, status, err = cli.CallTimeout(ctx, OpRead, req.Marshal(), now, c.cfg.RPCTimeout)
+		}
+		var data []byte
+		class, fail := classApp, ""
+		switch {
+		case err == nil:
+			c.tracker.RecordSuccess(node)
+			if data, err = c.readReply(sp, node, path, offset, length, status, payload); err == nil {
+				class = classOK
 			}
-			if budget > 0 {
+		case cli == nil && errors.Is(err, rpc.ErrClosed): // this client is shut down
+			class = classCtx
+		case cli == nil && isNetTimeout(err):
+			// The dial consumed its full timeout (a black-holed SYN): that
+			// is timeout evidence, exactly like an expired TTL.
+			class, fail = classTimeout, "dial_timeout"
+		case cli == nil, errors.Is(err, rpc.ErrClosed):
+			// Refused, no listener, or a dead connection — dropped, so the
+			// next try dials fresh: a fast failure, retry material.
+			if cli != nil {
+				c.dropConn(node)
+			}
+			class, fail = classConn, "conn"
+		case errors.Is(err, rpc.ErrTimeout):
+			class, fail = classTimeout, "timeout"
+		case ctx.Err() != nil:
+			err, class = ctx.Err(), classCtx
+		default:
+			class, fail = classTimeout, "timeout"
+		}
+		if fail != "" {
+			sp.Annotate("fail", fail)
+		}
+		sp.SetError(err)
+		sp.End()
+		if class != classConn || try >= budget || c.closed.Load() {
+			if class == classConn && budget > 0 {
 				m.retryExhausted.Inc()
 			}
-			if note {
-				c.noteTimeout(node)
-			}
-			return nil, err
-		default:
-			// Unreachable: the errclass analyzer keeps this switch
-			// exhaustive, so a new class cannot land here silently.
-			return nil, err
+			return data, err, class
 		}
+		m.retries.Inc()
+		if c.cfg.Retry.Sleep(ctx, try) != nil {
+			return nil, ctx.Err(), classCtx
+		}
+		now = time.Now()
 	}
 }
 
-// readNodeOnce performs exactly one RPC read attempt against node and
-// classifies the outcome; evidence and retries are the caller's job.
-// try is the conn-class retry ordinal (0 = first try), recorded on the
-// span so retried RPCs are distinguishable from fresh ones. The RPC
-// expires at now+RPCTimeout — an entry in the connection's deadline
-// table, so the attempt derives no context and arms no timer.
-func (c *Client) readNodeOnce(ctx context.Context, node cluster.NodeID, path string, offset, length int64, note bool, try int, now time.Time) (rdata []byte, rerr error, rclass errClass) {
-	// "rpc.read" is the client half of one wire round-trip; the server
-	// stitches its "server.read" fragment under this span's id, carried
-	// in the request's trace extension.
-	_, sp := trace.StartSpan(ctx, "rpc.read")
-	sp.Annotate("node", string(node))
-	if try > 0 {
-		sp.AnnotateInt("try", int64(try))
-	}
-	c.annotateChaos(sp, node)
-	defer func() {
-		sp.SetError(rerr)
-		sp.End()
-	}()
-	cli, err := c.conn(node)
-	if err != nil {
-		switch {
-		case errors.Is(err, rpc.ErrClosed): // this client is shut down
-			return nil, err, classCtx
-		case isNetTimeout(err):
-			// The dial consumed its full timeout (a black-holed SYN):
-			// that is timeout evidence, exactly like an expired TTL.
-			sp.Annotate("fail", "dial_timeout")
-			return nil, err, classTimeout
-		default:
-			// Refused / no listener: fast failure, retry material.
-			sp.Annotate("fail", "conn")
-			return nil, err, classConn
-		}
-	}
-	req := ReadReq{Path: path, Offset: offset, Length: length}
-	if sp != nil {
-		req.Trace = wire.TraceExt{TraceID: uint64(sp.TraceID()), SpanID: uint64(sp.ID())}
-	}
-	payload, status, err := cli.CallTimeout(ctx, OpRead, req.Marshal(), now, c.cfg.RPCTimeout)
-	if err != nil {
-		switch {
-		case errors.Is(err, rpc.ErrTimeout):
-			sp.Annotate("fail", "timeout")
-			return nil, err, classTimeout
-		case errors.Is(err, rpc.ErrClosed):
-			c.dropConn(node)
-			sp.Annotate("fail", "conn")
-			return nil, err, classConn
-		case ctx.Err() != nil:
-			return nil, ctx.Err(), classCtx
-		default:
-			sp.Annotate("fail", "timeout")
-			return nil, err, classTimeout
-		}
-	}
-	// Any answer — including an overload shed — proves the node alive.
-	c.tracker.RecordSuccess(node)
-	var elapsed time.Duration
-	if c.load != nil {
-		elapsed = time.Since(now)
-		c.load.Latency.Observe(node, elapsed)
-	}
+// readReply turns one read reply into bytes or an app-level error and
+// counts which tier served it. A whole-file PFS fill was the object's
+// first touch (or a post-failure recache): with ReplicationFactor > 1 it
+// is copied to the secondary owners.
+func (c *Client) readReply(sp *trace.Span, node cluster.NodeID, path string, offset, length int64, status uint16, payload []byte) ([]byte, error) {
 	switch status {
 	case rpc.StatusOK:
 	case StatusNotFound:
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path), classApp
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	case StatusOverloaded:
 		sp.Annotate("fail", "overloaded")
-		return nil, fmt.Errorf("%w: %s", ErrOverloaded, node), classApp
+		return nil, fmt.Errorf("%w: %s", ErrOverloaded, node)
 	default:
-		return nil, fmt.Errorf("hvac: server error status %d: %s", status, payload), classApp
+		return nil, fmt.Errorf("hvac: server error status %d: %s", status, payload)
 	}
 	var resp ReadResp
 	if err := resp.Unmarshal(payload); err != nil {
-		return nil, err, classApp
+		return nil, err
 	}
 	sp.Annotate("source", sourceName(resp.Source))
-	// Only ordinary (non-raced) successes feed the hedge-delay p99:
-	// fan-out legs complete near the hedge delay by construction and
-	// would ratchet the estimate downward.
-	if c.load != nil && note {
-		c.load.Hedge.Observe(elapsed)
-	}
 	c.remoteReads.Add(1)
 	c.remoteBytes.Add(int64(len(resp.Data)))
+	m := cliMetrics()
 	switch resp.Source {
 	case SourceRAM:
 		c.servedRAM.Add(1)
-		cliMetrics().servedRAM.Inc()
+		m.servedRAM.Inc()
 	case SourceNVMe:
 		c.servedNVMe.Add(1)
-		cliMetrics().servedNVMe.Inc()
+		m.servedNVMe.Inc()
 	default:
 		c.servedPFS.Add(1)
-		cliMetrics().servedPFS.Inc()
-		// A PFS fallback means this was the object's first touch (or a
-		// post-failure recache) — replicate it to the secondary owners.
+		m.servedPFS.Inc()
 		if c.cfg.ReplicationFactor > 1 && offset == 0 && length < 0 {
-			c.replicateAsync(path, resp.Data)
+			c.pushCopies(path, resp.Data, c.cfg.Router.Replicas(path, c.cfg.ReplicationFactor), false)
 		}
 	}
-	return resp.Data, nil, classOK
+	return resp.Data, nil
 }
 
 // isNetTimeout reports whether err is a net.Error that timed out.
@@ -935,265 +1053,51 @@ func (c *Client) annotateChaos(sp *trace.Span, node cluster.NodeID) {
 	}
 }
 
-// readHot serves a read of a sketch-flagged hot key: the candidate set
-// is the owner plus its live ring successors, the first target is chosen
-// by power-of-two-choices over observed latency, and a hedge leg races a
-// second candidate when the first exceeds the running p99. On a
-// successful whole-file read the object is fanned out to the successors
-// (once per key per ring epoch) so future reads find warm replicas.
-func (c *Client) readHot(ctx context.Context, owner cluster.NodeID, path string, offset, length int64) ([]byte, error) {
-	cands := c.hotCandidates(owner, path)
-	if len(cands) <= 1 {
-		return c.readFromNode(ctx, owner, path, offset, length, true, time.Now())
-	}
-	data, err := c.readFanout(ctx, owner, cands, path, offset, length)
-	if err == nil && offset == 0 && length < 0 {
-		c.maybePushHot(path, data)
-	}
-	return data, err
-}
-
-// hotCandidates returns the live replica set for path: the ring owner
-// first, then its successors. Falls back to just the routed owner when
-// the router names no replicas.
-func (c *Client) hotCandidates(owner cluster.NodeID, path string) []cluster.NodeID {
-	owners := c.cfg.Router.Replicas(path, 1+c.load.Replicas())
-	cands := make([]cluster.NodeID, 0, len(owners))
-	for _, n := range owners {
-		if c.tracker.IsAlive(n) {
-			cands = append(cands, n)
-		}
-	}
-	if len(cands) == 0 {
-		return []cluster.NodeID{owner}
-	}
-	return cands
-}
-
-// readFanout races a hot read over cands. One leg launches immediately
-// (picked by p2c over observed latency); the hedge timer or a leg
-// failure launches the next candidate. The first success wins and
-// cancels the rest. ErrNotFound is definitive and short-circuits.
-// Failure evidence is recorded against the primary only, once, and only
-// when every candidate failed with a timeout-class error — raced legs
-// individually never touch the failure detector.
-func (c *Client) readFanout(ctx context.Context, primary cluster.NodeID, cands []cluster.NodeID, path string, offset, length int64) ([]byte, error) {
-	m := cliMetrics()
-	order := make([]cluster.NodeID, 0, len(cands))
-	first := c.load.Latency.Pick(cands)
-	order = append(order, first)
-	for _, n := range cands {
-		if n != first {
-			order = append(order, n)
-		}
-	}
-
-	// psp is the enclosing read.attempt span; readFanout runs on the
-	// goroutine that created it, so annotating it here is race-free.
-	// Leg goroutines get their own child spans instead — a losing leg
-	// that outlives the root is simply dropped at End.
-	psp := trace.FromContext(ctx)
-	fanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type legResult struct {
-		node   cluster.NodeID
-		data   []byte
-		err    error
-		hedged bool
-	}
-	// Buffered to the fan-out width: losing legs complete into the
-	// buffer after we return and their goroutines exit — no leak.
-	results := make(chan legResult, len(order))
-	start := time.Now()
-	launched := 0
-	launch := func(hedged bool) {
-		node := order[launched]
-		launched++
-		go func() {
-			lctx, lsp := trace.StartSpan(fanCtx, "read.leg")
-			lsp.Annotate("node", string(node))
-			if hedged {
-				lsp.Annotate("hedged", "true")
-			}
-			data, err := c.readFromNode(lctx, node, path, offset, length, false, time.Now())
-			lsp.SetError(err)
-			lsp.End()
-			results <- legResult{node: node, data: data, err: err, hedged: hedged}
-		}()
-	}
-	launch(false)
-
-	var hedgeC <-chan time.Time
-	if delay, ok := c.load.Hedge.Delay(); ok {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	outstanding := 1
-	var firstErr error
-	timeoutClass := true
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < len(order) {
-				c.hedgedReads.Add(1)
-				m.hedges.Inc()
-				psp.Annotate("hedge", "fired")
-				launch(true)
-				outstanding++
-			}
-
-		case r := <-results:
-			outstanding--
-			if r.err == nil {
-				elapsed := int64(time.Since(start))
-				switch {
-				case r.hedged:
-					c.hedgeWins.Add(1)
-					m.hedgeWins.Inc()
-					m.hedgeLatency.Observe(elapsed)
-					psp.Annotate("hedge", "win")
-				case r.node == primary:
-					m.ownerLatency.Observe(elapsed)
-				default:
-					m.replLatency.Observe(elapsed)
-				}
-				psp.Annotate("winner", string(r.node))
-				return r.data, nil
-			}
-			if errors.Is(r.err, ErrNotFound) {
-				return nil, r.err
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if !errors.Is(r.err, rpc.ErrTimeout) && !errors.Is(r.err, rpc.ErrClosed) {
-				timeoutClass = false
-			}
-			if errors.Is(r.err, ErrOverloaded) {
-				c.shedRedirects.Add(1)
-				m.shedRedirects.Inc()
-			}
-			// A failed leg is an immediate go-signal for the next
-			// candidate — no point waiting for the hedge timer.
-			if launched < len(order) {
-				launch(r.hedged)
-				outstanding++
-			} else if outstanding == 0 {
-				if timeoutClass && ctx.Err() == nil {
-					// Every candidate timed out: that is genuine evidence
-					// against the primary this read was routed to.
-					c.noteTimeout(primary)
-				}
-				return nil, firstErr
-			}
-		}
-	}
-}
-
-// maybePushHot fans a hot object out to the owner's ring successors,
-// once per key per ring epoch (the record resets on any membership
-// change). Pushes ride the same bounded async machinery as replication;
-// failures are best-effort — a missed replica only means that server
-// self-fills from the PFS on its first fanned-out read.
-func (c *Client) maybePushHot(path string, data []byte) {
-	if c.closed.Load() || !c.load.MarkPushed(path) {
+// pushCopies sends best-effort copies of path to owners[1:], the
+// secondaries, skipping dead ones: replica copies (ReplicationFactor,
+// span "replica.push", ReplicaPushes) and hot-object copies (hot, span
+// "hot.push", HotPushes). With an ingest pipeline they ride the per-node
+// batches, whose encode copies data. Otherwise each runs on a goroutine
+// bounded by replSem, as a root trace under baseCtx: the read or put
+// that caused it has returned, and Close cancels it. A missed copy costs
+// that node one PFS fill later, never correctness.
+func (c *Client) pushCopies(path string, data []byte, owners []cluster.NodeID, hot bool) {
+	if len(owners) < 2 || c.closed.Load() {
 		return
 	}
-	owners := c.cfg.Router.Replicas(path, 1+c.load.Replicas())
-	if len(owners) <= 1 {
-		return
+	span, pushes, metric := "replica.push", &c.replicaPushes, cliMetrics().replicaPush
+	if hot {
+		span, pushes, metric = "hot.push", &c.hotPushes, cliMetrics().hotPush
 	}
-	telemetry.TraceEvent(telemetry.EventHotKey, "", path, int64(len(data)))
-	if c.ingest != nil {
-		// Group commit: hot-object pushes ride the per-node ingest
-		// batches instead of spawning a goroutine per push. The encode
-		// copies the bytes, so no extra defensive copy is needed.
-		for _, node := range owners[1:] {
-			if !c.tracker.IsAlive(node) {
-				continue
-			}
-			if c.ingest.enqueue(node, path, data) == nil {
-				c.hotPushes.Add(1)
-				cliMetrics().hotPush.Inc()
-			}
-		}
-		return
-	}
-	// Copy once: data may alias an RPC response buffer.
-	body := append([]byte(nil), data...)
+	var body []byte
 	for _, node := range owners[1:] {
 		if !c.tracker.IsAlive(node) {
 			continue
 		}
-		node := node
-		c.replWG.Add(1)
-		c.replSem <- struct{}{}
-		go func() {
-			defer c.replWG.Done()
-			defer func() { <-c.replSem }()
-			//ftclint:ignore ctxflow hot-push replication is asynchronous by design: the triggering read has already returned, so its leg is a detached root trace
-			pctx, sp := trace.StartTrace(context.Background(), "hot.push")
-			sp.Annotate("node", string(node))
-			sp.Annotate("path", path)
-			err := c.Push(pctx, node, path, body)
-			sp.SetError(err)
-			sp.End()
-			if err == nil {
-				c.hotPushes.Add(1)
-				cliMetrics().hotPush.Inc()
-			}
-		}()
-	}
-}
-
-// replicateAsync pushes data to the secondary ring owners of path,
-// bounded by the replication semaphore; failures are best-effort (a
-// missed replica costs one PFS read later, never correctness).
-func (c *Client) replicateAsync(path string, data []byte) {
-	owners := c.cfg.Router.Replicas(path, c.cfg.ReplicationFactor)
-	if len(owners) <= 1 {
-		return
-	}
-	if c.ingest != nil {
-		// Group commit: replica pushes ride the per-node ingest batches
-		// (WaitReplication flushes them). Enqueue encodes immediately,
-		// so the aliased RPC buffer is never retained.
-		for _, node := range owners[1:] {
+		if c.ingest != nil {
 			if c.ingest.enqueue(node, path, data) == nil {
-				c.replicaPushes.Add(1)
-				cliMetrics().replicaPush.Inc()
+				pushes.Add(1)
+				metric.Inc()
 			}
+			continue
 		}
-		return
-	}
-	// Copy once: data aliases the RPC response buffer.
-	body := append([]byte(nil), data...)
-	for _, node := range owners[1:] {
-		node := node
+		if body == nil {
+			body = append([]byte(nil), data...) // data may alias an RPC response buffer
+		}
 		c.replWG.Add(1)
 		c.replSem <- struct{}{}
 		go func() {
 			defer c.replWG.Done()
 			defer func() { <-c.replSem }()
-			// Replication is asynchronous by design, so its leg is a
-			// detached root trace: by the time it runs, the read that
-			// triggered it has already returned (and sealed its trace).
-			//ftclint:ignore ctxflow detached root by design, per the comment above: the triggering read has already sealed its trace
-			pctx, sp := trace.StartTrace(context.Background(), "replica.push")
+			pctx, sp := trace.StartTrace(c.baseCtx, span)
 			sp.Annotate("node", string(node))
 			sp.Annotate("path", path)
 			err := c.Push(pctx, node, path, body)
 			sp.SetError(err)
 			sp.End()
 			if err == nil {
-				c.replicaPushes.Add(1)
-				cliMetrics().replicaPush.Inc()
+				pushes.Add(1)
+				metric.Inc()
 			}
 		}()
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/loadctl"
 	"repro/internal/rpc"
 	"repro/internal/storage"
 	"repro/internal/testutil"
@@ -481,26 +482,55 @@ func TestClientLatencyTracking(t *testing.T) {
 // goroutine and its handler's response. A derived context, a timer or a
 // channel per read does not fit under it (the per-call context.WithTimeout
 // and write-deadline timer this replaced cost fourteen).
+//
+// The second input is a load-controlled client reading 512 keys
+// uniformly, none of them hot: every read pays the sketch touch and the
+// coalescing flight, and an accidental fan-out, goroutine or allocation
+// on that path does not fit either (five today, one above the static
+// input). It replaces the benchguard-tagged loadctl overhead guard.
 func TestWarmReadAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
 	}
-	tc := newTestCluster(t, 1)
-	tc.pfs.Put("f", make([]byte, 4096))
-	c := tc.client(staticRouter{node: "node-00"}, 10*time.Second)
 	ctx := context.Background()
-	if _, err := c.Read(ctx, "f"); err != nil { // the miss that fills NVMe
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(500, func() {
-		if _, err := c.Read(ctx, "f"); err != nil {
-			t.Fatal(err)
+	measure := func(t *testing.T, c *Client, paths []string) {
+		for _, p := range paths { // warm-up; the static input's miss fills NVMe
+			if _, err := c.Read(ctx, p); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	// Four today: request encoding, reply, server goroutine, server reply.
-	if n > 6 {
-		t.Errorf("warm Read: %v allocs, want <= 6", n)
+		i := 0
+		n := testing.AllocsPerRun(500, func() {
+			if _, err := c.Read(ctx, paths[i%len(paths)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("warm Read: %v allocs", n)
+		if n > 6 {
+			t.Errorf("warm Read: %v allocs, want <= 6", n)
+		}
 	}
+	t.Run("static", func(t *testing.T) {
+		tc := newTestCluster(t, 1)
+		tc.pfs.Put("f", make([]byte, 4096))
+		measure(t, tc.client(staticRouter{node: "node-00"}, 10*time.Second), []string{"f"})
+	})
+	t.Run("loadctl uniform", func(t *testing.T) {
+		tc := newLoadctlCluster(t, 2, ServerConfig{})
+		paths := make([]string, 512)
+		for i := range paths {
+			paths[i] = fmt.Sprintf("f%d", i)
+			tc.pfs.Put(paths[i], make([]byte, 4096))
+			tc.servers["node-00"].NVMe().Put(paths[i], make([]byte, 4096))
+		}
+		c := tc.client(ClientConfig{
+			Router:      newReplRouter(tc.nodes),
+			RPCTimeout:  10 * time.Second,
+			LoadControl: &loadctl.Config{},
+		})
+		measure(t, c, paths)
+	})
 }
 
 // TestDeviceReadAllocs: a read that waits out the simulated device

@@ -448,22 +448,14 @@ func (c *Client) PutAsync(path string, data []byte) error {
 		return fmt.Errorf("hvac: no owner for %s", path)
 	}
 	if c.ingest == nil {
-		//ftclint:ignore ctxflow PutAsync is fire-and-forget by contract — its signature deliberately takes no context, so the sync fallback has none to plumb
-		return c.Put(context.Background(), path, data)
+		// PutAsync takes no context by contract: the sync fallback runs
+		// under the client's lifetime, like the ingest senders.
+		return c.Put(c.baseCtx, path, data)
 	}
 	if err := c.ingest.enqueue(owners[0], path, data); err != nil {
 		return err
 	}
-	for _, node := range owners[1:] {
-		if !c.tracker.IsAlive(node) {
-			continue
-		}
-		// Replica legs are best-effort, like replicateAsync.
-		if c.ingest.enqueue(node, path, data) == nil {
-			c.replicaPushes.Add(1)
-			cliMetrics().replicaPush.Inc()
-		}
-	}
+	c.pushCopies(path, data, owners, false)
 	return nil
 }
 
@@ -479,9 +471,7 @@ func (c *Client) Put(ctx context.Context, path string, data []byte) error {
 	if err := c.Push(ctx, owners[0], path, data); err != nil {
 		return err
 	}
-	if len(owners) > 1 {
-		c.replicateAsync(path, data)
-	}
+	c.pushCopies(path, data, owners, false)
 	return nil
 }
 

@@ -341,6 +341,147 @@ func TestLoadctlOverloadShedIsNotFailureEvidence(t *testing.T) {
 	}
 }
 
+// TestHotReplicaSetUnreachableFailsOver pins the one evidence rule on
+// the hot-key path: the routed owner is noted only when every raced leg
+// failed timeout- or conn-class. Two nodes, the key made hot, then a
+// fault on the replica set: a dead set must be declared node by node
+// until the PFS serves; an unresponsive owner beside a live replica and
+// a set that sheds are never evidence.
+func TestHotReplicaSetUnreachableFailsOver(t *testing.T) {
+	cases := []struct {
+		name     string
+		scfg     ServerConfig
+		fault    func(t *testing.T, tc *loadctlCluster)
+		declared bool // both nodes declared, the PFS serves
+	}{
+		{
+			name: "closed",
+			fault: func(t *testing.T, tc *loadctlCluster) {
+				for _, s := range tc.servers {
+					s.Close()
+				}
+			},
+			declared: true,
+		},
+		{
+			name: "owner unresponsive",
+			fault: func(t *testing.T, tc *loadctlCluster) {
+				tc.servers["node-00"].SetUnresponsive(true)
+			},
+		},
+		{
+			name: "shedding",
+			scfg: ServerConfig{AdmissionLimit: 1, AdmissionWait: time.Millisecond},
+			fault: func(t *testing.T, tc *loadctlCluster) {
+				// Hold each server's only slot: every read now sheds.
+				for _, s := range tc.servers {
+					if !s.Limiter().Acquire() {
+						t.Fatal("could not take the admission slot")
+					}
+					t.Cleanup(s.Limiter().Release)
+				}
+			},
+		},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			tc := newLoadctlCluster(t, 2, tt.scfg)
+			body := []byte("hot-payload")
+			tc.pfs.Put("data/hot", body)
+			for _, n := range tc.nodes {
+				tc.servers[n].NVMe().Put("data/hot", body)
+			}
+			c := tc.client(ClientConfig{
+				Router:       newReplRouter(tc.nodes),
+				RPCTimeout:   50 * time.Millisecond,
+				TimeoutLimit: 2,
+				LoadControl:  &loadctl.Config{SampleRate: 1},
+			})
+			ctx := context.Background()
+			for i := 0; i < 32; i++ {
+				if _, err := c.Read(ctx, "data/hot"); err != nil {
+					t.Fatalf("warm read %d: %v", i, err)
+				}
+			}
+			if !c.LoadControl().Sketch.IsHot("data/hot") {
+				t.Fatal("key not flagged hot after warmup")
+			}
+
+			tt.fault(t, tc)
+			data, err := c.Read(ctx, "data/hot")
+			st := c.Stats()
+			if err != nil || string(data) != string(body) {
+				t.Fatalf("read after fault: %q, %v (%+v)", data, err, st)
+			}
+			for _, n := range tc.nodes {
+				if alive := c.Tracker().IsAlive(n); alive == tt.declared {
+					t.Errorf("%s alive=%v, want %v (%+v)", n, alive, !tt.declared, st)
+				}
+			}
+			switch {
+			case tt.declared && (st.DirectPFS != 1 || st.Timeouts != 4):
+				// TimeoutLimit notes per node, one per attempt, then the PFS.
+				t.Errorf("DirectPFS=%d Timeouts=%d, want 1 and 4: %+v", st.DirectPFS, st.Timeouts, st)
+			case !tt.declared && st.Timeouts != 0:
+				t.Errorf("Timeouts=%d, want no evidence: %+v", st.Timeouts, st)
+			}
+		})
+	}
+}
+
+// TestHotPushReachesSuccessors: a hot whole-file read pushes the object
+// to the owner's successors once per ring epoch, through the ingest
+// batches when configured and on bounded goroutines otherwise, and
+// HotPushes counts each push. The successors are made to look slow so
+// p2c never sends them a leg: only the push can put the object there.
+func TestHotPushReachesSuccessors(t *testing.T) {
+	for _, ingest := range []*IngestConfig{nil, {MaxDelay: time.Minute}} {
+		t.Run(fmt.Sprintf("ingest=%v", ingest != nil), func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			tc := newLoadctlCluster(t, 3, ServerConfig{})
+			body := []byte("hot-payload")
+			tc.pfs.Put("data/hot", body)
+			c := tc.client(ClientConfig{
+				Router:       newReplRouter(tc.nodes),
+				RPCTimeout:   time.Second,
+				TimeoutLimit: 2,
+				LoadControl:  &loadctl.Config{SampleRate: 1, Replicas: 1},
+				Ingest:       ingest,
+			})
+			lat := c.LoadControl().Latency
+			lat.Observe("node-01", time.Hour)
+			lat.Observe("node-02", time.Hour)
+			ctx := context.Background()
+			epoch := func(successor cluster.NodeID, pushes int64) {
+				t.Helper()
+				for i := 0; i < 32; i++ {
+					if data, err := c.Read(ctx, "data/hot"); err != nil || string(data) != string(body) {
+						t.Fatalf("read %d: %q, %v", i, data, err)
+					}
+				}
+				if err := c.WaitReplication(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if !tc.servers[successor].NVMe().Has("data/hot") {
+					t.Errorf("successor %s missing the hot object", successor)
+				}
+				if got := c.Stats().HotPushes; got != pushes {
+					t.Errorf("HotPushes=%d, want %d", got, pushes)
+				}
+			}
+			epoch("node-01", 1)
+			if tc.servers["node-02"].NVMe().Has("data/hot") {
+				t.Fatal("node-02 holds the object before it is a successor")
+			}
+			// A membership change is a new ring epoch: node-02 becomes the
+			// successor and receives the object once.
+			c.Tracker().MarkFailed("node-01")
+			epoch("node-02", 2)
+		})
+	}
+}
+
 // TestLoadctlWaitReplicationContext verifies the context-aware wait: a
 // live context returns once pushes drain; an already-cancelled context
 // returns its error instead of blocking.
