@@ -1,9 +1,10 @@
 // Package poollease enforces the pooled-lease discipline (DESIGN.md
 // §8, §15) over both lease-returning APIs:
 //
-//   - wire.ReadFramePooled: every successful call returns a *wire.Buf
-//     lease that must reach Release exactly once, and the frame payload
-//     aliasing the lease must not be used after the release;
+//   - (*wire.FrameReader).ReadFramePooled: every successful call
+//     returns a *wire.Buf lease that must reach Release exactly once,
+//     and the frame payload aliasing the lease must not be used after
+//     the release;
 //   - (*memtier.Tier).Get: every ok==true hit returns a *memtier.Lease
 //     that must reach Release exactly once — or be handed off, most
 //     commonly as a Release method value stored into an
@@ -17,8 +18,8 @@
 //     deferred for release, or handed off (passed to another function,
 //     returned, or captured by a goroutine/closure that releases it);
 //   - paths through an `if err != nil` guard on the acquisition's own
-//     error are exempt — ReadFramePooled documents that on error the
-//     lease is already released and nil; for Tier.Get the exempt paths
+//     error are exempt — ReadFramePooled documents that an error
+//     returns no lease; for Tier.Get the exempt paths
 //     are the ok==false branches (a miss returns no lease);
 //   - after an inline (non-deferred) Release, any further use of the
 //     lease or the frame variable on that path is reported;
@@ -68,7 +69,7 @@ func (*LeaseSinkFact) AFact() {}
 // Analyzer is the poollease pass.
 var Analyzer = &ftc.Analyzer{
 	Name:      "poollease",
-	Doc:       "every pooled lease (wire.ReadFramePooled, memtier.Tier.Get) must reach Release on all paths, and the payload must not be used after release",
+	Doc:       "every pooled lease (wire.FrameReader.ReadFramePooled, memtier.Tier.Get) must reach Release on all paths, and the payload must not be used after release",
 	Requires:  []*ftc.Analyzer{callgraph.Analyzer},
 	FactTypes: []ftc.Fact{(*LeaseSinkFact)(nil)},
 	Run:       run,
@@ -273,7 +274,7 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// isReadFramePooled matches calls to wire.ReadFramePooled.
+// isReadFramePooled matches calls to (*wire.FrameReader).ReadFramePooled.
 func isReadFramePooled(info *types.Info, call *ast.CallExpr) bool {
 	fn, ok := ftc.CalleeObject(info, call).(*types.Func)
 	return ok && fn.Name() == "ReadFramePooled" && ftc.PkgNamed(fn.Pkg(), "wire")
@@ -301,7 +302,7 @@ func isMemtierGet(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // acquisition is one lease-acquiring call site: either
-// `frame, lease, err := wire.ReadFramePooled(...)` or
+// `frame, lease, err := fr.ReadFramePooled()` or
 // `lease, ok := tier.Get(path)`.
 type acquisition struct {
 	stmt  *ast.AssignStmt
@@ -322,7 +323,7 @@ func checkFunc(pass *ftc.Pass, s *sinks, fd *ast.FuncDecl) {
 				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 					switch {
 					case isReadFramePooled(pass.Info, call):
-						a := acquisition{stmt: n, call: call, what: "wire.ReadFramePooled"}
+						a := acquisition{stmt: n, call: call, what: "FrameReader.ReadFramePooled"}
 						if len(n.Lhs) == 3 {
 							a.frame = lhsObject(pass.Info, n.Lhs[0])
 							a.lease = lhsObject(pass.Info, n.Lhs[1])
@@ -343,7 +344,7 @@ func checkFunc(pass *ftc.Pass, s *sinks, fd *ast.FuncDecl) {
 			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
 				switch {
 				case isReadFramePooled(pass.Info, call):
-					pass.Reportf(call.Pos(), "wire.ReadFramePooled result discarded: the lease can never be released")
+					pass.Reportf(call.Pos(), "FrameReader.ReadFramePooled result discarded: the lease can never be released")
 				case isMemtierGet(pass.Info, call):
 					pass.Reportf(call.Pos(), "memtier.Tier.Get result discarded: a hit's lease can never be released (use Has for existence checks)")
 				}

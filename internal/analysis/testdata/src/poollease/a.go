@@ -3,7 +3,6 @@ package a
 
 import (
 	"errors"
-	"io"
 
 	"wire"
 )
@@ -19,8 +18,8 @@ func hold(l *wire.Buf) { l.Release() }
 func borrow(l *wire.Buf) bool { return l != nil }
 
 // okDefer is the canonical handler shape: err guard, then defer.
-func okDefer(r io.Reader) error {
-	f, lease, err := wire.ReadFramePooled(r, 1<<20)
+func okDefer(fr *wire.FrameReader) error {
+	f, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return err
 	}
@@ -30,8 +29,8 @@ func okDefer(r io.Reader) error {
 }
 
 // okInline releases explicitly after the last use.
-func okInline(r io.Reader) {
-	f, lease, err := wire.ReadFramePooled(r, 1<<20)
+func okInline(fr *wire.FrameReader) {
+	f, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return
 	}
@@ -40,8 +39,8 @@ func okInline(r io.Reader) {
 }
 
 // okGoroutineHandoff transfers the obligation into the goroutine.
-func okGoroutineHandoff(r io.Reader) {
-	f, lease, err := wire.ReadFramePooled(r, 1<<20)
+func okGoroutineHandoff(fr *wire.FrameReader) {
+	f, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return
 	}
@@ -52,8 +51,8 @@ func okGoroutineHandoff(r io.Reader) {
 }
 
 // okCallHandoff passes the lease on; the callee owns it now.
-func okCallHandoff(r io.Reader) {
-	_, lease, err := wire.ReadFramePooled(r, 1<<20)
+func okCallHandoff(fr *wire.FrameReader) {
+	_, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return
 	}
@@ -62,8 +61,8 @@ func okCallHandoff(r io.Reader) {
 
 // leakFalseHandoff passes the lease to a callee whose summary shows it
 // never releases: the obligation stays here, unmet.
-func leakFalseHandoff(r io.Reader) error {
-	_, lease, err := wire.ReadFramePooled(r, 1<<20)
+func leakFalseHandoff(fr *wire.FrameReader) error {
+	_, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return err
 	}
@@ -73,8 +72,8 @@ func leakFalseHandoff(r io.Reader) error {
 
 // leakEarlyReturn is the regression class the pass exists for: an
 // early return added between the acquisition and the release.
-func leakEarlyReturn(r io.Reader) error {
-	f, lease, err := wire.ReadFramePooled(r, 1<<20)
+func leakEarlyReturn(fr *wire.FrameReader) error {
+	f, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return err
 	}
@@ -86,8 +85,8 @@ func leakEarlyReturn(r io.Reader) error {
 }
 
 // useAfterRelease reads the payload after the pool may have reused it.
-func useAfterRelease(r io.Reader) {
-	f, lease, err := wire.ReadFramePooled(r, 1<<20)
+func useAfterRelease(fr *wire.FrameReader) {
+	f, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return
 	}
@@ -96,8 +95,8 @@ func useAfterRelease(r io.Reader) {
 }
 
 // returnAfterRelease hands the caller an invalidated payload.
-func returnAfterRelease(r io.Reader) []byte {
-	f, lease, err := wire.ReadFramePooled(r, 1<<20)
+func returnAfterRelease(fr *wire.FrameReader) []byte {
+	f, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return nil
 	}
@@ -106,20 +105,20 @@ func returnAfterRelease(r io.Reader) []byte {
 }
 
 // discard can never release.
-func discard(r io.Reader) {
-	wire.ReadFramePooled(r, 1<<20) // want `result discarded`
+func discard(fr *wire.FrameReader) {
+	fr.ReadFramePooled() // want `result discarded`
 }
 
 // blankLease can never release either.
-func blankLease(r io.Reader) {
-	f, _, err := wire.ReadFramePooled(r, 1<<20) // want `lease assigned to _`
+func blankLease(fr *wire.FrameReader) {
+	f, _, err := fr.ReadFramePooled() // want `lease assigned to _`
 	_, _ = f, err
 }
 
 // goroutineCapture leaks the payload into a goroutine the parent
 // cannot synchronize with.
-func goroutineCapture(r io.Reader) {
-	f, lease, err := wire.ReadFramePooled(r, 1<<20)
+func goroutineCapture(fr *wire.FrameReader) {
+	f, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return
 	}
@@ -129,8 +128,8 @@ func goroutineCapture(r io.Reader) {
 
 // suppressedEarlyReturn is a justified false positive: the enclosing
 // connection teardown reclaims the pool wholesale.
-func suppressedEarlyReturn(r io.Reader) error {
-	f, lease, err := wire.ReadFramePooled(r, 1<<20)
+func suppressedEarlyReturn(fr *wire.FrameReader) error {
+	f, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return err
 	}

@@ -4,15 +4,13 @@
 package use
 
 import (
-	"io"
-
 	"poollease2/dep"
 	"wire"
 )
 
 // okHandoff passes the lease to a cross-package sink: discharged.
-func okHandoff(r io.Reader) {
-	_, lease, err := wire.ReadFramePooled(r, 1<<20)
+func okHandoff(fr *wire.FrameReader) {
+	_, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return
 	}
@@ -21,8 +19,8 @@ func okHandoff(r io.Reader) {
 
 // leakBorrow hands the lease to a callee that provably never releases
 // it: the obligation stays here, unmet.
-func leakBorrow(r io.Reader) error {
-	_, lease, err := wire.ReadFramePooled(r, 1<<20)
+func leakBorrow(fr *wire.FrameReader) error {
+	_, lease, err := fr.ReadFramePooled()
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 // Package wire is a minimal stub of the repro wire package for
 // analysistest: the poollease analyzer keys on the package name and the
-// ReadFramePooled / (*Buf).Release shapes, so the stub only needs those.
+// (*FrameReader).ReadFramePooled / (*Buf).Release shapes, so the stub
+// only needs those.
 package wire
 
 import "io"
@@ -18,6 +19,10 @@ func (b *Buf) Release() {
 	}
 }
 
-func ReadFramePooled(r io.Reader, maxPayload int) (Frame, *Buf, error) {
+type FrameReader struct{ r io.Reader }
+
+func NewFrameReader(r io.Reader, maxPayload int) *FrameReader { return &FrameReader{r: r} }
+
+func (fr *FrameReader) ReadFramePooled() (Frame, *Buf, error) {
 	return Frame{}, &Buf{}, nil
 }

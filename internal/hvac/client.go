@@ -378,7 +378,6 @@ func (c *Client) conn(node cluster.NodeID) (*rpc.Client, error) {
 		nc.Close()
 		return nil, rpc.ErrClosed
 	}
-	//ftclint:ignore lockorder NewClient only spawns the read loop; the send it starts is to the new client's own channel, not anything mu guards
 	s.cli = rpc.NewClient(nc)
 	return s.cli, nil
 }

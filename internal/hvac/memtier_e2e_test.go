@@ -102,11 +102,11 @@ func TestRAMTierPromoteAndServe(t *testing.T) {
 	}
 }
 
-// TestHandleWaitFlattensReadResponses: a read answers head + by-reference
+// TestHandleFlattensReadResponses: a read answers head + by-reference
 // body from every tier, and the copying dispatch path must hand direct
 // callers exactly the bytes ReadResp.Marshal would have produced —
 // whether or not the response carries a lease to release.
-func TestHandleWaitFlattensReadResponses(t *testing.T) {
+func TestHandleFlattensReadResponses(t *testing.T) {
 	srv, _, pfs := newRAMServer(t, 1<<20)
 	payload := []byte("0123456789abcdef")
 	pfs.Put("data/f", payload)
@@ -128,14 +128,14 @@ func TestHandleWaitFlattensReadResponses(t *testing.T) {
 		if tc.dropRAM {
 			srv.RAM().Invalidate("data/f")
 		}
-		status, got := srv.HandleWait(OpRead, tc.req, 0)
+		status, got := srv.Handle(OpRead, tc.req)
 		want := (&ReadResp{Source: tc.source, FileSize: int64(len(payload)), Data: tc.data}).Marshal()
 		if status != rpc.StatusOK || !bytes.Equal(got, want) {
 			t.Errorf("%s: status=%d payload=%x, want %x", tc.name, status, got, want)
 		}
 	}
 	if n := srv.RAM().ActiveLeases(); n != 0 {
-		t.Errorf("HandleWait left %d leases behind", n)
+		t.Errorf("Handle left %d leases behind", n)
 	}
 }
 

@@ -36,7 +36,7 @@ func FuzzPutBatchReq(f *testing.F) {
 		if err := wire.WriteFrame(&framed, &wire.Frame{Type: wire.TypeRequest, ID: 1, Op: OpPutBatch, Payload: data}); err != nil {
 			t.Fatalf("frame: %v", err)
 		}
-		fr, lease, err := wire.ReadFramePooled(&framed, 1<<22)
+		fr, lease, err := wire.NewFrameReader(&framed, 1<<22).ReadFramePooled()
 		if err != nil {
 			t.Fatalf("pooled read of a valid frame: %v", err)
 		}
@@ -156,7 +156,7 @@ func FuzzRecacheReq(f *testing.F) {
 		if err := wire.WriteFrame(&framed, &wire.Frame{Type: wire.TypeRequest, ID: 1, Op: OpRecache, Payload: data}); err != nil {
 			t.Fatalf("frame: %v", err)
 		}
-		fr, lease, err := wire.ReadFramePooled(&framed, 1<<22)
+		fr, lease, err := wire.NewFrameReader(&framed, 1<<22).ReadFramePooled()
 		if err != nil {
 			t.Fatalf("pooled read of a valid frame: %v", err)
 		}

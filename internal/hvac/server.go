@@ -3,6 +3,7 @@ package hvac
 import (
 	"context"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,6 +51,10 @@ type ServerConfig struct {
 	// reference. 0 (the default) disables the tier.
 	RAMCapacity int64
 }
+
+// The RPC server stages a request only if its handler is staged; any
+// other Handler runs whole, off the connection's reader.
+var _ rpc.StagedHandler = (*Server)(nil)
 
 // Server is one node's HVAC daemon: it owns the node-local NVMe cache
 // and falls back to the shared PFS on miss.
@@ -167,18 +172,14 @@ func (s *Server) Close() {
 	s.mover.Close()
 }
 
-// Handle implements rpc.Handler (direct handler invocations in tests
-// and tools; the RPC server itself dispatches through HandleLeased).
+// Handle implements rpc.Handler for direct invocations in tests and
+// tools (the RPC server dispatches through Stage): the whole request
+// runs on the caller's goroutine, and a zero-copy read response is
+// flattened (head and by-reference tail joined into one owned slice)
+// and its lease, if it carries one, released before return, so direct
+// callers never see store internals.
 func (s *Server) Handle(op uint16, payload []byte) (uint16, []byte) {
-	return s.HandleWait(op, payload, 0)
-}
-
-// HandleWait implements rpc.WaitHandler — the copying dispatch path.
-// A zero-copy read response is flattened (head and by-reference tail
-// joined into one owned slice) and its lease, if it carries one,
-// released before return, so direct callers never see store internals.
-func (s *Server) HandleWait(op uint16, payload []byte, connWait time.Duration) (uint16, []byte) {
-	lr := s.HandleLeased(op, payload, connWait)
+	lr := s.HandleLeased(op, payload, 0)
 	resp := lr.Head
 	if lr.Ext != nil {
 		resp = make([]byte, 0, len(lr.Head)+len(lr.Ext))
@@ -190,48 +191,62 @@ func (s *Server) HandleWait(op uint16, payload []byte, connWait time.Duration) (
 	return lr.Status, resp
 }
 
-// HandleLeased implements rpc.LeasedHandler: the RPC server dispatches
-// every request here, and a read answers with a zero-copy payload tail —
-// the stored object itself, leased when it comes from the RAM tier —
-// that stays referenced until the coalesced response flush has it on
-// the wire. connWait is the time the request
-// sat in the per-connection fan-out queue, which tracing reports as
-// the first slice of the server-side queue component.
+// HandleLeased runs a whole request on the caller's goroutine — Stage,
+// then its continuation if it has one — and returns the complete
+// response, whose payload tail may be a zero-copy lease the caller must
+// Release. connWait is reported as the time the request waited for a
+// fan-out slot.
 func (s *Server) HandleLeased(op uint16, payload []byte, connWait time.Duration) rpc.LeasedResp {
+	lr, cont := s.Stage(op, payload)
+	if cont != nil {
+		lr = cont.Continue(op, payload, connWait)
+	}
+	return lr
+}
+
+// Stage implements rpc.StagedHandler. What needs no wait is answered on
+// the connection's reading goroutine: ping, stat, stats, invalidate, and
+// a read up to its first wait — a RAM or NVMe hit is served there. A
+// read that must wait for an admission slot, the device or the miss
+// flight continues on a goroutine of its own; so do puts, put batches
+// and recache hints, whole, since they wait on the mover. A read answers
+// with a zero-copy payload tail — the stored object itself, leased when
+// it comes from the RAM tier — that stays referenced until the
+// coalesced response flush has it on the wire.
+func (s *Server) Stage(op uint16, payload []byte) (rpc.LeasedResp, rpc.Continuation) {
 	switch op {
 	case OpPing:
-		return rpc.LeasedResp{Status: rpc.StatusOK}
+		return rpc.LeasedResp{Status: rpc.StatusOK}, nil
 	case OpRead:
-		// Admission gate: only reads are limited — control-plane ops
-		// (ping, stats) must keep answering under overload so liveness
-		// probes and observability stay truthful, and puts are already
-		// bounded by the pusher's semaphore. The gate runs before the
-		// payload is even decoded, so a shed request costs no parse and
-		// gets no span — the limiter's own counters are its record.
-		admissionWait := time.Duration(0)
-		if s.limiter != nil {
-			ok, wait := s.limiter.AcquireWait()
-			if !ok {
-				return rpc.LeasedResp{Status: StatusOverloaded}
-			}
-			defer s.limiter.Release()
-			admissionWait = wait
-		}
-		return s.handleRead(payload, connWait, admissionWait)
+		return s.stageRead(payload)
 	case OpStat:
-		return plainResp(s.handleStat(payload))
+		return plainResp(s.handleStat(payload)), nil
 	case OpStats:
-		return plainResp(s.handleStats())
+		return plainResp(s.handleStats()), nil
 	case OpInvalidate:
-		return plainResp(s.handleInvalidate(payload))
+		return plainResp(s.handleInvalidate(payload)), nil
+	case OpPut, OpPutBatch, OpRecache:
+		return rpc.LeasedResp{}, (*writeOps)(s)
+	default:
+		return rpc.LeasedResp{Status: StatusError, Head: []byte("unknown opcode")}, nil
+	}
+}
+
+// writeOps is the continuation of the ops that run whole off the
+// reading goroutine; the pointer conversion keeps their dispatch free
+// of an allocation.
+type writeOps Server
+
+// Continue implements rpc.Continuation.
+func (w *writeOps) Continue(op uint16, payload []byte, connWait time.Duration) rpc.LeasedResp {
+	s := (*Server)(w)
+	switch op {
 	case OpPut:
 		return plainResp(s.handlePut(payload))
 	case OpPutBatch:
 		return plainResp(s.handlePutBatch(payload, connWait))
-	case OpRecache:
-		return plainResp(s.handleRecache(payload))
 	default:
-		return rpc.LeasedResp{Status: StatusError, Head: []byte("unknown opcode")}
+		return plainResp(s.handleRecache(payload))
 	}
 }
 
@@ -366,87 +381,217 @@ func (s *Server) handlePutBatch(payload []byte, connWait time.Duration) (uint16,
 	return rpc.StatusOK, resp.Marshal()
 }
 
-// handleRead is the tiered server read path: RAM hit → serve with no
-// device model (RAM pays no NVMe service time); RAM miss → NVMe; NVMe
-// miss → the miss flight (PFS fetch + NVMe fill, once per path however
-// many readers and prefetches want it). Every device-served object is
-// offered to the RAM tier on the way out, and whichever tier answers,
-// the body leaves by reference: the stored slice is immutable, so the
-// response is a 13-byte head plus that slice. connWait and
-// admissionWait are the two server-side queueing delays already paid
-// before this point; the span reports them so the client can attribute
-// its observed RPC time to queueing vs. storage.
-func (s *Server) handleRead(payload []byte, connWait, admissionWait time.Duration) rpc.LeasedResp {
-	var req ReadReq
-	if err := req.Unmarshal(payload); err != nil {
-		return rpc.LeasedResp{Status: StatusError, Head: []byte(err.Error())}
+// The read path is tiered: RAM hit → serve with no device model (RAM
+// pays no NVMe service time); RAM miss → NVMe; NVMe miss → the miss
+// flight (PFS fetch + NVMe fill, once per path however many readers and
+// prefetches want it). Every device-served object is offered to the RAM
+// tier on the way out, and whichever tier answers, the body leaves by
+// reference: the stored slice is immutable, so the response is a
+// 13-byte head plus that slice.
+//
+// It runs in two stages split at its first wait — an admission-queue
+// slot, the device, or the miss flight. stageRead runs on the
+// connection's reading goroutine up to that point and serves every hit
+// that needs none; the rest is a readOp continuation. Each tier is
+// probed once, in whichever stage reaches it.
+
+// readWait names the wait a read's continuation starts with.
+type readWait uint8
+
+const (
+	waitAdmission readWait = iota // queued for an admission slot; nothing else done
+	waitDevice                    // RAM missed; the device read and NVMe come next
+	waitFill                      // RAM and NVMe missed; the miss flight comes next
+)
+
+// readOp is one read between its stages: what the first stage learned,
+// kept for the continuation. The first stage keeps it on its stack and
+// parks a pooled copy only when the read has to wait, so splitting costs
+// neither the inline path nor the waiting one an allocation.
+type readOp struct {
+	s    *Server
+	req  ReadReq
+	sp   *trace.Span // server.read
+	st   *trace.Span // storage.read, open across a miss flight
+	slot bool        // holds an admission slot, released when the read ends
+	next readWait
+}
+
+var readOps = sync.Pool{New: func() any { return new(readOp) }}
+
+// stageRead is the read's first stage. Admission comes first: only
+// reads are limited — control-plane ops (ping, stats) must keep
+// answering under overload so liveness probes and observability stay
+// truthful, and puts are already bounded by the pusher's semaphore. The
+// gate runs before the payload is even decoded, so a shed request costs
+// no parse and gets no span — the limiter's own counters are its
+// record.
+func (s *Server) stageRead(payload []byte) (rpc.LeasedResp, rpc.Continuation) {
+	r := readOp{s: s}
+	defer r.unwind()
+	if s.limiter != nil {
+		switch s.limiter.TryAcquire() {
+		case loadctl.Shed:
+			return rpc.LeasedResp{Status: StatusOverloaded}, nil
+		case loadctl.Queued:
+			return rpc.LeasedResp{}, r.park()
+		}
+		r.slot = true
+	}
+	if lr, done := r.probe(payload, 0, 0); done {
+		return lr, nil
+	}
+	return rpc.LeasedResp{}, r.park()
+}
+
+// park moves r off the first stage's stack into a pooled readOp, which
+// takes over its spans and slot.
+func (r *readOp) park() *readOp {
+	p := readOps.Get().(*readOp)
+	*p = *r
+	*r = readOp{}
+	return p
+}
+
+// probe is the read up to its first wait: decode, the span, the RAM
+// tier and — with no device model — NVMe. It serves a hit or a bad
+// request (done), and otherwise leaves in r.next the wait the
+// continuation starts with. connWait and admissionWait are the
+// server-side queueing already paid; the span reports them so the
+// client can attribute its observed RPC time to queueing vs. storage.
+func (r *readOp) probe(payload []byte, connWait, admissionWait time.Duration) (rpc.LeasedResp, bool) {
+	s := r.s
+	if err := r.req.Unmarshal(payload); err != nil {
+		return r.end(rpc.LeasedResp{Status: StatusError, Head: []byte(err.Error())}), true
 	}
 	s.reads.Add(1)
-	sp := trace.StartRemote("server.read", trace.TraceID(req.Trace.TraceID), trace.SpanID(req.Trace.SpanID))
-	defer sp.End()
-	sp.Annotate("node", string(s.cfg.Node))
+	r.sp = trace.StartRemote("server.read", trace.TraceID(r.req.Trace.TraceID), trace.SpanID(r.req.Trace.SpanID))
+	r.sp.Annotate("node", string(s.cfg.Node))
 	if connWait > 0 {
-		sp.AnnotateDuration("conn_queue_ns", connWait)
+		r.sp.AnnotateDuration("conn_queue_ns", connWait)
 	}
 	if admissionWait > 0 {
-		sp.AnnotateDuration("admission_wait_ns", admissionWait)
+		r.sp.AnnotateDuration("admission_wait_ns", admissionWait)
 	}
 	if s.ram != nil {
-		if lease, ok := s.ram.Get(req.Path); ok {
-			// RAM hit: no device-slot wait, no storage read. The lease
-			// rides the response and is released only after the flush.
-			hs := sp.StartChild("memtier.hit")
-			body, inRange := slice(lease.Bytes(), req.Offset, req.Length)
-			if !inRange {
-				lease.Release()
-				hs.SetErrorString("range out of bounds")
-				hs.End()
-				sp.SetErrorString("range out of bounds")
-				return rpc.LeasedResp{Status: StatusError, Head: []byte("range out of bounds")}
-			}
-			hs.AnnotateInt("bytes", int64(len(body)))
-			hs.End()
-			s.ramServed.Add(1)
-			resp := ReadResp{Source: SourceRAM, FileSize: lease.Size(), Data: body}
-			return rpc.LeasedResp{Status: rpc.StatusOK, Head: resp.marshalHead(), Ext: body, Release: lease.Release}
+		if lease, ok := s.ram.Get(r.req.Path); ok {
+			return r.end(r.ramHit(lease)), true
 		}
 	}
 	if s.device != nil {
+		r.next = waitDevice
+		return rpc.LeasedResp{}, false
+	}
+	r.st = r.sp.StartChild("storage.read")
+	data, err := s.nvme.Get(r.req.Path)
+	if err != nil {
+		r.next = waitFill
+		return rpc.LeasedResp{}, false
+	}
+	return r.end(r.serve(data, SourceNVMe)), true
+}
+
+// Continue implements rpc.Continuation: the read from its first wait
+// on, on a goroutine that may block.
+func (r *readOp) Continue(_ uint16, payload []byte, connWait time.Duration) rpc.LeasedResp {
+	defer func() {
+		r.unwind()
+		*r = readOp{}
+		readOps.Put(r)
+	}()
+	s := r.s
+	if r.next == waitAdmission {
+		ok, wait := s.limiter.AwaitSlot()
+		if !ok {
+			return rpc.LeasedResp{Status: StatusOverloaded}
+		}
+		r.slot = true
+		if lr, done := r.probe(payload, connWait, wait); done {
+			return lr
+		}
+	} else if connWait > 0 {
+		r.sp.AnnotateDuration("conn_queue_ns", connWait)
+	}
+	if r.next == waitDevice {
 		// One blocking wait covers slot queueing and service; the queue
 		// share is what the device computed at admission, so reporting it
 		// costs the untraced path (sp == nil) no clock read.
-		size, _ := s.nvme.Size(req.Path)
-		sp.AnnotateDuration("device_wait_ns", s.device.Read(size))
+		size, _ := s.nvme.Size(r.req.Path)
+		r.sp.AnnotateDuration("device_wait_ns", s.device.Read(size))
+		r.st = r.sp.StartChild("storage.read")
+		data, err := s.nvme.Get(r.req.Path)
+		if err == nil {
+			return r.end(r.serve(data, SourceNVMe))
+		}
 	}
-	st := sp.StartChild("storage.read")
-	source := SourceNVMe
-	data, err := s.nvme.Get(req.Path)
+	data, err, shared := s.fill.Do(s.baseCtx, r.req.Path, (*missFetcher)(s))
+	if shared {
+		r.st.Annotate("coalesced", "true")
+	}
 	if err != nil {
-		var shared bool
-		data, err, shared = s.fill.Do(s.baseCtx, req.Path, (*missFetcher)(s))
-		if shared {
-			st.Annotate("coalesced", "true")
-		}
-		if err != nil {
-			st.SetErrorString("not found")
-			st.End()
-			sp.SetErrorString("not found")
-			return rpc.LeasedResp{Status: StatusNotFound, Head: []byte(req.Path)}
-		}
-		source = SourcePFS
+		r.st.SetErrorString("not found")
+		r.st.End()
+		r.sp.SetErrorString("not found")
+		return r.end(rpc.LeasedResp{Status: StatusNotFound, Head: []byte(r.req.Path)})
 	}
-	if s.ram != nil && s.ram.Admit(req.Path, data) {
-		st.Annotate("promoted", "ram")
+	return r.end(r.serve(data, SourcePFS))
+}
+
+// ramHit serves a RAM hit: no device-slot wait, no storage read. The
+// lease rides the response and is released only after the flush.
+func (r *readOp) ramHit(lease *memtier.Lease) rpc.LeasedResp {
+	hs := r.sp.StartChild("memtier.hit")
+	body, inRange := slice(lease.Bytes(), r.req.Offset, r.req.Length)
+	if !inRange {
+		lease.Release()
+		hs.SetErrorString("range out of bounds")
+		hs.End()
+		r.sp.SetErrorString("range out of bounds")
+		return rpc.LeasedResp{Status: StatusError, Head: []byte("range out of bounds")}
 	}
-	st.Annotate("source", sourceName(source))
-	st.End()
-	body, ok := slice(data, req.Offset, req.Length)
+	hs.AnnotateInt("bytes", int64(len(body)))
+	hs.End()
+	r.s.ramServed.Add(1)
+	resp := ReadResp{Source: SourceRAM, FileSize: lease.Size(), Data: body}
+	return rpc.LeasedResp{Status: rpc.StatusOK, Head: resp.marshalHead(), Ext: body, Release: lease.Release}
+}
+
+// serve answers with a stored object, offering it to the RAM tier.
+func (r *readOp) serve(data []byte, source uint8) rpc.LeasedResp {
+	if r.s.ram != nil && r.s.ram.Admit(r.req.Path, data) {
+		r.st.Annotate("promoted", "ram")
+	}
+	r.st.Annotate("source", sourceName(source))
+	r.st.End()
+	body, ok := slice(data, r.req.Offset, r.req.Length)
 	if !ok {
-		sp.SetErrorString("range out of bounds")
+		r.sp.SetErrorString("range out of bounds")
 		return rpc.LeasedResp{Status: StatusError, Head: []byte("range out of bounds")}
 	}
 	resp := ReadResp{Source: source, FileSize: int64(len(data)), Data: body}
 	return rpc.LeasedResp{Status: rpc.StatusOK, Head: resp.marshalHead(), Ext: body}
+}
+
+// end closes the read: its span ends and its admission slot, if it
+// holds one, is released.
+func (r *readOp) end(lr rpc.LeasedResp) rpc.LeasedResp {
+	r.sp.End()
+	if r.slot {
+		r.slot = false
+		r.s.limiter.Release()
+	}
+	return lr
+}
+
+// unwind, deferred by both stages, ends a read a panic cut short — the
+// RPC server recovers the panic and answers the one request with an
+// error, and the read must not keep its admission slot, or every such
+// bug would shrink the node's read capacity for good. After a read
+// ended or parked there is nothing left to do: spans end once, and the
+// slot is gone.
+func (r *readOp) unwind() {
+	r.st.End()
+	r.end(rpc.LeasedResp{})
 }
 
 // missFetcher is the body of the miss flight; the pointer conversion

@@ -74,23 +74,57 @@ func (l *Limiter) Acquire() bool {
 // requests too (how long the request was held before being turned
 // away).
 func (l *Limiter) AcquireWait() (bool, time.Duration) {
+	switch l.TryAcquire() {
+	case Admitted:
+		return true, 0
+	case Shed:
+		return false, 0
+	}
+	return l.AwaitSlot()
+}
+
+// Admission is what TryAcquire decided.
+type Admission uint8
+
+const (
+	// Admitted: a service slot is held; pair it with a Release.
+	Admitted Admission = iota
+	// Shed: turn the request away now.
+	Shed
+	// Queued: a place in the wait line is held; finish with AwaitSlot.
+	Queued
+)
+
+// TryAcquire is the half of AcquireWait that never blocks: it claims a
+// free service slot, sheds, or takes a place in the wait line — the
+// decision a server makes on the goroutine that read the request,
+// leaving only the queue wait (AwaitSlot) to one that may block.
+func (l *Limiter) TryAcquire() Admission {
 	if l.overSoft() {
 		l.shed.Add(1)
-		return false, 0
+		return Shed
 	}
 	select {
 	case l.tokens <- struct{}{}:
 		l.admitted.Add(1)
-		return true, 0
+		return Admitted
 	default:
 	}
 	select {
 	case l.waiters <- struct{}{}:
+		l.queued.Add(1)
+		return Queued
 	default:
 		l.shed.Add(1)
-		return false, 0
+		return Shed
 	}
-	l.queued.Add(1)
+}
+
+// AwaitSlot is the waiting half of AcquireWait, for a request
+// TryAcquire queued: it waits up to maxWait for a service slot, gives
+// up the place in line either way, and reports the wait. A true return
+// must be paired with a Release.
+func (l *Limiter) AwaitSlot() (bool, time.Duration) {
 	t0 := time.Now()
 	t := time.NewTimer(l.maxWait)
 	defer t.Stop()

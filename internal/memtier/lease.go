@@ -9,7 +9,7 @@ import "sync/atomic"
 // reachable; there is no buffer to recycle underneath a reader.
 // Exactly one Release per lease: it is what ActiveLeases counts down,
 // and the poollease analyzer enforces the discipline at lint time, the
-// same way it does for wire.ReadFramePooled.
+// same way it does for wire.FrameReader.ReadFramePooled.
 type Lease struct {
 	tier     *Tier
 	data     []byte

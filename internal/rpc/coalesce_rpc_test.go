@@ -70,14 +70,36 @@ func (h *blockableHandler) Handle(op uint16, payload []byte) (uint16, []byte) {
 	return StatusOK, payload
 }
 
+// stagedBlockable is blockableHandler split in two: nothing is answered
+// inline, every request parks in its continuation.
+type stagedBlockable struct{ *blockableHandler }
+
+func (h stagedBlockable) Stage(uint16, []byte) (LeasedResp, Continuation) { return LeasedResp{}, h }
+
+func (h stagedBlockable) Continue(op uint16, payload []byte, _ time.Duration) LeasedResp {
+	status, resp := h.Handle(op, payload)
+	return LeasedResp{Status: status, Head: resp}
+}
+
 // TestServeConnBoundsHandlerFanout: more concurrent requests than
-// MaxConnConcurrency on one conn must not spawn more than
-// MaxConnConcurrency handler goroutines — the overflow queues in the
-// read loop and completes once handlers drain.
+// MaxConnConcurrency on one conn must not run more than
+// MaxConnConcurrency continuations at once — a plain Handler's requests
+// and a StagedHandler's continuations alike; the overflow queues in the
+// connection's reader and completes once continuations drain.
 func TestServeConnBoundsHandlerFanout(t *testing.T) {
-	h := &blockableHandler{release: make(chan struct{})}
+	t.Run("plain", func(t *testing.T) {
+		h := &blockableHandler{release: make(chan struct{})}
+		testFanoutBound(t, h, h)
+	})
+	t.Run("staged", func(t *testing.T) {
+		h := &blockableHandler{release: make(chan struct{})}
+		testFanoutBound(t, stagedBlockable{h}, h)
+	})
+}
+
+func testFanoutBound(t *testing.T, handler Handler, h *blockableHandler) {
 	network := NewInprocNetwork()
-	srv := NewServer(h)
+	srv := NewServer(handler)
 	lis, err := network.Listen("bound")
 	if err != nil {
 		t.Fatal(err)

@@ -212,6 +212,13 @@ func (c *stalledConn) SetWriteDeadline(t time.Time) error {
 // blocked Write from a busy writer), so does one queued behind it, and
 // the connection must then fail later calls at once instead of letting
 // them queue behind the stall.
+//
+// The order in expire matters: it fails the client before it releases
+// the blocked Write with a past write deadline. Released first, a
+// stalled caller that came back and called again in between found the
+// client healthy, became the flusher of a new Write on the same
+// deadline and got ErrTimeout instead of ErrClosed — why this test
+// failed about one run in ten on a loaded machine.
 func TestStuckWriteTimesOut(t *testing.T) {
 	near, far := NewBufferedPipe("stalled")
 	defer far.Close()
@@ -248,8 +255,11 @@ func TestStuckWriteTimesOut(t *testing.T) {
 	}
 }
 
-// TestCloseLeavesNothingBehind: Close fails the calls still in the
-// table, stops the expiry timer and lets the read loop exit.
+// TestCloseLeavesNothingBehind: the Client has no goroutine of its own,
+// so all Close must end is what its callers hold. The pending call here
+// is the one reading the connection: Close fails it — the closed conn
+// ends its blocked Read — leaves nobody holding the reading role, stops
+// the expiry timer, and no goroutine is left behind.
 func TestCloseLeavesNothingBehind(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	cli := selectiveServer(t)
@@ -261,9 +271,9 @@ func TestCloseLeavesNothingBehind(t *testing.T) {
 		_, _, err := cli.CallTimeout(context.Background(), opDrop, nil, time.Now(), time.Minute)
 		pending <- err
 	}()
-	for n := 0; n == 0; time.Sleep(time.Millisecond) {
+	for reading := false; !reading; time.Sleep(time.Millisecond) {
 		cli.mu.Lock()
-		n = len(cli.pending)
+		reading = cli.reader != nil
 		cli.mu.Unlock()
 	}
 	cli.Close()
@@ -272,6 +282,9 @@ func TestCloseLeavesNothingBehind(t *testing.T) {
 	}
 	cli.mu.Lock()
 	defer cli.mu.Unlock()
+	if cli.reader != nil || len(cli.pending) != 0 {
+		t.Errorf("after Close: reader %p, %d calls pending; want none", cli.reader, len(cli.pending))
+	}
 	if cli.timer == nil {
 		t.Fatal("no expiry timer was ever armed")
 	}
@@ -282,9 +295,9 @@ func TestCloseLeavesNothingBehind(t *testing.T) {
 
 // TestRoundtripAllocs is the ceiling on the steady-state round trip over
 // the in-process pipe with a 4 KiB reply, counted across both ends: the
-// reply payload the caller keeps, the server's per-request goroutine
-// closure, and one spare. A timer, a derived context or a channel per
-// call does not fit under it.
+// reply payload the caller keeps, the goroutine closure of the plain
+// Handler's whole continuation, and one spare. A timer, a derived
+// context or a channel per call does not fit under it.
 func TestRoundtripAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")

@@ -25,7 +25,7 @@ type rpcMetrics struct {
 	serverFlushes   *telemetry.Counter // server-side response flushes
 	serverFrames    *telemetry.Counter // server-side response frames
 	serverCoalesced *telemetry.Counter // response frames that shared a flush
-	respDropped     *telemetry.Counter // computed responses lost to a write error
+	respDropped     *telemetry.Counter // computed responses lost to a write error (a response parked behind another goroutine's failed flush goes uncounted)
 }
 
 var (

@@ -8,10 +8,14 @@
 //     with an "unresponsive" switch used by the failure-injection harness
 //     to emulate a node that is up at the TCP level but no longer answers
 //     (the network-timeout failure mode §III classifies as node failure).
-//   - Client: a multiplexing client whose calls carry deadlines as a
-//     column of its pending-call table, expired by one timer per
-//     connection. A deadline expiry surfaces as ErrTimeout, the signal
-//     the HVAC client's timeout-counting failure detector consumes.
+//     The connection's reading goroutine answers whatever needs no wait
+//     itself; only the waiting rest of a request gets a goroutine.
+//   - Client: a multiplexing client with no goroutine of its own: a
+//     caller waiting for its reply reads frames off the connection
+//     itself. Calls carry deadlines as a column of its pending-call
+//     table, expired by one timer per connection. A deadline expiry
+//     surfaces as ErrTimeout, the signal the HVAC client's
+//     timeout-counting failure detector consumes.
 //   - Network interfaces over TCP and an in-process pipe network so whole
 //     clusters can run inside one test binary.
 package rpc
@@ -63,17 +67,6 @@ func (f HandlerFunc) Handle(op uint16, payload []byte) (uint16, []byte) {
 	return f(op, payload)
 }
 
-// WaitHandler is an optional extension a Handler may implement to
-// learn how long a request sat in the per-connection fan-out queue
-// (the serveConn concurrency semaphore) before its goroutine started.
-// Request tracing attributes that wait to the "queue" component of
-// p99; a plain Handler never sees it. connWait is zero when the
-// semaphore had a free slot (the common case — measured without a
-// clock read).
-type WaitHandler interface {
-	HandleWait(op uint16, payload []byte, connWait time.Duration) (status uint16, resp []byte)
-}
-
 // LeasedResp is a response whose payload tail is a zero-copy lease:
 // the wire payload is Head||Ext, where Head is copied into the shared
 // flush buffer as usual and Ext is spliced into the flush directly
@@ -89,19 +82,47 @@ type LeasedResp struct {
 	Release func()
 }
 
-// LeasedHandler is the optional Handler extension for zero-copy leased
-// responses. When implemented, the server dispatches every request
-// through HandleLeased instead of Handle/HandleWait. Implementations
-// must not panic between acquiring a lease and returning it in the
-// LeasedResp — a panic unwinds past the server's recovery without the
-// Release ever reaching the writer, leaking the lease.
-type LeasedHandler interface {
-	HandleLeased(op uint16, payload []byte, connWait time.Duration) LeasedResp
+// StagedHandler is the optional Handler extension that splits a request
+// at its first wait. The connection's reading goroutine calls Stage, so
+// Stage must never block: it either answers (cont == nil) — a warm
+// cache hit never leaves the reader — or returns the waiting rest of
+// the request as a Continuation, which the server runs on a goroutine
+// of its own under MaxConnConcurrency. Either way the response may
+// carry a zero-copy lease. A plain Handler is served as one whole
+// continuation. A panic in either stage is recovered and answered with
+// StatusPanic, so anything a handler holds across the split (an
+// admission slot, say) it must give back on that path itself, from a
+// defer. Implementations must not panic between acquiring a lease and
+// returning it in the LeasedResp — a panic unwinds past the server's
+// recovery without the Release ever reaching the writer, leaking the
+// lease.
+type StagedHandler interface {
+	Handler
+	Stage(op uint16, payload []byte) (LeasedResp, Continuation)
+}
+
+// Continuation is the waiting rest of a request that Stage split off.
+// Continue is called once, with the request's op and payload (still
+// leased, under Handler's buffer rules) and connWait, the time the
+// request waited for a fan-out slot: zero when one was free, which is
+// measured without a clock read. It may block.
+type Continuation interface {
+	Continue(op uint16, payload []byte, connWait time.Duration) LeasedResp
+}
+
+// whole serves a plain Handler: every request is one whole continuation.
+type whole struct{ Handler }
+
+func (w *whole) Stage(uint16, []byte) (LeasedResp, Continuation) { return LeasedResp{}, w }
+
+func (w *whole) Continue(op uint16, payload []byte, _ time.Duration) LeasedResp {
+	status, resp := w.Handle(op, payload)
+	return LeasedResp{Status: status, Head: resp}
 }
 
 // Server accepts framed-RPC connections and dispatches requests.
 type Server struct {
-	handler Handler
+	handler StagedHandler
 
 	mu           sync.Mutex
 	lis          net.Listener
@@ -113,7 +134,11 @@ type Server struct {
 
 // NewServer creates a Server dispatching to handler.
 func NewServer(handler Handler) *Server {
-	return &Server{handler: handler, conns: make(map[net.Conn]struct{})}
+	sh, ok := handler.(StagedHandler)
+	if !ok {
+		sh = &whole{handler}
+	}
+	return &Server{handler: sh, conns: make(map[net.Conn]struct{})}
 }
 
 // SetUnresponsive toggles fault-injection mode: while set, the server
@@ -159,13 +184,20 @@ func (s *Server) Serve(lis net.Listener) error {
 	}
 }
 
-// MaxConnConcurrency bounds the per-connection handler fan-out: at most
-// this many request goroutines run per conn; past the bound the read
-// loop itself blocks, so a write burst turns into TCP backpressure the
-// sender feels instead of an unbounded goroutine pile the admission
+// MaxConnConcurrency bounds the per-connection fan-out: at most this
+// many continuations run per conn; past the bound the connection's
+// reader itself blocks, so a write burst turns into TCP backpressure
+// the sender feels instead of an unbounded goroutine pile the admission
 // controller never saw.
 const MaxConnConcurrency = 256
 
+// serveConn is the connection's reading goroutine. It stages each
+// request itself and writes the answer when Stage gave one; only a
+// request with a continuation gets a goroutine. Responses from the
+// reader and from continuations group-commit: whoever finishes while
+// another response is mid-write parks its frame in the shared buffer
+// and goes on without waiting, and one Write flushes them all (see
+// wire.CoalescedWriter).
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -175,18 +207,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	m := metrics()
-	// Responses from concurrent handlers group-commit: whoever finishes
-	// while another response is mid-write parks its frame in the shared
-	// buffer, and one Write flushes them all (see wire.CoalescedWriter).
 	cw := wire.NewCoalescedWriter(conn, serverFlushObserver(m))
-	lh, _ := s.handler.(LeasedHandler)
+	fr := wire.NewFrameReader(conn, 0)
 	sem := make(chan struct{}, MaxConnConcurrency)
 	for {
 		// The request body is leased from the wire buffer pool, so the
-		// steady-state receive path allocates nothing per frame. The lease
-		// is released once the handler has run and its response (which may
-		// alias the request payload) has been written.
-		f, lease, err := wire.ReadFramePooled(conn, 0)
+		// steady-state receive path allocates nothing per frame, and a
+		// small request arrives in one Read. The lease is released once
+		// the request's response (which may alias the request payload)
+		// has been written.
+		f, lease, err := fr.ReadFramePooled()
 		if err != nil {
 			return
 		}
@@ -196,7 +226,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			lease.Release()
 			continue
 		}
-		req := f
+		lr, cont := s.stage(f.Op, f.Payload)
+		if cont == nil {
+			s.reply(cw, m, f.ID, f.Op, lr)
+			lease.Release()
+			continue
+		}
 		// Acquire a fan-out slot, timing the wait only when the fast
 		// path misses: the try-send costs no clock read, so an idle
 		// semaphore (the steady state) adds nothing to the hot path.
@@ -208,58 +243,35 @@ func (s *Server) serveConn(conn net.Conn) {
 			sem <- struct{}{}
 			connWait = time.Since(t0)
 		}
+		id, op, payload := f.ID, f.Op, f.Payload
 		go func() {
 			defer func() { <-sem }()
 			defer lease.Release()
-			if lh != nil {
-				// Leased-response path: the handler may return a payload
-				// tail it still owns; the coalescing writer splices it
-				// into the flush and fires Release once the bytes are on
-				// the wire (or the flush is abandoned) — the lease
-				// outlives this goroutine.
-				lr := s.safeHandleLeased(lh, req.Op, req.Payload, connWait)
-				if s.unresponsive.Load() {
-					if lr.Release != nil {
-						lr.Release()
-					}
-					return
-				}
-				out := wire.Frame{
-					Type:    wire.TypeResponse,
-					ID:      req.ID,
-					Op:      req.Op,
-					Status:  lr.Status,
-					Payload: lr.Head,
-				}
-				var werr error
-				if lr.Ext != nil || lr.Release != nil {
-					werr = cw.WriteFrameExt(&out, lr.Ext, lr.Release)
-				} else {
-					werr = cw.WriteFrame(&out)
-				}
-				if werr != nil {
-					m.respDropped.Inc()
-				}
-				return
-			}
-			status, resp := s.safeHandle(req.Op, req.Payload, connWait)
-			if s.unresponsive.Load() {
-				return // became unresponsive while handling
-			}
-			out := wire.Frame{
-				Type:    wire.TypeResponse,
-				ID:      req.ID,
-				Op:      req.Op,
-				Status:  status,
-				Payload: resp,
-			}
-			if werr := cw.WriteFrame(&out); werr != nil {
-				// The conn failure also surfaces on the next read; the
-				// counter records that a computed response was dropped —
-				// historically this was a silent `_ =`.
-				m.respDropped.Inc()
-			}
+			s.reply(cw, m, id, op, s.resume(cont, op, payload, connWait))
 		}()
+	}
+}
+
+// reply writes the response to request id. A leased payload tail is
+// spliced into the flush, and its Release fires once the bytes are on
+// the wire (or the flush is abandoned) — the lease outlives the caller.
+// Behind another goroutine's flush it returns once the frame is queued
+// (wire.CoalescedWriter), which the connection's reader relies on: that
+// flush may be blocked on a client that is itself blocked writing the
+// next request to this reader. A server that turned unresponsive while
+// the request ran drops the response.
+func (s *Server) reply(cw *wire.CoalescedWriter, m *rpcMetrics, id uint64, op uint16, lr LeasedResp) {
+	if s.unresponsive.Load() {
+		if lr.Release != nil {
+			lr.Release()
+		}
+		return
+	}
+	out := wire.Frame{Type: wire.TypeResponse, ID: id, Op: op, Status: lr.Status, Payload: lr.Head}
+	if err := cw.WriteFrameExt(&out, lr.Ext, lr.Release); err != nil {
+		// The conn failure also surfaces on the next read; the counter
+		// records that a computed response was dropped.
+		m.respDropped.Inc()
 	}
 }
 
@@ -269,29 +281,30 @@ func (s *Server) serveConn(conn net.Conn) {
 // that request.
 const StatusPanic uint16 = 0xFFFF
 
-func (s *Server) safeHandle(op uint16, payload []byte, connWait time.Duration) (status uint16, resp []byte) {
-	defer func() {
-		if r := recover(); r != nil {
-			status = StatusPanic
-			resp = []byte(fmt.Sprintf("handler panic: %v", r))
-		}
-	}()
-	if wh, ok := s.handler.(WaitHandler); ok {
-		return wh.HandleWait(op, payload, connWait)
-	}
-	return s.handler.Handle(op, payload)
+// panicResp is the plain (lease-free) response to a recovered panic;
+// see StagedHandler for the no-panic-while-holding-a-lease contract.
+func panicResp(r any) LeasedResp {
+	return LeasedResp{Status: StatusPanic, Head: []byte(fmt.Sprintf("handler panic: %v", r))}
 }
 
-// safeHandleLeased is safeHandle for the leased-response dispatch path.
-// A recovered panic yields a plain (lease-free) StatusPanic response;
-// see LeasedHandler for the no-panic-while-holding-a-lease contract.
-func (s *Server) safeHandleLeased(lh LeasedHandler, op uint16, payload []byte, connWait time.Duration) (lr LeasedResp) {
+// stage runs the handler's non-waiting stage, recovering a panic.
+func (s *Server) stage(op uint16, payload []byte) (lr LeasedResp, cont Continuation) {
 	defer func() {
 		if r := recover(); r != nil {
-			lr = LeasedResp{Status: StatusPanic, Head: []byte(fmt.Sprintf("handler panic: %v", r))}
+			lr, cont = panicResp(r), nil
 		}
 	}()
-	return lh.HandleLeased(op, payload, connWait)
+	return s.handler.Stage(op, payload)
+}
+
+// resume runs a continuation, recovering a panic.
+func (s *Server) resume(cont Continuation, op uint16, payload []byte, connWait time.Duration) (lr LeasedResp) {
+	defer func() {
+		if r := recover(); r != nil {
+			lr = panicResp(r)
+		}
+	}()
+	return cont.Continue(op, payload, connWait)
 }
 
 // Close stops accepting, closes all connections, and waits for
@@ -315,28 +328,38 @@ func (s *Server) Close() {
 
 // pendingCall is one row of a Client's pending-call table.
 type pendingCall struct {
-	// ch carries the call's outcome: the response frame from the read
-	// loop, or a zero frame from the expiry path when the deadline
-	// passed first. Whoever sends has removed the row under Client.mu
-	// beforehand, so a row's channel sees at most one send (or, on
-	// connection failure, one close).
+	// ch carries the call's outcome when another goroutine settles it:
+	// the response frame from the reading caller, or a zero frame from
+	// expire when the deadline passed first. Whoever sends has removed
+	// the row under Client.mu beforehand, so a row's channel sees at most
+	// one send (or, on connection failure, one close).
 	ch chan wire.Frame
+	// turn hands the call the reading role. The one send, made under
+	// Client.mu by handoffLocked, goes only to a written row while nobody
+	// reads, so a call ever holds at most one token.
+	turn chan struct{}
 	// deadline is when the call expires with ErrTimeout; zero means
 	// never. Set before the row is inserted, read under Client.mu.
 	deadline time.Time
-	// written is set once WriteFrame returned. An overdue row without it
-	// has a caller that is not waiting on ch yet, possibly blocked in a
-	// flush: expire keeps it and watches the writer instead.
-	written atomic.Bool
+	// written is set under Client.mu once WriteFrame returned: the
+	// request is on the wire or queued behind the flush in progress, and
+	// the caller waits for an outcome. An overdue row without it has a
+	// caller still inside WriteFrame, the flusher, possibly blocked in
+	// Write: expire keeps it and watches the writer instead. Only a
+	// written call is handed the reading role — every caller but the
+	// flusher can take it, so a flush never waits on a server whose
+	// replies nobody reads.
+	written bool
 }
 
-// callPool recycles pendingCall structs (and their outcome channels)
-// across Calls. A pendingCall returns to the pool only after its single
-// outcome has been received: a call abandoned on context cancellation,
-// write failure or connection failure may still see a late send or a
-// close on its channel, so those are left to the GC instead.
+// callPool recycles pendingCall structs (and their channels) across
+// Calls. A pendingCall returns to the pool only after its single
+// outcome has been settled with nothing left in flight towards it: a
+// call abandoned on context cancellation, write failure or connection
+// failure may still see a late send or a close on its channel, so those
+// are left to the GC instead.
 var callPool = sync.Pool{
-	New: func() any { return &pendingCall{ch: make(chan wire.Frame, 1)} },
+	New: func() any { return &pendingCall{ch: make(chan wire.Frame, 1), turn: make(chan struct{}, 1)} },
 }
 
 func acquireCall(deadline time.Time) *pendingCall {
@@ -346,13 +369,33 @@ func acquireCall(deadline time.Time) *pendingCall {
 	default:
 	}
 	p.deadline = deadline
-	p.written.Store(false)
+	p.written = false
 	return p
 }
 
 // Client is a multiplexing RPC client over a single connection. Calls
 // may be issued concurrently from any goroutine; requests issued while
 // another caller's frame is on the wire coalesce into a single write.
+//
+// The Client has no goroutine of its own: callers read their replies.
+// A caller whose request is written — sent, or queued behind another
+// caller's flush — and who finds nobody reading takes the reading role
+// and reads frames until its own reply comes, passing every other
+// caller's reply to its row's channel. A lone caller thus writes, reads
+// and returns on its own goroutine. Once its outcome is settled, the
+// reader hands the role to one other written call still waiting, if
+// there is one; nobody reads while no call is pending. A reader whose
+// deadline passes or whose ctx ends is woken by a read deadline in the
+// past, and the FrameReader keeps a partly read frame for the next
+// reader, so the stream never desynchronizes.
+//
+// Only the caller flushing cannot read, so a flush that carries other
+// callers' requests always has one of them reading: a server that
+// answers on its connection's reader, and stops reading while its reply
+// is blocked, is always drained. What is left is a lone caller flushing
+// a request larger than the socket buffers while the server is blocked
+// on more than the buffers' worth of replies to calls that have already
+// given up; the caller's deadline then fails the connection (expire).
 //
 // Deadlines are a column of the pending-call table, not a timer per
 // call. One timer per connection is armed to the earliest deadline it
@@ -363,58 +406,46 @@ func acquireCall(deadline time.Time) *pendingCall {
 type Client struct {
 	conn   net.Conn
 	cw     *wire.CoalescedWriter
+	fr     *wire.FrameReader // used by the reading caller only
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
 	pending map[uint64]*pendingCall
 	err     error // terminal connection error
-	done    chan struct{}
-	timer   *time.Timer // runs expire; created by the first call with a deadline
-	armed   time.Time   // when timer will next fire; zero while it is idle
+	// reader is the call holding the reading role; nil while nobody reads.
+	reader *pendingCall
+	// interrupted is set while a read deadline in the past is on the conn
+	// to wake the reader; whoever next holds mu as the reader clears it.
+	interrupted bool
+	timer       *time.Timer // runs expire; created by the first call with a deadline
+	armed       time.Time   // when timer will next fire; zero while it is idle
 	// watched is the flush expire last saw in flight with an overdue call
 	// still inside the writer; zero (no flush has that ordinal) otherwise.
 	watched uint64
 }
 
-// NewClient wraps an established connection and starts the read loop.
+// NewClient wraps an established connection. It starts no goroutine.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{
+	return &Client{
 		conn:    conn,
 		cw:      wire.NewCoalescedWriter(conn, clientFlushObserver(metrics())),
+		fr:      wire.NewFrameReader(conn, 0),
 		pending: make(map[uint64]*pendingCall),
-		done:    make(chan struct{}),
-	}
-	go c.readLoop()
-	return c
-}
-
-func (c *Client) readLoop() {
-	for {
-		f, err := wire.ReadFrame(c.conn, 0)
-		if err != nil {
-			c.failAll(fmt.Errorf("%w: %v", ErrClosed, err))
-			return
-		}
-		if f.Type != wire.TypeResponse {
-			continue
-		}
-		c.mu.Lock()
-		p := c.pending[f.ID]
-		delete(c.pending, f.ID)
-		c.mu.Unlock()
-		if p != nil {
-			p.ch <- f // buffered; never blocks
-		}
 	}
 }
 
+// failAll marks the connection failed with err (the first error wins),
+// stops the expiry timer, fails every call in the table and wakes the
+// reader, who finds its row gone.
 func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
-		close(c.done)
 		if c.timer != nil {
 			c.timer.Stop() // an expire already running sees c.err and returns
+		}
+		if c.reader != nil {
+			c.interruptLocked()
 		}
 	}
 	for id, p := range c.pending {
@@ -434,6 +465,71 @@ func (c *Client) armLocked(deadline time.Time) {
 	}
 }
 
+// longAgo is the read deadline that interrupts a reader: any instant in
+// the past fails a blocked Read at once, and a constant one costs no
+// clock read.
+var longAgo = time.Unix(1, 0)
+
+// interruptLocked wakes the reader out of a blocked Read. Caller holds
+// c.mu.
+func (c *Client) interruptLocked() {
+	if !c.interrupted {
+		c.interrupted = true
+		_ = c.conn.SetReadDeadline(longAgo) // a failed conn fails the Read anyway
+	}
+}
+
+// uninterruptLocked clears an interrupt's read deadline. Caller holds
+// c.mu and is, or is taking over from, the reader.
+func (c *Client) uninterruptLocked() {
+	if c.interrupted {
+		c.interrupted = false
+		_ = c.conn.SetReadDeadline(time.Time{})
+	}
+}
+
+// interrupt wakes p's read, if p is the reader: how a reading caller's
+// ctx ends its wait.
+func (c *Client) interrupt(p *pendingCall) {
+	c.mu.Lock()
+	if c.reader == p {
+		c.interruptLocked()
+	}
+	c.mu.Unlock()
+}
+
+// handoffLocked gives the reading role to one written call still in the
+// table, if there is one. Caller holds c.mu, and nobody reads.
+func (c *Client) handoffLocked() {
+	for _, q := range c.pending {
+		if q.written {
+			c.reader = q
+			select {
+			case q.turn <- struct{}{}:
+			default: // never full: see pendingCall.turn
+			}
+			return
+		}
+	}
+}
+
+// leave ends p's part in the table: its row is dropped if it is still
+// there, and the reading role, if p holds it, passes on.
+func (c *Client) leave(id uint64, p *pendingCall) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	if c.reader == p {
+		c.reader = nil
+		c.uninterruptLocked()
+		c.handoffLocked()
+	}
+	c.mu.Unlock()
+	select { // a token handed over before p's outcome settled
+	case <-p.turn:
+	default:
+	}
+}
+
 // stuckGrace is how long expire waits between its two looks at a flush
 // that an overdue call is still waiting on before it calls the flush
 // stuck. A healthy Write returns in microseconds; one that has not
@@ -445,19 +541,21 @@ const stuckGrace = 2 * time.Millisecond
 // passed and re-arms the timer to the earliest deadline still pending,
 // leaving it idle when there is none (the next call with a deadline arms
 // it again). It decides from the table alone, so a firing that raced a
-// re-arm is harmless.
+// re-arm is harmless. An overdue call that holds the reading role is
+// blocked in Read, not on its channel: expire interrupts the read.
 //
 // This is also the only place the conn's write deadline is ever set. An
-// overdue call whose request has not left WriteFrame stays in the table
-// — its caller is not listening for an outcome yet — and is looked at
-// again every stuckGrace. Usually its write has finished by then and it
+// overdue call still inside WriteFrame — the flusher, not listening for
+// an outcome yet — stays in the table and is looked at again every
+// stuckGrace. Usually its write has finished by then and it
 // expires like any other. If instead the writer is found in the same
 // flush on two successive looks, that Write is blocked on a peer that
-// stopped reading, and only failing it gets the callers back: the write
-// deadline is set in the past and never cleared, so the blocked callers
-// return ErrTimeout, and the connection, whose stream may now end
-// mid-frame, is failed so later calls return ErrClosed at once instead
-// of queueing behind the stall.
+// stopped reading, and only failing it gets the callers back. The
+// connection, whose stream may now end mid-frame, is failed first, so
+// that a caller released by the failed Write who calls again gets
+// ErrClosed at once instead of queueing behind the stall; then the write
+// deadline is set in the past and never cleared, and the blocked callers
+// return ErrTimeout.
 func (c *Client) expire() {
 	now := time.Now()
 	flush, flushing := c.cw.Flushing()
@@ -476,11 +574,14 @@ func (c *Client) expire() {
 			if next.IsZero() || p.deadline.Before(next) {
 				next = p.deadline
 			}
-		case !p.written.Load():
+		case !p.written:
 			unwritten = true
 		default:
 			delete(c.pending, id)
 			overdue = append(overdue, p)
+			if p == c.reader {
+				c.interruptLocked()
+			}
 		}
 	}
 	stuck := false
@@ -504,8 +605,8 @@ func (c *Client) expire() {
 		p.ch <- wire.Frame{} // buffered; never blocks
 	}
 	if stuck {
-		_ = c.conn.SetWriteDeadline(now) // the conn is failed next; nothing to do with an error here
 		c.failAll(fmt.Errorf("%w: write blocked past a call's deadline", ErrClosed))
+		_ = c.conn.SetWriteDeadline(now) // the conn is failed already; nothing to do with an error here
 	}
 }
 
@@ -550,8 +651,8 @@ func (c *Client) do(ctx context.Context, op uint16, payload []byte, start, deadl
 }
 
 // call is the uninstrumented body of do. On the happy path it reads no
-// clock, touches no timer and allocates nothing but what ReadFrame
-// allocated for the response.
+// clock, touches no timer and allocates nothing but the response
+// payload; a lone caller also touches no channel.
 func (c *Client) call(ctx context.Context, op uint16, payload []byte, deadline time.Time) (resp []byte, status uint16, err error) {
 	id := c.nextID.Add(1)
 	p := acquireCall(deadline)
@@ -569,46 +670,130 @@ func (c *Client) call(ctx context.Context, op uint16, payload []byte, deadline t
 	c.mu.Unlock()
 
 	// The coalescing writer batches this frame with any concurrent
-	// callers' frames into one Write. It sets no write deadline; if the
-	// Write blocks past this call's deadline, expire unblocks it.
+	// callers' frames into one Write. Behind another caller's flush it
+	// returns at once, leaving the frame to that flusher, so this caller
+	// is free to read while the flush goes out: the flush may be waiting
+	// for the server, and the server for someone here to read its
+	// replies. It sets no write deadline; if a Write blocks past this
+	// call's deadline, expire unblocks it.
 	f := wire.Frame{Type: wire.TypeRequest, ID: id, Op: op, Payload: payload}
 	if werr := c.cw.WriteFrame(&f); werr != nil {
-		c.forget(id)
+		c.leave(id, p)
 		if isTimeoutErr(werr) {
 			return nil, 0, fmt.Errorf("%w: write: %v", ErrTimeout, werr)
 		}
 		return nil, 0, fmt.Errorf("%w: write: %v", ErrClosed, werr)
 	}
-	p.written.Store(true)
 
+	c.mu.Lock()
+	p.written = true
+	_, waiting := c.pending[id]
+	read := waiting && c.reader == nil
+	if read {
+		c.reader = p
+	}
+	c.mu.Unlock()
+	if read {
+		return c.read(ctx, id, p)
+	}
+	return c.wait(ctx, id, p)
+}
+
+// wait parks a written call until another goroutine settles its outcome
+// or hands it the reading role.
+func (c *Client) wait(ctx context.Context, id uint64, p *pendingCall) ([]byte, uint16, error) {
 	select {
 	case got, ok := <-p.ch:
-		if !ok {
-			return nil, 0, c.terminalErr()
+		select {
+		case <-p.turn: // the role reached p before its outcome did
+			c.leave(id, p)
+		default:
 		}
-		// The sender removed id from pending before the send, so no
-		// further send or close can reach this channel.
-		callPool.Put(p)
-		if got.Type != wire.TypeResponse { // expire's zero frame
-			return nil, 0, ErrTimeout
-		}
-		return got.Payload, got.Status, nil
+		return c.settled(p, got, ok)
+	case <-p.turn:
+		return c.read(ctx, id, p)
 	case <-ctx.Done():
-		c.forget(id)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return nil, 0, ErrTimeout
-		}
-		return nil, 0, ctx.Err()
-	case <-c.done:
-		return nil, 0, c.terminalErr()
+		c.leave(id, p)
+		return nil, 0, ctxErr(ctx)
 	}
 }
 
-// forget drops a call the caller has given up on from the table.
-func (c *Client) forget(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
+// read holds the reading role for p: it reads frames, handing every
+// other caller's reply to its row, until p's own outcome is settled,
+// and then passes the role on. A cancellable ctx is watched by an
+// interrupt, so a lone reader still returns when it ends.
+func (c *Client) read(ctx context.Context, id uint64, p *pendingCall) ([]byte, uint16, error) {
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { c.interrupt(p) })
+		defer stop()
+	}
+	for {
+		f, err := c.fr.ReadFrame()
+		if err != nil {
+			if !isTimeoutErr(err) {
+				c.failAll(fmt.Errorf("%w: %v", ErrClosed, err))
+			}
+			// Interrupted: by expire or failAll, which settled p; by ctx;
+			// or by a cause that has since passed.
+			c.mu.Lock()
+			c.uninterruptLocked()
+			_, waiting := c.pending[id]
+			c.mu.Unlock()
+			if !waiting {
+				got, ok := <-p.ch
+				c.leave(id, p)
+				return c.settled(p, got, ok)
+			}
+			if ctx.Err() != nil {
+				c.leave(id, p)
+				return nil, 0, ctxErr(ctx)
+			}
+			continue
+		}
+		if f.Type != wire.TypeResponse {
+			continue
+		}
+		c.mu.Lock()
+		q := c.pending[f.ID]
+		delete(c.pending, f.ID)
+		if q == p {
+			c.reader = nil
+			c.uninterruptLocked()
+			c.handoffLocked()
+		}
+		c.mu.Unlock()
+		switch q {
+		case p:
+			callPool.Put(p)
+			return f.Payload, f.Status, nil
+		case nil: // a reply to a call that timed out or gave up
+		default:
+			q.ch <- f // buffered; never blocks
+		}
+	}
+}
+
+// settled turns an outcome received on p's channel into Call's results.
+// A closed channel is connection failure; p, whose channel stays
+// closed, is not pooled.
+func (c *Client) settled(p *pendingCall, got wire.Frame, ok bool) ([]byte, uint16, error) {
+	if !ok {
+		return nil, 0, c.terminalErr()
+	}
+	callPool.Put(p)
+	if got.Type != wire.TypeResponse { // expire's zero frame
+		return nil, 0, ErrTimeout
+	}
+	return got.Payload, got.Status, nil
+}
+
+// ctxErr is the error a call cut short by ctx returns: ErrTimeout for a
+// passed ctx deadline, ctx.Err() otherwise.
+func ctxErr(ctx context.Context) error {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return ErrTimeout
+	}
+	return ctx.Err()
 }
 
 func (c *Client) terminalErr() error {

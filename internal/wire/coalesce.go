@@ -17,21 +17,11 @@ var ErrWriterBroken = errors.New("wire: writer broken by partial flush")
 // goroutine-safe and cheap (the callback runs on the flush path).
 type FlushObserver func(frames int, bytes int)
 
-// flushGen is one flush generation: the frames that queued behind an
-// active flusher, encoded into a shared buffer that will leave in a
-// single Write. Every enqueuer of the generation waits on done and reads
-// err afterwards.
-type flushGen struct {
-	done   chan struct{}
-	err    error
-	frames int
-}
-
 // extSeg is one external payload segment spliced into a flush at byte
 // offset off of the encode buffer: the zero-copy tail of a frame written
 // with WriteFrameExt. release fires once the flush attempt carrying the
-// segment has completed (or the generation is abandoned), ending the
-// caller's lease on b.
+// segment has completed (or the queued frames are abandoned), ending
+// the caller's lease on b.
 type extSeg struct {
 	off     int
 	b       []byte
@@ -41,30 +31,37 @@ type extSeg struct {
 // CoalescedWriter turns per-frame writes from many goroutines into
 // group-committed flushes. A caller that finds no flush in progress is
 // its own flusher: it encodes its frame into a pooled buffer and issues
-// the Write itself — no generation, no channel, nothing allocated. A
-// caller that arrives while a flush is on the wire encodes into a shared
-// pending buffer and waits; the active flusher drains that buffer with
-// one Write per generation before it returns. Under concurrency the
-// syscall count amortizes across the batch (writev-style without the
-// iovec plumbing); a lone caller pays one mutex pair over a bare Write.
+// the Write itself — nothing allocated. A caller that arrives while a
+// flush is on the wire encodes into a shared pending buffer and returns
+// at once; the active flusher drains that buffer with one Write per
+// batch before it gives up the role. Under concurrency the syscall
+// count amortizes across the batch (writev-style without the iovec
+// plumbing); a lone caller pays one mutex pair over a bare Write.
 //
-// WriteFrame returns only after the frame's bytes have been handed to
-// the underlying Write, preserving the send-before-wait ordering the
-// RPC layers rely on. The writer never sets a deadline on the
-// connection: a Write that must be bounded is bounded by whoever owns
-// the connection (rpc.Client arms one only when a flush is stuck past a
-// pending call's deadline).
+// A queued caller does not wait for the flush that will carry its
+// frame, because on a connection the flusher may be blocked on the
+// peer, and the peer on the queued caller: an RPC client's caller and
+// a server connection's reader have to go back to reading. So a write
+// call reports the error of a flush it made itself, and only that one;
+// a frame queued behind a flush that fails is lost without a word, and
+// the connection's owner learns of the dead stream from the stream.
+// Either way f and its payload are free again when the call returns;
+// only an ext segment stays leased, until its release fires.
+//
+// The writer never sets a deadline on the connection: a Write that must
+// be bounded is bounded by whoever owns the connection (rpc.Client arms
+// one only when a flush is stuck past a pending call's deadline).
 type CoalescedWriter struct {
 	w  io.Writer
 	ob FlushObserver // nil = no instrumentation
 
-	mu       sync.Mutex
-	pend     *Buf      // frames queued behind the active flusher (nil = none)
-	segs     []extSeg  // external segments spliced into pend's frames
-	gen      *flushGen // waiters for the frames in pend
-	flushing bool      // a flusher is active (owns the scratch below)
-	flushes  uint64    // flushes started, the one in flight included
-	broken   bool      // a partial flush corrupted the stream
+	mu         sync.Mutex
+	pend       *Buf     // frames queued behind the active flusher (nil = none)
+	segs       []extSeg // external segments spliced into pend's frames
+	pendFrames int      // frames in pend
+	flushing   bool     // a flusher is active (owns the scratch below)
+	flushes    uint64   // flushes started, the one in flight included
+	broken     bool     // a partial flush corrupted the stream
 
 	// Scratch of whichever caller holds flushing — only one flusher
 	// exists at a time, so no lock is needed around it. solo carries the
@@ -81,12 +78,12 @@ func NewCoalescedWriter(w io.Writer, ob FlushObserver) *CoalescedWriter {
 	return &CoalescedWriter{w: w, ob: ob}
 }
 
-// WriteFrame encodes f and returns once a flush carrying it completed.
-// A flush error fails every frame in its batch — each caller sees it and
-// classifies it independently, exactly as if its own solo write had
-// failed.
+// WriteFrame writes f: as the flusher, it returns once its flush — and
+// the flushes of every frame that queued behind it meanwhile — are
+// done, with its own flush's error; behind another flusher, once f is
+// queued, with nil.
 func (cw *CoalescedWriter) WriteFrame(f *Frame) error {
-	return cw.writeFrame(f, nil, nil)
+	return cw.WriteFrameExt(f, nil, nil)
 }
 
 // WriteFrameExt is WriteFrame for a frame whose payload tail lives
@@ -101,12 +98,6 @@ func (cw *CoalescedWriter) WriteFrame(f *Frame) error {
 // runs on the flusher's goroutine and must be cheap, non-blocking, and
 // must not call back into this writer.
 func (cw *CoalescedWriter) WriteFrameExt(f *Frame, ext []byte, release func()) error {
-	return cw.writeFrame(f, ext, release)
-}
-
-// writeFrame flushes f (plus an optional external segment) itself when
-// no flusher is active, and otherwise queues it behind the active one.
-func (cw *CoalescedWriter) writeFrame(f *Frame, ext []byte, release func()) error {
 	hasExt := ext != nil || release != nil
 	cw.mu.Lock()
 	if cw.broken {
@@ -117,11 +108,10 @@ func (cw *CoalescedWriter) writeFrame(f *Frame, ext []byte, release func()) erro
 		return ErrWriterBroken
 	}
 	if cw.flushing {
-		// A flusher is on the wire; it picks this generation up in its
-		// drain loop before it gives up the role.
+		// A flusher is on the wire; it picks this frame up in its drain
+		// loop before it gives up the role.
 		if cw.pend == nil {
 			cw.pend = acquireBuf(0)
-			cw.gen = &flushGen{done: make(chan struct{})}
 		}
 		if hasExt {
 			cw.pend.b = appendFrameHead(cw.pend.b, f, len(ext))
@@ -129,11 +119,9 @@ func (cw *CoalescedWriter) writeFrame(f *Frame, ext []byte, release func()) erro
 		} else {
 			cw.pend.b = AppendFrame(cw.pend.b, f)
 		}
-		gen := cw.gen
-		gen.frames++
+		cw.pendFrames++
 		cw.mu.Unlock()
-		<-gen.done
-		return gen.err
+		return nil
 	}
 	// No flusher means nothing is queued either (a flusher drains before
 	// it leaves), so this frame travels alone, encoded outside the lock.
@@ -157,30 +145,26 @@ func (cw *CoalescedWriter) writeFrame(f *Frame, ext []byte, release func()) erro
 	for last := own; ; {
 		if last != nil && brokenByFlush(last) {
 			cw.broken = true
-			// Fail everything that queued behind the corrupting flush:
+			// Drop everything that queued behind the corrupting flush:
 			// its bytes must never reach the wire. Queued external
 			// leases are released — abandoned, not written.
 			if cw.pend != nil {
 				cw.pend.Release()
 				releaseSegs(cw.segs)
-				cw.gen.err = ErrWriterBroken
-				close(cw.gen.done)
-				cw.pend, cw.segs, cw.gen = nil, nil, nil
+				cw.pend, cw.segs, cw.pendFrames = nil, nil, 0
 			}
 		}
 		if cw.pend == nil {
 			break
 		}
-		qbuf, qsegs, g := cw.pend, cw.segs, cw.gen
-		cw.pend, cw.segs, cw.gen = nil, nil, nil
+		qbuf, qsegs, frames := cw.pend, cw.segs, cw.pendFrames
+		cw.pend, cw.segs, cw.pendFrames = nil, nil, 0
 		cw.flushes++
 		cw.mu.Unlock()
 
-		g.err = cw.flush(qbuf.b, qsegs, g.frames)
+		last = cw.flush(qbuf.b, qsegs, frames)
 		releaseSegs(qsegs)
 		qbuf.Release()
-		last = g.err
-		close(g.done)
 
 		cw.mu.Lock()
 	}

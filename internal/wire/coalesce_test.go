@@ -59,6 +59,63 @@ func (w *slowBuffer) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
+// gateWriter blocks every Write until gate is closed.
+type gateWriter struct {
+	gate chan struct{}
+	mu   sync.Mutex
+	buf  bytes.Buffer
+}
+
+func (w *gateWriter) Write(p []byte) (int, error) {
+	<-w.gate
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+// TestCoalescedWriterQueuedFrameDoesNotWait: a frame written behind a
+// flush that is blocked in Write returns at once, and the blocked
+// flusher writes it — head and spliced tail, in order after its own
+// frame — before it returns, firing the tail's release once.
+func TestCoalescedWriterQueuedFrameDoesNotWait(t *testing.T) {
+	w := &gateWriter{gate: make(chan struct{})}
+	cw := NewCoalescedWriter(w, nil)
+	flushed := make(chan error, 1)
+	go func() { flushed <- cw.WriteFrame(&Frame{Type: TypeRequest, ID: 1, Payload: []byte("first")}) }()
+	for _, busy := cw.Flushing(); !busy; _, busy = cw.Flushing() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	var released atomic.Int32
+	queued := make(chan error, 1)
+	go func() {
+		f := Frame{Type: TypeResponse, ID: 2, Payload: []byte("head:")}
+		queued <- cw.WriteFrameExt(&f, []byte("tail"), func() { released.Add(1) })
+	}()
+	select {
+	case err := <-queued:
+		if err != nil {
+			t.Fatalf("write behind a blocked flush: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(w.gate)
+		t.Fatal("a write behind a blocked flush waited for it")
+	}
+	if n := released.Load(); n != 0 {
+		t.Fatalf("tail released %d times before its flush", n)
+	}
+	close(w.gate)
+	if err := <-flushed; err != nil {
+		t.Fatalf("flusher: %v", err)
+	}
+	if n := released.Load(); n != 1 {
+		t.Fatalf("tail released %d times, want 1", n)
+	}
+	got := collectFrames(t, &w.buf)
+	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 || string(got[1].Payload) != "head:tail" {
+		t.Fatalf("decoded %+v", got)
+	}
+}
+
 func TestCoalescedWriterConcurrentIntegrity(t *testing.T) {
 	const goroutines, perG = 8, 50
 	w := &slowBuffer{delay: 200 * time.Microsecond}

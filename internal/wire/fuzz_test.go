@@ -20,7 +20,7 @@ func FuzzReadFrame(f *testing.F) {
 		fr, err := ReadFrame(bytes.NewReader(data), 1<<20)
 		// The buffer-lease decode path must agree with the allocating
 		// path on every input: same error or same frame.
-		pfr, lease, perr := ReadFramePooled(bytes.NewReader(data), 1<<20)
+		pfr, lease, perr := NewFrameReader(bytes.NewReader(data), 1<<20).ReadFramePooled()
 		if (err == nil) != (perr == nil) {
 			t.Fatalf("decode paths disagree: plain err=%v pooled err=%v", err, perr)
 		}

@@ -24,13 +24,13 @@ func TestReadFramePooledMatchesReadFrame(t *testing.T) {
 	raw := append([]byte(nil), stream.Bytes()...)
 
 	plain := bytes.NewReader(raw)
-	pooled := bytes.NewReader(raw)
+	pooled := NewFrameReader(bytes.NewReader(raw), 0)
 	for i := range frames {
 		a, err := ReadFrame(plain, 0)
 		if err != nil {
 			t.Fatalf("frame %d plain: %v", i, err)
 		}
-		b, lease, err := ReadFramePooled(pooled, 0)
+		b, lease, err := pooled.ReadFramePooled()
 		if err != nil {
 			t.Fatalf("frame %d pooled: %v", i, err)
 		}
@@ -77,7 +77,7 @@ func TestReadFramePooledErrors(t *testing.T) {
 			maxPayload = 1024
 		}
 		_, errPlain := ReadFrame(bytes.NewReader(tc.data), maxPayload)
-		_, lease, errPooled := ReadFramePooled(bytes.NewReader(tc.data), maxPayload)
+		_, lease, errPooled := NewFrameReader(bytes.NewReader(tc.data), maxPayload).ReadFramePooled()
 		if errPlain == nil || errPooled == nil {
 			t.Errorf("%s: expected errors, got plain=%v pooled=%v", tc.name, errPlain, errPooled)
 			continue
@@ -113,7 +113,7 @@ func TestPooledRoundtripsConcurrent(t *testing.T) {
 					t.Errorf("w%d i%d write: %v", w, i, err)
 					return
 				}
-				got, lease, err := ReadFramePooled(&buf, 0)
+				got, lease, err := NewFrameReader(&buf, 0).ReadFramePooled()
 				if err != nil {
 					t.Errorf("w%d i%d read: %v", w, i, err)
 					return
@@ -138,7 +138,7 @@ func TestOversizedLeaseNotPooled(t *testing.T) {
 	if err := WriteFrame(&buf, &Frame{Type: TypeRequest, ID: 9, Payload: big}); err != nil {
 		t.Fatal(err)
 	}
-	f, lease, err := ReadFramePooled(&buf, maxPooledBuf*2)
+	f, lease, err := NewFrameReader(&buf, maxPooledBuf*2).ReadFramePooled()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestOversizedLeaseNotPooled(t *testing.T) {
 	if err := WriteFrame(&buf, &Frame{Type: TypeRequest, ID: 10, Payload: []byte("tiny")}); err != nil {
 		t.Fatal(err)
 	}
-	f2, lease2, err := ReadFramePooled(&buf, 0)
+	f2, lease2, err := NewFrameReader(&buf, 0).ReadFramePooled()
 	if err != nil {
 		t.Fatal(err)
 	}

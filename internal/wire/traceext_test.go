@@ -124,7 +124,7 @@ func FuzzTraceExt(f *testing.F) {
 		if err := WriteFrame(&buf, &Frame{Type: TypeRequest, ID: 1, Op: 2, Payload: data}); err != nil {
 			return // payload too large for a frame: nothing to compare
 		}
-		pfr, lease, perr := ReadFramePooled(&buf, 1<<21)
+		pfr, lease, perr := NewFrameReader(&buf, 1<<21).ReadFramePooled()
 		if perr != nil {
 			t.Fatalf("pooled frame decode of valid frame failed: %v", perr)
 		}

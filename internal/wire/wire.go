@@ -63,7 +63,8 @@ var (
 // Buf is a leased frame-body buffer from the package pool. Release
 // returns it for reuse; after Release the bytes (and any Frame.Payload
 // aliasing them) must no longer be touched. The zero-value rule for
-// safety: every ReadFramePooled success pairs with exactly one Release.
+// safety: every FrameReader.ReadFramePooled success pairs with exactly
+// one Release.
 type Buf struct {
 	b []byte
 }
@@ -141,11 +142,26 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // memory, so the interface call to r does not force a per-frame heap
 // allocation), returning the payload byte count still unread on r.
 func readHeader(r io.Reader, maxPayload int, hdr []byte, f *Frame) (int, error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
-	}
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, err
+	}
+	if _, err := payloadLen(hdr, maxPayload); err != nil {
+		return 0, err // judged on the length prefix alone, before reading on
+	}
+	if _, err := io.ReadFull(r, hdr[4:4+headerLen]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
+	}
+	return parseHeader(hdr, maxPayload, f)
+}
+
+// payloadLen validates a frame's length prefix (hdr[:4]) and returns
+// its payload byte count. maxPayload <= 0 selects DefaultMaxPayload.
+func payloadLen(hdr []byte, maxPayload int) (int, error) {
+	if maxPayload <= 0 {
+		maxPayload = DefaultMaxPayload
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n < headerLen {
@@ -154,10 +170,14 @@ func readHeader(r io.Reader, maxPayload int, hdr []byte, f *Frame) (int, error) 
 	if int(n)-headerLen > maxPayload {
 		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	if _, err := io.ReadFull(r, hdr[4:4+headerLen]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	return int(n) - headerLen, nil
+}
+
+// parseHeader validates a whole frame header (hdr[:4+headerLen]) into f
+// and returns the payload byte count that follows it.
+func parseHeader(hdr []byte, maxPayload int, f *Frame) (int, error) {
+	n, err := payloadLen(hdr, maxPayload)
+	if err != nil {
 		return 0, err
 	}
 	if binary.LittleEndian.Uint16(hdr[4:6]) != Magic {
@@ -170,14 +190,15 @@ func readHeader(r io.Reader, maxPayload int, hdr []byte, f *Frame) (int, error) 
 	f.ID = binary.LittleEndian.Uint64(hdr[8:16])
 	f.Op = binary.LittleEndian.Uint16(hdr[16:18])
 	f.Status = binary.LittleEndian.Uint16(hdr[18:20])
-	return int(n) - headerLen, nil
+	return n, nil
 }
 
 // ReadFrame reads one frame from r. maxPayload <= 0 selects
 // DefaultMaxPayload. The returned payload is freshly allocated and owned
 // by the caller — use this on paths that hand the payload to application
-// code (e.g. the RPC client's response loop). It performs exactly one
-// allocation per non-empty frame: the payload itself.
+// code (FrameReader.ReadFrame is the same for a reader that may be
+// interrupted mid-frame). It performs exactly one allocation per
+// non-empty frame: the payload itself.
 func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	var f Frame
 	hp := acquireBuf(4 + headerLen)
@@ -196,39 +217,6 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 		}
 	}
 	return f, nil
-}
-
-// ReadFramePooled reads one frame whose payload is leased from the
-// package buffer pool: the steady-state receive path of a server does
-// zero per-frame allocations. Frame.Payload aliases the lease; the caller
-// must call Release exactly once, after it is done with the payload (and
-// after anything derived from it that still aliases it). On error the
-// lease is already released and the returned *Buf is nil.
-func ReadFramePooled(r io.Reader, maxPayload int) (Frame, *Buf, error) {
-	var f Frame
-	bp := acquireBuf(4 + headerLen)
-	n, err := readHeader(r, maxPayload, bp.b, &f)
-	if err != nil {
-		bp.Release()
-		return Frame{}, nil, err
-	}
-	// Reuse the lease for the payload now that the header is parsed.
-	if cap(bp.b) < n {
-		bp.b = make([]byte, n)
-	} else {
-		bp.b = bp.b[:n]
-	}
-	if n > 0 {
-		if _, err := io.ReadFull(r, bp.b); err != nil {
-			bp.Release()
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Frame{}, nil, err
-		}
-	}
-	f.Payload = bp.b
-	return f, bp, nil
 }
 
 // Buffer is an append-only encoder for message payloads.

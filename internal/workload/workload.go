@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/storage"
@@ -92,16 +93,20 @@ func (d Dataset) TotalBytes() int64 { return int64(d.NumFiles) * d.FileBytes }
 
 // SampleContent deterministically generates the body of sample i: a
 // seeded pseudo-random block so reads can be content-verified end to end
-// without storing a golden copy.
+// without storing a golden copy. Each SplitMix64 draw fills eight bytes,
+// little-endian; a tail shorter than a word takes the low bytes of one
+// more draw.
 func (d Dataset) SampleContent(i int) []byte {
 	buf := make([]byte, d.FileBytes)
 	state := xhash.XXH64String(d.FilePath(i), 0x5EED)
-	var word uint64
-	for off := range buf {
-		if off%8 == 0 {
-			word = xhash.SplitMix64(&state)
+	off := 0
+	for ; off+8 <= len(buf); off += 8 {
+		binary.LittleEndian.PutUint64(buf[off:], xhash.SplitMix64(&state))
+	}
+	if off < len(buf) {
+		for word := xhash.SplitMix64(&state); off < len(buf); off, word = off+1, word>>8 {
+			buf[off] = byte(word)
 		}
-		buf[off] = byte(word >> (8 * (off % 8)))
 	}
 	return buf
 }
