@@ -5,6 +5,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dltrain"
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/hashring"
 	"repro/internal/hvac"
@@ -43,8 +44,9 @@ type (
 	TrainConfig = dltrain.Config
 	// TrainReport is a training run's outcome.
 	TrainReport = dltrain.Report
-	// TrainFailure schedules a node failure during a live training run.
-	TrainFailure = dltrain.FailureEvent
+	// TrainFailure schedules a node failure during a live training run;
+	// the simulator reads the same type.
+	TrainFailure = failure.Event
 	// Heartbeat is the proactive failure prober (extension to the
 	// paper's passive timeout detection).
 	Heartbeat = cluster.Heartbeat

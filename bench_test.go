@@ -13,6 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/experiments"
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/loadsim"
 	"repro/internal/trainsim"
@@ -131,7 +132,7 @@ func BenchmarkAblationDetectionThreshold(b *testing.B) {
 				cfg := trainsim.Frontier(64, ftcache.KindNVMe)
 				cfg.Dataset = repro.CosmoFlowTrain().Scaled(64)
 				cfg.DetectionTime = time.Duration(limit) * time.Second
-				cfg.Failures = []trainsim.FailureSpec{{Epoch: 1, Frac: 0.01, Node: -1}}
+				cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.01}}
 				total += trainsim.Run(cfg).Total
 			}
 			b.ReportMetric(total.Seconds()/float64(b.N), "sim-total-sec")

@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/trainsim"
 	"repro/internal/workload"
@@ -54,7 +55,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ftcsim: failures need at least 2 epochs")
 			os.Exit(2)
 		}
-		cfg.Failures = trainsim.RandomFailures(*failures, cfg.Epochs, *seed+7)
+		cfg.Failures = failure.Random(*failures, cfg.Epochs, *seed+7)
 	}
 
 	fmt.Printf("ftcsim: %d nodes, %s, %d files × %d B, %d epochs, %d failure(s), vnodes=%d",

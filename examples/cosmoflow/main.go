@@ -60,7 +60,7 @@ func runOne(strategy repro.StrategyKind, ds repro.Dataset) {
 		Seed:      42,
 		// One node dies early in epoch 1, after the cache is warm —
 		// the paper's injection protocol.
-		Failures: []repro.TrainFailure{{Epoch: 1, Step: 1, Mode: repro.FailUnresponsive}},
+		Failures: []repro.TrainFailure{{Epoch: 1, Frac: 0.2}},
 	})
 	if err != nil {
 		log.Fatal(err)

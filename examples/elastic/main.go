@@ -48,9 +48,9 @@ func main() {
 		BatchSize: 4,
 		Seed:      7,
 		Failures: []repro.TrainFailure{
-			{Epoch: 1, Step: 2, Mode: repro.FailUnresponsive},
-			{Epoch: 2, Step: 1, Mode: repro.FailKill},
-			{Epoch: 3, Step: 3, Mode: repro.FailUnresponsive},
+			{Epoch: 1, Frac: 0.25},
+			{Epoch: 2, Frac: 0.1, Kill: true},
+			{Epoch: 3, Frac: 0.3},
 		},
 	})
 	if err != nil {

@@ -33,7 +33,7 @@ func main() {
 
 	rep1 := mustRun(cluster1, ds, repro.TrainConfig{
 		Checkpointer: ck,
-		Failures:     []repro.TrainFailure{{Epoch: 2, Step: 1, Mode: repro.FailUnresponsive}},
+		Failures:     []repro.TrainFailure{{Epoch: 2, Frac: 0.1}},
 	})
 	if !rep1.Aborted {
 		log.Fatal("expected the NoFT job to die")
@@ -66,7 +66,7 @@ func main() {
 	defer cluster3.Close()
 	mustStage(cluster3, ds)
 	rep3 := mustRun(cluster3, ds, repro.TrainConfig{
-		Failures: []repro.TrainFailure{{Epoch: 2, Step: 1, Mode: repro.FailUnresponsive}},
+		Failures: []repro.TrainFailure{{Epoch: 2, Frac: 0.1}},
 	})
 	if rep3.Aborted {
 		log.Fatal("ring-recaching run should survive")

@@ -1,8 +1,10 @@
 package analysis_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -91,44 +93,73 @@ func TestHotpathlockFacts(t *testing.T) {
 	analysistest.RunMulti(t, srcRoot(t), []string{"hotpathlock2/dep", "hotpathlock2/use"}, hotpathlock.Analyzer)
 }
 
-// loadRepo loads every module package in dependency order, exactly as
-// the standalone ftclint driver does.
-func loadRepo(t *testing.T) []*load.Package {
-	t.Helper()
-	_, thisFile, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("runtime.Caller failed")
-	}
-	repoRoot := filepath.Dir(filepath.Dir(filepath.Dir(thisFile)))
-	pkgs, err := load.Module(repoRoot, "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("no packages loaded")
-	}
-	return pkgs
+// repoSuite is the full suite's verdict on the whole module, formatted
+// for t.Error. Loading and type-checking the module dominates the cost
+// of both meta-tests, so the pass runs once and both read its result.
+type repoSuite struct {
+	diags []string // findings nothing suppressed
+	stale []string // //ftclint:ignore sites that suppressed nothing
+	err   error
 }
 
-// TestRepoIsClean is the meta-test: the full suite over the whole
-// module — dependency order, one shared fact store, so every
+var (
+	repoSuiteOnce sync.Once
+	repoSuiteRes  repoSuite
+)
+
+// runRepoSuite loads every module package in dependency order and runs
+// the full suite over them with one shared fact store, so every
 // interprocedural verdict crosses package boundaries exactly as in the
-// ftclint driver — must report nothing. A new finding either gets
-// fixed or gets an explicit //ftclint:ignore with a reason — never
-// left ambient.
-func TestRepoIsClean(t *testing.T) {
+// standalone ftclint driver.
+func runRepoSuite(t *testing.T) repoSuite {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	facts := ftc.NewFactStore()
-	for _, pkg := range loadRepo(t) {
-		diags, err := ftc.RunPackage(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, analysis.All(), facts)
+	repoSuiteOnce.Do(func() {
+		r := &repoSuiteRes
+		_, thisFile, _, ok := runtime.Caller(0)
+		if !ok {
+			r.err = fmt.Errorf("runtime.Caller failed")
+			return
+		}
+		repoRoot := filepath.Dir(filepath.Dir(filepath.Dir(thisFile)))
+		pkgs, err := load.Module(repoRoot, "./...")
 		if err != nil {
-			t.Fatalf("%s: %v", pkg.PkgPath, err)
+			r.err = fmt.Errorf("loading module: %w", err)
+			return
 		}
-		for _, d := range diags {
-			t.Errorf("%s: %s: %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
+		if len(pkgs) == 0 {
+			r.err = fmt.Errorf("no packages loaded")
+			return
 		}
+		facts := ftc.NewFactStore()
+		for _, pkg := range pkgs {
+			res, err := ftc.RunPackageEx(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, analysis.All(), facts)
+			if err != nil {
+				r.err = fmt.Errorf("%s: %w", pkg.PkgPath, err)
+				return
+			}
+			for _, d := range res.Diags {
+				r.diags = append(r.diags, fmt.Sprintf("%s: %s: %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message))
+			}
+			for _, s := range res.Stale {
+				r.stale = append(r.stale, fmt.Sprintf("%s: stale //ftclint:ignore %s: it suppresses nothing — delete it", pkg.Fset.Position(s.Pos), s.Analyzer))
+			}
+		}
+	})
+	if repoSuiteRes.err != nil {
+		t.Fatal(repoSuiteRes.err)
+	}
+	return repoSuiteRes
+}
+
+// TestRepoIsClean is the meta-test: the full suite over the whole
+// module must report nothing. A new finding either gets fixed or gets
+// an explicit //ftclint:ignore with a reason — never left ambient.
+func TestRepoIsClean(t *testing.T) {
+	for _, d := range runRepoSuite(t).diags {
+		t.Error(d)
 	}
 }
 
@@ -137,22 +168,7 @@ func TestRepoIsClean(t *testing.T) {
 // stale — the code it excused has been fixed or moved — and must be
 // deleted rather than left to swallow a future, unrelated finding.
 func TestSuppressionsAreLive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	facts := ftc.NewFactStore()
-	for _, pkg := range loadRepo(t) {
-		res, err := ftc.RunPackageEx(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, analysis.All(), facts)
-		if err != nil {
-			t.Fatalf("%s: %v", pkg.PkgPath, err)
-		}
-		for _, d := range res.Diags {
-			// Repo cleanliness is TestRepoIsClean's job; this test only
-			// needs the run for its suppression usage trail.
-			_ = d
-		}
-		for _, s := range res.Stale {
-			t.Errorf("%s: stale //ftclint:ignore %s: it suppresses nothing — delete it", pkg.Fset.Position(s.Pos), s.Analyzer)
-		}
+	for _, s := range runRepoSuite(t).stale {
+		t.Error(s)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/storage"
 )
@@ -64,7 +65,7 @@ func TestResumeAfterNoFTAbort(t *testing.T) {
 		Cluster: c, Dataset: FromWorkload(ds),
 		Workers: 3, Epochs: 4, BatchSize: 4, Seed: 1,
 		Checkpointer: ck,
-		Failures:     []FailureEvent{{Epoch: 2, Step: 0, Mode: core.FailUnresponsive}},
+		Failures:     []failure.Event{{Epoch: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)

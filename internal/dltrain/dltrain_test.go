@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/workload"
 )
@@ -161,8 +162,8 @@ func TestTrainingRingSurvivesFailure(t *testing.T) {
 		Epochs:    3,
 		BatchSize: 4,
 		Seed:      7,
-		Failures: []FailureEvent{
-			{Epoch: 1, Step: 1, Mode: core.FailUnresponsive},
+		Failures: []failure.Event{
+			{Epoch: 1, Frac: 0.4},
 		},
 	})
 	if err != nil {
@@ -199,6 +200,54 @@ func TestTrainingRingSurvivesFailure(t *testing.T) {
 	}
 }
 
+// TestUnnamedVictimSparesRankZero: an event naming no node fails a node
+// other than rank 0's, and rank 0's only once no other is left.
+func TestUnnamedVictimSparesRankZero(t *testing.T) {
+	for _, nodes := range []int{3, 1} {
+		c, ds := liveCluster(t, nodes, ftcache.KindNVMe)
+		tr, err := New(Config{
+			Cluster: c, Dataset: FromWorkload(ds),
+			Workers: nodes, Epochs: 2, BatchSize: 4, Seed: 7,
+			Failures: []failure.Event{{Epoch: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		tr.Close()
+		want := c.Nodes()[min(1, nodes-1)] // rank 1's node, else rank 0's
+		for _, n := range c.Nodes() {
+			if c.Failed(n) != (n == want) {
+				t.Errorf("%d nodes: %s failed = %v; want only %s failed", nodes, n, c.Failed(n), want)
+			}
+		}
+	}
+}
+
+// TestTimedFailure: an event with At fires at the first step boundary
+// at or after At since Run began.
+func TestTimedFailure(t *testing.T) {
+	c, ds := liveCluster(t, 3, ftcache.KindNVMe)
+	tr, err := New(Config{
+		Cluster: c, Dataset: FromWorkload(ds),
+		Workers: 3, Epochs: 2, BatchSize: 4, Seed: 7,
+		Failures: []failure.Event{{At: time.Nanosecond, Kill: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	rep, err := tr.Run(context.Background())
+	if err != nil || rep.Aborted {
+		t.Fatalf("run: %v aborted=%v", err, rep.Aborted)
+	}
+	if e := rep.Epochs[0]; e.Restarts != 1 || e.Workers != 2 {
+		t.Errorf("epoch 0: %+v; want one restart, 2 workers", e)
+	}
+}
+
 func TestTrainingPFSRedirectSurvivesFailure(t *testing.T) {
 	c, ds := liveCluster(t, 4, ftcache.KindPFS)
 	tr, err := New(Config{
@@ -208,7 +257,7 @@ func TestTrainingPFSRedirectSurvivesFailure(t *testing.T) {
 		Epochs:    3,
 		BatchSize: 4,
 		Seed:      3,
-		Failures:  []FailureEvent{{Epoch: 1, Step: 0, Mode: core.FailKill}},
+		Failures:  []failure.Event{{Epoch: 1, Kill: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +284,7 @@ func TestTrainingNoFTAborts(t *testing.T) {
 		Epochs:    3,
 		BatchSize: 4,
 		Seed:      1,
-		Failures:  []FailureEvent{{Epoch: 1, Step: 0, Mode: core.FailUnresponsive}},
+		Failures:  []failure.Event{{Epoch: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +371,7 @@ func TestValidationSurvivesFailure(t *testing.T) {
 	tr, err := New(Config{
 		Cluster: c, Dataset: FromWorkload(ds), Validation: FromWorkload(val),
 		Workers: 3, Epochs: 3, BatchSize: 4, Seed: 5,
-		Failures: []FailureEvent{{Epoch: 1, Step: 1, Mode: core.FailUnresponsive}},
+		Failures: []failure.Event{{Epoch: 1, Frac: 0.4}},
 	})
 	if err != nil {
 		t.Fatal(err)

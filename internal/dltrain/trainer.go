@@ -9,23 +9,11 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/hvac"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
-
-// FailureEvent schedules a node failure at a batch boundary.
-type FailureEvent struct {
-	// Epoch and Step locate the boundary (0-based) just before which the
-	// failure strikes.
-	Epoch int
-	Step  int
-	// Node is the victim; an empty Node picks the rank-0 node's successor
-	// (a live node that is not rank 0's, keeping the run observable).
-	Node core.NodeID
-	// Mode is how the node dies.
-	Mode core.FailureMode
-}
 
 // Config configures a live training run.
 type Config struct {
@@ -48,8 +36,9 @@ type Config struct {
 	Seed int64
 	// ComputePerBatch simulates GPU time per step (0 for I/O-only runs).
 	ComputePerBatch time.Duration
-	// Failures is the injection plan.
-	Failures []FailureEvent
+	// Failures is the injection plan. An event that names no node fails
+	// a live node other than rank 0's, keeping the run observable.
+	Failures []failure.Event
 	// MaxRestarts bounds elastic restarts; <= 0 selects 8.
 	MaxRestarts int
 
@@ -208,22 +197,12 @@ func (t *Trainer) killRanksOn(node core.NodeID) int {
 	return n
 }
 
-// pendingFailure returns the injection event due at (epoch, step), if any.
-func (t *Trainer) pendingFailure(epoch, step int, fired map[int]bool) (FailureEvent, int, bool) {
-	for i, f := range t.cfg.Failures {
-		if !fired[i] && f.Epoch == epoch && f.Step == step {
-			return f, i, true
-		}
-	}
-	return FailureEvent{}, 0, false
-}
-
 // Run executes the configured epochs and returns the report. A NoFT
 // abort surfaces in Report.Aborted with the cause, not as a Run error;
 // Run errors indicate harness problems (bad ranges, context cancel).
 func (t *Trainer) Run(ctx context.Context) (Report, error) {
 	rep := Report{ResumedFromEpoch: -1}
-	fired := make(map[int]bool, len(t.cfg.Failures))
+	sched := failure.NewSchedule(t.cfg.Failures)
 	start := time.Now()
 	n := t.cfg.Dataset.NumFilesCount()
 
@@ -255,14 +234,17 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 				return rep, err
 			}
 			// Failure injection at the batch boundary.
-			if ev, idx, ok := t.pendingFailure(epoch, step, fired); ok {
-				fired[idx] = true
-				node := ev.Node
+			if ev, ok := sched.Next(time.Since(start), epoch, step, steps); ok {
+				node := core.NodeID(ev.Node)
 				if node == "" {
 					node = t.pickVictim()
 				}
 				if node != "" {
-					if err := t.cfg.Cluster.Fail(node, ev.Mode); err != nil {
+					mode := core.FailUnresponsive
+					if ev.Kill {
+						mode = core.FailKill
+					}
+					if err := t.cfg.Cluster.Fail(node, mode); err != nil {
 						return rep, err
 					}
 					t.killRanksOn(node)
@@ -389,14 +371,20 @@ func (t *Trainer) runValidation(ctx context.Context, workers []*rank) (int, erro
 	return n, nil
 }
 
-// pickVictim chooses a live node that still hosts a rank.
+// pickVictim chooses a live node that still hosts a rank, rank 0's only
+// when no other is left.
 func (t *Trainer) pickVictim() core.NodeID {
+	victim := core.NodeID("")
 	for _, r := range t.aliveRanks() {
-		if !t.cfg.Cluster.Failed(r.node) {
+		if t.cfg.Cluster.Failed(r.node) {
+			continue
+		}
+		if r.node != t.ranks[0].node {
 			return r.node
 		}
+		victim = r.node
 	}
-	return ""
+	return victim
 }
 
 func (t *Trainer) aggregateStats() hvac.ClientStats {

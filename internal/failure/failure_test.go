@@ -1,109 +1,89 @@
 package failure
 
 import (
-	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/ftcache"
 )
 
-func TestRandomPlanBounds(t *testing.T) {
-	p := RandomPlan(20, 5, 0.05, 42)
-	if len(p.Events) != 20 {
-		t.Fatalf("events = %d", len(p.Events))
+func TestRandomBounds(t *testing.T) {
+	p := Random(20, 5, 42)
+	if len(p) != 20 {
+		t.Fatalf("events = %d", len(p))
 	}
-	for _, e := range p.Events {
+	for _, e := range p {
 		if e.Epoch < 1 || e.Epoch > 4 {
 			t.Errorf("epoch %d out of [1,4]", e.Epoch)
 		}
 		if e.Frac < 0 || e.Frac >= 0.05 {
 			t.Errorf("frac %v out of [0,0.05)", e.Frac)
 		}
-		if e.Rank != -1 {
-			t.Error("random plan should defer victim choice")
+		if e.Node != "" || e.At != 0 || e.Kill {
+			t.Errorf("random event %+v should be untimed, unresponsive, victim deferred", e)
 		}
 	}
 }
 
+// TestRandomPlanDeterministic pins Random's output for a seed: the
+// Fig 5(b) and extension CSVs regenerate byte-identical only while
+// these stay put.
 func TestRandomPlanDeterministic(t *testing.T) {
-	a := RandomPlan(5, 5, 1, 7)
-	b := RandomPlan(5, 5, 1, 7)
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatal("plan not deterministic")
+	want := []Event{
+		{Epoch: 3, Frac: 0.03535},
+		{Epoch: 2, Frac: 0.00605},
+		{Epoch: 2, Frac: 0.02445},
+		{Epoch: 3, Frac: 0.010100000000000001},
+		{Epoch: 4, Frac: 0.0257},
+	}
+	got := Random(5, 5, 3)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
 
-func TestRandomPlanFracMaxClamp(t *testing.T) {
-	p := RandomPlan(50, 3, -1, 1) // invalid fracMax → uniform
-	sawLate := false
-	for _, e := range p.Events {
-		if e.Frac >= 1 {
-			t.Errorf("frac %v >= 1", e.Frac)
-		}
-		if e.Frac > 0.5 {
-			sawLate = true
-		}
-	}
-	if !sawLate {
-		t.Error("uniform timing should produce late-epoch strikes")
-	}
-}
-
-func TestRandomPlanPanicsOnOneEpoch(t *testing.T) {
+func TestRandomPanicsOnOneEpoch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
 		}
 	}()
-	RandomPlan(1, 1, 1, 1)
+	Random(1, 1, 1)
 }
 
-func TestConversions(t *testing.T) {
-	c, err := core.NewCluster(core.ClusterConfig{
-		Nodes:      3,
-		Strategy:   ftcache.KindNVMe,
-		RPCTimeout: 50 * time.Millisecond,
+func TestScheduleStepRule(t *testing.T) {
+	s := NewSchedule([]Event{{Epoch: 1, Frac: 0.5, Node: "node-0002"}})
+	if _, ok := s.Next(0, 0, 5, 10); ok {
+		t.Error("fired in the wrong epoch")
+	}
+	if _, ok := s.Next(0, 1, 4, 10); ok {
+		t.Error("fired before step int(Frac × steps)")
+	}
+	e, ok := s.Next(0, 1, 5, 10)
+	if !ok || e.Node != "node-0002" {
+		t.Fatalf("Next = %+v, %v; want the event at step 5", e, ok)
+	}
+	if _, ok := s.Next(0, 1, 5, 10); ok {
+		t.Error("fired twice")
+	}
+}
+
+func TestScheduleTimedFirst(t *testing.T) {
+	s := NewSchedule([]Event{
+		{Epoch: 1, Node: "step"},
+		{At: 2 * time.Second, Node: "late"},
+		{At: time.Second, Node: "early"},
 	})
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := s.Next(time.Second-1, 0, 0, 10); ok {
+		t.Error("timed event fired before At")
 	}
-	defer c.Close()
-
-	p := SingleAt(2, 0.5, 1, core.FailKill)
-	live := p.LiveEvents(c, 10)
-	if len(live) != 1 {
-		t.Fatalf("live events = %d", len(live))
+	for _, want := range []string{"early", "late", "step"} {
+		e, ok := s.Next(3*time.Second, 1, 0, 10)
+		if !ok || e.Node != want {
+			t.Fatalf("Next = %+v, %v; want %q", e, ok, want)
+		}
 	}
-	if live[0].Epoch != 2 || live[0].Step != 5 || live[0].Mode != core.FailKill {
-		t.Errorf("live event = %+v", live[0])
-	}
-	if live[0].Node != c.Nodes()[1] {
-		t.Errorf("node = %s", live[0].Node)
-	}
-
-	sim := p.SimSpecs()
-	if len(sim) != 1 || sim[0].Epoch != 2 || sim[0].Frac != 0.5 || sim[0].Node != 1 {
-		t.Errorf("sim spec = %+v", sim[0])
-	}
-
-	// Random victims stay deferred in both forms.
-	rp := RandomPlan(1, 5, 1, 3)
-	if rp.LiveEvents(c, 10)[0].Node != "" {
-		t.Error("random victim should be empty NodeID")
-	}
-	if rp.SimSpecs()[0].Node != -1 {
-		t.Error("random victim should be -1 in sim form")
-	}
-}
-
-func TestDrainCommand(t *testing.T) {
-	cmd := DrainCommand("frontier01234")
-	if !strings.Contains(cmd, "scontrol update NodeName=frontier01234") ||
-		!strings.Contains(cmd, "State=DRAIN") {
-		t.Errorf("cmd = %q", cmd)
+	if _, ok := s.Next(3*time.Second, 1, 0, 10); ok {
+		t.Error("an event fired twice")
 	}
 }

@@ -26,22 +26,11 @@ package trainsim
 import (
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
-
-// FailureSpec schedules one node failure.
-type FailureSpec struct {
-	// At, when positive, fires at this absolute virtual time.
-	At time.Duration
-	// Otherwise the failure fires in the given epoch at the given
-	// fraction of its steps (0 ≤ Frac < 1).
-	Epoch int
-	Frac  float64
-	// Node is the victim's rank index; -1 picks a random live rank.
-	Node int
-}
 
 // Config parameterizes one simulated run.
 type Config struct {
@@ -107,7 +96,7 @@ type Config struct {
 	DirectPFSFactor float64
 
 	// Failures is the injection plan.
-	Failures []FailureSpec
+	Failures []failure.Event
 }
 
 // Frontier returns the calibrated configuration for the paper's setup at
@@ -145,23 +134,4 @@ func Frontier(nodes int, strategy ftcache.StrategyKind) Config {
 		ElasticRestartCost: 8 * time.Second,
 		DirectPFSFactor:    4.0,
 	}
-}
-
-// RandomFailures builds the paper's Fig 5(b) plan: count single-node
-// failures at random points strictly after the first epoch, random
-// victims. Deterministic for a given seed.
-func RandomFailures(count, epochs int, seed int64) []FailureSpec {
-	rng := newRNG(seed)
-	out := make([]FailureSpec, count)
-	for i := range out {
-		// Epochs 1..epochs-1 (0-based), uniformly. Fractions are
-		// early-in-epoch: the artifact arms its SLURM DRAIN at epoch
-		// boundaries, so the strike lands shortly after an epoch starts.
-		// (This is also what keeps rollback redo small enough to match
-		// the paper's published overheads — see EXPERIMENTS.md.)
-		epoch := 1 + int(rng.next()%uint64(epochs-1))
-		frac := float64(rng.next()%1000) / 1000 * 0.05
-		out[i] = FailureSpec{Epoch: epoch, Frac: frac, Node: -1}
-	}
-	return out
 }

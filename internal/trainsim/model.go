@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/dltrain"
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/hashring"
 	"repro/internal/sim"
@@ -114,9 +115,10 @@ const (
 )
 
 type model struct {
-	cfg Config
-	eng *sim.Engine
-	rng *rng
+	cfg   Config
+	eng   *sim.Engine
+	rng   *rng
+	sched *failure.Schedule
 
 	paths  []string
 	owner  []int32 // current owner rank
@@ -141,9 +143,6 @@ type model struct {
 	epochPFS   int64
 	anyLost    bool
 
-	pendingTimed []int // indices into cfg.Failures fired by absolute time
-	firedFail    []bool
-
 	res Result
 
 	// scratch
@@ -162,9 +161,10 @@ func Run(cfg Config) Result {
 		panic("trainsim: Nodes, Epochs, LocalBatch must be positive")
 	}
 	m := &model{
-		cfg: cfg,
-		eng: sim.New(),
-		rng: newRNG(cfg.Seed),
+		cfg:   cfg,
+		eng:   sim.New(),
+		rng:   newRNG(cfg.Seed),
+		sched: failure.NewSchedule(cfg.Failures),
 	}
 	m.init()
 	m.eng.At(0, m.startEpoch)
@@ -185,7 +185,6 @@ func (m *model) init() {
 	m.cached = make([]bool, f)
 	m.lost = make([]bool, f)
 	m.repl = make([]uint8, f)
-	m.firedFail = make([]bool, len(m.cfg.Failures))
 
 	m.nodeNames = make([]hashring.NodeID, m.cfg.Nodes)
 	m.rankOf = make(map[hashring.NodeID]int32, m.cfg.Nodes)
@@ -222,20 +221,6 @@ func (m *model) init() {
 	m.sPFSDirect = make([]int32, m.cfg.Nodes)
 	m.sPFSAccum = make([]time.Duration, m.cfg.Nodes)
 	m.fetchedBuf = make([]int32, 0, m.cfg.LocalBatch*m.cfg.Nodes)
-
-	// Absolute-time failures become engine events that arm a pending flag;
-	// the next step boundary applies them (a failure manifests to peers
-	// as timeouts on in-flight requests, observed at the barrier).
-	for i, fs := range m.cfg.Failures {
-		if fs.At > 0 {
-			idx := i
-			m.eng.At(fs.At, func() {
-				if !m.firedFail[idx] && !m.res.Aborted {
-					m.pendingTimed = append(m.pendingTimed, idx)
-				}
-			})
-		}
-	}
 }
 
 func (m *model) startEpoch() {
@@ -274,28 +259,11 @@ func (m *model) resumeEpoch() {
 	m.runStep()
 }
 
-// dueFailure returns the index of an injection due at this boundary.
-func (m *model) dueFailure() (int, bool) {
-	if len(m.pendingTimed) > 0 {
-		idx := m.pendingTimed[0]
-		m.pendingTimed = m.pendingTimed[1:]
-		return idx, true
-	}
-	for i, fs := range m.cfg.Failures {
-		if m.firedFail[i] || fs.At > 0 {
-			continue
-		}
-		if fs.Epoch == m.epoch && m.step == int(fs.Frac*float64(m.steps)) {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 func (m *model) runStep() {
-	if idx, ok := m.dueFailure(); ok {
-		m.firedFail[idx] = true
-		m.applyFailure(m.cfg.Failures[idx])
+	// A failure, timed or not, lands on a step boundary: it manifests to
+	// peers as timeouts on in-flight requests, observed at the barrier.
+	if ev, ok := m.sched.Next(m.eng.Now(), m.epoch, m.step, m.steps); ok {
+		m.applyFailure(ev)
 		return
 	}
 	dt := m.stepTime()
@@ -327,14 +295,14 @@ func (m *model) endEpoch() {
 	})
 }
 
-func (m *model) applyFailure(fs FailureSpec) {
+// applyFailure kills ev's node when it names a live one, else a random
+// live rank while more than one is left.
+func (m *model) applyFailure(ev failure.Event) {
 	victimRank := int32(-1)
-	if fs.Node >= 0 && fs.Node < m.cfg.Nodes && m.aliveMap[fs.Node] {
-		victimRank = int32(fs.Node)
-	} else {
-		if len(m.live) > 1 {
-			victimRank = m.live[m.rng.intn(len(m.live))]
-		}
+	if r, ok := m.rankOf[hashring.NodeID(ev.Node)]; ok && m.aliveMap[r] {
+		victimRank = r
+	} else if len(m.live) > 1 {
+		victimRank = m.live[m.rng.intn(len(m.live))]
 	}
 	if victimRank < 0 {
 		// No viable victim; ignore the event and continue the step.

@@ -3,6 +3,7 @@ package trainsim
 import (
 	"testing"
 
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 )
 
@@ -12,7 +13,7 @@ import (
 func TestReplicationEliminatesFailoverPFSReads(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindNVMe)
 	cfg.Replication = 2
-	cfg.Failures = []FailureSpec{{Epoch: 2, Frac: 0.1, Node: 5}}
+	cfg.Failures = []failure.Event{{Epoch: 2, Frac: 0.1, Node: "node-0005"}}
 	res := Run(cfg)
 	if res.Aborted {
 		t.Fatal("aborted")
@@ -47,10 +48,10 @@ func TestReplicationEliminatesFailoverPFSReads(t *testing.T) {
 func TestReplicationExhaustion(t *testing.T) {
 	cfg := testConfig(8, ftcache.KindNVMe)
 	cfg.Replication = 2
-	cfg.Failures = []FailureSpec{
-		{Epoch: 1, Frac: 0.05, Node: 1},
-		{Epoch: 2, Frac: 0.05, Node: 2},
-		{Epoch: 3, Frac: 0.05, Node: 3},
+	cfg.Failures = []failure.Event{
+		{Epoch: 1, Frac: 0.05, Node: "node-0001"},
+		{Epoch: 2, Frac: 0.05, Node: "node-0002"},
+		{Epoch: 3, Frac: 0.05, Node: "node-0003"},
 	}
 	res := Run(cfg)
 	if res.Aborted {
@@ -102,7 +103,7 @@ func TestExtensionExperimentsRunAtTinyScale(t *testing.T) {
 	// the shape assertions).
 	cfg := testConfig(8, ftcache.KindNVMe)
 	cfg.Replication = 2
-	cfg.Failures = RandomFailures(2, cfg.Epochs, 3)
+	cfg.Failures = failure.Random(2, cfg.Epochs, 3)
 	res := Run(cfg)
 	if res.Aborted || len(res.Epochs) != cfg.Epochs {
 		t.Fatalf("run: %+v", res)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -48,7 +49,7 @@ func TestColdFirstEpochThenCached(t *testing.T) {
 
 func TestDeterministicForSeed(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindNVMe)
-	cfg.Failures = RandomFailures(2, cfg.Epochs, 9)
+	cfg.Failures = failure.Random(2, cfg.Epochs, 9)
 	a := Run(cfg)
 	b := Run(cfg)
 	if a.Total != b.Total || a.PFSReads != b.PFSReads || a.Restarts != b.Restarts {
@@ -58,7 +59,7 @@ func TestDeterministicForSeed(t *testing.T) {
 
 func TestNoFTAbortsOnFailure(t *testing.T) {
 	cfg := testConfig(8, ftcache.KindNoFT)
-	cfg.Failures = []FailureSpec{{Epoch: 1, Frac: 0.5, Node: 3}}
+	cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.5, Node: "node-0003"}}
 	res := Run(cfg)
 	if !res.Aborted {
 		t.Fatal("NoFT run did not abort")
@@ -85,7 +86,7 @@ func TestNoFTFastestWithoutFailures(t *testing.T) {
 
 func TestPFSRedirectPaysEveryEpoch(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindPFS)
-	cfg.Failures = []FailureSpec{{Epoch: 1, Frac: 0.1, Node: 5}}
+	cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.1, Node: "node-0005"}}
 	res := Run(cfg)
 	if res.Aborted {
 		t.Fatal("aborted")
@@ -116,7 +117,7 @@ func TestPFSRedirectPaysEveryEpoch(t *testing.T) {
 
 func TestRingRecachePaysOnce(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindNVMe)
-	cfg.Failures = []FailureSpec{{Epoch: 1, Frac: 0.1, Node: 5}}
+	cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.1, Node: "node-0005"}}
 	res := Run(cfg)
 	if res.Aborted {
 		t.Fatal("aborted")
@@ -147,12 +148,12 @@ func TestRingRecachePaysOnce(t *testing.T) {
 // TestHeadline is the paper's central comparison: with failures, FT w/
 // NVMe beats FT w/ PFS, and both lose to the no-failure baseline.
 func TestHeadline(t *testing.T) {
-	fail := []FailureSpec{
-		{Epoch: 1, Frac: 0.2, Node: -1},
-		{Epoch: 2, Frac: 0.4, Node: -1},
-		{Epoch: 3, Frac: 0.1, Node: -1},
+	fail := []failure.Event{
+		{Epoch: 1, Frac: 0.2},
+		{Epoch: 2, Frac: 0.4},
+		{Epoch: 3, Frac: 0.1},
 	}
-	mk := func(kind ftcache.StrategyKind, failures []FailureSpec) Result {
+	mk := func(kind ftcache.StrategyKind, failures []failure.Event) Result {
 		cfg := testConfig(32, kind)
 		cfg.Failures = failures
 		return Run(cfg)
@@ -185,7 +186,7 @@ func TestStrongScaling(t *testing.T) {
 
 func TestVictimAndCleanEpochMeans(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindNVMe)
-	cfg.Failures = []FailureSpec{{Epoch: 2, Frac: 0.3, Node: -1}}
+	cfg.Failures = []failure.Event{{Epoch: 2, Frac: 0.3}}
 	res := Run(cfg)
 	clean := res.CleanEpochMean()
 	victim := res.VictimEpochMean()
@@ -204,7 +205,7 @@ func TestVictimAndCleanEpochMeans(t *testing.T) {
 
 func TestPostFailureEpochMeanPFS(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindPFS)
-	cfg.Failures = []FailureSpec{{Epoch: 1, Frac: 0.2, Node: -1}}
+	cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.2}}
 	res := Run(cfg)
 	post := res.PostFailureEpochMean()
 	clean := Run(testConfig(16, ftcache.KindPFS)).CleanEpochMean()
@@ -217,7 +218,7 @@ func TestAbsoluteTimeFailure(t *testing.T) {
 	cfg := testConfig(8, ftcache.KindNVMe)
 	// Fire well into the run by absolute virtual time.
 	probe := Run(cfg)
-	cfg.Failures = []FailureSpec{{At: probe.Total / 2, Node: -1}}
+	cfg.Failures = []failure.Event{{At: probe.Total / 2}}
 	res := Run(cfg)
 	if res.Restarts != 1 {
 		t.Errorf("restarts = %d, want 1", res.Restarts)
@@ -227,46 +228,50 @@ func TestAbsoluteTimeFailure(t *testing.T) {
 	}
 }
 
-func TestAllNodesFailedAborts(t *testing.T) {
-	cfg := testConfig(2, ftcache.KindNVMe)
-	cfg.Failures = []FailureSpec{
-		{Epoch: 1, Frac: 0.1, Node: 0},
-		{Epoch: 1, Frac: 0.2, Node: 1},
-	}
+// TestLateTimedFailureLeavesRunAlone: a timed failure due after the
+// run's natural end never fires, and must not stretch the total to At.
+func TestLateTimedFailureLeavesRunAlone(t *testing.T) {
+	cfg := testConfig(8, ftcache.KindNVMe)
+	base := Run(cfg)
+	cfg.Failures = []failure.Event{{At: 10 * base.Total}}
 	res := Run(cfg)
-	// With one node left the run continues; both gone → abort. Victim
-	// selection never picks the last node via random choice, so pin them.
-	if !res.Aborted && len(res.Epochs) == 5 {
-		// Acceptable: second failure may be unapplicable if node 1 is the
-		// last one; verify at least one restart happened.
-		if res.Restarts == 0 {
-			t.Error("expected at least one restart")
-		}
-		return
+	if res.Total != base.Total || res.Restarts != base.Restarts {
+		t.Errorf("total %v, restarts %d; want the no-failure run's %v, %d",
+			res.Total, res.Restarts, base.Total, base.Restarts)
 	}
 }
 
+func TestAllNodesFailedAborts(t *testing.T) {
+	cfg := testConfig(2, ftcache.KindNVMe)
+	// Random victim choice never takes the last live rank, so pin both.
+	cfg.Failures = []failure.Event{
+		{Epoch: 1, Frac: 0.1, Node: "node-0000"},
+		{Epoch: 1, Frac: 0.2, Node: "node-0001"},
+	}
+	res := Run(cfg)
+	if !res.Aborted || res.Restarts != 2 || len(res.Epochs) != 1 {
+		t.Errorf("aborted=%v restarts=%d epochs=%d; want true, 2, 1",
+			res.Aborted, res.Restarts, len(res.Epochs))
+	}
+}
+
+// TestRandomFailuresGenerator: the DES fires every event of a generated
+// schedule, each in the epoch it names and none in the cold first epoch.
 func TestRandomFailuresGenerator(t *testing.T) {
-	fs := RandomFailures(5, 5, 3)
-	if len(fs) != 5 {
-		t.Fatalf("len = %d", len(fs))
+	cfg := testConfig(16, ftcache.KindNVMe)
+	cfg.Failures = failure.Random(5, cfg.Epochs, 3)
+	want := make([]int, cfg.Epochs)
+	for _, e := range cfg.Failures {
+		want[e.Epoch]++
 	}
-	for _, f := range fs {
-		if f.Epoch < 1 || f.Epoch > 4 {
-			t.Errorf("epoch %d outside (0,5)", f.Epoch)
-		}
-		if f.Frac < 0 || f.Frac >= 1 {
-			t.Errorf("frac %v out of range", f.Frac)
-		}
-		if f.Node != -1 {
-			t.Errorf("node should be random (-1)")
-		}
+	res := Run(cfg)
+	if res.Aborted || res.Restarts != 5 || len(res.Epochs) != cfg.Epochs {
+		t.Fatalf("aborted=%v restarts=%d epochs=%d; want false, 5, %d",
+			res.Aborted, res.Restarts, len(res.Epochs), cfg.Epochs)
 	}
-	// Deterministic per seed.
-	gs := RandomFailures(5, 5, 3)
-	for i := range fs {
-		if fs[i] != gs[i] {
-			t.Error("generator not deterministic")
+	for i, e := range res.Epochs {
+		if e.Failures != want[i] {
+			t.Errorf("epoch %d failures = %d, want %d", i, e.Failures, want[i])
 		}
 	}
 }
@@ -286,7 +291,7 @@ func TestFrontierConfigSanity(t *testing.T) {
 
 func BenchmarkRunScaled(b *testing.B) {
 	cfg := testConfig(64, ftcache.KindNVMe)
-	cfg.Failures = RandomFailures(2, cfg.Epochs, 1)
+	cfg.Failures = failure.Random(2, cfg.Epochs, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Run(cfg)
