@@ -105,7 +105,7 @@ func runAdaptFT(cfg adaptftConfig) error {
 	for _, sched := range schedules {
 		for _, seed := range cfg.seeds {
 			block := adaptftSchedule{Schedule: sched.name, Seed: seed}
-			fmt.Printf("\nschedule %s seed=%d (%s)\n", sched.name, seed, chaos.PhaseSummary(sched.phases))
+			fmt.Printf("\nschedule %s seed=%d %v\n", sched.name, seed, sched.phases)
 			fmt.Printf("  %-10s %10s %14s %10s %10s %6s\n", "POLICY", "EPOCHS", "EPOCH-TIME", "READS", "RETRIES", "DNF")
 			for _, pol := range policies {
 				// Best-of-reps: a transient machine-level slowdown (GC,
@@ -306,7 +306,7 @@ func runAdaptFTOne(cfg adaptftConfig, phases []chaos.Phase, seed int64, policy f
 	for _, n := range cl.Nodes() {
 		nodeNames = append(nodeNames, string(n))
 	}
-	plan := chaos.GeneratePhasedPlan(seed, nodeNames, phases)
+	plan := chaos.GeneratePlan(seed, nodeNames, phases)
 
 	// Readers sweep the dataset in seeded-shuffled order for exactly the
 	// schedule window; completed reads convert to fractional epochs.

@@ -33,18 +33,17 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	csvDir := flag.String("csv", "", "also write <dir>/<exp>.csv for each experiment")
 	hotpath := flag.Bool("hotpath", false, "drive a live in-process cluster at high concurrency and print reads/sec")
-	hpClients := flag.Int("clients", 16, "hotpath/chaos: concurrent client connections")
-	hpNodes := flag.Int("nodes", 4, "hotpath/chaos: server nodes")
-	hpFiles := flag.Int("files", 512, "hotpath/chaos: files in the working set")
-	hpFileBytes := flag.Int64("filebytes", 4096, "hotpath/chaos: bytes per file")
-	hpDuration := flag.Duration("duration", 3*time.Second, "hotpath: measurement window; chaos: fault-schedule horizon")
+	hpClients := flag.Int("clients", 16, "live modes: concurrent client connections")
+	hpNodes := flag.Int("nodes", 4, "live modes: server nodes")
+	hpFiles := flag.Int("files", 512, "live modes: files in the working set")
+	hpFileBytes := flag.Int64("filebytes", 4096, "live modes: bytes per file")
+	hpDuration := flag.Duration("duration", 3*time.Second, "hotpath/ingest: measurement window")
 	hpSkew := flag.Float64("skew", 0, "hotpath: Zipf exponent of the access pattern (0 = uniform)")
 	hpLoadctl := flag.Bool("loadctl", false, "hotpath: enable client-side load control (coalescing, hot-key fan-out, hedged reads)")
 	hpAdmission := flag.Int("admission", 0, "hotpath: per-server concurrent-read admission limit (0 = unlimited)")
 	hpServiceDelay := flag.Duration("servicedelay", 0, "hotpath: simulated per-read device service time (0 = off)")
 	hpTrace := flag.Bool("trace", false, "attribution mode: trace every hotpath read and decompose the read p99 into owner/replica/hedge/retry/queue/storage components")
 	hpTraceOut := flag.String("traceout", "", "trace: also append the markdown attribution table to this file")
-	chaosSoak := flag.Bool("chaos", false, "run a seeded fault-injection soak against a live in-process cluster")
 	adaptFT := flag.Bool("adaptft", false, "compare the adaptive policy controller against every static strategy over seeded phase-shift schedules, JSON to -adaptout")
 	aftUnit := flag.Duration("unit", time.Second, "adaptft: base duration of one schedule phase")
 	aftPFSDelay := flag.Duration("pfsdelay", 10*time.Millisecond, "adaptft: injected PFS read latency during contention phases")
@@ -141,21 +140,6 @@ func main() {
 			out:       *aftOut,
 		}); err != nil {
 			benchLog.Error("adaptft run failed", "err", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *chaosSoak {
-		if err := runChaos(chaosConfig{
-			nodes:     *hpNodes,
-			clients:   *hpClients,
-			files:     *hpFiles,
-			fileBytes: *hpFileBytes,
-			duration:  *hpDuration,
-			seed:      *seed,
-		}); err != nil {
-			benchLog.Error("chaos soak failed", "err", err)
 			os.Exit(1)
 		}
 		return

@@ -52,9 +52,9 @@ const (
 
 // Config tunes a Controller.
 type Config struct {
-	// Seed drives every pseudo-random decision (per-link jitter streams,
-	// plan generation). The same seed over the same topology replays the
-	// same fault sequence; it is logged and surfaced in /debug/ftcache.
+	// Seed drives the per-link jitter streams; the harness passes the
+	// plan's seed, so one seed replays the same fault sequence. It is
+	// surfaced in /debug/ftcache.
 	Seed int64
 	// DialTimeout is how long a black-holed dial blocks before failing
 	// with a timeout error — emulating a SYN dropped by a dead switch.
@@ -112,9 +112,6 @@ func New(inner rpc.Network, cfg Config) *Controller {
 	telemetry.Default().RegisterDebug("chaos", c.debugSnapshot)
 	return c
 }
-
-// Seed returns the controller's replay seed.
-func (c *Controller) Seed() int64 { return c.cfg.Seed }
 
 // Network returns the rpc.Network view for source src. Listens pass
 // through to the inner network; dials from this view are subject to the

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -202,72 +201,6 @@ func TestLargePayloadSurvivesRelay(t *testing.T) {
 	}
 	if !bytes.Equal(resp, big) {
 		t.Fatal("1MiB payload corrupted through the relay")
-	}
-}
-
-func TestGeneratePlanDeterministic(t *testing.T) {
-	nodes := []string{"n0", "n1", "n2", "n3"}
-	a := GeneratePlan(99, nodes, PlanConfig{})
-	b := GeneratePlan(99, nodes, PlanConfig{})
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different plans — replay is broken")
-	}
-	c := GeneratePlan(100, nodes, PlanConfig{})
-	if reflect.DeepEqual(a.Events, c.Events) {
-		t.Error("different seeds produced identical plans")
-	}
-	if len(a.Events) == 0 {
-		t.Fatal("plan has no events")
-	}
-}
-
-func TestGeneratePlanAllFaultsHeal(t *testing.T) {
-	nodes := []string{"n0", "n1", "n2", "n3", "n4", "n5"}
-	for seed := int64(1); seed <= 10; seed++ {
-		p := GeneratePlan(seed, nodes, PlanConfig{})
-		open := make(map[string]EventKind) // node → durable fault kind
-		for _, ev := range p.Events {
-			switch ev.Kind {
-			case EvPartition, EvAsymSend, EvAsymRecv, EvLatency, EvBlackhole:
-				open[ev.Node] = ev.Kind
-			case EvCrash:
-				open[ev.Node] = EvCrash
-			case EvHeal:
-				delete(open, ev.Node)
-			case EvRestart:
-				delete(open, ev.Node)
-			}
-			if ev.At > p.Horizon {
-				t.Fatalf("seed %d: event at %v past horizon %v", seed, ev.At, p.Horizon)
-			}
-		}
-		if len(open) != 0 {
-			t.Errorf("seed %d: unhealed faults at end of plan: %v", seed, open)
-		}
-	}
-}
-
-func TestGeneratePlanBoundsSimultaneousDown(t *testing.T) {
-	nodes := make([]string, 16)
-	for i := range nodes {
-		nodes[i] = string(rune('a' + i))
-	}
-	p := GeneratePlan(7, nodes, PlanConfig{MaxDownFrac: 0.25})
-	down := make(map[string]bool)
-	maxDown := 0
-	for _, ev := range p.Events {
-		switch ev.Kind {
-		case EvPartition, EvAsymSend, EvBlackhole, EvCrash:
-			down[ev.Node] = true
-		case EvHeal, EvRestart:
-			delete(down, ev.Node)
-		}
-		if len(down) > maxDown {
-			maxDown = len(down)
-		}
-	}
-	if maxDown > 4 {
-		t.Errorf("up to %d nodes simultaneously down, cap is 4", maxDown)
 	}
 }
 

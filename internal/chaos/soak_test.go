@@ -38,6 +38,7 @@ import (
 	"repro/internal/ftcache"
 	"repro/internal/hvac"
 	"repro/internal/rpc"
+	"repro/internal/telemetry"
 	"repro/internal/testutil"
 	"repro/internal/workload"
 )
@@ -179,8 +180,19 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 	for _, n := range cl.Nodes() {
 		nodeNames = append(nodeNames, string(n))
 	}
-	plan := chaos.GeneratePlan(seed, nodeNames, chaos.PlanConfig{Horizon: 3 * time.Second})
+	plan := chaos.GeneratePlan(seed, nodeNames, chaos.PhasesUniform(3*time.Second))
 	t.Logf("plan: %s", plan.Summary())
+
+	// The client counters are process-wide: read them before and after so
+	// each seed reports its own.
+	reg := telemetry.Default()
+	counters := [...]string{"ftc_client_retry_attempts_total", "ftc_client_retry_exhausted_total",
+		"ftc_client_rejoins_total", "ftc_client_rejoin_warm_files_total", "ftc_client_rejoin_warm_bytes_total"}
+	var counts [len(counters)]int64
+	for i, name := range counters {
+		counts[i] = -reg.Counter(name).Load()
+	}
+	cl.PFS().ResetCounters() // count only the fallbacks during the run
 
 	var (
 		reads      atomic.Int64
@@ -316,7 +328,8 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 		}
 		return true
 	}
-	healDeadline := time.Now().Add(20 * time.Second)
+	healStart := time.Now()
+	healDeadline := healStart.Add(20 * time.Second)
 	for !converged() {
 		if time.Now().After(healDeadline) {
 			for i, sc := range clients {
@@ -327,8 +340,13 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	healTime := time.Since(healStart).Round(time.Millisecond)
 	close(stop)
 	readers.Wait()
+	pfsFallbacks, _, _ := cl.PFS().Counters()
+	for i, name := range counters {
+		counts[i] += reg.Counter(name).Load()
+	}
 
 	// Post-heal verification epoch: every client reads the whole dataset
 	// with zero tolerance for errors.
@@ -433,6 +451,8 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 	}
 	t.Logf("seed=%d: faults[%s] reads=%d transient-retries=%d wrong-bytes=%d stuck=%d",
 		seed, ctl.FormatFaults(), reads.Load(), transient.Load(), wrongBytes.Load(), stuck.Load())
+	t.Logf("seed=%d: pfs-fallbacks=%d retries=%d (exhausted %d) rejoins=%d warmed=%d files / %d B heal=%s",
+		seed, pfsFallbacks, counts[0], counts[1], counts[2], counts[3], counts[4], healTime)
 	if total == 0 {
 		t.Error("soak injected zero faults — the schedule did nothing")
 	}

@@ -1,13 +1,14 @@
 // Package failure is the one fault-injection schedule of the
-// reproduction, read by both the trainsim DES and the live dltrain
-// trainer. It mirrors the paper's §V-A.3 protocol: node failures strike
-// at random points strictly after the first epoch (so the cache is fully
-// populated), with both timing and victim randomized; the artifact did
-// this with `scontrol update NodeName=<n> State=DRAIN`.
+// reproduction, read by the trainsim DES, the live dltrain trainer and
+// the chaos harness. It mirrors the paper's §V-A.3 protocol: node
+// failures strike at random points strictly after the first epoch (so
+// the cache is fully populated), with both timing and victim randomized;
+// the artifact did this with `scontrol update NodeName=<n> State=DRAIN`.
 //
-// Both consumers step through (epoch, step) boundaries and ask their
+// Both trainers step through (epoch, step) boundaries and ask their
 // Schedule at each one whether an event is due, so a plan fires by the
-// same rule in virtual time and on a live cluster.
+// same rule in virtual time and on a live cluster. The chaos harness
+// fires timed events on the wall clock and heals each after its For.
 package failure
 
 import (
@@ -16,11 +17,40 @@ import (
 	"repro/internal/xhash"
 )
 
-// Event is one planned node failure.
+// Fault is what an Event does. The zero value is a crash, the only
+// fault the trainers fire.
+type Fault uint8
+
+// Faults. Every kind but Crash and PFSDelay acts on the links to Node.
+const (
+	Crash     Fault = iota // the node goes down: killed if Kill, else silent
+	Partition              // Node cut off from every endpoint, both ways
+	AsymSend               // frames toward Node dropped (requests lost)
+	AsymRecv               // frames from Node dropped (it works, nobody hears it)
+	Latency                // Delay ± Jitter on both directions of Node's links
+	Blackhole              // dials to Node hang until they time out
+	ConnDrop               // Node's open connections killed; instantaneous
+	PFSDelay               // Delay added to every PFS read, fleet-wide (Node "")
+)
+
+var faultNames = [...]string{"crash", "partition", "asym-send", "asym-recv",
+	"latency", "blackhole", "conn-drop", "pfs-delay"}
+
+// String implements fmt.Stringer.
+func (f Fault) String() string {
+	if int(f) < len(faultNames) {
+		return faultNames[f]
+	}
+	return "unknown"
+}
+
+// Event is one planned fault. The trainers read At, Epoch, Frac, Node
+// and Kill and fire only crashes, which never heal. The chaos executor
+// reads At, Node, Fault, Kill, For, Delay and Jitter.
 type Event struct {
 	// At, when positive, fires the failure at the first step boundary at
 	// or after it: virtual time in the DES, time since Run began in the
-	// live trainer.
+	// live trainer, time since the plan started under chaos.
 	At time.Duration
 	// Otherwise the failure fires in epoch Epoch (0-based) at the
 	// boundary before step int(Frac × steps), 0 ≤ Frac < 1.
@@ -32,6 +62,13 @@ type Event struct {
 	// Kill closes the node and its connections outright; false leaves it
 	// up but silent.
 	Kill bool
+	// Fault is the kind of fault; zero is a crash.
+	Fault Fault
+	// For is how long the fault lasts: it heals (a crash restarts) at
+	// At+For. 0 never heals.
+	For time.Duration
+	// Delay sizes a Latency or PFSDelay fault; Jitter only Latency.
+	Delay, Jitter time.Duration
 }
 
 // Random builds the paper's Fig 5(b) plan: count single-node failures at

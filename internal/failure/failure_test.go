@@ -17,8 +17,8 @@ func TestRandomBounds(t *testing.T) {
 		if e.Frac < 0 || e.Frac >= 0.05 {
 			t.Errorf("frac %v out of [0,0.05)", e.Frac)
 		}
-		if e.Node != "" || e.At != 0 || e.Kill {
-			t.Errorf("random event %+v should be untimed, unresponsive, victim deferred", e)
+		if e.Node != "" || e.At != 0 || e.Kill || e.Fault != Crash || e.For != 0 {
+			t.Errorf("random event %+v should be an untimed, unresponsive crash that never heals, victim deferred", e)
 		}
 	}
 }

@@ -155,8 +155,8 @@ func runAdaptiveSoak(t *testing.T, seed int64, phases []chaos.Phase) {
 	for _, n := range cl.Nodes() {
 		nodeNames = append(nodeNames, string(n))
 	}
-	plan := chaos.GeneratePhasedPlan(seed, nodeNames, phases)
-	t.Logf("phases: %s", chaos.PhaseSummary(phases))
+	plan := chaos.GeneratePlan(seed, nodeNames, phases)
+	t.Logf("phases: %v", phases)
 	t.Logf("plan: %s", plan.Summary())
 
 	var (
