@@ -35,7 +35,7 @@ type ingestConfig struct {
 }
 
 // ingestResult is one phase's measurement, JSON-shaped for
-// results/BENCH_ingest.json and the benchguard regression check.
+// results/BENCH_ingest.json.
 type ingestResult struct {
 	Mode        string  `json:"mode"`
 	Puts        int64   `json:"puts"`

@@ -7,7 +7,14 @@
 //	ftcbench -exp fig5b -scale quick  # one experiment, seconds-scale
 //	ftcbench -exp fig6b -seed 7
 //
-// Experiments: table1, fig1, fig2, fig5a, fig5b, fig6a, fig6b, all.
+// Experiments: table1, fig1, fig2, fig5a, fig5b, fig6a, fig6b, extrepl,
+// extvnode, all.
+//
+// Two live-cluster modes measure what the benchmark suite (bench/) does
+// not yet:
+//
+//	ftcbench -ingest   # sync puts vs the batched async pipeline
+//	ftcbench -adaptft  # adaptive policy vs every static one, phased chaos
 package main
 
 import (
@@ -23,8 +30,7 @@ import (
 )
 
 // benchLog is the process logger: results go to stdout as tables,
-// diagnostics go to stderr as structured records (tail exemplars carry
-// a trace_id field correlating them with /debug/traces).
+// diagnostics go to stderr as structured records.
 var benchLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 func main() {
@@ -32,18 +38,11 @@ func main() {
 	scaleName := flag.String("scale", "paper", "scale: paper|quick")
 	seed := flag.Int64("seed", 1, "random seed")
 	csvDir := flag.String("csv", "", "also write <dir>/<exp>.csv for each experiment")
-	hotpath := flag.Bool("hotpath", false, "drive a live in-process cluster at high concurrency and print reads/sec")
 	hpClients := flag.Int("clients", 16, "live modes: concurrent client connections")
 	hpNodes := flag.Int("nodes", 4, "live modes: server nodes")
 	hpFiles := flag.Int("files", 512, "live modes: files in the working set")
 	hpFileBytes := flag.Int64("filebytes", 4096, "live modes: bytes per file")
-	hpDuration := flag.Duration("duration", 3*time.Second, "hotpath/ingest: measurement window")
-	hpSkew := flag.Float64("skew", 0, "hotpath: Zipf exponent of the access pattern (0 = uniform)")
-	hpLoadctl := flag.Bool("loadctl", false, "hotpath: enable client-side load control (coalescing, hot-key fan-out, hedged reads)")
-	hpAdmission := flag.Int("admission", 0, "hotpath: per-server concurrent-read admission limit (0 = unlimited)")
-	hpServiceDelay := flag.Duration("servicedelay", 0, "hotpath: simulated per-read device service time (0 = off)")
-	hpTrace := flag.Bool("trace", false, "attribution mode: trace every hotpath read and decompose the read p99 into owner/replica/hedge/retry/queue/storage components")
-	hpTraceOut := flag.String("traceout", "", "trace: also append the markdown attribution table to this file")
+	hpDuration := flag.Duration("duration", 3*time.Second, "ingest: measurement window")
 	adaptFT := flag.Bool("adaptft", false, "compare the adaptive policy controller against every static strategy over seeded phase-shift schedules, JSON to -adaptout")
 	aftUnit := flag.Duration("unit", time.Second, "adaptft: base duration of one schedule phase")
 	aftPFSDelay := flag.Duration("pfsdelay", 10*time.Millisecond, "adaptft: injected PFS read latency during contention phases")
@@ -145,27 +144,6 @@ func main() {
 		return
 	}
 
-	if *hotpath || *hpTrace {
-		if err := runHotpath(hotpathConfig{
-			nodes:        *hpNodes,
-			clients:      *hpClients,
-			files:        *hpFiles,
-			fileBytes:    *hpFileBytes,
-			duration:     *hpDuration,
-			seed:         *seed,
-			skew:         *hpSkew,
-			loadctl:      *hpLoadctl,
-			admission:    *hpAdmission,
-			serviceDelay: *hpServiceDelay,
-			traced:       *hpTrace,
-			traceOut:     *hpTraceOut,
-		}); err != nil {
-			benchLog.Error("hotpath run failed", "err", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			benchLog.Error("csv dir create failed", "dir", *csvDir, "err", err)
@@ -207,7 +185,12 @@ func main() {
 			benchLog.Error("csv write failed", "path", path, "err", err)
 			os.Exit(1)
 		}
-		file.Close()
+		// Close reports a failed final write; ignoring it would leave a
+		// truncated CSV behind a "wrote" line.
+		if err := file.Close(); err != nil {
+			benchLog.Error("csv close failed", "path", path, "err", err)
+			os.Exit(1)
+		}
 		fmt.Printf("  [wrote %s]\n\n", path)
 	}
 

@@ -750,7 +750,7 @@ func (c *Client) readLegs(ctx context.Context, owner cluster.NodeID, path string
 			}
 		}
 		if len(legs) > 1 {
-			data, err, class := c.raceLegs(ctx, owner, legs, path, offset, length)
+			data, err, class := c.raceLegs(ctx, legs, path, offset, length)
 			if class == classOK && offset == 0 && length < 0 && c.load.MarkPushed(path) {
 				telemetry.TraceEvent(telemetry.EventHotKey, "", path, int64(len(data)))
 				c.pushCopies(path, data, owners, true)
@@ -776,7 +776,7 @@ func (c *Client) readLegs(ctx context.Context, owner cluster.NodeID, path string
 // conn-class only if every leg failed that way; otherwise it returns the
 // first other failure (a shed, a server error), which is never evidence.
 // The legs themselves note nothing: that is the attempt loop's call.
-func (c *Client) raceLegs(ctx context.Context, owner cluster.NodeID, legs []cluster.NodeID, path string, offset, length int64) ([]byte, error, errClass) {
+func (c *Client) raceLegs(ctx context.Context, legs []cluster.NodeID, path string, offset, length int64) ([]byte, error, errClass) {
 	m := cliMetrics()
 	// The p2c pick goes first; the rest keep their ring order.
 	first := c.load.Latency.Pick(legs)
@@ -801,7 +801,6 @@ func (c *Client) raceLegs(ctx context.Context, owner cluster.NodeID, legs []clus
 	// Buffered to the race width: losing legs complete into the buffer
 	// after we return and their goroutines exit — no leak.
 	results := make(chan legResult, len(legs))
-	start := time.Now()
 	launched := 0
 	launch := func(hedged bool) {
 		node := legs[launched]
@@ -852,17 +851,10 @@ func (c *Client) raceLegs(ctx context.Context, owner cluster.NodeID, legs []clus
 			outstanding--
 			switch r.class {
 			case classOK:
-				elapsed := int64(time.Since(start))
-				switch {
-				case r.hedged:
+				if r.hedged {
 					c.hedgeWins.Add(1)
 					m.hedgeWins.Inc()
-					m.hedgeLatency.Observe(elapsed)
 					asp.Annotate("hedge", "win")
-				case r.node == owner:
-					m.ownerLatency.Observe(elapsed)
-				default:
-					m.replLatency.Observe(elapsed)
 				}
 				asp.Annotate("winner", string(r.node))
 				return r.data, nil, classOK

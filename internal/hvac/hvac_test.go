@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/storage"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // noPlans gives a test router the Router answers of a policy with
@@ -491,12 +493,20 @@ func TestClientLatencyTracking(t *testing.T) {
 // coalescing flight, and an accidental fan-out, goroutine or allocation
 // on that path does not fit either (four today, one above the static
 // input). It replaces the benchguard-tagged loadctl overhead guard.
+//
+// The third input is the static read with tracing enabled at a sample
+// rate no measured read reaches: an unsampled read pays one atomic add
+// for its trace id and nothing else (DESIGN §14.3), so it must allocate
+// exactly what the same client's untraced read does, and the recorder
+// must have been offered nothing. It replaces the benchguard-tagged
+// TestTraceOverheadGuard, whose 30 % timing threshold existed to catch
+// an allocation, lock or clock read on the unsampled path.
 func TestWarmReadAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
 	}
 	ctx := context.Background()
-	measure := func(t *testing.T, c *Client, paths []string) {
+	measure := func(t *testing.T, c *Client, paths []string) float64 {
 		for _, p := range paths { // warm-up; the static input's miss fills NVMe
 			if _, err := c.Read(ctx, p); err != nil {
 				t.Fatal(err)
@@ -513,6 +523,7 @@ func TestWarmReadAllocs(t *testing.T) {
 		if n > 4 {
 			t.Errorf("warm Read: %v allocs, want <= 4", n)
 		}
+		return n
 	}
 	t.Run("static", func(t *testing.T) {
 		tc := newTestCluster(t, 1)
@@ -533,6 +544,21 @@ func TestWarmReadAllocs(t *testing.T) {
 			LoadControl: &loadctl.Config{},
 		})
 		measure(t, c, paths)
+	})
+	t.Run("traced unsampled", func(t *testing.T) {
+		tc := newTestCluster(t, 1)
+		tc.pfs.Put("f", make([]byte, 4096))
+		c := tc.client(staticRouter{node: "node-00"}, 10*time.Second)
+		off := measure(t, c, []string{"f"})
+		rec := trace.Enable(trace.DefaultCapacity, 1)
+		defer trace.Disable()
+		rec.SetSampleRate(math.MaxInt)
+		if on := measure(t, c, []string{"f"}); on != off {
+			t.Errorf("unsampled traced Read: %v allocs, untraced %v; want equal", on, off)
+		}
+		if st := rec.Stats(); st.Offered != 0 {
+			t.Errorf("recorder offered %d traces; no read should have been sampled", st.Offered)
+		}
 	})
 }
 

@@ -95,6 +95,136 @@ func TestIngestAckVisibility(t *testing.T) {
 	}
 }
 
+// TestIngestBatchesPuts is the batching ceiling: n PutAsync calls to 8
+// nodes followed by one Flush reach the servers in at most ⌈n/64⌉ + 8
+// OpPutBatch frames — full batches plus one partial per node — and
+// every object arrives inside one of them. It replaces the
+// benchguard-tagged TestIngestBatchingSpeedupGuard, whose 1.3× timing
+// threshold existed to catch the pipeline degrading to one RPC per put;
+// BenchmarkIngestPuts still measures the speedup.
+func TestIngestBatchesPuts(t *testing.T) {
+	tc := newTestCluster(t, 8)
+	router := hashRouter{nodes: tc.nodes}
+	// A large MaxDelay keeps age flushes out: only full batches and the
+	// barrier seal.
+	c := tc.ingestClient(router, &IngestConfig{MaxBatchEntries: 64, MaxDelay: time.Minute}, 0)
+
+	const n = 2000
+	for i := 0; i < n; i++ {
+		path := fmt.Sprintf("batched/f%04d", i)
+		if err := c.PutAsync(path, []byte(path)); err != nil {
+			t.Fatalf("PutAsync %s: %v", path, err)
+		}
+	}
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	var frames, entries int64
+	for _, srv := range tc.servers {
+		frames += srv.batchPuts.Load()
+		entries += srv.batchEntries.Load()
+	}
+	t.Logf("%d puts: %d OpPutBatch frames carrying %d entries", n, frames, entries)
+	if want := int64((n+63)/64 + len(tc.nodes)); frames > want {
+		t.Errorf("%d puts sent in %d OpPutBatch frames, want <= %d", n, frames, want)
+	}
+	if entries != n {
+		t.Errorf("%d of %d puts arrived in batches", entries, n)
+	}
+	for i := 0; i < n; i++ {
+		path := fmt.Sprintf("batched/f%04d", i)
+		owner := router.Route(path).Node
+		if got, err := tc.servers[owner].NVMe().Get(path); err != nil || string(got) != path {
+			t.Fatalf("after Flush, %s not readable from owner %s: %q, %v", path, owner, got, err)
+		}
+	}
+}
+
+// benchIngestPuts drives b.N one-KiB puts from one client into a fresh
+// 8-node in-process cluster — synchronously (one RPC per put) or through
+// the batched async pipeline (PutAsync with periodic Flush barriers, the
+// trailing barrier inside the timed region so acks are paid for).
+func benchIngestPuts(b *testing.B, batched bool) {
+	network := rpc.NewInprocNetwork()
+	pfs := storage.NewPFS()
+	var nodes []cluster.NodeID
+	var servers []*Server
+	for i := 0; i < 8; i++ {
+		node := cluster.NodeID(fmt.Sprintf("node-%02d", i))
+		nodes = append(nodes, node)
+		srv := NewServer(ServerConfig{Node: node, NVMeCapacity: 8 << 20}, pfs)
+		lis, err := network.Listen(string(node))
+		if err != nil {
+			b.Fatalf("listen %s: %v", node, err)
+		}
+		go srv.Serve(lis)
+		servers = append(servers, srv)
+	}
+	defer func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}()
+	eps := make(map[cluster.NodeID]string, len(nodes))
+	for _, n := range nodes {
+		eps[n] = string(n)
+	}
+	var ing *IngestConfig
+	if batched {
+		ing = &IngestConfig{}
+	}
+	c, err := NewClient(ClientConfig{
+		Endpoints:    eps,
+		Network:      network,
+		Router:       hashRouter{nodes: nodes},
+		PFS:          pfs,
+		RPCTimeout:   10 * time.Second,
+		TimeoutLimit: 2,
+		Ingest:       ing,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+
+	data := make([]byte, 1024)
+	ctx := context.Background()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		path := fmt.Sprintf("bench/%t/k%09d", batched, i)
+		if !batched {
+			if err := c.Put(ctx, path, data); err != nil {
+				b.Fatal(err)
+			}
+			continue
+		}
+		if err := c.PutAsync(path, data); err != nil {
+			b.Fatal(err)
+		}
+		if i%1024 == 1023 {
+			if err := c.Flush(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if batched {
+		if err := c.Flush(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+}
+
+// BenchmarkIngestPuts compares synchronous puts with the batched async
+// pipeline; the ratio of the two is the batching speedup:
+//
+//	go test ./internal/hvac -run NONE -bench IngestPuts
+func BenchmarkIngestPuts(b *testing.B) {
+	b.Run("sync", func(b *testing.B) { benchIngestPuts(b, false) })
+	b.Run("batched", func(b *testing.B) { benchIngestPuts(b, true) })
+}
+
 // TestIngestAgeFlush: with no barrier and a tiny MaxDelay, buffered
 // objects still become visible — the age timer ships partial batches.
 func TestIngestAgeFlush(t *testing.T) {

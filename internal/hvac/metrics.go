@@ -31,7 +31,6 @@ type clientMetrics struct {
 	rejoinWarmFiles *telemetry.Counter // objects warmed onto rejoining nodes
 	rejoinWarmBytes *telemetry.Counter // bytes warmed onto rejoining nodes
 
-	// Load-control series (all zero unless ClientConfig.LoadControl set).
 	// Ingest series (zero unless ClientConfig.Ingest is set).
 	ingestEntries      *telemetry.Counter   // objects accepted by PutAsync / riding batches
 	ingestBatches      *telemetry.Counter   // batches sealed
@@ -41,14 +40,12 @@ type clientMetrics struct {
 	ingestFlushSync    *telemetry.Counter   // batches sealed by an explicit barrier
 	ingestErrors       *telemetry.Counter   // objects whose batched delivery failed
 
-	coalesced     *telemetry.Counter   // reads served by joining another caller's flight
-	hedges        *telemetry.Counter   // hedge legs launched
-	hedgeWins     *telemetry.Counter   // reads won by the hedged leg
-	hotPush       *telemetry.Counter   // hot-object replica pushes issued
-	shedRedirects *telemetry.Counter   // overload sheds redirected to replica/PFS
-	ownerLatency  *telemetry.Histogram // hot reads answered by the ring owner
-	replLatency   *telemetry.Histogram // hot reads answered by a replica
-	hedgeLatency  *telemetry.Histogram // hot reads answered by a hedge leg
+	// Load-control series (all zero unless ClientConfig.LoadControl set).
+	coalesced     *telemetry.Counter // reads served by joining another caller's flight
+	hedges        *telemetry.Counter // hedge legs launched
+	hedgeWins     *telemetry.Counter // reads won by the hedged leg
+	hotPush       *telemetry.Counter // hot-object replica pushes issued
+	shedRedirects *telemetry.Counter // overload sheds redirected to replica/PFS
 }
 
 var (
@@ -90,9 +87,6 @@ func cliMetrics() *clientMetrics {
 			hedgeWins:     reg.Counter("ftc_client_hedge_wins_total"),
 			hotPush:       reg.Counter("ftc_client_hot_pushes_total"),
 			shedRedirects: reg.Counter("ftc_client_shed_redirects_total"),
-			ownerLatency:  reg.Histogram("ftc_client_read_owner_latency_seconds"),
-			replLatency:   reg.Histogram("ftc_client_read_replica_latency_seconds"),
-			hedgeLatency:  reg.Histogram("ftc_client_read_hedged_latency_seconds"),
 		}
 		m := cliMetricsInst
 		reg.RegisterDebug("ingest", func() any {

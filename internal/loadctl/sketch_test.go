@@ -87,7 +87,7 @@ func TestSketchBoundedMemory(t *testing.T) {
 }
 
 // TestSketchRace hammers the sketch from many goroutines; run with
-// -race (the CI loadctl job does) to verify the sampled fast path, the
+// -race (CI's test job does) to verify the sampled fast path, the
 // published hot set and the locked update path are data-race free.
 func TestSketchRace(t *testing.T) {
 	cfg := Config{SketchSize: 32, SampleRate: 4, WindowTouches: 512, HotFraction: 0.05}

@@ -29,8 +29,8 @@
 //
 // A process-wide Default registry wires the whole stack together: every
 // instrumented layer publishes into it, ftcserver serves it over HTTP
-// (http.go), and ftcbench -hotpath prints it at exit. Tests that need
-// isolation construct private registries.
+// (http.go), and the benchmark suite (bench/) reads it after each run.
+// Tests that need isolation construct private registries.
 package telemetry
 
 import (
@@ -42,8 +42,8 @@ import (
 
 // enabled gates the non-trivial write paths (histogram observations and
 // event emission). Counters and gauges stay live regardless — they are
-// single atomic adds, no cheaper off than on. The overhead guard and
-// the before/after benchmarks toggle this.
+// single atomic adds, no cheaper off than on. rpc's round-trip alloc
+// ceiling and the before/after benchmarks toggle this.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }
