@@ -41,8 +41,6 @@ func main() {
 	listen := flag.String("listen", ":7070", "TCP listen address")
 	pfsDir := flag.String("pfs", "", "directory served as the PFS tier (required)")
 	capacity := flag.Int64("nvme-capacity", 0, "cache capacity in bytes (0 = unbounded)")
-	queue := flag.Int("mover-queue", 256, "data-mover queue depth")
-	workers := flag.Int("mover-workers", 2, "data-mover worker count")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus /metrics, JSON /debug/ftcache and /debug/traces on this address (e.g. :9090; empty = disabled)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics address and add a goroutine-dump section to /debug/ftcache")
 	traceSample := flag.Int("trace-sample", 0, "record request traces for 1-in-N requests (0 = tracing off, 1 = every request)")
@@ -69,10 +67,8 @@ func main() {
 	}
 
 	srv := hvac.NewServer(hvac.ServerConfig{
-		Node:            cluster.NodeID(*node),
-		NVMeCapacity:    *capacity,
-		MoverQueueDepth: *queue,
-		MoverWorkers:    *workers,
+		Node:         cluster.NodeID(*node),
+		NVMeCapacity: *capacity,
 	}, pfs)
 
 	lis, err := rpc.TCPNetwork{}.Listen(*listen)

@@ -107,9 +107,6 @@ type ClientConfig struct {
 	// TimeoutLimit is the consecutive-timeout threshold (TIMEOUT_LIMIT);
 	// <= 0 selects cluster.DefaultTimeoutLimit.
 	TimeoutLimit int
-	// MaxAttempts bounds routing retries per read; <= 0 selects
-	// TimeoutLimit + 8.
-	MaxAttempts int
 	// ReplicationFactor, when > 1, pushes PFS-fetched objects to that
 	// many distinct owners (Router.Replicas).
 	ReplicationFactor int
@@ -243,13 +240,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	nodes := make([]cluster.NodeID, 0, len(cfg.Endpoints))
 	for n := range cfg.Endpoints {
 		nodes = append(nodes, n)
-	}
-	if cfg.MaxAttempts <= 0 {
-		limit := cfg.TimeoutLimit
-		if limit <= 0 {
-			limit = cluster.DefaultTimeoutLimit
-		}
-		cfg.MaxAttempts = limit + 8
 	}
 	c := &Client{
 		cfg:       cfg,
@@ -597,15 +587,18 @@ func (c *Client) readCoalesced(ctx context.Context, path string) ([]byte, error)
 }
 
 // readAttempts is the attempt loop: route, read the legs, note evidence,
-// fall back — bounded by MaxAttempts. It is the read path's one source of
-// failure evidence: the routed owner is noted when the legs stage failed
-// timeout- or conn-class, meaning the single leg failed that way or every
-// raced leg did. now is the caller's reading of the clock on entry: the
+// fall back — bounded at the detector's timeout limit plus eight
+// attempts: room to declare the routed owner and fail over past a few
+// more, while a router that never reroutes ends in ErrExhausted. It is
+// the read path's one source of failure evidence: the routed owner is
+// noted when the legs stage failed timeout- or conn-class, meaning the
+// single leg failed that way or every raced leg did. now is the
+// caller's reading of the clock on entry: the
 // first attempt's RPC counts its timeout from it instead of reading the
 // clock again; every later attempt takes a fresh reading.
 func (c *Client) readAttempts(ctx context.Context, path string, offset, length int64, now time.Time) ([]byte, error) {
 	m := cliMetrics()
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.tracker.Limit()+8; attempt++ {
 		if attempt == 1 {
 			c.failoverReads.Add(1)
 			m.failovers.Inc()

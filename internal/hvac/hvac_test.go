@@ -309,7 +309,8 @@ func TestServerKilledConnectionFailure(t *testing.T) {
 func TestReadExhaustionAgainstDeadOnlyNode(t *testing.T) {
 	tc := newTestCluster(t, 1)
 	tc.pfs.Put("f", []byte("x"))
-	// staticRouter never reroutes, so attempts exhaust.
+	// staticRouter never reroutes, so attempts exhaust: TimeoutLimit + 8
+	// of them, about 10 × 20 ms.
 	c, err := NewClient(ClientConfig{
 		Endpoints:    tc.endpoints(),
 		Network:      tc.network,
@@ -317,7 +318,6 @@ func TestReadExhaustionAgainstDeadOnlyNode(t *testing.T) {
 		PFS:          tc.pfs,
 		RPCTimeout:   20 * time.Millisecond,
 		TimeoutLimit: 2,
-		MaxAttempts:  3,
 	})
 	if err != nil {
 		t.Fatal(err)

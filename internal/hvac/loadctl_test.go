@@ -290,7 +290,6 @@ func TestLoadctlOverloadShedIsNotFailureEvidence(t *testing.T) {
 	tc := newLoadctlCluster(t, 1, ServerConfig{
 		AdmissionLimit: 1,
 		AdmissionQueue: 0,
-		AdmissionWait:  time.Millisecond,
 		ReadDelay:      10 * time.Millisecond,
 	})
 	const workers = 8
@@ -371,7 +370,7 @@ func TestHotReplicaSetUnreachableFailsOver(t *testing.T) {
 		},
 		{
 			name: "shedding",
-			scfg: ServerConfig{AdmissionLimit: 1, AdmissionWait: time.Millisecond},
+			scfg: ServerConfig{AdmissionLimit: 1},
 			fault: func(t *testing.T, tc *loadctlCluster) {
 				// Hold each server's only slot: every read now sheds.
 				for _, s := range tc.servers {

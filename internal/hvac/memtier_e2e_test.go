@@ -203,7 +203,7 @@ func TestRAMTierPutInvalidatesStaleCopy(t *testing.T) {
 func TestRAMTierDemotionRefillsNVMe(t *testing.T) {
 	// Tiny RAM budget: heating a second object evicts the first, and
 	// the demotion callback must land the victim's bytes on NVMe if
-	// they are not already there.
+	// they are not already there — before the evicting read returns.
 	srv, network, pfs := newRAMServer(t, 64)
 	a := []byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa") // 40 bytes
 	b := []byte("bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb")
@@ -218,7 +218,6 @@ func TestRAMTierDemotionRefillsNVMe(t *testing.T) {
 	if srv.RAM().Has("data/a") {
 		t.Fatal("data/a should have been evicted by data/b")
 	}
-	srv.Mover().Flush()
 	if !srv.NVMe().Has("data/a") {
 		t.Fatal("evicted object was not demoted back to NVMe")
 	}

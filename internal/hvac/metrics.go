@@ -158,9 +158,7 @@ func (s *Server) registerTelemetry() {
 
 	reg.CounterFunc("ftc_server_fills_total", func() int64 { e, _ := mover.Counters(); return e }, "node", node)
 	reg.CounterFunc("ftc_server_fill_drops_total", func() int64 { _, d := mover.Counters(); return d }, "node", node)
-	reg.CounterFunc("ftc_server_inline_fills_total", func() int64 { i, _, _ := mover.FillStats(); return i }, "node", node)
-	reg.CounterFunc("ftc_server_fill_errors_total", func() int64 { _, e, _ := mover.FillStats(); return e }, "node", node)
-	reg.GaugeFunc("ftc_server_mover_queue_depth", mover.QueueDepth, "node", node)
+	reg.CounterFunc("ftc_server_fill_errors_total", mover.fillErrs.Load, "node", node)
 
 	reg.RegisterDebug("server:"+node, s.debugSnapshot)
 }
@@ -169,7 +167,7 @@ func (s *Server) registerTelemetry() {
 func (s *Server) debugSnapshot() any {
 	nvme := s.nvme.Snapshot()
 	enq, drop := s.mover.Counters()
-	inline, fillErrs, lastErr := s.mover.FillStats()
+	fillErrs, lastErr := s.mover.FillStats()
 	snap := map[string]any{
 		"node":            string(s.cfg.Node),
 		"nvme_objects":    nvme.Objects,
@@ -183,10 +181,8 @@ func (s *Server) debugSnapshot() any {
 		"pfs_fallbacks":   s.pfsFallbacks.Load(),
 		"fills_enqueued":  enq,
 		"fills_dropped":   drop,
-		"fills_inline":    inline,
 		"fill_errors":     fillErrs,
 		"last_fill_error": lastErr,
-		"queue_depth":     s.mover.QueueDepth(),
 		"batch_puts":      s.batchPuts.Load(),
 		"batch_entries":   s.batchEntries.Load(),
 		"batch_sheds":     s.batchSheds.Load(),

@@ -10,17 +10,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Mover is the HVAC server's background data mover (§II-B): everything
-// that lands on the node-local NVMe off the read path goes through it,
-// in two stages.
+// Mover is the HVAC server's data mover (§II-B): everything that lands
+// on the node-local NVMe goes through it, in two stages.
 //
-// The fill stage stores bytes the server already holds: replica and
-// ingest writes synchronously (FillSync, FillBatchSync — so does the
-// miss flight, which must not complete before its object is cached),
-// RAM-tier demotions through a bounded queue (Enqueue) whose overflow is
-// dropped and counted — a dropped demotion only costs one PFS trip
-// later. When that queue is idle Enqueue stores inline: an in-memory
-// cache insert costs less than the scheduler handoff to a worker.
+// The fill stage stores bytes the server already holds, synchronously:
+// replica and ingest writes (FillSync, FillBatchSync), the miss flight's
+// fill, which must land before its object is served, and RAM-tier
+// demotions (Demote). An in-memory cache insert costs less than handing
+// it to a worker, so no fill waits in a queue.
 //
 // The recache stage (Recache) prefetches paths the server does not hold
 // yet: after a node failure the clients hint every new owner the paths
@@ -29,12 +26,12 @@ import (
 // that would otherwise miss on them one at a time. The stage never holds
 // bytes, only paths, so nothing fetched can be lost to a full queue:
 // hints that do not fit are dropped before any PFS read and those paths
-// fill on their first demand miss instead.
+// fill on their first demand miss instead. It is the mover's only
+// concurrency, and an idle node runs none of it.
 type Mover struct {
 	nvme *storage.NVMe
-	node string // owning server's identity, for event tracing
-	ch   chan moveJob
-	wg   sync.WaitGroup
+	node string         // owning server's identity, for event tracing
+	wg   sync.WaitGroup // live recache workers
 
 	// fetch makes one hinted path resident through the owning server's
 	// miss flight and reports the bytes it brought in; false means the
@@ -44,7 +41,6 @@ type Mover struct {
 
 	enqueued atomic.Int64
 	dropped  atomic.Int64
-	inline   atomic.Int64 // fills stored synchronously on the idle fast path
 	fillErrs atomic.Int64 // fills that failed (e.g. ErrTooLarge)
 
 	errMu   sync.Mutex
@@ -53,7 +49,6 @@ type Mover struct {
 	mu     sync.Mutex
 	closed bool
 	idle   *sync.Cond
-	inQ    int // jobs enqueued but not yet stored
 
 	// Recache stage state, under mu.
 	recacheCap int                    // bound on len(rq)
@@ -91,52 +86,35 @@ type recacheJob struct {
 	run  *recacheRun
 }
 
-type moveJob struct {
-	path string
-	data []byte
-}
-
-// NewMover starts a mover with the given queue depth and worker count.
-// Non-positive arguments select 256 and 1.
-func NewMover(nvme *storage.NVMe, queueDepth, workers int) *Mover {
-	if queueDepth <= 0 {
-		queueDepth = 256
-	}
-	if workers <= 0 {
-		workers = 1
-	}
+// NewMover returns a mover over nvme for the server named node. fetch is
+// the recache stage's prefetch (see Mover.fetch); nil leaves the stage
+// off. It starts no goroutine.
+func NewMover(nvme *storage.NVMe, node string, fetch func(path string) (int, bool)) *Mover {
 	m := &Mover{
 		nvme:       nvme,
-		ch:         make(chan moveJob, queueDepth),
+		node:       node,
+		fetch:      fetch,
 		recacheCap: recacheQueueCap,
 		hinted:     make(map[string]struct{}),
 		runs:       make(map[string]*recacheRun),
 	}
 	m.idle = sync.NewCond(&m.mu)
-	m.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go m.run()
-	}
 	return m
 }
 
-// fill performs one cache fill and records its outcome. Historically a
-// failed Put was discarded silently, which made "why is this file never
-// cached?" undiagnosable; failures are now counted and the most recent
-// one is kept for the debug snapshot.
-func (m *Mover) fill(path string, data []byte, inlined bool) error {
-	if inlined {
-		m.inline.Add(1)
-	}
-	if err := m.nvme.Put(path, data); err != nil {
+// filled records one fill's outcome, the accounting both fill calls
+// share: a failure is counted and kept as the last error, so "why is
+// this file never cached?" has an answer in the debug snapshot; a
+// success is traced.
+func (m *Mover) filled(path string, size int, err error) {
+	if err != nil {
 		m.fillErrs.Add(1)
 		m.errMu.Lock()
 		m.lastErr = path + ": " + err.Error()
 		m.errMu.Unlock()
-		return err
+		return
 	}
-	telemetry.TraceEvent(telemetry.EventRecacheFileDone, m.node, path, int64(len(data)))
-	return nil
+	telemetry.TraceEvent(telemetry.EventRecacheFileDone, m.node, path, int64(size))
 }
 
 // FillSync stores one object synchronously through the mover's fill
@@ -145,7 +123,9 @@ func (m *Mover) fill(path string, data []byte, inlined bool) error {
 // routing the store through here keeps every cache fill — first-touch,
 // recache, or replica push — visible in the same counters.
 func (m *Mover) FillSync(path string, data []byte) error {
-	return m.fill(path, data, false)
+	err := m.nvme.Put(path, data)
+	m.filled(path, len(data), err)
+	return err
 }
 
 // FillBatchSync stores a whole ingest batch in one sharded NVMe pass
@@ -155,60 +135,26 @@ func (m *Mover) FillSync(path string, data []byte) error {
 func (m *Mover) FillBatchSync(entries []storage.BatchEntry) []error {
 	errs := m.nvme.PutBatch(entries)
 	for i := range entries {
-		if errs[i] != nil {
-			m.fillErrs.Add(1)
-			m.errMu.Lock()
-			m.lastErr = entries[i].Path + ": " + errs[i].Error()
-			m.errMu.Unlock()
-			continue
-		}
-		telemetry.TraceEvent(telemetry.EventRecacheFileDone, m.node, entries[i].Path, int64(len(entries[i].Data)))
+		m.filled(entries[i].Path, len(entries[i].Data), errs[i])
 	}
 	return errs
 }
 
-func (m *Mover) run() {
-	defer m.wg.Done()
-	for job := range m.ch {
-		m.fill(job.path, job.data, false) // failures are counted by fill
-		m.mu.Lock()
-		m.inQ--
-		if m.inQ == 0 {
-			m.idle.Broadcast()
-		}
-		m.mu.Unlock()
-	}
-}
-
-// Enqueue schedules an async cache fill; returns false when the job was
-// dropped (queue full or mover closed).
-func (m *Mover) Enqueue(path string, data []byte) bool {
+// Demote stores an object the RAM tier evicted, before it returns, and
+// counts it as enqueued whether or not the store succeeded (a failure is
+// counted as a fill error). It reports false, and counts a drop, only
+// after Close.
+func (m *Mover) Demote(path string, data []byte) bool {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	closed := m.closed
+	m.mu.Unlock()
+	if closed {
 		m.dropped.Add(1)
 		return false
 	}
-	if m.inQ == 0 {
-		// Idle fast path: store synchronously. inQ stays untouched, so
-		// Flush sees nothing outstanding — the fill is already durable
-		// (in cache terms) by the time Enqueue returns.
-		m.mu.Unlock()
-		m.fill(path, data, true)
-		m.enqueued.Add(1)
-		return true
-	}
-	select {
-	case m.ch <- moveJob{path: path, data: data}:
-		m.inQ++
-		m.enqueued.Add(1)
-		m.mu.Unlock()
-		return true
-	default:
-		m.mu.Unlock()
-		m.dropped.Add(1)
-		return false
-	}
+	m.FillSync(path, data)
+	m.enqueued.Add(1)
+	return true
 }
 
 // Recache queues paths this node inherited from failed for prefetch.
@@ -290,19 +236,19 @@ func (m *Mover) recacheLoop() {
 	m.mu.Unlock()
 }
 
-// Flush blocks until every enqueued fill has been stored and every
-// hinted path has been fetched. Tests use it to make async caching
-// deterministic.
+// Flush blocks until every hinted path has been fetched; fills are
+// already stored when their call returns. Tests use it to make the
+// recache stage deterministic.
 func (m *Mover) Flush() {
 	m.mu.Lock()
-	for m.inQ > 0 || len(m.hinted) > 0 {
+	for len(m.hinted) > 0 {
 		m.idle.Wait()
 	}
 	m.mu.Unlock()
 }
 
-// Close drains queued fills, abandons hinted paths not yet fetched and
-// stops every worker. Enqueue after Close reports a drop.
+// Close abandons hinted paths not yet fetched and waits for the recache
+// workers to exit. Demote after Close reports a drop.
 func (m *Mover) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -311,13 +257,10 @@ func (m *Mover) Close() {
 	}
 	m.closed = true
 	m.mu.Unlock()
-	close(m.ch)
 	m.wg.Wait()
 	m.mu.Lock()
-	// Jobs may have been consumed between the last decrement and channel
-	// close; by now every queued fill has been stored, and the recache
-	// workers have exited leaving whatever they had not started.
-	m.inQ = 0
+	// The recache workers have exited leaving whatever they had not
+	// started.
 	m.rq, m.hinted, m.runs = nil, map[string]struct{}{}, map[string]*recacheRun{}
 	m.idle.Broadcast()
 	m.mu.Unlock()
@@ -328,15 +271,11 @@ func (m *Mover) Counters() (enqueued, dropped int64) {
 	return m.enqueued.Load(), m.dropped.Load()
 }
 
-// FillStats returns the inline-fill count, the fill-error count, and the
-// most recent fill error ("" if none has occurred).
-func (m *Mover) FillStats() (inline, errs int64, lastErr string) {
+// FillStats returns the fill-error count and the most recent fill error
+// ("" if none has occurred).
+func (m *Mover) FillStats() (errs int64, lastErr string) {
 	m.errMu.Lock()
 	lastErr = m.lastErr
 	m.errMu.Unlock()
-	return m.inline.Load(), m.fillErrs.Load(), lastErr
+	return m.fillErrs.Load(), lastErr
 }
-
-// QueueDepth returns the number of jobs currently buffered in the
-// channel (a point-in-time, lock-free read for the telemetry gauge).
-func (m *Mover) QueueDepth() int64 { return int64(len(m.ch)) }

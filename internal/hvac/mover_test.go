@@ -2,25 +2,27 @@ package hvac
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/storage"
 )
 
+// TestMoverStoresAsync: a demotion is stored by the time Demote returns
+// — the pusher's side of it is what is asynchronous — and counted.
 func TestMoverStoresAsync(t *testing.T) {
 	nvme := storage.NewNVMe(0)
-	m := NewMover(nvme, 16, 2)
+	m := NewMover(nvme, "", nil)
 	defer m.Close()
 	for i := 0; i < 10; i++ {
-		if !m.Enqueue(fmt.Sprintf("f%d", i), []byte{byte(i)}) {
-			t.Fatalf("enqueue %d dropped", i)
+		path := fmt.Sprintf("f%d", i)
+		if !m.Demote(path, []byte{byte(i)}) {
+			t.Fatalf("demote %d dropped", i)
 		}
-	}
-	m.Flush()
-	for i := 0; i < 10; i++ {
-		if !nvme.Has(fmt.Sprintf("f%d", i)) {
-			t.Errorf("f%d not cached after flush", i)
+		if !nvme.Has(path) {
+			t.Errorf("%s not cached when Demote returned", path)
 		}
 	}
 	enq, drop := m.Counters()
@@ -29,30 +31,12 @@ func TestMoverStoresAsync(t *testing.T) {
 	}
 }
 
-func TestMoverDropsWhenSaturated(t *testing.T) {
-	nvme := storage.NewNVMe(0)
-	m := NewMover(nvme, 1, 1)
-	// Block the single worker by filling the queue faster than a tiny
-	// queue drains; with depth 1 at least some of a burst must drop.
-	dropped := false
-	for i := 0; i < 1000; i++ {
-		if !m.Enqueue(fmt.Sprintf("f%d", i), make([]byte, 8)) {
-			dropped = true
-		}
-	}
-	m.Close()
-	_, drops := m.Counters()
-	if dropped != (drops > 0) {
-		t.Errorf("inconsistent drop reporting: saw=%v counter=%d", dropped, drops)
-	}
-}
-
 func TestMoverCloseIdempotentAndRejects(t *testing.T) {
-	m := NewMover(storage.NewNVMe(0), 4, 1)
+	m := NewMover(storage.NewNVMe(0), "", nil)
 	m.Close()
 	m.Close() // must not panic
-	if m.Enqueue("x", []byte("y")) {
-		t.Error("enqueue after close should report drop")
+	if m.Demote("x", []byte("y")) {
+		t.Error("demote after close should report drop")
 	}
 	_, drops := m.Counters()
 	if drops != 1 {
@@ -61,51 +45,45 @@ func TestMoverCloseIdempotentAndRejects(t *testing.T) {
 }
 
 func TestMoverFlushOnEmptyQueue(t *testing.T) {
-	m := NewMover(storage.NewNVMe(0), 4, 1)
+	m := NewMover(storage.NewNVMe(0), "", nil)
 	defer m.Close()
 	m.Flush() // must not block
 }
 
 func TestMoverConcurrentEnqueue(t *testing.T) {
 	nvme := storage.NewNVMe(0)
-	m := NewMover(nvme, 1024, 4)
+	m := NewMover(nvme, "", nil)
+	defer m.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				m.Enqueue(fmt.Sprintf("g%d-f%d", g, i), []byte("d"))
+				m.Demote(fmt.Sprintf("g%d-f%d", g, i), []byte("d"))
 			}
 		}(g)
 	}
 	wg.Wait()
-	m.Flush()
 	objs, _ := nvme.Stats()
 	enq, drop := m.Counters()
-	if int64(objs) != enq-drop && drop == 0 && objs != 800 {
-		t.Errorf("objs=%d enq=%d drop=%d", objs, enq, drop)
+	if objs != 800 || enq != 800 || drop != 0 {
+		t.Errorf("8 × 100 concurrent demotions: objs=%d enq=%d drop=%d, want 800, 800, 0", objs, enq, drop)
 	}
-	m.Close()
 }
 
 func TestMoverCountsFillErrors(t *testing.T) {
-	// Capacity 4: a 10-byte object can never cache, so every fill —
-	// inline or queued — fails with ErrTooLarge.
+	// Capacity 4: a 10-byte object can never cache, so its fill fails
+	// with ErrTooLarge.
 	nvme := storage.NewNVMe(4)
-	m := NewMover(nvme, 16, 1)
+	m := NewMover(nvme, "", nil)
 	defer m.Close()
 
 	big := []byte("0123456789")
-	if !m.Enqueue("huge.bin", big) {
-		t.Fatal("idle-path enqueue reported a drop")
+	if !m.Demote("huge.bin", big) {
+		t.Fatal("demote of an oversized object reported a drop")
 	}
-	m.Flush()
-
-	inline, errs, lastErr := m.FillStats()
-	if inline != 1 {
-		t.Errorf("inline fills = %d, want 1", inline)
-	}
+	errs, lastErr := m.FillStats()
 	if errs != 1 {
 		t.Errorf("fill errors = %d, want 1", errs)
 	}
@@ -118,14 +96,42 @@ func TestMoverCountsFillErrors(t *testing.T) {
 
 	// A small object still fills fine and does not disturb the error
 	// record.
-	if !m.Enqueue("ok.bin", []byte("ab")) {
-		t.Fatal("small enqueue dropped")
+	if !m.Demote("ok.bin", []byte("ab")) {
+		t.Fatal("small demote dropped")
 	}
-	m.Flush()
 	if !nvme.Has("ok.bin") {
 		t.Error("small object not cached")
 	}
-	if _, errs, _ := m.FillStats(); errs != 1 {
+	if errs, _ := m.FillStats(); errs != 1 {
 		t.Errorf("fill errors after success = %d, want still 1", errs)
 	}
+}
+
+// TestIdleServerRunsNoMoverGoroutine: a server built but never served
+// runs no mover goroutine — its fills are synchronous and its recache
+// workers start with the first hint.
+func TestIdleServerRunsNoMoverGoroutine(t *testing.T) {
+	before := moverGoroutines()
+	srv := NewServer(ServerConfig{Node: "idle", RAMCapacity: 1 << 10}, storage.NewPFS())
+	if n := moverGoroutines(); n > before {
+		t.Errorf("NewServer started %d mover goroutine(s)", n-before)
+	}
+	srv.Close()
+}
+
+// moverGoroutines counts the goroutines running a Mover method.
+func moverGoroutines() int {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "hvac.(*Mover).") {
+			count++
+		}
+	}
+	return count
 }

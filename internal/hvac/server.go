@@ -22,18 +22,13 @@ type ServerConfig struct {
 	Node cluster.NodeID
 	// NVMeCapacity bounds the node-local cache (0 = unbounded).
 	NVMeCapacity int64
-	// MoverQueueDepth and MoverWorkers size the background data mover.
-	MoverQueueDepth int
-	MoverWorkers    int
 	// AdmissionLimit bounds concurrently served reads; excess requests
-	// queue (AdmissionQueue deep, for at most AdmissionWait) and are then
-	// shed with StatusOverloaded. <= 0 disables admission control.
+	// queue (AdmissionQueue deep, for at most
+	// loadctl.DefaultAdmissionWait) and are then shed with
+	// StatusOverloaded. <= 0 disables admission control.
 	AdmissionLimit int
 	// AdmissionQueue is the wait-line depth; < 0 selects AdmissionLimit.
 	AdmissionQueue int
-	// AdmissionWait bounds the queue wait; <= 0 selects
-	// loadctl.DefaultAdmissionWait.
-	AdmissionWait time.Duration
 	// ReadDelay simulates the device/network service time of one read.
 	// When > 0, each read that misses RAM is one read of a constant
 	// storage.Device, storage.NVMeQueueWidth wide: it waits for a device
@@ -100,7 +95,7 @@ func NewServer(cfg ServerConfig, pfs storage.Store) *Server {
 		cfg:     cfg,
 		nvme:    storage.NewNVMe(cfg.NVMeCapacity),
 		pfs:     pfs,
-		limiter: loadctl.NewLimiter(cfg.AdmissionLimit, cfg.AdmissionQueue, cfg.AdmissionWait),
+		limiter: loadctl.NewLimiter(cfg.AdmissionLimit, cfg.AdmissionQueue, loadctl.DefaultAdmissionWait),
 		fill:    loadctl.NewGroup(),
 	}
 	//ftclint:ignore ctxflow server lifetime root; Close cancels it, and the wire protocol has no caller context to inherit
@@ -111,9 +106,7 @@ func NewServer(cfg ServerConfig, pfs storage.Store) *Server {
 	if cfg.RAMCapacity > 0 {
 		s.ram = memtier.New(cfg.RAMCapacity, s.demoteRAM)
 	}
-	s.mover = NewMover(s.nvme, cfg.MoverQueueDepth, cfg.MoverWorkers)
-	s.mover.node = string(cfg.Node)
-	s.mover.fetch = s.prefetch
+	s.mover = NewMover(s.nvme, string(cfg.Node), s.prefetch)
 	s.rpc = rpc.NewServer(s)
 	s.registerTelemetry()
 	return s
@@ -134,14 +127,15 @@ func (s *Server) RAMServed() int64 { return s.ramServed.Load() }
 // demoteRAM is the tier's eviction callback: an object squeezed out of
 // RAM falls back to NVMe so its bytes stay node-local (RAM → NVMe →
 // PFS, the paper's tier order). The slice is the immutable one the tier
-// held by reference, so the mover stores it as is. Objects already on
-// NVMe (promotion never removed them) cost one Has. Invalidation and
-// Clear never demote: stale bytes must not resurrect into a lower tier.
+// held by reference, so the mover stores it as is, before the eviction
+// returns. Objects already on NVMe (promotion never removed them) cost
+// one Has. Invalidation and Clear never demote: stale bytes must not
+// resurrect into a lower tier.
 func (s *Server) demoteRAM(path string, data []byte) {
 	if s.nvme.Has(path) {
 		return
 	}
-	s.mover.Enqueue(path, data)
+	s.mover.Demote(path, data)
 }
 
 // Mover exposes the data mover (tests flush it for determinism).
@@ -164,8 +158,7 @@ func (s *Server) SetUnresponsive(v bool) { s.rpc.SetUnresponsive(v) }
 // Unresponsive reports whether fault-injection mode is active.
 func (s *Server) Unresponsive() bool { return s.rpc.Unresponsive() }
 
-// Close stops the RPC server, drains the mover's queued fills and stops
-// its recache workers.
+// Close stops the RPC server and the mover's recache workers.
 func (s *Server) Close() {
 	s.closeBase()
 	s.rpc.Close()
