@@ -74,8 +74,10 @@ type ClusterConfig struct {
 	// AdmissionQueue is the per-server wait-line depth; < 0 selects
 	// AdmissionLimit.
 	AdmissionQueue int
-	// ReadDelay simulates per-read device service time on every server,
-	// giving nodes finite capacity (see hvac.ServerConfig.ReadDelay).
+	// ReadDelay simulates the NVMe device's service time on every server,
+	// paid by each read served from NVMe (not by RAM hits or NVMe
+	// misses), giving nodes finite capacity (see
+	// hvac.ServerConfig.ReadDelay).
 	ReadDelay time.Duration
 	// Retry, when non-nil, gives every client the bounded-backoff retry
 	// policy for connection-class RPC failures (see rpc.RetryPolicy).

@@ -128,10 +128,11 @@ func (tc *loadctlCluster) client(cfg ClientConfig) *Client {
 // result.
 func TestLoadctlCoalescedConcurrentMiss(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	// ReadDelay keeps the winning flight in-server long enough that the
-	// other readers demonstrably pile onto it.
-	tc := newLoadctlCluster(t, 1, ServerConfig{ReadDelay: 20 * time.Millisecond})
+	tc := newLoadctlCluster(t, 1, ServerConfig{})
 	tc.pfs.Put("data/cold", []byte("cold-payload"))
+	// The PFS delay keeps the winning flight in-server, in its miss
+	// fetch, long enough that the other readers demonstrably pile onto it.
+	tc.pfs.SetReadDelay(20 * time.Millisecond)
 	c := tc.client(ClientConfig{
 		Router:      newReplRouter(tc.nodes),
 		RPCTimeout:  2 * time.Second,
@@ -164,6 +165,9 @@ func TestLoadctlCoalescedConcurrentMiss(t *testing.T) {
 	if got := tc.servers["node-00"].Reads(); got >= readers {
 		t.Fatalf("server saw %d reads for %d concurrent readers — no coalescing", got, readers)
 	}
+	if reads, _, _ := tc.pfs.Counters(); reads != 1 {
+		t.Fatalf("%d PFS reads for one cold path, want 1", reads)
+	}
 	if st := c.Stats(); st.CoalescedReads == 0 {
 		t.Fatalf("no coalesced reads recorded: %+v", st)
 	}
@@ -178,8 +182,11 @@ func TestLoadctlCoalescedConcurrentMiss(t *testing.T) {
 // still gets the bytes — with no flight record or goroutine left behind.
 func TestLoadctlCoalesceNodeKillMidFlight(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	tc := newLoadctlCluster(t, 2, ServerConfig{ReadDelay: 30 * time.Millisecond})
+	tc := newLoadctlCluster(t, 2, ServerConfig{})
 	tc.pfs.Put("data/victim", []byte("victim-payload"))
+	// The flight waits on node-00's miss fetch far longer than the kill
+	// takes to come.
+	tc.pfs.SetReadDelay(100 * time.Millisecond)
 	c := tc.client(ClientConfig{
 		Router:       newReplRouter(tc.nodes),
 		RPCTimeout:   time.Second,
@@ -190,11 +197,13 @@ func TestLoadctlCoalesceNodeKillMidFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const readers = 8
 	var wg sync.WaitGroup
+	var returned atomic.Int64
 	errs := make(chan error, readers)
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer returned.Add(1)
 			data, err := c.Read(context.Background(), "data/victim")
 			if err != nil {
 				errs <- err
@@ -205,8 +214,11 @@ func TestLoadctlCoalesceNodeKillMidFlight(t *testing.T) {
 			}
 		}()
 	}
-	// Let the flight reach node-00's simulated device, then kill it.
+	// Let the flight reach node-00's PFS fetch, then kill the node.
 	time.Sleep(10 * time.Millisecond)
+	if n := returned.Load(); n != 0 {
+		t.Fatalf("%d reads returned before the kill; the flight was not in progress", n)
+	}
 	tc.servers["node-00"].Close()
 	wg.Wait()
 	close(errs)
@@ -284,7 +296,9 @@ func TestLoadctlFanoutUnresponsiveOwner(t *testing.T) {
 // TestLoadctlOverloadShedIsNotFailureEvidence saturates a server whose
 // admission limiter sheds aggressively: every shed must surface as an
 // explicit redirect (served via PFS), never as failure evidence — the
-// node stays alive and the timeout counter stays at zero.
+// node stays alive and the timeout counter stays at zero. The objects
+// are on NVMe, so every served read holds the one slot across its
+// device wait.
 func TestLoadctlOverloadShedIsNotFailureEvidence(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	tc := newLoadctlCluster(t, 1, ServerConfig{
@@ -294,7 +308,9 @@ func TestLoadctlOverloadShedIsNotFailureEvidence(t *testing.T) {
 	})
 	const workers = 8
 	for i := 0; i < workers; i++ {
-		tc.pfs.Put(fmt.Sprintf("data/f%d", i), []byte(fmt.Sprintf("payload-%d", i)))
+		path, body := fmt.Sprintf("data/f%d", i), []byte(fmt.Sprintf("payload-%d", i))
+		tc.pfs.Put(path, body)
+		tc.servers["node-00"].NVMe().Put(path, body)
 	}
 	c := tc.client(ClientConfig{
 		Router:       newReplRouter(tc.nodes),

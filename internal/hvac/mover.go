@@ -224,13 +224,13 @@ func (m *Mover) recacheLoop() {
 			continue
 		}
 		delete(m.runs, run.failed)
+		// The event goes out under mu, before the broadcast: a Flush that
+		// returns has seen every run it waited for reported.
+		telemetry.TraceEvent(telemetry.EventRecacheComplete, m.node,
+			fmt.Sprintf("%s files=%d bytes=%d", run.failed, run.files, run.bytes), int64(time.Since(run.start)))
 		if len(m.hinted) == 0 {
 			m.idle.Broadcast()
 		}
-		m.mu.Unlock()
-		telemetry.TraceEvent(telemetry.EventRecacheComplete, m.node,
-			fmt.Sprintf("%s files=%d bytes=%d", run.failed, run.files, run.bytes), int64(time.Since(run.start)))
-		m.mu.Lock()
 	}
 	m.rworkers--
 	m.mu.Unlock()

@@ -29,13 +29,16 @@ type ServerConfig struct {
 	AdmissionLimit int
 	// AdmissionQueue is the wait-line depth; < 0 selects AdmissionLimit.
 	AdmissionQueue int
-	// ReadDelay simulates the device/network service time of one read.
-	// When > 0, each read that misses RAM is one read of a constant
+	// ReadDelay simulates the NVMe device's service time of one read.
+	// When > 0, each read served from NVMe is one read of a constant
 	// storage.Device, storage.NVMeQueueWidth wide: it waits for a device
 	// slot and then this long, giving every node finite serving capacity
 	// — queueing at an overloaded node is real wall-clock time, and the
 	// wait costs what it says (the device's completion engine, not a
-	// runtime timer whose floor is 1.1 ms). 0 (the default) disables the
+	// runtime timer whose floor is 1.1 ms). A RAM hit never reads the
+	// device, and neither does an NVMe miss: NVMe's in-memory index says
+	// the object is not there, so the miss goes straight to the PFS,
+	// whose own delay is the PFS store's. 0 (the default) disables the
 	// simulation entirely.
 	ReadDelay time.Duration
 	// RAMCapacity, when > 0, enables the RAM tier: a sharded in-memory
@@ -199,10 +202,11 @@ func (s *Server) HandleLeased(op uint16, payload []byte, connWait time.Duration)
 
 // Stage implements rpc.StagedHandler. What needs no wait is answered on
 // the connection's reading goroutine: ping, stat, stats, invalidate, and
-// a read up to its first wait — a RAM or NVMe hit is served there. A
-// read that must wait for an admission slot, the device or the miss
-// flight continues on a goroutine of its own; so do puts, put batches
-// and recache hints, whole, since they wait on the mover. A read answers
+// a read up to its first wait — a RAM hit is served there, and so is an
+// NVMe hit when no device is modelled. A read that must wait for an
+// admission slot, the device or the miss flight continues on a
+// goroutine of its own; so do puts, put batches and recache hints,
+// whole, since they wait on the mover. A read answers
 // with a zero-copy payload tail — the stored object itself, leased when
 // it comes from the RAM tier — that stays referenced until the
 // coalesced response flush has it on the wire.
@@ -375,12 +379,15 @@ func (s *Server) handlePutBatch(payload []byte, connWait time.Duration) (uint16,
 }
 
 // The read path is tiered: RAM hit → serve with no device model (RAM
-// pays no NVMe service time); RAM miss → NVMe; NVMe miss → the miss
-// flight (PFS fetch + NVMe fill, once per path however many readers and
-// prefetches want it). Every device-served object is offered to the RAM
-// tier on the way out, and whichever tier answers, the body leaves by
-// reference: the stored slice is immutable, so the response is a
-// 13-byte head plus that slice.
+// pays no NVMe service time); RAM miss → NVMe's index; NVMe hit → the
+// device read, when one is modelled; NVMe miss → the miss flight (PFS
+// fetch + NVMe fill, once per path however many readers and prefetches
+// want it), which pays no device read — the paper's server serves a
+// miss from the PFS and caches it behind the reader's back. Every
+// object served below RAM is offered to the RAM tier on the way out,
+// and whichever tier answers, the body leaves by reference: the stored
+// slice is immutable, so the response is a 13-byte head plus that
+// slice.
 //
 // It runs in two stages split at its first wait — an admission-queue
 // slot, the device, or the miss flight. stageRead runs on the
@@ -393,7 +400,7 @@ type readWait uint8
 
 const (
 	waitAdmission readWait = iota // queued for an admission slot; nothing else done
-	waitDevice                    // RAM missed; the device read and NVMe come next
+	waitDevice                    // RAM missed, NVMe hit; the device read of data comes next
 	waitFill                      // RAM and NVMe missed; the miss flight comes next
 )
 
@@ -406,6 +413,7 @@ type readOp struct {
 	req  ReadReq
 	sp   *trace.Span // server.read
 	st   *trace.Span // storage.read, open across a miss flight
+	data []byte      // the NVMe hit a waitDevice read serves
 	slot bool        // holds an admission slot, released when the read ends
 	next readWait
 }
@@ -447,8 +455,8 @@ func (r *readOp) park() *readOp {
 }
 
 // probe is the read up to its first wait: decode, the span, the RAM
-// tier and — with no device model — NVMe. It serves a hit or a bad
-// request (done), and otherwise leaves in r.next the wait the
+// tier and NVMe's index. It serves a hit that needs no device read or a
+// bad request (done), and otherwise leaves in r.next the wait the
 // continuation starts with. connWait and admissionWait are the
 // server-side queueing already paid; the span reports them so the
 // client can attribute its observed RPC time to queueing vs. storage.
@@ -471,17 +479,21 @@ func (r *readOp) probe(payload []byte, connWait, admissionWait time.Duration) (r
 			return r.end(r.ramHit(lease)), true
 		}
 	}
-	if s.device != nil {
-		r.next = waitDevice
-		return rpc.LeasedResp{}, false
+	// With a device modelled, its wait is server.read's own time:
+	// storage.read opens once a hit has waited, or at the miss flight.
+	if s.device == nil {
+		r.st = r.sp.StartChild("storage.read")
 	}
-	r.st = r.sp.StartChild("storage.read")
 	data, err := s.nvme.Get(r.req.Path)
-	if err != nil {
+	switch {
+	case err != nil:
 		r.next = waitFill
-		return rpc.LeasedResp{}, false
+	case s.device != nil:
+		r.data, r.next = data, waitDevice
+	default:
+		return r.end(r.serve(data, SourceNVMe)), true
 	}
-	return r.end(r.serve(data, SourceNVMe)), true
+	return rpc.LeasedResp{}, false
 }
 
 // Continue implements rpc.Continuation: the read from its first wait
@@ -508,14 +520,15 @@ func (r *readOp) Continue(_ uint16, payload []byte, connWait time.Duration) rpc.
 	if r.next == waitDevice {
 		// One blocking wait covers slot queueing and service; the queue
 		// share is what the device computed at admission, so reporting it
-		// costs the untraced path (sp == nil) no clock read.
-		size, _ := s.nvme.Size(r.req.Path)
-		r.sp.AnnotateDuration("device_wait_ns", s.device.Read(size))
+		// costs the untraced path (sp == nil) no clock read. The slice is
+		// the one the index probe found: stored bytes are immutable, so an
+		// eviction or replacement during the wait changes nothing it serves.
+		r.sp.AnnotateDuration("device_wait_ns", s.device.Read(int64(len(r.data))))
 		r.st = r.sp.StartChild("storage.read")
-		data, err := s.nvme.Get(r.req.Path)
-		if err == nil {
-			return r.end(r.serve(data, SourceNVMe))
-		}
+		return r.end(r.serve(r.data, SourceNVMe))
+	}
+	if r.st == nil {
+		r.st = r.sp.StartChild("storage.read")
 	}
 	data, err, shared := s.fill.Do(s.baseCtx, r.req.Path, (*missFetcher)(s))
 	if shared {
