@@ -1,15 +1,12 @@
 package repro
 
 import (
-	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dltrain"
-	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/hashring"
 	"repro/internal/hvac"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -25,11 +22,6 @@ type (
 	FailureMode = core.FailureMode
 	// Client is the fault-tolerant HVAC client.
 	Client = hvac.Client
-	// Router is the pluggable fault-tolerance policy.
-	Router = hvac.Router
-	// IngestConfig enables the batched async put pipeline on clients
-	// (ClusterConfig.Ingest / ClientConfig.Ingest).
-	IngestConfig = hvac.IngestConfig
 	// Dataset describes a training-file population.
 	Dataset = workload.Dataset
 	// Ring is the consistent-hash ring with virtual nodes.
@@ -42,23 +34,11 @@ type (
 	Trainer = dltrain.Trainer
 	// TrainConfig configures a Trainer.
 	TrainConfig = dltrain.Config
-	// TrainReport is a training run's outcome.
-	TrainReport = dltrain.Report
-	// TrainFailure schedules a node failure during a live training run;
-	// the simulator reads the same type.
-	TrainFailure = failure.Event
 	// Heartbeat is the proactive failure prober (extension to the
 	// paper's passive timeout detection).
 	Heartbeat = cluster.Heartbeat
 	// HeartbeatConfig tunes the prober.
 	HeartbeatConfig = cluster.HeartbeatConfig
-	// Checkpointer persists model state across failures (two-tier:
-	// node-local NVMe + PFS).
-	Checkpointer = checkpoint.Checkpointer
-	// CheckpointMeta identifies one checkpoint.
-	CheckpointMeta = checkpoint.Meta
-	// CheckpointConfig tunes retention and namespacing.
-	CheckpointConfig = checkpoint.Config
 )
 
 // Fault-tolerance strategies (paper §IV / §V-A).
@@ -100,9 +80,6 @@ func TrainDataset(ds Dataset) dltrain.DatasetAdapter { return dltrain.FromWorklo
 // ~1.3 TB). Use Dataset.Scaled and Dataset.WithFileBytes for local runs.
 func CosmoFlowTrain() Dataset { return workload.CosmoFlowTrain() }
 
-// CosmoFlowValidation is the paper's validation split geometry.
-func CosmoFlowValidation() Dataset { return workload.CosmoFlowValidation() }
-
 // NewHeartbeat creates a proactive failure prober feeding the client's
 // detector; the client itself serves as the Pinger:
 //
@@ -111,11 +88,4 @@ func CosmoFlowValidation() Dataset { return workload.CosmoFlowValidation() }
 //	defer hb.Stop()
 func NewHeartbeat(client *Client, cfg HeartbeatConfig) *Heartbeat {
 	return cluster.NewHeartbeat(client.Tracker(), client, cfg)
-}
-
-// NewCheckpointer creates a two-tier checkpointer: fast local writes
-// drained asynchronously to the cluster's PFS. localCapacity bounds the
-// local tier (0 = unbounded).
-func NewCheckpointer(c *Cluster, localCapacity int64, cfg CheckpointConfig) (*Checkpointer, error) {
-	return checkpoint.New(storage.NewNVMe(localCapacity), c.PFS(), cfg)
 }

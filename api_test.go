@@ -9,8 +9,10 @@ import (
 )
 
 // TestPublicAPIQuickstart exercises the root package the way the README
-// quickstart does: boot a cluster, stage data, read through the
-// fault-tolerant client, kill a node, keep reading.
+// quickstart does, and checks the PFS accesses it prints: boot a
+// cluster, read everything once (cold), again (cached: no PFS access),
+// fail a node, read again (one PFS access per file the victim held),
+// and once more (healed: no PFS access).
 func TestPublicAPIQuickstart(t *testing.T) {
 	cluster, err := repro.NewCluster(repro.ClusterConfig{
 		Nodes:        4,
@@ -34,19 +36,43 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	defer client.Close()
 
 	ctx := context.Background()
-	for i := 0; i < ds.NumFiles; i++ {
-		if _, err := client.Read(ctx, ds.FilePath(i)); err != nil {
-			t.Fatalf("read %d: %v", i, err)
+	// pass reads every file, lets the movers settle, and returns the
+	// PFS reads it caused.
+	pass := func(label string) int64 {
+		t.Helper()
+		cluster.PFS().ResetCounters()
+		for i := 0; i < ds.NumFiles; i++ {
+			if _, err := client.Read(ctx, ds.FilePath(i)); err != nil {
+				t.Fatalf("%s: read %d: %v", label, i, err)
+			}
 		}
+		cluster.FlushMovers()
+		reads, _, _ := cluster.PFS().Counters()
+		return reads
 	}
 
-	if err := cluster.Fail(cluster.Nodes()[1], repro.FailUnresponsive); err != nil {
+	if got := pass("cold"); got != int64(ds.NumFiles) {
+		t.Errorf("cold pass: %d PFS reads, want %d", got, ds.NumFiles)
+	}
+	if got := pass("cached"); got != 0 {
+		t.Errorf("cached pass: %d PFS reads, want 0", got)
+	}
+
+	victim := cluster.Nodes()[1]
+	lost, _ := cluster.Server(victim).NVMe().Stats()
+	if lost == 0 {
+		t.Fatalf("victim %s holds no files", victim)
+	}
+	if err := cluster.Fail(victim, repro.FailUnresponsive); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < ds.NumFiles; i++ {
-		if _, err := client.Read(ctx, ds.FilePath(i)); err != nil {
-			t.Fatalf("post-failure read %d: %v", i, err)
-		}
+	// pfs_reads_per_lost_file == 1: each lost file is fetched once, by
+	// its new owner.
+	if got := pass("after failure"); got != int64(lost) {
+		t.Errorf("pass after failure: %d PFS reads, want %d (one per lost file)", got, lost)
+	}
+	if got := pass("healed"); got != 0 {
+		t.Errorf("healed pass: %d PFS reads, want 0", got)
 	}
 }
 

@@ -13,49 +13,43 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
+var (
+	buildOnce sync.Once
+	binDir    string // the tools buildBinaries compiled; TestMain removes it
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
 // buildBinaries compiles the three tools once per test run.
 func buildBinaries(t *testing.T) (server, ctl, slurmfail string) {
 	t.Helper()
-	dir := t.TempDir()
-	for _, tool := range []string{"ftcserver", "ftcctl", "slurmfail", "ftcsim"} {
-		out := filepath.Join(dir, tool)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+tool)
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "ftc-tools-"); buildErr != nil {
+			return
+		}
+		cmd := exec.Command("go", "build", "-o", binDir+string(filepath.Separator),
+			"./cmd/ftcserver", "./cmd/ftcctl", "./cmd/slurmfail")
 		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", tool, err, msg)
+			buildErr = fmt.Errorf("%v\n%s", err, msg)
 		}
+	})
+	if buildErr != nil {
+		t.Fatalf("build tools: %v", buildErr)
 	}
-	return filepath.Join(dir, "ftcserver"), filepath.Join(dir, "ftcctl"),
-		filepath.Join(dir, "slurmfail")
-}
-
-func TestFtcsimBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs real binaries")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "ftcsim")
-	if msg, err := exec.Command("go", "build", "-o", bin, "./cmd/ftcsim").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, msg)
-	}
-	out, err := exec.Command(bin,
-		"-nodes", "32", "-strategy", "ftnvme", "-failures", "1",
-		"-divisor", "64", "-epochs", "3").CombinedOutput()
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out)
-	}
-	for _, want := range []string{"total simulated time:", "restarts: 1", "victim epoch mean:"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// Bad strategy exits non-zero.
-	if _, err := exec.Command(bin, "-strategy", "bogus").CombinedOutput(); err == nil {
-		t.Error("bogus strategy should fail")
-	}
+	return filepath.Join(binDir, "ftcserver"), filepath.Join(binDir, "ftcctl"),
+		filepath.Join(binDir, "slurmfail")
 }
 
 // freePort grabs an ephemeral TCP port.

@@ -2,6 +2,9 @@ package dltrain
 
 import (
 	"context"
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/ftcache"
+	"repro/internal/rpc"
 	"repro/internal/workload"
 )
 
@@ -387,3 +391,102 @@ func TestValidationSurvivesFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainingSurvivesRepeatedFailuresOverTCP: the live trainer on real
+// loopback sockets (the transport cmd/ftcserver uses) survives three
+// node failures in three epochs, two silent and one killed, by ring
+// recaching and elastic rollback, and every epoch still reads every
+// sample.
+func TestTrainingSurvivesRepeatedFailuresOverTCP(t *testing.T) {
+	c, err := core.NewCluster(core.ClusterConfig{
+		Nodes:        8,
+		Strategy:     ftcache.KindNVMe,
+		RPCTimeout:   150 * time.Millisecond,
+		TimeoutLimit: 2,
+		Network:      newLoopback(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	ds := workload.Dataset{Name: "t", Prefix: "t", NumFiles: 256, FileBytes: 1024}
+	if _, err := c.Stage(ds); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(Config{
+		Cluster:   c,
+		Dataset:   FromWorkload(ds),
+		Workers:   8,
+		Epochs:    5,
+		BatchSize: 4,
+		Seed:      7,
+		Failures: []failure.Event{
+			{Epoch: 1, Frac: 0.25},
+			{Epoch: 2, Frac: 0.1, Kill: true},
+			{Epoch: 3, Frac: 0.3},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	rep, err := tr.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Aborted {
+		t.Fatalf("aborted: %v", rep.AbortErr)
+	}
+	if len(rep.Epochs) != 5 {
+		t.Fatalf("epochs = %d, want 5", len(rep.Epochs))
+	}
+	restarts := 0
+	for _, e := range rep.Epochs {
+		restarts += e.Restarts
+		if e.Samples != ds.NumFiles {
+			t.Errorf("epoch %d read %d samples, want %d", e.Epoch, e.Samples, ds.NumFiles)
+		}
+	}
+	if restarts != 3 {
+		t.Errorf("restarts = %d, want 3", restarts)
+	}
+	if rep.FinalWorkers != 5 {
+		t.Errorf("final workers = %d, want 5", rep.FinalWorkers)
+	}
+}
+
+// loopback implements rpc.Network over real TCP: every logical node name
+// binds an ephemeral 127.0.0.1 port at Listen time and dials resolve
+// through the registry, standing in for the hostfile a SLURM launch
+// distributes.
+type loopback struct {
+	mu    sync.Mutex
+	addrs map[string]string
+}
+
+func newLoopback() *loopback { return &loopback{addrs: make(map[string]string)} }
+
+// Listen implements rpc.Network.
+func (l *loopback) Listen(name string) (net.Listener, error) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	l.addrs[name] = lis.Addr().String()
+	l.mu.Unlock()
+	return lis, nil
+}
+
+// Dial implements rpc.Network.
+func (l *loopback) Dial(name string) (net.Conn, error) {
+	l.mu.Lock()
+	addr, ok := l.addrs[name]
+	l.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("loopback: unknown node %q", name)
+	}
+	return net.Dial("tcp", addr)
+}
+
+var _ rpc.Network = (*loopback)(nil)
