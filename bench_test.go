@@ -15,7 +15,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/failure"
 	"repro/internal/ftcache"
-	"repro/internal/loadsim"
+	"repro/internal/partition"
 	"repro/internal/trainsim"
 )
 
@@ -144,7 +144,7 @@ func BenchmarkAblationDetectionThreshold(b *testing.B) {
 func BenchmarkAblationLoadTrial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		loadsim.Run(loadsim.Config{
+		partition.Redistribute(partition.RedistributeConfig{
 			PhysicalNodes: 256, VirtualNodes: 100, Files: 16384,
 			Trials: 1, Seed: int64(i),
 		})

@@ -21,7 +21,7 @@ import (
 
 	"repro/internal/failure"
 	"repro/internal/ftcache"
-	"repro/internal/loadsim"
+	"repro/internal/partition"
 	"repro/internal/slurmlog"
 	"repro/internal/stats"
 	"repro/internal/trainsim"
@@ -415,7 +415,7 @@ func (r Fig6aResult) Format() string {
 // --- Fig 6(b) ----------------------------------------------------------
 
 // Fig6bResult is the virtual-node sweep.
-type Fig6bResult struct{ Points []loadsim.Point }
+type Fig6bResult struct{ Points []partition.RedistributePoint }
 
 // Fig6b runs the Monte-Carlo sweep (paper: 1024 physical nodes, 500
 // trials, vnodes ∈ {10, 50, 100, 500, 1000}).
@@ -424,8 +424,8 @@ func Fig6b(s Scale) Fig6bResult {
 	if s.DatasetDivisor > 1 {
 		files /= s.DatasetDivisor
 	}
-	return Fig6bResult{Points: loadsim.Sweep(
-		s.Fig6bNodes, files, s.Fig6bTrials, s.Seed, loadsim.PaperSweep)}
+	return Fig6bResult{Points: partition.RedistributeSweep(
+		s.Fig6bNodes, files, s.Fig6bTrials, s.Seed, partition.PaperVirtualNodes)}
 }
 
 // Format renders the sweep.

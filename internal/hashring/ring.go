@@ -33,7 +33,7 @@ import (
 // deliberately NOT counted — Owner is the per-I/O hot path and must
 // stay free of shared-cache-line traffic.
 type ringMetrics struct {
-	swaps     *telemetry.Counter // snapshot publications (Add/Remove/AddWeighted)
+	swaps     *telemetry.Counter // snapshot publications (Add/Remove)
 	keysMoved *telemetry.Counter // keys re-owned across all RecachePlans
 	plans     *telemetry.Counter // PlanRecache invocations
 }
@@ -83,16 +83,12 @@ const DefaultVirtualNodes = 100
 // a failure event simply answers from whichever state was current when
 // it loaded the pointer.
 type ringSnapshot struct {
-	points  []point             // sorted by (hash, node)
-	member  map[NodeID]struct{} // current physical nodes
-	weights map[NodeID]int      // per-node point counts for weighted members
-	nodes   []NodeID            // members in sorted order
+	points []point             // sorted by (hash, node)
+	member map[NodeID]struct{} // current physical nodes
+	nodes  []NodeID            // members in sorted order
 }
 
-var emptySnapshot = &ringSnapshot{
-	member:  map[NodeID]struct{}{},
-	weights: map[NodeID]int{},
-}
+var emptySnapshot = &ringSnapshot{member: map[NodeID]struct{}{}}
 
 // Ring is a consistent-hash ring backed by copy-on-write sorted point
 // slices. It is safe for concurrent use: lookups are lock-free reads of
@@ -120,10 +116,7 @@ func New(cfg Config) *Ring {
 // point set once (O(P log P)) instead of per-member.
 func NewWithNodes(cfg Config, nodes []NodeID) *Ring {
 	r := New(cfg)
-	s := &ringSnapshot{
-		member:  make(map[NodeID]struct{}, len(nodes)),
-		weights: map[NodeID]int{},
-	}
+	s := &ringSnapshot{member: make(map[NodeID]struct{}, len(nodes))}
 	for _, n := range nodes {
 		if _, ok := s.member[n]; ok {
 			continue
@@ -212,48 +205,53 @@ func (r *Ring) KeyHash(key string) uint64 {
 	return keyHash(key, r.cfg.Seed)
 }
 
-// addPoints is the shared writer path of Add and AddWeighted: insert node
-// with v virtual points (weighted members record the count so Weight can
-// report it).
-func (r *Ring) addPoints(node NodeID, v int, weighted bool) {
+// Add inserts node with its virtual points. Adding an existing member is
+// a no-op, so rejoin after a spurious failure detection is idempotent.
+func (r *Ring) Add(node NodeID) {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
 	cur := r.snap.Load()
 	if _, ok := cur.member[node]; ok {
 		return
 	}
-	add := make([]point, 0, v)
-	for _, h := range pointsFor(node, v, r.cfg.Seed) {
+	add := make([]point, 0, r.cfg.VirtualNodes)
+	for _, h := range pointsFor(node, r.cfg.VirtualNodes, r.cfg.Seed) {
 		add = append(add, point{hash: h, node: node})
 	}
 	sortPoints(add)
 	next := &ringSnapshot{
 		// Linear merge of two sorted runs into a fresh slice: O(P + V)
 		// per membership change instead of re-sorting the whole set.
-		points:  mergePoints(cur.points, add),
-		member:  make(map[NodeID]struct{}, len(cur.member)+1),
-		weights: make(map[NodeID]int, len(cur.weights)+1),
+		points: mergePoints(cur.points, add),
+		member: make(map[NodeID]struct{}, len(cur.member)+1),
 	}
 	for n := range cur.member {
 		next.member[n] = struct{}{}
 	}
-	for n, w := range cur.weights {
-		next.weights[n] = w
-	}
 	next.member[node] = struct{}{}
-	if weighted {
-		next.weights[node] = v
-	}
 	next.nodes = sortedMembers(next.member)
 	r.snap.Store(next)
 	metrics().swaps.Inc()
 	telemetry.TraceEvent(telemetry.EventRingChange, string(node), "add", int64(len(next.member)))
 }
 
-// Add inserts node with its virtual points. Adding an existing member is
-// a no-op, so rejoin after a spurious failure detection is idempotent.
-func (r *Ring) Add(node NodeID) {
-	r.addPoints(node, r.cfg.VirtualNodes, false)
+// mergePoints merges two sorted point runs in O(len(a)+len(b)) into a
+// fresh slice; neither input is written (snapshots share them).
+func mergePoints(a, b []point) []point {
+	merged := make([]point, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if pointLessFn(a[i], b[j]) {
+			merged = append(merged, a[i])
+			i++
+		} else {
+			merged = append(merged, b[j])
+			j++
+		}
+	}
+	merged = append(merged, a[i:]...)
+	merged = append(merged, b[j:]...)
+	return merged
 }
 
 // Remove deletes node and all its virtual points. Removing a non-member
@@ -267,18 +265,12 @@ func (r *Ring) Remove(node NodeID) {
 		return
 	}
 	next := &ringSnapshot{
-		points:  filterPoints(cur.points, node),
-		member:  make(map[NodeID]struct{}, len(cur.member)-1),
-		weights: make(map[NodeID]int, len(cur.weights)),
+		points: filterPoints(cur.points, node),
+		member: make(map[NodeID]struct{}, len(cur.member)-1),
 	}
 	for n := range cur.member {
 		if n != node {
 			next.member[n] = struct{}{}
-		}
-	}
-	for n, w := range cur.weights {
-		if n != node {
-			next.weights[n] = w
 		}
 	}
 	next.nodes = sortedMembers(next.member)
@@ -307,13 +299,6 @@ func filterPoints(pts []point, node NodeID) []point {
 //ftc:hotpath
 func (r *Ring) Owner(key string) (NodeID, bool) {
 	return ownerOf(r.snap.Load().points, r.KeyHash(key))
-}
-
-// OwnerOfHash returns the node owning an already-computed ring position.
-//
-//ftc:hotpath
-func (r *Ring) OwnerOfHash(h uint64) (NodeID, bool) {
-	return ownerOf(r.snap.Load().points, h)
 }
 
 // Owners returns up to n distinct physical nodes encountered walking
@@ -351,19 +336,6 @@ func (r *Ring) Owners(key string, n int) ([]NodeID, bool) {
 	return out, true
 }
 
-// Successors returns up to n distinct physical nodes following key's
-// owner clockwise — the replica targets for hot-object fan-out. It is
-// Owners(key, n+1) minus the owner itself; ok is false on an empty ring.
-//
-//ftc:hotpath
-func (r *Ring) Successors(key string, n int) ([]NodeID, bool) {
-	owners, ok := r.Owners(key, n+1)
-	if !ok || len(owners) == 0 {
-		return nil, ok
-	}
-	return owners[1:], true
-}
-
 // Nodes returns the physical members in sorted order (stable for tests
 // and deterministic experiment output).
 func (r *Ring) Nodes() []NodeID {
@@ -396,9 +368,6 @@ func (r *Ring) Clone() *Ring {
 	c.snap.Store(r.snap.Load())
 	return c
 }
-
-// Config returns the ring's configuration.
-func (r *Ring) Config() Config { return r.cfg }
 
 // RecachePlan describes where the keys previously owned by a failed node
 // land after its removal: the mapping a client computes, just before it
@@ -455,16 +424,6 @@ func (r *Ring) PlanRecache(failed NodeID, keys []string) RecachePlan {
 // Receivers returns the number of distinct nodes that inherit at least
 // one key under the plan — the paper's Fig 6(b) "Receiver Nodes" metric.
 func (p RecachePlan) Receivers() int { return len(p.Moves) }
-
-// FilesPerReceiver returns the per-receiver inherited key counts in
-// unspecified order — the basis of Fig 6(b)'s "Files per Node" metric.
-func (p RecachePlan) FilesPerReceiver() []int {
-	out := make([]int, 0, len(p.Moves))
-	for _, ks := range p.Moves {
-		out = append(out, len(ks))
-	}
-	return out
-}
 
 // RejoinPlan describes the keys a rejoining node will own once re-added:
 // the warm set the recovery path fills onto its NVMe before the ring swap

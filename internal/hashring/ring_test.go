@@ -35,9 +35,6 @@ func TestEmptyRing(t *testing.T) {
 	if _, ok := r.Owners("x", 3); ok {
 		t.Error("empty ring Owners should be not-ok")
 	}
-	if r.Arcs() != nil {
-		t.Error("empty ring should have no arcs")
-	}
 	r.Remove("ghost") // must not panic
 }
 
@@ -169,75 +166,6 @@ func TestOwnersMoreThanMembers(t *testing.T) {
 	}
 }
 
-func TestSuccessorsExcludeOwner(t *testing.T) {
-	nodes := nodeNames(8)
-	r := NewWithNodes(Config{VirtualNodes: 30}, nodes)
-	for _, k := range fileKeys(50) {
-		owner, _ := r.Owner(k)
-		succ, ok := r.Successors(k, 3)
-		if !ok || len(succ) != 3 {
-			t.Fatalf("Successors(%q,3) = %v ok=%v", k, succ, ok)
-		}
-		owners, _ := r.Owners(k, 4)
-		for i, s := range succ {
-			if s == owner {
-				t.Fatalf("successor %q equals owner for key %q", s, k)
-			}
-			if s != owners[i+1] {
-				t.Fatalf("Successors order diverges from Owners for %q: %v vs %v", k, succ, owners)
-			}
-		}
-	}
-	if succ, ok := New(Config{}).Successors("k", 2); ok || succ != nil {
-		t.Fatalf("empty ring Successors = %v ok=%v, want nil/false", succ, ok)
-	}
-}
-
-func TestBalanceImprovesWithVirtualNodes(t *testing.T) {
-	nodes := nodeNames(32)
-	cvAt := func(v int) float64 {
-		return NewWithNodes(Config{VirtualNodes: v, Seed: 3}, nodes).Balance().CoeffVar
-	}
-	low, high := cvAt(1), cvAt(200)
-	if high >= low {
-		t.Errorf("CV with 200 vnodes (%.3f) should beat CV with 1 vnode (%.3f)", high, low)
-	}
-	if high > 0.25 {
-		t.Errorf("CV with 200 vnodes too high: %.3f", high)
-	}
-}
-
-func TestOwnershipFractionsSumToOne(t *testing.T) {
-	r := NewWithNodes(Config{VirtualNodes: 64}, nodeNames(9))
-	sum := 0.0
-	for _, f := range r.OwnershipFractions() {
-		if f <= 0 {
-			t.Fatalf("non-positive fraction %v", f)
-		}
-		sum += f
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("fractions sum to %v, want 1", sum)
-	}
-}
-
-func TestArcsCoverCircleExactly(t *testing.T) {
-	r := NewWithNodes(Config{VirtualNodes: 13}, nodeNames(7))
-	arcs := r.Arcs()
-	if len(arcs) != 7*13 {
-		t.Fatalf("arc count = %d, want %d", len(arcs), 7*13)
-	}
-	var sum uint64
-	for _, a := range arcs {
-		sum += a.End - a.Start // wraps mod 2^64
-	}
-	// The spans partition the full 2^64 circle, so their uint64 sum wraps
-	// to exactly 0.
-	if sum != 0 {
-		t.Errorf("arc spans sum to %d mod 2^64, want 0", sum)
-	}
-}
-
 func TestPlanRecacheInvariants(t *testing.T) {
 	nodes := nodeNames(20)
 	r := NewWithNodes(Config{VirtualNodes: 100, Seed: 9}, nodes)
@@ -276,21 +204,6 @@ func TestPlanRecacheInvariants(t *testing.T) {
 	}
 	if plan.Receivers() != len(plan.Moves) {
 		t.Error("Receivers() mismatch")
-	}
-	if got := len(plan.FilesPerReceiver()); got != len(plan.Moves) {
-		t.Errorf("FilesPerReceiver length = %d", got)
-	}
-
-	// Every receiver must be one of the clockwise successor members of the
-	// failed node's points.
-	successors := map[NodeID]bool{}
-	for _, s := range r.SuccessorMembers(failed) {
-		successors[s] = true
-	}
-	for receiver := range plan.Moves {
-		if !successors[receiver] {
-			t.Errorf("receiver %q is not a ring successor of %q", receiver, failed)
-		}
 	}
 
 	// The plan must match actually removing the node.
@@ -376,50 +289,6 @@ func TestConcurrentLookupsDuringMembershipChange(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 16 {
 		t.Errorf("membership = %d after churn, want 16", r.Len())
-	}
-}
-
-func TestSuccessorMembersExcludesFailedAndDedups(t *testing.T) {
-	r := NewWithNodes(Config{VirtualNodes: 30}, nodeNames(8))
-	succ := r.SuccessorMembers("node-0002")
-	if len(succ) == 0 {
-		t.Fatal("expected successors")
-	}
-	seen := map[NodeID]bool{}
-	for _, s := range succ {
-		if s == "node-0002" {
-			t.Error("failed node appears as its own successor")
-		}
-		if seen[s] {
-			t.Errorf("duplicate successor %q", s)
-		}
-		seen[s] = true
-	}
-	if r.SuccessorMembers("ghost") != nil {
-		t.Error("non-member should have nil successors")
-	}
-}
-
-func TestAssignKeysAndCountsSummary(t *testing.T) {
-	nodes := nodeNames(5)
-	r := NewWithNodes(Config{VirtualNodes: 40}, nodes)
-	keys := fileKeys(1000)
-	counts := AssignKeys(r, keys)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(keys) {
-		t.Errorf("assigned %d keys, want %d", total, len(keys))
-	}
-	summary := CountsSummary(counts, nodes)
-	if len(summary) != len(nodes) {
-		t.Errorf("summary length %d, want %d", len(summary), len(nodes))
-	}
-	for i := 1; i < len(summary); i++ {
-		if summary[i-1] > summary[i] {
-			t.Error("summary not sorted ascending")
-		}
 	}
 }
 

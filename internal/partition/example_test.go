@@ -1,9 +1,9 @@
-package loadsim_test
+package partition_test
 
 import (
 	"fmt"
 
-	"repro/internal/loadsim"
+	"repro/internal/partition"
 )
 
 // The closed-form Fig 6(b) model: receiver count is capped by lost
@@ -11,7 +11,7 @@ import (
 // helping (the paper's plateau at ~300 of 1024 nodes).
 func ExampleExpectedReceivers() {
 	for _, v := range []int{10, 100, 1000, 10000} {
-		r := loadsim.ExpectedReceivers(1024, v, 524288)
+		r := partition.ExpectedReceivers(1024, v, 524288)
 		fmt.Printf("vnodes=%5d expected receivers=%3.0f\n", v, r)
 	}
 	// Output:

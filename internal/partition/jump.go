@@ -26,9 +26,6 @@ func NewJump(nodes []NodeID) *Jump {
 	return j
 }
 
-// Name implements Partitioner.
-func (j *Jump) Name() string { return "jumphash" }
-
 // jumpHash is the textbook algorithm: O(ln n) expected iterations,
 // no memory.
 func jumpHash(key uint64, buckets int) int {
@@ -52,8 +49,8 @@ func (j *Jump) Owner(key string) (NodeID, bool) {
 	return j.live[jumpHash(h, len(j.live))], true
 }
 
-// Fail implements Partitioner.
-func (j *Jump) Fail(node NodeID) {
+// Remove implements Partitioner.
+func (j *Jump) Remove(node NodeID) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i, n := range j.live {
@@ -64,8 +61,8 @@ func (j *Jump) Fail(node NodeID) {
 	}
 }
 
-// Live implements Partitioner.
-func (j *Jump) Live() []NodeID {
+// Nodes implements Partitioner.
+func (j *Jump) Nodes() []NodeID {
 	j.mu.RLock()
 	defer j.mu.RUnlock()
 	return append([]NodeID(nil), j.live...)

@@ -2,6 +2,8 @@ package partition
 
 import (
 	"testing"
+
+	"repro/internal/hashring"
 )
 
 func TestJumpHashReference(t *testing.T) {
@@ -44,50 +46,19 @@ func TestJumpHashMinimalMovementOnGrowth(t *testing.T) {
 	}
 }
 
-func TestJumpPartitionerBasics(t *testing.T) {
-	p := NewJump(nodes(8))
-	ks := keys(500)
-	live := map[NodeID]bool{}
-	for _, n := range p.Live() {
-		live[n] = true
-	}
-	for _, k := range ks {
-		o, ok := p.Owner(k)
-		if !ok || !live[o] {
-			t.Fatalf("owner(%q) = %q, %v", k, o, ok)
-		}
-	}
-	p.Fail(p.Live()[3])
-	if len(p.Live()) != 7 {
-		t.Fatalf("live = %d", len(p.Live()))
-	}
-	for _, k := range ks {
-		if o, ok := p.Owner(k); !ok || o == "" {
-			t.Fatalf("post-failure owner(%q) = %q", k, o)
-		}
-	}
-	// Drain to zero.
-	for len(p.Live()) > 0 {
-		p.Fail(p.Live()[0])
-	}
-	if _, ok := p.Owner("k"); ok {
-		t.Error("empty partitioner should report no owner")
-	}
-}
-
 // TestJumpArbitraryRemovalMovesManyKeys documents why FT-Cache uses a
 // ring instead of jump hash: failing a middle node renumbers buckets and
 // relocates keys that were on healthy nodes.
 func TestJumpArbitraryRemovalMovesManyKeys(t *testing.T) {
 	p := NewJump(nodes(16))
 	ks := keys(4000)
-	rep := MeasureFailure(p, ks, p.Live()[2]) // early-index victim
+	rep := MeasureFailure(p, ks, p.Nodes()[2]) // early-index victim
 	if rep.Collateral == 0 {
 		t.Error("jump hash should show collateral movement on middle-node failure")
 	}
 	// Ring comparison: zero collateral by construction.
-	ring := NewRing(nodes(16), 100)
-	rrep := MeasureFailure(ring, ks, ring.Live()[2])
+	ring := hashring.NewWithNodes(hashring.Config{VirtualNodes: 100}, nodes(16))
+	rrep := MeasureFailure(ring, ks, ring.Nodes()[2])
 	if rrep.Collateral != 0 {
 		t.Errorf("ring collateral = %d", rrep.Collateral)
 	}

@@ -4,8 +4,7 @@ package partition
 // the metric behind the paper's argument that the hash ring achieves "the
 // absolute theoretical minimum data movement" (§IV-B).
 type MovementReport struct {
-	Strategy string
-	Keys     int
+	Keys int
 	// FromFailed counts keys that were owned by the failed node; these
 	// must move no matter the strategy (their cache copy is gone).
 	FromFailed int
@@ -28,15 +27,16 @@ func (m MovementReport) MovedFraction() float64 {
 	return float64(m.Moved()) / float64(m.Keys)
 }
 
-// MeasureFailure records key ownership, fails node on p, and reports how
-// ownership shifted. The partitioner is mutated (the node stays failed).
+// MeasureFailure records key ownership, removes node from p, and reports
+// how ownership shifted. The partitioner is mutated (the node stays
+// removed).
 func MeasureFailure(p Partitioner, keys []string, node NodeID) MovementReport {
 	before := make([]NodeID, len(keys))
 	for i, k := range keys {
 		before[i], _ = p.Owner(k)
 	}
-	p.Fail(node)
-	rep := MovementReport{Strategy: p.Name(), Keys: len(keys), LiveAfter: len(p.Live())}
+	p.Remove(node)
+	rep := MovementReport{Keys: len(keys), LiveAfter: len(p.Nodes())}
 	for i, k := range keys {
 		after, ok := p.Owner(k)
 		if !ok {
@@ -53,7 +53,8 @@ func MeasureFailure(p Partitioner, keys []string, node NodeID) MovementReport {
 }
 
 // LoadCounts returns the number of keys owned per live node, a balance
-// snapshot comparable across strategies.
+// snapshot comparable across strategies. Redistribute counts each
+// trial's receivers with it.
 func LoadCounts(p Partitioner, keys []string) map[NodeID]int {
 	counts := make(map[NodeID]int)
 	for _, k := range keys {

@@ -1,5 +1,7 @@
-// Package partition implements the data-placement strategies the paper
-// compares when motivating the hash ring (§IV-B):
+// Package partition holds the placement studies behind the paper's
+// choice of the hash ring: the §IV-B data-movement comparison
+// (movement.go) and the Fig 6(b) load-redistribution Monte-Carlo
+// (redistribute.go). The strategies compared in §IV-B are:
 //
 //   - Modulo: HVAC's original static hash partitioning — hash(path) mod N
 //     over the live node list. Correct and balanced, but any membership
@@ -11,11 +13,13 @@
 //   - Range: contiguous key-range assignment. On failure either the
 //     successor absorbs the whole range (minimal movement, poor balance)
 //     or all ranges are re-split (balanced, huge movement).
-//   - Ring: the consistent-hash ring (package hashring) — minimal
-//     movement and balanced via virtual nodes; the paper's choice.
+//   - Jump: jump consistent hash (jump.go), minimal movement on growth
+//     but not on an arbitrary member's removal.
+//   - *hashring.Ring: the consistent-hash ring itself — minimal movement
+//     and balanced via virtual nodes; the paper's choice.
 //
-// All strategies implement Partitioner so the movement experiment in
-// movement.go can compare them head-to-head.
+// Partitioner is the subset of the ring's own method set that the
+// studies need, so the ring and every baseline plug in unadapted.
 package partition
 
 import (
@@ -30,17 +34,17 @@ import (
 // NodeID aliases the cluster-wide node identifier.
 type NodeID = hashring.NodeID
 
-// Partitioner maps keys to owning nodes under a mutable membership.
+// Partitioner maps keys to owning nodes under a mutable membership. Its
+// methods carry hashring.Ring's signatures, so a *hashring.Ring is one.
 type Partitioner interface {
-	// Name identifies the strategy in experiment output.
-	Name() string
 	// Owner returns the node responsible for key; ok=false if no live
 	// nodes remain.
 	Owner(key string) (NodeID, bool)
-	// Fail marks node dead, triggering the strategy's reassignment rule.
-	Fail(node NodeID)
-	// Live returns the live nodes in deterministic order.
-	Live() []NodeID
+	// Remove drops node from the membership, triggering the strategy's
+	// reassignment rule. Removing a non-member is a no-op.
+	Remove(node NodeID)
+	// Nodes returns the live nodes in sorted order.
+	Nodes() []NodeID
 }
 
 // Modulo is HVAC's original static hash partitioner: FNV-1a of the path,
@@ -48,7 +52,7 @@ type Partitioner interface {
 // Owner takes no lock — it is ftcache's per-read placement under the
 // static strategies — so the list is published copy-on-write.
 type Modulo struct {
-	mu   sync.Mutex               // serializes Fail
+	mu   sync.Mutex               // serializes Remove
 	live atomic.Pointer[[]NodeID] // sorted; replaced, never edited
 }
 
@@ -61,9 +65,6 @@ func NewModulo(nodes []NodeID) *Modulo {
 	return m
 }
 
-// Name implements Partitioner.
-func (m *Modulo) Name() string { return "modulo" }
-
 // Owner implements Partitioner.
 func (m *Modulo) Owner(key string) (NodeID, bool) {
 	live := *m.live.Load()
@@ -74,10 +75,10 @@ func (m *Modulo) Owner(key string) (NodeID, bool) {
 	return live[h%uint64(len(live))], true
 }
 
-// Fail implements Partitioner. Removing a node changes len(live) and so
-// re-maps nearly every key — the behaviour the paper calls out as the
+// Remove implements Partitioner. Removing a node changes len(live) and
+// so re-maps nearly every key — the behaviour the paper calls out as the
 // core deficiency of static partitioning.
-func (m *Modulo) Fail(node NodeID) {
+func (m *Modulo) Remove(node NodeID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := *m.live.Load()
@@ -90,8 +91,8 @@ func (m *Modulo) Fail(node NodeID) {
 	}
 }
 
-// Live implements Partitioner.
-func (m *Modulo) Live() []NodeID { return append([]NodeID(nil), *m.live.Load()...) }
+// Nodes implements Partitioner.
+func (m *Modulo) Nodes() []NodeID { return append([]NodeID(nil), *m.live.Load()...) }
 
 // MultiHash keeps the original slot table fixed and probes derived hash
 // functions until it finds a live slot. The i-th hash of a key is a
@@ -110,9 +111,6 @@ func NewMultiHash(nodes []NodeID) *MultiHash {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return &MultiHash{slots: s, dead: make(map[NodeID]bool)}
 }
-
-// Name implements Partitioner.
-func (m *MultiHash) Name() string { return "multihash" }
 
 // Owner implements Partitioner.
 func (m *MultiHash) Owner(key string) (NodeID, bool) {
@@ -142,8 +140,8 @@ func (m *MultiHash) Owner(key string) (NodeID, bool) {
 	return "", false
 }
 
-// Fail implements Partitioner.
-func (m *MultiHash) Fail(node NodeID) {
+// Remove implements Partitioner.
+func (m *MultiHash) Remove(node NodeID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, n := range m.slots {
@@ -155,8 +153,8 @@ func (m *MultiHash) Fail(node NodeID) {
 	}
 }
 
-// Live implements Partitioner.
-func (m *MultiHash) Live() []NodeID {
+// Nodes implements Partitioner.
+func (m *MultiHash) Nodes() []NodeID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]NodeID, 0, len(m.slots)-m.nDead)
@@ -210,14 +208,6 @@ func (r *Range) split(nodes []NodeID) {
 	}
 }
 
-// Name implements Partitioner.
-func (r *Range) Name() string {
-	if r.rebalance {
-		return "range-rebalance"
-	}
-	return "range-absorb"
-}
-
 // Owner implements Partitioner.
 func (r *Range) Owner(key string) (NodeID, bool) {
 	r.mu.RLock()
@@ -230,8 +220,8 @@ func (r *Range) Owner(key string) (NodeID, bool) {
 	return r.owners[i], true
 }
 
-// Fail implements Partitioner.
-func (r *Range) Fail(node NodeID) {
+// Remove implements Partitioner.
+func (r *Range) Remove(node NodeID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	idx := -1
@@ -261,37 +251,11 @@ func (r *Range) Fail(node NodeID) {
 	r.bounds = append(r.bounds[:idx], r.bounds[idx+1:]...)
 }
 
-// Live implements Partitioner.
-func (r *Range) Live() []NodeID {
+// Nodes implements Partitioner.
+func (r *Range) Nodes() []NodeID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := append([]NodeID(nil), r.owners...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Ring adapts hashring.Ring to the Partitioner interface.
-type Ring struct {
-	ring *hashring.Ring
-}
-
-// NewRing creates a ring partitioner with the given virtual-node count.
-func NewRing(nodes []NodeID, virtualNodes int) *Ring {
-	return &Ring{ring: hashring.NewWithNodes(
-		hashring.Config{VirtualNodes: virtualNodes}, nodes)}
-}
-
-// Name implements Partitioner.
-func (r *Ring) Name() string { return "hashring" }
-
-// Owner implements Partitioner.
-func (r *Ring) Owner(key string) (NodeID, bool) { return r.ring.Owner(key) }
-
-// Fail implements Partitioner.
-func (r *Ring) Fail(node NodeID) { r.ring.Remove(node) }
-
-// Live implements Partitioner.
-func (r *Ring) Live() []NodeID { return r.ring.Nodes() }
-
-// Underlying exposes the wrapped hash ring for analysis helpers.
-func (r *Ring) Underlying() *hashring.Ring { return r.ring }

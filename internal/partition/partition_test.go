@@ -2,11 +2,17 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hashring"
 	"repro/internal/stats"
+	"repro/internal/xhash"
 )
+
+// The ring is studied on its own method names, with no adapter.
+var _ Partitioner = (*hashring.Ring)(nil)
 
 func nodes(n int) []NodeID {
 	out := make([]NodeID, n)
@@ -24,31 +30,43 @@ func keys(n int) []string {
 	return out
 }
 
-func strategies(n int) []Partitioner {
+// strategy names a placement in test and benchmark output.
+type strategy struct {
+	name string
+	p    Partitioner
+}
+
+func newRing(ns []NodeID) *hashring.Ring {
+	return hashring.NewWithNodes(hashring.Config{VirtualNodes: 100}, ns)
+}
+
+func strategies(n int) []strategy {
 	ns := nodes(n)
-	return []Partitioner{
-		NewModulo(ns),
-		NewMultiHash(ns),
-		NewRange(ns, false),
-		NewRange(ns, true),
-		NewRing(ns, 100),
+	return []strategy{
+		{"modulo", NewModulo(ns)},
+		{"multihash", NewMultiHash(ns)},
+		{"range-absorb", NewRange(ns, false)},
+		{"range-rebalance", NewRange(ns, true)},
+		{"jumphash", NewJump(ns)},
+		{"hashring", newRing(ns)},
 	}
 }
 
 func TestAllStrategiesMapEveryKeyToLiveNode(t *testing.T) {
 	ks := keys(500)
-	for _, p := range strategies(16) {
+	for _, st := range strategies(16) {
+		p := st.p
 		live := map[NodeID]bool{}
-		for _, n := range p.Live() {
+		for _, n := range p.Nodes() {
 			live[n] = true
 		}
 		for _, k := range ks {
 			owner, ok := p.Owner(k)
 			if !ok {
-				t.Fatalf("%s: no owner for %q", p.Name(), k)
+				t.Fatalf("%s: no owner for %q", st.name, k)
 			}
 			if !live[owner] {
-				t.Fatalf("%s: owner %q of %q is not live", p.Name(), owner, k)
+				t.Fatalf("%s: owner %q of %q is not live", st.name, owner, k)
 			}
 		}
 	}
@@ -56,12 +74,13 @@ func TestAllStrategiesMapEveryKeyToLiveNode(t *testing.T) {
 
 func TestOwnerDeterministic(t *testing.T) {
 	ks := keys(100)
-	for _, p := range strategies(8) {
+	for _, st := range strategies(8) {
+		p := st.p
 		for _, k := range ks {
 			a, _ := p.Owner(k)
 			b, _ := p.Owner(k)
 			if a != b {
-				t.Fatalf("%s: nondeterministic owner for %q", p.Name(), k)
+				t.Fatalf("%s: nondeterministic owner for %q", st.name, k)
 			}
 		}
 	}
@@ -69,16 +88,17 @@ func TestOwnerDeterministic(t *testing.T) {
 
 func TestFailureKeepsMappingToSurvivors(t *testing.T) {
 	ks := keys(500)
-	for _, p := range strategies(16) {
-		victim := p.Live()[4]
-		p.Fail(victim)
-		if len(p.Live()) != 15 {
-			t.Fatalf("%s: live=%d after one failure", p.Name(), len(p.Live()))
+	for _, st := range strategies(16) {
+		p := st.p
+		victim := p.Nodes()[4]
+		p.Remove(victim)
+		if len(p.Nodes()) != 15 {
+			t.Fatalf("%s: live=%d after one failure", st.name, len(p.Nodes()))
 		}
 		for _, k := range ks {
 			owner, ok := p.Owner(k)
 			if !ok || owner == victim {
-				t.Fatalf("%s: key %q -> (%q,%v) after failing %q", p.Name(), k, owner, ok, victim)
+				t.Fatalf("%s: key %q -> (%q,%v) after failing %q", st.name, k, owner, ok, victim)
 			}
 		}
 	}
@@ -86,38 +106,40 @@ func TestFailureKeepsMappingToSurvivors(t *testing.T) {
 
 func TestRepeatedFailuresDownToOne(t *testing.T) {
 	ks := keys(200)
-	for _, p := range strategies(8) {
-		for len(p.Live()) > 1 {
-			p.Fail(p.Live()[0])
+	for _, st := range strategies(8) {
+		p := st.p
+		for len(p.Nodes()) > 1 {
+			p.Remove(p.Nodes()[0])
 		}
-		last := p.Live()[0]
+		last := p.Nodes()[0]
 		for _, k := range ks {
 			owner, ok := p.Owner(k)
 			if !ok || owner != last {
-				t.Fatalf("%s: with one survivor %q, key %q -> (%q,%v)", p.Name(), last, k, owner, ok)
+				t.Fatalf("%s: with one survivor %q, key %q -> (%q,%v)", st.name, last, k, owner, ok)
 			}
 		}
-		p.Fail(last)
+		p.Remove(last)
 		if _, ok := p.Owner(ks[0]); ok {
-			t.Fatalf("%s: owner reported with zero live nodes", p.Name())
+			t.Fatalf("%s: owner reported with zero live nodes", st.name)
 		}
 	}
 }
 
 func TestFailUnknownNodeIsNoop(t *testing.T) {
 	ks := keys(100)
-	for _, p := range strategies(6) {
+	for _, st := range strategies(6) {
+		p := st.p
 		before := map[string]NodeID{}
 		for _, k := range ks {
 			before[k], _ = p.Owner(k)
 		}
-		p.Fail("ghost")
-		if len(p.Live()) != 6 {
-			t.Fatalf("%s: live count changed on ghost failure", p.Name())
+		p.Remove("ghost")
+		if len(p.Nodes()) != 6 {
+			t.Fatalf("%s: live count changed on ghost failure", st.name)
 		}
 		for _, k := range ks {
 			if o, _ := p.Owner(k); o != before[k] {
-				t.Fatalf("%s: ghost failure moved key %q", p.Name(), k)
+				t.Fatalf("%s: ghost failure moved key %q", st.name, k)
 			}
 		}
 	}
@@ -131,9 +153,10 @@ func TestMovementComparison(t *testing.T) {
 	const n = 32
 	ks := keys(4000)
 	perStrategy := map[string]MovementReport{}
-	for _, p := range strategies(n) {
-		victim := p.Live()[n/2]
-		perStrategy[p.Name()] = MeasureFailure(p, ks, victim)
+	for _, st := range strategies(n) {
+		p := st.p
+		victim := p.Nodes()[n/2]
+		perStrategy[st.name] = MeasureFailure(p, ks, victim)
 	}
 
 	for _, name := range []string{"hashring", "range-absorb", "multihash"} {
@@ -159,9 +182,9 @@ func TestMovementComparison(t *testing.T) {
 // TestRingMovementIsTheoreticalMinimum: the ring's total movement equals
 // exactly the failed node's key count — nothing more can be saved.
 func TestRingMovementIsTheoreticalMinimum(t *testing.T) {
-	p := NewRing(nodes(16), 100)
+	p := newRing(nodes(16))
 	ks := keys(2000)
-	victim := p.Live()[7]
+	victim := p.Nodes()[7]
 	ownedByVictim := 0
 	for _, k := range ks {
 		if o, _ := p.Owner(k); o == victim {
@@ -183,7 +206,7 @@ func TestRangeAbsorbImbalance(t *testing.T) {
 	// cites as range partitioning's weakness.
 	p := NewRange(nodes(16), false)
 	ks := keys(8000)
-	MeasureFailure(p, ks, p.Live()[5])
+	MeasureFailure(p, ks, p.Nodes()[5])
 	counts := LoadCounts(p, ks)
 	maxC := 0
 	for _, c := range counts {
@@ -200,7 +223,7 @@ func TestRangeAbsorbImbalance(t *testing.T) {
 func TestRangeRebalanceStaysBalanced(t *testing.T) {
 	p := NewRange(nodes(16), true)
 	ks := keys(8000)
-	MeasureFailure(p, ks, p.Live()[5])
+	MeasureFailure(p, ks, p.Nodes()[5])
 	counts := LoadCounts(p, ks)
 	vals := make([]float64, 0, len(counts))
 	for _, c := range counts {
@@ -217,48 +240,51 @@ func TestMultiHashRepeatedFailures(t *testing.T) {
 	// Fail half the cluster one at a time; mapping must stay valid and
 	// only the failing nodes' keys may move at each step.
 	for i := 0; i < 6; i++ {
-		victim := p.Live()[0]
+		victim := p.Nodes()[0]
 		rep := MeasureFailure(p, ks, victim)
 		if rep.Collateral != 0 {
 			t.Fatalf("multihash collateral movement %d at failure %d", rep.Collateral, i)
 		}
 	}
-	if len(p.Live()) != 6 {
-		t.Fatalf("live=%d", len(p.Live()))
+	if len(p.Nodes()) != 6 {
+		t.Fatalf("live=%d", len(p.Nodes()))
 	}
 }
 
 func TestModuloMatchesHVACFormula(t *testing.T) {
-	// Spot-check that Modulo implements hash(path) mod N over the sorted
-	// node list, which is what the original HVAC client computed.
-	ns := nodes(4)
+	// Modulo is hash(path) mod N over the sorted live node list, which is
+	// what the original HVAC client computed — before and after a removal.
+	ns := []NodeID{"node-c", "node-a", "node-d", "node-b"}
 	p := NewModulo(ns)
-	for _, k := range keys(50) {
-		owner, _ := p.Owner(k)
-		found := false
-		for _, n := range ns {
-			if n == owner {
-				found = true
+	check := func(live []NodeID) {
+		t.Helper()
+		sorted := slices.Clone(live)
+		slices.Sort(sorted)
+		for _, k := range keys(200) {
+			want := sorted[xhash.FNV1aString(k)%uint64(len(sorted))]
+			if owner, ok := p.Owner(k); !ok || owner != want {
+				t.Fatalf("live %v: Owner(%q) = (%q, %v), want %q", sorted, k, owner, ok, want)
 			}
 		}
-		if !found {
-			t.Fatalf("owner %q not in node set", owner)
-		}
 	}
+	check(ns)
+	p.Remove("node-b")
+	check([]NodeID{"node-c", "node-a", "node-d"})
 }
 
 func TestBalanceAcrossStrategies(t *testing.T) {
 	ks := keys(16000)
-	for _, p := range strategies(16) {
+	for _, st := range strategies(16) {
+		p := st.p
 		counts := LoadCounts(p, ks)
 		vals := make([]float64, 0, 16)
-		for _, n := range p.Live() {
+		for _, n := range p.Nodes() {
 			vals = append(vals, float64(counts[n]))
 		}
 		cv := stats.CoeffVar(vals)
 		limit := 0.25
 		if cv > limit {
-			t.Errorf("%s: initial load CV=%.3f exceeds %.2f", p.Name(), cv, limit)
+			t.Errorf("%s: initial load CV=%.3f exceeds %.2f", st.name, cv, limit)
 		}
 	}
 }
@@ -267,12 +293,12 @@ func TestQuickOwnerAlwaysLive(t *testing.T) {
 	f := func(keyRaw []byte, failIdx uint8) bool {
 		key := string(keyRaw)
 		p := NewMultiHash(nodes(9))
-		p.Fail(p.Live()[int(failIdx)%9])
+		p.Remove(p.Nodes()[int(failIdx)%9])
 		owner, ok := p.Owner(key)
 		if !ok {
 			return false
 		}
-		for _, n := range p.Live() {
+		for _, n := range p.Nodes() {
 			if n == owner {
 				return true
 			}
@@ -299,8 +325,9 @@ func TestMovementReportAccessors(t *testing.T) {
 
 func BenchmarkPartitionerOwner(b *testing.B) {
 	ks := keys(1024)
-	for _, p := range strategies(256) {
-		b.Run(p.Name(), func(b *testing.B) {
+	for _, st := range strategies(256) {
+		p := st.p
+		b.Run(st.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p.Owner(ks[i&1023])
@@ -311,18 +338,21 @@ func BenchmarkPartitionerOwner(b *testing.B) {
 
 func BenchmarkPartitionerMovement(b *testing.B) {
 	ks := keys(4096)
-	builders := []func() Partitioner{
-		func() Partitioner { return NewModulo(nodes(256)) },
-		func() Partitioner { return NewMultiHash(nodes(256)) },
-		func() Partitioner { return NewRange(nodes(256), false) },
-		func() Partitioner { return NewRing(nodes(256), 100) },
+	builders := []struct {
+		name string
+		mk   func() Partitioner
+	}{
+		{"modulo", func() Partitioner { return NewModulo(nodes(256)) }},
+		{"multihash", func() Partitioner { return NewMultiHash(nodes(256)) }},
+		{"range-absorb", func() Partitioner { return NewRange(nodes(256), false) }},
+		{"hashring", func() Partitioner { return newRing(nodes(256)) }},
 	}
-	for _, mk := range builders {
-		b.Run(mk().Name(), func(b *testing.B) {
+	for _, bl := range builders {
+		b.Run(bl.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p := mk()
-				MeasureFailure(p, ks, p.Live()[128])
+				p := bl.mk()
+				MeasureFailure(p, ks, p.Nodes()[128])
 			}
 		})
 	}

@@ -1,15 +1,4 @@
-// Package loadsim is the Monte-Carlo load-redistribution study behind the
-// paper's Fig 6(b): on a 1024-physical-node hash ring, fail one random
-// node and measure (a) how many surviving nodes receive its files and
-// (b) how many files each receiver absorbs, as the virtual-node count
-// sweeps from 10 to 1000 per physical node. 500 trials per setting; the
-// plotted values are means, the error bars standard deviations.
-//
-// The simulation runs against the real hashring package — the same code
-// the live cache uses — so the figure measures the actual system, not an
-// abstraction of it. This mirrors the artifact's
-// load_distribution_simul.cpp.
-package loadsim
+package partition
 
 import (
 	"fmt"
@@ -23,8 +12,20 @@ import (
 	"repro/internal/stats"
 )
 
-// Config parameterizes one sweep point.
-type Config struct {
+// The Monte-Carlo load-redistribution study behind the paper's Fig 6(b):
+// on a 1024-physical-node hash ring, fail one random node and measure
+// (a) how many surviving nodes receive its files and (b) how many files
+// each receiver absorbs, as the virtual-node count sweeps from 10 to
+// 1000 per physical node. 500 trials per setting; the plotted values are
+// means, the error bars standard deviations.
+//
+// The simulation runs against the real hashring package — the same code
+// the live cache uses — so the figure measures the actual system, not an
+// abstraction of it. This mirrors the artifact's
+// load_distribution_simul.cpp.
+
+// RedistributeConfig parameterizes one sweep point.
+type RedistributeConfig struct {
 	// PhysicalNodes on the ring (paper: 1024).
 	PhysicalNodes int
 	// VirtualNodes per physical node (the sweep variable).
@@ -36,8 +37,6 @@ type Config struct {
 	Trials int
 	// Seed makes the experiment reproducible.
 	Seed int64
-	// Workers bounds trial parallelism; <= 0 uses GOMAXPROCS.
-	Workers int
 	// SimultaneousFailures is how many distinct nodes fail at once per
 	// trial; <= 0 selects 1 (the paper's single-failure protocol).
 	// Correlated multi-node failures (a rack or switch dying) are the
@@ -45,8 +44,9 @@ type Config struct {
 	SimultaneousFailures int
 }
 
-// Point is the aggregated outcome for one virtual-node setting.
-type Point struct {
+// RedistributePoint is the aggregated outcome for one virtual-node
+// setting.
+type RedistributePoint struct {
 	VirtualNodes int
 	// ReceiverNodes: how many distinct survivors inherited at least one
 	// file (mean ± stddev across trials) — Fig 6(b) left axis.
@@ -70,26 +70,29 @@ type trialOut struct {
 	perNode   []int
 }
 
-// Run executes the Monte-Carlo sweep point.
+// Redistribute executes the Monte-Carlo sweep point.
 //
 // Building a fresh 1024-node ring per trial would dominate runtime, so
-// each trial reuses a shared immutable base ring: the failed node's key
-// reassignment is computed with PlanRecache on a clone, exactly what a
-// live client does when the detector fires.
-func Run(cfg Config) Point {
+// every trial starts from one shared base ring whose owner of each key
+// is computed once. A trial clones the base (O(1): clones share the
+// immutable snapshot), removes its victims from the clone, and counts
+// the victims' keys under the clone's new owners with LoadCounts.
+// Trials run on GOMAXPROCS goroutines; each seeds its own RNG and writes
+// its own slot, so the result does not depend on the parallelism.
+func Redistribute(cfg RedistributeConfig) RedistributePoint {
 	if cfg.PhysicalNodes < 2 || cfg.Trials < 1 || cfg.Files < 1 {
-		panic("loadsim: PhysicalNodes>=2, Trials>=1, Files>=1 required")
+		panic("partition: PhysicalNodes>=2, Trials>=1, Files>=1 required")
 	}
 	failures := cfg.SimultaneousFailures
 	if failures <= 0 {
 		failures = 1
 	}
 	if failures >= cfg.PhysicalNodes {
-		panic("loadsim: SimultaneousFailures must leave survivors")
+		panic("partition: SimultaneousFailures must leave survivors")
 	}
-	nodes := make([]hashring.NodeID, cfg.PhysicalNodes)
+	nodes := make([]NodeID, cfg.PhysicalNodes)
 	for i := range nodes {
-		nodes[i] = hashring.NodeID(fmt.Sprintf("node-%04d", i))
+		nodes[i] = NodeID(fmt.Sprintf("node-%04d", i))
 	}
 	base := hashring.NewWithNodes(hashring.Config{VirtualNodes: cfg.VirtualNodes}, nodes)
 
@@ -99,20 +102,13 @@ func Run(cfg Config) Point {
 	}
 	// Precompute each key's owner once: per trial we only need the keys
 	// owned by the failed node.
-	byOwner := make(map[hashring.NodeID][]string, cfg.PhysicalNodes)
+	byOwner := make(map[NodeID][]string, cfg.PhysicalNodes)
 	for _, k := range keys {
 		o, _ := base.Owner(k)
 		byOwner[o] = append(byOwner[o], k)
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-
+	workers := min(runtime.GOMAXPROCS(0), cfg.Trials)
 	outs := make([]trialOut, cfg.Trials)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -128,14 +124,7 @@ func Run(cfg Config) Point {
 					lostKeys = append(lostKeys, byOwner[nodes[vi]]...)
 					after.Remove(nodes[vi])
 				}
-				counts := make(map[hashring.NodeID]int)
-				for _, k := range lostKeys {
-					newOwner, ok := after.Owner(k)
-					if !ok {
-						continue
-					}
-					counts[newOwner]++
-				}
+				counts := LoadCounts(after, lostKeys)
 				per := make([]int, 0, len(counts))
 				for _, c := range counts {
 					per = append(per, c)
@@ -164,7 +153,7 @@ func Run(cfg Config) Point {
 			perMeans.Add(m.Mean())
 		}
 	}
-	return Point{
+	return RedistributePoint{
 		VirtualNodes:       cfg.VirtualNodes,
 		ReceiverMean:       recv.Mean(),
 		ReceiverStdDev:     recv.StdDev(),
@@ -210,14 +199,14 @@ func ExpectedReceivers(physicalNodes, virtualNodes, files int) float64 {
 	return n * (1 - math.Pow(1-1/n, arcs))
 }
 
-// PaperSweep is the published Fig 6(b) x-axis.
-var PaperSweep = []int{10, 50, 100, 500, 1000}
+// PaperVirtualNodes is the published Fig 6(b) x-axis.
+var PaperVirtualNodes = []int{10, 50, 100, 500, 1000}
 
-// Sweep runs Run for each virtual-node setting.
-func Sweep(physicalNodes, files, trials int, seed int64, vnodeSettings []int) []Point {
-	out := make([]Point, 0, len(vnodeSettings))
+// RedistributeSweep runs Redistribute for each virtual-node setting.
+func RedistributeSweep(physicalNodes, files, trials int, seed int64, vnodeSettings []int) []RedistributePoint {
+	out := make([]RedistributePoint, 0, len(vnodeSettings))
 	for _, v := range vnodeSettings {
-		out = append(out, Run(Config{
+		out = append(out, Redistribute(RedistributeConfig{
 			PhysicalNodes: physicalNodes,
 			VirtualNodes:  v,
 			Files:         files,

@@ -1,12 +1,13 @@
-package loadsim
+package partition
 
 import (
+	"runtime"
 	"testing"
 )
 
 // small runs a fast sweep point for unit testing.
-func small(vnodes, trials int) Point {
-	return Run(Config{
+func small(vnodes, trials int) RedistributePoint {
+	return Redistribute(RedistributeConfig{
 		PhysicalNodes: 64,
 		VirtualNodes:  vnodes,
 		Files:         4096,
@@ -80,13 +81,21 @@ func TestDiminishingReturns(t *testing.T) {
 func TestDeterministicForSeed(t *testing.T) {
 	a := small(50, 10)
 	b := small(50, 10)
-	if a.ReceiverMean != b.ReceiverMean || a.FilesPerNodeMean != b.FilesPerNodeMean {
-		t.Error("same seed should reproduce identical results")
+	if a != b {
+		t.Errorf("same seed should reproduce identical results: %+v vs %+v", a, b)
+	}
+	// Trials run on GOMAXPROCS goroutines; one goroutine must give the
+	// same point.
+	prev := runtime.GOMAXPROCS(1)
+	serial := small(50, 10)
+	runtime.GOMAXPROCS(prev)
+	if serial != a {
+		t.Errorf("GOMAXPROCS(1) point %+v differs from GOMAXPROCS(%d) point %+v", serial, prev, a)
 	}
 }
 
 func TestSweepShape(t *testing.T) {
-	pts := Sweep(32, 4096, 10, 3, []int{5, 50})
+	pts := RedistributeSweep(32, 4096, 10, 3, []int{5, 50})
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -109,23 +118,23 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Run(Config{PhysicalNodes: 1, Files: 10, Trials: 1})
+	Redistribute(RedistributeConfig{PhysicalNodes: 1, Files: 10, Trials: 1})
 }
 
 func BenchmarkTrialV100(b *testing.B) {
-	cfg := Config{PhysicalNodes: 256, VirtualNodes: 100, Files: 16384, Seed: 1, Trials: 1}
+	cfg := RedistributeConfig{PhysicalNodes: 256, VirtualNodes: 100, Files: 16384, Seed: 1, Trials: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		Run(cfg)
+		Redistribute(cfg)
 	}
 }
 
 func TestMultiFailure(t *testing.T) {
-	single := Run(Config{
+	single := Redistribute(RedistributeConfig{
 		PhysicalNodes: 64, VirtualNodes: 100, Files: 4096, Trials: 20, Seed: 5,
 	})
-	multi := Run(Config{
+	multi := Redistribute(RedistributeConfig{
 		PhysicalNodes: 64, VirtualNodes: 100, Files: 4096, Trials: 20, Seed: 5,
 		SimultaneousFailures: 4,
 	})
@@ -149,7 +158,7 @@ func TestMultiFailurePanicsWithoutSurvivors(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Run(Config{PhysicalNodes: 4, VirtualNodes: 10, Files: 100, Trials: 1,
+	Redistribute(RedistributeConfig{PhysicalNodes: 4, VirtualNodes: 10, Files: 100, Trials: 1,
 		SimultaneousFailures: 4})
 }
 
@@ -160,7 +169,7 @@ func TestAnalyticMatchesMonteCarlo(t *testing.T) {
 		{128, 50, 8192},
 		{64, 1000, 4096},
 	} {
-		mc := Run(Config{
+		mc := Redistribute(RedistributeConfig{
 			PhysicalNodes: tc.nodes, VirtualNodes: tc.vnodes,
 			Files: tc.files, Trials: 40, Seed: 9,
 		})
