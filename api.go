@@ -73,9 +73,6 @@ func NewRing(cfg RingConfig, nodes []NodeID) *Ring {
 // NewTrainer creates a data-parallel trainer over a live cluster.
 func NewTrainer(cfg TrainConfig) (*Trainer, error) { return dltrain.New(cfg) }
 
-// TrainDataset adapts a Dataset for TrainConfig.
-func TrainDataset(ds Dataset) dltrain.DatasetAdapter { return dltrain.FromWorkload(ds) }
-
 // CosmoFlowTrain is the paper's training split geometry (524,288 files,
 // ~1.3 TB). Use Dataset.Scaled and Dataset.WithFileBytes for local runs.
 func CosmoFlowTrain() Dataset { return workload.CosmoFlowTrain() }

@@ -92,7 +92,7 @@ func TestPublicAPITraining(t *testing.T) {
 
 	trainer, err := repro.NewTrainer(repro.TrainConfig{
 		Cluster:   cluster,
-		Dataset:   repro.TrainDataset(ds),
+		Dataset:   ds,
 		Workers:   3,
 		Epochs:    2,
 		BatchSize: 2,

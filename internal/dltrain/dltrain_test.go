@@ -120,7 +120,7 @@ func TestTrainingNoFailures(t *testing.T) {
 	c, ds := liveCluster(t, 4, ftcache.KindNVMe)
 	tr, err := New(Config{
 		Cluster:   c,
-		Dataset:   FromWorkload(ds),
+		Dataset:   ds,
 		Workers:   4,
 		Epochs:    3,
 		BatchSize: 4,
@@ -161,7 +161,7 @@ func TestTrainingRingSurvivesFailure(t *testing.T) {
 	c, ds := liveCluster(t, 4, ftcache.KindNVMe)
 	tr, err := New(Config{
 		Cluster:   c,
-		Dataset:   FromWorkload(ds),
+		Dataset:   ds,
 		Workers:   4,
 		Epochs:    3,
 		BatchSize: 4,
@@ -210,7 +210,7 @@ func TestUnnamedVictimSparesRankZero(t *testing.T) {
 	for _, nodes := range []int{3, 1} {
 		c, ds := liveCluster(t, nodes, ftcache.KindNVMe)
 		tr, err := New(Config{
-			Cluster: c, Dataset: FromWorkload(ds),
+			Cluster: c, Dataset: ds,
 			Workers: nodes, Epochs: 2, BatchSize: 4, Seed: 7,
 			Failures: []failure.Event{{Epoch: 1}},
 		})
@@ -235,7 +235,7 @@ func TestUnnamedVictimSparesRankZero(t *testing.T) {
 func TestTimedFailure(t *testing.T) {
 	c, ds := liveCluster(t, 3, ftcache.KindNVMe)
 	tr, err := New(Config{
-		Cluster: c, Dataset: FromWorkload(ds),
+		Cluster: c, Dataset: ds,
 		Workers: 3, Epochs: 2, BatchSize: 4, Seed: 7,
 		Failures: []failure.Event{{At: time.Nanosecond, Kill: true}},
 	})
@@ -256,7 +256,7 @@ func TestTrainingPFSRedirectSurvivesFailure(t *testing.T) {
 	c, ds := liveCluster(t, 4, ftcache.KindPFS)
 	tr, err := New(Config{
 		Cluster:   c,
-		Dataset:   FromWorkload(ds),
+		Dataset:   ds,
 		Workers:   4,
 		Epochs:    3,
 		BatchSize: 4,
@@ -283,7 +283,7 @@ func TestTrainingNoFTAborts(t *testing.T) {
 	c, ds := liveCluster(t, 3, ftcache.KindNoFT)
 	tr, err := New(Config{
 		Cluster:   c,
-		Dataset:   FromWorkload(ds),
+		Dataset:   ds,
 		Workers:   3,
 		Epochs:    3,
 		BatchSize: 4,
@@ -311,8 +311,11 @@ func TestTrainerValidation(t *testing.T) {
 		t.Error("empty config should fail")
 	}
 	c, ds := liveCluster(t, 2, ftcache.KindNVMe)
-	if _, err := New(Config{Cluster: c, Dataset: FromWorkload(ds)}); err == nil {
+	if _, err := New(Config{Cluster: c, Dataset: ds}); err == nil {
 		t.Error("zero workers should fail")
+	}
+	if _, err := New(Config{Cluster: c, Workers: 2, Epochs: 1, BatchSize: 2}); err == nil {
+		t.Error("empty dataset should fail")
 	}
 }
 
@@ -320,7 +323,7 @@ func TestTrainingContextCancel(t *testing.T) {
 	c, ds := liveCluster(t, 2, ftcache.KindNVMe)
 	tr, err := New(Config{
 		Cluster:   c,
-		Dataset:   FromWorkload(ds),
+		Dataset:   ds,
 		Workers:   2,
 		Epochs:    1000, // would run long
 		BatchSize: 2,
@@ -344,7 +347,7 @@ func TestValidationPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, err := New(Config{
-		Cluster: c, Dataset: FromWorkload(ds), Validation: FromWorkload(val),
+		Cluster: c, Dataset: ds, Validation: val,
 		Workers: 3, Epochs: 2, BatchSize: 4, Seed: 5,
 	})
 	if err != nil {
@@ -373,7 +376,7 @@ func TestValidationSurvivesFailure(t *testing.T) {
 	val := workload.Dataset{Name: "val", Prefix: "val", NumFiles: 12, FileBytes: 32}
 	c.Stage(val)
 	tr, err := New(Config{
-		Cluster: c, Dataset: FromWorkload(ds), Validation: FromWorkload(val),
+		Cluster: c, Dataset: ds, Validation: val,
 		Workers: 3, Epochs: 3, BatchSize: 4, Seed: 5,
 		Failures: []failure.Event{{Epoch: 1, Frac: 0.4}},
 	})
@@ -415,7 +418,7 @@ func TestTrainingSurvivesRepeatedFailuresOverTCP(t *testing.T) {
 	}
 	tr, err := New(Config{
 		Cluster:   c,
-		Dataset:   FromWorkload(ds),
+		Dataset:   ds,
 		Workers:   8,
 		Epochs:    5,
 		BatchSize: 4,

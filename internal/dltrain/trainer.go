@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/hvac"
@@ -20,10 +19,7 @@ type Config struct {
 	// Cluster is the running FT-Cache deployment.
 	Cluster *core.Cluster
 	// Dataset must already be staged on the cluster's PFS.
-	Dataset interface {
-		FilePath(i int) string
-		NumFilesCount() int
-	}
+	Dataset workload.Dataset
 	// Workers is the number of data-parallel ranks. Rank i is co-located
 	// with cluster node i%N: when that node fails, the rank dies with it
 	// (compute and cache share the node on Frontier).
@@ -42,45 +38,11 @@ type Config struct {
 	// MaxRestarts bounds elastic restarts; <= 0 selects 8.
 	MaxRestarts int
 
-	// Checkpointer, when set, saves model state after epochs (see
-	// CheckpointEvery) and enables Resume.
-	Checkpointer *checkpoint.Checkpointer
-	// CheckpointEvery saves after every n-th completed epoch; <= 0 with
-	// a Checkpointer set selects 1 (every epoch).
-	CheckpointEvery int
-	// Resume starts from the latest checkpoint instead of epoch 0 — how
-	// a job killed outright (e.g. NoFT) continues in its next submission.
-	Resume bool
-	// State produces the opaque model state for epoch checkpoints; nil
-	// selects a deterministic placeholder (the harness trains no real
-	// model).
-	State func(epoch int) []byte
-
-	// Validation, when set, is read in full (unshuffled, sharded across
-	// live ranks) after every training epoch — the CosmoFlow validation
-	// pass over the 65,536-sample split.
-	Validation interface {
-		FilePath(i int) string
-		NumFilesCount() int
-	}
-}
-
-// DatasetAdapter adapts workload.Dataset (method name NumFiles is a
-// field there) to the Config.Dataset interface.
-type DatasetAdapter struct {
-	Path  func(i int) string
-	Count int
-}
-
-// FilePath implements Config.Dataset.
-func (d DatasetAdapter) FilePath(i int) string { return d.Path(i) }
-
-// NumFilesCount implements Config.Dataset.
-func (d DatasetAdapter) NumFilesCount() int { return d.Count }
-
-// FromWorkload adapts a workload.Dataset.
-func FromWorkload(ds workload.Dataset) DatasetAdapter {
-	return DatasetAdapter{Path: ds.FilePath, Count: ds.NumFiles}
+	// Validation, when it has files, is read in full (unshuffled,
+	// sharded across live ranks) after every training epoch — the
+	// CosmoFlow validation pass over the 65,536-sample split. A zero
+	// NumFiles skips the pass.
+	Validation workload.Dataset
 }
 
 // EpochReport describes one completed epoch.
@@ -107,9 +69,6 @@ type Report struct {
 	FinalWorkers int
 	// ClientStats aggregates all ranks' HVAC client counters.
 	ClientStats hvac.ClientStats
-	// ResumedFromEpoch is the checkpointed epoch the run continued
-	// after, or -1 for a fresh start.
-	ResumedFromEpoch int
 }
 
 // ErrTooManyRestarts reports an elastic-restart loop.
@@ -130,22 +89,14 @@ type Trainer struct {
 
 // New validates cfg and allocates one HVAC client per rank.
 func New(cfg Config) (*Trainer, error) {
-	if cfg.Cluster == nil || cfg.Dataset == nil {
-		return nil, errors.New("dltrain: Cluster and Dataset are required")
+	if cfg.Cluster == nil || cfg.Dataset.NumFiles <= 0 {
+		return nil, errors.New("dltrain: Cluster and a non-empty Dataset are required")
 	}
 	if cfg.Workers <= 0 || cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		return nil, errors.New("dltrain: Workers, Epochs, BatchSize must be positive")
 	}
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 8
-	}
-	if cfg.Checkpointer != nil && cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
-	}
-	if cfg.State == nil {
-		cfg.State = func(epoch int) []byte {
-			return []byte(fmt.Sprintf("placeholder-state-epoch-%d", epoch))
-		}
 	}
 	nodes := cfg.Cluster.Nodes()
 	tr := &Trainer{cfg: cfg}
@@ -201,20 +152,12 @@ func (t *Trainer) killRanksOn(node core.NodeID) int {
 // abort surfaces in Report.Aborted with the cause, not as a Run error;
 // Run errors indicate harness problems (bad ranges, context cancel).
 func (t *Trainer) Run(ctx context.Context) (Report, error) {
-	rep := Report{ResumedFromEpoch: -1}
+	var rep Report
 	sched := failure.NewSchedule(t.cfg.Failures)
 	start := time.Now()
-	n := t.cfg.Dataset.NumFilesCount()
+	n := t.cfg.Dataset.NumFiles
 
-	firstEpoch := 0
-	if t.cfg.Resume && t.cfg.Checkpointer != nil {
-		if m, _, err := t.cfg.Checkpointer.Latest(); err == nil {
-			firstEpoch = m.Epoch + 1
-			rep.ResumedFromEpoch = m.Epoch
-		}
-	}
-
-	for epoch := firstEpoch; epoch < t.cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < t.cfg.Epochs; epoch++ {
 		epochStart := time.Now()
 		restarts := 0
 
@@ -275,7 +218,7 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 		}
 
 		valSamples := 0
-		if t.cfg.Validation != nil {
+		if t.cfg.Validation.NumFiles > 0 {
 			var err error
 			valSamples, err = t.runValidation(ctx, workers)
 			if err != nil {
@@ -299,13 +242,6 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 			Samples:           samples,
 			ValidationSamples: valSamples,
 		})
-
-		if t.cfg.Checkpointer != nil && (epoch+1)%t.cfg.CheckpointEvery == 0 {
-			meta := checkpoint.Meta{Epoch: epoch, Workers: len(workers)}
-			if err := t.cfg.Checkpointer.Save(meta, t.cfg.State(epoch)); err != nil {
-				return rep, fmt.Errorf("dltrain: checkpoint after epoch %d: %w", epoch, err)
-			}
-		}
 	}
 
 	rep.Total = time.Since(start)
@@ -348,7 +284,7 @@ func (t *Trainer) runStep(ctx context.Context, workers []*rank, order []int, ste
 // runValidation reads the validation split once, sharded across the live
 // ranks in fixed order (validation is never shuffled).
 func (t *Trainer) runValidation(ctx context.Context, workers []*rank) (int, error) {
-	n := t.cfg.Validation.NumFilesCount()
+	n := t.cfg.Validation.NumFiles
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(workers))
 	for w, r := range workers {

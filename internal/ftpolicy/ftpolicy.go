@@ -80,9 +80,6 @@ type Config struct {
 	AllowNoFT bool
 	// LogSize bounds the retained decision log; <= 0 selects 64.
 	LogSize int
-	// Knobs, when non-nil, lets regime changes retune the load-control
-	// surface alongside the strategy.
-	Knobs *Knobs
 }
 
 func (c Config) withDefaults() Config {
@@ -114,19 +111,6 @@ func (c Config) withDefaults() Config {
 		c.LogSize = 64
 	}
 	return c
-}
-
-// Knobs are the runtime load-control handles a regime change may
-// retune. Any nil member is skipped.
-type Knobs struct {
-	// SetReplicas retunes hot-object fan-out width (0 = default).
-	SetReplicas func(n int)
-	// SetHedgeClamp retunes the hedged-read delay clamp.
-	SetHedgeClamp func(min, max time.Duration)
-	// SetRetryBudget retunes the conn-class retry count (-1 = default).
-	SetRetryBudget func(n int)
-	// SetAdmissionLimit retunes server admission (0 = default).
-	SetAdmissionLimit func(n int)
 }
 
 // Signals is one tick's aggregated observation — everything decide is
@@ -453,7 +437,6 @@ func (c *Controller) Tick() {
 	for _, t := range targets {
 		t.SwitchTo(to)
 	}
-	c.applyKnobs(reason)
 	c.metrics.switches.Inc()
 	telemetry.TraceEvent(telemetry.EventPolicySwitch, "", string(from)+"->"+string(to)+" ("+reason+")", c.seq.Load())
 }
@@ -480,53 +463,6 @@ func (c *Controller) commit(to ftcache.StrategyKind, reason string, forced bool)
 		t.SwitchTo(to)
 	}
 	c.metrics.switches.Inc()
-}
-
-// applyKnobs retunes the load-control surface for the regime just
-// entered. The profiles are deliberately coarse: the knobs are
-// secondary to the strategy switch, and small profiles are easy to
-// reason about in the decision log.
-func (c *Controller) applyKnobs(reason string) {
-	k := c.cfg.Knobs
-	if k == nil {
-		return
-	}
-	switch reason {
-	case "pfs-contention":
-		// Every avoidable PFS touch matters: widen hot-object fan-out so
-		// cache copies absorb load, keep hedging patient (a slow PFS
-		// inflates tails; hair-trigger hedges would double traffic), and
-		// spend retries to stay off the PFS.
-		apply(k.SetReplicas, 3)
-		if k.SetHedgeClamp != nil {
-			k.SetHedgeClamp(2*time.Millisecond, 100*time.Millisecond)
-		}
-		apply(k.SetRetryBudget, 2)
-		apply(k.SetAdmissionLimit, 0)
-	case "failure-burst":
-		// Churn regime: conn-class failures are common and transient, so
-		// a deeper retry budget rides them out; fan-out is wasted work
-		// while membership shifts under it.
-		apply(k.SetReplicas, 1)
-		if k.SetHedgeClamp != nil {
-			k.SetHedgeClamp(time.Millisecond, 100*time.Millisecond)
-		}
-		apply(k.SetRetryBudget, 3)
-		apply(k.SetAdmissionLimit, 0)
-	default: // "calm", "default", "forced"
-		apply(k.SetReplicas, 0)
-		if k.SetHedgeClamp != nil {
-			k.SetHedgeClamp(250*time.Microsecond, 100*time.Millisecond)
-		}
-		apply(k.SetRetryBudget, -1)
-		apply(k.SetAdmissionLimit, 0)
-	}
-}
-
-func apply(fn func(int), n int) {
-	if fn != nil {
-		fn(n)
-	}
 }
 
 // gather aggregates one tick's signals across attached clients.

@@ -255,33 +255,6 @@ func TestReplayDetectsCorruption(t *testing.T) {
 	}
 }
 
-// Knob profiles must follow the regime: contention widens fan-out,
-// burst deepens retries, recovery restores defaults.
-func TestControllerKnobProfiles(t *testing.T) {
-	var (
-		mu       sync.Mutex
-		replicas []int
-		retries  []int
-	)
-	cfg := testCfg()
-	cfg.Knobs = &Knobs{
-		SetReplicas:    func(n int) { mu.Lock(); replicas = append(replicas, n); mu.Unlock() },
-		SetRetryBudget: func(n int) { mu.Lock(); retries = append(retries, n); mu.Unlock() },
-	}
-	c := New(cfg)
-	c.failures.Add(5)
-	c.Tick() // burst → ftpfs: replicas 1, retries 3
-	for i := 0; i < 3; i++ {
-		c.Tick()
-	}
-	// Past cooldown and burst exited → default: replicas 0, retries -1.
-	mu.Lock()
-	defer mu.Unlock()
-	if fmt.Sprint(replicas) != "[1 0]" || fmt.Sprint(retries) != "[3 -1]" {
-		t.Fatalf("knob history: replicas=%v retries=%v", replicas, retries)
-	}
-}
-
 // Concurrent Tick/Force/Decisions under -race: the controller's locks
 // and atomics must keep the bookkeeping coherent.
 func TestControllerConcurrency(t *testing.T) {

@@ -193,11 +193,6 @@ type Client struct {
 	// ingest is the optional batched async put pipeline (nil = off).
 	ingest *ingester
 
-	// retryBudget, when >= 0, overrides cfg.Retry's conn-class retry
-	// count at runtime (adaptive policy knob). -1 = use the policy.
-	// Only meaningful when cfg.Retry is non-nil.
-	retryBudget atomic.Int32
-
 	// pfsLatNs is a streaming EWMA (α = 1/8) of direct-PFS read latency
 	// in ns — the client-side contention signal the adaptive policy
 	// controller watches. 0 until the first PFS read.
@@ -251,7 +246,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	//ftclint:ignore ctxflow client lifetime root; Close cancels it, and the hint senders it bounds have no caller context to inherit
 	c.baseCtx, c.closeBase = context.WithCancel(context.Background())
-	c.retryBudget.Store(-1)
 	c.tracker.OnFailure(c.nodeFailed)
 	c.tracker.OnRecovery(c.dropHints)
 	c.tracker.OnRecovery(cfg.Router.NodeRecovered)
@@ -700,17 +694,6 @@ func (c *Client) PFSReadLatency() (time.Duration, bool) {
 	return time.Duration(v), v != 0
 }
 
-// SetRetryBudget overrides the conn-class retry count at runtime
-// (adaptive policy knob): n >= 0 replaces cfg.Retry's budget, n < 0
-// restores it. A no-op unless the client was built with a Retry policy
-// (the backoff schedule still comes from it).
-func (c *Client) SetRetryBudget(n int) {
-	if n < 0 {
-		n = -1
-	}
-	c.retryBudget.Store(int32(n))
-}
-
 // errClass buckets a failed read for the retry/evidence split.
 type errClass uint8
 
@@ -891,9 +874,6 @@ func (c *Client) readNode(ctx context.Context, node cluster.NodeID, path string,
 	budget := 0
 	if c.cfg.Retry != nil {
 		budget = c.cfg.Retry.Retries()
-		if o := c.retryBudget.Load(); o >= 0 {
-			budget = int(o)
-		}
 	}
 	for try := 0; ; try++ {
 		// "rpc.read" is the client half of one wire round-trip; the server

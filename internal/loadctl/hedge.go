@@ -24,10 +24,8 @@ const hedgeWarmup = 64
 // near the hedge delay by construction, and folding them back in would
 // ratchet the p99 (and with it the delay) steadily downward.
 type Hedge struct {
-	// min/max are the clamp bounds in ns — atomics so the adaptive
-	// policy controller can retune them at runtime (SetClamp) without
-	// racing Observe's refresh.
-	min, max atomic.Int64
+	// min/max are the clamp bounds, fixed at construction.
+	min, max time.Duration
 
 	// tick samples Observe calls: only one in hedgeSample takes the
 	// mutex, keeping the common-case cost of feeding the estimator to a
@@ -50,31 +48,7 @@ const hedgeSample = 4
 
 // NewHedge creates a hedge policy clamped to [min, max].
 func NewHedge(min, max time.Duration) *Hedge {
-	h := &Hedge{p99: stats.NewP2Quantile(0.99)}
-	h.min.Store(int64(min))
-	h.max.Store(int64(max))
-	return h
-}
-
-// SetClamp retunes the clamp bounds at runtime (adaptive policy knob)
-// and immediately re-clamps the cached delay so the new bounds take
-// effect without waiting for the next estimator refresh.
-func (h *Hedge) SetClamp(min, max time.Duration) {
-	if min <= 0 || max < min {
-		return
-	}
-	h.min.Store(int64(min))
-	h.max.Store(int64(max))
-	h.mu.Lock()
-	if h.cached.Load() != 0 {
-		h.cached.Store(int64(h.clamp(time.Duration(h.p99.Value()))))
-	}
-	h.mu.Unlock()
-}
-
-// Clamp returns the current clamp bounds.
-func (h *Hedge) Clamp() (min, max time.Duration) {
-	return time.Duration(h.min.Load()), time.Duration(h.max.Load())
+	return &Hedge{min: min, max: max, p99: stats.NewP2Quantile(0.99)}
 }
 
 // Observe folds one non-hedged read latency into the p99 estimate
@@ -95,11 +69,11 @@ func (h *Hedge) Observe(d time.Duration) {
 }
 
 func (h *Hedge) clamp(d time.Duration) time.Duration {
-	if min := time.Duration(h.min.Load()); d < min {
-		return min
+	if d < h.min {
+		return h.min
 	}
-	if max := time.Duration(h.max.Load()); d > max {
-		return max
+	if d > h.max {
+		return h.max
 	}
 	return d
 }

@@ -23,15 +23,6 @@ type Limiter struct {
 	waiters chan struct{} // queue slots
 	maxWait time.Duration
 
-	// soft, when in (0, cap(tokens)), tightens the effective concurrency
-	// limit at runtime (adaptive policy knob): a request arriving while
-	// held slots >= soft is shed immediately. The check is a lock-free
-	// length read, so enforcement is approximate — concurrent arrivals
-	// can overshoot by their own count, bounded by cap(tokens). 0 = use
-	// the constructed hard limit. The hard channel capacity never moves,
-	// so in-flight holders and ReleaseN accounting are unaffected.
-	soft atomic.Int64
-
 	admitted atomic.Int64
 	queued   atomic.Int64
 	shed     atomic.Int64
@@ -100,10 +91,6 @@ const (
 // decision a server makes on the goroutine that read the request,
 // leaving only the queue wait (AwaitSlot) to one that may block.
 func (l *Limiter) TryAcquire() Admission {
-	if l.overSoft() {
-		l.shed.Add(1)
-		return Shed
-	}
 	select {
 	case l.tokens <- struct{}{}:
 		l.admitted.Add(1)
@@ -164,10 +151,6 @@ func (l *Limiter) AcquireN(cost int) bool {
 func (l *Limiter) AcquireNWait(cost int) (bool, time.Duration) {
 	if cost <= 1 {
 		return l.AcquireWait()
-	}
-	if l.overSoft() {
-		l.shed.Add(1)
-		return false, 0
 	}
 	if cap := cap(l.tokens); cost > cap {
 		cost = cap
@@ -231,35 +214,6 @@ func (l *Limiter) releaseHeld(n int) {
 	for i := 0; i < n; i++ {
 		<-l.tokens
 	}
-}
-
-// overSoft reports whether the runtime soft limit is set and currently
-// breached.
-func (l *Limiter) overSoft() bool {
-	s := l.soft.Load()
-	return s > 0 && int64(len(l.tokens)) >= s
-}
-
-// SetLimit tightens (or restores) the effective concurrency limit at
-// runtime — the adaptive policy's admission knob. n in (0, hard limit)
-// sheds arrivals beyond n held slots; n <= 0 or >= the hard limit
-// restores the constructed behavior. Enforcement is approximate (see
-// the soft field); the hard limit remains the absolute bound.
-func (l *Limiter) SetLimit(n int) {
-	if n <= 0 || n >= cap(l.tokens) {
-		l.soft.Store(0)
-		return
-	}
-	l.soft.Store(int64(n))
-}
-
-// Limit returns the effective concurrency limit (soft if set, else the
-// constructed hard limit).
-func (l *Limiter) Limit() int {
-	if s := l.soft.Load(); s > 0 {
-		return int(s)
-	}
-	return cap(l.tokens)
 }
 
 // Inflight returns the number of currently held service slots.

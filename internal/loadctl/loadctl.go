@@ -31,7 +31,6 @@ package loadctl
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -102,11 +101,6 @@ type Controller struct {
 	Latency  *NodeLatency
 	Hedge    *Hedge
 
-	// replicas is the live fan-out width — initialized from cfg.Replicas
-	// and runtime-tunable by the adaptive policy controller. Read
-	// lock-free on the hot-key path.
-	replicas atomic.Int32
-
 	// pushed records hot keys whose replica fan-out has been issued, so
 	// each client pushes a hot object at most once per ring epoch.
 	pushed sync.Map // key → struct{}
@@ -115,35 +109,20 @@ type Controller struct {
 // New assembles a Controller over the client's node set.
 func New(cfg Config, nodes []cluster.NodeID) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{
+	return &Controller{
 		cfg:      cfg,
 		Coalesce: NewGroup(),
 		Sketch:   NewSketch(cfg),
 		Latency:  NewNodeLatency(nodes),
 		Hedge:    NewHedge(cfg.HedgeMin, cfg.HedgeMax),
 	}
-	c.replicas.Store(int32(cfg.Replicas))
-	return c
 }
 
-// Config returns the resolved (defaulted) configuration as constructed.
-// The live replica width may differ — see Replicas.
+// Config returns the resolved (defaulted) configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Replicas returns the live hot-object fan-out width.
-func (c *Controller) Replicas() int { return int(c.replicas.Load()) }
-
-// SetReplicas retunes the fan-out width at runtime (adaptive policy
-// knob). n <= 0 restores the constructed value. Existing fan-out
-// records are invalidated so hot keys re-replicate at the new width.
-func (c *Controller) SetReplicas(n int) {
-	if n <= 0 {
-		n = c.cfg.Replicas
-	}
-	if int32(n) != c.replicas.Swap(int32(n)) {
-		c.InvalidateReplicas()
-	}
-}
+// Replicas returns the hot-object fan-out width.
+func (c *Controller) Replicas() int { return c.cfg.Replicas }
 
 // MarkPushed records the replica fan-out of key; it returns true only
 // for the first caller, making the push idempotent per ring epoch.
