@@ -22,21 +22,22 @@ ftclint:
 vet:
 	go vet ./...
 
-# lint = go vet plus the repo's own analyzer suite, run through the
-# vet-tool protocol so findings carry package context and caching.
+# FTCLINT is the one ftclint sweep, the command CI's static job runs:
+# the analyzer suite as a vet tool, under its 60 s budget.
+FTCLINT = timeout 60 go vet -vettool="$(GOBIN)/ftclint" ./...
+
+# lint = go vet plus the repo's own analyzer suite.
 lint: ftclint vet
-	go vet -vettool=$(GOBIN)/ftclint ./...
+	$(FTCLINT)
 
 # static is the full static gate, exactly what CI's static job
 # enforces: gofmt (no unformatted files), go vet, then the ftclint
-# suite through the standalone driver — packages in dependency order,
-# cross-package facts, cycles and context/goroutine lifetimes included.
-# Set FTCLINT_CACHE=<dir> to reuse per-package results across runs.
+# sweep.
 static: ftclint
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "$$unformatted"; echo "gofmt: the files above need formatting"; exit 1; fi
 	go vet ./...
-	$(GOBIN)/ftclint ./...
+	$(FTCLINT)
 
 # verify is the full local gate: what CI enforces, in one command.
 verify: build lint test

@@ -1,114 +1,75 @@
 // Command ftclint runs the FT-Cache analyzer suite (internal/analysis)
-// over Go packages. It enforces the repo's concurrency and resource
-// invariants statically: pooled wire-buffer lease discipline, the
-// lock-free hot-path rules, the retry-vs-detector error taxonomy,
-// all-or-nothing atomic field access, bounded telemetry label
-// cardinality, and the interprocedural rules of DESIGN.md §17 —
-// cross-package lock-order cycles, context threading, and goroutine
-// stoppability — whose verdicts travel between packages as facts.
+// as a cmd/go vet tool:
 //
-// Two modes:
+//	go install ./cmd/ftclint
+//	go vet -vettool="$(go env GOPATH)/bin/ftclint" ./...
 //
-//	ftclint [-json] [-cache dir] [packages]   standalone; defaults to ./...
-//	go vet -vettool=$(command -v ftclint) ./...
-//
-// Standalone mode analyzes the matched packages in dependency order
-// (`go list -deps` order), so every package's imported facts exist
-// before the package itself is analyzed. With -cache, per-package
-// results (findings + exported facts) are reused across runs; the key
-// covers the tool binary, the package's source bytes, every dependency
-// export file in the listing, and the fact store contents at the
-// package's turn, so a body-only change in an upstream package that
-// alters its facts invalidates every dependent. -json emits findings
-// to stdout as a JSON array of {file,line,col,analyzer,message} for CI
-// annotation rendering instead of the human file:line text on stderr.
-//
-// The second form speaks cmd/go's vet-tool protocol (the same contract
-// x/tools' unitchecker implements): respond to -V=full with a stable
-// build identity, respond to -flags with the supported flag set, and
-// accept a *.cfg file describing one package's files, its import →
-// export-data maps, and its dependencies' fact files (PackageVetx).
-// Facts exported while checking a package are serialized to VetxOutput
-// for cmd/go to feed downstream. Findings go to stderr as
-// file:line:col lines and the exit status is non-zero when any survive
-// suppression.
+// It speaks cmd/go's vet-tool protocol (the contract x/tools'
+// unitchecker implements): it answers -V=full with a build identity
+// that keys cmd/go's cache of its results, answers -flags with an empty
+// flag set, and analyzes one package per *.cfg file. The cfg names the
+// package's files, its import → export-data maps, and its
+// dependencies' fact files (PackageVetx); cmd/go hands units over in
+// dependency order, so every import's facts exist before its importer
+// is analyzed. The facts this package holds are written to VetxOutput
+// for the units downstream. Findings go to stderr as
+// file:line:col: analyzer: message, and the exit status is non-zero
+// when any survive suppression.
 package main
 
 import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"runtime/debug"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/ftc"
-	"repro/internal/analysis/load"
 )
 
 func main() {
 	args := os.Args[1:]
-
-	// cmd/go probes the tool's identity and flag set before using it.
-	for _, a := range args {
-		if a == "-V=full" {
-			printVersion()
-			return
-		}
-		if a == "-flags" {
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVet(args[0]))
-	}
-
-	jsonOut := false
-	cacheDir := os.Getenv("FTCLINT_CACHE")
-	var patterns []string
-	for i := 0; i < len(args); i++ {
-		switch a := args[i]; {
-		case a == "-h" || a == "-help" || a == "--help":
-			usage()
-			return
-		case a == "-json":
-			jsonOut = true
-		case a == "-cache":
-			if i+1 >= len(args) {
-				fmt.Fprintln(os.Stderr, "ftclint: -cache needs a directory")
-				os.Exit(1)
-			}
-			i++
-			cacheDir = args[i]
-		case strings.HasPrefix(a, "-cache="):
-			cacheDir = strings.TrimPrefix(a, "-cache=")
-		case strings.HasPrefix(a, "-"):
-			fmt.Fprintf(os.Stderr, "ftclint: unknown flag %s\n", a)
-			usage()
+	switch {
+	case len(args) == 1 && args[0] == "-V=full":
+		printVersion()
+	case len(args) == 1 && args[0] == "-flags":
+		fmt.Println("[]")
+	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
+		found, err := runUnit(args[0])
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ftclint:", err)
 			os.Exit(1)
-		default:
-			patterns = append(patterns, a)
 		}
+		if found {
+			os.Exit(2)
+		}
+	default:
+		usage()
+		os.Exit(2)
 	}
-	os.Exit(runStandalone(patterns, jsonOut, cacheDir))
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ftclint [-json] [-cache dir] [packages]\n\nAnalyzers:\n")
-	for _, a := range ftc.Expand(analysis.All()) {
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(command -v ftclint) [packages]\n\nAnalyzers:\n")
+	for _, a := range analysis.All() {
 		fmt.Fprintf(os.Stderr, "  %-15s %s\n", a.Name, a.Doc)
 	}
-	fmt.Fprintf(os.Stderr, "\nFlags:\n  -json        findings to stdout as a JSON array of {file,line,col,analyzer,message}\n  -cache dir   reuse per-package results keyed by source + dep exports + facts (also $FTCLINT_CACHE)\n")
 	fmt.Fprintf(os.Stderr, "\nSuppress a justified false positive with\n  //ftclint:ignore <analyzer> <reason>\non or directly above the reported line.\n")
 }
 
-// toolDigest hashes the running binary: the cache and build identity
-// key component that invalidates everything when the analyzers change.
-func toolDigest() []byte {
+// printVersion emits the `name version ...` line cmd/go hashes into
+// its cache key: the binary's own digest, so rebuilt analyzers
+// invalidate every cached result.
+func printVersion() {
 	h := sha256.New()
 	if exe, err := os.Executable(); err == nil {
 		if f, err := os.Open(exe); err == nil {
@@ -116,191 +77,148 @@ func toolDigest() []byte {
 			f.Close()
 		}
 	}
-	return h.Sum(nil)
+	fmt.Printf("ftclint version devel buildID=%x\n", h.Sum(nil)[:16])
 }
 
-// printVersion emits the `name version ...` line cmd/go hashes into
-// its build cache key; the binary's own digest keys invalidation.
-func printVersion() {
-	fmt.Printf("ftclint version devel buildID=%x\n", toolDigest()[:16])
+// vetConfig is the part of the JSON cmd/go writes for each unit
+// (cmd/go/internal/work's vetConfig) that ftclint reads.
+type vetConfig struct {
+	Dir         string
+	ImportPath  string
+	GoFiles     []string
+	ImportMap   map[string]string // import path as written -> canonical path
+	PackageFile map[string]string // canonical path -> export data file
+	PackageVetx map[string]string // canonical path -> dependency fact file
+
+	VetxOnly   bool
+	VetxOutput string
+
+	SucceedOnTypecheckFailure bool
 }
 
-// A Finding is one surviving diagnostic in -json output.
-type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+// vetImporter resolves a package's imports using the cfg maps: the
+// source-level path goes through ImportMap (test variants) and the
+// canonical path through PackageFile to export data.
+type vetImporter struct {
+	cfg *vetConfig
+	gc  types.ImporterFrom
 }
 
-// cacheEntry is one package's cached outcome: its findings and the
-// facts its analysis exported.
-type cacheEntry struct {
-	Findings []Finding `json:"findings"`
-	Facts    []byte    `json:"facts"`
-}
-
-// runStandalone analyzes the requested module packages in dependency
-// order with a shared fact store.
-func runStandalone(patterns []string, jsonOut bool, cacheDir string) int {
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "ftclint:", err)
-		return 1
+func (v *vetImporter) Import(path string) (*types.Package, error) {
+	if mapped, ok := v.cfg.ImportMap[path]; ok {
+		path = mapped
 	}
-	dir, err := os.Getwd()
+	return v.gc.ImportFrom(path, "", 0)
+}
+
+// moduleScope is the import-path prefix the suite analyzes: the module
+// that built this binary. cmd/go drives a vet tool over every
+// dependency unit — the standard library included — to thread facts
+// through the graph, but analyzing the runtime's own source would tag
+// nearly every function as blocking (mallocgc can start a GC cycle
+// that parks on a channel) and bury the module's findings.
+func moduleScope() string {
+	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Path != "" {
+		return bi.Main.Path
+	}
+	return "repro"
+}
+
+// runUnit analyzes one vet-protocol unit and reports whether it
+// printed findings.
+func runUnit(cfgFile string) (bool, error) {
+	data, err := os.ReadFile(cfgFile)
 	if err != nil {
-		return fail(err)
+		return false, err
 	}
-	listing, err := load.List(dir, patterns...)
-	if err != nil {
-		return fail(err)
+	cfg := &vetConfig{}
+	if err := json.Unmarshal(data, cfg); err != nil {
+		return false, fmt.Errorf("parsing %s: %v", cfgFile, err)
 	}
+
+	// Units outside the module export an empty fact set and report
+	// nothing; cmd/go still expects the vetx file to exist.
+	if mod := moduleScope(); cfg.ImportPath != mod && !strings.HasPrefix(cfg.ImportPath, mod+"/") {
+		return false, writeVetx(cfg, nil)
+	}
+
+	// Each vetx file carries its package's whole fact closure, so the
+	// union over the direct dependencies covers the import graph.
 	suite := analysis.All()
 	ftc.RegisterFactTypes(suite)
 	facts := ftc.NewFactStore()
-
-	var toolID, exportsID []byte
-	if cacheDir != "" {
-		if err := os.MkdirAll(cacheDir, 0o777); err != nil {
-			return fail(err)
-		}
-		toolID = toolDigest()
-		exportsID = exportsDigest(listing)
-	}
-
-	var all []Finding
-	for _, t := range listing.Targets {
-		var key string
-		if cacheDir != "" {
-			key, err = cacheKey(t, toolID, exportsID, facts)
-			if err != nil {
-				return fail(err)
-			}
-			if entry, ok := readCache(cacheDir, key); ok {
-				if err := facts.DecodeFacts(entry.Facts); err != nil {
-					return fail(fmt.Errorf("%s: corrupt fact cache: %w", t.PkgPath, err))
-				}
-				all = append(all, entry.Findings...)
-				continue
-			}
-		}
-		pkg, err := listing.Load(t)
+	for _, vetxFile := range cfg.PackageVetx {
+		data, err := os.ReadFile(vetxFile)
 		if err != nil {
-			return fail(err)
+			return false, err
 		}
-		diags, err := ftc.RunPackage(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, suite, facts)
+		if err := facts.DecodeFacts(data); err != nil {
+			return false, fmt.Errorf("reading facts from %s: %v", vetxFile, err)
+		}
+	}
+
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range cfg.GoFiles {
+		if !filepath.IsAbs(name) {
+			name = filepath.Join(cfg.Dir, name)
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return fail(fmt.Errorf("%s: %w", t.PkgPath, err))
-		}
-		var fs []Finding
-		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
-			fs = append(fs, Finding{File: pos.Filename, Line: pos.Line, Col: pos.Column, Analyzer: d.Analyzer, Message: d.Message})
-		}
-		all = append(all, fs...)
-		if cacheDir != "" {
-			blob, err := facts.EncodePackageFacts(t.PkgPath)
-			if err != nil {
-				return fail(err)
+			if cfg.SucceedOnTypecheckFailure {
+				return false, nil
 			}
-			writeCache(cacheDir, key, cacheEntry{Findings: fs, Facts: blob})
+			return false, err
 		}
+		files = append(files, f)
 	}
-
-	if jsonOut {
-		out := all
-		if out == nil {
-			out = []Finding{}
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := cfg.PackageFile[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return fail(err)
-		}
-	} else {
-		for _, f := range all {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
+		return os.Open(file)
 	}
-	if len(all) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// exportsDigest hashes every dependency export file in the listing.
-// Coarse by design: gc export data is not transitively self-contained,
-// so any dependency change anywhere invalidates every cached package —
-// soundness over hit rate.
-func exportsDigest(listing *load.Listing) []byte {
-	paths := make([]string, 0, len(listing.ExportFiles))
-	for p := range listing.ExportFiles {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	h := sha256.New()
-	for _, p := range paths {
-		io.WriteString(h, p)
-		h.Write([]byte{0})
-		if data, err := os.ReadFile(listing.ExportFiles[p]); err == nil {
-			h.Write(data)
-		}
-		h.Write([]byte{0})
-	}
-	return h.Sum(nil)
-}
-
-// cacheKey derives the package's cache key: tool binary, the global
-// dependency export digest, the package's own source bytes, and the
-// fact store contents at this package's turn in the dependency order
-// (which covers body-only upstream changes that altered facts).
-func cacheKey(t load.Target, toolID, exportsID []byte, facts *ftc.FactStore) (string, error) {
-	h := sha256.New()
-	h.Write(toolID)
-	h.Write(exportsID)
-	io.WriteString(h, t.PkgPath)
-	h.Write([]byte{0})
-	for _, path := range t.FilePaths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return "", err
-		}
-		io.WriteString(h, path)
-		h.Write([]byte{0})
-		h.Write(data)
-		h.Write([]byte{0})
-	}
-	blob, err := facts.EncodePackageFacts(facts.PackagePaths()...)
+	imp := &vetImporter{cfg: cfg, gc: importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)}
+	pkg, info, err := ftc.Check(fset, cfg.ImportPath, files, imp)
 	if err != nil {
-		return "", err
+		if cfg.SucceedOnTypecheckFailure {
+			return false, nil
+		}
+		return false, err
 	}
-	h.Write(blob)
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+
+	diags, err := ftc.RunPackage(fset, files, pkg, info, suite, facts)
+	if err != nil {
+		return false, err
+	}
+	blob, err := facts.Encode()
+	if err != nil {
+		return false, err
+	}
+	if err := writeVetx(cfg, blob); err != nil || cfg.VetxOnly {
+		return false, err
+	}
+
+	found := false
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
+		// Test variants flow through vet too; the suite targets
+		// shipped code, so findings in _test.go files are dropped.
+		if strings.HasSuffix(pos.Filename, "_test.go") {
+			continue
+		}
+		found = true
+		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", pos, d.Analyzer, d.Message)
+	}
+	return found, nil
 }
 
-func readCache(dir, key string) (cacheEntry, bool) {
-	var e cacheEntry
-	data, err := os.ReadFile(filepath.Join(dir, key+".json"))
-	if err != nil {
-		return e, false
+// writeVetx writes the unit's facts for downstream units, if cmd/go
+// asked for them.
+func writeVetx(cfg *vetConfig, blob []byte) error {
+	if cfg.VetxOutput == "" {
+		return nil
 	}
-	if json.Unmarshal(data, &e) != nil {
-		return cacheEntry{}, false
-	}
-	return e, true
-}
-
-// writeCache stores an entry best-effort: a cache write failure never
-// fails the lint run.
-func writeCache(dir, key string, e cacheEntry) {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(dir, key+".tmp")
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
-		return
-	}
-	os.Rename(tmp, filepath.Join(dir, key+".json"))
+	return os.WriteFile(cfg.VetxOutput, blob, 0o666)
 }

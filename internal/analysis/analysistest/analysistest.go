@@ -11,19 +11,33 @@
 // test. A line with no want comment asserts no diagnostic — including
 // violations suppressed by a `//ftclint:ignore` on that line, which is
 // how suppression honoring is tested.
+//
+// Fixture packages live in a GOPATH-style tree (srcRoot/<import path>):
+// an import that names a directory under srcRoot is type-checked from
+// source — the stub wire, rpc and memtier packages the analyzers key on
+// — and every other import from the standard library's export data.
 package analysistest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis/ftc"
-	"repro/internal/analysis/load"
 )
 
 // expectation is one quoted regexp from a want comment.
@@ -44,17 +58,13 @@ func Run(t *testing.T, srcRoot, pkgPath string, analyzers ...*ftc.Analyzer) {
 // RunMulti is the multi-package harness for interprocedural analyzers:
 // it loads every listed package from one shared loader, analyzes them
 // in the given order with one shared FactStore — list dependencies
-// before their importers, exactly like the module driver's dependency
-// order — and diffs diagnostics against want comments across all of
-// them. Facts exported while analyzing src/a are visible when src/b
+// before their importers, the order in which cmd/go hands a vet tool
+// its units — and diffs diagnostics against want comments across all
+// of them. Facts exported while analyzing src/a are visible when src/b
 // (which imports a) is analyzed.
 func RunMulti(t *testing.T, srcRoot string, pkgPaths []string, analyzers ...*ftc.Analyzer) {
 	t.Helper()
-	dirs := make([]string, len(pkgPaths))
-	for i, p := range pkgPaths {
-		dirs[i] = filepath.Join(srcRoot, filepath.FromSlash(p))
-	}
-	pkgs, err := load.Dirs(srcRoot, dirs...)
+	pkgs, err := Load(srcRoot, pkgPaths...)
 	if err != nil {
 		t.Fatalf("loading %v: %v", pkgPaths, err)
 	}
@@ -72,7 +82,7 @@ func RunMulti(t *testing.T, srcRoot string, pkgPaths []string, analyzers ...*ftc
 	for _, pkg := range pkgs {
 		diags, err := ftc.RunPackage(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, analyzers, facts)
 		if err != nil {
-			t.Fatalf("running analyzers on %s: %v", pkg.PkgPath, err)
+			t.Fatalf("running analyzers on %s: %v", pkg.Path, err)
 		}
 		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)
@@ -102,7 +112,7 @@ func claim(expects []*expectation, pos token.Position, msg string) bool {
 
 // collectWants extracts every want expectation from the package's
 // comments.
-func collectWants(pkg *load.Package) ([]*expectation, error) {
+func collectWants(pkg *Package) ([]*expectation, error) {
 	var out []*expectation
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -166,4 +176,148 @@ func cutQuoted(s string) (lit, rest string, err error) {
 		}
 	}
 	return "", "", fmt.Errorf("unterminated quote in %q", s)
+}
+
+// A Package is one parsed and type-checked fixture package.
+type Package struct {
+	Path  string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+}
+
+// Load type-checks the fixture packages at the srcRoot-relative import
+// paths with one loader — one FileSet, each package checked once even
+// when listed and imported — and returns them in the given order.
+func Load(srcRoot string, pkgPaths ...string) ([]*Package, error) {
+	l := &loader{srcRoot: srcRoot, fset: token.NewFileSet(), loaded: map[string]*Package{}}
+	if err := l.listStdlib(); err != nil {
+		return nil, err
+	}
+	out := make([]*Package, len(pkgPaths))
+	for i, path := range pkgPaths {
+		pkg, err := l.load(path)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = pkg
+	}
+	return out, nil
+}
+
+// loader resolves fixture imports: packages under srcRoot from source,
+// the rest from the export data `go list -export` compiled for them.
+type loader struct {
+	srcRoot string
+	fset    *token.FileSet
+	loaded  map[string]*Package
+	gc      types.ImporterFrom
+}
+
+func (l *loader) isFixture(path string) bool {
+	st, err := os.Stat(filepath.Join(l.srcRoot, filepath.FromSlash(path)))
+	return err == nil && st.IsDir()
+}
+
+// listStdlib collects every import in the tree that is not a fixture
+// package and asks `go list -deps -export` for their export data.
+func (l *loader) listStdlib() error {
+	seen := map[string]bool{}
+	err := filepath.Walk(l.srcRoot, func(path string, fi os.FileInfo, err error) error {
+		if err != nil || fi.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, spec := range f.Imports {
+			if p := strings.Trim(spec.Path.Value, `"`); !l.isFixture(p) {
+				seen[p] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	exports := map[string]string{}
+	if len(seen) > 0 {
+		args := []string{"list", "-deps", "-export", "-json=ImportPath,Export"}
+		for p := range seen {
+			args = append(args, p)
+		}
+		sort.Strings(args[4:])
+		cmd := exec.Command("go", args...)
+		cmd.Dir = l.srcRoot
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+			var p struct{ ImportPath, Export string }
+			if err := dec.Decode(&p); err == io.EOF {
+				break
+			} else if err != nil {
+				return fmt.Errorf("go list: %v", err)
+			}
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}
+	l.gc = importer.ForCompiler(l.fset, "gc", lookup).(types.ImporterFrom)
+	return nil
+}
+
+// Import resolves an import for the type checker: a fixture package
+// already loaded from source, or export data.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if pkg := l.loaded[path]; pkg != nil {
+		return pkg.Types, nil
+	}
+	return l.gc.ImportFrom(path, "", 0)
+}
+
+// load type-checks the fixture package at path, loading the fixture
+// packages it imports from source first.
+func (l *loader) load(path string) (*Package, error) {
+	if pkg := l.loaded[path]; pkg != nil {
+		return pkg, nil
+	}
+	dir := filepath.Join(l.srcRoot, filepath.FromSlash(path))
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		for _, spec := range f.Imports {
+			if p := strings.Trim(spec.Path.Value, `"`); l.isFixture(p) {
+				if _, err := l.load(p); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	tpkg, info, err := ftc.Check(l.fset, path, files, l)
+	if err != nil {
+		return nil, err
+	}
+	pkg := &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	l.loaded[path] = pkg
+	return pkg, nil
 }

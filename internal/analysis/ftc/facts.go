@@ -1,5 +1,5 @@
 // Facts: the cross-package channel of the interprocedural framework
-// (DESIGN.md §17). An analyzer exports typed facts on package-level
+// (DESIGN.md §12). An analyzer exports typed facts on package-level
 // objects (functions, mostly) or on the package itself; the driver
 // analyzes packages in dependency order, so by the time a package is
 // analyzed every fact of its (transitive) imports is present in the
@@ -10,8 +10,7 @@
 // objectpath. That makes a fact survive the round trip through gc
 // export data — the same function seen from source in its home package
 // and through an importer downstream maps to the same key — and makes
-// serialization (gob) trivial for the vet protocol's .vetx files and
-// the standalone driver's fact cache.
+// serialization (gob) trivial for the vet protocol's .vetx files.
 package ftc
 
 import (
@@ -21,7 +20,6 @@ import (
 	"go/types"
 	"reflect"
 	"sort"
-	"sync"
 )
 
 // A Fact is a typed datum exported by one analyzer for consumption by
@@ -80,12 +78,9 @@ type factKey struct {
 
 func typeName(f Fact) string { return reflect.TypeOf(f).String() }
 
-// FactStore holds every fact produced during one driver run (or
-// imported from serialized dependency facts). Safe for sequential use
-// by the driver; a mutex guards the maps so concurrent package
-// analysis stays an option.
+// FactStore holds every fact produced while analyzing one package,
+// plus those decoded from its dependencies' serialized facts.
 type FactStore struct {
-	mu    sync.Mutex
 	facts map[factKey]Fact
 }
 
@@ -95,17 +90,13 @@ func NewFactStore() *FactStore {
 }
 
 func (s *FactStore) put(pkgPath, objKey string, f Fact) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.facts[factKey{pkgPath, objKey, typeName(f)}] = f
 }
 
 // get copies the stored fact (if any) into ptr, which must be a
 // pointer to the same concrete type.
 func (s *FactStore) get(pkgPath, objKey string, ptr Fact) bool {
-	s.mu.Lock()
 	f, ok := s.facts[factKey{pkgPath, objKey, typeName(ptr)}]
-	s.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -130,22 +121,14 @@ func RegisterFactTypes(analyzers []*Analyzer) {
 	}
 }
 
-// EncodePackageFacts serializes every fact belonging to the packages
-// in paths (own facts plus re-exported dependency facts, if the caller
-// includes their paths) in a deterministic order.
-func (s *FactStore) EncodePackageFacts(paths ...string) ([]byte, error) {
-	want := map[string]bool{}
-	for _, p := range paths {
-		want[p] = true
-	}
-	s.mu.Lock()
-	var out []encodedFact
+// Encode serializes every fact in the store — the package's own and
+// those it inherited, so one file carries the whole import closure — in
+// a deterministic order.
+func (s *FactStore) Encode() ([]byte, error) {
+	out := make([]encodedFact, 0, len(s.facts))
 	for k, f := range s.facts {
-		if want[k.pkgPath] {
-			out = append(out, encodedFact{k.pkgPath, k.objKey, f})
-		}
+		out = append(out, encodedFact{k.pkgPath, k.objKey, f})
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].PkgPath != out[j].PkgPath {
 			return out[i].PkgPath < out[j].PkgPath
@@ -175,23 +158,6 @@ func (s *FactStore) DecodeFacts(data []byte) error {
 		s.put(e.PkgPath, e.ObjKey, e.Fact)
 	}
 	return nil
-}
-
-// PackagePaths returns the sorted set of package paths that have at
-// least one fact in the store.
-func (s *FactStore) PackagePaths() []string {
-	s.mu.Lock()
-	seen := map[string]bool{}
-	for k := range s.facts {
-		seen[k.pkgPath] = true
-	}
-	s.mu.Unlock()
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // --- Pass-level fact API ---

@@ -13,7 +13,8 @@
 //   - `//ftclint:ignore <analyzer> <reason>` on (or immediately above)
 //     a reported line suppresses that analyzer's finding there. The
 //     reason is mandatory: a suppression without a justification is
-//     itself reported.
+//     itself reported, as is one that names no analyzer of the suite
+//     or silences nothing.
 package ftc
 
 import (
@@ -30,7 +31,8 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// `//ftclint:ignore <name> ...` suppressions.
 	Name string
-	// Doc is the one-paragraph rule statement shown by `ftclint -help`.
+	// Doc is the one-paragraph rule statement ftclint lists when run
+	// without arguments.
 	Doc string
 	// Requires lists analyzers that must run on the same package
 	// first; their Run results are available via Pass.ResultOf. The
@@ -39,7 +41,7 @@ type Analyzer struct {
 	// FactTypes declares the Fact types this analyzer exports, for gob
 	// registration. An analyzer that exports a fact type it does not
 	// declare still works in-process but will not survive
-	// serialization (vetx files, the fact cache).
+	// serialization into vetx files.
 	FactTypes []Fact
 	// Run applies the check to one package, reports findings via
 	// pass.Reportf, and may return a result value for analyzers that
@@ -96,10 +98,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// NewInfo returns a types.Info with every map the analyzers consult
-// populated. Loaders share it so no pass finds a nil map.
-func NewInfo() *types.Info {
-	return &types.Info{
+// Check type-checks one package's parsed files with imp, filling every
+// types.Info map the analyzers consult so no pass finds a nil map.
+func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
+	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -108,6 +110,12 @@ func NewInfo() *types.Info {
 		Scopes:     map[ast.Node]*types.Scope{},
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, nil, fmt.Errorf("type-checking %s: %w", path, err)
+	}
+	return pkg, info, nil
 }
 
 // HotPathDirective is the doc-comment directive marking a hot-path
@@ -134,38 +142,36 @@ func HasHotPath(fn *ast.FuncDecl) bool {
 }
 
 // ignoreKey locates one suppression: a file/line pair plus the analyzer
-// it silences ("*" silences all).
+// it silences.
 type ignoreKey struct {
 	file     string
 	line     int
 	analyzer string
 }
 
-// Suppressions indexes every `//ftclint:ignore` comment in files.
-// Malformed suppressions (missing analyzer or missing reason) are
-// returned as diagnostics in their own right, attributed to "ftclint".
-type Suppressions struct {
-	keys map[ignoreKey]bool
-	used map[ignoreKey]bool
-	// sites records each well-formed suppression comment at its own
-	// position (the comment, not the covered line), for the stale-
-	// ignore audit.
-	sites []SuppressionSite
+// suppressions indexes every well-formed `//ftclint:ignore` comment in
+// a package by the line it covers, and records which ones silenced a
+// finding.
+type suppressions struct {
+	used  map[ignoreKey]bool // every key, true once it silenced a finding
+	sites []ignoreSite
 }
 
-// A SuppressionSite is one well-formed `//ftclint:ignore` comment.
-type SuppressionSite struct {
-	Pos      token.Pos
-	Analyzer string // the silenced analyzer, or "*"
-	key      ignoreKey
+// An ignoreSite is one suppression comment at its own position (the
+// comment, not the covered line), for the audit after the suite ran.
+type ignoreSite struct {
+	pos token.Pos
+	key ignoreKey
 }
 
-// CollectSuppressions scans files for suppression comments. A trailing
+// collectSuppressions scans files for suppression comments. A trailing
 // ignore (sharing its line with code) covers only that line; a
 // standalone ignore covers only the line below it — never both, so an
-// ignore cannot silently swallow a second, unrelated finding.
-func CollectSuppressions(fset *token.FileSet, files []*ast.File) (*Suppressions, []Diagnostic) {
-	s := &Suppressions{keys: map[ignoreKey]bool{}, used: map[ignoreKey]bool{}}
+// ignore cannot silently swallow a second, unrelated finding. Malformed
+// suppressions (missing analyzer or missing reason) are returned as
+// diagnostics in their own right, attributed to "ftclint".
+func collectSuppressions(fset *token.FileSet, files []*ast.File) (*suppressions, []Diagnostic) {
+	s := &suppressions{used: map[ignoreKey]bool{}}
 	var bad []Diagnostic
 	for _, f := range files {
 		codeLines := map[int]bool{}
@@ -201,56 +207,82 @@ func CollectSuppressions(fset *token.FileSet, files []*ast.File) (*Suppressions,
 					line++ // standalone: covers the line below
 				}
 				key := ignoreKey{pos.Filename, line, fields[0]}
-				s.keys[key] = true
-				s.sites = append(s.sites, SuppressionSite{Pos: c.Pos(), Analyzer: fields[0], key: key})
+				s.used[key] = false
+				s.sites = append(s.sites, ignoreSite{pos: c.Pos(), key: key})
 			}
 		}
 	}
 	return s, bad
 }
 
-// Suppressed reports whether d is silenced by an ignore comment
-// covering its line (trailing on the line itself, or standalone on the
-// line above), and marks the matching suppression as live.
-func (s *Suppressions) Suppressed(fset *token.FileSet, d Diagnostic) bool {
-	if s == nil {
+// suppressed reports whether d is silenced by an ignore comment
+// covering its line, and marks that suppression as live.
+func (s *suppressions) suppressed(fset *token.FileSet, d Diagnostic) bool {
+	pos := fset.Position(d.Pos)
+	key := ignoreKey{pos.Filename, pos.Line, d.Analyzer}
+	if _, ok := s.used[key]; !ok {
 		return false
 	}
-	pos := fset.Position(d.Pos)
-	for _, name := range []string{d.Analyzer, "*"} {
-		key := ignoreKey{pos.Filename, pos.Line, name}
-		if s.keys[key] {
-			s.used[key] = true
-			return true
-		}
-	}
-	return false
+	s.used[key] = true
+	return true
 }
 
-// Stale returns the suppression sites that silenced nothing during the
-// runs they were consulted in — candidates for deletion (stale-ignore
-// rot). Only meaningful after the full suite has run over the package.
-func (s *Suppressions) Stale() []SuppressionSite {
-	var out []SuppressionSite
+// audit reports the suppressions that cannot be right once the suite
+// has run: one naming no analyzer that ran, and one that silenced
+// nothing — the code it excused was fixed or moved, and a stale ignore
+// would swallow the next, unrelated finding on its line. Both are
+// attributed to the analyzer the ignore names.
+func (s *suppressions) audit(known map[string]bool) []Diagnostic {
+	var out []Diagnostic
 	for _, site := range s.sites {
-		if !s.used[site.key] {
-			out = append(out, site)
+		name := site.key.analyzer
+		switch {
+		case !known[name]:
+			out = append(out, Diagnostic{Analyzer: name, Pos: site.pos,
+				Message: fmt.Sprintf("//ftclint:ignore names %q, which is not an analyzer in the suite", name)})
+		case !s.used[site.key]:
+			out = append(out, Diagnostic{Analyzer: name, Pos: site.pos,
+				Message: "stale //ftclint:ignore: it suppresses nothing — delete it"})
 		}
 	}
 	return out
 }
 
-// A PackageResult is the full outcome of running a suite over one
-// package: surviving findings, the findings an ignore silenced, and
-// ignores that silenced nothing (stale).
-type PackageResult struct {
-	Diags      []Diagnostic
-	Suppressed []Diagnostic
-	Stale      []SuppressionSite
-}
-
-// sortDiags orders findings by position for stable output.
-func sortDiags(fset *token.FileSet, diags []Diagnostic) {
+// RunPackage applies the analyzers (expanded with their Requires) to
+// one package and returns its findings ordered by position:
+// everything no ignore silenced, malformed ignores, and the ignores
+// the audit rejects. facts carries object and package facts across
+// packages; pass nil for a single-package run.
+func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
+	if facts == nil {
+		facts = NewFactStore()
+	}
+	sup, diags := collectSuppressions(fset, files)
+	known := map[string]bool{}
+	results := map[*Analyzer]any{}
+	for _, a := range Expand(analyzers) {
+		known[a.Name] = true
+		pass := &Pass{
+			Analyzer: a,
+			Fset:     fset,
+			Files:    files,
+			Pkg:      pkg,
+			Info:     info,
+			ResultOf: results,
+			facts:    facts,
+			report: func(d Diagnostic) {
+				if !sup.suppressed(fset, d) {
+					diags = append(diags, d)
+				}
+			},
+		}
+		result, err := a.Run(pass)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+		results[a] = result
+	}
+	diags = append(diags, sup.audit(known)...)
 	sort.Slice(diags, func(i, j int) bool {
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -261,56 +293,7 @@ func sortDiags(fset *token.FileSet, diags []Diagnostic) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-}
-
-// RunPackage applies the analyzers (expanded with their Requires) to
-// one package and returns the surviving findings (suppressions
-// applied, malformed suppressions included) ordered by position.
-// facts carries object/package facts across packages; pass nil for a
-// standalone single-package run.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
-	res, err := RunPackageEx(fset, files, pkg, info, analyzers, facts)
-	if res == nil {
-		return nil, err
-	}
-	return res.Diags, err
-}
-
-// RunPackageEx is RunPackage plus the suppression audit trail.
-func RunPackageEx(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, facts *FactStore) (*PackageResult, error) {
-	if facts == nil {
-		facts = NewFactStore()
-	}
-	sup, diags := CollectSuppressions(fset, files)
-	res := &PackageResult{Diags: diags}
-	results := map[*Analyzer]any{}
-	for _, a := range Expand(analyzers) {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     fset,
-			Files:    files,
-			Pkg:      pkg,
-			Info:     info,
-			ResultOf: results,
-			facts:    facts,
-			report: func(d Diagnostic) {
-				if sup.Suppressed(fset, d) {
-					res.Suppressed = append(res.Suppressed, d)
-				} else {
-					res.Diags = append(res.Diags, d)
-				}
-			},
-		}
-		result, err := a.Run(pass)
-		if err != nil {
-			return res, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		results[a] = result
-	}
-	res.Stale = sup.Stale()
-	sortDiags(fset, res.Diags)
-	sortDiags(fset, res.Suppressed)
-	return res, nil
+	return diags, nil
 }
 
 // --- shared type/AST helpers used by several passes ---

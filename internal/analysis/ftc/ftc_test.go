@@ -1,6 +1,7 @@
 package ftc
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -36,12 +37,12 @@ func TestSuppressions(t *testing.T) {
 func f() {
 	x() //ftclint:ignore poollease pool reclaimed on close
 	y()
-	//ftclint:ignore * legacy block pending rewrite
+	//ftclint:ignore telemetrylabel bounded by the caller
 	z()
 }
 `
 	fset, files := parseSrc(t, src)
-	sup, bad := CollectSuppressions(fset, files)
+	sup, bad := collectSuppressions(fset, files)
 	if len(bad) != 0 {
 		t.Fatalf("unexpected malformed suppressions: %v", bad)
 	}
@@ -54,12 +55,12 @@ func f() {
 		{"x()", "poollease", true},      // same-line ignore, matching analyzer
 		{"x()", "hotpathlock", false},   // same-line ignore, different analyzer
 		{"y()", "poollease", false},     // no ignore on or above this line
-		{"z()", "poollease", true},      // wildcard ignore on the line above
-		{"z()", "telemetrylabel", true}, // wildcard covers every analyzer
+		{"z()", "telemetrylabel", true}, // standalone ignore on the line above
+		{"z()", "poollease", false},     // it names one analyzer only
 	}
 	for _, c := range cases {
 		d := Diagnostic{Analyzer: c.analyzer, Pos: posOf(t, fset, src, c.marker)}
-		if got := sup.Suppressed(fset, d); got != c.want {
+		if got := sup.suppressed(fset, d); got != c.want {
 			t.Errorf("Suppressed(%s at %q) = %v, want %v", c.analyzer, c.marker, got, c.want)
 		}
 	}
@@ -74,7 +75,7 @@ func f() {
 }
 `
 	fset, files := parseSrc(t, src)
-	_, bad := CollectSuppressions(fset, files)
+	_, bad := collectSuppressions(fset, files)
 	if len(bad) != 2 {
 		t.Fatalf("got %d malformed-suppression diagnostics, want 2: %v", len(bad), bad)
 	}
@@ -85,6 +86,55 @@ func f() {
 		if !strings.Contains(d.Message, "malformed ftclint:ignore") {
 			t.Errorf("unexpected message %q", d.Message)
 		}
+	}
+}
+
+// TestSuppressionAudit runs a suite whose one analyzer reports every
+// call to x: the live ignore silences its finding, and the stale and
+// the misspelt one are each reported under the name they carry.
+func TestSuppressionAudit(t *testing.T) {
+	src := `package a
+
+func x() {}
+
+func f() {
+	x() //ftclint:ignore calls covered
+	x()
+	//ftclint:ignore calls nothing to cover below
+	_ = 1
+	x() //ftclint:ignore cals misspelt
+}
+`
+	fset, files := parseSrc(t, src)
+	pkg, info, err := Check(fset, "a", files, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := &Analyzer{Name: "calls", Run: func(p *Pass) (any, error) {
+		ast.Inspect(p.Files[0], func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				p.Reportf(call.Pos(), "call")
+			}
+			return true
+		})
+		return nil, nil
+	}}
+	diags, err := RunPackage(fset, files, pkg, info, []*Analyzer{calls}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, fmt.Sprintf("%d %s: %s", fset.Position(d.Pos).Line, d.Analyzer, d.Message))
+	}
+	want := []string{
+		"7 calls: call",
+		"8 calls: stale //ftclint:ignore: it suppresses nothing — delete it",
+		"10 calls: call",
+		`10 cals: //ftclint:ignore names "cals", which is not an analyzer in the suite`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

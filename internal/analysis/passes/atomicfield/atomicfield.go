@@ -1,18 +1,11 @@
-// Package atomicfield enforces all-or-nothing atomicity on struct
-// fields: once any code in the package accesses a field through
-// sync/atomic (atomic.LoadInt64(&s.f), atomic.AddUint32(&s.n, 1), ...),
-// every other access to that field must also go through sync/atomic.
-// A plain read racing an atomic write is still a data race — the
-// subtle kind that -race only catches when the interleaving happens to
-// occur, and exactly what bit PR 1's first sharded-store draft.
-//
-// Fields of the atomic wrapper types (atomic.Int64, atomic.Pointer,
-// ...) are safe by construction — their only methods are atomic — so
-// this pass concerns the address-taken style only.
-//
-// Composite literals are exempt: `&shard{n: 0}` publishes the struct
-// after construction, the standard pre-publication initialization
-// idiom. Post-publication plain access is the bug.
+// Package atomicfield keeps atomics typed: module code calls none of
+// sync/atomic's functions (atomic.AddInt64(&s.n, 1), LoadUint32, ...),
+// all of which take a pointer to a plain field. A field reached that
+// way can still be read or written plainly, and that race only shows
+// under -race when the interleaving happens to occur — the bug in the
+// sharded stores' first draft (corpus seed plainatomic). The typed
+// atomics (atomic.Int64, atomic.Pointer, ...) have only atomic
+// methods, so with them the plain access cannot be written.
 package atomicfield
 
 import (
@@ -25,86 +18,21 @@ import (
 // Analyzer is the atomicfield pass.
 var Analyzer = &ftc.Analyzer{
 	Name: "atomicfield",
-	Doc:  "a struct field accessed via sync/atomic must never be read or written plainly",
-	Run:  run,
-}
-
-func run(pass *ftc.Pass) (any, error) {
-	// Pass 1: collect fields whose address is taken as the pointer
-	// argument of a sync/atomic call, remembering one call site each
-	// for the report.
-	atomicFields := map[*types.Var]ast.Expr{}
-	// atomicUses are the &x.f expressions inside those calls — the
-	// sanctioned accesses pass 2 must not flag.
-	atomicUses := map[*ast.SelectorExpr]bool{}
-
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := ftc.CalleeObject(pass.Info, call).(*types.Func)
-			if !ok || !ftc.PkgPathIs(fn.Pkg(), "sync/atomic") {
-				return true
-			}
-			for _, arg := range call.Args {
-				unary, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || unary.Op.String() != "&" {
-					continue
-				}
-				sel, ok := ast.Unparen(unary.X).(*ast.SelectorExpr)
+	Doc:  "use the typed atomics (atomic.Int64, ...), never a sync/atomic function on a plain field",
+	Run: func(pass *ftc.Pass) (any, error) {
+		for _, f := range pass.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
 				if !ok {
-					continue
+					return true
 				}
-				if field := fieldVar(pass.Info, sel); field != nil {
-					if _, seen := atomicFields[field]; !seen {
-						atomicFields[field] = arg
-					}
-					atomicUses[sel] = true
+				fn, ok := ftc.CalleeObject(pass.Info, call).(*types.Func)
+				if ok && ftc.PkgPathIs(fn.Pkg(), "sync/atomic") && fn.Type().(*types.Signature).Recv() == nil {
+					pass.Reportf(call.Pos(), "atomic.%s on a plain value; declare it as a typed atomic so no access can skip sync/atomic", fn.Name())
 				}
-			}
-			return true
-		})
-	}
-	if len(atomicFields) == 0 {
+				return true
+			})
+		}
 		return nil, nil
-	}
-
-	// Pass 2: any other selector resolving to one of those fields is a
-	// plain access. Keyed composite-literal initialization never parses
-	// as a SelectorExpr, so the pre-publication idiom is exempt for
-	// free.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || atomicUses[sel] {
-				return true
-			}
-			field := fieldVar(pass.Info, sel)
-			if field == nil {
-				return true
-			}
-			if first, ok := atomicFields[field]; ok {
-				pass.Reportf(sel.Sel.Pos(),
-					"plain access to field %s, which is accessed atomically at %s; use sync/atomic everywhere",
-					field.Name(), pass.Fset.Position(first.Pos()))
-			}
-			return true
-		})
-	}
-	return nil, nil
-}
-
-// fieldVar resolves sel to a struct field object, or nil.
-func fieldVar(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, ok := s.Obj().(*types.Var)
-	if !ok || !v.IsField() {
-		return nil
-	}
-	return v
+	},
 }

@@ -1,5 +1,5 @@
 // Package ctxflow enforces context threading in library code
-// (DESIGN.md §17): a deadline or cancellation decided by the caller
+// (DESIGN.md §12): a deadline or cancellation decided by the caller
 // must survive the trip through every layer of the cache, so library
 // functions may not fabricate fresh root contexts or silently discard
 // the one they were handed.

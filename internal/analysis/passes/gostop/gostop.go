@@ -1,4 +1,4 @@
-// Package gostop checks goroutine stoppability (DESIGN.md §17): every
+// Package gostop checks goroutine stoppability (DESIGN.md §12): every
 // `go` statement in library code must start work that has a reachable
 // stop path, or the component that spawned it can never shut down
 // cleanly — the exact failure mode PR 9's policy controller and PR 8's

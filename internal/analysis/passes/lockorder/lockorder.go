@@ -1,5 +1,5 @@
 // Package lockorder detects cross-package lock-ordering deadlock risk
-// and blocking calls made while holding a lock (DESIGN.md §17).
+// and blocking calls made while holding a lock (DESIGN.md §12).
 //
 // Locks are tracked by *class*, not instance: the (package, type,
 // field) triple of the mutex — "memtier.shard.mu", "wire.

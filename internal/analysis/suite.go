@@ -1,10 +1,8 @@
-// Package analysis assembles the ftclint analyzer suite: the custom
-// static checks that keep FT-Cache's concurrency and resource
-// invariants — introduced across PRs 1–4 as comments and review lore —
-// machine-enforced. See DESIGN.md §12 for the per-package rule
-// catalogue and §17 for the interprocedural layer (facts, the shared
-// call graph, and the cross-package analyzers); cmd/ftclint is the
-// driver (standalone or `go vet -vettool`).
+// Package analysis assembles the ftclint analyzer suite: the static
+// checks that keep FT-Cache's concurrency and resource invariants
+// machine-enforced. DESIGN.md §12 states each analyzer's rule, the
+// seeded bugs in testdata/src/corpus that hold it, and its
+// suppressions; cmd/ftclint runs the suite as a `go vet -vettool`.
 package analysis
 
 import (
@@ -16,7 +14,6 @@ import (
 	"repro/internal/analysis/passes/hotpathlock"
 	"repro/internal/analysis/passes/lockorder"
 	"repro/internal/analysis/passes/poollease"
-	"repro/internal/analysis/passes/spanend"
 	"repro/internal/analysis/passes/telemetrylabel"
 )
 
@@ -32,7 +29,6 @@ func All() []*ftc.Analyzer {
 		hotpathlock.Analyzer,
 		lockorder.Analyzer,
 		poollease.Analyzer,
-		spanend.Analyzer,
 		telemetrylabel.Analyzer,
 	}
 }

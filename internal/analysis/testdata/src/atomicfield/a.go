@@ -4,39 +4,25 @@ package a
 import "sync/atomic"
 
 type counter struct {
-	n    int64
-	hits int64
+	n     int64
+	typed atomic.Int64
 }
 
 func (c *counter) inc() {
-	atomic.AddInt64(&c.n, 1)
+	atomic.AddInt64(&c.n, 1) // want `atomic.AddInt64 on a plain value`
 }
 
 func (c *counter) read() int64 {
-	return atomic.LoadInt64(&c.n)
+	return atomic.LoadInt64(&c.n) // want `atomic.LoadInt64 on a plain value`
 }
 
-func (c *counter) racyRead() int64 {
-	return c.n // want `plain access to field n, which is accessed atomically`
+// The typed atomic's methods are the sanctioned form.
+func (c *counter) incTyped() int64 {
+	c.typed.Add(1)
+	return c.typed.Load()
 }
 
-func (c *counter) racyWrite() {
-	c.n = 0 // want `plain access to field n, which is accessed atomically`
-}
-
-// plainOnly is fine: hits is never accessed atomically anywhere.
-func (c *counter) plainOnly() int64 {
-	c.hits++
-	return c.hits
-}
-
-// newCounter is the pre-publication initialization idiom: composite
-// literal keys are exempt.
-func newCounter() *counter {
-	return &counter{n: 0, hits: 0}
-}
-
-func (c *counter) suppressed() int64 {
-	//ftclint:ignore atomicfield snapshot path: writers are quiesced under the registry lock here
-	return c.n
+func (c *counter) suppressed() {
+	//ftclint:ignore atomicfield the field is laid out by an external ABI and cannot change type
+	atomic.StoreInt64(&c.n, 0)
 }

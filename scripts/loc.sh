@@ -7,7 +7,8 @@
 # It prints non-test and test Go lines (testdata excluded), the
 # non-test lines of the placement group (internal/hvac, ftcache,
 # partition and hashring, and internal/loadsim in older checkouts that
-# have it, so counts compare across revisions), the product
+# have it, so counts compare across revisions), the analyzer suite's
+# non-test lines (internal/analysis and cmd/ftclint), the product
 # //ftclint:ignore lines (the analyzer suite's own sources excluded),
 # and the config fields: the exported fields of every struct type whose
 # name ends in Config, each name of a grouped declaration (A, B int)
@@ -33,6 +34,7 @@ for d in hvac ftcache partition loadsim hashring; do
 done
 # shellcheck disable=SC2086
 placement=$(gofiles $group | grep -v '_test\.go$' | lines)
+suite=$(gofiles internal/analysis cmd/ftclint | grep -v '_test\.go$' | lines)
 ignores=$(gofiles . | grep -v '_test\.go$' | grep -v '^\./cmd/ftclint/\|^\./internal/analysis/' |
 	xargs -r grep -h '//ftclint:ignore' | wc -l)
 # The field scan reads top-level "type XConfig struct {" blocks and
@@ -58,5 +60,6 @@ END { print count + 0 }')
 printf 'non-test Go lines      %6d\n' "$nontest"
 printf 'test Go lines          %6d\n' "$tests"
 printf 'placement group lines  %6d  (%s)\n' "$placement" "${group# }"
+printf 'analyzer suite lines   %6d  (internal/analysis cmd/ftclint)\n' "$suite"
 printf 'product ftclint:ignore %6d\n' "$ignores"
 printf 'config fields          %6d\n' "$fields"
