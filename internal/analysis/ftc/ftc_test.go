@@ -37,7 +37,7 @@ func TestSuppressions(t *testing.T) {
 func f() {
 	x() //ftclint:ignore poollease pool reclaimed on close
 	y()
-	//ftclint:ignore telemetrylabel bounded by the caller
+	//ftclint:ignore errclass classified by the caller
 	z()
 }
 `
@@ -52,11 +52,11 @@ func f() {
 		analyzer string
 		want     bool
 	}{
-		{"x()", "poollease", true},      // same-line ignore, matching analyzer
-		{"x()", "hotpathlock", false},   // same-line ignore, different analyzer
-		{"y()", "poollease", false},     // no ignore on or above this line
-		{"z()", "telemetrylabel", true}, // standalone ignore on the line above
-		{"z()", "poollease", false},     // it names one analyzer only
+		{"x()", "poollease", true},    // same-line ignore, matching analyzer
+		{"x()", "hotpathlock", false}, // same-line ignore, different analyzer
+		{"y()", "poollease", false},   // no ignore on or above this line
+		{"z()", "errclass", true},     // standalone ignore on the line above
+		{"z()", "poollease", false},   // it names one analyzer only
 	}
 	for _, c := range cases {
 		d := Diagnostic{Analyzer: c.analyzer, Pos: posOf(t, fset, src, c.marker)}

@@ -1,6 +1,6 @@
-// Package callgraph is the shared cross-package call-graph pass the
-// interprocedural analyzers (lockorder, ctxflow, gostop, hotpathlock,
-// poollease) build on. It reports nothing itself; its value is
+// Package callgraph is the shared cross-package call-graph pass that
+// lockorder's summary (which hotpathlock reads too), ctxflow and
+// poollease build on. It reports nothing itself; its value is
 //
 //   - the per-package Graph result: every declared function's call
 //     sites with their statically resolved callees, plus CHA-style
@@ -20,9 +20,10 @@
 package callgraph
 
 import (
+	"cmp"
 	"go/ast"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis/ftc"
@@ -125,43 +126,33 @@ func run(pass *ftc.Pass) (any, error) {
 	}
 
 	// Accumulate implementation entries: imports' facts first, then
-	// this package's own types against every visible interface.
+	// this package's own types against every visible interface. The
+	// candidate order is this accumulation order; the exported fact is
+	// sorted.
 	seen := map[ImplEntry]bool{}
-	add := func(e ImplEntry) {
-		if !seen[e] {
-			seen[e] = true
-			g.impls[implKey{e.IfacePkg, e.Iface, e.Method}] = append(g.impls[implKey{e.IfacePkg, e.Iface, e.Method}], e.Impl)
-		}
-	}
 	var accumulated []ImplEntry
-	for _, imp := range pass.Pkg.Imports() {
-		var dep Impls
-		if pass.ImportPackageFact(imp, &dep) {
-			for _, e := range dep.Entries {
-				add(e)
+	add := func(entries []ImplEntry) {
+		for _, e := range entries {
+			if !seen[e] {
+				seen[e] = true
+				k := implKey{e.IfacePkg, e.Iface, e.Method}
+				g.impls[k] = append(g.impls[k], e.Impl)
 				accumulated = append(accumulated, e)
 			}
 		}
 	}
-	own := localImpls(pass)
-	for _, e := range own {
-		add(e)
-		accumulated = append(accumulated, e)
+	for _, imp := range pass.Pkg.Imports() {
+		var dep Impls
+		if pass.ImportPackageFact(imp, &dep) {
+			add(dep.Entries)
+		}
 	}
-	sort.Slice(accumulated, func(i, j int) bool {
-		a, b := accumulated[i], accumulated[j]
-		if a.IfacePkg != b.IfacePkg {
-			return a.IfacePkg < b.IfacePkg
-		}
-		if a.Iface != b.Iface {
-			return a.Iface < b.Iface
-		}
-		if a.Method != b.Method {
-			return a.Method < b.Method
-		}
-		return a.Impl != b.Impl && (a.Impl.PkgPath < b.Impl.PkgPath || (a.Impl.PkgPath == b.Impl.PkgPath && a.Impl.ObjKey < b.Impl.ObjKey))
+	add(localImpls(pass))
+	slices.SortFunc(accumulated, func(a, b ImplEntry) int {
+		return cmp.Or(cmp.Compare(a.IfacePkg, b.IfacePkg), cmp.Compare(a.Iface, b.Iface), cmp.Compare(a.Method, b.Method),
+			cmp.Compare(a.Impl.PkgPath, b.Impl.PkgPath), cmp.Compare(a.Impl.ObjKey, b.Impl.ObjKey))
 	})
-	pass.ExportPackageFact(&Impls{Entries: dedupe(accumulated)})
+	pass.ExportPackageFact(&Impls{Entries: accumulated})
 
 	// Resolve every call site.
 	for _, f := range pass.Files {
@@ -175,19 +166,6 @@ func run(pass *ftc.Pass) (any, error) {
 		})
 	}
 	return g, nil
-}
-
-func dedupe(entries []ImplEntry) []ImplEntry {
-	out := entries[:0]
-	var last ImplEntry
-	for i, e := range entries {
-		if i > 0 && e == last {
-			continue
-		}
-		last = e
-		out = append(out, e)
-	}
-	return out
 }
 
 // ResolveCall returns the resolution of a call expression in the

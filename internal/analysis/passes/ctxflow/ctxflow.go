@@ -47,7 +47,7 @@ import (
 var Analyzer = &ftc.Analyzer{
 	Name:     "ctxflow",
 	Doc:      "library code must thread the incoming context.Context; flag fabricated root contexts and discarded ctx parameters",
-	Requires: []*ftc.Analyzer{callgraph.Analyzer, lockorder.Analyzer},
+	Requires: []*ftc.Analyzer{callgraph.Analyzer, lockorder.Summary},
 	Run:      run,
 }
 

@@ -12,302 +12,44 @@
 //   - call into package fmt — the fmt fast paths allocate and take
 //     interface round-trips the per-I/O path must not pay;
 //   - call any function that does any of the above, in this package or
-//     another. Same-package callees are summarized transitively; a
-//     cross-package callee's verdict arrives as an UnsafeFact exported
-//     when its home package was analyzed (the driver runs in
-//     dependency order, so the fact is always there before the caller
-//     is). A callee that is itself marked `//ftc:hotpath` — which its
-//     home package records as a HotFact — is trusted: it was checked
-//     at its own definition.
+//     another. A callee marked `//ftc:hotpath` is trusted: it is
+//     checked at its own definition.
 //
-// Interface-dispatched calls are checked against the call graph's CHA
-// candidates: the call is reported only when every known in-repo
-// implementation is hot-unsafe (one safe implementation means the
-// dispatch may be fine, and guessing would be noise).
+// The rule is computed by lockorder.Summary on the same walk that
+// summarizes locks: each function's first breach travels to callers,
+// across packages too, as the Hot field of its LockFact, and this pass
+// reports every breach inside a marked body. Interface-dispatched
+// calls are checked against the call graph's CHA candidates: the call
+// is reported only when every known in-repo implementation is
+// hot-unsafe (one safe implementation means the dispatch may be fine,
+// and guessing would be noise).
 package hotpathlock
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
-	"go/types"
 
 	"repro/internal/analysis/ftc"
-	"repro/internal/analysis/passes/callgraph"
+	"repro/internal/analysis/passes/lockorder"
 )
-
-// An UnsafeFact marks a function whose body (transitively, within its
-// home package) performs a hot-path-forbidden operation.
-type UnsafeFact struct {
-	What  string // first violation, e.g. "acquires (*sync.Mutex).Lock"
-	Where string // its position, "file:line"
-}
-
-// AFact marks UnsafeFact as a fact.
-func (*UnsafeFact) AFact() {}
-
-// A HotFact marks a function annotated //ftc:hotpath: verified
-// lock-free at its own definition, so callers may trust it.
-type HotFact struct{}
-
-// AFact marks HotFact as a fact.
-func (*HotFact) AFact() {}
 
 // Analyzer is the hotpathlock pass.
 var Analyzer = &ftc.Analyzer{
-	Name:      "hotpathlock",
-	Doc:       "functions marked //ftc:hotpath must not lock, write shared maps, or call fmt (transitively, across packages via facts)",
-	Requires:  []*ftc.Analyzer{callgraph.Analyzer},
-	FactTypes: []ftc.Fact{(*UnsafeFact)(nil), (*HotFact)(nil)},
-	Run:       run,
-}
-
-// blockingSyncMethods are the sync primitives that can block or spin
-// on another goroutine.
-var blockingSyncMethods = map[string]map[string]bool{
-	"Mutex":     {"Lock": true},
-	"RWMutex":   {"Lock": true, "RLock": true},
-	"Once":      {"Do": true},
-	"WaitGroup": {"Wait": true},
-	"Cond":      {"Wait": true},
-}
-
-// violation is one rule breach found in a function body.
-type violation struct {
-	pos  token.Pos
-	what string
-}
-
-type checker struct {
-	pass  *ftc.Pass
-	graph *callgraph.Graph
-	// summaries memoizes per-function violation lists; a nil entry
-	// marks a function currently on the DFS stack (cycle guard).
-	summaries map[types.Object][]violation
-	onStack   map[types.Object]bool
+	Name:     "hotpathlock",
+	Doc:      "functions marked //ftc:hotpath must not lock, write shared maps, or call fmt (transitively, across packages via facts)",
+	Requires: []*ftc.Analyzer{lockorder.Summary},
+	Run:      run,
 }
 
 func run(pass *ftc.Pass) (any, error) {
-	c := &checker{
-		pass:      pass,
-		graph:     pass.ResultOf[callgraph.Analyzer].(*callgraph.Graph),
-		summaries: map[types.Object][]violation{},
-		onStack:   map[types.Object]bool{},
-	}
-	// Export facts for every package-level function first — callers in
-	// downstream packages need the verdicts whether or not anything in
-	// this package is marked hot — then report inside marked bodies.
+	sums := pass.ResultOf[lockorder.Summary].(*lockorder.Summaries)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj := pass.Info.Defs[fd.Name]
-			if obj == nil {
-				continue
-			}
-			if _, exportable := ftc.ObjectKey(obj); !exportable {
-				continue
-			}
-			if ftc.HasHotPath(fd) {
-				pass.ExportObjectFact(obj, &HotFact{})
-				continue // violations are reported, not exported: the definition is the fix site
-			}
-			if sum := c.analyze(fd); len(sum) > 0 {
-				first := sum[0]
-				pass.ExportObjectFact(obj, &UnsafeFact{
-					What:  first.what,
-					Where: pass.Fset.Position(first.pos).String(),
-				})
-			}
-		}
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !ftc.HasHotPath(fd) {
-				continue
-			}
-			for _, v := range c.analyze(fd) {
-				pass.Reportf(v.pos, "hot-path function %s %s", fd.Name.Name, v.what)
+			if fd, ok := decl.(*ast.FuncDecl); ok && ftc.HasHotPath(fd) {
+				for _, b := range sums.Breaches(fd) {
+					pass.Reportf(b.Pos, "hot-path function %s %s", fd.Name.Name, b.What)
+				}
 			}
 		}
 	}
 	return nil, nil
-}
-
-// analyze returns fd's direct violations plus one violation per call
-// site whose callee has violations of its own.
-func (c *checker) analyze(fd *ast.FuncDecl) []violation {
-	obj := c.pass.Info.Defs[fd.Name]
-	if obj != nil {
-		if sum, ok := c.summaries[obj]; ok {
-			return sum
-		}
-		if c.onStack[obj] {
-			return nil // recursion: the cycle's body is checked at its entry
-		}
-		c.onStack[obj] = true
-		defer func() { c.onStack[obj] = false }()
-	}
-
-	var out []violation
-	body := fd.Body
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if v, ok := c.checkCall(n, body); ok {
-				out = append(out, v)
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if v, ok := c.checkMapWrite(lhs, body); ok {
-					out = append(out, v)
-				}
-			}
-		case *ast.IncDecStmt:
-			if v, ok := c.checkMapWrite(n.X, body); ok {
-				out = append(out, v)
-			}
-		}
-		return true
-	})
-	if obj != nil {
-		c.summaries[obj] = out
-	}
-	return out
-}
-
-// checkCall classifies one call expression inside a hot-path body.
-func (c *checker) checkCall(call *ast.CallExpr, body *ast.BlockStmt) (violation, bool) {
-	info := c.pass.Info
-
-	// delete(m, k) is a map write.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "delete" {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && len(call.Args) > 0 {
-			if v, bad := c.checkMapWrite(&ast.IndexExpr{X: call.Args[0]}, body); bad {
-				v.pos = call.Pos()
-				v.what = "deletes from a non-local map"
-				return v, true
-			}
-		}
-	}
-
-	res := c.graph.ResolveCall(call)
-
-	// Interface dispatch: hot-unsafe only when every known in-repo
-	// implementation is.
-	if res.Iface != nil && len(res.Candidates) > 0 {
-		var first *UnsafeFact
-		for _, cand := range res.Candidates {
-			var hot HotFact
-			if c.pass.ImportFactByKey(cand.PkgPath, cand.ObjKey, &hot) {
-				return violation{}, false
-			}
-			var unsafeFact UnsafeFact
-			if !c.pass.ImportFactByKey(cand.PkgPath, cand.ObjKey, &unsafeFact) {
-				return violation{}, false
-			}
-			if first == nil {
-				f := unsafeFact
-				first = &f
-			}
-		}
-		if first != nil {
-			return violation{call.Pos(), fmt.Sprintf("dispatches %s: every in-repo implementation %s (e.g. at %s)",
-				callgraph.ShortRef(res.Iface), first.What, first.Where)}, true
-		}
-		return violation{}, false
-	}
-
-	fn, ok := res.Static.(*types.Func)
-	if !ok {
-		if fn, ok = ftc.CalleeObject(info, call).(*types.Func); !ok {
-			return violation{}, false
-		}
-	}
-
-	// Denylisted leaf operations.
-	if ftc.PkgPathIs(fn.Pkg(), "fmt") {
-		return violation{call.Pos(), fmt.Sprintf("calls fmt.%s (allocates via fmt)", fn.Name())}, true
-	}
-	if ftc.PkgPathIs(fn.Pkg(), "sync") {
-		sig := fn.Type().(*types.Signature)
-		if recv := sig.Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok {
-				if blockingSyncMethods[named.Obj().Name()][fn.Name()] {
-					return violation{call.Pos(), fmt.Sprintf("acquires (*sync.%s).%s", named.Obj().Name(), fn.Name())}, true
-				}
-			}
-		}
-	}
-
-	// Cross-package callee: consult its home package's facts. A HotFact
-	// is a trusted verification; an UnsafeFact is a violation carried to
-	// this call site; no fact (stdlib beyond the denylist, safe
-	// functions) passes.
-	if fn.Pkg() != c.pass.Pkg {
-		var hot HotFact
-		if c.pass.ImportObjectFact(fn, &hot) {
-			return violation{}, false
-		}
-		var unsafeFact UnsafeFact
-		if c.pass.ImportObjectFact(fn, &unsafeFact) {
-			return violation{call.Pos(), fmt.Sprintf("calls %s, which %s (at %s)",
-				callgraph.ShortRef(fn), unsafeFact.What, unsafeFact.Where)}, true
-		}
-		return violation{}, false
-	}
-
-	// Same-package callee: trust marked functions, summarize unmarked.
-	decl := ftc.FuncFor(info, c.pass.Files, fn)
-	if decl == nil || decl.Body == nil {
-		return violation{}, false
-	}
-	if ftc.HasHotPath(decl) {
-		return violation{}, false // verified at its own definition
-	}
-	if sub := c.analyze(decl); len(sub) > 0 {
-		first := sub[0]
-		return violation{call.Pos(), fmt.Sprintf("calls %s, which %s (at %s)", fn.Name(), first.what, c.pass.Fset.Position(first.pos))}, true
-	}
-	return violation{}, false
-}
-
-// checkMapWrite reports an assignment target that indexes a map whose
-// root variable is not local to body.
-func (c *checker) checkMapWrite(lhs ast.Expr, body *ast.BlockStmt) (violation, bool) {
-	idx, ok := ast.Unparen(lhs).(*ast.IndexExpr)
-	if !ok {
-		return violation{}, false
-	}
-	tv, ok := c.pass.Info.Types[idx.X]
-	if !ok {
-		// Synthetic node from the delete() path: re-type the operand.
-		tv, ok = c.pass.Info.Types[ast.Unparen(idx.X)]
-	}
-	if !ok {
-		return violation{}, false
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return violation{}, false
-	}
-	root := ftc.RootIdent(idx.X)
-	if root != nil {
-		obj := c.pass.Info.Uses[root]
-		if obj == nil {
-			obj = c.pass.Info.Defs[root]
-		}
-		if ftc.DeclaredWithin(obj, body.Pos(), body.End()) {
-			// Freshly built in this function: single-goroutine by
-			// construction, allowed (e.g. a plan's Moves map).
-			return violation{}, false
-		}
-	}
-	return violation{lhs.Pos(), "writes a non-local map"}, true
 }

@@ -27,32 +27,22 @@
 // Function literals are analyzed as separate execution contexts
 // (empty held set) and excluded from caller summaries: a closure's
 // locks belong to whatever goroutine eventually runs it.
+//
+// The per-function summaries come from Summary (summary.go), a
+// non-reporting pass that hotpathlock and ctxflow read too.
 package lockorder
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis/ftc"
-	"repro/internal/analysis/passes/callgraph"
 )
-
-// A LockFact summarizes one function for callers in other packages.
-type LockFact struct {
-	// Acquires lists the lock classes the function (transitively)
-	// acquires.
-	Acquires []string
-	// Blocks is "" when the function cannot block, else a short
-	// human-readable reason.
-	Blocks string
-}
-
-// AFact marks LockFact as a fact.
-func (*LockFact) AFact() {}
 
 // An Edge is one observed lock-order constraint: To was acquired while
 // From was held.
@@ -77,8 +67,8 @@ func (*EdgesFact) AFact() {}
 var Analyzer = &ftc.Analyzer{
 	Name:      "lockorder",
 	Doc:       "report cross-package lock-acquisition cycles and blocking calls (channel ops, Wait, network I/O) made while holding a lock",
-	Requires:  []*ftc.Analyzer{callgraph.Analyzer},
-	FactTypes: []ftc.Fact{(*LockFact)(nil), (*EdgesFact)(nil)},
+	Requires:  []*ftc.Analyzer{Summary},
+	FactTypes: []ftc.Fact{(*EdgesFact)(nil)},
 	Run:       run,
 }
 
@@ -92,46 +82,22 @@ func ShortClass(class string) string {
 }
 
 type checker struct {
-	pass  *ftc.Pass
-	graph *callgraph.Graph
-	// summaries memoizes per-function LockFacts; onStack guards
-	// recursion.
-	summaries map[types.Object]*LockFact
-	onStack   map[types.Object]bool
-	// edges are this package's own lock-order edges, deduped.
+	pass *ftc.Pass
+	sums *Summaries
+	// edges are this package's own lock-order edges, deduped, and
+	// ownEdgePos the acquiring call of each.
 	edges      []Edge
-	edgeSeen   map[[2]string]bool
 	ownEdgePos map[[2]string]token.Pos
 }
 
 func run(pass *ftc.Pass) (any, error) {
 	c := &checker{
-		pass:      pass,
-		graph:     pass.ResultOf[callgraph.Analyzer].(*callgraph.Graph),
-		summaries: map[types.Object]*LockFact{},
-		onStack:   map[types.Object]bool{},
-		edgeSeen:  map[[2]string]bool{},
+		pass:       pass,
+		sums:       pass.ResultOf[Summary].(*Summaries),
+		ownEdgePos: map[[2]string]token.Pos{},
 	}
-
-	// Summaries + facts for every package-level function, then the
-	// flow-sensitive held-set walk that yields edges and
+	// The flow-sensitive held-set walk yields edges and
 	// blocking-while-holding reports.
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj := pass.Info.Defs[fd.Name]
-			if obj == nil {
-				continue
-			}
-			sum := c.summarize(obj, fd)
-			if _, exportable := ftc.ObjectKey(obj); exportable && (len(sum.Acquires) > 0 || sum.Blocks != "") {
-				pass.ExportObjectFact(obj, &LockFact{Acquires: sum.Acquires, Blocks: sum.Blocks})
-			}
-		}
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -146,14 +112,8 @@ func run(pass *ftc.Pass) (any, error) {
 	c.reportCycles(imported)
 
 	all := append(append([]Edge{}, imported...), c.edges...)
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].From != all[j].From {
-			return all[i].From < all[j].From
-		}
-		if all[i].To != all[j].To {
-			return all[i].To < all[j].To
-		}
-		return all[i].Pos < all[j].Pos
+	slices.SortFunc(all, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Pos, b.Pos))
 	})
 	seen := map[[2]string]bool{}
 	dedup := all[:0]
@@ -286,241 +246,6 @@ func lockClass(info *types.Info, e ast.Expr) string {
 	}
 }
 
-// --- function summaries ---
-
-// summarize computes (and memoizes) the LockFact of a function in this
-// package.
-func (c *checker) summarize(obj types.Object, fd *ast.FuncDecl) *LockFact {
-	if sum, ok := c.summaries[obj]; ok {
-		return sum
-	}
-	if c.onStack[obj] {
-		return &LockFact{} // recursion: accounted at the cycle's entry
-	}
-	c.onStack[obj] = true
-	defer func() { c.onStack[obj] = false }()
-
-	acquires := map[string]bool{}
-	blocks := ""
-	note := func(reason string) {
-		if blocks == "" {
-			blocks = reason
-		}
-	}
-	c.scanOps(fd.Body, func(class string) {
-		acquires[class] = true
-	}, note, func(callee *LockFact, desc string) {
-		for _, a := range callee.Acquires {
-			acquires[a] = true
-		}
-		if callee.Blocks != "" {
-			note(fmt.Sprintf("calls %s, which blocks: %s", desc, callee.Blocks))
-		}
-	})
-
-	sum := &LockFact{Blocks: blocks}
-	for a := range acquires {
-		sum.Acquires = append(sum.Acquires, a)
-	}
-	sort.Strings(sum.Acquires)
-	c.summaries[obj] = sum
-	return sum
-}
-
-// calleeSummary resolves a call site to the union of its callees'
-// summaries; nil means unknown/irrelevant. desc names the callee for
-// messages.
-func (c *checker) calleeSummary(call *ast.CallExpr) (*LockFact, string) {
-	res := c.graph.ResolveCall(call)
-	if res.Static != nil {
-		fn := res.Static
-		if ffn, ok := fn.(*types.Func); ok && builtinBlocking(ffn) != "" {
-			return &LockFact{Blocks: builtinBlocking(ffn)}, callgraph.ShortRef(fn)
-		}
-		if fn.Pkg() == c.pass.Pkg {
-			if fd := ftc.FuncFor(c.pass.Info, c.pass.Files, fn); fd != nil && fd.Body != nil {
-				return c.summarize(fn, fd), callgraph.ShortRef(fn)
-			}
-			return nil, ""
-		}
-		var fact LockFact
-		if c.pass.ImportObjectFact(fn, &fact) {
-			return &fact, callgraph.ShortRef(fn)
-		}
-		return nil, ""
-	}
-	if res.Iface != nil {
-		if reason := builtinBlocking(res.Iface); reason != "" {
-			return &LockFact{Blocks: reason}, callgraph.ShortRef(res.Iface)
-		}
-		// CHA: union over in-repo candidates.
-		merged := &LockFact{}
-		acq := map[string]bool{}
-		desc := callgraph.ShortRef(res.Iface)
-		for _, cand := range res.Candidates {
-			var fact LockFact
-			if !c.pass.ImportFactByKey(cand.PkgPath, cand.ObjKey, &fact) {
-				// Same-package candidate: summaries, not yet facts.
-				if cand.PkgPath == c.pass.Pkg.Path() {
-					if f := c.localByKey(cand.ObjKey); f != nil {
-						fact = *f
-					} else {
-						continue
-					}
-				} else {
-					continue
-				}
-			}
-			for _, a := range fact.Acquires {
-				acq[a] = true
-			}
-			if fact.Blocks != "" && merged.Blocks == "" {
-				merged.Blocks = fmt.Sprintf("candidate %s blocks: %s", cand.String(), fact.Blocks)
-			}
-		}
-		for a := range acq {
-			merged.Acquires = append(merged.Acquires, a)
-		}
-		sort.Strings(merged.Acquires)
-		if len(merged.Acquires) == 0 && merged.Blocks == "" {
-			return nil, ""
-		}
-		return merged, desc
-	}
-	return nil, ""
-}
-
-// localByKey finds an already-summarized same-package function by its
-// object key.
-func (c *checker) localByKey(key string) *LockFact {
-	for obj, sum := range c.summaries {
-		if k, ok := ftc.ObjectKey(obj); ok && k == key {
-			return sum
-		}
-	}
-	return nil
-}
-
-// builtinBlocking classifies well-known blocking leaf calls that have
-// no facts: network I/O and time.Sleep and the blocking sync waits.
-// (*sync.Cond).Wait is exempt: it requires holding its lock by design.
-func builtinBlocking(fn *types.Func) string {
-	sig, _ := fn.Type().(*types.Signature)
-	if ftc.PkgPathIs(fn.Pkg(), "time") && fn.Name() == "Sleep" {
-		return "time.Sleep"
-	}
-	if ftc.PkgPathIs(fn.Pkg(), "sync") && sig != nil && sig.Recv() != nil {
-		if ftc.ReceiverNamed(fn, "sync", "WaitGroup") && fn.Name() == "Wait" {
-			return "waits on a sync.WaitGroup"
-		}
-	}
-	if ftc.PkgPathIs(fn.Pkg(), "net") && sig != nil && sig.Recv() != nil {
-		rt := sig.Recv().Type()
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		if named, ok := rt.(*types.Named); ok {
-			switch named.Obj().Name() {
-			case "Conn", "TCPConn", "UDPConn", "UnixConn", "Listener", "TCPListener", "Dialer":
-				// Only the methods that can actually park on the
-				// network; Addr/Close/SetDeadline return immediately.
-				switch fn.Name() {
-				case "Read", "Write", "ReadFrom", "WriteTo", "Accept", "AcceptTCP", "Dial", "DialContext":
-					return fmt.Sprintf("network I/O (net.%s.%s)", named.Obj().Name(), fn.Name())
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// scanOps walks a function body (excluding nested FuncLits) and feeds
-// every lock acquisition class, direct blocking reason, and resolvable
-// callee summary to the callbacks. Channel operations that are the
-// comm of a select case are attributed to the select, not double
-// counted.
-func (c *checker) scanOps(body *ast.BlockStmt, onAcquire func(string), onBlock func(string), onCallee func(*LockFact, string)) {
-	commSkip := collectCommOps(body)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SelectStmt:
-			if !selectHasDefault(n) {
-				onBlock("blocks in select")
-			}
-		case *ast.SendStmt:
-			if !commSkip[ast.Node(n)] {
-				onBlock("sends on a channel")
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !commSkip[ast.Node(n)] {
-				onBlock("receives from a channel")
-			}
-		case *ast.RangeStmt:
-			if tv, ok := c.pass.Info.Types[n.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					onBlock("ranges over a channel")
-				}
-			}
-		case *ast.CallExpr:
-			if class, acquire, _ := mutexMethod(c.pass.Info, n); acquire && class != "" {
-				onAcquire(class)
-				return true
-			}
-			if sum, desc := c.calleeSummary(n); sum != nil {
-				onCallee(sum, desc)
-			}
-		}
-		return true
-	})
-}
-
-// collectCommOps returns the channel-op nodes that serve as select
-// comm clauses (their blocking is the select's).
-func collectCommOps(body ast.Node) map[ast.Node]bool {
-	skip := map[ast.Node]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		for _, cl := range sel.Body.List {
-			comm, ok := cl.(*ast.CommClause)
-			if !ok || comm.Comm == nil {
-				continue
-			}
-			switch s := comm.Comm.(type) {
-			case *ast.SendStmt:
-				skip[ast.Node(s)] = true
-			case *ast.ExprStmt:
-				markRecv(s.X, skip)
-			case *ast.AssignStmt:
-				for _, r := range s.Rhs {
-					markRecv(r, skip)
-				}
-			}
-		}
-		return true
-	})
-	return skip
-}
-
-func markRecv(e ast.Expr, skip map[ast.Node]bool) {
-	if ue, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-		skip[ast.Node(ue)] = true
-	}
-}
-
-func selectHasDefault(s *ast.SelectStmt) bool {
-	for _, cl := range s.Body.List {
-		if comm, ok := cl.(*ast.CommClause); ok && comm.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // --- flow-sensitive held-set walk ---
 
 // heldSet maps held lock classes to their acquisition positions.
@@ -564,7 +289,7 @@ func (w *flowWalker) reportBlocked(pos token.Pos, h heldSet, reason string) {
 	for cls := range h {
 		classes = append(classes, cls)
 	}
-	sort.Strings(classes)
+	slices.Sort(classes)
 	cls := classes[0]
 	w.c.pass.Reportf(pos, "%s while holding %s (acquired at %s)",
 		reason, ShortClass(cls), w.c.pass.Fset.Position(h[cls]))
@@ -576,19 +301,15 @@ func (c *checker) edge(from, to string, pos token.Pos) {
 		return // instance-level ordering within a class is out of scope
 	}
 	k := [2]string{from, to}
-	if c.edgeSeen[k] {
+	if _, seen := c.ownEdgePos[k]; seen {
 		return
 	}
-	c.edgeSeen[k] = true
+	c.ownEdgePos[k] = pos
 	c.edges = append(c.edges, Edge{
 		From: from, To: to,
 		Pos: c.pass.Fset.Position(pos).String(),
 		Pkg: c.pass.Pkg.Path(),
 	})
-	if c.ownEdgePos == nil {
-		c.ownEdgePos = map[[2]string]token.Pos{}
-	}
-	c.ownEdgePos[k] = pos
 }
 
 // processNode scans the expressions of one leaf statement: mutex ops
@@ -613,7 +334,7 @@ func (w *flowWalker) processNode(n ast.Node, h heldSet) {
 				}
 				return true
 			}
-			if sum, desc := w.c.calleeSummary(x); sum != nil {
+			if sum, desc := w.c.sums.calleeSummary(x); sum != nil {
 				for held := range h {
 					for _, a := range sum.Acquires {
 						w.c.edge(held, a, x.Pos())
@@ -824,26 +545,24 @@ func (c *checker) reportCycles(imported []Edge) {
 			continue
 		}
 		nodes := []string{own.From, own.To}
-		nodes = append(nodes, pathNodes(path)...)
-		key := cycleKey(nodes)
-		if reportedCycle[key] {
-			continue
-		}
-		reportedCycle[key] = true
-		var desc strings.Builder
+		var desc, via strings.Builder
 		desc.WriteString(ShortClass(own.From) + " → " + ShortClass(own.To))
-		for _, e := range path {
-			desc.WriteString(" → " + ShortClass(e.To))
-		}
-		var via strings.Builder
 		for i, e := range path {
+			nodes = append(nodes, e.To)
+			desc.WriteString(" → " + ShortClass(e.To))
 			if i > 0 {
 				via.WriteString(", ")
 			}
 			fmt.Fprintf(&via, "%s→%s at %s (%s)", ShortClass(e.From), ShortClass(e.To), e.Pos, ShortClass(e.Pkg))
 		}
-		pos := c.ownEdgePos[[2]string{own.From, own.To}]
-		c.pass.Reportf(pos, "lock-order deadlock risk: cycle %s; reverse path: %s", desc.String(), via.String())
+		// Each cycle is reported once, keyed by its node set.
+		slices.Sort(nodes)
+		key := strings.Join(slices.Compact(nodes), "|")
+		if reportedCycle[key] {
+			continue
+		}
+		reportedCycle[key] = true
+		c.pass.Reportf(c.ownEdgePos[[2]string{own.From, own.To}], "lock-order deadlock risk: cycle %s; reverse path: %s", desc.String(), via.String())
 	}
 }
 
@@ -880,26 +599,4 @@ func findPath(adj map[string][]Edge, start, goal string) []Edge {
 		}
 	}
 	return nil
-}
-
-func pathNodes(path []Edge) []string {
-	var out []string
-	for _, e := range path {
-		out = append(out, e.To)
-	}
-	return out
-}
-
-// cycleKey canonicalizes a cycle's node set.
-func cycleKey(nodes []string) string {
-	set := map[string]bool{}
-	for _, n := range nodes {
-		set[n] = true
-	}
-	uniq := make([]string, 0, len(set))
-	for n := range set {
-		uniq = append(uniq, n)
-	}
-	sort.Strings(uniq)
-	return strings.Join(uniq, "|")
 }

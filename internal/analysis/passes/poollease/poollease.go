@@ -32,11 +32,12 @@
 //     stops being used.
 //
 // The walk is path-sensitive within the acquiring function and
-// *interprocedural about handoffs*: passing the lease to another
-// function only discharges the obligation when the callee actually
-// consumes it. Each package exports a LeaseSinkFact for every function
-// that releases (or hands further along) a lease-typed parameter, and
-// the walker resolves call-site handoffs through the call graph: a
+// *interprocedural about handoffs*: passing the lease itself to
+// another function discharges the obligation only when the callee
+// actually consumes it, and an argument that merely mentions the lease,
+// such as len(lease.Bytes()), discharges nothing. Each package exports
+// a LeaseSinkFact for every function that releases (or hands further
+// along) a lease-typed parameter, and the walker resolves call-site handoffs through the call graph: a
 // statically known callee that does NOT sink the lease leaves the
 // obligation with the caller, so a missing release downstream of a
 // look-don't-own helper is still reported. Unresolvable callees
@@ -197,18 +198,12 @@ func (s *sinks) consumes(body *ast.BlockStmt, obj types.Object) bool {
 		}
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			if n.Sel.Name == "Release" {
-				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && s.pass.Info.Uses[id] == obj {
-					found = true
-				}
+			if n.Sel.Name == "Release" && isObj(s.pass.Info, n.X, obj) {
+				found = true
 			}
 		case *ast.CallExpr:
 			for i, arg := range n.Args {
-				id, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok || s.pass.Info.Uses[id] != obj {
-					continue
-				}
-				if s.callSinksArg(n, i) {
+				if isObj(s.pass.Info, arg, obj) && s.callSinksArg(n, i) {
 					found = true
 				}
 			}
@@ -419,6 +414,12 @@ func (w *walker) endPath(pos token.Pos, st state) {
 		w.acq.what, w.pass.Fset.Position(w.acq.call.Pos()))
 }
 
+// isObj reports whether e is an identifier naming obj.
+func isObj(info *types.Info, e ast.Expr, obj types.Object) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && obj != nil && info.Uses[id] == obj
+}
+
 // usesObj reports whether n references obj.
 func usesObj(info *types.Info, n ast.Node, obj types.Object) bool {
 	if obj == nil || n == nil {
@@ -437,11 +438,7 @@ func usesObj(info *types.Info, n ast.Node, obj types.Object) bool {
 // isReleaseCall matches lease.Release().
 func (w *walker) isReleaseCall(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Release" {
-		return false
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && w.pass.Info.Uses[id] == w.acq.lease
+	return ok && sel.Sel.Name == "Release" && isObj(w.pass.Info, sel.X, w.acq.lease)
 }
 
 // containsRelease reports whether n contains lease.Release() anywhere
@@ -522,13 +519,11 @@ func dedupe(states []state) []state {
 func (w *walker) errGuard(cond ast.Expr) (bool, bool) {
 	cond = ast.Unparen(cond)
 	if w.acq.ok != nil {
-		if id, isIdent := cond.(*ast.Ident); isIdent && w.pass.Info.Uses[id] == w.acq.ok {
+		if isObj(w.pass.Info, cond, w.acq.ok) {
 			return true, false // then-branch holds the lease
 		}
-		if ue, isNot := cond.(*ast.UnaryExpr); isNot && ue.Op == token.NOT {
-			if id, isIdent := ast.Unparen(ue.X).(*ast.Ident); isIdent && w.pass.Info.Uses[id] == w.acq.ok {
-				return true, true // then-branch is the miss path
-			}
+		if ue, isNot := cond.(*ast.UnaryExpr); isNot && ue.Op == token.NOT && isObj(w.pass.Info, ue.X, w.acq.ok) {
+			return true, true // then-branch is the miss path
 		}
 		return false, false
 	}
@@ -578,9 +573,10 @@ func (w *walker) scanExprEvents(n ast.Node, st state) state {
 			// callee consumes it — resolved through the call graph and,
 			// cross-package, LeaseSinkFacts. A known non-consuming
 			// callee (a look-don't-own helper) leaves the obligation
-			// here.
+			// here, and so does an argument that only mentions the
+			// lease: len(lease.Bytes()) hands len nothing to release.
 			for i, arg := range c.Args {
-				if usesObj(w.pass.Info, arg, w.acq.lease) {
+				if isObj(w.pass.Info, arg, w.acq.lease) {
 					if w.sinks.callSinksArg(c, i) {
 						st.released = true
 						st.handoff = true
@@ -592,12 +588,10 @@ func (w *walker) scanExprEvents(n ast.Node, st state) state {
 			// lease.Release as a method value (not a call — calls are
 			// consumed above): ownership handoff to wherever the value
 			// lands, canonically rpc.LeasedResp{Release: lease.Release}.
-			if c.Sel.Name == "Release" {
-				if id, isIdent := ast.Unparen(c.X).(*ast.Ident); isIdent && w.pass.Info.Uses[id] == w.acq.lease {
-					st.released = true
-					st.handoff = true
-					return false
-				}
+			if c.Sel.Name == "Release" && isObj(w.pass.Info, c.X, w.acq.lease) {
+				st.released = true
+				st.handoff = true
+				return false
 			}
 		case *ast.FuncLit:
 			// A closure that releases the lease takes over the
@@ -667,7 +661,7 @@ func (w *walker) walkStmt(s ast.Stmt, st state) []state {
 				return []state{st}
 			}
 			for i, arg := range s.Call.Args {
-				if usesObj(w.pass.Info, arg, w.acq.lease) && w.sinks.callSinksArg(s.Call, i) {
+				if isObj(w.pass.Info, arg, w.acq.lease) && w.sinks.callSinksArg(s.Call, i) {
 					st.released = true
 					st.handoff = true
 					return []state{st}

@@ -10,11 +10,9 @@ import (
 	"repro/internal/analysis/passes/atomicfield"
 	"repro/internal/analysis/passes/ctxflow"
 	"repro/internal/analysis/passes/errclass"
-	"repro/internal/analysis/passes/gostop"
 	"repro/internal/analysis/passes/hotpathlock"
 	"repro/internal/analysis/passes/lockorder"
 	"repro/internal/analysis/passes/poollease"
-	"repro/internal/analysis/passes/telemetrylabel"
 )
 
 // All returns the full ftclint suite in stable order. The shared
@@ -25,10 +23,8 @@ func All() []*ftc.Analyzer {
 		atomicfield.Analyzer,
 		ctxflow.Analyzer,
 		errclass.Analyzer,
-		gostop.Analyzer,
 		hotpathlock.Analyzer,
 		lockorder.Analyzer,
 		poollease.Analyzer,
-		telemetrylabel.Analyzer,
 	}
 }

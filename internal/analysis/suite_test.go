@@ -19,11 +19,9 @@ import (
 	"repro/internal/analysis/passes/atomicfield"
 	"repro/internal/analysis/passes/ctxflow"
 	"repro/internal/analysis/passes/errclass"
-	"repro/internal/analysis/passes/gostop"
 	"repro/internal/analysis/passes/hotpathlock"
 	"repro/internal/analysis/passes/lockorder"
 	"repro/internal/analysis/passes/poollease"
-	"repro/internal/analysis/passes/telemetrylabel"
 )
 
 // thisDir is internal/analysis, located from this file so the tests
@@ -58,20 +56,12 @@ func TestAtomicfield(t *testing.T) {
 	analysistest.Run(t, srcRoot(t), "atomicfield", atomicfield.Analyzer)
 }
 
-func TestTelemetrylabel(t *testing.T) {
-	analysistest.Run(t, srcRoot(t), "telemetrylabel", telemetrylabel.Analyzer)
-}
-
 func TestLockorder(t *testing.T) {
 	analysistest.Run(t, srcRoot(t), "lockorder", lockorder.Analyzer)
 }
 
 func TestCtxflow(t *testing.T) {
 	analysistest.Run(t, srcRoot(t), "ctxflow", ctxflow.Analyzer)
-}
-
-func TestGostop(t *testing.T) {
-	analysistest.Run(t, srcRoot(t), "gostop", gostop.Analyzer)
 }
 
 // The *Facts tests are the multi-package suites: dependencies are
@@ -84,10 +74,6 @@ func TestLockorderFacts(t *testing.T) {
 
 func TestCtxflowFacts(t *testing.T) {
 	analysistest.RunMulti(t, srcRoot(t), []string{"ctxflow2/dep", "ctxflow2/use"}, ctxflow.Analyzer)
-}
-
-func TestGostopFacts(t *testing.T) {
-	analysistest.RunMulti(t, srcRoot(t), []string{"gostop2/dep", "gostop2/use"}, gostop.Analyzer)
 }
 
 func TestPoolleaseFacts(t *testing.T) {
@@ -112,7 +98,7 @@ var corpus = map[string][]string{
 	"retryevidence":  {}, // gap: errclass guards only the timeout clause
 	"plainatomic":    {"atomicfield"},
 	"staleepoch":     {}, // gap: nothing compares a reply's epoch
-	"batchlease":     {}, // gap: poollease takes len(lease.Bytes()) for a handoff
+	"batchlease":     {"poollease"},
 }
 
 // TestCorpus runs the full suite over every seed, one package at a

@@ -1,6 +1,7 @@
 // Package dep declares one lock-acquiring function and one verified
-// hot function; hotpathlock exports an UnsafeFact for the former and a
-// HotFact for the latter, and importers judge calls by those facts.
+// hot function; the former's LockFact carries the lock as its Hot
+// operation, the latter's carries none, and importers judge calls by
+// those facts.
 package dep
 
 import "sync"
@@ -17,7 +18,7 @@ func (r *Reg) Slow() {
 	r.mu.Unlock()
 }
 
-// Fast is verified at its own definition; callers trust the HotFact.
+// Fast is verified at its own definition; callers trust it.
 //
 //ftc:hotpath
 func (r *Reg) Fast() int { return r.n }

@@ -1,6 +1,6 @@
 // Package use marks a hot path that calls into dep: the violation in
-// dep.Slow arrives as an imported UnsafeFact, and dep.Fast's HotFact
-// vouches for it without re-analysis.
+// dep.Slow arrives as the Hot field of its imported LockFact, and
+// dep.Fast, marked at its definition, exports none.
 package use
 
 import "hotpathlock2/dep"

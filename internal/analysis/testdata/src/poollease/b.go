@@ -59,6 +59,38 @@ func okTierInlineRelease(t *memtier.Tier) rpc.LeasedResp {
 	return rpc.LeasedResp{Status: 1}
 }
 
+// leakTierLenGuard returns early past a length guard: len only reads
+// the bytes, so mentioning the lease in its argument hands nothing off.
+func leakTierLenGuard(t *memtier.Tier, n int) int {
+	lease, ok := t.Get("p")
+	if !ok {
+		return 0
+	}
+	if len(lease.Bytes()) < n {
+		return -1 // want `memtier.Tier.Get lease acquired at .* is not released on this path`
+	}
+	lease.Release()
+	return n
+}
+
+// okTierAppendHandoff collects hits into a slice that a closure
+// releases: append takes the lease itself, so it is a handoff.
+func okTierAppendHandoff(t *memtier.Tier, paths []string) func() {
+	var leases []*memtier.Lease
+	for _, p := range paths {
+		lease, ok := t.Get(p)
+		if !ok {
+			continue
+		}
+		leases = append(leases, lease)
+	}
+	return func() {
+		for _, l := range leases {
+			l.Release()
+		}
+	}
+}
+
 // leakTierEarlyReturn forgets the lease on a branch added between the
 // acquisition and the release — the regression class under test.
 func leakTierEarlyReturn(t *memtier.Tier, cond bool) {

@@ -183,8 +183,7 @@ func ContextIDs(ctx context.Context) (TraceID, SpanID, bool) {
 // after one atomic load; with a recorder installed, the recorder's
 // creation-time sample rate decides by trace id whether this request
 // traces at all — the unsampled path costs one atomic add and takes no
-// clock reading. The returned span must be ended on all paths (the
-// spanend analyzer enforces this).
+// clock reading. The returned span must be ended on all paths.
 func StartTrace(ctx context.Context, name string) (context.Context, *Span) {
 	if !enabled.Load() {
 		return ctx, nil

@@ -9,10 +9,10 @@
 # partition and hashring, and internal/loadsim in older checkouts that
 # have it, so counts compare across revisions), the analyzer suite's
 # non-test lines (internal/analysis and cmd/ftclint), the product
-# //ftclint:ignore lines (the analyzer suite's own sources excluded),
-# and the config fields: the exported fields of every struct type whose
-# name ends in Config, each name of a grouped declaration (A, B int)
-# counted once. The config fields are in the same non-test file set as
+# //ftclint:ignore lines (the analyzer suite's own sources excluded)
+# with their split per analyzer, and the config fields: the exported
+# fields of every struct type whose name ends in Config, each name of a
+# grouped declaration (A, B int) counted once. The config fields are in the same non-test file set as
 # the first line. Hidden directories such as .bench_build are skipped.
 set -eu
 
@@ -35,8 +35,13 @@ done
 # shellcheck disable=SC2086
 placement=$(gofiles $group | grep -v '_test\.go$' | lines)
 suite=$(gofiles internal/analysis cmd/ftclint | grep -v '_test\.go$' | lines)
-ignores=$(gofiles . | grep -v '_test\.go$' | grep -v '^\./cmd/ftclint/\|^\./internal/analysis/' |
-	xargs -r grep -h '//ftclint:ignore' | wc -l)
+# Each ignore's analyzer name, one a line; the split is by count, most
+# first, ties by name.
+ignored=$(gofiles . | grep -v '_test\.go$' | grep -v '^\./cmd/ftclint/\|^\./internal/analysis/' |
+	xargs -r grep -ho '//ftclint:ignore [^ ]*' | cut -d' ' -f2)
+ignores=$(printf '%s' "$ignored" | grep -c . || true)
+split=$(printf '%s\n' "$ignored" | grep . | sort | uniq -c | sort -k1,1nr -k2,2 |
+	awk '{ printf "%s%s %d", sep, $2, $1; sep = ", " }')
 # The field scan reads top-level "type XConfig struct {" blocks and
 # takes the leading identifiers of each depth-1 line.
 fields=$(gofiles . | grep -v '_test\.go$' | xargs -r cat | awk '
@@ -61,5 +66,5 @@ printf 'non-test Go lines      %6d\n' "$nontest"
 printf 'test Go lines          %6d\n' "$tests"
 printf 'placement group lines  %6d  (%s)\n' "$placement" "${group# }"
 printf 'analyzer suite lines   %6d  (internal/analysis cmd/ftclint)\n' "$suite"
-printf 'product ftclint:ignore %6d\n' "$ignores"
+printf 'product ftclint:ignore %6d  (%s)\n' "$ignores" "$split"
 printf 'config fields          %6d\n' "$fields"
