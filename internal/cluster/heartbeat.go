@@ -43,14 +43,6 @@ type HeartbeatConfig struct {
 	Interval time.Duration
 	// Timeout per probe; <= 0 selects Interval/2.
 	Timeout time.Duration
-	// Parallelism bounds concurrent probes per round; <= 0 selects 8.
-	Parallelism int
-	// Jitter is the fraction of Interval each round's wait is randomly
-	// shifted by (uniform in ±Jitter×Interval). After a mass event every
-	// client's prober fires on the same schedule; without jitter those
-	// synchronized probe storms hit the surviving nodes as one pulse per
-	// interval. 0 selects DefaultHeartbeatJitter; negative disables.
-	Jitter float64
 	// ReviveThreshold enables recovery probing: failed nodes keep being
 	// probed, and after this many consecutive successful probes OnRevive
 	// fires for the node. 0 disables recovery probing (failed nodes are
@@ -68,8 +60,16 @@ type HeartbeatConfig struct {
 	OnRevive func(NodeID)
 }
 
-// DefaultHeartbeatJitter is the probe-interval jitter fraction.
-const DefaultHeartbeatJitter = 0.1
+const (
+	// heartbeatJitter is the fraction of Interval each round's wait is
+	// randomly shifted by (uniform in ±heartbeatJitter×Interval). After
+	// a mass event every client's prober fires on the same schedule;
+	// without jitter those synchronized probe storms hit the surviving
+	// nodes as one pulse per interval.
+	heartbeatJitter = 0.1
+	// heartbeatParallelism bounds concurrent probes per round.
+	heartbeatParallelism = 8
+)
 
 // Heartbeat periodically probes every live member of a Tracker.
 type Heartbeat struct {
@@ -94,14 +94,6 @@ func NewHeartbeat(tracker *Tracker, pinger Pinger, cfg HeartbeatConfig) *Heartbe
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = cfg.Interval / 2
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 8
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = DefaultHeartbeatJitter
-	} else if cfg.Jitter < 0 {
-		cfg.Jitter = 0
 	}
 	return &Heartbeat{
 		cfg:          cfg,
@@ -152,13 +144,10 @@ func (h *Heartbeat) Rounds() int {
 // nextWait returns the jittered inter-round wait.
 func (h *Heartbeat) nextWait() time.Duration {
 	d := h.cfg.Interval
-	if h.cfg.Jitter <= 0 {
-		return d
-	}
 	h.mu.Lock()
 	f := h.rng.Float64()
 	h.mu.Unlock()
-	shift := time.Duration((2*f - 1) * h.cfg.Jitter * float64(d))
+	shift := time.Duration((2*f - 1) * heartbeatJitter * float64(d))
 	return d + shift
 }
 
@@ -185,7 +174,7 @@ func (h *Heartbeat) loop(ctx context.Context) {
 // OnRevive when one has answered ReviveThreshold rounds in a row.
 func (h *Heartbeat) probeRound(ctx context.Context) {
 	alive := h.tracker.Alive()
-	sem := make(chan struct{}, h.cfg.Parallelism)
+	sem := make(chan struct{}, heartbeatParallelism)
 	var wg sync.WaitGroup
 	for _, node := range alive {
 		node := node

@@ -142,18 +142,80 @@ func TestHeartbeatDefaults(t *testing.T) {
 	if hb.cfg.Timeout != 250*time.Millisecond {
 		t.Errorf("timeout = %v", hb.cfg.Timeout)
 	}
-	if hb.cfg.Parallelism != 8 {
-		t.Errorf("parallelism = %d", hb.cfg.Parallelism)
+}
+
+// blockingPinger holds every probe until release closes, recording the
+// most probes it ever saw in flight at once.
+type blockingPinger struct {
+	release chan struct{}
+
+	mu             sync.Mutex
+	inflight, peak int
+	calls          int
+}
+
+func (p *blockingPinger) Ping(context.Context, NodeID) error {
+	p.mu.Lock()
+	p.calls++
+	p.inflight++
+	p.peak = max(p.peak, p.inflight)
+	p.mu.Unlock()
+	<-p.release
+	p.mu.Lock()
+	p.inflight--
+	p.mu.Unlock()
+	return nil
+}
+
+func (p *blockingPinger) snapshot() (inflight, peak, calls int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.inflight, p.peak, p.calls
+}
+
+// TestHeartbeatBoundsProbesInFlight: a round over more members than
+// heartbeatParallelism never has more than that many probes in flight,
+// and still probes every member.
+func TestHeartbeatBoundsProbesInFlight(t *testing.T) {
+	const n = 3 * heartbeatParallelism
+	p := &blockingPinger{release: make(chan struct{})}
+	hb := NewHeartbeat(NewTracker(members(n), 1), p, HeartbeatConfig{Timeout: time.Minute})
+	done := make(chan struct{})
+	go func() {
+		hb.probeRound(context.Background())
+		close(done)
+	}()
+	deadline := time.After(2 * time.Second)
+	for {
+		if inflight, _, _ := p.snapshot(); inflight >= heartbeatParallelism {
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatal("the round never reached its probe bound")
+		case <-time.After(time.Millisecond):
+		}
 	}
-	if hb.cfg.Jitter != DefaultHeartbeatJitter {
-		t.Errorf("jitter = %v, want default %v", hb.cfg.Jitter, DefaultHeartbeatJitter)
+	// Give an unbounded round time to launch the rest of its probes.
+	time.Sleep(20 * time.Millisecond)
+	_, peak, _ := p.snapshot()
+	close(p.release)
+	<-done
+	if peak != heartbeatParallelism {
+		t.Errorf("peak probes in flight = %d, want %d", peak, heartbeatParallelism)
+	}
+	if _, _, calls := p.snapshot(); calls != n {
+		t.Errorf("round probed %d of %d members", calls, n)
 	}
 }
 
+// TestHeartbeatJitterVariesIntervals: each wait lands in the
+// ±heartbeatJitter (10 %) band around Interval, and the waits
+// differ.
 func TestHeartbeatJitterVariesIntervals(t *testing.T) {
 	const interval = 100 * time.Millisecond
 	hb := NewHeartbeat(NewTracker(members(1), 1), newFakePinger(),
-		HeartbeatConfig{Interval: interval, Jitter: 0.1})
+		HeartbeatConfig{Interval: interval})
 	lo, hi := 90*time.Millisecond, 110*time.Millisecond
 	seen := make(map[time.Duration]bool)
 	for i := 0; i < 64; i++ {
@@ -165,15 +227,6 @@ func TestHeartbeatJitterVariesIntervals(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Error("64 jittered waits were all identical — probes would stay synchronized")
-	}
-
-	// Negative jitter disables: every wait is exactly the interval.
-	fixed := NewHeartbeat(NewTracker(members(1), 1), newFakePinger(),
-		HeartbeatConfig{Interval: interval, Jitter: -1})
-	for i := 0; i < 8; i++ {
-		if w := fixed.nextWait(); w != interval {
-			t.Fatalf("jitter disabled but wait = %v", w)
-		}
 	}
 }
 

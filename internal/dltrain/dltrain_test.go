@@ -2,6 +2,7 @@ package dltrain
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -249,6 +250,41 @@ func TestTimedFailure(t *testing.T) {
 	}
 	if e := rep.Epochs[0]; e.Restarts != 1 || e.Workers != 2 {
 		t.Errorf("epoch 0: %+v; want one restart, 2 workers", e)
+	}
+}
+
+// TestRestartBudget: an epoch survives maxRestarts elastic rollbacks,
+// and one more fails the run with ErrTooManyRestarts. Every failure is
+// a kill at step 0 of epoch 0, before any read in the overflow case.
+func TestRestartBudget(t *testing.T) {
+	for _, kills := range []int{maxRestarts, maxRestarts + 1} {
+		c, ds := liveCluster(t, maxRestarts+2, ftcache.KindNVMe)
+		failures := make([]failure.Event, kills)
+		for i := range failures {
+			failures[i] = failure.Event{Kill: true}
+		}
+		tr, err := New(Config{
+			Cluster: c, Dataset: ds,
+			Workers: maxRestarts + 2, Epochs: 1, BatchSize: 4, Seed: 7,
+			Failures: failures,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := tr.Run(context.Background())
+		tr.Close()
+		if kills > maxRestarts {
+			if !errors.Is(err, ErrTooManyRestarts) {
+				t.Fatalf("%d kills in one epoch: err = %v, want ErrTooManyRestarts", kills, err)
+			}
+			continue
+		}
+		if err != nil || rep.Aborted || len(rep.Epochs) != 1 {
+			t.Fatalf("%d kills: err = %v, report %+v", kills, err, rep)
+		}
+		if e := rep.Epochs[0]; e.Restarts != kills || e.Samples != ds.NumFiles {
+			t.Errorf("%d kills: epoch 0 %+v, want %d restarts and %d samples", kills, e, kills, ds.NumFiles)
+		}
 	}
 }
 

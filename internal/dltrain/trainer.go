@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/hvac"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -30,13 +29,9 @@ type Config struct {
 	BatchSize int
 	// Seed drives the per-epoch shuffles.
 	Seed int64
-	// ComputePerBatch simulates GPU time per step (0 for I/O-only runs).
-	ComputePerBatch time.Duration
 	// Failures is the injection plan. An event that names no node fails
 	// a live node other than rank 0's, keeping the run observable.
 	Failures []failure.Event
-	// MaxRestarts bounds elastic restarts; <= 0 selects 8.
-	MaxRestarts int
 
 	// Validation, when it has files, is read in full (unshuffled,
 	// sharded across live ranks) after every training epoch — the
@@ -71,8 +66,12 @@ type Report struct {
 	ClientStats hvac.ClientStats
 }
 
-// ErrTooManyRestarts reports an elastic-restart loop.
+// ErrTooManyRestarts reports an elastic-restart loop: more than
+// maxRestarts rollbacks within one epoch.
 var ErrTooManyRestarts = errors.New("dltrain: exceeded restart budget")
+
+// maxRestarts bounds elastic restarts per epoch.
+const maxRestarts = 8
 
 type rank struct {
 	id     int
@@ -94,9 +93,6 @@ func New(cfg Config) (*Trainer, error) {
 	}
 	if cfg.Workers <= 0 || cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		return nil, errors.New("dltrain: Workers, Epochs, BatchSize must be positive")
-	}
-	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = 8
 	}
 	nodes := cfg.Cluster.Nodes()
 	tr := &Trainer{cfg: cfg}
@@ -192,7 +188,7 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 					}
 					t.killRanksOn(node)
 					restarts++
-					if restarts > t.cfg.MaxRestarts {
+					if restarts > maxRestarts {
 						return rep, ErrTooManyRestarts
 					}
 					// Horovod elastic: roll back to the epoch start with
@@ -214,7 +210,6 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 				}
 				return rep, err
 			}
-			storage.Wait(t.cfg.ComputePerBatch)
 		}
 
 		valSamples := 0

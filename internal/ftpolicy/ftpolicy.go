@@ -66,11 +66,9 @@ type Config struct {
 	// not evidence the burst ended; <= 0 selects 3.
 	BurstQuietTicks int
 	// PFSLatencyHigh is the PFS read latency at and above which the PFS
-	// counts as contended; <= 0 selects 1ms.
+	// counts as contended; <= 0 selects 1ms. The contention regime is
+	// left below PFSLatencyHigh/4, its hysteresis floor.
 	PFSLatencyHigh time.Duration
-	// PFSLatencyLow is the hysteresis floor for leaving the contention
-	// regime; <= 0 selects PFSLatencyHigh / 4.
-	PFSLatencyLow time.Duration
 	// CalmTicks is the number of consecutive evidence-free ticks before
 	// NoFT becomes eligible; <= 0 selects 10.
 	CalmTicks int
@@ -78,9 +76,10 @@ type Config struct {
 	// buys nothing over FTNVMe in the healthy state (placement is
 	// identical) and costs an escape switch on the next failure.
 	AllowNoFT bool
-	// LogSize bounds the retained decision log; <= 0 selects 64.
-	LogSize int
 }
+
+// logSize bounds the retained decision log.
+const logSize = 64
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -101,14 +100,8 @@ func (c Config) withDefaults() Config {
 	if c.PFSLatencyHigh <= 0 {
 		c.PFSLatencyHigh = time.Millisecond
 	}
-	if c.PFSLatencyLow <= 0 {
-		c.PFSLatencyLow = c.PFSLatencyHigh / 4
-	}
 	if c.CalmTicks <= 0 {
 		c.CalmTicks = 10
-	}
-	if c.LogSize <= 0 {
-		c.LogSize = 64
 	}
 	return c
 }
@@ -194,8 +187,9 @@ type decideState struct {
 // decide is the pure policy: given the carried state and one tick's
 // signals, return the target strategy and the reason, or ok=false to
 // hold. Hysteresis: regimes are entered at the High watermark and left
-// at the Low one; a cooldown of CooldownTicks must elapse between
-// switches. decide mutates only st (the replayable state).
+// below the low one (FailLow; PFSLatencyHigh/4 for contention); a
+// cooldown of CooldownTicks must elapse between switches. decide
+// mutates only st (the replayable state).
 func decide(cfg Config, st *decideState, sig Signals) (to ftcache.StrategyKind, reason string, ok bool) {
 	// Latch updates run every tick, switch or not — hysteresis is a
 	// property of the observed regime, not of the committed strategy.
@@ -214,7 +208,7 @@ func decide(cfg Config, st *decideState, sig Signals) (to ftcache.StrategyKind, 
 		st.quietStreak = 0
 	}
 	high := float64(cfg.PFSLatencyHigh) / float64(time.Millisecond)
-	low := float64(cfg.PFSLatencyLow) / float64(time.Millisecond)
+	low := float64(cfg.PFSLatencyHigh/4) / float64(time.Millisecond)
 	if st.inContention {
 		if sig.PFSLatMs < low {
 			st.inContention = false
@@ -518,7 +512,7 @@ func (c *Controller) gather(tick int64) Signals {
 
 func (c *Controller) appendLocked(d Decision) {
 	c.log = append(c.log, d)
-	if over := len(c.log) - c.cfg.LogSize; over > 0 {
+	if over := len(c.log) - logSize; over > 0 {
 		c.log = append(c.log[:0], c.log[over:]...)
 	}
 }

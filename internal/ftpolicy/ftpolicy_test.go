@@ -134,6 +134,30 @@ func TestDecideHysteresisNoFlap(t *testing.T) {
 	}
 }
 
+// The contention latch's band: it enters at PFSLatencyHigh, stays
+// latched anywhere in [PFSLatencyHigh/4, PFSLatencyHigh), and exits
+// only below PFSLatencyHigh/4.
+func TestDecideContentionBand(t *testing.T) {
+	cfg := testCfg() // PFSLatencyHigh=10ms, so the floor is 2.5ms
+	st := decideState{active: ftcache.KindNVMe, lastSwitch: -10}
+	for i, step := range []struct {
+		latMs   float64
+		latched bool
+	}{
+		{9.99, false}, // below High: does not enter
+		{10, true},    // at High: enters
+		{9.99, true},  // inside the band: stays
+		{2.5, true},   // exactly High/4: stays
+		{2.49, false}, // below High/4: exits
+		{5, false},    // inside the band but unlatched: stays out
+	} {
+		decide(cfg, &st, Signals{Tick: int64(i + 1), PFSLatMs: step.latMs})
+		if st.inContention != step.latched {
+			t.Fatalf("after %.2fms: inContention = %v, want %v", step.latMs, st.inContention, step.latched)
+		}
+	}
+}
+
 // Burst exit needs BurstQuietTicks CONSECUTIVE quiet ticks: isolated
 // quiet ticks between declaration clusters must not end the regime.
 func TestDecideBurstQuietStreak(t *testing.T) {

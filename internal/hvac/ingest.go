@@ -14,49 +14,43 @@ import (
 	"repro/internal/wire"
 )
 
-// Ingest defaults (see IngestConfig).
+// Ingest defaults (see IngestConfig) and fixed bounds.
 const (
 	DefaultMaxBatchEntries = 64
-	DefaultMaxBatchBytes   = 256 << 10
 	DefaultMaxBatchDelay   = 2 * time.Millisecond
-	defaultIngestQueue     = 4
+	// maxBatchBytes seals a batch once its encoded payload reaches this
+	// size. A single object larger than the bound still ships, as a
+	// one-entry batch.
+	maxBatchBytes = 256 << 10
+	// ingestQueueDepth bounds sealed batches waiting on each node's
+	// sender. When full, PutAsync blocks: enqueue-rate backpressure
+	// instead of unbounded buffering.
+	ingestQueueDepth = 4
 )
 
 // IngestConfig enables the batched async ingest pipeline: PutAsync
 // buffers objects per destination node and ships them as OpPutBatch
 // frames, amortizing one RPC round-trip (and, underneath, one coalesced
 // socket write) over many objects. nil leaves the client put path
-// exactly as before — every put is its own synchronous OpPut.
+// exactly as before — every put is its own synchronous OpPut. A batch
+// also seals at maxBatchBytes, and each node queues at most
+// ingestQueueDepth sealed batches; neither bound is configurable.
 type IngestConfig struct {
 	// MaxBatchEntries flushes a batch when it holds this many objects.
 	// <= 0 selects DefaultMaxBatchEntries.
 	MaxBatchEntries int
-	// MaxBatchBytes flushes a batch when its encoded payload exceeds
-	// this size. <= 0 selects DefaultMaxBatchBytes. A single object
-	// larger than the bound still ships (as a one-entry batch).
-	MaxBatchBytes int
 	// MaxDelay bounds how long a buffered object may wait for
 	// batch-mates before an age flush. <= 0 selects
 	// DefaultMaxBatchDelay.
 	MaxDelay time.Duration
-	// QueueDepth bounds sealed batches waiting on each node's sender.
-	// When full, PutAsync blocks — enqueue-rate backpressure instead of
-	// unbounded buffering. <= 0 selects 4.
-	QueueDepth int
 }
 
 func (cfg IngestConfig) withDefaults() IngestConfig {
 	if cfg.MaxBatchEntries <= 0 {
 		cfg.MaxBatchEntries = DefaultMaxBatchEntries
 	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = DefaultMaxBatchBytes
-	}
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = DefaultMaxBatchDelay
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = defaultIngestQueue
 	}
 	return cfg
 }
@@ -65,7 +59,7 @@ func (cfg IngestConfig) withDefaults() IngestConfig {
 var ErrIngestClosed = errors.New("hvac: ingest pipeline closed")
 
 // ingestBufPool recycles batch encode buffers across batches. A building
-// batch would otherwise allocate up to MaxBatchBytes each time it is
+// batch would otherwise allocate up to maxBatchBytes each time it is
 // created — at full ingest rate that is hundreds of MB/s of garbage, and
 // the GC churn costs more than the round trips batching saves. Buffers
 // start small and grow to the steady-state batch size once.
@@ -158,7 +152,7 @@ func (in *ingester) worker(node cluster.NodeID) (*appendWorker, error) {
 		w = &appendWorker{
 			ing:        in,
 			node:       node,
-			ch:         make(chan *ingestBatch, in.cfg.QueueDepth),
+			ch:         make(chan *ingestBatch, ingestQueueDepth),
 			senderDone: make(chan struct{}),
 		}
 		go w.sender()
@@ -206,7 +200,7 @@ func (w *appendWorker) enqueue(path string, data []byte) error {
 	EncodePutEntry(w.cur.enc, path, data)
 	w.cur.paths = append(w.cur.paths, path)
 	cliMetrics().ingestEntries.Inc()
-	if w.cur.entries() >= cfg.MaxBatchEntries || w.cur.enc.Len() >= cfg.MaxBatchBytes {
+	if w.cur.entries() >= cfg.MaxBatchEntries || w.cur.enc.Len() >= maxBatchBytes {
 		//ftclint:ignore lockorder sealLocked's queue send is safe under mu: the sender drains w.ch without ever taking the worker lock
 		w.sealLocked(flushReasonSize)
 	}

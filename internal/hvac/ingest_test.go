@@ -248,6 +248,48 @@ func TestIngestAgeFlush(t *testing.T) {
 	}
 }
 
+// TestIngestByteBoundSealsBatch: objects that together reach
+// maxBatchBytes seal a batch (reason size) long before MaxBatchEntries,
+// and one object larger than the bound still ships, as a one-entry
+// batch.
+func TestIngestByteBoundSealsBatch(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	node := tc.nodes[0]
+	srv := tc.servers[node]
+	c := tc.ingestClient(staticRouter{node: node}, &IngestConfig{MaxDelay: time.Minute}, 0)
+	m := cliMetrics()
+	sizeFlushes, syncFlushes := m.ingestFlushSize.Load(), m.ingestFlushSync.Load()
+
+	const objBytes = 100 << 10
+	n := maxBatchBytes/objBytes + 1 // the first n objects that reach the bound
+	for i := 0; i < n; i++ {
+		if got := m.ingestFlushSize.Load() - sizeFlushes; got != 0 {
+			t.Fatalf("size flush after %d of %d objects", i, n)
+		}
+		if err := c.PutAsync(fmt.Sprintf("bytes/f%d", i), make([]byte, objBytes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.PutAsync("bytes/huge", make([]byte, 2*maxBatchBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ingestFlushSize.Load() - sizeFlushes; got != 2 {
+		t.Fatalf("%d size flushes, want 2: one at the byte bound, one for the oversized object", got)
+	}
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ingestFlushSync.Load() - syncFlushes; got != 0 {
+		t.Errorf("Flush sealed %d batches, want 0: both were already sealed by size", got)
+	}
+	if frames, entries := srv.batchPuts.Load(), srv.batchEntries.Load(); frames != 2 || entries != int64(n+1) {
+		t.Errorf("server got %d batches of %d entries, want 2 batches of %d", frames, entries, n+1)
+	}
+	if got, err := srv.NVMe().Get("bytes/huge"); err != nil || len(got) != 2*maxBatchBytes {
+		t.Fatalf("oversized object: %d bytes, %v", len(got), err)
+	}
+}
+
 // TestIngestReplicationRidesBatches: with replication enabled, PutAsync
 // fans each object to the ring successors through the same batch
 // pipeline, and WaitReplication doubles as the flush barrier.

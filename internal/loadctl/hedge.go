@@ -17,16 +17,14 @@ const hedgeWarmup = 64
 // ordinary (non-hedged) read latency: if a hot-key read has taken
 // longer than 99% of recent reads, the owner is presumed busy and a
 // second request is raced against a replica. The delay is clamped to
-// [min, max] so a pathologically tight p99 cannot turn every read into
-// a double-send and a pathologically loose one cannot disable hedging.
+// [hedgeMin, hedgeMax] so a pathologically tight p99 cannot turn every
+// read into a double-send and a pathologically loose one cannot disable
+// hedging.
 //
 // Only non-hedged successes feed the estimator — hedged reads complete
 // near the hedge delay by construction, and folding them back in would
 // ratchet the p99 (and with it the delay) steadily downward.
 type Hedge struct {
-	// min/max are the clamp bounds, fixed at construction.
-	min, max time.Duration
-
 	// tick samples Observe calls: only one in hedgeSample takes the
 	// mutex, keeping the common-case cost of feeding the estimator to a
 	// single atomic add on the read hot path.
@@ -46,9 +44,15 @@ type Hedge struct {
 // one atomic add.
 const hedgeSample = 4
 
-// NewHedge creates a hedge policy clamped to [min, max].
-func NewHedge(min, max time.Duration) *Hedge {
-	return &Hedge{min: min, max: max, p99: stats.NewP2Quantile(0.99)}
+// The clamp bounds of the hedge delay.
+const (
+	hedgeMin = 250 * time.Microsecond
+	hedgeMax = 100 * time.Millisecond
+)
+
+// NewHedge creates a hedge policy clamped to [hedgeMin, hedgeMax].
+func NewHedge() *Hedge {
+	return &Hedge{p99: stats.NewP2Quantile(0.99)}
 }
 
 // Observe folds one non-hedged read latency into the p99 estimate
@@ -63,19 +67,9 @@ func (h *Hedge) Observe(d time.Duration) {
 	h.p99.Add(float64(d))
 	h.n++
 	if h.n >= hedgeWarmup && h.n%16 == 0 {
-		h.cached.Store(int64(h.clamp(time.Duration(h.p99.Value()))))
+		h.cached.Store(int64(min(max(time.Duration(h.p99.Value()), hedgeMin), hedgeMax)))
 	}
 	h.mu.Unlock()
-}
-
-func (h *Hedge) clamp(d time.Duration) time.Duration {
-	if d < h.min {
-		return h.min
-	}
-	if d > h.max {
-		return h.max
-	}
-	return d
 }
 
 // Delay returns the hedge trigger delay and whether hedging is active

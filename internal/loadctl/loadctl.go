@@ -31,14 +31,15 @@ package loadctl
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 )
 
-// Config tunes the client-side load-control subsystem. The zero value
-// of every field selects a sensible default (see withDefaults), so
-// &loadctl.Config{} enables the subsystem with stock behavior.
+// Config tunes the client-side load-control subsystem: the hot-key
+// sketch and the fan-out width. The zero value of every field selects a
+// sensible default (see withDefaults), so &loadctl.Config{} enables the
+// subsystem with stock behavior. The hedge delay's clamp is fixed
+// (hedgeMin, hedgeMax).
 type Config struct {
 	// SketchSize is the number of key slots the hot-key sketch tracks
 	// (the space-saving k). <= 0 selects 64.
@@ -58,10 +59,6 @@ type Config struct {
 	// Replicas is the number of ring successors a hot object is fanned
 	// out to (beyond its owner). <= 0 selects 3.
 	Replicas int
-	// HedgeMin and HedgeMax clamp the p99-derived hedge delay.
-	// Non-positive values select 250µs and 100ms.
-	HedgeMin time.Duration
-	HedgeMax time.Duration
 }
 
 // withDefaults resolves zero fields to their defaults.
@@ -80,12 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 3
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 250 * time.Microsecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 100 * time.Millisecond
 	}
 	return c
 }
@@ -114,7 +105,7 @@ func New(cfg Config, nodes []cluster.NodeID) *Controller {
 		Coalesce: NewGroup(),
 		Sketch:   NewSketch(cfg),
 		Latency:  NewNodeLatency(nodes),
-		Hedge:    NewHedge(cfg.HedgeMin, cfg.HedgeMax),
+		Hedge:    NewHedge(),
 	}
 }
 

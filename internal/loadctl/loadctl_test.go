@@ -52,13 +52,13 @@ func TestNodeLatencySingleCandidate(t *testing.T) {
 }
 
 func TestHedgeWarmupAndClamp(t *testing.T) {
-	h := NewHedge(1*time.Millisecond, 10*time.Millisecond)
+	h := NewHedge()
 	if _, ok := h.Delay(); ok {
 		t.Fatal("hedge active before warmup")
 	}
 	// Observe is sampled 1-in-hedgeSample, so warming the estimator takes
-	// hedgeSample times the warmup count. Samples at ~100µs: raw p99 is
-	// below the 1ms floor → clamped up.
+	// hedgeSample times the warmup count. Samples at 100µs: raw p99 is
+	// below the hedgeMin floor → clamped up.
 	for i := 0; i < 4*hedgeSample*hedgeWarmup; i++ {
 		h.Observe(100 * time.Microsecond)
 	}
@@ -66,16 +66,16 @@ func TestHedgeWarmupAndClamp(t *testing.T) {
 	if !ok {
 		t.Fatal("hedge not active after warmup")
 	}
-	if d != 1*time.Millisecond {
-		t.Fatalf("delay %v, want clamped to 1ms floor", d)
+	if d != hedgeMin {
+		t.Fatalf("delay %v, want clamped to the %v floor", d, hedgeMin)
 	}
-	// Now samples at 1s: p99 grows past the 10ms ceiling → clamped down.
+	// Now samples at 1s: p99 grows past the hedgeMax ceiling → clamped down.
 	for i := 0; i < 4*hedgeSample*hedgeWarmup; i++ {
 		h.Observe(time.Second)
 	}
 	d, _ = h.Delay()
-	if d != 10*time.Millisecond {
-		t.Fatalf("delay %v, want clamped to 10ms ceiling", d)
+	if d != hedgeMax {
+		t.Fatalf("delay %v, want clamped to the %v ceiling", d, hedgeMax)
 	}
 }
 
