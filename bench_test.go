@@ -1,10 +1,10 @@
 package repro_test
 
 // The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation. Each runs the corresponding experiment at QuickScale (same
-// shapes as the paper, seconds of CPU) and reports the headline numbers
-// as custom metrics, so `go test -bench=. -benchmem` regenerates every
-// result. For paper-scale output use `go run ./cmd/ftcbench -exp all`.
+// evaluation. Each runs the corresponding experiment at PaperScale (a
+// few seconds of CPU) and reports the headline numbers as custom
+// metrics, so `go test -bench=. -benchmem` regenerates every result.
+// For the tables themselves use `go run ./cmd/ftcbench -exp all`.
 
 import (
 	"context"
@@ -19,13 +19,13 @@ import (
 	"repro/internal/trainsim"
 )
 
-func quick() experiments.Scale { return experiments.QuickScale() }
+func paper() *experiments.Sweep { return experiments.NewSweep(experiments.PaperScale()) }
 
 // BenchmarkTable1 regenerates Table I (job-failure analysis).
 func BenchmarkTable1(b *testing.B) {
 	var last experiments.Table1Result
 	for i := 0; i < b.N; i++ {
-		last = experiments.Table1(quick())
+		last = paper().Table1()
 	}
 	b.ReportMetric(100*last.Table.FailureRatio(), "failure-pct")
 	b.ReportMetric(100*last.Table.ShareOfFailures("TIMEOUT"), "timeout-share-pct")
@@ -35,7 +35,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFig1(b *testing.B) {
 	var last experiments.Fig1Result
 	for i := 0; i < b.N; i++ {
-		last = experiments.Fig1(quick())
+		last = paper().Fig1()
 	}
 	b.ReportMetric(last.OverallMinutes, "overall-mean-min")
 }
@@ -44,7 +44,7 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	var last experiments.Fig2Result
 	for i := 0; i < b.N; i++ {
-		last = experiments.Fig2(quick())
+		last = paper().Fig2()
 	}
 	top := last.ByNodes[len(last.ByNodes)-1]
 	b.ReportMetric(100*top.NodeFailureClassShare(), "topbucket-nf+to-pct")
@@ -54,7 +54,7 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig5a(b *testing.B) {
 	var last experiments.Fig5Result
 	for i := 0; i < b.N; i++ {
-		last = experiments.Fig5a(quick())
+		last = paper().Fig5a()
 	}
 	for _, row := range last.Rows {
 		if row.Strategy == ftcache.KindNVMe {
@@ -69,10 +69,9 @@ func BenchmarkFig5a(b *testing.B) {
 func BenchmarkFig5b(b *testing.B) {
 	var last experiments.Fig5Result
 	for i := 0; i < b.N; i++ {
-		last = experiments.Fig5b(quick())
+		last = paper().Fig5b()
 	}
-	scale := quick()
-	for _, n := range scale.Nodes {
+	for _, n := range experiments.PaperScale().Nodes {
 		b.ReportMetric(100*last.Gap(n), "gap-"+itoa(n)+"n-pct")
 	}
 }
@@ -82,7 +81,7 @@ func BenchmarkFig5b(b *testing.B) {
 func BenchmarkFig6a(b *testing.B) {
 	var last experiments.Fig6aResult
 	for i := 0; i < b.N; i++ {
-		last = experiments.Fig6a(quick())
+		last = paper().Fig6a()
 	}
 	row := last.Rows[len(last.Rows)-1]
 	if row.NoFailure > 0 {
@@ -95,7 +94,7 @@ func BenchmarkFig6a(b *testing.B) {
 func BenchmarkFig6b(b *testing.B) {
 	var last experiments.Fig6bResult
 	for i := 0; i < b.N; i++ {
-		last = experiments.Fig6b(quick())
+		last = paper().Fig6b()
 	}
 	pts := last.Points
 	b.ReportMetric(pts[0].ReceiverMean, "receivers-v10")
@@ -142,10 +141,11 @@ func BenchmarkAblationDetectionThreshold(b *testing.B) {
 
 // BenchmarkAblationLoadTrial isolates one Fig 6(b) Monte-Carlo trial.
 func BenchmarkAblationLoadTrial(b *testing.B) {
+	keys := repro.CosmoFlowTrain().Scaled(32).AllPaths()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		partition.Redistribute(partition.RedistributeConfig{
-			PhysicalNodes: 256, VirtualNodes: 100, Files: 16384,
+			PhysicalNodes: 256, VirtualNodes: 100, Keys: keys,
 			Trials: 1, Seed: int64(i),
 		})
 	}
@@ -155,7 +155,7 @@ func BenchmarkAblationLoadTrial(b *testing.B) {
 func BenchmarkExtReplication(b *testing.B) {
 	var last experiments.ExtReplicationResult
 	for i := 0; i < b.N; i++ {
-		last = experiments.ExtReplication(quick())
+		last = paper().ExtReplication()
 	}
 	row := last.Rows[len(last.Rows)-1]
 	b.ReportMetric(float64(row.RecachePFSReads), "recache-pfs-reads")
@@ -166,7 +166,7 @@ func BenchmarkExtReplication(b *testing.B) {
 func BenchmarkExtVnodeSweep(b *testing.B) {
 	var last experiments.ExtVnodeSweepResult
 	for i := 0; i < b.N; i++ {
-		last = experiments.ExtVnodeSweep(quick())
+		last = paper().ExtVnodeSweep()
 	}
 	b.ReportMetric(last.Rows[0].Total.Seconds(), "v1-total-sec")
 	b.ReportMetric(last.Rows[2].Total.Seconds(), "v100-total-sec")

@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	ftcbench -exp all                 # every experiment at paper scale
-//	ftcbench -exp fig5b -scale quick  # one experiment, seconds-scale
+//	ftcbench -exp all          # every experiment at paper scale, ~15 s
+//	ftcbench -exp fig5b        # one experiment
 //	ftcbench -exp fig6b -seed 7
 //
-// Experiments: table1, fig1, fig2, fig5a, fig5b, fig6a, fig6b, extrepl,
-// extvnode, all.
+// Experiments: those in experiments.Names, or all. results/csv holds
+// their CSVs at seed 1; internal/experiments' TestPaperCSVs checks them.
 //
 // Two live-cluster modes measure what the benchmark suite (bench/) does
 // not yet:
@@ -35,9 +35,7 @@ var benchLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1|fig1|fig2|fig5a|fig5b|fig6a|fig6b|extrepl|extvnode|all")
-	scaleName := flag.String("scale", "paper", "scale: paper|quick")
 	seed := flag.Int64("seed", 1, "random seed")
-	csvDir := flag.String("csv", "", "also write <dir>/<exp>.csv for each experiment")
 	hpClients := flag.Int("clients", 16, "live modes: concurrent client connections")
 	hpNodes := flag.Int("nodes", 4, "live modes: server nodes")
 	hpFiles := flag.Int("files", 512, "live modes: files in the working set")
@@ -144,81 +142,21 @@ func main() {
 		return
 	}
 
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			benchLog.Error("csv dir create failed", "dir", *csvDir, "err", err)
-			os.Exit(1)
-		}
-	}
-
-	var scale experiments.Scale
-	switch *scaleName {
-	case "paper":
-		scale = experiments.PaperScale()
-	case "quick":
-		scale = experiments.QuickScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
-		os.Exit(2)
-	}
+	scale := experiments.PaperScale()
 	scale.Seed = *seed
-
-	run := func(name string, f func(experiments.Scale) interface{ Format() string }) {
+	sweep := experiments.NewSweep(scale)
+	names := experiments.Names
+	if *exp != "all" {
+		names = []string{*exp}
+	}
+	for _, name := range names {
 		start := time.Now()
-		out := f(scale)
+		out, ok := sweep.Run(name)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
+			os.Exit(2)
+		}
 		fmt.Println(out.Format())
 		fmt.Printf("  [%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
-		if *csvDir == "" {
-			return
-		}
-		cw, ok := out.(experiments.CSVWriter)
-		if !ok {
-			return
-		}
-		path := filepath.Join(*csvDir, name+".csv")
-		file, err := os.Create(path)
-		if err != nil {
-			benchLog.Error("csv create failed", "path", path, "err", err)
-			os.Exit(1)
-		}
-		if err := cw.WriteCSV(file); err != nil {
-			benchLog.Error("csv write failed", "path", path, "err", err)
-			os.Exit(1)
-		}
-		// Close reports a failed final write; ignoring it would leave a
-		// truncated CSV behind a "wrote" line.
-		if err := file.Close(); err != nil {
-			benchLog.Error("csv close failed", "path", path, "err", err)
-			os.Exit(1)
-		}
-		fmt.Printf("  [wrote %s]\n\n", path)
 	}
-
-	all := map[string]func(experiments.Scale) interface{ Format() string }{
-		"table1":   func(s experiments.Scale) interface{ Format() string } { return experiments.Table1(s) },
-		"fig1":     func(s experiments.Scale) interface{ Format() string } { return experiments.Fig1(s) },
-		"fig2":     func(s experiments.Scale) interface{ Format() string } { return experiments.Fig2(s) },
-		"fig5a":    func(s experiments.Scale) interface{ Format() string } { return experiments.Fig5a(s) },
-		"fig5b":    func(s experiments.Scale) interface{ Format() string } { return experiments.Fig5b(s) },
-		"fig6a":    func(s experiments.Scale) interface{ Format() string } { return experiments.Fig6a(s) },
-		"fig6b":    func(s experiments.Scale) interface{ Format() string } { return experiments.Fig6b(s) },
-		"extrepl":  func(s experiments.Scale) interface{ Format() string } { return experiments.ExtReplication(s) },
-		"extvnode": func(s experiments.Scale) interface{ Format() string } { return experiments.ExtVnodeSweep(s) },
-	}
-
-	if *exp == "all" {
-		for _, name := range []string{
-			"table1", "fig1", "fig2", "fig5a", "fig5b", "fig6a", "fig6b",
-			"extrepl", "extvnode",
-		} {
-			run(name, all[name])
-		}
-		return
-	}
-	f, ok := all[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
-	run(*exp, f)
 }

@@ -13,16 +13,6 @@ import (
 // so the figures can be re-plotted with any tool. Columns are stable and
 // documented by their headers; times are seconds as floats.
 
-func writeAll(w *csv.Writer, rows [][]string) error {
-	for _, r := range rows {
-		if err := w.Write(r); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
-}
-
 func f(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 func d(v int64) string   { return strconv.FormatInt(v, 10) }
 
@@ -37,7 +27,7 @@ func (r Table1Result) WriteCSV(out io.Writer) error {
 		{"timeout", d(int64(t.Timeout)), f(t.ShareOfFailures(slurmlog.StateTimeout)), f(t.ShareOfAll(slurmlog.StateTimeout))},
 		{"job_fail", d(int64(t.JobFail)), f(t.ShareOfFailures(slurmlog.StateJobFail)), f(t.ShareOfAll(slurmlog.StateJobFail))},
 	}
-	return writeAll(csv.NewWriter(out), rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits the Fig 1 weekly series.
@@ -49,7 +39,7 @@ func (r Fig1Result) WriteCSV(out io.Writer) error {
 			f(w.NodeFailMinutes), f(w.AllFailedMinutes), d(int64(w.Failures)),
 		})
 	}
-	return writeAll(csv.NewWriter(out), rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits both Fig 2 panels, tagged by dimension.
@@ -68,7 +58,7 @@ func (r Fig2Result) WriteCSV(out io.Writer) error {
 	}
 	add("nodes", r.ByNodes)
 	add("elapsed", r.ByElapsed)
-	return writeAll(csv.NewWriter(out), rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits one Fig 5 panel.
@@ -81,7 +71,7 @@ func (r Fig5Result) WriteCSV(out io.Writer) error {
 			f(row.OverheadVsBase), fmt.Sprintf("%v", row.Aborted),
 		})
 	}
-	return writeAll(csv.NewWriter(out), rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits the Fig 6(a) series.
@@ -94,7 +84,7 @@ func (r Fig6aResult) WriteCSV(out io.Writer) error {
 			f(row.NVMeVictim.Seconds()), f(row.NVMeRecached.Seconds()),
 		})
 	}
-	return writeAll(csv.NewWriter(out), rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits the Fig 6(b) sweep.
@@ -108,7 +98,7 @@ func (r Fig6bResult) WriteCSV(out io.Writer) error {
 			f(p.LostMean), d(int64(p.Trials)),
 		})
 	}
-	return writeAll(csv.NewWriter(out), rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits the replication extension comparison.
@@ -121,7 +111,7 @@ func (r ExtReplicationResult) WriteCSV(out io.Writer) error {
 			f(row.Replicated.Seconds()), d(row.ReplicatedPFSReads),
 		})
 	}
-	return writeAll(csv.NewWriter(out), rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
 
 // WriteCSV emits the virtual-node end-to-end ablation.
@@ -132,21 +122,5 @@ func (r ExtVnodeSweepResult) WriteCSV(out io.Writer) error {
 			d(int64(row.VirtualNodes)), f(row.Total.Seconds()), f(row.VictimEpoch.Seconds()),
 		})
 	}
-	return writeAll(csv.NewWriter(out), rows)
+	return csv.NewWriter(out).WriteAll(rows)
 }
-
-// CSVWriter is implemented by every experiment result.
-type CSVWriter interface {
-	WriteCSV(io.Writer) error
-}
-
-var (
-	_ CSVWriter = Table1Result{}
-	_ CSVWriter = Fig1Result{}
-	_ CSVWriter = Fig2Result{}
-	_ CSVWriter = Fig5Result{}
-	_ CSVWriter = Fig6aResult{}
-	_ CSVWriter = Fig6bResult{}
-	_ CSVWriter = ExtReplicationResult{}
-	_ CSVWriter = ExtVnodeSweepResult{}
-)

@@ -27,10 +27,11 @@ func parseCSV(t *testing.T, buf *bytes.Buffer, wantCols int) [][]string {
 
 func TestCSVEmitters(t *testing.T) {
 	s := tiny()
+	w := NewSweep(s)
 
 	t.Run("table1", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := Table1(s).WriteCSV(&buf); err != nil {
+		if err := w.Table1().WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 4)
@@ -41,7 +42,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig1", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := Fig1(s).WriteCSV(&buf); err != nil {
+		if err := w.Fig1().WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 6)
@@ -55,7 +56,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig2", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := Fig2(s).WriteCSV(&buf); err != nil {
+		if err := w.Fig2().WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 7)
@@ -66,7 +67,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig5", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := Fig5a(s).WriteCSV(&buf); err != nil {
+		if err := w.Fig5a().WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 6)
@@ -77,7 +78,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig6a", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := Fig6a(s).WriteCSV(&buf); err != nil {
+		if err := w.Fig6a().WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		parseCSV(t, &buf, 5)
@@ -85,7 +86,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig6b", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := Fig6b(s).WriteCSV(&buf); err != nil {
+		if err := w.Fig6b().WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 7)
@@ -96,7 +97,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("extrepl", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := ExtReplication(s).WriteCSV(&buf); err != nil {
+		if err := w.ExtReplication().WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		parseCSV(t, &buf, 6)
@@ -104,7 +105,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("extvnode", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := ExtVnodeSweep(s).WriteCSV(&buf); err != nil {
+		if err := w.ExtVnodeSweep().WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		parseCSV(t, &buf, 3)

@@ -16,6 +16,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -36,8 +37,6 @@ type Scale struct {
 	Repeats int
 	// DatasetDivisor shrinks the CosmoFlow file count (1 = full).
 	DatasetDivisor int
-	// LocalBatch per node per step for the training model (default 8).
-	LocalBatch int
 	// Jobs in the synthetic SLURM log (paper: 181,933).
 	Jobs int
 	// Fig6bTrials per sweep point (paper: 500).
@@ -48,13 +47,13 @@ type Scale struct {
 	Seed int64
 }
 
-// PaperScale reproduces the published configuration (minutes of CPU).
+// PaperScale reproduces the published configuration; every experiment
+// at this scale runs in seconds.
 func PaperScale() Scale {
 	return Scale{
 		Nodes:          []int{64, 128, 256, 512, 1024},
 		Repeats:        3,
 		DatasetDivisor: 1,
-		LocalBatch:     8,
 		Jobs:           181933,
 		Fig6bTrials:    500,
 		Fig6bNodes:     1024,
@@ -62,32 +61,85 @@ func PaperScale() Scale {
 	}
 }
 
-// QuickScale is a seconds-scale variant with the same shapes, used by
-// the benchmark harness and CI.
-func QuickScale() Scale {
-	return Scale{
-		Nodes:          []int{64, 256, 1024},
-		Repeats:        1,
-		DatasetDivisor: 8,
-		LocalBatch:     8,
-		Jobs:           40000,
-		Fig6bTrials:    60,
-		Fig6bNodes:     256,
-		Seed:           1,
-	}
+func (s Scale) dataset() workload.Dataset {
+	return workload.CosmoFlowTrain().Scaled(s.DatasetDivisor)
 }
 
 func (s Scale) trainConfig(nodes int, kind ftcache.StrategyKind, seed int64) trainsim.Config {
 	cfg := trainsim.Frontier(nodes, kind)
-	if s.DatasetDivisor > 1 {
-		cfg.Dataset = workload.CosmoFlowTrain().Scaled(s.DatasetDivisor)
-	}
-	if s.LocalBatch > 0 {
-		cfg.LocalBatch = s.LocalBatch
-	}
+	cfg.Dataset = s.dataset()
 	cfg.Seed = seed
 	return cfg
 }
+
+// A Sweep runs experiments at one Scale and keeps what they share: the
+// synthetic SLURM log behind Table I and Figs 1–2, and the DES's
+// prepared paths, owner tables and orders behind Figs 5–6 and the
+// extensions. Both are built on first use and freed with the Sweep. A
+// Sweep is not safe for concurrent use.
+type Sweep struct {
+	s    Scale
+	log  slurmlog.GeneratorConfig
+	recs []slurmlog.Record
+	prep *trainsim.Prepared
+}
+
+// NewSweep returns a Sweep at scale s.
+func NewSweep(s Scale) *Sweep { return &Sweep{s: s} }
+
+// Result is what every experiment returns: the paper-style rendering
+// and a machine-readable table.
+type Result interface {
+	Format() string
+	WriteCSV(io.Writer) error
+}
+
+// Names lists every experiment in the order `ftcbench -exp all` runs
+// them; results/csv/<name>.csv is each one's CSV at PaperScale.
+var Names = []string{
+	"table1", "fig1", "fig2", "fig5a", "fig5b", "fig6a", "fig6b",
+	"extrepl", "extvnode",
+}
+
+// Run runs the named experiment; ok is false for an unknown name.
+func (w *Sweep) Run(name string) (Result, bool) {
+	run, ok := map[string]func() Result{
+		"table1":   func() Result { return w.Table1() },
+		"fig1":     func() Result { return w.Fig1() },
+		"fig2":     func() Result { return w.Fig2() },
+		"fig5a":    func() Result { return w.Fig5a() },
+		"fig5b":    func() Result { return w.Fig5b() },
+		"fig6a":    func() Result { return w.Fig6a() },
+		"fig6b":    func() Result { return w.Fig6b() },
+		"extrepl":  func() Result { return w.ExtReplication() },
+		"extvnode": func() Result { return w.ExtVnodeSweep() },
+	}[name]
+	if !ok {
+		return nil, false
+	}
+	return run(), true
+}
+
+// records generates the synthetic SLURM log once.
+func (w *Sweep) records() (slurmlog.GeneratorConfig, []slurmlog.Record) {
+	if w.recs == nil {
+		w.log = slurmlog.FrontierDefaults(w.s.Seed)
+		w.log.Jobs = w.s.Jobs
+		w.recs = slurmlog.Generate(w.log)
+	}
+	return w.log, w.recs
+}
+
+// prepared formats the dataset's paths once; the DES runs and Fig 6(b)
+// share them.
+func (w *Sweep) prepared() *trainsim.Prepared {
+	if w.prep == nil {
+		w.prep = trainsim.Prepare(w.s.dataset())
+	}
+	return w.prep
+}
+
+func (w *Sweep) run(cfg trainsim.Config) trainsim.Result { return w.prepared().Run(cfg) }
 
 // --- Table I -----------------------------------------------------------
 
@@ -96,13 +148,9 @@ type Table1Result struct {
 	Table slurmlog.TableI
 }
 
-// Table1 generates the synthetic log and computes Table I.
-func Table1(s Scale) Table1Result {
-	cfg := slurmlog.FrontierDefaults(s.Seed)
-	if s.Jobs > 0 {
-		cfg.Jobs = s.Jobs
-	}
-	recs := slurmlog.Generate(cfg)
+// Table1 computes Table I from the synthetic log.
+func (w *Sweep) Table1() Table1Result {
+	_, recs := w.records()
 	return Table1Result{Table: slurmlog.ComputeTableI(recs)}
 }
 
@@ -140,12 +188,8 @@ type Fig1Result struct {
 }
 
 // Fig1 computes the weekly series from the synthetic log.
-func Fig1(s Scale) Fig1Result {
-	cfg := slurmlog.FrontierDefaults(s.Seed)
-	if s.Jobs > 0 {
-		cfg.Jobs = s.Jobs
-	}
-	recs := slurmlog.Generate(cfg)
+func (w *Sweep) Fig1() Fig1Result {
+	cfg, recs := w.records()
 	weeks, overall := slurmlog.Fig1(recs, cfg.Start, cfg.Weeks)
 	return Fig1Result{Weeks: weeks, OverallMinutes: overall}
 }
@@ -180,12 +224,8 @@ type Fig2Result struct {
 }
 
 // Fig2 computes both panels from the synthetic log.
-func Fig2(s Scale) Fig2Result {
-	cfg := slurmlog.FrontierDefaults(s.Seed)
-	if s.Jobs > 0 {
-		cfg.Jobs = s.Jobs
-	}
-	recs := slurmlog.Generate(cfg)
+func (w *Sweep) Fig2() Fig2Result {
+	_, recs := w.records()
 	return Fig2Result{ByNodes: slurmlog.Fig2a(recs), ByElapsed: slurmlog.Fig2b(recs)}
 }
 
@@ -230,9 +270,6 @@ type Fig5Row struct {
 type Fig5Result struct {
 	Title string
 	Rows  []Fig5Row
-	// BaseByNodes is the no-failure reference per node count (the
-	// dashed line of Fig 5(b)).
-	BaseByNodes map[int]time.Duration
 }
 
 var fig5Strategies = []ftcache.StrategyKind{
@@ -240,21 +277,21 @@ var fig5Strategies = []ftcache.StrategyKind{
 }
 
 // Fig5a runs the no-failure panel.
-func Fig5a(s Scale) Fig5Result {
-	return fig5(s, "Fig 5(a): end-to-end training time, no failures", false)
+func (w *Sweep) Fig5a() Fig5Result {
+	return w.fig5("Fig 5(a): end-to-end training time, no failures", false)
 }
 
 // Fig5b runs the with-failures panel: 5 random single-node failures
 // after the first epoch, as in the paper.
-func Fig5b(s Scale) Fig5Result {
-	return fig5(s, "Fig 5(b): end-to-end training time, 5 random failures", true)
+func (w *Sweep) Fig5b() Fig5Result {
+	return w.fig5("Fig 5(b): end-to-end training time, 5 random failures", true)
 }
 
-func fig5(s Scale, title string, withFailures bool) Fig5Result {
-	res := Fig5Result{Title: title, BaseByNodes: make(map[int]time.Duration)}
+func (w *Sweep) fig5(title string, withFailures bool) Fig5Result {
+	s := w.s
+	res := Fig5Result{Title: title}
 	for _, n := range s.Nodes {
-		base := trainsim.Run(s.trainConfig(n, ftcache.KindNVMe, s.Seed))
-		res.BaseByNodes[n] = base.Total
+		base := w.run(s.trainConfig(n, ftcache.KindNVMe, s.Seed))
 		for _, kind := range fig5Strategies {
 			var runs []float64
 			aborted := false
@@ -264,7 +301,7 @@ func fig5(s Scale, title string, withFailures bool) Fig5Result {
 				if withFailures {
 					cfg.Failures = failure.Random(5, cfg.Epochs, seed+7)
 				}
-				out := trainsim.Run(cfg)
+				out := w.run(cfg)
 				if out.Aborted {
 					aborted = true
 					continue
@@ -320,9 +357,9 @@ func (r Fig5Result) Format() string {
 			row.Mean.Round(time.Second), row.StdDev.Round(time.Second),
 			100*row.OverheadVsBase)
 	}
-	for _, n := range sortedNodes(r.Rows) {
-		if g := r.Gap(n); g != 0 {
-			fmt.Fprintf(&b, "  FT w/ NVMe beats FT w/ PFS by %.1f%% at %d nodes\n", 100*g, n)
+	for _, row := range r.Rows {
+		if g := r.Gap(row.Nodes); row.Strategy == ftcache.KindNVMe && g != 0 {
+			fmt.Fprintf(&b, "  FT w/ NVMe beats FT w/ PFS by %.1f%% at %d nodes\n", 100*g, row.Nodes)
 		}
 	}
 	return b.String()
@@ -337,18 +374,6 @@ func name(k ftcache.StrategyKind) string {
 	default:
 		return "NoFT"
 	}
-}
-
-func sortedNodes(rows []Fig5Row) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, r := range rows {
-		if !seen[r.Nodes] {
-			seen[r.Nodes] = true
-			out = append(out, r.Nodes)
-		}
-	}
-	return out
 }
 
 // --- Fig 6(a) ----------------------------------------------------------
@@ -373,17 +398,18 @@ type Fig6aRow struct {
 type Fig6aResult struct{ Rows []Fig6aRow }
 
 // Fig6a runs the per-epoch analysis.
-func Fig6a(s Scale) Fig6aResult {
+func (w *Sweep) Fig6a() Fig6aResult {
+	s := w.s
 	var res Fig6aResult
 	spec := []failure.Event{{Epoch: 2, Frac: 0.02}}
 	for _, n := range s.Nodes {
-		base := trainsim.Run(s.trainConfig(n, ftcache.KindNVMe, s.Seed))
+		base := w.run(s.trainConfig(n, ftcache.KindNVMe, s.Seed))
 		pcfg := s.trainConfig(n, ftcache.KindPFS, s.Seed)
 		pcfg.Failures = spec
-		pfs := trainsim.Run(pcfg)
+		pfs := w.run(pcfg)
 		ncfg := s.trainConfig(n, ftcache.KindNVMe, s.Seed)
 		ncfg.Failures = spec
-		nvme := trainsim.Run(ncfg)
+		nvme := w.run(ncfg)
 		res.Rows = append(res.Rows, Fig6aRow{
 			Nodes:        n,
 			NoFailure:    base.CleanEpochMean(),
@@ -419,13 +445,9 @@ type Fig6bResult struct{ Points []partition.RedistributePoint }
 
 // Fig6b runs the Monte-Carlo sweep (paper: 1024 physical nodes, 500
 // trials, vnodes ∈ {10, 50, 100, 500, 1000}).
-func Fig6b(s Scale) Fig6bResult {
-	files := workload.CosmoFlowTrain().NumFiles
-	if s.DatasetDivisor > 1 {
-		files /= s.DatasetDivisor
-	}
+func (w *Sweep) Fig6b() Fig6bResult {
 	return Fig6bResult{Points: partition.RedistributeSweep(
-		s.Fig6bNodes, files, s.Fig6bTrials, s.Seed, partition.PaperVirtualNodes)}
+		w.s.Fig6bNodes, w.prepared().Paths(), w.s.Fig6bTrials, w.s.Seed, partition.PaperVirtualNodes)}
 }
 
 // Format renders the sweep.

@@ -14,7 +14,6 @@ func tiny() Scale {
 		Nodes:          []int{64, 1024},
 		Repeats:        1,
 		DatasetDivisor: 64,
-		LocalBatch:     8,
 		Jobs:           20000,
 		Fig6bTrials:    15,
 		Fig6bNodes:     64,
@@ -23,7 +22,7 @@ func tiny() Scale {
 }
 
 func TestTable1ShapeAndFormat(t *testing.T) {
-	r := Table1(tiny())
+	r := NewSweep(tiny()).Table1()
 	tab := r.Table
 	if tab.TotalJobs == 0 || tab.TotalFailures == 0 {
 		t.Fatal("empty table")
@@ -40,7 +39,7 @@ func TestTable1ShapeAndFormat(t *testing.T) {
 }
 
 func TestFig1ShapeAndFormat(t *testing.T) {
-	r := Fig1(tiny())
+	r := NewSweep(tiny()).Fig1()
 	if len(r.Weeks) != 27 {
 		t.Fatalf("weeks = %d", len(r.Weeks))
 	}
@@ -53,7 +52,7 @@ func TestFig1ShapeAndFormat(t *testing.T) {
 }
 
 func TestFig2ShapeAndFormat(t *testing.T) {
-	r := Fig2(tiny())
+	r := NewSweep(tiny()).Fig2()
 	if len(r.ByNodes) != 5 || len(r.ByElapsed) != 5 {
 		t.Fatal("bucket counts wrong")
 	}
@@ -68,7 +67,7 @@ func TestFig2ShapeAndFormat(t *testing.T) {
 }
 
 func TestFig5aOrderingAndScaling(t *testing.T) {
-	r := Fig5a(tiny())
+	r := NewSweep(tiny()).Fig5a()
 	byKey := map[[2]interface{}]Fig5Row{}
 	for _, row := range r.Rows {
 		byKey[[2]interface{}{row.Nodes, row.Strategy}] = row
@@ -94,7 +93,7 @@ func TestFig5aOrderingAndScaling(t *testing.T) {
 }
 
 func TestFig5bHeadline(t *testing.T) {
-	r := Fig5b(tiny())
+	r := NewSweep(tiny()).Fig5b()
 	for _, n := range []int{64, 1024} {
 		var noft, pfs, nvme Fig5Row
 		for _, row := range r.Rows {
@@ -129,7 +128,7 @@ func TestFig5bHeadline(t *testing.T) {
 }
 
 func TestFig6aTrends(t *testing.T) {
-	r := Fig6a(tiny())
+	r := NewSweep(tiny()).Fig6a()
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -161,7 +160,7 @@ func TestFig6aTrends(t *testing.T) {
 }
 
 func TestFig6bTrends(t *testing.T) {
-	r := Fig6b(tiny())
+	r := NewSweep(tiny()).Fig6b()
 	pts := r.Points
 	if len(pts) != 5 {
 		t.Fatalf("points = %d", len(pts))
@@ -192,9 +191,5 @@ func TestScalePresets(t *testing.T) {
 	}
 	if p.DatasetDivisor != 1 || p.Repeats != 3 {
 		t.Errorf("paper scale fidelity wrong: %+v", p)
-	}
-	q := QuickScale()
-	if q.DatasetDivisor <= 1 {
-		t.Error("quick scale should shrink the dataset")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/failure"
 	"repro/internal/ftcache"
-	"repro/internal/trainsim"
 )
 
 // This file holds extension experiments beyond the paper's published
@@ -39,21 +38,20 @@ type ExtReplicationResult struct {
 // column is post-failure PFS traffic (recache pays one read per lost
 // file, replication pays none until copies are exhausted) and the
 // resulting end-to-end time.
-func ExtReplication(s Scale) ExtReplicationResult {
+func (w *Sweep) ExtReplication() ExtReplicationResult {
 	const factor = 2
+	s := w.s
 	res := ExtReplicationResult{Factor: factor}
 	for _, n := range s.Nodes {
-		base := trainsim.Run(s.trainConfig(n, ftcache.KindNVMe, s.Seed))
+		base := w.run(s.trainConfig(n, ftcache.KindNVMe, s.Seed))
 
 		rc := s.trainConfig(n, ftcache.KindNVMe, s.Seed)
-		fails := failure.Random(5, rc.Epochs, s.Seed+7)
-		rc.Failures = fails
-		recache := trainsim.Run(rc)
+		rc.Failures = failure.Random(5, rc.Epochs, s.Seed+7)
+		recache := w.run(rc)
 
-		rp := s.trainConfig(n, ftcache.KindNVMe, s.Seed)
-		rp.Failures = fails
+		rp := rc
 		rp.Replication = factor
-		replicated := trainsim.Run(rp)
+		replicated := w.run(rp)
 
 		coldReads := int64(rc.Dataset.NumFiles)
 		res.Rows = append(res.Rows, ExtReplicationRow{
@@ -104,15 +102,15 @@ type ExtVnodeSweepResult struct {
 
 // ExtVnodeSweep runs the Fig 5(b) workload at the largest configured
 // scale across virtual-node settings.
-func ExtVnodeSweep(s Scale) ExtVnodeSweepResult {
+func (w *Sweep) ExtVnodeSweep() ExtVnodeSweepResult {
+	s := w.s
 	n := s.Nodes[len(s.Nodes)-1]
 	res := ExtVnodeSweepResult{Nodes: n}
-	fails := failure.Random(5, 5, s.Seed+7)
 	for _, v := range []int{1, 10, 100, 1000} {
 		cfg := s.trainConfig(n, ftcache.KindNVMe, s.Seed)
 		cfg.VirtualNodes = v
-		cfg.Failures = fails
-		out := trainsim.Run(cfg)
+		cfg.Failures = failure.Random(5, cfg.Epochs, s.Seed+7)
+		out := w.run(cfg)
 		res.Rows = append(res.Rows, ExtVnodeSweepRow{
 			VirtualNodes: v,
 			Total:        out.Total,

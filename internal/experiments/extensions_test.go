@@ -6,7 +6,7 @@ import (
 )
 
 func TestExtReplication(t *testing.T) {
-	r := ExtReplication(tiny())
+	r := NewSweep(tiny()).ExtReplication()
 	if r.Factor != 2 || len(r.Rows) != 2 {
 		t.Fatalf("result shape: %+v", r)
 	}
@@ -33,7 +33,7 @@ func TestExtReplication(t *testing.T) {
 }
 
 func TestExtVnodeSweep(t *testing.T) {
-	r := ExtVnodeSweep(tiny())
+	r := NewSweep(tiny()).ExtVnodeSweep()
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

@@ -30,9 +30,9 @@ type RedistributeConfig struct {
 	PhysicalNodes int
 	// VirtualNodes per physical node (the sweep variable).
 	VirtualNodes int
-	// Files is the cached-key population (paper: the CosmoFlow training
-	// set, 524,288 files).
-	Files int
+	// Keys is the cached-key population (paper: the CosmoFlow training
+	// set's 524,288 paths).
+	Keys []string
 	// Trials is the Monte-Carlo repetition count (paper: 500).
 	Trials int
 	// Seed makes the experiment reproducible.
@@ -63,25 +63,19 @@ type RedistributePoint struct {
 	Trials int
 }
 
-// trialOut carries one trial's raw observations.
-type trialOut struct {
-	receivers int
-	lost      int
-	perNode   []int
-}
-
 // Redistribute executes the Monte-Carlo sweep point.
 //
 // Building a fresh 1024-node ring per trial would dominate runtime, so
-// every trial starts from one shared base ring whose owner of each key
-// is computed once. A trial clones the base (O(1): clones share the
-// immutable snapshot), removes its victims from the clone, and counts
-// the victims' keys under the clone's new owners with LoadCounts.
+// every trial reads one shared base ring whose owner of each key is
+// computed once, and no trial copies it. A lost key's new owner is the
+// first survivor clockwise from it: the first of its len(victims)+1
+// distinct base-ring owners that is not a victim, which always exists
+// and is exactly the owner once the victims' points are removed.
 // Trials run on GOMAXPROCS goroutines; each seeds its own RNG and writes
 // its own slot, so the result does not depend on the parallelism.
 func Redistribute(cfg RedistributeConfig) RedistributePoint {
-	if cfg.PhysicalNodes < 2 || cfg.Trials < 1 || cfg.Files < 1 {
-		panic("partition: PhysicalNodes>=2, Trials>=1, Files>=1 required")
+	if cfg.PhysicalNodes < 2 || cfg.Trials < 1 || len(cfg.Keys) < 1 {
+		panic("partition: PhysicalNodes>=2, Trials>=1, Keys>=1 required")
 	}
 	failures := cfg.SimultaneousFailures
 	if failures <= 0 {
@@ -96,20 +90,18 @@ func Redistribute(cfg RedistributeConfig) RedistributePoint {
 	}
 	base := hashring.NewWithNodes(hashring.Config{VirtualNodes: cfg.VirtualNodes}, nodes)
 
-	keys := make([]string, cfg.Files)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("cosmoUniverse/train/univ_%07d.tfrecord", i)
-	}
 	// Precompute each key's owner once: per trial we only need the keys
 	// owned by the failed node.
 	byOwner := make(map[NodeID][]string, cfg.PhysicalNodes)
-	for _, k := range keys {
+	for _, k := range cfg.Keys {
 		o, _ := base.Owner(k)
 		byOwner[o] = append(byOwner[o], k)
 	}
 
 	workers := min(runtime.GOMAXPROCS(0), cfg.Trials)
-	outs := make([]trialOut, cfg.Trials)
+	// outs[t] is trial t's files per receiver, sorted; each lost file
+	// lands on exactly one receiver, so the row sums to the lost count.
+	outs := make([][]int, cfg.Trials)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -117,14 +109,22 @@ func Redistribute(cfg RedistributeConfig) RedistributePoint {
 			defer wg.Done()
 			for t := w; t < cfg.Trials; t += workers {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*7919))
-				victims := pickDistinct(rng, len(nodes), failures)
-				after := base.Clone()
-				var lostKeys []string
-				for _, vi := range victims {
-					lostKeys = append(lostKeys, byOwner[nodes[vi]]...)
-					after.Remove(nodes[vi])
+				dead := make(map[NodeID]bool, failures)
+				for _, vi := range pickDistinct(rng, len(nodes), failures) {
+					dead[nodes[vi]] = true
 				}
-				counts := LoadCounts(after, lostKeys)
+				counts := make(map[NodeID]int)
+				for victim := range dead {
+					for _, k := range byOwner[victim] {
+						owners, _ := base.Owners(k, failures+1)
+						for _, o := range owners {
+							if !dead[o] {
+								counts[o]++
+								break
+							}
+						}
+					}
+				}
 				per := make([]int, 0, len(counts))
 				for _, c := range counts {
 					per = append(per, c)
@@ -132,23 +132,23 @@ func Redistribute(cfg RedistributeConfig) RedistributePoint {
 				// Map iteration order is random; sort so the float
 				// accumulation below is bit-for-bit reproducible.
 				sort.Ints(per)
-				outs[t] = trialOut{receivers: len(counts), lost: len(lostKeys), perNode: per}
+				outs[t] = per
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	var recv, lost stats.Running
-	var perAll stats.Running
-	var perMeans stats.Running
-	for _, o := range outs {
-		recv.Add(float64(o.receivers))
-		lost.Add(float64(o.lost))
+	var recv, lost, perAll, perMeans stats.Running
+	for _, per := range outs {
+		recv.Add(float64(len(per)))
 		var m stats.Running
-		for _, c := range o.perNode {
+		files := 0
+		for _, c := range per {
+			files += c
 			perAll.Add(float64(c))
 			m.Add(float64(c))
 		}
+		lost.Add(float64(files))
 		if m.N() > 0 {
 			perMeans.Add(m.Mean())
 		}
@@ -203,13 +203,13 @@ func ExpectedReceivers(physicalNodes, virtualNodes, files int) float64 {
 var PaperVirtualNodes = []int{10, 50, 100, 500, 1000}
 
 // RedistributeSweep runs Redistribute for each virtual-node setting.
-func RedistributeSweep(physicalNodes, files, trials int, seed int64, vnodeSettings []int) []RedistributePoint {
+func RedistributeSweep(physicalNodes int, keys []string, trials int, seed int64, vnodeSettings []int) []RedistributePoint {
 	out := make([]RedistributePoint, 0, len(vnodeSettings))
 	for _, v := range vnodeSettings {
 		out = append(out, Redistribute(RedistributeConfig{
 			PhysicalNodes: physicalNodes,
 			VirtualNodes:  v,
-			Files:         files,
+			Keys:          keys,
 			Trials:        trials,
 			Seed:          seed,
 		}))

@@ -3,14 +3,23 @@ package partition
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/workload"
 )
+
+// cosmoKeys returns the first n CosmoFlow training paths.
+func cosmoKeys(n int) []string {
+	ds := workload.CosmoFlowTrain()
+	ds.NumFiles = n
+	return ds.AllPaths()
+}
 
 // small runs a fast sweep point for unit testing.
 func small(vnodes, trials int) RedistributePoint {
 	return Redistribute(RedistributeConfig{
 		PhysicalNodes: 64,
 		VirtualNodes:  vnodes,
-		Files:         4096,
+		Keys:          cosmoKeys(4096),
 		Trials:        trials,
 		Seed:          1,
 	})
@@ -95,7 +104,7 @@ func TestDeterministicForSeed(t *testing.T) {
 }
 
 func TestSweepShape(t *testing.T) {
-	pts := RedistributeSweep(32, 4096, 10, 3, []int{5, 50})
+	pts := RedistributeSweep(32, cosmoKeys(4096), 10, 3, []int{5, 50})
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -118,11 +127,11 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Redistribute(RedistributeConfig{PhysicalNodes: 1, Files: 10, Trials: 1})
+	Redistribute(RedistributeConfig{PhysicalNodes: 1, Keys: cosmoKeys(10), Trials: 1})
 }
 
 func BenchmarkTrialV100(b *testing.B) {
-	cfg := RedistributeConfig{PhysicalNodes: 256, VirtualNodes: 100, Files: 16384, Seed: 1, Trials: 1}
+	cfg := RedistributeConfig{PhysicalNodes: 256, VirtualNodes: 100, Keys: cosmoKeys(16384), Seed: 1, Trials: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
@@ -132,10 +141,10 @@ func BenchmarkTrialV100(b *testing.B) {
 
 func TestMultiFailure(t *testing.T) {
 	single := Redistribute(RedistributeConfig{
-		PhysicalNodes: 64, VirtualNodes: 100, Files: 4096, Trials: 20, Seed: 5,
+		PhysicalNodes: 64, VirtualNodes: 100, Keys: cosmoKeys(4096), Trials: 20, Seed: 5,
 	})
 	multi := Redistribute(RedistributeConfig{
-		PhysicalNodes: 64, VirtualNodes: 100, Files: 4096, Trials: 20, Seed: 5,
+		PhysicalNodes: 64, VirtualNodes: 100, Keys: cosmoKeys(4096), Trials: 20, Seed: 5,
 		SimultaneousFailures: 4,
 	})
 	// Four simultaneous failures lose ~4x the files and spread over more
@@ -158,7 +167,7 @@ func TestMultiFailurePanicsWithoutSurvivors(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Redistribute(RedistributeConfig{PhysicalNodes: 4, VirtualNodes: 10, Files: 100, Trials: 1,
+	Redistribute(RedistributeConfig{PhysicalNodes: 4, VirtualNodes: 10, Keys: cosmoKeys(100), Trials: 1,
 		SimultaneousFailures: 4})
 }
 
@@ -171,7 +180,7 @@ func TestAnalyticMatchesMonteCarlo(t *testing.T) {
 	} {
 		mc := Redistribute(RedistributeConfig{
 			PhysicalNodes: tc.nodes, VirtualNodes: tc.vnodes,
-			Files: tc.files, Trials: 40, Seed: 9,
+			Keys: cosmoKeys(tc.files), Trials: 40, Seed: 9,
 		})
 		an := ExpectedReceivers(tc.nodes, tc.vnodes, tc.files)
 		rel := (mc.ReceiverMean - an) / an

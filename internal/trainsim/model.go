@@ -1,10 +1,9 @@
 package trainsim
 
 import (
-	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/dltrain"
 	"repro/internal/failure"
 	"repro/internal/ftcache"
 	"repro/internal/hashring"
@@ -18,14 +17,8 @@ type rng struct{ state uint64 }
 
 func newRNG(seed int64) *rng { return &rng{state: uint64(seed)*2654435761 + 1} }
 
-func (r *rng) next() uint64 { return xhash.SplitMix64(&r.state) }
-
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
+// intn returns a draw from [0, n); n must be positive.
+func (r *rng) intn(n int) int { return int(xhash.SplitMix64(&r.state) % uint64(n)) }
 
 // EpochResult describes one completed epoch of a simulated run.
 type EpochResult struct {
@@ -56,49 +49,28 @@ type Result struct {
 // CleanEpochMean averages post-warmup epochs without failures and
 // without active redirection — the "no failure" reference of Fig 6(a).
 func (r Result) CleanEpochMean() time.Duration {
-	var sum time.Duration
-	n := 0
-	for _, e := range r.Epochs {
-		if e.Epoch == 0 || e.Failures > 0 || e.PostFailure {
-			continue
-		}
-		sum += e.Duration
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / time.Duration(n)
+	return r.meanEpoch(func(e EpochResult) bool { return e.Epoch > 0 && e.Failures == 0 && !e.PostFailure })
 }
 
 // VictimEpochMean averages epochs in which a failure struck.
 func (r Result) VictimEpochMean() time.Duration {
-	var sum time.Duration
-	n := 0
-	for _, e := range r.Epochs {
-		if e.Failures == 0 {
-			continue
-		}
-		sum += e.Duration
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / time.Duration(n)
+	return r.meanEpoch(func(e EpochResult) bool { return e.Failures > 0 })
 }
 
 // PostFailureEpochMean averages failure-free epochs that ran with lost
 // nodes (FT w/ PFS steady-state redirection epochs).
 func (r Result) PostFailureEpochMean() time.Duration {
+	return r.meanEpoch(func(e EpochResult) bool { return e.Epoch > 0 && e.Failures == 0 && e.PostFailure })
+}
+
+func (r Result) meanEpoch(keep func(EpochResult) bool) time.Duration {
 	var sum time.Duration
 	n := 0
 	for _, e := range r.Epochs {
-		if e.Failures > 0 || !e.PostFailure || e.Epoch == 0 {
-			continue
+		if keep(e) {
+			sum += e.Duration
+			n++
 		}
-		sum += e.Duration
-		n++
 	}
 	if n == 0 {
 		return 0
@@ -116,6 +88,7 @@ const (
 
 type model struct {
 	cfg   Config
+	prep  *Prepared
 	eng   *sim.Engine
 	rng   *rng
 	sched *failure.Schedule
@@ -125,6 +98,9 @@ type model struct {
 	cached []bool
 	lost   []bool  // FT w/ PFS: permanently redirected to PFS
 	repl   []uint8 // surviving cached copies (replication extension)
+	// holders[i*Replication:][:repl[i]] are the ranks holding file i's
+	// copies, owner first (FT w/ NVMe with Replication > 1 only).
+	holders []int32
 
 	ring      *hashring.Ring // FT w/ NVMe only
 	rankOf    map[hashring.NodeID]int32
@@ -155,56 +131,23 @@ type model struct {
 	fetchedBuf []int32
 }
 
-// Run executes one simulated training run.
-func Run(cfg Config) Result {
-	if cfg.Nodes <= 0 || cfg.Epochs <= 0 || cfg.LocalBatch <= 0 {
-		panic("trainsim: Nodes, Epochs, LocalBatch must be positive")
-	}
-	m := &model{
-		cfg:   cfg,
-		eng:   sim.New(),
-		rng:   newRNG(cfg.Seed),
-		sched: failure.NewSchedule(cfg.Failures),
-	}
-	m.init()
-	m.eng.At(0, m.startEpoch)
-	m.eng.Run()
-	m.res.Total = m.eng.Now()
-	m.res.Strategy = string(cfg.Strategy)
-	m.res.Nodes = cfg.Nodes
-	return m.res
-}
+// Run executes one simulated training run. A sweep of many runs over
+// one dataset calls Prepare once and Prepared.Run for each.
+func Run(cfg Config) Result { return Prepare(cfg.Dataset).Run(cfg) }
 
 func (m *model) init() {
 	f := m.cfg.Dataset.NumFiles
-	m.paths = make([]string, f)
-	for i := range m.paths {
-		m.paths[i] = m.cfg.Dataset.FilePath(i)
+	t := m.prep.table(m.cfg)
+	m.paths, m.nodeNames, m.rankOf = m.prep.paths, t.names, t.rankOf
+	m.owner = slices.Clone(t.owner) // a failure re-owns files
+	if t.ring != nil {
+		m.ring = t.ring.Clone() // O(1); Remove copies on write
 	}
-	m.owner = make([]int32, f)
 	m.cached = make([]bool, f)
 	m.lost = make([]bool, f)
 	m.repl = make([]uint8, f)
-
-	m.nodeNames = make([]hashring.NodeID, m.cfg.Nodes)
-	m.rankOf = make(map[hashring.NodeID]int32, m.cfg.Nodes)
-	for i := range m.nodeNames {
-		m.nodeNames[i] = hashring.NodeID(fmt.Sprintf("node-%04d", i))
-		m.rankOf[m.nodeNames[i]] = int32(i)
-	}
-
-	switch m.cfg.Strategy {
-	case ftcache.KindNVMe:
-		m.ring = hashring.NewWithNodes(
-			hashring.Config{VirtualNodes: m.cfg.VirtualNodes}, m.nodeNames)
-		for i, p := range m.paths {
-			o, _ := m.ring.Owner(p)
-			m.owner[i] = m.rankOf[o]
-		}
-	default: // NoFT and FT w/ PFS use HVAC's static modulo placement
-		for i, p := range m.paths {
-			m.owner[i] = int32(xhash.FNV1aString(p) % uint64(m.cfg.Nodes))
-		}
+	if m.ring != nil && m.cfg.Replication > 1 {
+		m.holders = make([]int32, f*m.cfg.Replication)
 	}
 
 	m.live = make([]int32, m.cfg.Nodes)
@@ -227,7 +170,7 @@ func (m *model) startEpoch() {
 	if m.res.Aborted {
 		return
 	}
-	m.order = dltrain.Shuffle(m.cfg.Dataset.NumFiles, m.cfg.Seed, m.epoch)
+	m.order = m.prep.order(m.cfg.Seed, m.epoch)
 	m.steps = m.stepsPerEpoch()
 	m.step = 0
 	m.epochStart = m.eng.Now()
@@ -342,20 +285,10 @@ func (m *model) applyFailure(ev failure.Event) {
 		victim := m.nodeNames[victimRank]
 		// With replication active, the victim may hold secondary copies
 		// of files it does not own; every such replica dies with it.
-		if m.cfg.Replication > 1 {
+		if m.holders != nil {
 			for i := range m.repl {
-				if m.repl[i] < 2 || m.owner[i] == victimRank {
-					continue // owner-held copies handled below
-				}
-				holders, ok := m.ring.Owners(m.paths[i], int(m.repl[i]))
-				if !ok {
-					continue
-				}
-				for _, h := range holders {
-					if h == victim {
-						m.repl[i]--
-						break
-					}
+				if m.repl[i] >= 2 && m.owner[i] != victimRank {
+					m.dropHolder(i, victimRank) // owner-held copies handled below
 				}
 			}
 		}
@@ -372,7 +305,7 @@ func (m *model) applyFailure(ev failure.Event) {
 					// Replication extension: the ring's new owner is the
 					// clockwise successor — exactly the node holding the
 					// next replica. The copy survives; one replica gone.
-					m.repl[i]--
+					m.dropHolder(i, victimRank)
 				} else {
 					m.cached[i] = false // the only copy died with the node
 					m.repl[i] = 0
@@ -388,6 +321,17 @@ func (m *model) applyFailure(ev failure.Event) {
 	// Detection (timeouts accumulating to TIMEOUT_LIMIT) plus Horovod
 	// elastic resumption, then the epoch restarts from its beginning.
 	m.eng.After(m.cfg.DetectionTime+m.cfg.ElasticRestartCost, m.resumeEpoch)
+}
+
+// dropHolder removes rank from file i's holders, if it holds a copy.
+// The survivors keep their ring order, so they stay what Ring.Owners
+// would return for the file on the shrunken ring.
+func (m *model) dropHolder(i int, rank int32) {
+	h := m.holders[i*m.cfg.Replication:][:m.repl[i]]
+	if j := slices.Index(h, rank); j >= 0 {
+		copy(h[j:], h[j+1:])
+		m.repl[i]--
+	}
 }
 
 // ftOverhead is the per-read bookkeeping cost of the FT machinery.
@@ -417,6 +361,9 @@ func (m *model) stepTime() time.Duration {
 	m.fetchedBuf = m.fetchedBuf[:0]
 	ftOv := m.ftOverhead()
 	size := m.cfg.Dataset.FileBytes
+	// Every file has the same size, so each class's cost is a constant.
+	transfer := m.cfg.Net.TransferTime(size)
+	localRead := m.cfg.NVMe.ReadTime(size, 1)
 
 	// Pass 1: classify reads, accumulate compute/hidden I/O, count PFS
 	// readers (their service time needs the step's PFS concurrency).
@@ -432,13 +379,13 @@ func (m *model) stepTime() time.Duration {
 		class := m.classify(int32(f), reader)
 		switch class {
 		case classLocal:
-			m.sHidden[reader] += m.cfg.NVMe.ReadTime(size, 1)
+			m.sHidden[reader] += localRead
 		case classRemote:
-			m.sHidden[reader] += m.cfg.Net.TransferTime(size) + m.cfg.NVMe.ReadTime(size, 1)
+			m.sHidden[reader] += transfer + localRead
 		case classPFSServer:
 			m.sPFSCount[reader]++
 			if m.owner[f] != reader {
-				m.sPFSAccum[reader] += m.cfg.Net.TransferTime(size)
+				m.sPFSAccum[reader] += transfer
 			}
 			m.fetchedBuf = append(m.fetchedBuf, int32(f))
 			m.epochPFS++
@@ -497,20 +444,16 @@ func (m *model) stepTime() time.Duration {
 	// Server-side fetches populate the owners' NVMe (data mover); with
 	// replication the client fans the object out to the secondary owners
 	// asynchronously (off the critical path).
-	replTarget := uint8(1)
-	if m.cfg.Replication > 1 {
-		r := m.cfg.Replication
-		if r > len(m.live) {
-			r = len(m.live)
-		}
-		if r > 255 {
-			r = 255
-		}
-		replTarget = uint8(r)
-	}
+	replTarget := uint8(max(1, min(m.cfg.Replication, len(m.live), 255)))
 	for _, f := range m.fetchedBuf {
 		m.cached[f] = true
 		m.repl[f] = replTarget
+		if m.holders != nil && replTarget > 1 {
+			owners, _ := m.ring.Owners(m.paths[f], int(replTarget))
+			for j, o := range owners {
+				m.holders[int(f)*m.cfg.Replication+j] = m.rankOf[o]
+			}
+		}
 	}
 
 	return maxRank + m.cfg.StepOverhead
