@@ -218,7 +218,6 @@ func runAdaptFTOne(cfg adaptftConfig, phases []chaos.Phase, seed int64, policy f
 		RPCTimeout:   rpcTimeout,
 		TimeoutLimit: 2,
 		Network:      netctl.Network("boot"),
-		Retry:        &rpc.RetryPolicy{},
 		ReadDelay:    cfg.readDelay,
 	})
 	if err != nil {

@@ -128,7 +128,6 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 		RPCTimeout:   rpcTimeout,
 		TimeoutLimit: 2,
 		Network:      ctl.Network("boot"),
-		Retry:        &rpc.RetryPolicy{},
 		Ingest:       ingest,
 		RAMCapacity:  ramCapacity,
 	})

@@ -79,9 +79,6 @@ type ClusterConfig struct {
 	// misses), giving nodes finite capacity (see
 	// hvac.ServerConfig.ReadDelay).
 	ReadDelay time.Duration
-	// Retry, when non-nil, gives every client the bounded-backoff retry
-	// policy for connection-class RPC failures (see rpc.RetryPolicy).
-	Retry *rpc.RetryPolicy
 	// Ingest, when non-nil, enables the batched async ingest pipeline on
 	// every client this cluster hands out (see hvac.IngestConfig).
 	Ingest *hvac.IngestConfig
@@ -186,7 +183,6 @@ func (c *Cluster) NewClientNet(network rpc.Network) (*hvac.Client, hvac.Router, 
 		TimeoutLimit:      c.cfg.TimeoutLimit,
 		ReplicationFactor: c.cfg.Replication,
 		LoadControl:       c.cfg.LoadControl,
-		Retry:             c.cfg.Retry,
 		Ingest:            c.cfg.Ingest,
 		Manifest:          c.pfs.Paths,
 	})

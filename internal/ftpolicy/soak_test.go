@@ -87,7 +87,6 @@ func runAdaptiveSoak(t *testing.T, seed int64, phases []chaos.Phase) {
 		RPCTimeout:   rpcTimeout,
 		TimeoutLimit: 2,
 		Network:      netctl.Network("boot"),
-		Retry:        &rpc.RetryPolicy{},
 	})
 	if err != nil {
 		t.Fatal(err)

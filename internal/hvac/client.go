@@ -120,13 +120,6 @@ type ClientConfig struct {
 	// OpPutBatch frames, and replica pushes ride the same batches. nil
 	// keeps every put (and replica push) a standalone synchronous OpPut.
 	Ingest *IngestConfig
-	// Retry, when non-nil, absorbs connection-class RPC failures (reset,
-	// refused, listener gone) with bounded jittered backoff before they
-	// become failure evidence. Timeout-class failures are never retried:
-	// those are the detector's signal (see rpc.RetryPolicy). nil disables
-	// retries — every failure is evidence immediately, the pre-retry
-	// behavior.
-	Retry *rpc.RetryPolicy
 	// Manifest lists the dataset's paths — the key population the failure
 	// and rejoin paths plan over. A declared failure ships each new owner
 	// the paths Router.PlanRecache says it inherited (OpRecache) so it
@@ -863,18 +856,15 @@ func (c *Client) raceLegs(ctx context.Context, legs []cluster.NodeID, path strin
 }
 
 // readNode is the node-read stage: one read of path from node, with
-// conn-class failures retried in place under cfg.Retry and timeout-class
-// ones never (see rpc.RetryPolicy). It classifies the outcome and notes
+// conn-class failures retried in place on rpc.RetryPolicy's schedule and
+// timeout-class ones never. It classifies the outcome and notes
 // no evidence — that is the attempt loop's — though any reply, even an
 // overload shed, records the node alive. The first try's RPC expires at
 // now+RPCTimeout: an entry in the connection's deadline table, so a read
 // derives no context and arms no timer.
 func (c *Client) readNode(ctx context.Context, node cluster.NodeID, path string, offset, length int64, now time.Time) ([]byte, error, errClass) {
 	m := cliMetrics()
-	budget := 0
-	if c.cfg.Retry != nil {
-		budget = c.cfg.Retry.Retries()
-	}
+	var retry rpc.RetryPolicy
 	for try := 0; ; try++ {
 		// "rpc.read" is the client half of one wire round-trip; the server
 		// stitches its "server.read" fragment under this span's id, carried
@@ -928,14 +918,14 @@ func (c *Client) readNode(ctx context.Context, node cluster.NodeID, path string,
 		}
 		sp.SetError(err)
 		sp.End()
-		if class != classConn || try >= budget || c.closed.Load() {
-			if class == classConn && budget > 0 {
+		if class != classConn || try >= retry.Retries() || c.closed.Load() {
+			if class == classConn {
 				m.retryExhausted.Inc()
 			}
 			return data, err, class
 		}
 		m.retries.Inc()
-		if c.cfg.Retry.Sleep(ctx, try) != nil {
+		if retry.Sleep(ctx, try) != nil {
 			return nil, ctx.Err(), classCtx
 		}
 		now = time.Now()

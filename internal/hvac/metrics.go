@@ -24,7 +24,7 @@ type clientMetrics struct {
 	replicaPush *telemetry.Counter   // replica writes issued
 	aborts      *telemetry.Counter   // reads terminated by RouteAbort (NoFT)
 
-	// Retry / rejoin series (zero unless Retry is set / Rejoin is used).
+	// Retry / rejoin series (zero until a connection fails / Rejoin is used).
 	retries         *telemetry.Counter // conn-class attempts retried with backoff
 	retryExhausted  *telemetry.Counter // retry budgets exhausted (became evidence)
 	rejoins         *telemetry.Counter // node rejoins completed

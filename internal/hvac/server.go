@@ -115,9 +115,6 @@ func NewServer(cfg ServerConfig, pfs storage.Store) *Server {
 	return s
 }
 
-// Node returns the server's cluster identity.
-func (s *Server) Node() cluster.NodeID { return s.cfg.Node }
-
 // NVMe exposes the cache store (tests and experiments preload it).
 func (s *Server) NVMe() *storage.NVMe { return s.nvme }
 

@@ -81,10 +81,3 @@ func (h *Hedge) Delay() (time.Duration, bool) {
 	}
 	return time.Duration(d), true
 }
-
-// Samples returns the number of observations (for tests and debug).
-func (h *Hedge) Samples() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}

@@ -109,9 +109,6 @@ func New(cfg Config, nodes []cluster.NodeID) *Controller {
 	}
 }
 
-// Config returns the resolved (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Replicas returns the hot-object fan-out width.
 func (c *Controller) Replicas() int { return c.cfg.Replicas }
 

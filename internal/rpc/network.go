@@ -30,10 +30,7 @@ type Network interface {
 const DefaultDialTimeout = 1 * time.Second
 
 // TCPNetwork is the Network over real TCP sockets.
-type TCPNetwork struct {
-	// DialTimeout bounds Dial; <= 0 selects DefaultDialTimeout.
-	DialTimeout time.Duration
-}
+type TCPNetwork struct{}
 
 // Listen implements Network.
 func (TCPNetwork) Listen(name string) (net.Listener, error) {
@@ -41,12 +38,8 @@ func (TCPNetwork) Listen(name string) (net.Listener, error) {
 }
 
 // Dial implements Network.
-func (n TCPNetwork) Dial(name string) (net.Conn, error) {
-	d := n.DialTimeout
-	if d <= 0 {
-		d = DefaultDialTimeout
-	}
-	return net.DialTimeout("tcp", name, d)
+func (TCPNetwork) Dial(name string) (net.Conn, error) {
+	return net.DialTimeout("tcp", name, DefaultDialTimeout)
 }
 
 // ErrNoEndpoint reports a dial to a name nobody is listening on.

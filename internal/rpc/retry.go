@@ -6,10 +6,23 @@ import (
 	"time"
 )
 
-// RetryPolicy is a bounded exponential-backoff-with-jitter schedule for
-// absorbing transient transport faults (a connection reset mid-stream,
-// a listener briefly gone during a restart) without surfacing them to
-// higher layers as failure evidence.
+// The retry schedule: up to retryBudget more attempts after the first
+// failure, the a-th waiting retryBase·2^a capped at retryCap, each
+// delay scaled by a uniform factor in [1-retryJitter, 1+retryJitter].
+// retryBudget × retryCap stays below the detector's suspect budget, so
+// an exhausted retry loop still surfaces evidence promptly.
+const (
+	retryBudget = 2
+	retryBase   = 2 * time.Millisecond
+	retryCap    = 100 * time.Millisecond
+	retryJitter = 0.5
+)
+
+// RetryPolicy is the bounded exponential-backoff-with-jitter schedule
+// for absorbing transient transport faults (a connection reset
+// mid-stream, a listener briefly gone during a restart) without
+// surfacing them to higher layers as failure evidence. It has no
+// fields: the zero value is the schedule.
 //
 // The interaction rule with the timeout-based failure detector (paper
 // §IV-A) is deliberate and asymmetric:
@@ -26,64 +39,19 @@ import (
 //
 // The jittered delays also decorrelate clients retrying after a mass
 // event, the same storm-avoidance argument as heartbeat jitter.
-type RetryPolicy struct {
-	// MaxRetries is the number of additional attempts after the first
-	// failure; <= 0 selects 2.
-	MaxRetries int
-	// BaseDelay is the first backoff step; <= 0 selects 2ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth; <= 0 selects 100ms. Keep
-	// MaxRetries × MaxDelay below the detector's suspect budget so an
-	// exhausted retry loop still surfaces evidence promptly.
-	MaxDelay time.Duration
-	// Jitter is the uniformly random fraction of each delay added or
-	// removed, in [0, 1]; 0 selects 0.5 (negative disables jitter).
-	Jitter float64
-}
+type RetryPolicy struct{}
 
-// DefaultRetryPolicy is the client default when retries are enabled.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 2, BaseDelay: 2 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Jitter: 0.5}
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.MaxRetries <= 0 {
-		p.MaxRetries = d.MaxRetries
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = d.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = d.MaxDelay
-	}
-	if p.Jitter == 0 {
-		p.Jitter = d.Jitter
-	} else if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	return p
-}
-
-// Retries returns the effective retry budget.
-func (p RetryPolicy) Retries() int { return p.withDefaults().MaxRetries }
+// Retries returns the retry budget.
+func (RetryPolicy) Retries() int { return retryBudget }
 
 // Backoff returns the jittered delay before retry attempt (0-based: the
 // delay between the first failure and the first retry is Backoff(0)).
-func (p RetryPolicy) Backoff(attempt int) time.Duration {
-	p = p.withDefaults()
-	d := p.BaseDelay << uint(attempt)
-	if d <= 0 || d > p.MaxDelay { // <= 0 catches shift overflow
-		d = p.MaxDelay
+func (RetryPolicy) Backoff(attempt int) time.Duration {
+	d := retryBase << uint(attempt)
+	if d <= 0 || d > retryCap { // <= 0 catches shift overflow
+		d = retryCap
 	}
-	if p.Jitter > 0 {
-		f := 1 + p.Jitter*(2*rand.Float64()-1)
-		d = time.Duration(float64(d) * f)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	return time.Duration(float64(d) * (1 + retryJitter*(2*rand.Float64()-1)))
 }
 
 // Sleep blocks for Backoff(attempt) or until ctx is done, returning

@@ -1,12 +1,11 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harnesses: streaming mean/variance, percentiles, histograms,
-// and run summaries. The paper reports averages over 3 repeated runs
-// (training experiments) and 500 trials (load-distribution simulation)
-// with standard deviations; this package computes exactly those.
+// experiment harnesses: streaming mean/variance and percentiles. The
+// paper reports averages over 3 repeated runs (training experiments)
+// and 500 trials (load-distribution simulation) with standard
+// deviations; this package computes exactly those.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -63,29 +62,6 @@ func (r *Running) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Merge combines another accumulator into r (parallel Welford merge),
-// so per-goroutine accumulators can be reduced without locking.
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	mean := r.mean + d*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n, r.mean, r.m2 = n, mean, m2
-}
-
 // Mean returns the arithmetic mean of xs; 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -134,92 +110,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Summary is a compact description of a sample used in experiment output.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P95    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return Summary{
-		N:      len(s),
-		Mean:   Mean(s),
-		StdDev: StdDev(s),
-		Min:    s[0],
-		P50:    Percentile(s, 50),
-		P95:    Percentile(s, 95),
-		Max:    s[len(s)-1],
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.Max)
-}
-
-// Histogram is a fixed-width-bucket histogram over [Lo, Hi). Values
-// outside the range are clamped into the first/last bucket so totals are
-// preserved.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	total   int
-}
-
-// NewHistogram creates a histogram with nbuckets equal-width buckets
-// spanning [lo, hi). It panics if nbuckets < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if nbuckets < 1 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, nbuckets)}
-}
-
-// Add records x in the appropriate bucket.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns bucket i's share of the total, or 0 when empty.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.total)
-}
-
-// BucketBounds returns the [lo, hi) range covered by bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
 }
 
 // CoeffVar returns the coefficient of variation (stddev/mean) of xs, a

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -47,45 +46,6 @@ func TestRunningSingle(t *testing.T) {
 	}
 }
 
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	merged := func(a, b []float64) bool {
-		var whole, left, right Running
-		for _, x := range a {
-			whole.Add(x)
-			left.Add(x)
-		}
-		for _, x := range b {
-			whole.Add(x)
-			right.Add(x)
-		}
-		left.Merge(&right)
-		if whole.N() != left.N() {
-			return false
-		}
-		if whole.N() == 0 {
-			return true
-		}
-		return almostEq(whole.Mean(), left.Mean(), 1e-6*(1+math.Abs(whole.Mean()))) &&
-			almostEq(whole.Variance(), left.Variance(), 1e-6*(1+whole.Variance()))
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
-		a := randomSlice(rng, rng.Intn(50))
-		b := randomSlice(rng, rng.Intn(50))
-		if !merged(a, b) {
-			t.Fatalf("merge mismatch for lens %d,%d", len(a), len(b))
-		}
-	}
-}
-
-func randomSlice(r *rand.Rand, n int) []float64 {
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = r.NormFloat64()*10 + 50
-	}
-	return s
-}
-
 func TestMeanStdDev(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if Mean(xs) != 2.5 {
@@ -124,59 +84,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	Percentile(xs, 50)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Errorf("bad summary: %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Error("empty summary should have N=0")
-	}
-	if s.String() == "" {
-		t.Error("summary string should be non-empty")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -3, 15} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// -3 clamps into bucket 0; 15 clamps into bucket 4.
-	if h.Buckets[0] != 3 { // 0, 1.9, -3
-		t.Errorf("bucket 0 = %d, want 3", h.Buckets[0])
-	}
-	if h.Buckets[4] != 2 { // 9.99, 15
-		t.Errorf("bucket 4 = %d, want 2", h.Buckets[4])
-	}
-	if !almostEq(h.Fraction(0), 3.0/7.0, 1e-12) {
-		t.Errorf("fraction(0) = %v", h.Fraction(0))
-	}
-	lo, hi := h.BucketBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("bounds(1) = [%v,%v), want [2,4)", lo, hi)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 

@@ -108,9 +108,6 @@ func (r *Recorder) SetSampleRate(n int) {
 	r.sampleRate.Store(uint64(n))
 }
 
-// SampleRate returns the current creation-time sampling rate.
-func (r *Recorder) SampleRate() int { return int(r.sampleRate.Load()) }
-
 // sampleTrace is the creation-time decision for a freshly minted trace
 // id.
 //
