@@ -79,8 +79,8 @@ type ClusterConfig struct {
 	// misses), giving nodes finite capacity (see
 	// hvac.ServerConfig.ReadDelay).
 	ReadDelay time.Duration
-	// Ingest, when non-nil, enables the batched async ingest pipeline on
-	// every client this cluster hands out (see hvac.IngestConfig).
+	// Ingest tunes the batched async ingest pipeline of every client this
+	// cluster hands out (see hvac.IngestConfig); nil selects its defaults.
 	Ingest *hvac.IngestConfig
 }
 

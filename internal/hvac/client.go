@@ -115,10 +115,10 @@ type ClientConfig struct {
 	// nil leaves the client's behavior exactly as before. Replica fan-out
 	// additionally needs a Router whose Replicas names secondaries.
 	LoadControl *loadctl.Config
-	// Ingest, when non-nil, enables the batched async ingest pipeline:
+	// Ingest tunes the batched async ingest pipeline every client runs:
 	// PutAsync buffers puts per destination node and ships them as
-	// OpPutBatch frames, and replica pushes ride the same batches. nil
-	// keeps every put (and replica push) a standalone synchronous OpPut.
+	// OpPutBatch frames, and replica and hot-object copies ride the same
+	// batches. nil selects the defaults, like &IngestConfig{}.
 	Ingest *IngestConfig
 	// Manifest lists the dataset's paths — the key population the failure
 	// and rejoin paths plan over. A declared failure ships each new owner
@@ -183,7 +183,8 @@ type Client struct {
 	hotPushes      atomic.Int64
 	shedRedirects  atomic.Int64
 
-	// ingest is the optional batched async put pipeline (nil = off).
+	// ingest is the batched async put pipeline, the one way an
+	// asynchronous write leaves the client.
 	ingest *ingester
 
 	// pfsLatNs is a streaming EWMA (α = 1/8) of direct-PFS read latency
@@ -191,10 +192,8 @@ type Client struct {
 	// controller watches. 0 until the first PFS read.
 	pfsLatNs atomic.Int64
 
-	// replSem bounds concurrent async replica pushes.
-	replSem chan struct{}
-	replWG  sync.WaitGroup
-	closed  atomic.Bool
+	// closed is set by Close: no dial, put or copy starts after it.
+	closed atomic.Bool
 
 	// baseCtx is the client's lifetime context: the recache hint senders
 	// and the ingest senders have no caller to inherit a context from, so
@@ -234,7 +233,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		tracker:   cluster.NewTracker(nodes, cfg.TimeoutLimit),
 		conns:     make(map[cluster.NodeID]*connSlot),
 		rejoining: make(map[cluster.NodeID]bool),
-		replSem:   make(chan struct{}, 16),
 		hinting:   make(map[cluster.NodeID]context.CancelFunc),
 	}
 	//ftclint:ignore ctxflow client lifetime root; Close cancels it, and the hint senders it bounds have no caller context to inherit
@@ -251,9 +249,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		c.tracker.OnRecovery(func(cluster.NodeID) { c.load.InvalidateReplicas() })
 		telemetry.Default().RegisterDebug("loadctl", func() any { return c.load.DebugSnapshot() })
 	}
-	if cfg.Ingest != nil {
-		c.ingest = newIngester(c, *cfg.Ingest)
-	}
+	c.ingest = &ingester{c: c, cfg: cfg.Ingest.withDefaults(), workers: make(map[cluster.NodeID]*appendWorker)}
 	return c, nil
 }
 
@@ -419,7 +415,8 @@ const recacheChunk = 1024
 // evidence, like replica pushes: a receiver that does not take its hint
 // (down, slow, queue full) recaches those paths on demand, and its
 // silence here says nothing the read path will not find out for itself.
-// An error skips the rest of that receiver's share.
+// Receivers are served in sorted order, so one seed ships its shares in
+// one order; an error skips the rest of that receiver's share.
 func (c *Client) hintRecache(failed cluster.NodeID, plan map[cluster.NodeID][]string) {
 	ctx, cancel := context.WithCancel(c.baseCtx)
 	c.hintMu.Lock()
@@ -437,7 +434,13 @@ func (c *Client) hintRecache(failed cluster.NodeID, plan map[cluster.NodeID][]st
 	go func() {
 		defer c.hintWG.Done()
 		defer cancel() // release the context; the stale entry in hinting is harmless
-		for receiver, paths := range plan {
+		receivers := make([]cluster.NodeID, 0, len(plan))
+		for receiver := range plan {
+			receivers = append(receivers, receiver)
+		}
+		slices.Sort(receivers)
+		for _, receiver := range receivers {
+			paths := plan[receiver]
 			for len(paths) > 0 && ctx.Err() == nil {
 				n := min(len(paths), recacheChunk)
 				if c.sendRecache(ctx, receiver, failed, paths[:n]) != nil {
@@ -1007,100 +1010,35 @@ func (c *Client) annotateChaos(sp *trace.Span, node cluster.NodeID) {
 	}
 }
 
-// pushCopies sends best-effort copies of path to owners[1:], the
+// pushCopies enqueues best-effort copies of path for owners[1:], the
 // secondaries, skipping dead ones: replica copies (ReplicationFactor,
-// span "replica.push", ReplicaPushes) and hot-object copies (hot, span
-// "hot.push", HotPushes). With an ingest pipeline they ride the per-node
-// batches, whose encode copies data. Otherwise each runs on a goroutine
-// bounded by replSem, as a root trace under baseCtx: the read or put
-// that caused it has returned, and Close cancels it. A missed copy costs
-// that node one PFS fill later, never correctness.
+// ReplicaPushes) and hot-object copies (hot, HotPushes). They ride the
+// ingest pipeline's per-node batches, whose encode copies data, so data
+// may alias an RPC response buffer. A missed copy costs that node one
+// PFS fill later, never correctness.
 func (c *Client) pushCopies(path string, data []byte, owners []cluster.NodeID, hot bool) {
 	if len(owners) < 2 || c.closed.Load() {
 		return
 	}
-	span, pushes, metric := "replica.push", &c.replicaPushes, cliMetrics().replicaPush
+	pushes, metric := &c.replicaPushes, cliMetrics().replicaPush
 	if hot {
-		span, pushes, metric = "hot.push", &c.hotPushes, cliMetrics().hotPush
+		pushes, metric = &c.hotPushes, cliMetrics().hotPush
 	}
-	var body []byte
 	for _, node := range owners[1:] {
-		if !c.tracker.IsAlive(node) {
-			continue
+		if c.tracker.IsAlive(node) && c.ingest.enqueue(node, path, data) == nil {
+			pushes.Add(1)
+			metric.Inc()
 		}
-		if c.ingest != nil {
-			if c.ingest.enqueue(node, path, data) == nil {
-				pushes.Add(1)
-				metric.Inc()
-			}
-			continue
-		}
-		if body == nil {
-			body = append([]byte(nil), data...) // data may alias an RPC response buffer
-		}
-		c.replWG.Add(1)
-		c.replSem <- struct{}{}
-		go func() {
-			defer c.replWG.Done()
-			defer func() { <-c.replSem }()
-			pctx, sp := trace.StartTrace(c.baseCtx, span)
-			sp.Annotate("node", string(node))
-			sp.Annotate("path", path)
-			err := c.Push(pctx, node, path, body)
-			sp.SetError(err)
-			sp.End()
-			if err == nil {
-				pushes.Add(1)
-				metric.Inc()
-			}
-		}()
 	}
 }
 
-// Push writes an object into a specific node's cache (replica write).
-// A span in ctx propagates on the wire, so the server's "server.put"
-// fragment stitches under the caller's trace.
-func (c *Client) Push(ctx context.Context, node cluster.NodeID, path string, data []byte) error {
-	req := PutReq{Path: path, Data: data}
-	if tid, sid, ok := trace.ContextIDs(ctx); ok {
-		req.Trace = wire.TraceExt{TraceID: uint64(tid), SpanID: uint64(sid)}
-	}
-	_, status, err := c.callNode(ctx, node, OpPut, req.Marshal())
-	if err != nil {
-		return err
-	}
-	if status != rpc.StatusOK {
-		return fmt.Errorf("hvac: put status %d", status)
-	}
-	return nil
-}
-
-// WaitReplication blocks until all in-flight replica pushes finish or
-// ctx expires — used by tests and epoch boundaries that need
-// determinism. With the ingest pipeline enabled it is also a batch
-// flush barrier: replica pushes ride ingest batches, so buffered
-// batches are sealed and their acks awaited before the wait returns
-// (delivery failures stay best-effort, exactly like goroutine pushes —
-// use Flush to observe them). The pushes themselves keep running after
-// a ctx-triggered return (they are bounded by the replication semaphore
-// and fail fast once connections drop); only the wait is abandoned.
+// WaitReplication blocks until every replica and hot-object copy
+// enqueued so far is acked or ctx expires — used by tests and epoch
+// boundaries that need determinism. It is the ingest barrier without
+// Flush's error report: copies stay best-effort. The batches keep
+// shipping after a ctx-triggered return; only the wait is abandoned.
 func (c *Client) WaitReplication(ctx context.Context) error {
-	if c.ingest != nil {
-		if err := c.ingest.barrier(ctx); err != nil {
-			return err
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		c.replWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return c.ingest.barrier(ctx)
 }
 
 // Stat returns size and cache residency of path from its current owner.
@@ -1155,9 +1093,9 @@ func (c *Client) Ping(ctx context.Context, node cluster.NodeID) error {
 	return nil
 }
 
-// Close tears down all connections, then waits for in-flight replica
-// pushes, ingest senders and recache hint senders (all fail fast once
-// the lifetime context is cancelled and their connections drop).
+// Close tears down all connections, then waits for the ingest senders
+// and recache hint senders (both fail fast once the lifetime context is
+// cancelled and their connections drop).
 func (c *Client) Close() {
 	c.hintMu.Lock()
 	c.closed.Store(true)
@@ -1176,9 +1114,6 @@ func (c *Client) Close() {
 			cli.Close()
 		}
 	}
-	if c.ingest != nil {
-		c.ingest.close()
-	}
-	c.replWG.Wait()
+	c.ingest.close()
 	c.hintWG.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -378,6 +379,16 @@ func TestConcurrentReadsSingleServer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestOpcodeValues pins the opcodes on the wire: a retired op (6, the
+// single-object put) leaves its slot unused rather than renumbering the
+// ops after it.
+func TestOpcodeValues(t *testing.T) {
+	got := []uint16{OpPing, OpRead, OpStat, OpStats, OpInvalidate, OpPutBatch, OpRecache}
+	if want := []uint16{1, 2, 3, 4, 5, 7, 8}; !slices.Equal(got, want) {
+		t.Errorf("opcodes %v, want %v", got, want)
 	}
 }
 

@@ -28,13 +28,14 @@ const (
 	ingestQueueDepth = 4
 )
 
-// IngestConfig enables the batched async ingest pipeline: PutAsync
-// buffers objects per destination node and ships them as OpPutBatch
-// frames, amortizing one RPC round-trip (and, underneath, one coalesced
-// socket write) over many objects. nil leaves the client put path
-// exactly as before — every put is its own synchronous OpPut. A batch
-// also seals at maxBatchBytes, and each node queues at most
-// ingestQueueDepth sealed batches; neither bound is configurable.
+// IngestConfig tunes the batched async ingest pipeline, the one way an
+// asynchronous write leaves a client: PutAsync and the replica and
+// hot-object copies buffer objects per destination node and ship them
+// as OpPutBatch frames, amortizing one RPC round-trip (and, underneath,
+// one coalesced socket write) over many objects. A nil *IngestConfig
+// selects the defaults. A batch also seals at maxBatchBytes, and each
+// node queues at most ingestQueueDepth sealed batches; neither bound is
+// configurable.
 type IngestConfig struct {
 	// MaxBatchEntries flushes a batch when it holds this many objects.
 	// <= 0 selects DefaultMaxBatchEntries.
@@ -45,14 +46,19 @@ type IngestConfig struct {
 	MaxDelay time.Duration
 }
 
-func (cfg IngestConfig) withDefaults() IngestConfig {
-	if cfg.MaxBatchEntries <= 0 {
-		cfg.MaxBatchEntries = DefaultMaxBatchEntries
+// withDefaults resolves cfg, which may be nil, to the settings in use.
+func (cfg *IngestConfig) withDefaults() IngestConfig {
+	var out IngestConfig
+	if cfg != nil {
+		out = *cfg
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = DefaultMaxBatchDelay
+	if out.MaxBatchEntries <= 0 {
+		out.MaxBatchEntries = DefaultMaxBatchEntries
 	}
-	return cfg
+	if out.MaxDelay <= 0 {
+		out.MaxDelay = DefaultMaxBatchDelay
+	}
+	return out
 }
 
 // ErrIngestClosed reports a put against a closed client.
@@ -135,10 +141,6 @@ type ingester struct {
 
 	errMu    sync.Mutex
 	firstErr error // first flush failure since the last Flush
-}
-
-func newIngester(c *Client, cfg IngestConfig) *ingester {
-	return &ingester{c: c, cfg: cfg.withDefaults(), workers: make(map[cluster.NodeID]*appendWorker)}
 }
 
 func (in *ingester) worker(node cluster.NodeID) (*appendWorker, error) {
@@ -302,31 +304,17 @@ func (w *appendWorker) send(b *ingestBatch) {
 	// The sender outlives every enqueueing caller, so the call runs under
 	// the client's lifetime context; RPCTimeout bounds it.
 	payload, status, err := c.callNode(c.baseCtx, w.node, OpPutBatch, b.enc.Bytes())
+	var acks []uint16
+	if err == nil {
+		acks, err = putAcks(w.node, b.entries(), status, payload)
+	}
 	if err != nil {
 		failBatch(err)
 		return
 	}
-	switch status {
-	case rpc.StatusOK:
-	case StatusOverloaded:
-		failBatch(fmt.Errorf("%w: %s (batch of %d)", ErrOverloaded, w.node, b.entries()))
-		return
-	default:
-		failBatch(fmt.Errorf("hvac: put batch status %d: %s", status, payload))
-		return
-	}
-	var resp PutBatchResp
-	if err := resp.Unmarshal(payload); err != nil {
-		failBatch(err)
-		return
-	}
-	if len(resp.Statuses) != b.entries() {
-		failBatch(fmt.Errorf("hvac: put batch ack count %d, want %d", len(resp.Statuses), b.entries()))
-		return
-	}
 	var firstBad error
 	bad := 0
-	for i, s := range resp.Statuses {
+	for i, s := range acks {
 		if s != rpc.StatusOK {
 			bad++
 			if firstBad == nil {
@@ -341,6 +329,26 @@ func (w *appendWorker) send(b *ingestBatch) {
 		m.ingestErrors.Add(int64(bad))
 		w.ing.recordErr(firstBad)
 	}
+}
+
+// putAcks checks the reply to a write of entries objects to node and
+// returns one status per entry. A shed write is ErrOverloaded.
+func putAcks(node cluster.NodeID, entries int, status uint16, payload []byte) ([]uint16, error) {
+	switch status {
+	case rpc.StatusOK:
+	case StatusOverloaded:
+		return nil, fmt.Errorf("%w: %s (batch of %d)", ErrOverloaded, node, entries)
+	default:
+		return nil, fmt.Errorf("hvac: put batch status %d: %s", status, payload)
+	}
+	var resp PutBatchResp
+	if err := resp.Unmarshal(payload); err != nil {
+		return nil, err
+	}
+	if len(resp.Statuses) != entries {
+		return nil, fmt.Errorf("hvac: put batch ack count %d, want %d", len(resp.Statuses), entries)
+	}
+	return resp.Statuses, nil
 }
 
 func (in *ingester) recordErr(err error) {
@@ -431,8 +439,6 @@ func (in *ingester) close() {
 // first failure since the previous Flush, and the ack-visibility
 // guarantee is that once Flush returns nil, every object put since the
 // previous barrier is readable from its owner.
-//
-// Without an IngestConfig the call degrades to the synchronous put.
 func (c *Client) PutAsync(path string, data []byte) error {
 	if c.closed.Load() {
 		return ErrIngestClosed
@@ -441,11 +447,6 @@ func (c *Client) PutAsync(path string, data []byte) error {
 	if len(owners) == 0 {
 		return fmt.Errorf("hvac: no owner for %s", path)
 	}
-	if c.ingest == nil {
-		// PutAsync takes no context by contract: the sync fallback runs
-		// under the client's lifetime, like the ingest senders.
-		return c.Put(c.baseCtx, path, data)
-	}
 	if err := c.ingest.enqueue(owners[0], path, data); err != nil {
 		return err
 	}
@@ -453,10 +454,34 @@ func (c *Client) PutAsync(path string, data []byte) error {
 	return nil
 }
 
-// Put stores one object synchronously on its ring owner: the unbatched
-// baseline PutAsync is measured against, and the fallback when no
-// ingest pipeline is configured. Replica pushes (with replication
-// enabled) stay asynchronous, exactly like the read-path fill.
+// Push writes one object into node's cache as a one-entry OpPutBatch,
+// so it passes the server's admission control like any batch: a shed
+// write is ErrOverloaded. A span in ctx propagates on the wire, so the
+// server's "server.put_batch" fragment stitches under the caller's
+// trace.
+func (c *Client) Push(ctx context.Context, node cluster.NodeID, path string, data []byte) error {
+	req := PutBatchReq{Entries: []PutEntry{{Path: path, Data: data}}}
+	if tid, sid, ok := trace.ContextIDs(ctx); ok {
+		req.Trace = wire.TraceExt{TraceID: uint64(tid), SpanID: uint64(sid)}
+	}
+	payload, status, err := c.callNode(ctx, node, OpPutBatch, req.Marshal())
+	if err != nil {
+		return err
+	}
+	acks, err := putAcks(node, 1, status, payload)
+	if err != nil {
+		return err
+	}
+	if acks[0] != rpc.StatusOK {
+		return fmt.Errorf("hvac: put %s on %s: status %d", path, node, acks[0])
+	}
+	return nil
+}
+
+// Put stores one object synchronously on its ring owner with one Push:
+// the unbatched baseline PutAsync is measured against. Replica copies
+// (with replication enabled) ride the ingest pipeline, exactly like the
+// read-path fill's.
 func (c *Client) Put(ctx context.Context, path string, data []byte) error {
 	owners := c.putOwners(path)
 	if len(owners) == 0 {
@@ -487,14 +512,11 @@ func (c *Client) putOwners(path string) []cluster.NodeID {
 
 // Flush is the ingest barrier: it seals and ships every buffered batch,
 // waits for their acks, and returns the first delivery failure since
-// the previous Flush (nil with no pipeline configured). When it returns
+// the previous Flush. When it returns
 // nil, every object accepted by PutAsync since the previous barrier is
 // readable from its owner — the ack-visibility guarantee batched
 // training ingest relies on at epoch boundaries.
 func (c *Client) Flush(ctx context.Context) error {
-	if c.ingest == nil {
-		return nil
-	}
 	if err := c.ingest.barrier(ctx); err != nil {
 		return err
 	}

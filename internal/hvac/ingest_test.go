@@ -2,6 +2,7 @@ package hvac
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -344,28 +345,70 @@ func TestIngestReadPathReplicationRidesBatches(t *testing.T) {
 	}
 }
 
-// TestIngestFlushReportsEntryFailure: a per-entry server-side failure
-// (object larger than the node's NVMe) surfaces from Flush, and the
-// failure of one entry does not block its batch-mates.
-func TestIngestFlushReportsEntryFailure(t *testing.T) {
+// oneServerCluster is a test cluster of one server built from cfg.
+func oneServerCluster(t *testing.T, cfg ServerConfig) (*testCluster, *Server) {
+	t.Helper()
 	tc := &testCluster{
 		t:       t,
 		network: rpc.NewInprocNetwork(),
 		pfs:     storage.NewPFS(),
 		servers: make(map[cluster.NodeID]*Server),
+		nodes:   []cluster.NodeID{cfg.Node},
 	}
-	node := cluster.NodeID("node-00")
-	tc.nodes = []cluster.NodeID{node}
-	srv := NewServer(ServerConfig{Node: node, NVMeCapacity: 64}, tc.pfs)
-	lis, err := tc.network.Listen(string(node))
+	srv := NewServer(cfg, tc.pfs)
+	lis, err := tc.network.Listen(string(cfg.Node))
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(lis)
 	t.Cleanup(srv.Close)
-	tc.servers[node] = srv
+	tc.servers[cfg.Node] = srv
+	return tc, srv
+}
 
-	c := tc.ingestClient(staticRouter{node: node}, &IngestConfig{MaxBatchEntries: 8, MaxDelay: time.Minute}, 0)
+// TestWritePassesAdmissionAtEntryCount: every write is an OpPutBatch,
+// so a Push and a flushed PutAsync both need an admission slot per
+// entry. With the server's one slot held both are shed as
+// ErrOverloaded; once it is released both land.
+func TestWritePassesAdmissionAtEntryCount(t *testing.T) {
+	tc, srv := oneServerCluster(t, ServerConfig{Node: "node-00", AdmissionLimit: 1})
+	c := tc.ingestClient(staticRouter{node: "node-00"}, &IngestConfig{MaxDelay: time.Minute}, 0)
+	ctx := context.Background()
+	write := func() (push, async error) {
+		push = c.Push(ctx, "node-00", "w/push", []byte("p"))
+		if err := c.PutAsync("w/async", []byte("a")); err != nil {
+			t.Fatal(err)
+		}
+		return push, c.Flush(ctx)
+	}
+
+	if !srv.Limiter().Acquire() {
+		t.Fatal("could not take the server's one admission slot")
+	}
+	push, async := write()
+	if !errors.Is(push, ErrOverloaded) {
+		t.Errorf("Push with the slot held: %v, want ErrOverloaded", push)
+	}
+	if !errors.Is(async, ErrOverloaded) {
+		t.Errorf("flushed PutAsync with the slot held: %v, want ErrOverloaded", async)
+	}
+	srv.Limiter().Release()
+	if push, async := write(); push != nil || async != nil {
+		t.Fatalf("after release: Push %v, PutAsync %v", push, async)
+	}
+	for _, p := range []string{"w/push", "w/async"} {
+		if !srv.NVMe().Has(p) {
+			t.Errorf("%s not cached after its write was acked", p)
+		}
+	}
+}
+
+// TestIngestFlushReportsEntryFailure: a per-entry server-side failure
+// (object larger than the node's NVMe) surfaces from Flush, and the
+// failure of one entry does not block its batch-mates.
+func TestIngestFlushReportsEntryFailure(t *testing.T) {
+	tc, srv := oneServerCluster(t, ServerConfig{Node: "node-00", NVMeCapacity: 64})
+	c := tc.ingestClient(staticRouter{node: "node-00"}, &IngestConfig{MaxBatchEntries: 8, MaxDelay: time.Minute}, 0)
 	if err := c.PutAsync("ok", []byte("small")); err != nil {
 		t.Fatal(err)
 	}
@@ -384,25 +427,6 @@ func TestIngestFlushReportsEntryFailure(t *testing.T) {
 	}
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush after consumed error: %v", err)
-	}
-}
-
-// TestIngestDisabledFallsBackToSyncPut: without an IngestConfig,
-// PutAsync degrades to the synchronous put — visible immediately, no
-// Flush needed.
-func TestIngestDisabledFallsBackToSyncPut(t *testing.T) {
-	tc := newTestCluster(t, 2)
-	router := hashRouter{nodes: tc.nodes}
-	c := tc.ingestClient(router, nil, 0)
-	if err := c.PutAsync("sync/f", []byte("direct")); err != nil {
-		t.Fatal(err)
-	}
-	owner := router.Route("sync/f").Node
-	if _, err := tc.servers[owner].NVMe().Get("sync/f"); err != nil {
-		t.Fatalf("sync fallback not immediately visible: %v", err)
-	}
-	if err := c.Flush(context.Background()); err != nil {
-		t.Fatalf("Flush without pipeline: %v", err)
 	}
 }
 

@@ -447,54 +447,53 @@ func TestHotReplicaSetUnreachableFailsOver(t *testing.T) {
 
 // TestHotPushReachesSuccessors: a hot whole-file read pushes the object
 // to the owner's successors once per ring epoch, through the ingest
-// batches when configured and on bounded goroutines otherwise, and
-// HotPushes counts each push. The successors are made to look slow so
-// p2c never sends them a leg: only the push can put the object there.
+// batches, and HotPushes counts each push. The successors are made to
+// look slow so p2c never sends them a leg: only the push can put the
+// object there.
 func TestHotPushReachesSuccessors(t *testing.T) {
-	for _, ingest := range []*IngestConfig{nil, {MaxDelay: time.Minute}} {
-		t.Run(fmt.Sprintf("ingest=%v", ingest != nil), func(t *testing.T) {
-			testutil.CheckGoroutines(t)
-			tc := newLoadctlCluster(t, 3, ServerConfig{})
-			body := []byte("hot-payload")
-			tc.pfs.Put("data/hot", body)
-			c := tc.client(ClientConfig{
-				Router:       newReplRouter(tc.nodes),
-				RPCTimeout:   time.Second,
-				TimeoutLimit: 2,
-				LoadControl:  &loadctl.Config{SampleRate: 1, Replicas: 1},
-				Ingest:       ingest,
-			})
-			lat := c.LoadControl().Latency
-			lat.Observe("node-01", time.Hour)
-			lat.Observe("node-02", time.Hour)
-			ctx := context.Background()
-			epoch := func(successor cluster.NodeID, pushes int64) {
-				t.Helper()
-				for i := 0; i < 32; i++ {
-					if data, err := c.Read(ctx, "data/hot"); err != nil || string(data) != string(body) {
-						t.Fatalf("read %d: %q, %v", i, data, err)
-					}
-				}
-				if err := c.WaitReplication(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if !tc.servers[successor].NVMe().Has("data/hot") {
-					t.Errorf("successor %s missing the hot object", successor)
-				}
-				if got := c.Stats().HotPushes; got != pushes {
-					t.Errorf("HotPushes=%d, want %d", got, pushes)
-				}
-			}
-			epoch("node-01", 1)
-			if tc.servers["node-02"].NVMe().Has("data/hot") {
-				t.Fatal("node-02 holds the object before it is a successor")
-			}
-			// A membership change is a new ring epoch: node-02 becomes the
-			// successor and receives the object once.
-			c.Tracker().MarkFailed("node-01")
-			epoch("node-02", 2)
+	// One case, named for the ingest batches the push rides.
+	t.Run("ingest=true", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		tc := newLoadctlCluster(t, 3, ServerConfig{})
+		body := []byte("hot-payload")
+		tc.pfs.Put("data/hot", body)
+		c := tc.client(ClientConfig{
+			Router:       newReplRouter(tc.nodes),
+			RPCTimeout:   time.Second,
+			TimeoutLimit: 2,
+			LoadControl:  &loadctl.Config{SampleRate: 1, Replicas: 1},
+			Ingest:       &IngestConfig{MaxDelay: time.Minute},
 		})
-	}
+		lat := c.LoadControl().Latency
+		lat.Observe("node-01", time.Hour)
+		lat.Observe("node-02", time.Hour)
+		ctx := context.Background()
+		epoch := func(successor cluster.NodeID, pushes int64) {
+			t.Helper()
+			for i := 0; i < 32; i++ {
+				if data, err := c.Read(ctx, "data/hot"); err != nil || string(data) != string(body) {
+					t.Fatalf("read %d: %q, %v", i, data, err)
+				}
+			}
+			if err := c.WaitReplication(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.servers[successor].NVMe().Has("data/hot") {
+				t.Errorf("successor %s missing the hot object", successor)
+			}
+			if got := c.Stats().HotPushes; got != pushes {
+				t.Errorf("HotPushes=%d, want %d", got, pushes)
+			}
+		}
+		epoch("node-01", 1)
+		if tc.servers["node-02"].NVMe().Has("data/hot") {
+			t.Fatal("node-02 holds the object before it is a successor")
+		}
+		// A membership change is a new ring epoch: node-02 becomes the
+		// successor and receives the object once.
+		c.Tracker().MarkFailed("node-01")
+		epoch("node-02", 2)
+	})
 }
 
 // TestLoadctlWaitReplicationContext verifies the context-aware wait: a

@@ -31,7 +31,8 @@ type clientMetrics struct {
 	rejoinWarmFiles *telemetry.Counter // objects warmed onto rejoining nodes
 	rejoinWarmBytes *telemetry.Counter // bytes warmed onto rejoining nodes
 
-	// Ingest series (zero unless ClientConfig.Ingest is set).
+	// Ingest series (zero until a client writes asynchronously: PutAsync,
+	// a replica copy or a hot-object copy).
 	ingestEntries      *telemetry.Counter   // objects accepted by PutAsync / riding batches
 	ingestBatches      *telemetry.Counter   // batches sealed
 	ingestBatchEntries *telemetry.Histogram // batch size (entries) at seal

@@ -148,45 +148,6 @@ func (f *File) Close() error {
 	return nil
 }
 
-// ReadFile is the convenience the input pipeline actually wants: whole
-// file in one call (open+read+close collapsed into a single RPC).
-func (c *Client) ReadFile(ctx context.Context, path string) ([]byte, error) {
-	return c.Read(ctx, path)
-}
-
-// DownloadTo streams path into w in chunkSize ranges — the path for
-// objects too large for a single RPC frame (checkpoint blobs, packed
-// shards). chunkSize <= 0 selects 4 MiB. Returns the bytes written.
-func (c *Client) DownloadTo(ctx context.Context, w io.Writer, path string, chunkSize int64) (int64, error) {
-	if chunkSize <= 0 {
-		chunkSize = 4 << 20
-	}
-	st, err := c.Stat(ctx, path)
-	if err != nil {
-		return 0, err
-	}
-	var written int64
-	for off := int64(0); off < st.Size; off += chunkSize {
-		n := chunkSize
-		if off+n > st.Size {
-			n = st.Size - off
-		}
-		chunk, err := c.ReadRange(ctx, path, off, n)
-		if err != nil {
-			return written, err
-		}
-		if int64(len(chunk)) != n {
-			return written, fmt.Errorf("hvac: short chunk at %d: %d != %d", off, len(chunk), n)
-		}
-		m, err := w.Write(chunk)
-		written += int64(m)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
-
 // Prefetch requests the given paths in the background so that their
 // owners pull them onto NVMe before the training loop needs them —
 // cache warming without blocking the caller. It returns once all

@@ -1,7 +1,6 @@
 package hvac
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -131,18 +130,6 @@ func TestOpenMissingFile(t *testing.T) {
 	}
 }
 
-func TestReadFileMatchesRead(t *testing.T) {
-	tc := newTestCluster(t, 1)
-	tc.pfs.Put("f", []byte("whole-file"))
-	c := tc.client(staticRouter{node: "node-00"}, time.Second)
-	ctx := context.Background()
-	a, err1 := c.ReadFile(ctx, "f")
-	b, err2 := c.Read(ctx, "f")
-	if err1 != nil || err2 != nil || !bytes.Equal(a, b) {
-		t.Errorf("ReadFile mismatch: %v %v", err1, err2)
-	}
-}
-
 func TestPrefetchWarmsCache(t *testing.T) {
 	tc := newTestCluster(t, 1)
 	paths := make([]string, 20)
@@ -166,28 +153,4 @@ func TestPrefetchDegenerateArgs(t *testing.T) {
 	c := tc.client(staticRouter{node: "node-00"}, time.Second)
 	c.Prefetch(context.Background(), nil, 0)             // no paths, no panic
 	c.Prefetch(context.Background(), []string{"x"}, 100) // parallelism > paths
-}
-
-func TestDownloadTo(t *testing.T) {
-	tc := newTestCluster(t, 1)
-	// 10000 bytes streamed in 1 KiB chunks → 10 RPCs.
-	body := bytes.Repeat([]byte("0123456789"), 1000)
-	tc.pfs.Put("big", body)
-	c := tc.client(staticRouter{node: "node-00"}, time.Second)
-	var out bytes.Buffer
-	n, err := c.DownloadTo(context.Background(), &out, "big", 1024)
-	if err != nil || n != int64(len(body)) {
-		t.Fatalf("DownloadTo = %d, %v", n, err)
-	}
-	if !bytes.Equal(out.Bytes(), body) {
-		t.Error("streamed content mismatch")
-	}
-	// Default chunk size path.
-	out.Reset()
-	if n, err := c.DownloadTo(context.Background(), &out, "big", 0); err != nil || n != int64(len(body)) {
-		t.Fatalf("default chunk: %d, %v", n, err)
-	}
-	if _, err := c.DownloadTo(context.Background(), &out, "missing", 0); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing err = %v", err)
-	}
 }

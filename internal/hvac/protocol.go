@@ -31,13 +31,11 @@ const (
 	OpStats
 	// OpInvalidate drops a path from the server's NVMe cache.
 	OpInvalidate
-	// OpPut pushes an object into the server's NVMe cache — the replica
-	// write used by the replication extension (see ftcache.RingReplicated).
-	OpPut
-	// OpPutBatch pushes many objects in one frame: the batched async
-	// ingest pipeline's wire op. The payload is a length-prefixed entry
-	// list; the response carries one status per entry, so a single bad
-	// object never fails its batch-mates.
+	_ // 6 is retired: it was a single-object put, now a one-entry OpPutBatch
+	// OpPutBatch is the one write op: it pushes objects into the server's
+	// NVMe cache, one (a Push) or many (an ingest batch) per frame. The
+	// payload is a length-prefixed entry list; the response carries one
+	// status per entry, so a single bad object never fails its batch-mates.
 	OpPutBatch
 	// OpRecache hints a server the paths it inherited from a failed node
 	// so it can prefetch them from the PFS ahead of demand. Best-effort
@@ -183,36 +181,6 @@ func (r *StatResp) Unmarshal(b []byte) error {
 	return nil
 }
 
-// PutReq pushes data into a server's cache (replica write).
-type PutReq struct {
-	Path string
-	Data []byte
-	// Trace is the optional trace context (zero = untraced).
-	Trace wire.TraceExt
-}
-
-// Marshal encodes the request.
-func (r *PutReq) Marshal() []byte {
-	e := wire.NewBuffer(len(r.Path) + len(r.Data) + 8 + wire.TraceExtSize).
-		String(r.Path).Bytes32(r.Data)
-	if r.Trace.Valid() {
-		e.AppendTraceExt(r.Trace)
-	}
-	return e.Bytes()
-}
-
-// Unmarshal decodes the request. Data aliases b.
-func (r *PutReq) Unmarshal(b []byte) error {
-	d := wire.NewReader(b)
-	r.Path = d.String()
-	r.Data = d.Bytes32()
-	r.Trace, _ = d.DecodeTraceExt()
-	if d.Err() != nil {
-		return ErrDecode
-	}
-	return nil
-}
-
 // PutEntry is one object of a batched put.
 type PutEntry struct {
 	Path string
@@ -231,35 +199,27 @@ const minPutEntryWire = 8
 // explicit flush of an empty buffer acknowledges as an empty response).
 type PutBatchReq struct {
 	Entries []PutEntry
-	// Trace is the optional trace context of the flush generation that
-	// sealed this batch (zero = untraced).
+	// Trace is the optional trace context (zero = untraced): the flush
+	// generation that sealed an ingest batch, or a Push's caller.
 	Trace wire.TraceExt
 }
 
-// Marshal encodes the request.
+// Marshal encodes the request in one shot. The ingest worker builds the
+// same encoding incrementally: EncodePutEntry per object, with the
+// count, known only at seal, patched into its placeholder.
 func (r *PutBatchReq) Marshal() []byte {
 	size := 4 + wire.TraceExtSize
 	for i := range r.Entries {
 		size += minPutEntryWire + len(r.Entries[i].Path) + len(r.Entries[i].Data)
 	}
-	e := wire.NewBuffer(size)
-	AppendPutBatch(e, r.Entries)
+	e := wire.NewBuffer(size).U32(uint32(len(r.Entries)))
+	for i := range r.Entries {
+		EncodePutEntry(e, r.Entries[i].Path, r.Entries[i].Data)
+	}
 	if r.Trace.Valid() {
 		e.AppendTraceExt(r.Trace)
 	}
 	return e.Bytes()
-}
-
-// AppendPutBatch encodes entries onto e in PutBatchReq wire form — the
-// append-style primitive the ingest worker uses to build a batch
-// payload incrementally (the count is known only at flush time, so the
-// worker encodes entries with EncodePutEntry and prepends the count
-// itself; this helper is the one-shot form).
-func AppendPutBatch(e *wire.Buffer, entries []PutEntry) {
-	e.U32(uint32(len(entries)))
-	for i := range entries {
-		EncodePutEntry(e, entries[i].Path, entries[i].Data)
-	}
 }
 
 // EncodePutEntry appends one batch entry (path + data) onto e.

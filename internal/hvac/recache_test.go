@@ -3,6 +3,7 @@ package hvac
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -243,6 +244,59 @@ func TestHintToUnresponsiveReceiver(t *testing.T) {
 	}
 	if enq, _ := tc.servers["node-02"].Mover().Counters(); enq != 0 {
 		t.Errorf("silent receiver queued %d paths", enq)
+	}
+}
+
+// TestHintsShipInReceiverOrder: a failure's hint frames reach their
+// receivers in sorted order, whatever order the plan map ranges in, so
+// one seed ships one sequence.
+func TestHintsShipInReceiverOrder(t *testing.T) {
+	network := rpc.NewInprocNetwork()
+	eps := make(map[cluster.NodeID]string)
+	plan := make(map[cluster.NodeID][]string)
+	var want []cluster.NodeID
+	var mu sync.Mutex
+	var got []cluster.NodeID
+	for i := 8; i >= 0; i-- { // node-00 fails, node-01..08 receive
+		node := cluster.NodeID(fmt.Sprintf("node-%02d", i))
+		eps[node] = string(node)
+		srv := rpc.NewServer(rpc.HandlerFunc(func(op uint16, _ []byte) (uint16, []byte) {
+			if op == OpRecache {
+				mu.Lock()
+				got = append(got, node)
+				mu.Unlock()
+			}
+			return rpc.StatusOK, nil
+		}))
+		lis, err := network.Listen(string(node))
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(lis)
+		t.Cleanup(srv.Close)
+		if i > 0 {
+			plan[node] = []string{"ds/" + string(node)}
+			want = append(want, node)
+		}
+	}
+	slices.Sort(want)
+	c, err := NewClient(ClientConfig{
+		Endpoints:  eps,
+		Network:    network,
+		Router:     planRouter{staticRouter: staticRouter{node: "node-00"}, plan: plan},
+		RPCTimeout: time.Second,
+		Manifest:   func() []string { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	c.Tracker().MarkFailed("node-00")
+	c.hintWG.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(got, want) {
+		t.Errorf("hint frames reached %v, want %v", got, want)
 	}
 }
 

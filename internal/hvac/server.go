@@ -22,7 +22,8 @@ type ServerConfig struct {
 	Node cluster.NodeID
 	// NVMeCapacity bounds the node-local cache (0 = unbounded).
 	NVMeCapacity int64
-	// AdmissionLimit bounds concurrently served reads; excess requests
+	// AdmissionLimit bounds concurrently served reads and written
+	// objects (a write takes one slot per entry); excess requests
 	// queue (AdmissionQueue deep, for at most
 	// loadctl.DefaultAdmissionWait) and are then shed with
 	// StatusOverloaded. <= 0 disables admission control.
@@ -202,8 +203,8 @@ func (s *Server) HandleLeased(op uint16, payload []byte, connWait time.Duration)
 // a read up to its first wait — a RAM hit is served there, and so is an
 // NVMe hit when no device is modelled. A read that must wait for an
 // admission slot, the device or the miss flight continues on a
-// goroutine of its own; so do puts, put batches and recache hints,
-// whole, since they wait on the mover. A read answers
+// goroutine of its own; so do put batches and recache hints, whole,
+// since they wait on the mover. A read answers
 // with a zero-copy payload tail — the stored object itself, leased when
 // it comes from the RAM tier — that stays referenced until the
 // coalesced response flush has it on the wire.
@@ -219,7 +220,7 @@ func (s *Server) Stage(op uint16, payload []byte) (rpc.LeasedResp, rpc.Continuat
 		return plainResp(s.handleStats()), nil
 	case OpInvalidate:
 		return plainResp(s.handleInvalidate(payload)), nil
-	case OpPut, OpPutBatch, OpRecache:
+	case OpPutBatch, OpRecache:
 		return rpc.LeasedResp{}, (*writeOps)(s)
 	default:
 		return rpc.LeasedResp{Status: StatusError, Head: []byte("unknown opcode")}, nil
@@ -234,14 +235,10 @@ type writeOps Server
 // Continue implements rpc.Continuation.
 func (w *writeOps) Continue(op uint16, payload []byte, connWait time.Duration) rpc.LeasedResp {
 	s := (*Server)(w)
-	switch op {
-	case OpPut:
-		return plainResp(s.handlePut(payload))
-	case OpPutBatch:
+	if op == OpPutBatch {
 		return plainResp(s.handlePutBatch(payload, connWait))
-	default:
-		return plainResp(s.handleRecache(payload))
 	}
+	return plainResp(s.handleRecache(payload))
 }
 
 // plainResp wraps a copying handler's result as a lease-free response.
@@ -249,52 +246,15 @@ func plainResp(status uint16, resp []byte) rpc.LeasedResp {
 	return rpc.LeasedResp{Status: status, Head: resp}
 }
 
-// handlePut accepts a replica write: the pusher already holds the bytes,
-// so the copy goes straight to NVMe (synchronously — the caller made it
-// async on its side and wants a durable acknowledgement). Writes for
-// already-cached paths are acknowledged without storing: hot-object
-// fan-out means many clients may push the same object, and re-storing
-// identical bytes only churns the LRU.
-func (s *Server) handlePut(payload []byte) (uint16, []byte) {
-	var req PutReq
-	if err := req.Unmarshal(payload); err != nil {
-		return StatusError, []byte(err.Error())
-	}
-	sp := trace.StartRemote("server.put", trace.TraceID(req.Trace.TraceID), trace.SpanID(req.Trace.SpanID))
-	defer sp.End()
-	sp.Annotate("node", string(s.cfg.Node))
-	if s.nvme.Has(req.Path) {
-		sp.Annotate("dedup", "cached")
-		return rpc.StatusOK, nil
-	}
-	// The path is new to NVMe, so the put may carry bytes that differ
-	// from a stale RAM copy (promoted earlier, then evicted from NVMe):
-	// drop the RAM entry before the fill so the tier can never serve
-	// stale data. When NVMe already had the path (dedup above), RAM and
-	// NVMe still agree and no invalidation is needed.
-	if s.ram != nil {
-		s.ram.Invalidate(req.Path)
-	}
-	// The payload aliases the RPC buffer; copy before retaining.
-	data := append([]byte(nil), req.Data...)
-	st := sp.StartChild("storage.fill")
-	err := s.mover.FillSync(req.Path, data)
-	st.SetError(err)
-	st.End()
-	if err != nil {
-		sp.SetError(err)
-		return StatusError, []byte(err.Error())
-	}
-	return rpc.StatusOK, nil
-}
-
-// handlePutBatch accepts one ingest batch: every entry is decoded,
-// admitted at its true cost (the batch competes for admission slots as
-// N objects, not as one frame — otherwise batching would be an
-// admission-control bypass), copied off the pooled RPC buffer, and
-// stored in a single sharded NVMe pass. Each entry gets its own status
-// so one oversized object never fails its batch-mates; already-cached
-// paths are acknowledged without re-storing, like handlePut.
+// handlePutBatch accepts every write — an ingest batch, or a Push as a
+// one-entry batch: every entry is decoded, admitted at its true cost
+// (the batch competes for admission slots as N objects, not as one
+// frame — otherwise batching would be an admission-control bypass),
+// copied off the pooled RPC buffer, and stored in a single sharded NVMe
+// pass. Each entry gets its own status so one oversized object never
+// fails its batch-mates. Already-cached paths are acknowledged without
+// re-storing: hot-object fan-out means many clients may push the same
+// object, and re-storing identical bytes only churns the LRU.
 func (s *Server) handlePutBatch(payload []byte, connWait time.Duration) (uint16, []byte) {
 	var req PutBatchReq
 	if err := req.Unmarshal(payload); err != nil {
@@ -336,8 +296,10 @@ func (s *Server) handlePutBatch(payload []byte, connWait time.Duration) (uint16,
 			continue // acked as OK without re-storing
 		}
 		if s.ram != nil {
-			// Same rule as handlePut: a path new to NVMe may carry new
-			// bytes, so any stale RAM copy must go before the fill.
+			// A path new to NVMe may carry bytes that differ from a stale
+			// RAM copy (promoted earlier, then evicted from NVMe), so that
+			// copy goes before the fill; a deduped path's RAM and NVMe
+			// copies still agree.
 			s.ram.Invalidate(req.Entries[i].Path)
 		}
 		fills = append(fills, storage.BatchEntry{Path: req.Entries[i].Path, Data: req.Entries[i].Data})
@@ -417,13 +379,12 @@ type readOp struct {
 
 var readOps = sync.Pool{New: func() any { return new(readOp) }}
 
-// stageRead is the read's first stage. Admission comes first: only
-// reads are limited — control-plane ops (ping, stats) must keep
-// answering under overload so liveness probes and observability stay
-// truthful, and puts are already bounded by the pusher's semaphore. The
-// gate runs before the payload is even decoded, so a shed request costs
-// no parse and gets no span — the limiter's own counters are its
-// record.
+// stageRead is the read's first stage. Admission comes first: reads and
+// writes are limited (a write at its entry count, in handlePutBatch) —
+// control-plane ops (ping, stats) must keep answering under overload so
+// liveness probes and observability stay truthful. The gate runs
+// before the payload is even decoded, so a shed request costs no parse
+// and gets no span — the limiter's own counters are its record.
 func (s *Server) stageRead(payload []byte) (rpc.LeasedResp, rpc.Continuation) {
 	r := readOp{s: s}
 	defer r.unwind()

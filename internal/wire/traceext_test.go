@@ -84,7 +84,7 @@ func TestTraceExtZeroIDMeansAbsent(t *testing.T) {
 // FuzzTraceExt hardens the optional-extension decoder: arbitrary
 // trailers must decode, skip, or set the sticky error — never panic,
 // and never disagree between the plain and pooled frame-delivery
-// paths. This is the path every OpRead/OpPut/OpPutBatch request payload
+// paths. This is the path every OpRead/OpPutBatch request payload
 // funnels through when tracing is on.
 func FuzzTraceExt(f *testing.F) {
 	valid := NewBuffer(0).AppendTraceExt(TraceExt{TraceID: 7, SpanID: 9}).Bytes()
