@@ -7,8 +7,9 @@
 //	ftcbench -exp fig5b        # one experiment
 //	ftcbench -exp fig6b -seed 7
 //
-// Experiments: those in experiments.Names, or all. results/csv holds
-// their CSVs at seed 1; internal/experiments' TestPaperCSVs checks them.
+// Experiments: those in experiments.Names, or all. Each prints its
+// experiments.Table; results/csv holds the same rows as CSV at seed 1,
+// and internal/experiments' TestPaperCSVs checks them.
 //
 // Two live-cluster modes measure what the benchmark suite (bench/) does
 // not yet:
@@ -24,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -34,7 +36,7 @@ import (
 var benchLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig1|fig2|fig5a|fig5b|fig6a|fig6b|extrepl|extvnode|all")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), "|")+"|all")
 	seed := flag.Int64("seed", 1, "random seed")
 	hpClients := flag.Int("clients", 16, "live modes: concurrent client connections")
 	hpNodes := flag.Int("nodes", 4, "live modes: server nodes")
@@ -145,7 +147,7 @@ func main() {
 	scale := experiments.PaperScale()
 	scale.Seed = *seed
 	sweep := experiments.NewSweep(scale)
-	names := experiments.Names
+	names := experiments.Names()
 	if *exp != "all" {
 		names = []string{*exp}
 	}
@@ -156,7 +158,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)
 		}
-		fmt.Println(out.Format())
+		fmt.Println(experiments.Render(out.Tabulate()))
 		fmt.Printf("  [%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 }

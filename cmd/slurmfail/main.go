@@ -5,7 +5,9 @@
 //	slurmfail analyze frontier.sacct
 //
 // `analyze` accepts any `sacct -P -o JobID,State,NNodes,ElapsedRaw,Submit`
-// dump, so it runs unchanged against real scheduler logs.
+// dump, so it runs unchanged against real scheduler logs. It prints
+// Table I and Figs 1–2 as ftcbench does (experiments.Render), each
+// titled with the file it read, then the MTBF estimate.
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/slurmlog"
 )
 
@@ -99,48 +102,17 @@ func analyzeCmd(args []string) {
 		startTime = t
 	}
 
-	tab := slurmlog.ComputeTableI(recs)
-	fmt.Printf("Table I (from %s)\n", fs.Arg(0))
-	fmt.Printf("%-16s %9s %14s %14s\n", "Type", "Count", "Failure ratio", "Overall ratio")
-	fmt.Printf("%-16s %9d %14s %13.2f%%\n", "Total Jobs", tab.TotalJobs, "N/A", 100.0)
-	fmt.Printf("%-16s %9d %13.2f%% %13.2f%%\n", "Total Failures", tab.TotalFailures, 100.0, 100*tab.FailureRatio())
-	for _, row := range []struct {
-		name  string
-		state slurmlog.State
-		count int
-	}{
-		{"Node Fail", slurmlog.StateNodeFail, tab.NodeFail},
-		{"Timeout", slurmlog.StateTimeout, tab.Timeout},
-		{"Job Fail", slurmlog.StateJobFail, tab.JobFail},
+	weekly, overall := slurmlog.Fig1(recs, startTime, *weeks)
+	for _, r := range []experiments.Result{
+		experiments.Table1Result{Table: slurmlog.ComputeTableI(recs), Log: fs.Arg(0)},
+		experiments.Fig1Result{Weeks: weekly, OverallMinutes: overall},
+		experiments.Fig2Result{ByNodes: slurmlog.Fig2a(recs), ByElapsed: slurmlog.Fig2b(recs)},
 	} {
-		fmt.Printf("%-16s %9d %13.2f%% %13.2f%%\n", row.name, row.count,
-			100*tab.ShareOfFailures(row.state), 100*tab.ShareOfAll(row.state))
+		fmt.Println(experiments.Render(r.Tabulate()))
 	}
-
-	points, overall := slurmlog.Fig1(recs, startTime, *weeks)
-	fmt.Printf("\nFig 1: mean elapsed minutes of failed jobs per week (overall %.1f)\n", overall)
-	for _, p := range points {
-		fmt.Printf("  week %2d: all=%6.1f job=%6.1f timeout=%6.1f node=%6.1f (n=%d)\n",
-			p.Week, p.AllFailedMinutes, p.JobFailMinutes, p.TimeoutMinutes,
-			p.NodeFailMinutes, p.Failures)
-	}
-
-	printBuckets := func(title string, buckets []slurmlog.Bucket) {
-		fmt.Printf("\n%s\n", title)
-		for _, b := range buckets {
-			fmt.Printf("  %-12s total=%7d job=%5.1f%% timeout=%5.1f%% node=%5.1f%% nf+to=%5.1f%%\n",
-				b.Label, b.Total(),
-				100*b.Share(slurmlog.StateJobFail),
-				100*b.Share(slurmlog.StateTimeout),
-				100*b.Share(slurmlog.StateNodeFail),
-				100*b.NodeFailureClassShare())
-		}
-	}
-	printBuckets("Fig 2(a): failure mix by node count", slurmlog.Fig2a(recs))
-	printBuckets("Fig 2(b): failure mix by elapsed time", slurmlog.Fig2b(recs))
 
 	mtbf := slurmlog.EstimateMTBF(recs)
-	fmt.Printf("\nMTBF analysis (§III motivation)\n")
+	fmt.Printf("MTBF analysis (§III motivation)\n")
 	fmt.Printf("  observation span:        %v\n", mtbf.Span.Round(time.Hour))
 	fmt.Printf("  node-failure-class jobs: %d\n", mtbf.NodeFailureEvents)
 	fmt.Printf("  node-hours consumed:     %.0f\n", mtbf.NodeHours)

@@ -31,7 +31,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("table1", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := w.Table1().WriteCSV(&buf); err != nil {
+		if err := WriteCSV(&buf, w.Table1().Tabulate()); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 4)
@@ -42,7 +42,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig1", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := w.Fig1().WriteCSV(&buf); err != nil {
+		if err := WriteCSV(&buf, w.Fig1().Tabulate()); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 6)
@@ -56,7 +56,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig2", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := w.Fig2().WriteCSV(&buf); err != nil {
+		if err := WriteCSV(&buf, w.Fig2().Tabulate()); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 7)
@@ -67,7 +67,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig5", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := w.Fig5a().WriteCSV(&buf); err != nil {
+		if err := WriteCSV(&buf, w.Fig5a().Tabulate()); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 6)
@@ -78,7 +78,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig6a", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := w.Fig6a().WriteCSV(&buf); err != nil {
+		if err := WriteCSV(&buf, w.Fig6a().Tabulate()); err != nil {
 			t.Fatal(err)
 		}
 		parseCSV(t, &buf, 5)
@@ -86,7 +86,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("fig6b", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := w.Fig6b().WriteCSV(&buf); err != nil {
+		if err := WriteCSV(&buf, w.Fig6b().Tabulate()); err != nil {
 			t.Fatal(err)
 		}
 		rows := parseCSV(t, &buf, 7)
@@ -97,7 +97,7 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("extrepl", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := w.ExtReplication().WriteCSV(&buf); err != nil {
+		if err := WriteCSV(&buf, w.ExtReplication().Tabulate()); err != nil {
 			t.Fatal(err)
 		}
 		parseCSV(t, &buf, 6)
@@ -105,9 +105,29 @@ func TestCSVEmitters(t *testing.T) {
 
 	t.Run("extvnode", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := w.ExtVnodeSweep().WriteCSV(&buf); err != nil {
+		if err := WriteCSV(&buf, w.ExtVnodeSweep().Tabulate()); err != nil {
 			t.Fatal(err)
 		}
 		parseCSV(t, &buf, 3)
 	})
+}
+
+func TestRender(t *testing.T) {
+	out := Render(Table{
+		Title:  "T",
+		Header: []string{"nodes", "strategy", "total_sec", "ratio", "aborted"},
+		Rows: [][]string{
+			{"64", "FT w/ NVMe", "3328.169030523", "0.08839870303336839", "false"},
+			{"1024", "NoFT", "0", "", "true"},
+		},
+		Notes: []string{"a note"},
+	})
+	want := "T\n" +
+		"  nodes    strategy  total_sec    ratio  aborted\n" +
+		"     64  FT w/ NVMe       3328  0.08840    false\n" +
+		"   1024        NoFT          0              true\n" +
+		"  a note\n"
+	if out != want {
+		t.Errorf("Render =\n%s\nwant\n%s", out, want)
+	}
 }

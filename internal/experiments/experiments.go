@@ -9,15 +9,15 @@
 //	Fig 6(a) — per-epoch analysis around a failure
 //	Fig 6(b) — virtual-node sweep of post-failure load redistribution
 //
-// Each experiment returns a structured result plus a Format() rendering
-// of the same rows/series the paper reports. EXPERIMENTS.md records the
-// paper-vs-measured comparison produced by these functions.
+// Each experiment returns a structured result whose Tabulate method gives
+// the rows the paper reports as one Table; WriteCSV prints it as
+// results/csv holds it and Render as ftcbench shows it. EXPERIMENTS.md
+// records the paper-vs-measured comparison produced by these functions.
 package experiments
 
 import (
 	"fmt"
-	"io"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/failure"
@@ -87,37 +87,44 @@ type Sweep struct {
 // NewSweep returns a Sweep at scale s.
 func NewSweep(s Scale) *Sweep { return &Sweep{s: s} }
 
-// Result is what every experiment returns: the paper-style rendering
-// and a machine-readable table.
-type Result interface {
-	Format() string
-	WriteCSV(io.Writer) error
+// Result is what every experiment returns: its rows as one Table, which
+// WriteCSV and Render print.
+type Result interface{ Tabulate() Table }
+
+// all lists every experiment in the order `ftcbench -exp all` runs
+// them; results/csv/<name>.csv is each one's CSV at PaperScale.
+var all = []struct {
+	name string
+	run  func(*Sweep) Result
+}{
+	{"table1", func(w *Sweep) Result { return w.Table1() }},
+	{"fig1", func(w *Sweep) Result { return w.Fig1() }},
+	{"fig2", func(w *Sweep) Result { return w.Fig2() }},
+	{"fig5a", func(w *Sweep) Result { return w.Fig5a() }},
+	{"fig5b", func(w *Sweep) Result { return w.Fig5b() }},
+	{"fig6a", func(w *Sweep) Result { return w.Fig6a() }},
+	{"fig6b", func(w *Sweep) Result { return w.Fig6b() }},
+	{"extrepl", func(w *Sweep) Result { return w.ExtReplication() }},
+	{"extvnode", func(w *Sweep) Result { return w.ExtVnodeSweep() }},
 }
 
-// Names lists every experiment in the order `ftcbench -exp all` runs
-// them; results/csv/<name>.csv is each one's CSV at PaperScale.
-var Names = []string{
-	"table1", "fig1", "fig2", "fig5a", "fig5b", "fig6a", "fig6b",
-	"extrepl", "extvnode",
+// Names returns every experiment's name, in the order of `-exp all`.
+func Names() []string {
+	names := make([]string, len(all))
+	for i, e := range all {
+		names[i] = e.name
+	}
+	return names
 }
 
 // Run runs the named experiment; ok is false for an unknown name.
 func (w *Sweep) Run(name string) (Result, bool) {
-	run, ok := map[string]func() Result{
-		"table1":   func() Result { return w.Table1() },
-		"fig1":     func() Result { return w.Fig1() },
-		"fig2":     func() Result { return w.Fig2() },
-		"fig5a":    func() Result { return w.Fig5a() },
-		"fig5b":    func() Result { return w.Fig5b() },
-		"fig6a":    func() Result { return w.Fig6a() },
-		"fig6b":    func() Result { return w.Fig6b() },
-		"extrepl":  func() Result { return w.ExtReplication() },
-		"extvnode": func() Result { return w.ExtVnodeSweep() },
-	}[name]
-	if !ok {
-		return nil, false
+	for _, e := range all {
+		if e.name == name {
+			return e.run(w), true
+		}
 	}
-	return run(), true
+	return nil, false
 }
 
 // records generates the synthetic SLURM log once.
@@ -146,37 +153,37 @@ func (w *Sweep) run(cfg trainsim.Config) trainsim.Result { return w.prepared().R
 // Table1Result is the reproduced Table I.
 type Table1Result struct {
 	Table slurmlog.TableI
+	// Log names the records' source in the title.
+	Log string
 }
+
+// synthetic is the Log of every table the Sweep computes.
+const synthetic = "synthetic log calibrated to Frontier"
 
 // Table1 computes Table I from the synthetic log.
 func (w *Sweep) Table1() Table1Result {
 	_, recs := w.records()
-	return Table1Result{Table: slurmlog.ComputeTableI(recs)}
+	return Table1Result{Table: slurmlog.ComputeTableI(recs), Log: synthetic}
 }
 
-// Format renders the paper's Table I layout.
-func (r Table1Result) Format() string {
+// Tabulate returns Table I: each failure type's count and its share of
+// the failures and of all jobs.
+func (r Table1Result) Tabulate() Table {
 	t := r.Table
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table I: job failures (synthetic log calibrated to Frontier)\n")
-	fmt.Fprintf(&b, "%-16s %9s %14s %14s\n", "Type", "Count", "Failure ratio", "Overall ratio")
-	fmt.Fprintf(&b, "%-16s %9d %14s %13.2f%%\n", "Total Jobs", t.TotalJobs, "N/A", 100.0)
-	fmt.Fprintf(&b, "%-16s %9d %13.2f%% %13.2f%%\n", "Total Failures",
-		t.TotalFailures, 100.0, 100*t.FailureRatio())
-	rows := []struct {
-		name  string
-		state slurmlog.State
-		count int
-	}{
-		{"Node Fail", slurmlog.StateNodeFail, t.NodeFail},
-		{"Timeout", slurmlog.StateTimeout, t.Timeout},
-		{"Job Fail", slurmlog.StateJobFail, t.JobFail},
+	row := func(name string, s slurmlog.State, n int) []string {
+		return []string{name, d(n), f(t.ShareOfFailures(s)), f(t.ShareOfAll(s))}
 	}
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-16s %9d %13.2f%% %13.2f%%\n", row.name, row.count,
-			100*t.ShareOfFailures(row.state), 100*t.ShareOfAll(row.state))
+	return Table{
+		Title:  "Table I: job failures (" + r.Log + ")",
+		Header: []string{"type", "count", "failure_ratio", "overall_ratio"},
+		Rows: [][]string{
+			{"total_jobs", d(t.TotalJobs), "", "1.0"},
+			{"total_failures", d(t.TotalFailures), "1.0", f(t.FailureRatio())},
+			row("node_fail", slurmlog.StateNodeFail, t.NodeFail),
+			row("timeout", slurmlog.StateTimeout, t.Timeout),
+			row("job_fail", slurmlog.StateJobFail, t.JobFail),
+		},
 	}
-	return b.String()
 }
 
 // --- Fig 1 -------------------------------------------------------------
@@ -194,25 +201,17 @@ func (w *Sweep) Fig1() Fig1Result {
 	return Fig1Result{Weeks: weeks, OverallMinutes: overall}
 }
 
-// Format renders the weekly series with an ASCII bar per week.
-func (r Fig1Result) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 1: mean elapsed minutes of failed jobs per week (overall %.1f min)\n",
-		r.OverallMinutes)
-	fmt.Fprintf(&b, "%4s %9s %9s %9s %9s  %s\n", "week", "JOB_FAIL", "TIMEOUT", "NODE_FAIL", "ALL", "")
-	maxAll := 1.0
-	for _, w := range r.Weeks {
-		if w.AllFailedMinutes > maxAll {
-			maxAll = w.AllFailedMinutes
-		}
+// Tabulate returns the weekly series.
+func (r Fig1Result) Tabulate() Table {
+	t := Table{
+		Title:  fmt.Sprintf("Fig 1: mean elapsed minutes of failed jobs per week (overall %.1f min)", r.OverallMinutes),
+		Header: []string{"week", "job_fail_min", "timeout_min", "node_fail_min", "all_min", "failures"},
 	}
 	for _, w := range r.Weeks {
-		bar := strings.Repeat("#", int(w.AllFailedMinutes/maxAll*40))
-		fmt.Fprintf(&b, "%4d %9.1f %9.1f %9.1f %9.1f  %s\n",
-			w.Week, w.JobFailMinutes, w.TimeoutMinutes, w.NodeFailMinutes,
-			w.AllFailedMinutes, bar)
+		t.Rows = append(t.Rows, []string{d(w.Week), f(w.JobFailMinutes), f(w.TimeoutMinutes),
+			f(w.NodeFailMinutes), f(w.AllFailedMinutes), d(w.Failures)})
 	}
-	return b.String()
+	return t
 }
 
 // --- Fig 2 -------------------------------------------------------------
@@ -229,26 +228,24 @@ func (w *Sweep) Fig2() Fig2Result {
 	return Fig2Result{ByNodes: slurmlog.Fig2a(recs), ByElapsed: slurmlog.Fig2b(recs)}
 }
 
-// Format renders both panels.
-func (r Fig2Result) Format() string {
-	var b strings.Builder
-	panel := func(title string, buckets []slurmlog.Bucket) {
-		fmt.Fprintf(&b, "%s\n", title)
-		fmt.Fprintf(&b, "%-12s %8s %9s %9s %10s %12s\n",
-			"bucket", "total", "JOB_FAIL", "TIMEOUT", "NODE_FAIL", "NF+TO share")
-		for _, bk := range buckets {
-			fmt.Fprintf(&b, "%-12s %8d %8.1f%% %8.1f%% %9.1f%% %11.1f%%\n",
-				bk.Label, bk.Total(),
-				100*bk.Share(slurmlog.StateJobFail),
-				100*bk.Share(slurmlog.StateTimeout),
-				100*bk.Share(slurmlog.StateNodeFail),
-				100*bk.NodeFailureClassShare())
+// Tabulate returns both panels in one table, each row tagged by its
+// panel's dimension.
+func (r Fig2Result) Tabulate() Table {
+	t := Table{
+		Title: "Fig 2(a): failure mix by node count (dimension nodes)\n" +
+			"Fig 2(b): failure mix by elapsed time (dimension elapsed)",
+		Header: []string{"dimension", "bucket", "total", "job_fail", "timeout", "node_fail", "nf_to_share"},
+	}
+	add := func(dim string, buckets []slurmlog.Bucket) {
+		for _, b := range buckets {
+			t.Rows = append(t.Rows, []string{dim, b.Label, d(b.Total()),
+				f(b.Share(slurmlog.StateJobFail)), f(b.Share(slurmlog.StateTimeout)),
+				f(b.Share(slurmlog.StateNodeFail)), f(b.NodeFailureClassShare())})
 		}
 	}
-	panel("Fig 2(a): failure mix by node count", r.ByNodes)
-	b.WriteString("\n")
-	panel("Fig 2(b): failure mix by elapsed time", r.ByElapsed)
-	return b.String()
+	add("nodes", r.ByNodes)
+	add("elapsed", r.ByElapsed)
+	return t
 }
 
 // --- Fig 5 -------------------------------------------------------------
@@ -341,39 +338,26 @@ func (r Fig5Result) Gap(n int) float64 {
 	return 1 - float64(nvme)/float64(pfs)
 }
 
-// Format renders the panel as a table.
-func (r Fig5Result) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", r.Title)
-	fmt.Fprintf(&b, "%6s %-12s %12s %10s %10s\n", "nodes", "strategy", "total", "stddev", "vs base")
-	for _, row := range r.Rows {
-		if row.Aborted {
-			fmt.Fprintf(&b, "%6d %-12s %12s %10s %10s\n",
-				row.Nodes, name(row.Strategy), "ABORTED", "-", "-")
-			continue
-		}
-		fmt.Fprintf(&b, "%6d %-12s %12s %10s %+9.1f%%\n",
-			row.Nodes, name(row.Strategy),
-			row.Mean.Round(time.Second), row.StdDev.Round(time.Second),
-			100*row.OverheadVsBase)
+// Tabulate returns the panel, with a note per scale on how much FT w/
+// NVMe beats FT w/ PFS.
+func (r Fig5Result) Tabulate() Table {
+	t := Table{
+		Title:  r.Title,
+		Header: []string{"nodes", "strategy", "total_sec", "stddev_sec", "overhead_vs_base", "aborted"},
 	}
 	for _, row := range r.Rows {
+		t.Rows = append(t.Rows, []string{d(row.Nodes), strategyNames[row.Strategy],
+			sec(row.Mean), sec(row.StdDev), f(row.OverheadVsBase), strconv.FormatBool(row.Aborted)})
 		if g := r.Gap(row.Nodes); row.Strategy == ftcache.KindNVMe && g != 0 {
-			fmt.Fprintf(&b, "  FT w/ NVMe beats FT w/ PFS by %.1f%% at %d nodes\n", 100*g, row.Nodes)
+			t.Notes = append(t.Notes, fmt.Sprintf("FT w/ NVMe beats FT w/ PFS by %.1f%% at %d nodes", 100*g, row.Nodes))
 		}
 	}
-	return b.String()
+	return t
 }
 
-func name(k ftcache.StrategyKind) string {
-	switch k {
-	case ftcache.KindPFS:
-		return "FT w/ PFS"
-	case ftcache.KindNVMe:
-		return "FT w/ NVMe"
-	default:
-		return "NoFT"
-	}
+// strategyNames are the paper's names for Fig 5's strategies.
+var strategyNames = map[ftcache.StrategyKind]string{
+	ftcache.KindNoFT: "NoFT", ftcache.KindPFS: "FT w/ PFS", ftcache.KindNVMe: "FT w/ NVMe",
 }
 
 // --- Fig 6(a) ----------------------------------------------------------
@@ -421,21 +405,17 @@ func (w *Sweep) Fig6a() Fig6aResult {
 	return res
 }
 
-// Format renders the series.
-func (r Fig6aResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 6(a): per-epoch time around a single failure\n")
-	fmt.Fprintf(&b, "%6s %12s %14s %14s %14s\n",
-		"nodes", "no-failure", "PFS-redirect", "NVMe victim", "NVMe recached")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%6d %12s %14s %14s %14s\n",
-			row.Nodes,
-			row.NoFailure.Round(time.Second),
-			row.PFSRedirect.Round(time.Second),
-			row.NVMeVictim.Round(time.Second),
-			row.NVMeRecached.Round(time.Second))
+// Tabulate returns the series.
+func (r Fig6aResult) Tabulate() Table {
+	t := Table{
+		Title:  "Fig 6(a): per-epoch time around a single failure",
+		Header: []string{"nodes", "no_failure_sec", "pfs_redirect_sec", "nvme_victim_sec", "nvme_recached_sec"},
 	}
-	return b.String()
+	for _, row := range r.Rows {
+		t.Rows = append(t.Rows, []string{d(row.Nodes),
+			sec(row.NoFailure), sec(row.PFSRedirect), sec(row.NVMeVictim), sec(row.NVMeRecached)})
+	}
+	return t
 }
 
 // --- Fig 6(b) ----------------------------------------------------------
@@ -450,16 +430,15 @@ func (w *Sweep) Fig6b() Fig6bResult {
 		w.s.Fig6bNodes, w.prepared().Paths(), w.s.Fig6bTrials, w.s.Seed, partition.PaperVirtualNodes)}
 }
 
-// Format renders the sweep.
-func (r Fig6bResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 6(b): post-failure load redistribution vs virtual-node count\n")
-	fmt.Fprintf(&b, "%7s %16s %18s %12s\n",
-		"vnodes", "receiver nodes", "files per node", "lost files")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%7d %9.1f ±%5.1f %11.1f ±%5.1f %12.1f\n",
-			p.VirtualNodes, p.ReceiverMean, p.ReceiverStdDev,
-			p.FilesPerNodeMean, p.FilesPerNodeStdDev, p.LostMean)
+// Tabulate returns the sweep.
+func (r Fig6bResult) Tabulate() Table {
+	t := Table{
+		Title:  "Fig 6(b): post-failure load redistribution vs virtual-node count",
+		Header: []string{"vnodes", "receivers_mean", "receivers_sd", "files_per_node_mean", "files_per_node_sd", "lost_mean", "trials"},
 	}
-	return b.String()
+	for _, p := range r.Points {
+		t.Rows = append(t.Rows, []string{d(p.VirtualNodes), f(p.ReceiverMean), f(p.ReceiverStdDev),
+			f(p.FilesPerNodeMean), f(p.FilesPerNodeStdDev), f(p.LostMean), d(p.Trials)})
+	}
+	return t
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,10 +31,16 @@ func TestTable1ShapeAndFormat(t *testing.T) {
 	if math.Abs(tab.FailureRatio()-0.2504) > 0.03 {
 		t.Errorf("failure ratio %.3f far from paper's 0.2504", tab.FailureRatio())
 	}
-	out := r.Format()
-	for _, want := range []string{"Total Jobs", "Node Fail", "Timeout", "Job Fail"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("format missing %q:\n%s", want, out)
+	rows := r.Tabulate().Rows
+	for i, want := range []struct {
+		typ   string
+		count int
+	}{
+		{"total_jobs", tab.TotalJobs}, {"total_failures", tab.TotalFailures},
+		{"node_fail", tab.NodeFail}, {"timeout", tab.Timeout}, {"job_fail", tab.JobFail},
+	} {
+		if rows[i][0] != want.typ || rows[i][1] != strconv.Itoa(want.count) {
+			t.Errorf("row %d = %v, want type %s count %d", i, rows[i], want.typ, want.count)
 		}
 	}
 }
@@ -46,8 +53,9 @@ func TestFig1ShapeAndFormat(t *testing.T) {
 	if r.OverallMinutes < 40 || r.OverallMinutes > 130 {
 		t.Errorf("overall mean = %.1f min", r.OverallMinutes)
 	}
-	if !strings.Contains(r.Format(), "week") {
-		t.Error("format missing header")
+	tab := r.Tabulate()
+	if tab.Header[0] != "week" || len(tab.Rows) != 27 {
+		t.Errorf("header %v with %d rows, want week first and 27 rows", tab.Header, len(tab.Rows))
 	}
 }
 
@@ -61,8 +69,14 @@ func TestFig2ShapeAndFormat(t *testing.T) {
 	if top.Total() > 0 && top.NodeFailureClassShare() <= low.NodeFailureClassShare() {
 		t.Error("node-failure class share should grow with node count")
 	}
-	if !strings.Contains(r.Format(), "Fig 2(a)") || !strings.Contains(r.Format(), "Fig 2(b)") {
-		t.Error("format missing panels")
+	tab := r.Tabulate()
+	if !strings.Contains(tab.Title, "Fig 2(a)") || !strings.Contains(tab.Title, "Fig 2(b)") {
+		t.Errorf("title %q does not name both panels", tab.Title)
+	}
+	for i, row := range tab.Rows {
+		if want := []string{"nodes", "elapsed"}[i/5]; row[0] != want {
+			t.Errorf("row %d dimension %q, want %q", i, row[0], want)
+		}
 	}
 }
 
@@ -87,8 +101,8 @@ func TestFig5aOrderingAndScaling(t *testing.T) {
 			t.Errorf("%s: no speedup from 64 to 1024 nodes", k)
 		}
 	}
-	if !strings.Contains(r.Format(), "Fig 5(a)") {
-		t.Error("format missing title")
+	if !strings.Contains(r.Tabulate().Title, "Fig 5(a)") {
+		t.Error("title missing")
 	}
 }
 
@@ -122,8 +136,14 @@ func TestFig5bHeadline(t *testing.T) {
 			t.Errorf("n=%d: gap = %.2f", n, g)
 		}
 	}
-	if !strings.Contains(r.Format(), "beats FT w/ PFS") {
-		t.Error("format missing gap line")
+	notes := r.Tabulate().Notes
+	if len(notes) != 2 {
+		t.Fatalf("notes = %q, want one gap line per scale", notes)
+	}
+	for _, n := range notes {
+		if !strings.Contains(n, "beats FT w/ PFS") {
+			t.Errorf("note %q is not a gap line", n)
+		}
 	}
 }
 
@@ -154,8 +174,8 @@ func TestFig6aTrends(t *testing.T) {
 		t.Errorf("recached/no-failure ratio should not grow with scale: %.3f → %.3f",
 			relSmall, relLarge)
 	}
-	if !strings.Contains(r.Format(), "Fig 6(a)") {
-		t.Error("format missing title")
+	if !strings.Contains(r.Tabulate().Title, "Fig 6(a)") {
+		t.Error("title missing")
 	}
 }
 
@@ -179,8 +199,8 @@ func TestFig6bTrends(t *testing.T) {
 	if grow500to1000 > grow10to100 {
 		t.Error("receiver growth should flatten at high vnode counts")
 	}
-	if !strings.Contains(r.Format(), "vnodes") {
-		t.Error("format missing header")
+	if h := r.Tabulate().Header; h[0] != "vnodes" {
+		t.Errorf("header %v, want vnodes first", h)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/failure"
@@ -66,21 +65,17 @@ func (w *Sweep) ExtReplication() ExtReplicationResult {
 	return res
 }
 
-// Format renders the comparison.
-func (r ExtReplicationResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: recaching vs %d-way replication (5 random failures)\n", r.Factor)
-	fmt.Fprintf(&b, "%6s %10s | %12s %14s | %12s %14s\n",
-		"nodes", "no-fail", "recache", "post-fail PFS", "replicated", "post-fail PFS")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%6d %10s | %12s %14d | %12s %14d\n",
-			row.Nodes,
-			row.Base.Round(time.Second),
-			row.Recache.Round(time.Second), row.RecachePFSReads,
-			row.Replicated.Round(time.Second), row.ReplicatedPFSReads)
+// Tabulate returns the comparison.
+func (r ExtReplicationResult) Tabulate() Table {
+	t := Table{
+		Title:  fmt.Sprintf("Extension: recaching vs %d-way replication (5 random failures)", r.Factor),
+		Header: []string{"nodes", "base_sec", "recache_sec", "recache_pfs_reads", "replicated_sec", "replicated_pfs_reads"},
 	}
-	b.WriteString("  replication trades cache capacity (R× NVMe) for zero-PFS failover\n")
-	return b.String()
+	for _, row := range r.Rows {
+		t.Rows = append(t.Rows, []string{d(row.Nodes), sec(row.Base),
+			sec(row.Recache), d(row.RecachePFSReads), sec(row.Replicated), d(row.ReplicatedPFSReads)})
+	}
+	return t
 }
 
 // ExtVnodeSweepRow is one point of the virtual-node end-to-end ablation:
@@ -120,14 +115,14 @@ func (w *Sweep) ExtVnodeSweep() ExtVnodeSweepResult {
 	return res
 }
 
-// Format renders the sweep.
-func (r ExtVnodeSweepResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: virtual-node count vs training time (%d nodes, 5 failures)\n", r.Nodes)
-	fmt.Fprintf(&b, "%7s %12s %14s\n", "vnodes", "total", "victim epoch")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%7d %12s %14s\n",
-			row.VirtualNodes, row.Total.Round(time.Second), row.VictimEpoch.Round(time.Second))
+// Tabulate returns the sweep.
+func (r ExtVnodeSweepResult) Tabulate() Table {
+	t := Table{
+		Title:  fmt.Sprintf("Extension: virtual-node count vs training time (%d nodes, 5 failures)", r.Nodes),
+		Header: []string{"vnodes", "total_sec", "victim_epoch_sec"},
 	}
-	return b.String()
+	for _, row := range r.Rows {
+		t.Rows = append(t.Rows, []string{d(row.VirtualNodes), sec(row.Total), sec(row.VictimEpoch)})
+	}
+	return t
 }

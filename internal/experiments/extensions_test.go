@@ -27,8 +27,8 @@ func TestExtReplication(t *testing.T) {
 			continue // base can equal under rounding; no hard assert
 		}
 	}
-	if !strings.Contains(r.Format(), "replication") {
-		t.Error("format missing description")
+	if !strings.Contains(r.Tabulate().Title, "replication") {
+		t.Error("title missing description")
 	}
 }
 
@@ -45,7 +45,7 @@ func TestExtVnodeSweep(t *testing.T) {
 			t.Errorf("row %d: zero victim epoch", i)
 		}
 	}
-	if !strings.Contains(r.Format(), "vnodes") {
-		t.Error("format missing header")
+	if h := r.Tabulate().Header; h[0] != "vnodes" {
+		t.Errorf("header %v, want vnodes first", h)
 	}
 }

@@ -18,10 +18,10 @@ var update = flag.Bool("update", false, "rewrite results/csv from this run")
 //	go test -run TestPaperCSVs ./internal/experiments -update
 func TestPaperCSVs(t *testing.T) {
 	w := NewSweep(PaperScale())
-	for _, name := range Names {
+	for _, name := range Names() {
 		r, _ := w.Run(name)
 		var got bytes.Buffer
-		if err := r.WriteCSV(&got); err != nil {
+		if err := WriteCSV(&got, r.Tabulate()); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		path := filepath.Join("..", "..", "results", "csv", name+".csv")

@@ -159,6 +159,11 @@ type Client struct {
 	mu    sync.Mutex
 	conns map[cluster.NodeID]*connSlot
 
+	// reactMu serializes this client's reactions to a declaration
+	// (nodeFailed) and a revive (nodeRecovered), which the tracker runs
+	// outside its lock and in no order relative to each other.
+	reactMu sync.Mutex
+
 	// rejoinMu/rejoining dedup concurrent Rejoin calls per node (the
 	// heartbeat can fire OnRevive again while a warmup is in flight).
 	rejoinMu  sync.Mutex
@@ -238,15 +243,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	//ftclint:ignore ctxflow client lifetime root; Close cancels it, and the hint senders it bounds have no caller context to inherit
 	c.baseCtx, c.closeBase = context.WithCancel(context.Background())
 	c.tracker.OnFailure(c.nodeFailed)
-	c.tracker.OnRecovery(c.dropHints)
-	c.tracker.OnRecovery(cfg.Router.NodeRecovered)
+	c.tracker.OnRecovery(c.nodeRecovered)
 	if cfg.LoadControl != nil {
 		c.load = loadctl.New(*cfg.LoadControl, nodes)
-		// Registered after the router hookups: by the time the fan-out
-		// record is invalidated, the ring has already re-shaped, so
-		// successor sets recomputed afterwards see the new membership.
-		c.tracker.OnFailure(func(cluster.NodeID) { c.load.InvalidateReplicas() })
-		c.tracker.OnRecovery(func(cluster.NodeID) { c.load.InvalidateReplicas() })
 		telemetry.Default().RegisterDebug("loadctl", func() any { return c.load.DebugSnapshot() })
 	}
 	c.ingest = &ingester{c: c, cfg: cfg.Ingest.withDefaults(), workers: make(map[cluster.NodeID]*appendWorker)}
@@ -390,8 +389,10 @@ func (c *Client) callNode(ctx context.Context, node cluster.NodeID, op uint16, p
 }
 
 // nodeFailed is the detector's failure listener: plan the recache against
-// the placement the node is still part of, reshape routing, then hand the
-// plan to a sender goroutine. Only the planning runs on the reading
+// the placement the node is still part of, then, under reactMu and only
+// if the tracker still holds the node failed (a revive during planning
+// wins), reshape routing, hand the plan to a sender goroutine and
+// invalidate the fan-out record. Only the planning runs on the reading
 // goroutine that tripped the detector (about a millisecond per ten
 // thousand keys); the hint RPCs never do.
 func (c *Client) nodeFailed(node cluster.NodeID) {
@@ -399,10 +400,35 @@ func (c *Client) nodeFailed(node cluster.NodeID) {
 	if c.cfg.Manifest != nil {
 		plan = c.cfg.Router.PlanRecache(node, c.cfg.Manifest())
 	}
+	c.reactMu.Lock()
+	defer c.reactMu.Unlock()
+	if c.tracker.IsAlive(node) {
+		return
+	}
 	c.cfg.Router.NodeFailed(node)
 	if len(plan) > 0 {
 		c.hintRecache(node, plan)
 	}
+	c.load.InvalidateReplicas()
+}
+
+// nodeRecovered is the recovery listener, nodeFailed's mirror: unless
+// the node failed again first, cancel its unsent hints (it is back in
+// the placement), re-admit it to routing, invalidate the fan-out record.
+func (c *Client) nodeRecovered(node cluster.NodeID) {
+	c.reactMu.Lock()
+	defer c.reactMu.Unlock()
+	if !c.tracker.IsAlive(node) {
+		return
+	}
+	c.hintMu.Lock()
+	if cancel := c.hinting[node]; cancel != nil {
+		cancel()
+		delete(c.hinting, node)
+	}
+	c.hintMu.Unlock()
+	c.cfg.Router.NodeRecovered(node)
+	c.load.InvalidateReplicas()
 }
 
 // recacheChunk bounds the paths in one OpRecache frame, so a large share
@@ -463,18 +489,6 @@ func (c *Client) sendRecache(ctx context.Context, receiver, failed cluster.NodeI
 		return fmt.Errorf("hvac: recache hint status %d", status)
 	}
 	return nil
-}
-
-// dropHints is the detector's recovery listener: the node is back in the
-// placement, so whatever part of its recache plan is still unsent would
-// only prefetch files nothing routes to the receivers for.
-func (c *Client) dropHints(node cluster.NodeID) {
-	c.hintMu.Lock()
-	if cancel := c.hinting[node]; cancel != nil {
-		cancel()
-		delete(c.hinting, node)
-	}
-	c.hintMu.Unlock()
 }
 
 // noteTimeout records failure evidence against node; the tracker invokes
@@ -1015,7 +1029,7 @@ func (c *Client) annotateChaos(sp *trace.Span, node cluster.NodeID) {
 // ReplicaPushes) and hot-object copies (hot, HotPushes). They ride the
 // ingest pipeline's per-node batches, whose encode copies data, so data
 // may alias an RPC response buffer. A missed copy costs that node one
-// PFS fill later, never correctness.
+// PFS fill later, never correctness, so Flush does not report it.
 func (c *Client) pushCopies(path string, data []byte, owners []cluster.NodeID, hot bool) {
 	if len(owners) < 2 || c.closed.Load() {
 		return
@@ -1025,7 +1039,7 @@ func (c *Client) pushCopies(path string, data []byte, owners []cluster.NodeID, h
 		pushes, metric = &c.hotPushes, cliMetrics().hotPush
 	}
 	for _, node := range owners[1:] {
-		if c.tracker.IsAlive(node) && c.ingest.enqueue(node, path, data) == nil {
+		if c.tracker.IsAlive(node) && c.ingest.enqueue(node, path, data, true) == nil {
 			pushes.Add(1)
 			metric.Inc()
 		}

@@ -80,16 +80,7 @@ const (
 	flushReasonSync
 )
 
-func flushReasonName(reason int) string {
-	switch reason {
-	case flushReasonSize:
-		return "size"
-	case flushReasonAge:
-		return "age"
-	default:
-		return "sync"
-	}
-}
+var flushReasonNames = [...]string{flushReasonSize: "size", flushReasonAge: "age", flushReasonSync: "sync"}
 
 // ingestBatch is one sealed-or-building batch bound for a node. The
 // payload is encoded at enqueue time straight into enc (count prefix
@@ -98,8 +89,11 @@ func flushReasonName(reason int) string {
 type ingestBatch struct {
 	enc   *wire.Buffer
 	paths []string // request-ordered, for per-entry error reporting
-	done  chan struct{}
-	err   error // batch-level failure; set before done closes
+	// copies marks the entries pushCopies enqueued: best-effort, so a
+	// failed one counts in ingestErrors but is not Flush's to report.
+	copies []bool
+	done   chan struct{}
+	err    error // batch-level failure; set before done closes
 	// span is the batch's root trace ("ingest.batch"): one per flush
 	// generation, nil with tracing off. Access is sequential across the
 	// batch's lifecycle (build/seal under the worker lock, then the
@@ -164,17 +158,18 @@ func (in *ingester) worker(node cluster.NodeID) (*appendWorker, error) {
 }
 
 // enqueue buffers one object for node, copying data into the batch's
-// wire encoding immediately (the caller's slice is not retained). It
-// blocks only when the node's sealed-batch queue is full.
-func (in *ingester) enqueue(node cluster.NodeID, path string, data []byte) error {
+// wire encoding immediately (the caller's slice is not retained); isCopy
+// marks a best-effort copy. It blocks only when the node's sealed-batch
+// queue is full.
+func (in *ingester) enqueue(node cluster.NodeID, path string, data []byte, isCopy bool) error {
 	w, err := in.worker(node)
 	if err != nil {
 		return err
 	}
-	return w.enqueue(path, data)
+	return w.enqueue(path, data, isCopy)
 }
 
-func (w *appendWorker) enqueue(path string, data []byte) error {
+func (w *appendWorker) enqueue(path string, data []byte, isCopy bool) error {
 	cfg := w.ing.cfg
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -201,6 +196,7 @@ func (w *appendWorker) enqueue(path string, data []byte) error {
 	}
 	EncodePutEntry(w.cur.enc, path, data)
 	w.cur.paths = append(w.cur.paths, path)
+	w.cur.copies = append(w.cur.copies, isCopy)
 	cliMetrics().ingestEntries.Inc()
 	if w.cur.entries() >= cfg.MaxBatchEntries || w.cur.enc.Len() >= maxBatchBytes {
 		//ftclint:ignore lockorder sealLocked's queue send is safe under mu: the sender drains w.ch without ever taking the worker lock
@@ -232,7 +228,7 @@ func (w *appendWorker) sealLocked(reason int) {
 	}
 	binary.LittleEndian.PutUint32(b.enc.Bytes()[:4], uint32(b.entries()))
 	if b.span != nil {
-		b.span.Annotate("flush", flushReasonName(reason))
+		b.span.Annotate("flush", flushReasonNames[reason])
 		b.span.AnnotateInt("entries", int64(b.entries()))
 		// The ext rides after the entries; PutBatchReq decodes it as the
 		// optional trailer, so the server's handler span joins this trace.
@@ -252,14 +248,7 @@ func (w *appendWorker) sealLocked(reason int) {
 	m := cliMetrics()
 	m.ingestBatches.Inc()
 	m.ingestBatchEntries.Observe(int64(b.entries()))
-	switch reason {
-	case flushReasonSize:
-		m.ingestFlushSize.Inc()
-	case flushReasonAge:
-		m.ingestFlushAge.Inc()
-	case flushReasonSync:
-		m.ingestFlushSync.Inc()
-	}
+	m.ingestFlush[reason].Inc()
 	w.ch <- b
 }
 
@@ -293,13 +282,17 @@ func (w *appendWorker) send(b *ingestBatch) {
 	}()
 	c := w.ing.c
 	m := cliMetrics()
-	// failBatch records a whole-batch failure: every entry is unacked,
-	// so the error counter moves by the batch's entry count, keeping
-	// ingestErrors in objects — the same unit as ingestEntries.
-	failBatch := func(err error) {
-		b.err = err
-		m.ingestErrors.Add(int64(b.entries()))
-		w.ing.recordErr(err)
+	// fail records entry i's failure; ingestErrors counts objects, the
+	// same unit as ingestEntries, and only a PutAsync entry's failure
+	// is Flush's to report.
+	fail := func(i int, err error) {
+		m.ingestErrors.Inc()
+		if b.err == nil {
+			b.err = err
+		}
+		if !b.copies[i] {
+			w.ing.recordErr(err)
+		}
 	}
 	// The sender outlives every enqueueing caller, so the call runs under
 	// the client's lifetime context; RPCTimeout bounds it.
@@ -309,26 +302,20 @@ func (w *appendWorker) send(b *ingestBatch) {
 		acks, err = putAcks(w.node, b.entries(), status, payload)
 	}
 	if err != nil {
-		failBatch(err)
+		for i := range b.paths {
+			fail(i, err)
+		}
 		return
 	}
-	var firstBad error
 	bad := 0
 	for i, s := range acks {
 		if s != rpc.StatusOK {
 			bad++
-			if firstBad == nil {
-				firstBad = fmt.Errorf("hvac: put %s on %s: status %d", b.paths[i], w.node, s)
-			}
+			fail(i, fmt.Errorf("hvac: put %s on %s: status %d", b.paths[i], w.node, s))
 		}
 	}
 	b.span.AnnotateInt("acked", int64(b.entries()-bad))
 	b.span.AnnotateInt("failed", int64(bad))
-	if bad > 0 {
-		b.err = firstBad
-		m.ingestErrors.Add(int64(bad))
-		w.ing.recordErr(firstBad)
-	}
 }
 
 // putAcks checks the reply to a write of entries objects to node and
@@ -436,7 +423,8 @@ func (in *ingester) close() {
 // (and, with replication enabled, to the ring successors — replica
 // pushes ride the same batches). The data slice is encoded immediately
 // and not retained. Delivery and errors are deferred: Flush returns the
-// first failure since the previous Flush, and the ack-visibility
+// first failure of a PutAsync object since the previous Flush (a failed
+// replica copy is not reported), and the ack-visibility
 // guarantee is that once Flush returns nil, every object put since the
 // previous barrier is readable from its owner.
 func (c *Client) PutAsync(path string, data []byte) error {
@@ -447,7 +435,7 @@ func (c *Client) PutAsync(path string, data []byte) error {
 	if len(owners) == 0 {
 		return fmt.Errorf("hvac: no owner for %s", path)
 	}
-	if err := c.ingest.enqueue(owners[0], path, data); err != nil {
+	if err := c.ingest.enqueue(owners[0], path, data, false); err != nil {
 		return err
 	}
 	c.pushCopies(path, data, owners, false)
@@ -511,8 +499,8 @@ func (c *Client) putOwners(path string) []cluster.NodeID {
 }
 
 // Flush is the ingest barrier: it seals and ships every buffered batch,
-// waits for their acks, and returns the first delivery failure since
-// the previous Flush. When it returns
+// waits for their acks, and returns the first failure of a PutAsync
+// object since the previous Flush. When it returns
 // nil, every object accepted by PutAsync since the previous barrier is
 // readable from its owner — the ack-visibility guarantee batched
 // training ingest relies on at epoch boundaries.

@@ -259,12 +259,12 @@ func TestIngestByteBoundSealsBatch(t *testing.T) {
 	srv := tc.servers[node]
 	c := tc.ingestClient(staticRouter{node: node}, &IngestConfig{MaxDelay: time.Minute}, 0)
 	m := cliMetrics()
-	sizeFlushes, syncFlushes := m.ingestFlushSize.Load(), m.ingestFlushSync.Load()
+	sizeFlushes, syncFlushes := m.ingestFlush[flushReasonSize].Load(), m.ingestFlush[flushReasonSync].Load()
 
 	const objBytes = 100 << 10
 	n := maxBatchBytes/objBytes + 1 // the first n objects that reach the bound
 	for i := 0; i < n; i++ {
-		if got := m.ingestFlushSize.Load() - sizeFlushes; got != 0 {
+		if got := m.ingestFlush[flushReasonSize].Load() - sizeFlushes; got != 0 {
 			t.Fatalf("size flush after %d of %d objects", i, n)
 		}
 		if err := c.PutAsync(fmt.Sprintf("bytes/f%d", i), make([]byte, objBytes)); err != nil {
@@ -274,13 +274,13 @@ func TestIngestByteBoundSealsBatch(t *testing.T) {
 	if err := c.PutAsync("bytes/huge", make([]byte, 2*maxBatchBytes)); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.ingestFlushSize.Load() - sizeFlushes; got != 2 {
+	if got := m.ingestFlush[flushReasonSize].Load() - sizeFlushes; got != 2 {
 		t.Fatalf("%d size flushes, want 2: one at the byte bound, one for the oversized object", got)
 	}
 	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.ingestFlushSync.Load() - syncFlushes; got != 0 {
+	if got := m.ingestFlush[flushReasonSync].Load() - syncFlushes; got != 0 {
 		t.Errorf("Flush sealed %d batches, want 0: both were already sealed by size", got)
 	}
 	if frames, entries := srv.batchPuts.Load(), srv.batchEntries.Load(); frames != 2 || entries != int64(n+1) {
@@ -479,5 +479,40 @@ func TestIngestPutAsyncAfterClose(t *testing.T) {
 	c.Close()
 	if err := c.PutAsync("post", []byte("x")); err == nil {
 		t.Fatal("PutAsync after Close succeeded")
+	}
+}
+
+// TestFlushReportsOnlyOwnPuts: replica and hot-object copies share the
+// per-node batches with PutAsync, but they are best-effort, so a copy
+// that fails to land counts in ingestErrors and never reaches Flush.
+// A PutAsync object that fails to land still does.
+func TestFlushReportsOnlyOwnPuts(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	tc.servers["node-01"].Close()
+	ctx := context.Background()
+	cfg := &IngestConfig{MaxDelay: time.Minute}
+
+	c := tc.ingestClient(staticRouter{node: "node-00"}, cfg, 0)
+	errs := cliMetrics().ingestErrors.Load()
+	c.pushCopies("copy", []byte("c"), tc.nodes, false)
+	if err := c.PutAsync("own", []byte("o")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Errorf("Flush reported a copy's failure: %v", err)
+	}
+	if !tc.servers["node-00"].NVMe().Has("own") {
+		t.Error("own put not stored on its owner")
+	}
+	if got := cliMetrics().ingestErrors.Load() - errs; got != 1 {
+		t.Errorf("ingestErrors moved by %d, want 1 for the failed copy", got)
+	}
+
+	dead := tc.ingestClient(staticRouter{node: "node-01"}, cfg, 0)
+	if err := dead.PutAsync("lost", []byte("l")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dead.Flush(ctx); err == nil {
+		t.Error("Flush swallowed the failure of its own put")
 	}
 }

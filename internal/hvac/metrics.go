@@ -33,13 +33,11 @@ type clientMetrics struct {
 
 	// Ingest series (zero until a client writes asynchronously: PutAsync,
 	// a replica copy or a hot-object copy).
-	ingestEntries      *telemetry.Counter   // objects accepted by PutAsync / riding batches
-	ingestBatches      *telemetry.Counter   // batches sealed
-	ingestBatchEntries *telemetry.Histogram // batch size (entries) at seal
-	ingestFlushSize    *telemetry.Counter   // batches sealed by the size/bytes bound
-	ingestFlushAge     *telemetry.Counter   // batches sealed by the age timer
-	ingestFlushSync    *telemetry.Counter   // batches sealed by an explicit barrier
-	ingestErrors       *telemetry.Counter   // objects whose batched delivery failed
+	ingestEntries      *telemetry.Counter    // objects accepted by PutAsync / riding batches
+	ingestBatches      *telemetry.Counter    // batches sealed
+	ingestBatchEntries *telemetry.Histogram  // batch size (entries) at seal
+	ingestFlush        [3]*telemetry.Counter // batches sealed, indexed by flush reason
+	ingestErrors       *telemetry.Counter    // objects whose batched delivery failed
 
 	// Load-control series (all zero unless ClientConfig.LoadControl set).
 	coalesced     *telemetry.Counter // reads served by joining another caller's flight
@@ -78,10 +76,12 @@ func cliMetrics() *clientMetrics {
 			ingestEntries:      reg.Counter("ftc_client_ingest_entries_total"),
 			ingestBatches:      reg.Counter("ftc_client_ingest_batches_total"),
 			ingestBatchEntries: reg.Histogram("ftc_client_ingest_batch_entries"),
-			ingestFlushSize:    reg.Counter("ftc_client_ingest_flush_size_total"),
-			ingestFlushAge:     reg.Counter("ftc_client_ingest_flush_age_total"),
-			ingestFlushSync:    reg.Counter("ftc_client_ingest_flush_sync_total"),
-			ingestErrors:       reg.Counter("ftc_client_ingest_errors_total"),
+			ingestFlush: [...]*telemetry.Counter{
+				flushReasonSize: reg.Counter("ftc_client_ingest_flush_size_total"),
+				flushReasonAge:  reg.Counter("ftc_client_ingest_flush_age_total"),
+				flushReasonSync: reg.Counter("ftc_client_ingest_flush_sync_total"),
+			},
+			ingestErrors: reg.Counter("ftc_client_ingest_errors_total"),
 
 			coalesced:     reg.Counter("ftc_client_coalesced_reads_total"),
 			hedges:        reg.Counter("ftc_client_hedged_reads_total"),
@@ -94,9 +94,9 @@ func cliMetrics() *clientMetrics {
 			return map[string]any{
 				"entries":     m.ingestEntries.Load(),
 				"batches":     m.ingestBatches.Load(),
-				"flush_size":  m.ingestFlushSize.Load(),
-				"flush_age":   m.ingestFlushAge.Load(),
-				"flush_sync":  m.ingestFlushSync.Load(),
+				"flush_size":  m.ingestFlush[flushReasonSize].Load(),
+				"flush_age":   m.ingestFlush[flushReasonAge].Load(),
+				"flush_sync":  m.ingestFlush[flushReasonSync].Load(),
 				"errors":      m.ingestErrors.Load(),
 				"batch_sizes": m.ingestBatchEntries.Snapshot(),
 			}

@@ -104,38 +104,35 @@ func NewMover(nvme *storage.NVMe, node string, fetch func(path string) (int, boo
 
 // filled records one fill's outcome, the accounting both fill calls
 // share: a failure is counted and kept as the last error, so "why is
-// this file never cached?" has an answer in the debug snapshot; a
-// success is traced.
-func (m *Mover) filled(path string, size int, err error) {
+// this file never cached?" has an answer in the debug snapshot.
+func (m *Mover) filled(path string, err error) {
 	if err != nil {
 		m.fillErrs.Add(1)
 		m.errMu.Lock()
 		m.lastErr = path + ": " + err.Error()
 		m.errMu.Unlock()
-		return
 	}
-	telemetry.TraceEvent(telemetry.EventRecacheFileDone, m.node, path, int64(size))
 }
 
 // FillSync stores one object synchronously through the mover's fill
-// accounting and tracing. Replica writes use it: the pusher made the
-// operation async on its side and wants a durable acknowledgement, and
-// routing the store through here keeps every cache fill — first-touch,
-// recache, or replica push — visible in the same counters.
+// accounting. Replica writes use it: the pusher made the operation
+// async on its side and wants a durable acknowledgement, and routing
+// the store through here keeps every cache fill — first-touch, recache,
+// or replica push — visible in the same counters.
 func (m *Mover) FillSync(path string, data []byte) error {
 	err := m.nvme.Put(path, data)
-	m.filled(path, len(data), err)
+	m.filled(path, err)
 	return err
 }
 
 // FillBatchSync stores a whole ingest batch in one sharded NVMe pass
 // (storage.NVMe.PutBatch: one lock round-trip per destination shard
-// instead of per object), with the same per-fill accounting and tracing
-// as FillSync. Returns one error slot per entry.
+// instead of per object), with the same per-fill accounting as
+// FillSync. Returns one error slot per entry.
 func (m *Mover) FillBatchSync(entries []storage.BatchEntry) []error {
 	errs := m.nvme.PutBatch(entries)
 	for i := range entries {
-		m.filled(entries[i].Path, len(entries[i].Data), errs[i])
+		m.filled(entries[i].Path, errs[i])
 	}
 	return errs
 }

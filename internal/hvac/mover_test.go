@@ -1,6 +1,7 @@
 package hvac
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 )
 
 // TestMoverStoresAsync: a demotion is stored by the time Demote returns
@@ -134,4 +136,45 @@ func moverGoroutines() int {
 		}
 	}
 	return count
+}
+
+// TestMoverTracesOnlyMissFills: recache-file-done is the miss flight's
+// event. Puts and RAM demotions store through the mover without one,
+// so a node-declared-dead stays in the bounded event trace through
+// 2,000 puts, and the one miss fill that follows is traced.
+func TestMoverTracesOnlyMissFills(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	tc.pfs.Put("missed", []byte("m"))
+	c := tc.ingestClient(staticRouter{node: "node-00"}, nil, 0)
+	srv := tc.servers["node-00"]
+	trace := telemetry.Default().Trace()
+	seq := trace.Seq()
+	c.Tracker().MarkFailed("node-01")
+	for i := 0; i < 2000; i++ {
+		if err := c.PutAsync(fmt.Sprintf("put/%04d", i), []byte("p")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv.Mover().Demote("demoted", []byte("d"))
+	if _, err := c.Read(context.Background(), "missed"); err != nil {
+		t.Fatal(err)
+	}
+	declared := false
+	var fills []string
+	for _, e := range trace.Since(seq) {
+		declared = declared || e.Type == telemetry.EventNodeDead && e.Node == "node-01"
+		if e.Type == telemetry.EventRecacheFileDone && e.Node == "node-00" {
+			fills = append(fills, e.Detail)
+		}
+	}
+	if !declared {
+		t.Error("node-declared-dead fell out of the trace")
+	}
+	if len(fills) != 1 || fills[0] != "missed" {
+		t.Errorf("recache-file-done for %d paths, first %q; want only the miss fill",
+			len(fills), fills[:min(len(fills), 3)])
+	}
 }

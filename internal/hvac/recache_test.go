@@ -362,3 +362,62 @@ func TestCloseStopsHintSenderAndRecacheWorkers(t *testing.T) {
 	}
 	srv.Mover().Flush() // returns: nothing is pending on a closed mover
 }
+
+// parkRouter is staticRouter with a failed set, whose PlanRecache
+// announces itself on planning and waits for release.
+type parkRouter struct {
+	staticRouter
+	planning, release chan struct{}
+	mu                sync.Mutex
+	failed            map[cluster.NodeID]bool
+}
+
+func (p *parkRouter) PlanRecache(cluster.NodeID, []string) map[cluster.NodeID][]string {
+	close(p.planning)
+	<-p.release
+	return nil
+}
+
+func (p *parkRouter) NodeFailed(n cluster.NodeID) { p.set(n, true) }
+
+func (p *parkRouter) NodeRecovered(n cluster.NodeID) { p.set(n, false) }
+
+func (p *parkRouter) set(n cluster.NodeID, failed bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.failed[n] = failed
+}
+
+// TestReviveDuringFailurePlan: a revive that lands while the client is
+// still planning the node's recache wins. The tracker and the router
+// both end with the node alive, so routing reaches it and a later
+// failure is declared as usual, instead of the router keeping it failed
+// behind a tracker that says alive, which Rejoin then refuses with
+// ErrNotFailed.
+func TestReviveDuringFailurePlan(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	r := &parkRouter{
+		staticRouter: staticRouter{node: "node-00"},
+		planning:     make(chan struct{}),
+		release:      make(chan struct{}),
+		failed:       map[cluster.NodeID]bool{},
+	}
+	c := tc.planClient(r, time.Second)
+	declared := make(chan struct{})
+	go func() {
+		defer close(declared)
+		c.Tracker().MarkFailed("node-01")
+	}()
+	<-r.planning
+	if !c.ReviveNode("node-01") {
+		t.Fatal("ReviveNode did not transition node-01")
+	}
+	close(r.release)
+	<-declared
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !c.Tracker().IsAlive("node-01") || r.failed["node-01"] {
+		t.Errorf("tracker alive %v, router failed %v: want alive in both",
+			c.Tracker().IsAlive("node-01"), r.failed["node-01"])
+	}
+}

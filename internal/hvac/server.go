@@ -580,8 +580,12 @@ func (f *missFetcher) Fetch(_ context.Context, path string) ([]byte, error) {
 	s.pfsFallbacks.Add(1)
 	telemetry.TraceEvent(telemetry.EventPFSFallback, string(s.cfg.Node), path, int64(len(data)))
 	// An object too large to cache is still served; the mover counts the
-	// failed fill.
-	s.mover.FillSync(path, data)
+	// failed fill. Only this fill is traced: puts and RAM demotions also
+	// store through the mover, and an event each would flush the bounded
+	// trace of the failure events around them.
+	if s.mover.FillSync(path, data) == nil {
+		telemetry.TraceEvent(telemetry.EventRecacheFileDone, string(s.cfg.Node), path, int64(len(data)))
+	}
 	return data, nil
 }
 

@@ -123,8 +123,12 @@ func (c *Controller) MarkPushed(key string) bool {
 // membership changes (failure or revival): successor sets shift, so hot
 // objects must re-replicate against the new ring. Replica copies left
 // on no-longer-successor nodes age out of their LRU caches naturally —
-// replicas are best-effort cache entries, never authoritative.
+// replicas are best-effort cache entries, never authoritative. A nil
+// Controller, load control off, has nothing to forget.
 func (c *Controller) InvalidateReplicas() {
+	if c == nil {
+		return
+	}
 	c.pushed.Range(func(k, _ any) bool {
 		c.pushed.Delete(k)
 		return true

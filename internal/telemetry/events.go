@@ -28,9 +28,10 @@ const (
 	// receivers when it declares a node failed. Node is the failed (or
 	// joining) node, Detail "plan" or "rejoin", Value the keys moved.
 	EventRecachePlanned
-	// EventRecacheFileDone: a cache fill landed on NVMe (the elastic
-	// recache action; also fires for first-touch fills). Detail is the
-	// path, Value the object size.
+	// EventRecacheFileDone: a miss flight's PFS fetch landed on NVMe
+	// (the elastic recache action, whether a hint's prefetch or a demand
+	// miss led the flight). Puts and RAM demotions do not emit it.
+	// Detail is the path, Value the object size.
 	EventRecacheFileDone
 	// EventPFSFallback: a server miss was served from the PFS. Detail is
 	// the path.

@@ -19,6 +19,8 @@ var unsetKnobs = map[string]string{
 	"main.vetConfig":                                    "go vet writes it as JSON; ftclint only decodes it",
 	"core.ClusterConfig.AdmissionLimit":                 "ROADMAP item 7: the admission-control ablation decides its value",
 	"core.ClusterConfig.AdmissionQueue":                 "ROADMAP item 7: the admission-control ablation decides its value",
+	"core.ClusterConfig.Replication":                    "DESIGN §6: replication keeps failover off the PFS, checked by TestReplicationZeroPFSFailover",
+	"hashring.Config.Seed":                              "DESIGN §8.1: TestOwnershipEquivalenceUnderChurn pins the ring to its reference at a non-zero seed",
 	"loadctl.Config.SketchSize":                         "ROADMAP item 7: the load-control ablation decides the sketch size",
 	"loadctl.Config.SampleRate":                         "ROADMAP item 7: the load-control ablation decides the sketch sampling",
 	"loadctl.Config.WindowTouches":                      "ROADMAP item 7: the load-control ablation decides the decay window",
@@ -38,12 +40,15 @@ var unsetKnobs = map[string]string{
 // reads the field). A knob only tests turn is a constant unless
 // unsetKnobs names what keeps it. Fields and literal keys match by
 // package name, type and field; the scan has no types, so assignments
-// and the keys of literals with an elided type match by field name
-// alone.
+// and the keys of literals with an elided type match by field name,
+// and only fields of the setter's own package or of a package it
+// imports.
 func TestEveryConfigFieldIsSet(t *testing.T) {
 	fset := token.NewFileSet()
-	fields := map[string]token.Pos{} // "pkg.Type.Field" → declaration
-	set := map[string]bool{}         // "pkg.Type.Field" keyed; ".Field" by name
+	fields := map[string]token.Pos{}     // "pkg.Type.Field" → declaration
+	set := map[string]bool{}             // "pkg.Type.Field" keyed
+	byName := map[string][]string{}      // ".Field" → directories that set it by name
+	sees := map[string]map[string]bool{} // directory → its package and those it imports
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -55,10 +60,20 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err == nil {
-			scanKnobs(f, fields, set)
+		if err != nil {
+			return err
 		}
-		return err
+		dir := filepath.Dir(path)
+		if sees[dir] == nil {
+			sees[dir] = map[string]bool{}
+		}
+		sees[dir][f.Name.Name] = true
+		for _, imp := range f.Imports { // no import is renamed: the last element is the package name
+			p := strings.Trim(imp.Path.Value, `"`)
+			sees[dir][p[strings.LastIndexByte(p, '/')+1:]] = true
+		}
+		scanKnobs(f, fields, set, func(name string) { byName[name] = append(byName[name], dir) })
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,12 +83,20 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
+	setByName := func(key string) bool {
+		pkg := key[:strings.IndexByte(key, '.')]
+		for _, dir := range byName[key[strings.LastIndexByte(key, '.'):]] {
+			if sees[dir][pkg] {
+				return true
+			}
+		}
+		return false
+	}
 	used := map[string]bool{}
 	for _, key := range keys {
-		dot := strings.LastIndexByte(key, '.')
-		typ, byName := key[:dot], key[dot:] // ".Field", set's by-name key
+		typ := key[:strings.LastIndexByte(key, '.')]
 		switch {
-		case set[key] || set[byName]:
+		case set[key] || setByName(key):
 		case unsetKnobs[key] != "":
 			used[key] = true
 		case unsetKnobs[typ] != "":
@@ -89,8 +112,9 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	}
 }
 
-// scanKnobs records f's *Config struct fields and every setter in f.
-func scanKnobs(f *ast.File, fields map[string]token.Pos, set map[string]bool) {
+// scanKnobs records f's *Config struct fields and every setter in f,
+// passing each one that names only the field (".Field") to setByName.
+func scanKnobs(f *ast.File, fields map[string]token.Pos, set map[string]bool, setByName func(string)) {
 	pkg := f.Name.Name
 	var stack []ast.Node
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -124,15 +148,17 @@ func scanKnobs(f *ast.File, fields map[string]token.Pos, set map[string]bool) {
 			}
 			for _, elt := range n.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if key, ok := kv.Key.(*ast.Ident); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok && typ != "" {
 						set[typ+"."+key.Name] = true
+					} else if ok {
+						setByName("." + key.Name)
 					}
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if sel, ok := lhs.(*ast.SelectorExpr); ok && !defaulting(stack, sel.Sel.Name) {
-					set["."+sel.Sel.Name] = true
+					setByName("." + sel.Sel.Name)
 				}
 			}
 		}
