@@ -132,7 +132,7 @@ func BenchmarkAblationDetectionThreshold(b *testing.B) {
 				cfg.Dataset = repro.CosmoFlowTrain().Scaled(64)
 				cfg.DetectionTime = time.Duration(limit) * time.Second
 				cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.01}}
-				total += trainsim.Run(cfg).Total
+				total += trainsim.Prepare(cfg.Dataset).Run(cfg).Total
 			}
 			b.ReportMetric(total.Seconds()/float64(b.N), "sim-total-sec")
 		})

@@ -17,7 +17,7 @@ import (
 // through the control endpoint to pin and release the strategy.
 func TestRunPolicy(t *testing.T) {
 	nodes := []cluster.NodeID{"node-00", "node-01", "node-02"}
-	sw := ftcache.NewSwitchable(nodes, 100, ftcache.KindNVMe)
+	sw := ftcache.NewRouter(ftcache.KindAdaptive, nodes, 100)
 	ctl := ftpolicy.New(ftpolicy.Config{})
 	// Commit one decision so the history table is nonempty: pin then
 	// release via the controller's own API.

@@ -265,14 +265,6 @@ func (c *Controller) CutBoth(a, b string) {
 // Isolate symmetrically partitions node from every endpoint.
 func (c *Controller) Isolate(node string) { c.CutBoth(Wildcard, node) }
 
-// Heal removes any cut between a and b (both directions).
-func (c *Controller) Heal(a, b string) {
-	c.mu.Lock()
-	delete(c.cuts, link{a, b})
-	delete(c.cuts, link{b, a})
-	c.mu.Unlock()
-}
-
 // HealNode removes every cut rule mentioning node (including the
 // wildcard rules Isolate installs).
 func (c *Controller) HealNode(node string) {
@@ -356,8 +348,8 @@ func (c *Controller) DropConns(dst string) int {
 	return len(victims)
 }
 
-// OpenConns returns the number of live relayed connections.
-func (c *Controller) OpenConns() int {
+// openConns returns the number of live relayed connections.
+func (c *Controller) openConns() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.relays)
@@ -386,25 +378,6 @@ func (c *Controller) FaultCounts() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// FormatFaults renders the fault counters as "kind=N" pairs in sorted
-// order — the replay line soak output prints next to the seed.
-func (c *Controller) FormatFaults() string {
-	counts := c.FaultCounts()
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	var b []byte
-	for i, k := range kinds {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, fmt.Sprintf("%s=%d", k, counts[k])...)
-	}
-	return string(b)
 }
 
 // debugSnapshot is the "chaos" section of /debug/ftcache.

@@ -59,8 +59,8 @@ func TestPassThroughNoFaults(t *testing.T) {
 	if err != nil || got != "hello through the relay" {
 		t.Fatalf("echo = %q, %v", got, err)
 	}
-	if ctl.OpenConns() != 1 {
-		t.Errorf("open conns = %d, want 1", ctl.OpenConns())
+	if ctl.openConns() != 1 {
+		t.Errorf("open conns = %d, want 1", ctl.openConns())
 	}
 }
 
@@ -108,7 +108,7 @@ func TestAsymmetricCutDirectionality(t *testing.T) {
 	if _, err := echo(cli, 50*time.Millisecond, "lost-response"); !errors.Is(err, rpc.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout (response direction cut)", err)
 	}
-	ctl.Heal("srv", "cli")
+	ctl.HealNode("srv")
 	if got, err := echo(cli, time.Second, "healed"); err != nil || got != "healed" {
 		t.Fatalf("post-heal echo = %q, %v", got, err)
 	}
@@ -180,8 +180,8 @@ func TestDropConnsKillsMidStream(t *testing.T) {
 	if _, err := echo(cli, time.Second, "dead"); !errors.Is(err, rpc.ErrClosed) {
 		t.Fatalf("post-drop echo err = %v, want ErrClosed", err)
 	}
-	if ctl.OpenConns() != 0 {
-		t.Errorf("open conns = %d after drop", ctl.OpenConns())
+	if ctl.openConns() != 0 {
+		t.Errorf("open conns = %d after drop", ctl.openConns())
 	}
 	if ctl.FaultCounts()[KindConnDrop] != 1 {
 		t.Error("conn drop not recorded")

@@ -54,15 +54,6 @@ func (ph Phase) String() string {
 // rejoin path must bring it back.
 const latencyMax = 40 * time.Millisecond
 
-// PhasesUniform is the chaos soak's schedule: one regime of every fault
-// kind over horizon — a fault every 60–180 ms, durable ones lasting
-// 250–750 ms, at most a quarter of the fleet down, half the crashes hard
-// kills.
-func PhasesUniform(horizon time.Duration) []Phase {
-	return []Phase{{Name: "uniform", Duration: horizon, MeanGap: 120 * time.Millisecond,
-		MeanDown: 500 * time.Millisecond, MaxDownFrac: 0.25, KillFrac: 0.5, Network: true}}
-}
-
 // PhasesCalmBurstHealContention is the canonical regime walk for
 // adaptive-policy evaluation: calm, a dense burst of unresponsive flaps,
 // a heal window, then PFS contention (pfsDelay on every PFS read) with
@@ -309,24 +300,4 @@ func (s step) apply(ctl *Controller, act Actions) {
 	case failure.ConnDrop:
 		ctl.DropConns(ev.Node)
 	}
-}
-
-// Summary renders a one-line plan description for logs: the faults by
-// kind, and how many crashes are hard kills.
-func (p Plan) Summary() string {
-	var n [failure.PFSDelay + 1]int
-	kills := 0
-	for _, ev := range p.Events {
-		n[ev.Fault]++
-		if ev.Kill {
-			kills++
-		}
-	}
-	s := fmt.Sprintf("seed=%d horizon=%s faults=%d", p.Seed, p.Horizon, len(p.Events))
-	for f, c := range n {
-		if c > 0 {
-			s += fmt.Sprintf(" %s=%d", failure.Fault(f), c)
-		}
-	}
-	return s + fmt.Sprintf(" kills=%d", kills)
 }

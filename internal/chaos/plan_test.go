@@ -17,6 +17,16 @@ func testNodes(n int) []string {
 	return nodes
 }
 
+// PhasesUniform is the chaos soak's schedule: one regime of every fault
+// kind over horizon — a fault every 60–180 ms, durable ones lasting
+// 250–750 ms, at most a quarter of the fleet down, half the crashes hard
+// kills. Only tests run it, so it is exported from this test file for
+// the external soak test.
+func PhasesUniform(horizon time.Duration) []Phase {
+	return []Phase{{Name: "uniform", Duration: horizon, MeanGap: 120 * time.Millisecond,
+		MeanDown: 500 * time.Millisecond, MaxDownFrac: 0.25, KillFrac: 0.5, Network: true}}
+}
+
 // shapes are the schedules the generator tests walk: the uniform soak
 // phase and both phased presets.
 func shapes() map[string][]Phase {

@@ -180,7 +180,7 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 		nodeNames = append(nodeNames, string(n))
 	}
 	plan := chaos.GeneratePlan(seed, nodeNames, chaos.PhasesUniform(3*time.Second))
-	t.Logf("plan: %s", plan.Summary())
+	t.Logf("plan: seed=%d horizon=%s faults=%d", plan.Seed, plan.Horizon, len(plan.Events))
 
 	// The client counters are process-wide: read them before and after so
 	// each seed reports its own.
@@ -418,7 +418,8 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 	if ramCapacity > 0 {
 		ramServed := int64(0)
 		for _, n := range cl.Nodes() {
-			ramServed += cl.Server(n).RAMServed()
+			hits, _, _, _, _, _ := cl.Server(n).RAM().Counters()
+			ramServed += hits
 		}
 		if ramServed == 0 {
 			t.Errorf("seed=%d: RAM tier enabled but served zero reads", seed)
@@ -448,8 +449,8 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 	for _, v := range faults {
 		total += v
 	}
-	t.Logf("seed=%d: faults[%s] reads=%d transient-retries=%d wrong-bytes=%d stuck=%d",
-		seed, ctl.FormatFaults(), reads.Load(), transient.Load(), wrongBytes.Load(), stuck.Load())
+	t.Logf("seed=%d: faults=%v reads=%d transient-retries=%d wrong-bytes=%d stuck=%d",
+		seed, faults, reads.Load(), transient.Load(), wrongBytes.Load(), stuck.Load())
 	t.Logf("seed=%d: pfs-fallbacks=%d retries=%d (exhausted %d) rejoins=%d warmed=%d files / %d B heal=%s",
 		seed, pfsFallbacks, counts[0], counts[1], counts[2], counts[3], counts[4], healTime)
 	if total == 0 {

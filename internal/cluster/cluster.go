@@ -66,7 +66,7 @@ const (
 	Alive Status = iota
 	// Suspect is a node with 1..limit-1 consecutive timeouts.
 	Suspect
-	// Failed is a node past the timeout threshold (or manually marked).
+	// Failed is a node past the timeout threshold.
 	Failed
 )
 
@@ -204,35 +204,6 @@ func (t *Tracker) RecordSuccess(node NodeID) {
 	}
 }
 
-// MarkFailed force-declares node failed (fault injection, or external
-// knowledge such as a scheduler DRAIN event). Returns true if the node
-// transitioned now.
-func (t *Tracker) MarkFailed(node NodeID) bool {
-	now := time.Now()
-	t.mu.Lock()
-	if !t.memberSet[node] || t.failed[node] {
-		t.mu.Unlock()
-		return false
-	}
-	t.failed[node] = true
-	firstTimeout, wasSuspect := t.suspectAt[node]
-	delete(t.suspectAt, node)
-	listeners := append(make([]func(NodeID), 0, len(t.listeners)), t.listeners...)
-	t.mu.Unlock()
-	m := detMetrics()
-	m.declared.Inc()
-	var latency time.Duration
-	if wasSuspect {
-		latency = now.Sub(firstTimeout)
-		m.suspectToDead.Observe(int64(latency))
-	}
-	telemetry.TraceEvent(telemetry.EventNodeDead, string(node), "forced", int64(latency))
-	for _, fn := range listeners {
-		fn(node)
-	}
-	return true
-}
-
 // OnRecovery registers fn to be called when a failed node is revived via
 // Revive. Like failure listeners, recovery listeners run outside the
 // tracker lock.
@@ -265,9 +236,9 @@ func (t *Tracker) Revive(node NodeID) bool {
 	return true
 }
 
-// StatusOf returns node's current status; unknown nodes report Failed so
+// statusOf returns node's current status; unknown nodes report Failed so
 // callers never route to them.
-func (t *Tracker) StatusOf(node NodeID) Status {
+func (t *Tracker) statusOf(node NodeID) Status {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	switch {
@@ -314,13 +285,8 @@ func (t *Tracker) FailedNodes() []NodeID {
 	return out
 }
 
-// Members returns the full initial membership in sorted order.
-func (t *Tracker) Members() []NodeID {
-	return append([]NodeID(nil), t.members...)
-}
-
-// TimeoutCount returns node's current consecutive-timeout count.
-func (t *Tracker) TimeoutCount(node NodeID) int {
+// timeoutCount returns node's current consecutive-timeout count.
+func (t *Tracker) timeoutCount(node NodeID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.counts[node]

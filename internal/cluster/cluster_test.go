@@ -21,8 +21,8 @@ func TestThresholdDeclaration(t *testing.T) {
 	if tr.RecordTimeout(n) {
 		t.Error("1st timeout must not declare failure")
 	}
-	if tr.StatusOf(n) != Suspect {
-		t.Errorf("status = %v, want Suspect", tr.StatusOf(n))
+	if tr.statusOf(n) != Suspect {
+		t.Errorf("status = %v, want Suspect", tr.statusOf(n))
 	}
 	if tr.RecordTimeout(n) {
 		t.Error("2nd timeout must not declare failure")
@@ -30,7 +30,7 @@ func TestThresholdDeclaration(t *testing.T) {
 	if !tr.RecordTimeout(n) {
 		t.Error("3rd timeout must declare failure")
 	}
-	if tr.StatusOf(n) != Failed || tr.IsAlive(n) {
+	if tr.statusOf(n) != Failed || tr.IsAlive(n) {
 		t.Error("node should be failed")
 	}
 	// Further timeouts are no-ops, not re-declarations.
@@ -45,16 +45,16 @@ func TestSuccessResetsCounter(t *testing.T) {
 	tr.RecordTimeout(n)
 	tr.RecordTimeout(n)
 	tr.RecordSuccess(n) // transient blip resolved
-	if tr.TimeoutCount(n) != 0 {
-		t.Errorf("count = %d after success", tr.TimeoutCount(n))
+	if tr.timeoutCount(n) != 0 {
+		t.Errorf("count = %d after success", tr.timeoutCount(n))
 	}
-	if tr.StatusOf(n) != Alive {
-		t.Errorf("status = %v, want Alive", tr.StatusOf(n))
+	if tr.statusOf(n) != Alive {
+		t.Errorf("status = %v, want Alive", tr.statusOf(n))
 	}
 	// Needs a full fresh run of timeouts to fail now.
 	tr.RecordTimeout(n)
 	tr.RecordTimeout(n)
-	if tr.StatusOf(n) == Failed {
+	if tr.statusOf(n) == Failed {
 		t.Error("failed with only 2 consecutive timeouts after reset")
 	}
 	if !tr.RecordTimeout(n) {
@@ -82,29 +82,8 @@ func TestListenersFireOncePerNode(t *testing.T) {
 	tr.RecordTimeout(n)
 	tr.RecordTimeout(n)
 	tr.RecordTimeout(n) // past threshold; must not refire
-	tr.MarkFailed(n)    // already failed; must not refire
 	if len(calls) != 2 || calls[0] != n || calls[1] != n {
 		t.Errorf("listener calls = %v, want [%s %s]", calls, n, n)
-	}
-}
-
-func TestMarkFailed(t *testing.T) {
-	tr := NewTracker(members(3), 3)
-	n := NodeID("node-01")
-	if !tr.MarkFailed(n) {
-		t.Error("first MarkFailed should report transition")
-	}
-	if tr.MarkFailed(n) {
-		t.Error("second MarkFailed should be a no-op")
-	}
-	if tr.MarkFailed("ghost") {
-		t.Error("unknown node cannot be marked")
-	}
-	if got := tr.FailedNodes(); len(got) != 1 || got[0] != n {
-		t.Errorf("FailedNodes = %v", got)
-	}
-	if got := tr.Alive(); len(got) != 2 {
-		t.Errorf("Alive = %v", got)
 	}
 }
 
@@ -113,7 +92,7 @@ func TestUnknownNodesAlwaysFailed(t *testing.T) {
 	if tr.IsAlive("ghost") {
 		t.Error("unknown node reported alive")
 	}
-	if tr.StatusOf("ghost") != Failed {
+	if tr.statusOf("ghost") != Failed {
 		t.Error("unknown node status should be Failed")
 	}
 	if tr.RecordTimeout("ghost") {
@@ -130,13 +109,13 @@ func TestDefaultLimit(t *testing.T) {
 
 func TestMembersSortedAndImmutable(t *testing.T) {
 	tr := NewTracker([]NodeID{"c", "a", "b"}, 1)
-	got := tr.Members()
+	got := tr.Alive()
 	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("Members = %v", got)
+		t.Errorf("Alive = %v", got)
 	}
 	got[0] = "mutated"
-	if tr.Members()[0] != "a" {
-		t.Error("Members leaked internal slice")
+	if tr.Alive()[0] != "a" {
+		t.Error("Alive leaked internal slice")
 	}
 }
 

@@ -134,8 +134,8 @@ func (h *Heartbeat) Stop() {
 	<-done
 }
 
-// Rounds returns how many probe rounds have completed.
-func (h *Heartbeat) Rounds() int {
+// completedRounds returns how many probe rounds have completed.
+func (h *Heartbeat) completedRounds() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.rounds

@@ -84,7 +84,7 @@ func TestHeartbeatSkipsDeclaredNodes(t *testing.T) {
 	p.mu.Lock()
 	callsAtDetection := p.calls["node-01"]
 	p.mu.Unlock()
-	for hb.Rounds() < 20 {
+	for hb.completedRounds() < 20 {
 		time.Sleep(time.Millisecond)
 	}
 	hb.Stop()
@@ -122,14 +122,14 @@ func TestHeartbeatStartStopIdempotent(t *testing.T) {
 	hb.Stop() // before start: no-op
 	hb.Start()
 	hb.Start() // double start: no-op
-	for hb.Rounds() < 3 {
+	for hb.completedRounds() < 3 {
 		time.Sleep(time.Millisecond)
 	}
 	hb.Stop()
 	hb.Stop() // double stop: no-op
-	rounds := hb.Rounds()
+	rounds := hb.completedRounds()
 	time.Sleep(10 * time.Millisecond)
-	if hb.Rounds() != rounds {
+	if hb.completedRounds() != rounds {
 		t.Error("probing continued after Stop")
 	}
 }

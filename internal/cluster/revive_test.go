@@ -27,7 +27,7 @@ func TestReviveRestoresAlive(t *testing.T) {
 	if !tr.IsAlive("node-01") {
 		t.Error("node not alive after Revive")
 	}
-	if got := tr.TimeoutCount("node-01"); got != 0 {
+	if got := tr.timeoutCount("node-01"); got != 0 {
 		t.Errorf("timeout count = %d after Revive, want 0 (stale evidence must not survive)", got)
 	}
 	// The revived node must be able to be declared dead again.

@@ -87,7 +87,7 @@ func TestChaosRandomFailuresUnderLoad(t *testing.T) {
 	chaosRng := rand.New(rand.NewSource(99))
 	for k := 0; k < failures; k++ {
 		time.Sleep(time.Duration(30+chaosRng.Intn(60)) * time.Millisecond)
-		alive := c.AliveNodes()
+		alive := c.aliveNodes()
 		if len(alive) <= nodes-failures {
 			break
 		}
@@ -122,5 +122,5 @@ func TestChaosRandomFailuresUnderLoad(t *testing.T) {
 		t.Errorf("PFS reads %d exceed bound %d — recaching is leaking", reads, bound)
 	}
 	t.Logf("chaos: %d reads, %d PFS fetches (bound %d), %d survivors",
-		total, reads, bound, len(c.AliveNodes()))
+		total, reads, bound, len(c.aliveNodes()))
 }

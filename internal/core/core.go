@@ -287,8 +287,8 @@ func (c *Cluster) Revive(node NodeID) error {
 // Failed reports whether node has been taken down.
 func (c *Cluster) Failed(node NodeID) bool { return c.killed[node] }
 
-// AliveNodes returns nodes not taken down, in boot order.
-func (c *Cluster) AliveNodes() []NodeID {
+// aliveNodes returns nodes not taken down, in boot order.
+func (c *Cluster) aliveNodes() []NodeID {
 	out := make([]NodeID, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		if !c.killed[n] {
@@ -340,19 +340,6 @@ func (c *Cluster) WarmCache(ds workload.Dataset) error {
 		}
 	}
 	return nil
-}
-
-// CacheStats aggregates NVMe object counts across live servers.
-func (c *Cluster) CacheStats() (objects int, bytes int64) {
-	for n, s := range c.servers {
-		if c.killed[n] {
-			continue
-		}
-		o, b := s.NVMe().Stats()
-		objects += o
-		bytes += b
-	}
-	return objects, bytes
 }
 
 // VerifyRead is a convenience for smoke tests: read path via cli and

@@ -43,13 +43,13 @@ func TestClusterBootAndStage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stage: %v", err)
 	}
-	if n != ds.TotalBytes() {
-		t.Errorf("staged %d bytes, want %d", n, ds.TotalBytes())
+	if want := int64(ds.NumFiles) * ds.FileBytes; n != want {
+		t.Errorf("staged %d bytes, want %d", n, want)
 	}
 	if objs, _ := c.PFS().Stats(); objs != 64 {
 		t.Errorf("PFS objects = %d", objs)
 	}
-	if len(c.Nodes()) != 4 || len(c.AliveNodes()) != 4 {
+	if len(c.Nodes()) != 4 || len(c.aliveNodes()) != 4 {
 		t.Error("node accounting broken")
 	}
 }
@@ -82,7 +82,11 @@ func TestEndToEndReadAndVerify(t *testing.T) {
 	}
 	// After movers drain, all files are cached somewhere.
 	c.FlushMovers()
-	objs, _ := c.CacheStats()
+	objs := 0
+	for _, n := range c.Nodes() {
+		o, _ := c.Server(n).NVMe().Stats()
+		objs += o
+	}
 	if objs != ds.NumFiles {
 		t.Errorf("cached objects = %d, want %d", objs, ds.NumFiles)
 	}
@@ -157,7 +161,7 @@ func TestStrategyPFSRedirect(t *testing.T) {
 	ds := smallDataset(80)
 	c.Stage(ds)
 	c.WarmCache(ds)
-	cli, router, _ := c.NewClient()
+	cli, _, _ := c.NewClient()
 	defer cli.Close()
 	ctx := context.Background()
 
@@ -187,8 +191,8 @@ func TestStrategyPFSRedirect(t *testing.T) {
 		t.Errorf("PFS reads: epoch2=%d epoch3=%d; redirection should repeat identically",
 			epoch2Reads, epoch3Reads)
 	}
-	if pr, ok := router.(*ftcache.Strategy); !ok || pr.FailedCount() != 1 {
-		t.Errorf("router state: %T", router)
+	if got := cli.Tracker().FailedNodes(); len(got) != 1 {
+		t.Errorf("failed nodes = %v, want one", got)
 	}
 }
 
@@ -252,7 +256,7 @@ func TestFailUnknownAndDouble(t *testing.T) {
 	if err := c.Fail(n, FailKill); err != nil {
 		t.Errorf("double fail should be a no-op, got %v", err)
 	}
-	if !c.Failed(n) || len(c.AliveNodes()) != 1 {
+	if !c.Failed(n) || len(c.aliveNodes()) != 1 {
 		t.Error("failure bookkeeping broken")
 	}
 	if err := c.Fail(c.Nodes()[1], FailureMode(99)); err == nil {
@@ -273,7 +277,7 @@ func TestMultipleSequentialFailures(t *testing.T) {
 	ctx := context.Background()
 
 	for round := 0; round < 3; round++ {
-		victim := c.AliveNodes()[round%len(c.AliveNodes())]
+		victim := c.aliveNodes()[round%len(c.aliveNodes())]
 		c.Fail(victim, FailUnresponsive)
 		for i := 0; i < ds.NumFiles; i++ {
 			if err := VerifyRead(ctx, cli, ds, i); err != nil {
@@ -282,8 +286,8 @@ func TestMultipleSequentialFailures(t *testing.T) {
 		}
 		c.FlushMovers()
 	}
-	if len(c.AliveNodes()) != 3 {
-		t.Errorf("alive = %d, want 3", len(c.AliveNodes()))
+	if len(c.aliveNodes()) != 3 {
+		t.Errorf("alive = %d, want 3", len(c.aliveNodes()))
 	}
 }
 
@@ -324,7 +328,7 @@ func TestCapacityPressureEviction(t *testing.T) {
 	}
 	// ...and every node respected its capacity bound.
 	evictions := int64(0)
-	for _, n := range c.AliveNodes() {
+	for _, n := range c.aliveNodes() {
 		_, used := c.Server(n).NVMe().Stats()
 		if used > 4*256 {
 			t.Errorf("node %s over capacity: %d bytes", n, used)

@@ -63,8 +63,12 @@ func TestFailureRecachesWithoutReads(t *testing.T) {
 		wg.Add(1)
 		go func(cli *hvac.Client) {
 			defer wg.Done()
-			if !cli.Tracker().MarkFailed(victim) {
-				t.Errorf("MarkFailed(%s) did not transition", victim)
+			declared := false
+			for i := 0; i < cli.Tracker().Limit() && !declared; i++ {
+				declared = cli.Tracker().RecordTimeout(victim)
+			}
+			if !declared {
+				t.Errorf("timeouts did not declare %s", victim)
 			}
 		}(cli)
 	}
@@ -95,7 +99,7 @@ func TestFailureRecachesWithoutReads(t *testing.T) {
 	}
 	for _, path := range lost {
 		owner, _ := ring.Owner(path)
-		for _, n := range c.AliveNodes() {
+		for _, n := range c.aliveNodes() {
 			if has := c.Server(n).NVMe().Has(path); has != (n == owner) {
 				t.Fatalf("%s resident on %s = %v; its owner after the removal is %s", path, n, has, owner)
 			}

@@ -98,7 +98,7 @@ func TestReplicationOnMissPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cli.WaitReplication(ctx); err != nil {
+	if err := cli.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	c.FlushMovers()
@@ -135,7 +135,7 @@ func TestReplicationSurvivesSequentialFailures(t *testing.T) {
 
 	c.PFS().ResetCounters()
 	for round := 0; round < 2; round++ {
-		victim := c.AliveNodes()[0]
+		victim := c.aliveNodes()[0]
 		c.Fail(victim, FailUnresponsive)
 		for i := 0; i < ds.NumFiles; i++ {
 			if err := VerifyRead(ctx, cli, ds, i); err != nil {

@@ -114,25 +114,9 @@ func NewRouter(kind StrategyKind, nodes []cluster.NodeID, virtualNodes int) *Str
 	return s
 }
 
-// NewNoFT creates the fault-intolerant baseline.
-func NewNoFT(nodes []cluster.NodeID) *Strategy { return NewRouter(KindNoFT, nodes, 0) }
-
-// NewPFSRedirect creates FT w/ PFS.
-func NewPFSRedirect(nodes []cluster.NodeID) *Strategy { return NewRouter(KindPFS, nodes, 0) }
-
 // NewRingRecache creates FT w/ NVMe.
 func NewRingRecache(nodes []cluster.NodeID, virtualNodes int) *Strategy {
 	return NewRouter(KindNVMe, nodes, virtualNodes)
-}
-
-// NewSwitchable creates the adaptive strategy with start's response in
-// force (empty or unknown = ftnvme).
-func NewSwitchable(nodes []cluster.NodeID, virtualNodes int, start StrategyKind) *Strategy {
-	s := NewRouter(KindAdaptive, nodes, virtualNodes)
-	if resp, ok := respOf(start); ok {
-		s.resp.Store(resp)
-	}
-	return s
 }
 
 func respOf(kind StrategyKind) (int32, bool) {
@@ -159,9 +143,6 @@ func (s *Strategy) Name() string {
 
 // Kind returns the response in force.
 func (s *Strategy) Kind() StrategyKind { return respKinds[s.resp.Load()] }
-
-// Switches returns the cumulative number of committed switches.
-func (s *Strategy) Switches() int64 { return s.switches.Load() }
 
 // OnSwitch registers the single switch observer (latest wins).
 func (s *Strategy) OnSwitch(fn func(from, to StrategyKind, auto bool)) { s.onSwitch.Store(&fn) }
@@ -287,12 +268,6 @@ func (s *Strategy) setFailed(node cluster.NodeID, dead bool) {
 		s.live.Add(node)
 	}
 }
-
-// FailedCount returns the number of nodes currently declared failed.
-func (s *Strategy) FailedCount() int { return len(*s.failed.Load()) }
-
-// Aborted reports whether a failure has terminated a noft job.
-func (s *Strategy) Aborted() bool { return s.resp.Load() == respNoFT && s.FailedCount() > 0 }
 
 // Ring exposes the live ring for analysis and tests; nil under modulo.
 func (s *Strategy) Ring() *hashring.Ring { return s.live }

@@ -26,7 +26,7 @@ func paths(n int) []string {
 }
 
 func TestNoFTRoutesThenAborts(t *testing.T) {
-	r := NewNoFT(nodes(4))
+	r := NewRouter(KindNoFT, nodes(4), 0)
 	if r.Name() != "NoFT" {
 		t.Errorf("name = %q", r.Name())
 	}
@@ -34,13 +34,7 @@ func TestNoFTRoutesThenAborts(t *testing.T) {
 	if d.Kind != hvac.RouteNode {
 		t.Fatalf("healthy route kind = %v", d.Kind)
 	}
-	if r.Aborted() {
-		t.Error("aborted before any failure")
-	}
 	r.NodeFailed("node-02")
-	if !r.Aborted() {
-		t.Error("not aborted after failure")
-	}
 	for _, p := range paths(10) {
 		if got := r.Route(p); got.Kind != hvac.RouteAbort {
 			t.Fatalf("route after failure = %+v, want abort", got)
@@ -51,7 +45,7 @@ func TestNoFTRoutesThenAborts(t *testing.T) {
 func TestNoFTAbortsEvenIfFailedNodeOwnedNothingRelevant(t *testing.T) {
 	// NoFT aborts on ANY node failure, not only for keys it owned —
 	// the baseline job dies wholesale.
-	r := NewNoFT(nodes(2))
+	r := NewRouter(KindNoFT, nodes(2), 0)
 	r.NodeFailed("node-01")
 	if d := r.Route("any"); d.Kind != hvac.RouteAbort {
 		t.Error("NoFT must abort for every path after any failure")
@@ -60,7 +54,7 @@ func TestNoFTAbortsEvenIfFailedNodeOwnedNothingRelevant(t *testing.T) {
 
 func TestPFSRedirectOnlyVictimTrafficMoves(t *testing.T) {
 	ns := nodes(8)
-	r := NewPFSRedirect(ns)
+	r := NewRouter(KindPFS, ns, 0)
 	if r.Name() != "FT w/ PFS" {
 		t.Errorf("name = %q", r.Name())
 	}
@@ -74,8 +68,8 @@ func TestPFSRedirectOnlyVictimTrafficMoves(t *testing.T) {
 	}
 	victim := cluster.NodeID("node-03")
 	r.NodeFailed(victim)
-	if r.FailedCount() != 1 {
-		t.Errorf("failed count = %d", r.FailedCount())
+	if n := len(*r.failed.Load()); n != 1 {
+		t.Errorf("failed count = %d", n)
 	}
 	redirected := 0
 	for _, p := range ps {
@@ -99,7 +93,7 @@ func TestPFSRedirectOnlyVictimTrafficMoves(t *testing.T) {
 
 func TestPFSRedirectAllNodesFailed(t *testing.T) {
 	ns := nodes(3)
-	r := NewPFSRedirect(ns)
+	r := NewRouter(KindPFS, ns, 0)
 	for _, n := range ns {
 		r.NodeFailed(n)
 	}

@@ -24,7 +24,7 @@ func switchNodes(n int) []cluster.NodeID {
 // keys while the fleet is healthy.
 func TestSwitchableHealthyOwnershipIdentical(t *testing.T) {
 	nodes := switchNodes(16)
-	s := NewSwitchable(nodes, 100, KindNVMe)
+	s := NewRouter(KindAdaptive, nodes, 100)
 	for i := 0; i < 2000; i++ {
 		path := fmt.Sprintf("/data/train/shard-%04d.bin", i)
 		want := s.route(respNVMe, path)
@@ -45,7 +45,7 @@ func TestSwitchableHealthyOwnershipIdentical(t *testing.T) {
 // response remaps, the noft response aborts — all from one NodeFailed.
 func TestSwitchableEvidenceFanOut(t *testing.T) {
 	nodes := switchNodes(8)
-	s := NewSwitchable(nodes, 100, KindNVMe)
+	s := NewRouter(KindAdaptive, nodes, 100)
 
 	// Find a path and its owner.
 	path := "/data/val/shard-0000.bin"
@@ -80,7 +80,8 @@ func TestSwitchableEvidenceFanOut(t *testing.T) {
 // strategy instead of surfacing: adaptive jobs never observe aborts.
 func TestSwitchableNoFTEscape(t *testing.T) {
 	nodes := switchNodes(8)
-	s := NewSwitchable(nodes, 100, KindNoFT)
+	s := NewRouter(KindAdaptive, nodes, 100)
+	s.resp.Store(respNoFT)
 	var gotFrom, gotTo StrategyKind
 	var gotAuto bool
 	s.OnSwitch(func(from, to StrategyKind, auto bool) { gotFrom, gotTo, gotAuto = from, to, auto })
@@ -101,14 +102,14 @@ func TestSwitchableNoFTEscape(t *testing.T) {
 	if gotFrom != KindNoFT || gotTo != KindNVMe || !gotAuto {
 		t.Fatalf("onSwitch saw (%s,%s,auto=%v), want (noft,ftnvme,true)", gotFrom, gotTo, gotAuto)
 	}
-	if s.Switches() != 1 {
-		t.Fatalf("switches = %d, want 1", s.Switches())
+	if s.switches.Load() != 1 {
+		t.Fatalf("switches = %d, want 1", s.switches.Load())
 	}
 }
 
 // SwitchTo semantics: unknown kinds and self-switches are no-ops.
 func TestSwitchableSwitchTo(t *testing.T) {
-	s := NewSwitchable(switchNodes(4), 100, KindNVMe)
+	s := NewRouter(KindAdaptive, switchNodes(4), 100)
 	if _, ok := s.SwitchTo(KindNVMe); ok {
 		t.Fatal("self-switch reported a swap")
 	}
@@ -119,8 +120,8 @@ func TestSwitchableSwitchTo(t *testing.T) {
 	if !ok || from != KindNVMe || s.Kind() != KindPFS {
 		t.Fatalf("SwitchTo(pfs) = (%s,%v), active %s", from, ok, s.Kind())
 	}
-	if s.Switches() != 1 {
-		t.Fatalf("switches = %d, want 1", s.Switches())
+	if s.switches.Load() != 1 {
+		t.Fatalf("switches = %d, want 1", s.switches.Load())
 	}
 }
 
@@ -130,7 +131,7 @@ func TestSwitchableSwitchTo(t *testing.T) {
 // RoutePFS, never an abort, never an empty node.
 func TestSwitchableConcurrentSwitchRoute(t *testing.T) {
 	nodes := switchNodes(8)
-	s := NewSwitchable(nodes, 100, KindNVMe)
+	s := NewRouter(KindAdaptive, nodes, 100)
 	live := make(map[cluster.NodeID]bool, len(nodes))
 	for _, n := range nodes {
 		live[n] = true
@@ -209,7 +210,8 @@ func TestSwitchableConcurrentSwitchRoute(t *testing.T) {
 }
 
 // An adaptive strategy builds one ring, not one per response: what
-// NewSwitchable allocates is what NewRingRecache does for the same nodes.
+// NewRouter allocates for it is what NewRingRecache does for the same
+// nodes.
 func TestSwitchableBuildsOneRing(t *testing.T) {
 	nodes := switchNodes(64)
 	allocated := func(build func()) float64 {
@@ -220,9 +222,9 @@ func TestSwitchableBuildsOneRing(t *testing.T) {
 		return float64(after.TotalAlloc - before.TotalAlloc)
 	}
 	one := allocated(func() { NewRingRecache(nodes, 100) })
-	adaptive := allocated(func() { NewSwitchable(nodes, 100, KindPFS) })
+	adaptive := allocated(func() { NewRouter(KindAdaptive, nodes, 100) })
 	if adaptive > 1.1*one || adaptive < 0.9*one {
-		t.Errorf("NewSwitchable allocated %.0f B, NewRingRecache %.0f B: want within 10%%", adaptive, one)
+		t.Errorf("the adaptive strategy allocated %.0f B, NewRingRecache %.0f B: want within 10%%", adaptive, one)
 	}
 }
 
@@ -239,7 +241,7 @@ func TestRecachePlanAgreesWithRoute(t *testing.T) {
 	}
 	for name, r := range map[string]hvac.Router{
 		"RingRecache": NewRingRecache(nodes, 100),
-		"Switchable":  NewSwitchable(nodes, 100, KindNVMe),
+		"Switchable":  NewRouter(KindAdaptive, nodes, 100),
 	} {
 		for _, failed := range []cluster.NodeID{nodes[3], nodes[6]} { // the second plans on an already-shrunk ring
 			before := make(map[string]cluster.NodeID, len(keys))
@@ -279,7 +281,8 @@ func TestRecachePlanAgreesWithRoute(t *testing.T) {
 		}
 	}
 
-	s := NewSwitchable(nodes, 100, KindPFS)
+	s := NewRouter(KindAdaptive, nodes, 100)
+	s.SwitchTo(KindPFS)
 	if plan := s.PlanRecache(nodes[1], keys); plan != nil {
 		t.Errorf("Switchable planned %d shares with the ftpfs response in force, want none", len(plan))
 	}

@@ -188,9 +188,11 @@ func TestDecideBurstQuietStreak(t *testing.T) {
 // attached Switchable commits exactly the two regime switches.
 func TestControllerOscillationNoFlap(t *testing.T) {
 	nodes := []cluster.NodeID{"n0", "n1", "n2", "n3"}
-	sw := ftcache.NewSwitchable(nodes, 100, ftcache.KindNVMe)
+	sw := ftcache.NewRouter(ftcache.KindAdaptive, nodes, 100)
 	c := New(testCfg())
 	c.targets = []*ftcache.Strategy{sw}
+	switches := 0
+	sw.OnSwitch(func(_, _ ftcache.StrategyKind, _ bool) { switches++ })
 
 	c.failures.Add(5)
 	c.Tick() // enter burst → ftpfs
@@ -201,8 +203,8 @@ func TestControllerOscillationNoFlap(t *testing.T) {
 	if sw.Kind() != ftcache.KindPFS {
 		t.Fatalf("active after oscillation = %s, want ftpfs", sw.Kind())
 	}
-	if got := sw.Switches(); got != 1 {
-		t.Fatalf("switches during oscillation = %d, want 1", got)
+	if switches != 1 {
+		t.Fatalf("switches during oscillation = %d, want 1", switches)
 	}
 	for i := 0; i < 10; i++ {
 		c.Tick() // quiet ticks: exit burst, then calm → noft
@@ -220,7 +222,7 @@ func TestControllerOscillationNoFlap(t *testing.T) {
 
 func TestControllerForce(t *testing.T) {
 	nodes := []cluster.NodeID{"n0", "n1"}
-	sw := ftcache.NewSwitchable(nodes, 100, ftcache.KindNVMe)
+	sw := ftcache.NewRouter(ftcache.KindAdaptive, nodes, 100)
 	c := New(testCfg())
 	c.targets = []*ftcache.Strategy{sw}
 
@@ -283,7 +285,7 @@ func TestReplayDetectsCorruption(t *testing.T) {
 // and atomics must keep the bookkeeping coherent.
 func TestControllerConcurrency(t *testing.T) {
 	nodes := []cluster.NodeID{"n0", "n1", "n2"}
-	sw := ftcache.NewSwitchable(nodes, 100, ftcache.KindNVMe)
+	sw := ftcache.NewRouter(ftcache.KindAdaptive, nodes, 100)
 	c := New(testCfg())
 	c.targets = []*ftcache.Strategy{sw}
 	var wg sync.WaitGroup

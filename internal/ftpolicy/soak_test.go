@@ -156,7 +156,7 @@ func runAdaptiveSoak(t *testing.T, seed int64, phases []chaos.Phase) {
 	}
 	plan := chaos.GeneratePlan(seed, nodeNames, phases)
 	t.Logf("phases: %v", phases)
-	t.Logf("plan: %s", plan.Summary())
+	t.Logf("plan: seed=%d horizon=%s faults=%d", plan.Seed, plan.Horizon, len(plan.Events))
 
 	var (
 		reads      atomic.Int64
@@ -295,8 +295,8 @@ func runAdaptiveSoak(t *testing.T, seed int64, phases []chaos.Phase) {
 	}, decisions); err != nil {
 		t.Errorf("seed=%d: decision log does not replay: %v", seed, err)
 	}
-	t.Logf("seed=%d: reads=%d transient-retries=%d switches=%d faults[%s]",
-		seed, reads.Load(), transient.Load(), policy.Switches(), netctl.FormatFaults())
+	t.Logf("seed=%d: reads=%d transient-retries=%d switches=%d faults=%v",
+		seed, reads.Load(), transient.Load(), policy.Switches(), netctl.FaultCounts())
 	if reads.Load() == 0 {
 		t.Error("soak completed zero reads")
 	}

@@ -29,7 +29,7 @@ func naiveOwner(pts []point, h uint64) (NodeID, bool) {
 // to the reference semantics the rest of the system assumes.
 func TestOwnershipEquivalenceUnderChurn(t *testing.T) {
 	const numKeys = 10000
-	cfg := Config{VirtualNodes: 50, Seed: 0xC0FFEE}
+	cfg := Config{VirtualNodes: 50}
 	ring := New(cfg)
 	tree := NewTree(cfg)
 
@@ -124,7 +124,7 @@ func TestCloneSnapshotIsolation(t *testing.T) {
 // PlanRecache against the semantically obvious implementation (clone,
 // remove, re-resolve every key).
 func TestPlanRecacheMatchesCloneRemove(t *testing.T) {
-	r := NewWithNodes(Config{VirtualNodes: 50, Seed: 7}, nil)
+	r := NewWithNodes(Config{VirtualNodes: 50}, nil)
 	for i := 0; i < 16; i++ {
 		r.Add(NodeID(fmt.Sprintf("node-%04d", i)))
 	}

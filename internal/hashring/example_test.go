@@ -14,7 +14,7 @@ import (
 // successor that will recache it.
 func Example() {
 	ring := hashring.NewWithNodes(
-		hashring.Config{VirtualNodes: 100, Seed: 42},
+		hashring.Config{VirtualNodes: 100},
 		[]hashring.NodeID{"node-0", "node-1", "node-2", "node-3"},
 	)
 
@@ -55,7 +55,7 @@ func Example_balance() {
 	for i := range nodes {
 		nodes[i] = hashring.NodeID(fmt.Sprintf("n%02d", i))
 	}
-	ring := hashring.NewWithNodes(hashring.Config{VirtualNodes: 100, Seed: 1}, nodes)
+	ring := hashring.NewWithNodes(hashring.Config{VirtualNodes: 100}, nodes)
 	counts := partition.LoadCounts(ring, fileKeys(16000))
 	fmt.Printf("members: %d\n", len(counts))
 	fmt.Printf("well balanced: %v\n", keyCountCV(counts, nodes) < 0.25)
@@ -73,7 +73,7 @@ func TestBalanceImprovesWithVirtualNodes(t *testing.T) {
 	}
 	keys := fileKeys(32000)
 	cvAt := func(v int) float64 {
-		ring := hashring.NewWithNodes(hashring.Config{VirtualNodes: v, Seed: 3}, nodes)
+		ring := hashring.NewWithNodes(hashring.Config{VirtualNodes: v}, nodes)
 		return keyCountCV(partition.LoadCounts(ring, keys), nodes)
 	}
 	low, high := cvAt(1), cvAt(200)
@@ -92,7 +92,7 @@ func keyCountCV(counts map[hashring.NodeID]int, members []hashring.NodeID) float
 	for i, n := range members {
 		vals[i] = float64(counts[n])
 	}
-	return stats.CoeffVar(vals)
+	return stats.StdDev(vals) / stats.Mean(vals)
 }
 
 func fileKeys(n int) []string {

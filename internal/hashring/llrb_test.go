@@ -10,7 +10,7 @@ import (
 // implementation: for identical configs, both structures must compute
 // identical ownership for every key, across arbitrary membership churn.
 func TestTreeRingAgreesWithRing(t *testing.T) {
-	cfg := Config{VirtualNodes: 37, Seed: 21}
+	cfg := Config{VirtualNodes: 37}
 	ring := New(cfg)
 	tree := NewTree(cfg)
 	keys := fileKeys(500)
@@ -86,7 +86,7 @@ func TestTreeRingDefaultVirtualNodes(t *testing.T) {
 // churn: no red node has a red left child chained (LLRB shape), no right
 // red links, and perfect black balance.
 func TestLLRBStructuralInvariants(t *testing.T) {
-	tr := NewTreeWithNodes(Config{VirtualNodes: 50, Seed: 2}, nodeNames(20))
+	tr := NewTreeWithNodes(Config{VirtualNodes: 50}, nodeNames(20))
 	rng := rand.New(rand.NewSource(9))
 	all := nodeNames(20)
 	for i := 0; i < 300; i++ {

@@ -16,13 +16,13 @@ func ownershipMap(r *Ring, keys []string) map[string]NodeID {
 }
 
 // TestRemoveReAddRestoresOwnership is the rejoin correctness anchor:
-// because a node's virtual points are a pure function of (node, vnodes,
-// seed), removing a node and re-adding it must restore bit-identical
+// because a node's virtual points are a pure function of (node,
+// vnodes), removing a node and re-adding it must restore bit-identical
 // ownership for every key — against a ring that never saw the failure.
 func TestRemoveReAddRestoresOwnership(t *testing.T) {
 	nodes := nodeNames(16)
 	keys := fileKeys(5000)
-	cfg := Config{VirtualNodes: 100, Seed: 42}
+	cfg := Config{VirtualNodes: 100}
 
 	pristine := NewWithNodes(cfg, nodes)
 	want := ownershipMap(pristine, keys)
@@ -57,7 +57,7 @@ func TestRemoveReAddRestoresOwnership(t *testing.T) {
 func TestPlanRejoinMatchesActualAdd(t *testing.T) {
 	nodes := nodeNames(12)
 	keys := fileKeys(3000)
-	r := NewWithNodes(Config{VirtualNodes: 100, Seed: 7}, nodes)
+	r := NewWithNodes(Config{VirtualNodes: 100}, nodes)
 	victim := nodes[3]
 	r.Remove(victim)
 
@@ -96,7 +96,7 @@ func TestPlanRejoinMatchesActualAdd(t *testing.T) {
 func TestPlanRejoinInverseOfRecache(t *testing.T) {
 	nodes := nodeNames(10)
 	keys := fileKeys(2000)
-	r := NewWithNodes(Config{VirtualNodes: 100, Seed: 3}, nodes)
+	r := NewWithNodes(Config{VirtualNodes: 100}, nodes)
 	victim := nodes[7]
 
 	lost := make(map[string]bool)
@@ -118,7 +118,7 @@ func TestPlanRejoinInverseOfRecache(t *testing.T) {
 }
 
 func TestPlanRejoinExistingMemberEmpty(t *testing.T) {
-	r := NewWithNodes(Config{VirtualNodes: 50, Seed: 1}, nodeNames(4))
+	r := NewWithNodes(Config{VirtualNodes: 50}, nodeNames(4))
 	plan := r.PlanRejoin("node-0002", fileKeys(100))
 	if len(plan.Keys) != 0 {
 		t.Errorf("PlanRejoin for a current member returned %d keys, want 0 (double-rejoin must be benign)", len(plan.Keys))
@@ -126,7 +126,7 @@ func TestPlanRejoinExistingMemberEmpty(t *testing.T) {
 }
 
 func TestPlanRejoinEmptyRing(t *testing.T) {
-	r := New(Config{VirtualNodes: 50, Seed: 1})
+	r := New(Config{VirtualNodes: 50})
 	plan := r.PlanRejoin("node-0000", fileKeys(50))
 	// Sole member of an empty ring owns everything once added.
 	if len(plan.Keys) != 50 {

@@ -67,9 +67,6 @@ type Config struct {
 	// The paper's production setting is 100 (§V-A, "virtual node count is
 	// set to 100 per physical node").
 	VirtualNodes int
-	// Seed perturbs all point and key hashes; every client in a job must
-	// use the same seed or they would disagree about ownership.
-	Seed uint64
 }
 
 // DefaultVirtualNodes is the paper's production virtual-node count.
@@ -122,7 +119,7 @@ func NewWithNodes(cfg Config, nodes []NodeID) *Ring {
 			continue
 		}
 		s.member[n] = struct{}{}
-		for _, h := range pointsFor(n, r.cfg.VirtualNodes, r.cfg.Seed) {
+		for _, h := range pointsFor(n, r.cfg.VirtualNodes) {
 			s.points = append(s.points, point{hash: h, node: n})
 		}
 	}
@@ -183,11 +180,12 @@ func ownerOf(pts []point, h uint64) (NodeID, bool) {
 }
 
 // pointsFor derives the virtual point hashes for a node. The first point
-// is the seeded hash of the node ID; subsequent points come from a
-// splitmix64 stream so they are decorrelated yet deterministic.
-func pointsFor(node NodeID, vnodes int, seed uint64) []uint64 {
+// is the hash of the node ID; subsequent points come from a splitmix64
+// stream so they are decorrelated yet deterministic. Every ring hashes
+// with seed 0, so every client of a job agrees about ownership.
+func pointsFor(node NodeID, vnodes int) []uint64 {
 	pts := make([]uint64, vnodes)
-	state := xhash.XXH64String(string(node), seed)
+	state := xhash.XXH64String(string(node), 0)
 	for i := range pts {
 		pts[i] = xhash.SplitMix64(&state)
 	}
@@ -196,13 +194,13 @@ func pointsFor(node NodeID, vnodes int, seed uint64) []uint64 {
 
 // keyHash positions a key on the 64-bit ring; shared by all ring
 // implementations so they agree on ownership for equal configs.
-func keyHash(key string, seed uint64) uint64 {
-	return xhash.XXH64String(key, seed)
+func keyHash(key string) uint64 {
+	return xhash.XXH64String(key, 0)
 }
 
-// KeyHash returns the position of key on the ring (seeded).
+// KeyHash returns the position of key on the ring.
 func (r *Ring) KeyHash(key string) uint64 {
-	return keyHash(key, r.cfg.Seed)
+	return keyHash(key)
 }
 
 // Add inserts node with its virtual points. Adding an existing member is
@@ -215,7 +213,7 @@ func (r *Ring) Add(node NodeID) {
 		return
 	}
 	add := make([]point, 0, r.cfg.VirtualNodes)
-	for _, h := range pointsFor(node, r.cfg.VirtualNodes, r.cfg.Seed) {
+	for _, h := range pointsFor(node, r.cfg.VirtualNodes) {
 		add = append(add, point{hash: h, node: node})
 	}
 	sortPoints(add)
@@ -401,7 +399,7 @@ func (r *Ring) PlanRecache(failed NodeID, keys []string) RecachePlan {
 	after := filterPoints(cur.points, failed)
 	plan := RecachePlan{Failed: failed, Moves: make(map[NodeID][]string)}
 	for _, k := range keys {
-		h := keyHash(k, r.cfg.Seed)
+		h := keyHash(k)
 		owner, _ := ownerOf(cur.points, h)
 		if owner != failed {
 			continue
@@ -442,7 +440,7 @@ type RejoinPlan struct {
 // in place.
 //
 // Consistent hashing makes this exact: the points a node contributes
-// are a pure function of (node, vnodes, seed), so the planned ownership
+// are a pure function of (node, vnodes), so the planned ownership
 // is bit-identical to what Add will install. If joining is already a
 // member the plan is empty — unlike PlanRecache's panic, because rejoin
 // races benignly (a double-revive must be a no-op, not a crash).
@@ -453,13 +451,13 @@ func (r *Ring) PlanRejoin(joining NodeID, keys []string) RejoinPlan {
 		return plan
 	}
 	add := make([]point, 0, r.cfg.VirtualNodes)
-	for _, h := range pointsFor(joining, r.cfg.VirtualNodes, r.cfg.Seed) {
+	for _, h := range pointsFor(joining, r.cfg.VirtualNodes) {
 		add = append(add, point{hash: h, node: joining})
 	}
 	sortPoints(add)
 	after := mergePoints(cur.points, add)
 	for _, k := range keys {
-		if owner, ok := ownerOf(after, keyHash(k, r.cfg.Seed)); ok && owner == joining {
+		if owner, ok := ownerOf(after, keyHash(k)); ok && owner == joining {
 			plan.Keys = append(plan.Keys, k)
 		}
 	}

@@ -214,9 +214,9 @@ func successor(h *llrbNode, hash uint64) *llrbNode {
 	return best
 }
 
-// KeyHash returns the position of key on the ring (seeded).
+// KeyHash returns the position of key on the ring.
 func (t *TreeRing) KeyHash(key string) uint64 {
-	return keyHash(key, t.cfg.Seed)
+	return keyHash(key)
 }
 
 // Add inserts node with its virtual points; adding a member is a no-op.
@@ -227,7 +227,7 @@ func (t *TreeRing) Add(node NodeID) {
 		return
 	}
 	t.member[node] = struct{}{}
-	for _, h := range pointsFor(node, t.cfg.VirtualNodes, t.cfg.Seed) {
+	for _, h := range pointsFor(node, t.cfg.VirtualNodes) {
 		t.root = insert(t.root, h, node)
 		t.root.red = false
 		t.size++
@@ -243,7 +243,7 @@ func (t *TreeRing) Remove(node NodeID) {
 		return
 	}
 	delete(t.member, node)
-	for _, h := range pointsFor(node, t.cfg.VirtualNodes, t.cfg.Seed) {
+	for _, h := range pointsFor(node, t.cfg.VirtualNodes) {
 		t.root = deleteNode(t.root, h, node)
 		if t.root != nil {
 			t.root.red = false
@@ -254,7 +254,7 @@ func (t *TreeRing) Remove(node NodeID) {
 
 // Owner returns the node owning key; ok=false on an empty ring.
 func (t *TreeRing) Owner(key string) (NodeID, bool) {
-	h := keyHash(key, t.cfg.Seed)
+	h := keyHash(key)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.root == nil {

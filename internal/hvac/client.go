@@ -252,9 +252,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// LoadControl exposes the load-control state (nil when disabled).
-func (c *Client) LoadControl() *loadctl.Controller { return c.load }
-
 // ReviveNode re-admits a failed node (elastic scale-up): the failure
 // detector clears its state and the router re-admits it, so routing
 // resumes sending it traffic. Returns false if the node was not failed.
@@ -1044,15 +1041,6 @@ func (c *Client) pushCopies(path string, data []byte, owners []cluster.NodeID, h
 			metric.Inc()
 		}
 	}
-}
-
-// WaitReplication blocks until every replica and hot-object copy
-// enqueued so far is acked or ctx expires — used by tests and epoch
-// boundaries that need determinism. It is the ingest barrier without
-// Flush's error report: copies stay best-effort. The batches keep
-// shipping after a ctx-triggered return; only the wait is abandoned.
-func (c *Client) WaitReplication(ctx context.Context) error {
-	return c.ingest.barrier(ctx)
 }
 
 // Stat returns size and cache residency of path from its current owner.

@@ -41,6 +41,17 @@ func (s staticRouter) Name() string              { return "static" }
 func (s staticRouter) Route(string) Decision     { return Decision{Kind: RouteNode, Node: s.node} }
 func (s staticRouter) NodeFailed(cluster.NodeID) {}
 
+// declare records timeouts against node until tr declares it failed,
+// and reports whether one of them did.
+func declare(tr *cluster.Tracker, node cluster.NodeID) bool {
+	for i := 0; i < tr.Limit(); i++ {
+		if tr.RecordTimeout(node) {
+			return true
+		}
+	}
+	return false
+}
+
 // testCluster spins up n servers over an in-process network plus a PFS
 // preloaded with files, and returns a client factory.
 type testCluster struct {

@@ -293,7 +293,7 @@ func TestIngestByteBoundSealsBatch(t *testing.T) {
 
 // TestIngestReplicationRidesBatches: with replication enabled, PutAsync
 // fans each object to the ring successors through the same batch
-// pipeline, and WaitReplication doubles as the flush barrier.
+// pipeline, and Flush waits for the copies too.
 func TestIngestReplicationRidesBatches(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	router := hashRouter{nodes: tc.nodes}
@@ -306,14 +306,14 @@ func TestIngestReplicationRidesBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.WaitReplication(context.Background()); err != nil {
-		t.Fatalf("WaitReplication: %v", err)
+	if err := c.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	for i := 0; i < n; i++ {
 		path := fmt.Sprintf("repl/f%02d", i)
 		for _, node := range router.Replicas(path, 2) {
 			if _, err := tc.servers[node].NVMe().Get(path); err != nil {
-				t.Fatalf("%s missing on replica %s after WaitReplication: %v", path, node, err)
+				t.Fatalf("%s missing on replica %s after Flush: %v", path, node, err)
 			}
 		}
 	}
@@ -324,8 +324,7 @@ func TestIngestReplicationRidesBatches(t *testing.T) {
 
 // TestIngestReadPathReplicationRidesBatches: a PFS-fallback read with
 // replication configured pushes the object to the secondary owner via
-// the batch pipeline (no per-push goroutine), and WaitReplication
-// flushes it.
+// the batch pipeline (no per-push goroutine), and Flush waits for it.
 func TestIngestReadPathReplicationRidesBatches(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	router := hashRouter{nodes: tc.nodes}
@@ -336,12 +335,12 @@ func TestIngestReadPathReplicationRidesBatches(t *testing.T) {
 	if err != nil || string(got) != "from-pfs" {
 		t.Fatalf("read: %q, %v", got, err)
 	}
-	if err := c.WaitReplication(context.Background()); err != nil {
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	secondary := router.Replicas("rp/file", 2)[1]
 	if _, err := tc.servers[secondary].NVMe().Get("rp/file"); err != nil {
-		t.Fatalf("secondary %s missing replica after WaitReplication: %v", secondary, err)
+		t.Fatalf("secondary %s missing replica after Flush: %v", secondary, err)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestLoadctlCoalescedConcurrentMiss(t *testing.T) {
 	if st := c.Stats(); st.CoalescedReads == 0 {
 		t.Fatalf("no coalesced reads recorded: %+v", st)
 	}
-	if n := c.LoadControl().Coalesce.Inflight(); n != 0 {
+	if n := c.load.Coalesce.Inflight(); n != 0 {
 		t.Fatalf("%d flights still registered after all reads returned", n)
 	}
 }
@@ -226,7 +226,7 @@ func TestLoadctlCoalesceNodeKillMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := c.LoadControl().Coalesce.Inflight(); n != 0 {
+	if n := c.load.Coalesce.Inflight(); n != 0 {
 		t.Fatalf("%d flights still registered after the kill", n)
 	}
 	// Goroutine-leak check: allow the runtime a moment to reap the dead
@@ -270,7 +270,7 @@ func TestLoadctlFanoutUnresponsiveOwner(t *testing.T) {
 			t.Fatalf("warm read %d: %v", i, err)
 		}
 	}
-	if !c.LoadControl().Sketch.IsHot("data/hot") {
+	if !c.load.Sketch.IsHot("data/hot") {
 		t.Fatal("key not flagged hot after warmup")
 	}
 
@@ -419,7 +419,7 @@ func TestHotReplicaSetUnreachableFailsOver(t *testing.T) {
 					t.Fatalf("warm read %d: %v", i, err)
 				}
 			}
-			if !c.LoadControl().Sketch.IsHot("data/hot") {
+			if !c.load.Sketch.IsHot("data/hot") {
 				t.Fatal("key not flagged hot after warmup")
 			}
 
@@ -464,7 +464,7 @@ func TestHotPushReachesSuccessors(t *testing.T) {
 			LoadControl:  &loadctl.Config{SampleRate: 1, Replicas: 1},
 			Ingest:       &IngestConfig{MaxDelay: time.Minute},
 		})
-		lat := c.LoadControl().Latency
+		lat := c.load.Latency
 		lat.Observe("node-01", time.Hour)
 		lat.Observe("node-02", time.Hour)
 		ctx := context.Background()
@@ -475,7 +475,7 @@ func TestHotPushReachesSuccessors(t *testing.T) {
 					t.Fatalf("read %d: %q, %v", i, data, err)
 				}
 			}
-			if err := c.WaitReplication(ctx); err != nil {
+			if err := c.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
 			if !tc.servers[successor].NVMe().Has("data/hot") {
@@ -491,14 +491,14 @@ func TestHotPushReachesSuccessors(t *testing.T) {
 		}
 		// A membership change is a new ring epoch: node-02 becomes the
 		// successor and receives the object once.
-		c.Tracker().MarkFailed("node-01")
+		declare(c.Tracker(), "node-01")
 		epoch("node-02", 2)
 	})
 }
 
-// TestLoadctlWaitReplicationContext verifies the context-aware wait: a
-// live context returns once pushes drain; an already-cancelled context
-// returns its error instead of blocking.
+// TestLoadctlWaitReplicationContext verifies that Flush waits for
+// replica pushes with a live context, and returns instead of blocking
+// on an already-cancelled one.
 func TestLoadctlWaitReplicationContext(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	tc := newLoadctlCluster(t, 2, ServerConfig{})
@@ -513,21 +513,21 @@ func TestLoadctlWaitReplicationContext(t *testing.T) {
 	if _, err := c.Read(ctx, "data/r"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitReplication(ctx); err != nil {
-		t.Fatalf("WaitReplication with live ctx: %v", err)
+	if err := c.Flush(ctx); err != nil {
+		t.Fatalf("Flush with live ctx: %v", err)
 	}
 	if !tc.servers["node-01"].NVMe().Has("data/r") {
-		t.Fatal("replica not present after WaitReplication returned")
+		t.Fatal("replica not present after Flush returned")
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	// No pushes in flight: either outcome returns promptly, but a
 	// cancelled context must never block.
 	done := make(chan struct{})
-	go func() { c.WaitReplication(cancelled); close(done) }()
+	go func() { c.Flush(cancelled); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatal("WaitReplication blocked on a cancelled context")
+		t.Fatal("Flush blocked on a cancelled context")
 	}
 }

@@ -89,7 +89,7 @@ func TestRAMTierPromoteAndServe(t *testing.T) {
 	if st.ServedRAM != before+1 {
 		t.Fatalf("ServedRAM=%d, want %d: %+v", st.ServedRAM, before+1, st)
 	}
-	if srv.RAMServed() == 0 {
+	if srv.ramServed.Load() == 0 {
 		t.Fatal("server never counted a RAM-served read")
 	}
 	// The zero-copy response must leave no lease behind once delivered.
@@ -255,7 +255,7 @@ func TestRAMTierConcurrentHotReads(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if srv.RAMServed() == 0 {
+	if srv.ramServed.Load() == 0 {
 		t.Fatal("no reads were served from RAM under a hot concurrent workload")
 	}
 	deadline := time.Now().Add(2 * time.Second)

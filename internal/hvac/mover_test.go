@@ -149,7 +149,7 @@ func TestMoverTracesOnlyMissFills(t *testing.T) {
 	srv := tc.servers["node-00"]
 	trace := telemetry.Default().Trace()
 	seq := trace.Seq()
-	c.Tracker().MarkFailed("node-01")
+	declare(c.Tracker(), "node-01")
 	for i := 0; i < 2000; i++ {
 		if err := c.PutAsync(fmt.Sprintf("put/%04d", i), []byte("p")); err != nil {
 			t.Fatal(err)

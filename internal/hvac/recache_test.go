@@ -221,8 +221,8 @@ func TestHintToUnresponsiveReceiver(t *testing.T) {
 	}
 
 	start := time.Now()
-	if !c.Tracker().MarkFailed("node-01") {
-		t.Fatal("MarkFailed did not transition node-01")
+	if !declare(c.Tracker(), "node-01") {
+		t.Fatal("timeouts did not declare node-01")
 	}
 	for _, p := range paths[:64] {
 		if _, err := c.Read(ctx, p); err != nil {
@@ -239,8 +239,8 @@ func TestHintToUnresponsiveReceiver(t *testing.T) {
 	if n := c.Stats().Timeouts; n != 0 {
 		t.Errorf("client counted %d timeouts from a hint", n)
 	}
-	if n := c.Tracker().TimeoutCount("node-02"); n != 0 || !c.Tracker().IsAlive("node-02") {
-		t.Errorf("hint timeout fed the detector: node-02 count %d alive %v", n, c.Tracker().IsAlive("node-02"))
+	if !c.Tracker().IsAlive("node-02") {
+		t.Error("hint timeout fed the detector: node-02 declared failed")
 	}
 	if enq, _ := tc.servers["node-02"].Mover().Counters(); enq != 0 {
 		t.Errorf("silent receiver queued %d paths", enq)
@@ -291,7 +291,7 @@ func TestHintsShipInReceiverOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	c.Tracker().MarkFailed("node-00")
+	declare(c.Tracker(), "node-00")
 	c.hintWG.Wait()
 	mu.Lock()
 	defer mu.Unlock()
@@ -310,7 +310,7 @@ func TestReAddDropsOutstandingHints(t *testing.T) {
 		staticRouter: staticRouter{node: "node-00"},
 		plan:         map[cluster.NodeID][]string{"node-02": paths},
 	}, time.Minute)
-	c.Tracker().MarkFailed("node-01")
+	declare(c.Tracker(), "node-01")
 	start := time.Now()
 	if !c.ReviveNode("node-01") {
 		t.Fatal("ReviveNode did not transition node-01")
@@ -337,7 +337,7 @@ func TestCloseStopsHintSenderAndRecacheWorkers(t *testing.T) {
 			staticRouter: staticRouter{node: "node-00"},
 			plan:         map[cluster.NodeID][]string{receiver: paths},
 		}, time.Minute)
-		c.Tracker().MarkFailed("node-01")
+		declare(c.Tracker(), "node-01")
 		clients = append(clients, c)
 	}
 
@@ -406,7 +406,7 @@ func TestReviveDuringFailurePlan(t *testing.T) {
 	declared := make(chan struct{})
 	go func() {
 		defer close(declared)
-		c.Tracker().MarkFailed("node-01")
+		declare(c.Tracker(), "node-01")
 	}()
 	<-r.planning
 	if !c.ReviveNode("node-01") {

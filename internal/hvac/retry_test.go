@@ -100,9 +100,6 @@ func TestRetryRule(t *testing.T) {
 			if d := m.retryExhausted.Load() - exhausted; d != tc.exhausted {
 				t.Errorf("ftc_client_retry_exhausted_total rose by %d, want %d", d, tc.exhausted)
 			}
-			if n := int64(c.Tracker().TimeoutCount("node-00")); n != tc.evidence {
-				t.Errorf("TimeoutCount(node-00) = %d, want %d", n, tc.evidence)
-			}
 			if n := c.Stats().Timeouts; n != tc.evidence {
 				t.Errorf("Stats().Timeouts = %d, want %d", n, tc.evidence)
 			}

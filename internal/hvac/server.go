@@ -122,9 +122,6 @@ func (s *Server) NVMe() *storage.NVMe { return s.nvme }
 // RAM exposes the in-memory hot-object tier (nil when disabled).
 func (s *Server) RAM() *memtier.Tier { return s.ram }
 
-// RAMServed returns the cumulative count of reads answered from RAM.
-func (s *Server) RAMServed() int64 { return s.ramServed.Load() }
-
 // demoteRAM is the tier's eviction callback: an object squeezed out of
 // RAM falls back to NVMe so its bytes stay node-local (RAM → NVMe →
 // PFS, the paper's tier order). The slice is the immutable one the tier

@@ -130,7 +130,7 @@ func (l *Limiter) AwaitSlot() (bool, time.Duration) {
 // Release returns a service slot claimed by a successful Acquire.
 func (l *Limiter) Release() { <-l.tokens }
 
-// AcquireN claims cost service slots for one batched request, so
+// AcquireNWait claims cost service slots for one batched request, so
 // admission sees ingest cost in objects, not in frames — a 100-entry
 // batch competes for capacity like 100 requests, not like one. cost is
 // capped at the limiter's width (a batch larger than the whole limit
@@ -140,14 +140,8 @@ func (l *Limiter) Release() { <-l.tokens }
 // holding a partial claim forever could deadlock two interleaved
 // batches, while timed release merely sheds both under real overload.
 // Every true return must be paired with ReleaseN(cost) for the same
-// cost.
-func (l *Limiter) AcquireN(cost int) bool {
-	ok, _ := l.AcquireNWait(cost)
-	return ok
-}
-
-// AcquireNWait is AcquireN plus the admission-queue wait it cost, with
-// the same zero-on-fast-path contract as AcquireWait.
+// cost. It also returns the admission-queue wait, with the same
+// zero-on-fast-path contract as AcquireWait.
 func (l *Limiter) AcquireNWait(cost int) (bool, time.Duration) {
 	if cost <= 1 {
 		return l.AcquireWait()
@@ -196,8 +190,8 @@ wait:
 	}
 }
 
-// ReleaseN returns the slots claimed by a successful AcquireN. cost
-// must match the AcquireN argument (after its internal cap, applied
+// ReleaseN returns the slots claimed by a successful AcquireNWait. cost
+// must match the AcquireNWait argument (after its internal cap, applied
 // here identically).
 func (l *Limiter) ReleaseN(cost int) {
 	if cost <= 1 {

@@ -8,15 +8,15 @@ import (
 
 func TestAcquireNTakesCostSlots(t *testing.T) {
 	l := NewLimiter(8, 0, time.Millisecond)
-	if !l.AcquireN(5) {
-		t.Fatal("AcquireN(5) on an idle limiter failed")
+	if !acquireN(l, 5) {
+		t.Fatal("AcquireNWait(5) on an idle limiter failed")
 	}
 	if got := l.Inflight(); got != 5 {
 		t.Fatalf("inflight=%d, want 5", got)
 	}
 	// 3 slots left: a 3-wide batch fits, a single more does not (queue 0).
-	if !l.AcquireN(3) {
-		t.Fatal("AcquireN(3) with 3 free slots failed")
+	if !acquireN(l, 3) {
+		t.Fatal("AcquireNWait(3) with 3 free slots failed")
 	}
 	if l.Acquire() {
 		t.Fatal("Acquire succeeded on a full limiter")
@@ -32,7 +32,7 @@ func TestAcquireNCostCappedAtLimit(t *testing.T) {
 	l := NewLimiter(4, 0, time.Millisecond)
 	// A batch wider than the whole limiter must still be admissible —
 	// cost caps at the limit, and ReleaseN applies the same cap.
-	if !l.AcquireN(100) {
+	if !acquireN(l, 100) {
 		t.Fatal("over-wide batch not admitted on idle limiter")
 	}
 	if got := l.Inflight(); got != 4 {
@@ -46,13 +46,13 @@ func TestAcquireNCostCappedAtLimit(t *testing.T) {
 
 func TestAcquireNTimeoutReleasesPartialClaim(t *testing.T) {
 	l := NewLimiter(4, 4, 5*time.Millisecond)
-	if !l.AcquireN(3) {
+	if !acquireN(l, 3) {
 		t.Fatal("setup claim failed")
 	}
 	// Only 1 slot free: a 3-wide batch grabs it, waits, times out — and
 	// must hand the partial claim back.
-	if l.AcquireN(3) {
-		t.Fatal("AcquireN should shed when slots never free")
+	if acquireN(l, 3) {
+		t.Fatal("AcquireNWait should shed when slots never free")
 	}
 	if got := l.Inflight(); got != 3 {
 		t.Fatalf("inflight=%d after shed, want 3 (partial claim returned)", got)
@@ -66,28 +66,28 @@ func TestAcquireNTimeoutReleasesPartialClaim(t *testing.T) {
 
 func TestAcquireNWaitsForFreedSlots(t *testing.T) {
 	l := NewLimiter(4, 4, time.Second)
-	if !l.AcquireN(4) {
+	if !acquireN(l, 4) {
 		t.Fatal("setup claim failed")
 	}
 	done := make(chan bool, 1)
-	go func() { done <- l.AcquireN(2) }()
+	go func() { done <- acquireN(l, 2) }()
 	time.Sleep(5 * time.Millisecond) // let the waiter queue
 	l.ReleaseN(4)
 	select {
 	case ok := <-done:
 		if !ok {
-			t.Fatal("queued AcquireN shed despite freed slots")
+			t.Fatal("queued AcquireNWait shed despite freed slots")
 		}
 	case <-time.After(time.Second):
-		t.Fatal("queued AcquireN never admitted")
+		t.Fatal("queued AcquireNWait never admitted")
 	}
 	l.ReleaseN(2)
 }
 
 func TestAcquireNOneIsAcquire(t *testing.T) {
 	l := NewLimiter(2, 0, time.Millisecond)
-	if !l.AcquireN(1) {
-		t.Fatal("AcquireN(1) failed")
+	if !acquireN(l, 1) {
+		t.Fatal("AcquireNWait(1) failed")
 	}
 	if got := l.Inflight(); got != 1 {
 		t.Fatalf("inflight=%d, want 1", got)
@@ -106,7 +106,7 @@ func TestAcquireNInterleavedBatchesNoDeadlock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if l.AcquireN(6) {
+				if acquireN(l, 6) {
 					l.ReleaseN(6)
 				}
 			}
@@ -117,9 +117,15 @@ func TestAcquireNInterleavedBatchesNoDeadlock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("interleaved AcquireN batches deadlocked")
+		t.Fatal("interleaved AcquireNWait batches deadlocked")
 	}
 	if got := l.Inflight(); got != 0 {
 		t.Fatalf("leaked %d slots", got)
 	}
+}
+
+// acquireN is AcquireNWait without the wait.
+func acquireN(l *Limiter, cost int) bool {
+	ok, _ := l.AcquireNWait(cost)
+	return ok
 }

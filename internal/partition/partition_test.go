@@ -229,7 +229,7 @@ func TestRangeRebalanceStaysBalanced(t *testing.T) {
 	for _, c := range counts {
 		vals = append(vals, float64(c))
 	}
-	if cv := stats.CoeffVar(vals); cv > 0.2 {
+	if cv := stats.StdDev(vals) / stats.Mean(vals); cv > 0.2 {
 		t.Errorf("rebalance-mode range should stay balanced, CV=%.3f", cv)
 	}
 }
@@ -281,7 +281,7 @@ func TestBalanceAcrossStrategies(t *testing.T) {
 		for _, n := range p.Nodes() {
 			vals = append(vals, float64(counts[n]))
 		}
-		cv := stats.CoeffVar(vals)
+		cv := stats.StdDev(vals) / stats.Mean(vals)
 		limit := 0.25
 		if cv > limit {
 			t.Errorf("%s: initial load CV=%.3f exceeds %.2f", st.name, cv, limit)

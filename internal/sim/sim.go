@@ -47,8 +47,6 @@ type Engine struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap
-	// processed counts dispatched events (observability/tests).
-	processed uint64
 }
 
 // New creates an engine at virtual time zero.
@@ -56,12 +54,6 @@ func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Processed returns the number of dispatched events.
-func (e *Engine) Processed() uint64 { return e.processed }
-
-// Pending returns the number of undispatched events.
-func (e *Engine) Pending() int { return len(e.events) }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past
 // (t < Now) panics: it is always a model bug.
@@ -89,7 +81,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.events).(*event)
 	e.now = ev.at
-	e.processed++
 	ev.fn()
 	return true
 }
@@ -97,16 +88,5 @@ func (e *Engine) Step() bool {
 // Run dispatches events until the queue is empty.
 func (e *Engine) Run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil dispatches events with timestamps <= t, then advances the
-// clock to t (if it is ahead of the last event).
-func (e *Engine) RunUntil(t time.Duration) {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
 	}
 }

@@ -18,8 +18,8 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	if e.Now() != 30*time.Millisecond {
 		t.Errorf("final time = %v", e.Now())
 	}
-	if e.Processed() != 3 || e.Pending() != 0 {
-		t.Errorf("processed=%d pending=%d", e.Processed(), e.Pending())
+	if len(e.events) != 0 {
+		t.Errorf("pending = %d", len(e.events))
 	}
 }
 
@@ -58,26 +58,6 @@ func TestEventsScheduledFromCallbacks(t *testing.T) {
 		if at != want {
 			t.Errorf("tick %d at %v, want %v", i, at, want)
 		}
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New()
-	fired := map[int]bool{}
-	e.At(10*time.Millisecond, func() { fired[10] = true })
-	e.At(20*time.Millisecond, func() { fired[20] = true })
-	e.At(30*time.Millisecond, func() { fired[30] = true })
-	e.RunUntil(20 * time.Millisecond)
-	if !fired[10] || !fired[20] || fired[30] {
-		t.Errorf("fired = %v", fired)
-	}
-	if e.Now() != 20*time.Millisecond {
-		t.Errorf("now = %v", e.Now())
-	}
-	// RunUntil past the last event advances the clock.
-	e.RunUntil(time.Second)
-	if !fired[30] || e.Now() != time.Second {
-		t.Errorf("fired=%v now=%v", fired, e.Now())
 	}
 }
 

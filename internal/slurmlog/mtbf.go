@@ -2,7 +2,6 @@ package slurmlog
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -75,51 +74,4 @@ func (m MTBFReport) ExpectedFailures(nodes int, duration time.Duration) float64 
 		return 0
 	}
 	return float64(nodes) * float64(duration) / float64(m.PerNodeMTBF)
-}
-
-// FailureProbabilityByNodes is the empirical counterpart: per node-count
-// bucket, the fraction of (non-cancelled) jobs that died to the
-// node-failure class. This is the paper's Fig 2(a) trend expressed as a
-// probability instead of a mix.
-type FailureProbabilityPoint struct {
-	Label       string
-	Jobs        int
-	NodeClass   int
-	Probability float64
-}
-
-// FailureProbabilityByNodes buckets jobs by node count.
-func FailureProbabilityByNodes(recs []Record) []FailureProbabilityPoint {
-	buckets := NodeBuckets()
-	jobs := make([]int, len(buckets))
-	events := make([]int, len(buckets))
-	for _, r := range recs {
-		if r.State == StateCancelled {
-			continue
-		}
-		idx := sort.Search(len(buckets), func(i int) bool {
-			return float64(r.Nodes) < buckets[i].Hi
-		})
-		if idx >= len(buckets) {
-			idx = len(buckets) - 1
-		}
-		jobs[idx]++
-		if r.IsNodeFailureClass() {
-			events[idx]++
-		}
-	}
-	out := make([]FailureProbabilityPoint, len(buckets))
-	for i, b := range buckets {
-		p := 0.0
-		if jobs[i] > 0 {
-			p = float64(events[i]) / float64(jobs[i])
-		}
-		out[i] = FailureProbabilityPoint{
-			Label:       b.Label,
-			Jobs:        jobs[i],
-			NodeClass:   events[i],
-			Probability: p,
-		}
-	}
-	return out
 }

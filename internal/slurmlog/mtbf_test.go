@@ -82,30 +82,3 @@ func TestMTBFOnSyntheticLog(t *testing.T) {
 		t.Errorf("survival: 9000 nodes %v should be < 64 nodes %v", pBig, pSmall)
 	}
 }
-
-func TestFailureProbabilityByNodes(t *testing.T) {
-	cfg := FrontierDefaults(13)
-	cfg.Jobs = 40000
-	recs := Generate(cfg)
-	pts := FailureProbabilityByNodes(recs)
-	if len(pts) != len(NodeBuckets()) {
-		t.Fatalf("points = %d", len(pts))
-	}
-	totalJobs := 0
-	for _, p := range pts {
-		totalJobs += p.Jobs
-		if p.Probability < 0 || p.Probability > 1 {
-			t.Errorf("bucket %s probability %v", p.Label, p.Probability)
-		}
-	}
-	if totalJobs == 0 {
-		t.Fatal("no jobs bucketed")
-	}
-	// Probability of node-class death grows from the smallest to the
-	// whole-machine bucket.
-	first, last := pts[0], pts[len(pts)-1]
-	if last.Jobs > 50 && last.Probability <= first.Probability {
-		t.Errorf("node-failure probability should grow with scale: %v -> %v",
-			first.Probability, last.Probability)
-	}
-}

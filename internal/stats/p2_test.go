@@ -41,14 +41,14 @@ func TestP2AgainstExactLognormal(t *testing.T) {
 
 func TestP2SmallSamples(t *testing.T) {
 	e := NewP2Quantile(0.5)
-	if e.Value() != 0 || e.N() != 0 {
+	if e.Value() != 0 || e.n != 0 {
 		t.Error("empty estimator should report 0")
 	}
 	for _, x := range []float64{10, 20, 30} {
 		e.Add(x)
 	}
-	if e.N() != 3 {
-		t.Errorf("n = %d", e.N())
+	if e.n != 3 {
+		t.Errorf("n = %d", e.n)
 	}
 	// Exact small-sample median.
 	if e.Value() != 20 {

@@ -17,23 +17,11 @@ type Running struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates x into the accumulator.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
@@ -44,12 +32,6 @@ func (r *Running) N() int { return r.n }
 
 // Mean returns the arithmetic mean, or 0 for an empty accumulator.
 func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest observation, or 0 for an empty accumulator.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation, or 0 for an empty accumulator.
-func (r *Running) Max() float64 { return r.max }
 
 // Variance returns the sample variance (n-1 denominator); 0 when n < 2.
 func (r *Running) Variance() float64 {
@@ -110,15 +92,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// CoeffVar returns the coefficient of variation (stddev/mean) of xs, a
-// scale-free imbalance measure used in the load-distribution analysis.
-// Returns 0 when the mean is 0.
-func CoeffVar(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
 }

@@ -8,10 +8,8 @@ import (
 
 // Byte-rate helpers for readable model definitions.
 const (
-	KiB = 1 << 10
 	MiB = 1 << 20
 	GiB = 1 << 30
-	TiB = 1 << 40
 )
 
 // timeFor converts bytes at bytesPerSec into a duration.
@@ -104,9 +102,9 @@ func FrontierOrion() PFSModel {
 	}
 }
 
-// ReadTime returns one client's service time for a read of size bytes
+// readTime returns one client's service time for a read of size bytes
 // while `concurrent` clients (including this one) are hitting the PFS.
-func (m PFSModel) ReadTime(bytes int64, concurrent int) time.Duration {
+func (m PFSModel) readTime(bytes int64, concurrent int) time.Duration {
 	return m.MetadataTime(concurrent) + m.DataTime(bytes, concurrent)
 }
 
@@ -174,13 +172,6 @@ func ConstantDevice(d time.Duration, width int) *Device {
 // Device returns the node-local device m describes, NVMeQueueWidth wide.
 func (m NVMeModel) Device() *Device {
 	return newDevice(NVMeQueueWidth, func(bytes int64, _ int) time.Duration { return m.ReadTime(bytes) })
-}
-
-// Device returns the shared file system m describes: unqueued, because
-// contention is in the model — each read is served at the rate its
-// concurrency leaves it.
-func (m PFSModel) Device() *Device {
-	return newDevice(0, m.ReadTime)
 }
 
 // ReadTime returns the service time of one read of size bytes while

@@ -141,14 +141,14 @@ func TestDeviceQueueWidth(t *testing.T) {
 	}
 }
 
-// TestDeviceModels: each constructor gives the service time of the model
-// it wraps, and the PFS one is fed the reads in flight.
+// TestDeviceModels: each device gives the service time of the model it
+// wraps, and an unqueued PFS one is fed the reads in flight.
 func TestDeviceModels(t *testing.T) {
 	nvme, pfs := FrontierNVMe(), FrontierOrion()
 	if got, want := nvme.Device().ReadTime(1<<20, 1), nvme.ReadTime(1<<20); got != want {
 		t.Errorf("NVMe device ReadTime = %v, model says %v", got, want)
 	}
-	if got, want := pfs.Device().ReadTime(1<<20, 64), pfs.ReadTime(1<<20, 64); got != want {
+	if got, want := newDevice(0, pfs.readTime).ReadTime(1<<20, 64), pfs.readTime(1<<20, 64); got != want {
 		t.Errorf("PFS device ReadTime = %v, model says %v", got, want)
 	}
 	if got := ConstantDevice(time.Millisecond, 4).ReadTime(1<<30, 9); got != time.Millisecond {
@@ -158,7 +158,7 @@ func TestDeviceModels(t *testing.T) {
 	// queues behind k ops, and nothing else queues (the device is unqueued).
 	pfs.MetadataOpTime, pfs.MetadataParallelism = 5*time.Millisecond, 1
 	withRetries(t, func() (failures []string) {
-		for i, r := range readBurst(pfs.Device(), 3) {
+		for i, r := range readBurst(newDevice(0, pfs.readTime), 3) {
 			want := time.Duration(i+1) * pfs.MetadataOpTime
 			if r.queued != 0 || r.done < want || r.done > want+want/4 {
 				failures = append(failures, fmt.Sprintf("PFS device, read %d of 3 at once: queued %v, completed at %v, want 0 and %v", i, r.queued, r.done, want))
@@ -206,13 +206,13 @@ func TestWaitEngineStopsWhenIdle(t *testing.T) {
 func TestPFSDeviceAppliesToNextGet(t *testing.T) {
 	p := NewPFS()
 	p.Put("f", []byte("x"))
-	if p.ReadDelay() != 0 {
-		t.Fatalf("fresh PFS has ReadDelay %v", p.ReadDelay())
+	if p.device.Load() != nil {
+		t.Fatal("fresh PFS has a read delay")
 	}
 	const slow, fast = 200 * time.Millisecond, time.Millisecond
 	p.SetReadDelay(slow)
-	if p.ReadDelay() != slow {
-		t.Fatalf("ReadDelay = %v, want %v", p.ReadDelay(), slow)
+	if d := p.device.Load().ReadTime(0, 1); d != slow {
+		t.Fatalf("read delay = %v, want %v", d, slow)
 	}
 	slowDone := make(chan time.Duration, 1)
 	start := time.Now()

@@ -258,11 +258,3 @@ func (p *PFS) SetReadDelay(d time.Duration) {
 	}
 	p.device.Store(ConstantDevice(d, 0))
 }
-
-// ReadDelay returns the injected per-Get delay (0 = none).
-func (p *PFS) ReadDelay() time.Duration {
-	if dev := p.device.Load(); dev != nil {
-		return dev.ReadTime(0, 1)
-	}
-	return 0
-}

@@ -276,8 +276,8 @@ func TestNVMeModelTimes(t *testing.T) {
 
 func TestPFSModelContention(t *testing.T) {
 	m := FrontierOrion()
-	alone := m.ReadTime(64*MiB, 1)
-	crowded := m.ReadTime(64*MiB, 1024)
+	alone := m.readTime(64*MiB, 1)
+	crowded := m.readTime(64*MiB, 1024)
 	if crowded <= alone {
 		t.Errorf("contended read (%v) should exceed solo read (%v)", crowded, alone)
 	}
@@ -292,7 +292,7 @@ func TestPFSModelPerClientCap(t *testing.T) {
 	m := PFSModel{AggregateBandwidth: 100 * GiB, PerClientCap: 1 * GiB, MetadataParallelism: 1}
 	// A single client must be capped at 1 GiB/s even though the aggregate
 	// would allow 100 GiB/s.
-	rt := m.ReadTime(1*GiB, 1)
+	rt := m.readTime(1*GiB, 1)
 	if rt < 900*time.Millisecond {
 		t.Errorf("per-client cap not applied: %v", rt)
 	}
@@ -315,15 +315,15 @@ func TestModelMonotonicity(t *testing.T) {
 	m := FrontierOrion()
 	prev := time.Duration(0)
 	for _, c := range []int{1, 2, 8, 64, 512, 1024} {
-		rt := m.ReadTime(2*MiB, c)
+		rt := m.readTime(2*MiB, c)
 		if rt < prev {
 			t.Errorf("ReadTime not monotonic in concurrency at %d: %v < %v", c, rt, prev)
 		}
 		prev = rt
 	}
 	prevB := time.Duration(0)
-	for _, b := range []int64{0, KiB, MiB, 16 * MiB, GiB} {
-		rt := m.ReadTime(b, 16)
+	for _, b := range []int64{0, 1 << 10, MiB, 16 * MiB, GiB} {
+		rt := m.readTime(b, 16)
 		if rt < prevB {
 			t.Errorf("ReadTime not monotonic in size at %d", b)
 		}

@@ -125,11 +125,8 @@ func NewEventTrace(capacity int) *EventTrace {
 	return &EventTrace{buf: make([]Event, capacity)}
 }
 
-// Emit appends an event (no-op while telemetry is disabled).
+// Emit appends an event.
 func (t *EventTrace) Emit(typ EventType, node, detail string, value int64) {
-	if !enabled.Load() {
-		return
-	}
 	now := time.Now()
 	t.mu.Lock()
 	t.next++

@@ -40,22 +40,6 @@ import (
 	"sync/atomic"
 )
 
-// enabled gates the non-trivial write paths (histogram observations and
-// event emission). Counters and gauges stay live regardless — they are
-// single atomic adds, no cheaper off than on. rpc's round-trip alloc
-// ceiling and the before/after benchmarks toggle this.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns histogram observation and event tracing on or off
-// process-wide. Used by the telemetry-overhead benchmarks; production
-// code leaves it on.
-func SetEnabled(v bool) { enabled.Store(v) }
-
-// Enabled reports whether histogram/event telemetry is active.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Int64 }
 
@@ -70,9 +54,6 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Gauge is an atomic instantaneous value.
 type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adds n (may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }

@@ -14,7 +14,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	g := r.Gauge("ftc_test_gauge")
-	g.Set(7)
+	g.Add(7)
 	g.Add(-3)
 	if got := g.Load(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
@@ -67,7 +67,7 @@ func TestFuncMetricsLatestWins(t *testing.T) {
 func TestSnapshotShapes(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ftc_a_total").Add(3)
-	r.Gauge("ftc_b").Set(-1)
+	r.Gauge("ftc_b").Add(-1)
 	r.GaugeFunc("ftc_c", func() int64 { return 9 })
 	r.Histogram("ftc_d_seconds").Observe(1000)
 	snap := r.Snapshot()
@@ -99,25 +99,5 @@ func TestEscapeLabelValue(t *testing.T) {
 	got := renderLabels([]string{"k", `a"b\c` + "\n"})
 	if !strings.Contains(got, `a\"b\\c\n`) {
 		t.Fatalf("label escaping wrong: %s", got)
-	}
-}
-
-func TestSetEnabledGatesHistogramsAndEvents(t *testing.T) {
-	defer SetEnabled(true)
-	r := NewRegistry()
-	h := r.Histogram("ftc_gate_seconds")
-	SetEnabled(false)
-	h.Observe(100)
-	r.Trace().Emit(EventPFSFallback, "n0", "p", 0)
-	if s := h.Snapshot(); s.Count != 0 {
-		t.Fatalf("histogram observed while disabled: %+v", s)
-	}
-	if got := len(r.Trace().Recent(10)); got != 0 {
-		t.Fatalf("trace recorded %d events while disabled", got)
-	}
-	SetEnabled(true)
-	h.Observe(100)
-	if s := h.Snapshot(); s.Count != 1 {
-		t.Fatalf("histogram did not resume after enable: %+v", s)
 	}
 }

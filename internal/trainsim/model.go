@@ -131,10 +131,6 @@ type model struct {
 	fetchedBuf []int32
 }
 
-// Run executes one simulated training run. A sweep of many runs over
-// one dataset calls Prepare once and Prepared.Run for each.
-func Run(cfg Config) Result { return Prepare(cfg.Dataset).Run(cfg) }
-
 func (m *model) init() {
 	f := m.cfg.Dataset.NumFiles
 	t := m.prep.table(m.cfg)

@@ -30,7 +30,7 @@ func TestPreparedRunsMatchFreshRuns(t *testing.T) {
 		a := b
 		a.Failures = fails
 		for i, cfg := range []Config{a, b, a} {
-			if got, want := p.Run(cfg), Run(cfg); !reflect.DeepEqual(got, want) {
+			if got, want := p.Run(cfg), run(cfg); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s R=%d, run %c: prepared %+v, fresh %+v",
 					cfg.Strategy, cfg.Replication, "ABA"[i], got, want)
 			}

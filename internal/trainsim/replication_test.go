@@ -14,7 +14,7 @@ func TestReplicationEliminatesFailoverPFSReads(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindNVMe)
 	cfg.Replication = 2
 	cfg.Failures = []failure.Event{{Epoch: 2, Frac: 0.1, Node: "node-0005"}}
-	res := Run(cfg)
+	res := run(cfg)
 	if res.Aborted {
 		t.Fatal("aborted")
 	}
@@ -26,7 +26,7 @@ func TestReplicationEliminatesFailoverPFSReads(t *testing.T) {
 	// Compare against R=1: same failure must cost PFS reads there.
 	cfg1 := testConfig(16, ftcache.KindNVMe)
 	cfg1.Failures = cfg.Failures
-	res1 := Run(cfg1)
+	res1 := run(cfg1)
 	post1 := int64(0)
 	for _, e := range res1.Epochs {
 		if e.Epoch >= 1 {
@@ -53,7 +53,7 @@ func TestReplicationExhaustion(t *testing.T) {
 		{Epoch: 2, Frac: 0.05, Node: "node-0002"},
 		{Epoch: 3, Frac: 0.05, Node: "node-0003"},
 	}
-	res := Run(cfg)
+	res := run(cfg)
 	if res.Aborted {
 		t.Fatal("aborted")
 	}
@@ -71,7 +71,7 @@ func TestReplicationExhaustion(t *testing.T) {
 	}
 	cfg1 := testConfig(8, ftcache.KindNVMe)
 	cfg1.Failures = cfg.Failures
-	res1 := Run(cfg1)
+	res1 := run(cfg1)
 	var post1 int64
 	for _, e := range res1.Epochs {
 		if e.Epoch >= 1 {
@@ -89,10 +89,10 @@ func TestReplicationExhaustion(t *testing.T) {
 func TestReplicationNoFailureIdentical(t *testing.T) {
 	// Without failures, replication must not change epoch timing (pushes
 	// are off the critical path).
-	a := Run(testConfig(16, ftcache.KindNVMe))
+	a := run(testConfig(16, ftcache.KindNVMe))
 	cfg := testConfig(16, ftcache.KindNVMe)
 	cfg.Replication = 3
-	b := Run(cfg)
+	b := run(cfg)
 	if a.Total != b.Total {
 		t.Errorf("replication changed no-failure total: %v vs %v", a.Total, b.Total)
 	}
@@ -104,7 +104,7 @@ func TestExtensionExperimentsRunAtTinyScale(t *testing.T) {
 	cfg := testConfig(8, ftcache.KindNVMe)
 	cfg.Replication = 2
 	cfg.Failures = failure.Random(2, cfg.Epochs, 3)
-	res := Run(cfg)
+	res := run(cfg)
 	if res.Aborted || len(res.Epochs) != cfg.Epochs {
 		t.Fatalf("run: %+v", res)
 	}

@@ -10,6 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
+// run executes one simulated training run on a fresh Prepared.
+func run(cfg Config) Result { return Prepare(cfg.Dataset).Run(cfg) }
+
 // testConfig is a scaled-down geometry that keeps tests fast while
 // preserving the model's mechanics (many files per node, many steps).
 func testConfig(nodes int, strategy ftcache.StrategyKind) Config {
@@ -23,7 +26,7 @@ func testConfig(nodes int, strategy ftcache.StrategyKind) Config {
 }
 
 func TestColdFirstEpochThenCached(t *testing.T) {
-	res := Run(testConfig(16, ftcache.KindNVMe))
+	res := run(testConfig(16, ftcache.KindNVMe))
 	if res.Aborted {
 		t.Fatal("no-failure run aborted")
 	}
@@ -50,8 +53,8 @@ func TestColdFirstEpochThenCached(t *testing.T) {
 func TestDeterministicForSeed(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindNVMe)
 	cfg.Failures = failure.Random(2, cfg.Epochs, 9)
-	a := Run(cfg)
-	b := Run(cfg)
+	a := run(cfg)
+	b := run(cfg)
 	if a.Total != b.Total || a.PFSReads != b.PFSReads || a.Restarts != b.Restarts {
 		t.Errorf("non-deterministic: %+v vs %+v", a, b)
 	}
@@ -60,7 +63,7 @@ func TestDeterministicForSeed(t *testing.T) {
 func TestNoFTAbortsOnFailure(t *testing.T) {
 	cfg := testConfig(8, ftcache.KindNoFT)
 	cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.5, Node: "node-0003"}}
-	res := Run(cfg)
+	res := run(cfg)
 	if !res.Aborted {
 		t.Fatal("NoFT run did not abort")
 	}
@@ -71,9 +74,9 @@ func TestNoFTAbortsOnFailure(t *testing.T) {
 
 func TestNoFTFastestWithoutFailures(t *testing.T) {
 	// Fig 5(a): NoFT consistently best because FT bookkeeping costs.
-	noft := Run(testConfig(16, ftcache.KindNoFT))
-	fpfs := Run(testConfig(16, ftcache.KindPFS))
-	fnvme := Run(testConfig(16, ftcache.KindNVMe))
+	noft := run(testConfig(16, ftcache.KindNoFT))
+	fpfs := run(testConfig(16, ftcache.KindPFS))
+	fnvme := run(testConfig(16, ftcache.KindNVMe))
 	if noft.Total >= fpfs.Total || noft.Total >= fnvme.Total {
 		t.Errorf("NoFT (%v) should beat FT-PFS (%v) and FT-NVMe (%v)",
 			noft.Total, fpfs.Total, fnvme.Total)
@@ -87,7 +90,7 @@ func TestNoFTFastestWithoutFailures(t *testing.T) {
 func TestPFSRedirectPaysEveryEpoch(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindPFS)
 	cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.1, Node: "node-0005"}}
-	res := Run(cfg)
+	res := run(cfg)
 	if res.Aborted {
 		t.Fatal("aborted")
 	}
@@ -118,7 +121,7 @@ func TestPFSRedirectPaysEveryEpoch(t *testing.T) {
 func TestRingRecachePaysOnce(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindNVMe)
 	cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.1, Node: "node-0005"}}
-	res := Run(cfg)
+	res := run(cfg)
 	if res.Aborted {
 		t.Fatal("aborted")
 	}
@@ -156,7 +159,7 @@ func TestHeadline(t *testing.T) {
 	mk := func(kind ftcache.StrategyKind, failures []failure.Event) Result {
 		cfg := testConfig(32, kind)
 		cfg.Failures = failures
-		return Run(cfg)
+		return run(cfg)
 	}
 	base := mk(ftcache.KindNVMe, nil)
 	nvme := mk(ftcache.KindNVMe, fail)
@@ -175,7 +178,7 @@ func TestHeadline(t *testing.T) {
 func TestStrongScaling(t *testing.T) {
 	prev := time.Duration(0)
 	for i, n := range []int{64, 32, 16, 8} {
-		res := Run(testConfig(n, ftcache.KindNVMe))
+		res := run(testConfig(n, ftcache.KindNVMe))
 		if i > 0 && res.Total <= prev {
 			t.Errorf("%d nodes (%v) should be slower than %d nodes (%v)",
 				n, res.Total, n*2, prev)
@@ -187,7 +190,7 @@ func TestStrongScaling(t *testing.T) {
 func TestVictimAndCleanEpochMeans(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindNVMe)
 	cfg.Failures = []failure.Event{{Epoch: 2, Frac: 0.3}}
-	res := Run(cfg)
+	res := run(cfg)
 	clean := res.CleanEpochMean()
 	victim := res.VictimEpochMean()
 	if clean <= 0 || victim <= 0 {
@@ -197,7 +200,7 @@ func TestVictimAndCleanEpochMeans(t *testing.T) {
 		t.Errorf("victim epoch (%v) should exceed clean epoch (%v)", victim, clean)
 	}
 	// A no-failure run has no victim or post-failure epochs.
-	base := Run(testConfig(16, ftcache.KindNVMe))
+	base := run(testConfig(16, ftcache.KindNVMe))
 	if base.VictimEpochMean() != 0 || base.PostFailureEpochMean() != 0 {
 		t.Error("no-failure run should have zero victim/post-failure means")
 	}
@@ -206,9 +209,9 @@ func TestVictimAndCleanEpochMeans(t *testing.T) {
 func TestPostFailureEpochMeanPFS(t *testing.T) {
 	cfg := testConfig(16, ftcache.KindPFS)
 	cfg.Failures = []failure.Event{{Epoch: 1, Frac: 0.2}}
-	res := Run(cfg)
+	res := run(cfg)
 	post := res.PostFailureEpochMean()
-	clean := Run(testConfig(16, ftcache.KindPFS)).CleanEpochMean()
+	clean := run(testConfig(16, ftcache.KindPFS)).CleanEpochMean()
 	if post <= clean {
 		t.Errorf("redirection epochs (%v) should exceed clean epochs (%v)", post, clean)
 	}
@@ -217,9 +220,9 @@ func TestPostFailureEpochMeanPFS(t *testing.T) {
 func TestAbsoluteTimeFailure(t *testing.T) {
 	cfg := testConfig(8, ftcache.KindNVMe)
 	// Fire well into the run by absolute virtual time.
-	probe := Run(cfg)
+	probe := run(cfg)
 	cfg.Failures = []failure.Event{{At: probe.Total / 2}}
-	res := Run(cfg)
+	res := run(cfg)
 	if res.Restarts != 1 {
 		t.Errorf("restarts = %d, want 1", res.Restarts)
 	}
@@ -232,9 +235,9 @@ func TestAbsoluteTimeFailure(t *testing.T) {
 // run's natural end never fires, and must not stretch the total to At.
 func TestLateTimedFailureLeavesRunAlone(t *testing.T) {
 	cfg := testConfig(8, ftcache.KindNVMe)
-	base := Run(cfg)
+	base := run(cfg)
 	cfg.Failures = []failure.Event{{At: 10 * base.Total}}
-	res := Run(cfg)
+	res := run(cfg)
 	if res.Total != base.Total || res.Restarts != base.Restarts {
 		t.Errorf("total %v, restarts %d; want the no-failure run's %v, %d",
 			res.Total, res.Restarts, base.Total, base.Restarts)
@@ -248,7 +251,7 @@ func TestAllNodesFailedAborts(t *testing.T) {
 		{Epoch: 1, Frac: 0.1, Node: "node-0000"},
 		{Epoch: 1, Frac: 0.2, Node: "node-0001"},
 	}
-	res := Run(cfg)
+	res := run(cfg)
 	if !res.Aborted || res.Restarts != 2 || len(res.Epochs) != 1 {
 		t.Errorf("aborted=%v restarts=%d epochs=%d; want true, 2, 1",
 			res.Aborted, res.Restarts, len(res.Epochs))
@@ -264,7 +267,7 @@ func TestRandomFailuresGenerator(t *testing.T) {
 	for _, e := range cfg.Failures {
 		want[e.Epoch]++
 	}
-	res := Run(cfg)
+	res := run(cfg)
 	if res.Aborted || res.Restarts != 5 || len(res.Epochs) != cfg.Epochs {
 		t.Fatalf("aborted=%v restarts=%d epochs=%d; want false, 5, %d",
 			res.Aborted, res.Restarts, len(res.Epochs), cfg.Epochs)
@@ -294,6 +297,6 @@ func BenchmarkRunScaled(b *testing.B) {
 	cfg.Failures = failure.Random(2, cfg.Epochs, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Run(cfg)
+		run(cfg)
 	}
 }

@@ -69,9 +69,6 @@ type Buf struct {
 	b []byte
 }
 
-// Bytes returns the leased bytes (the frame body after the length field).
-func (b *Buf) Bytes() []byte { return b.b }
-
 // Release returns the buffer to the pool. Double-release is a no-op.
 // Oversized buffers (above maxPooledBuf) are dropped instead of pooled
 // so one giant frame cannot pin memory for the process lifetime.

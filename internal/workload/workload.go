@@ -36,16 +36,6 @@ func CosmoFlowTrain() Dataset {
 	}
 }
 
-// CosmoFlowValidation is the paper's validation split at full scale.
-func CosmoFlowValidation() Dataset {
-	return Dataset{
-		Name:      "cosmoUniverse-val",
-		Prefix:    "cosmoUniverse/val",
-		NumFiles:  65536,
-		FileBytes: 2_600_000,
-	}
-}
-
 // Scaled returns a copy shrunk by factor in file count (geometry
 // preserved): Scaled(64) has 1/64 of the files. File sizes are kept so
 // per-file service times stay realistic. factor < 1 is treated as 1.
@@ -87,9 +77,6 @@ func (d Dataset) AllPaths() []string {
 	}
 	return out
 }
-
-// TotalBytes is the full dataset size.
-func (d Dataset) TotalBytes() int64 { return int64(d.NumFiles) * d.FileBytes }
 
 // SampleContent deterministically generates the body of sample i: a
 // seeded pseudo-random block so reads can be content-verified end to end

@@ -43,19 +43,3 @@ func (z *Zipf) Next() int {
 	target := u * z.cum[len(z.cum)-1]
 	return sort.SearchFloat64s(z.cum, target)
 }
-
-// N returns the index-space size.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// Share returns the probability mass of index i — used by experiments to
-// report the theoretical skew next to the measured one.
-func (z *Zipf) Share(i int) float64 {
-	if i < 0 || i >= len(z.cum) {
-		return 0
-	}
-	lo := 0.0
-	if i > 0 {
-		lo = z.cum[i-1]
-	}
-	return (z.cum[i] - lo) / z.cum[len(z.cum)-1]
-}

@@ -28,7 +28,7 @@ func TestZipfSkewConcentratesOnHead(t *testing.T) {
 		counts[z.Next()]++
 	}
 	head := float64(counts[0]) / draws
-	if want := z.Share(0); math.Abs(head-want) > 0.03 {
+	if want := z.cum[0] / z.cum[n-1]; math.Abs(head-want) > 0.03 {
 		t.Fatalf("head share %.3f, want ~%.3f", head, want)
 	}
 	if counts[0] <= counts[n-1]*10 {
@@ -37,10 +37,11 @@ func TestZipfSkewConcentratesOnHead(t *testing.T) {
 }
 
 func TestZipfSharesSumToOne(t *testing.T) {
-	z := NewZipf(1.3, 64, 0)
+	const s, n = 1.3, 64
+	z := NewZipf(s, n, 0)
 	sum := 0.0
-	for i := 0; i < z.N(); i++ {
-		sum += z.Share(i)
+	for i := 0; i < n; i++ {
+		sum += 1 / math.Pow(float64(i+1), s) / z.cum[n-1]
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("shares sum to %v", sum)

@@ -107,19 +107,9 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// FNV1a computes the 64-bit FNV-1a hash of b. This mirrors the hash the
-// original HVAC static partitioner applied to file paths before the
-// modulo-N node selection.
-func FNV1a(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// FNV1aString is FNV1a over the bytes of s.
+// FNV1aString computes the 64-bit FNV-1a hash of the bytes of s. This
+// mirrors the hash the original HVAC static partitioner applied to file
+// paths before the modulo-N node selection.
 func FNV1aString(s string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {

@@ -2,10 +2,7 @@ package repro_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -20,7 +17,6 @@ var unsetKnobs = map[string]string{
 	"core.ClusterConfig.AdmissionLimit":                 "ROADMAP item 7: the admission-control ablation decides its value",
 	"core.ClusterConfig.AdmissionQueue":                 "ROADMAP item 7: the admission-control ablation decides its value",
 	"core.ClusterConfig.Replication":                    "DESIGN §6: replication keeps failover off the PFS, checked by TestReplicationZeroPFSFailover",
-	"hashring.Config.Seed":                              "DESIGN §8.1: TestOwnershipEquivalenceUnderChurn pins the ring to its reference at a non-zero seed",
 	"loadctl.Config.SketchSize":                         "ROADMAP item 7: the load-control ablation decides the sketch size",
 	"loadctl.Config.SampleRate":                         "ROADMAP item 7: the load-control ablation decides the sketch sampling",
 	"loadctl.Config.WindowTouches":                      "ROADMAP item 7: the load-control ablation decides the decay window",
@@ -30,7 +26,7 @@ var unsetKnobs = map[string]string{
 	"ftpolicy.Config.CooldownTicks":                     "DESIGN §16.2: tests pin the commit cooldown",
 	"hvac.IngestConfig.MaxDelay":                        "DESIGN §13.3: ingest tests hold it at a minute so only the Flush barrier makes puts visible",
 	"partition.RedistributeConfig.SimultaneousFailures": "DESIGN §6: correlated-failure redistribution, checked by TestMultiFailure",
-	"dltrain.Config":                                    "the live trainer's run inputs; only tests run it until ROADMAP item 15 gives it a product consumer",
+	"dltrain.Config":                                    "the live trainer's run inputs; only tests run it until ROADMAP item 28 gives it a product consumer",
 }
 
 // TestEveryConfigFieldIsSet walks the module and fails on an exported
@@ -44,39 +40,20 @@ var unsetKnobs = map[string]string{
 // and only fields of the setter's own package or of a package it
 // imports.
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	fset := token.NewFileSet()
 	fields := map[string]token.Pos{}     // "pkg.Type.Field" → declaration
 	set := map[string]bool{}             // "pkg.Type.Field" keyed
 	byName := map[string][]string{}      // ".Field" → directories that set it by name
 	sees := map[string]map[string]bool{} // directory → its package and those it imports
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, p := range parseModule(t) {
+		sees[p.dir] = map[string]bool{}
+		for _, f := range p.files {
+			sees[p.dir][f.Name.Name] = true
+			for _, imp := range f.Imports { // no import is renamed: the last element is the package name
+				path := strings.Trim(imp.Path.Value, `"`)
+				sees[p.dir][path[strings.LastIndexByte(path, '/')+1:]] = true
+			}
+			scanKnobs(f, fields, set, func(name string) { byName[name] = append(byName[name], p.dir) })
 		}
-		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.Dir(path)
-		if sees[dir] == nil {
-			sees[dir] = map[string]bool{}
-		}
-		sees[dir][f.Name.Name] = true
-		for _, imp := range f.Imports { // no import is renamed: the last element is the package name
-			p := strings.Trim(imp.Path.Value, `"`)
-			sees[dir][p[strings.LastIndexByte(p, '/')+1:]] = true
-		}
-		scanKnobs(f, fields, set, func(name string) { byName[name] = append(byName[name], dir) })
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	keys := make([]string, 0, len(fields))
 	for key := range fields {
@@ -102,14 +79,10 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 		case unsetKnobs[typ] != "":
 			used[typ] = true
 		default:
-			t.Errorf("%s: %s is set by nothing outside tests and its own defaulting; make it a constant, or name in unsetKnobs the DESIGN claim or ROADMAP item that keeps it", fset.Position(fields[key]), key)
+			t.Errorf("%s: %s is set by nothing outside tests and its own defaulting; make it a constant, or name in unsetKnobs the DESIGN claim or ROADMAP item that keeps it", moduleFset.Position(fields[key]), key)
 		}
 	}
-	for key := range unsetKnobs {
-		if !used[key] {
-			t.Errorf("unsetKnobs entry %q names no unset field; delete it", key)
-		}
-	}
+	checkAllowlist(t, "unsetKnobs", unsetKnobs, used)
 }
 
 // scanKnobs records f's *Config struct fields and every setter in f,
