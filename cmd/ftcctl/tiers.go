@@ -11,10 +11,10 @@ import (
 
 // runTiers fetches /debug/ftcache from each telemetry endpoint and
 // prints every server's per-tier storage breakdown (RAM / NVMe / PFS
-// capacity, occupancy, hit ratio, and for RAM the admissions it turned
-// away) in one fleet-wide table — the operator view of where reads are
-// actually being served from, and of a RAM tier that sits empty (low
-// USE%, nothing rejected) or full and defended (rejecting).
+// capacity, occupancy, hit ratio, and for RAM and NVMe the admissions
+// each turned away) in one fleet-wide table — the operator view of where
+// reads are actually being served from, and of a cache tier that sits
+// empty (low USE%, nothing rejected) or full and defended (rejecting).
 func runTiers(urls []string) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 
@@ -32,7 +32,7 @@ func runTiers(urls []string) error {
 		Hits     int64   `json:"hits"`
 		Misses   int64   `json:"misses"`
 		HitRatio float64 `json:"hit_ratio"`
-		Rejected *int64  `json:"rejected"` // RAM only
+		Rejected *int64  `json:"rejected"` // RAM and NVMe
 		Served   int64   `json:"served"`
 		Leases   int64   `json:"leases"`
 	}

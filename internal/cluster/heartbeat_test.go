@@ -101,16 +101,21 @@ func TestHeartbeatSkipsDeclaredNodes(t *testing.T) {
 func TestHeartbeatTransientBlipNoDeclaration(t *testing.T) {
 	tr := NewTracker(members(1), 3)
 	p := newFakePinger()
-	hb := NewHeartbeat(tr, p, HeartbeatConfig{Interval: 3 * time.Millisecond})
-	hb.Start()
-	// One failed probe, then recovery: with limit 3 nothing declares.
+	hb := NewHeartbeat(tr, p, HeartbeatConfig{})
+	// Driven round by round, so the blip is exactly one probe however
+	// loaded the machine is: one failed round, then recovery. With
+	// limit 3 nothing declares.
 	p.kill("node-00")
-	time.Sleep(5 * time.Millisecond)
+	hb.probeRound(context.Background())
 	p.mu.Lock()
 	p.dead["node-00"] = false
 	p.mu.Unlock()
-	time.Sleep(30 * time.Millisecond)
-	hb.Stop()
+	for i := 0; i < 5; i++ {
+		hb.probeRound(context.Background())
+	}
+	if got := p.calls["node-00"]; got != 6 {
+		t.Errorf("node probed %d times in 6 rounds", got)
+	}
 	if !tr.IsAlive("node-00") {
 		t.Error("transient blip should not declare failure")
 	}

@@ -113,20 +113,21 @@ func TestHandleFlattensReadResponses(t *testing.T) {
 	whole := (&ReadReq{Path: "data/f", Length: -1}).Marshal()
 	ranged := (&ReadReq{Path: "data/f", Offset: 4, Length: 8}).Marshal()
 	for _, tc := range []struct {
-		name    string
-		dropRAM bool // invalidate the RAM copy first, so NVMe answers
-		req     []byte
-		source  uint8
-		data    []byte
+		name   string
+		demote bool // move the object from RAM to NVMe first, so NVMe answers
+		req    []byte
+		source uint8
+		data   []byte
 	}{
-		{"pfs", false, whole, SourcePFS, payload}, // cold: the miss flight fills NVMe and the tier
+		{"pfs", false, whole, SourcePFS, payload}, // cold: the miss flight's fill is promoted to the tier
 		{"ram", false, whole, SourceRAM, payload},
 		{"ram range", false, ranged, SourceRAM, payload[4:12]},
 		{"nvme", true, whole, SourceNVMe, payload},
 		{"nvme range", true, ranged, SourceNVMe, payload[4:12]}, // the NVMe read above promoted it again
 	} {
-		if tc.dropRAM {
+		if tc.demote {
 			srv.RAM().Invalidate("data/f")
+			srv.NVMe().Put("data/f", payload)
 		}
 		status, got := srv.Handle(OpRead, tc.req)
 		want := (&ReadResp{Source: tc.source, FileSize: int64(len(payload)), Data: tc.data}).Marshal()
@@ -184,10 +185,11 @@ func TestRAMTierPutInvalidatesStaleCopy(t *testing.T) {
 	c := ramClient(t, network, pfs)
 	heat(t, c, srv, "data/hot")
 
-	// Simulate NVMe losing the object while RAM keeps it (promotion
-	// never removes from NVMe, but NVMe evicts independently) — then a
-	// put with new bytes must displace the stale RAM copy.
-	srv.NVMe().Delete("data/hot")
+	// The promotion moved the object, so RAM holds its only copy — a
+	// put with new bytes must displace that copy, not be deduped by it.
+	if srv.NVMe().Has("data/hot") {
+		t.Fatal("the promotion left a copy on NVMe")
+	}
 	if err := c.Push(context.Background(), "node-00", "data/hot", []byte("new-bytes")); err != nil {
 		t.Fatalf("push: %v", err)
 	}
@@ -210,10 +212,7 @@ func TestRAMTierDemotionRefillsNVMe(t *testing.T) {
 	pfs.Put("data/a", a)
 	pfs.Put("data/b", b)
 	c := ramClient(t, network, pfs)
-	heat(t, c, srv, "data/a")
-
-	// Drop the NVMe copy so the demotion has observable work to do.
-	srv.NVMe().Delete("data/a")
+	heat(t, c, srv, "data/a") // a promotion moves it: RAM holds the only copy
 	heat(t, c, srv, "data/b") // evicts data/a (40+40 > 64)
 	if srv.RAM().Has("data/a") {
 		t.Fatal("data/a should have been evicted by data/b")

@@ -140,6 +140,7 @@ func (s *Server) registerTelemetry() {
 	reg.CounterFunc("ftc_server_nvme_misses_total", func() int64 { return nvme.Snapshot().Misses }, "node", node)
 	reg.CounterFunc("ftc_server_nvme_evictions_total", func() int64 { return nvme.Snapshot().Evictions }, "node", node)
 	reg.CounterFunc("ftc_server_nvme_spills_total", func() int64 { return nvme.Snapshot().Spills }, "node", node)
+	reg.CounterFunc("ftc_server_nvme_fill_rejected_total", func() int64 { return nvme.Snapshot().Refused }, "node", node)
 	reg.GaugeFunc("ftc_server_nvme_bytes", func() int64 { return nvme.Snapshot().Bytes }, "node", node)
 	reg.GaugeFunc("ftc_server_nvme_objects", func() int64 { return nvme.Snapshot().Objects }, "node", node)
 
@@ -147,7 +148,7 @@ func (s *Server) registerTelemetry() {
 		reg.CounterFunc("ftc_server_ram_hits_total", func() int64 { return ram.Snapshot().Hits }, "node", node)
 		reg.CounterFunc("ftc_server_ram_misses_total", func() int64 { return ram.Snapshot().Misses }, "node", node)
 		reg.CounterFunc("ftc_server_ram_admits_total", func() int64 { _, _, a, _, _, _ := ram.Counters(); return a }, "node", node)
-		reg.CounterFunc("ftc_server_ram_admit_rejected_total", ram.Rejected, "node", node)
+		reg.CounterFunc("ftc_server_ram_admit_rejected_total", func() int64 { return ram.Snapshot().Refused }, "node", node)
 		reg.CounterFunc("ftc_server_ram_evictions_total", func() int64 { return ram.Snapshot().Evictions }, "node", node)
 		reg.CounterFunc("ftc_server_ram_demotions_total", func() int64 { _, _, _, _, d, _ := ram.Counters(); return d }, "node", node)
 		reg.CounterFunc("ftc_server_ram_invalidations_total", func() int64 { _, _, _, _, _, i := ram.Counters(); return i }, "node", node)
@@ -205,10 +206,10 @@ func (s *Server) debugSnapshot() any {
 
 // tierSnapshot is the per-tier breakdown of /debug/ftcache's storage
 // section: capacity, occupancy, and hit ratio for each serving tier in
-// paper order (RAM → NVMe → PFS), plus the admissions the RAM tier
-// refused — occupancy far below capacity with nothing rejected is a tier
-// not being offered objects; a full tier rejecting is one defending its
-// residents. The PFS tier is the shared backstop —
+// paper order (RAM → NVMe → PFS), plus the admissions each cache tier
+// refused (RAM promotions, NVMe miss fills) — occupancy far below
+// capacity with nothing rejected is a tier not being offered objects; a
+// full tier rejecting is one defending its residents. The PFS tier is the shared backstop —
 // it has no node-local capacity, and every read it serves is by
 // definition a miss of the tiers above, so its "hit ratio" is the
 // fallback fraction.
@@ -222,12 +223,12 @@ func (s *Server) tierSnapshot(nvme shardcache.Snapshot) []map[string]any {
 			"hits":      c.Hits,
 			"misses":    c.Misses,
 			"hit_ratio": ratio(c.Hits, c.Hits+c.Misses),
+			"rejected":  c.Refused,
 		}
 	}
 	tiers := make([]map[string]any, 0, 3)
 	if s.ram != nil {
 		ram := row("ram", s.ram.Snapshot())
-		ram["rejected"] = s.ram.Rejected()
 		ram["served"] = s.ramServed.Load()
 		ram["leases"] = s.ram.ActiveLeases()
 		tiers = append(tiers, ram)

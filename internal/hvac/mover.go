@@ -14,10 +14,10 @@ import (
 // on the node-local NVMe goes through it, in two stages.
 //
 // The fill stage stores bytes the server already holds, synchronously:
-// replica and ingest writes (FillSync, FillBatchSync), the miss flight's
-// fill, which must land before its object is served, and RAM-tier
-// demotions (Demote). An in-memory cache insert costs less than handing
-// it to a worker, so no fill waits in a queue.
+// writes (FillBatchSync), the miss flight's fill (OfferSync, under the
+// admission rule), and RAM-tier demotions (Demote). An in-memory cache
+// insert costs less than handing it to a worker, so no fill waits in a
+// queue.
 //
 // The recache stage (Recache) prefetches paths the server does not hold
 // yet: after a node failure the clients hint every new owner the paths
@@ -33,11 +33,10 @@ type Mover struct {
 	node string         // owning server's identity, for event tracing
 	wg   sync.WaitGroup // live recache workers
 
-	// fetch makes one hinted path resident through the owning server's
-	// miss flight and reports the bytes it brought in; false means the
-	// path was already resident or could not be fetched. nil (a mover
-	// without a server) leaves the recache stage off.
-	fetch func(path string) (int, bool)
+	// srv is the owning server: the recache stage asks its residency
+	// check and runs its prefetch. nil (a mover without a server) leaves
+	// the stage off.
+	srv *Server
 
 	enqueued atomic.Int64
 	dropped  atomic.Int64
@@ -86,14 +85,13 @@ type recacheJob struct {
 	run  *recacheRun
 }
 
-// NewMover returns a mover over nvme for the server named node. fetch is
-// the recache stage's prefetch (see Mover.fetch); nil leaves the stage
-// off. It starts no goroutine.
-func NewMover(nvme *storage.NVMe, node string, fetch func(path string) (int, bool)) *Mover {
+// NewMover returns a mover over nvme for the server srv named node; a
+// nil srv leaves the recache stage off. It starts no goroutine.
+func NewMover(nvme *storage.NVMe, node string, srv *Server) *Mover {
 	m := &Mover{
 		nvme:       nvme,
 		node:       node,
-		fetch:      fetch,
+		srv:        srv,
 		recacheCap: recacheQueueCap,
 		hinted:     make(map[string]struct{}),
 		runs:       make(map[string]*recacheRun),
@@ -114,21 +112,10 @@ func (m *Mover) filled(path string, err error) {
 	}
 }
 
-// FillSync stores one object synchronously through the mover's fill
-// accounting. Replica writes use it: the pusher made the operation
-// async on its side and wants a durable acknowledgement, and routing
-// the store through here keeps every cache fill — first-touch, recache,
-// or replica push — visible in the same counters.
-func (m *Mover) FillSync(path string, data []byte) error {
-	err := m.nvme.Put(path, data)
-	m.filled(path, err)
-	return err
-}
-
-// FillBatchSync stores a whole ingest batch in one sharded NVMe pass
+// FillBatchSync stores a write batch in one sharded NVMe pass
 // (storage.NVMe.PutBatch: one lock round-trip per destination shard
-// instead of per object), with the same per-fill accounting as
-// FillSync. Returns one error slot per entry.
+// instead of per object) through the fill accounting. Returns one error
+// slot per entry.
 func (m *Mover) FillBatchSync(entries []storage.BatchEntry) []error {
 	errs := m.nvme.PutBatch(entries)
 	for i := range entries {
@@ -137,7 +124,30 @@ func (m *Mover) FillBatchSync(entries []storage.BatchEntry) []error {
 	return errs
 }
 
-// Demote stores an object the RAM tier evicted, before it returns, and
+// OfferSync stores a miss flight's fill if NVMe's admission rule lets
+// it in (storage.NVMe.Offer) and reports whether it did. A hinted path is
+// a lost file, whose fill is the one PFS read its recache owes: it lands.
+func (m *Mover) OfferSync(path string, data []byte) bool {
+	m.mu.Lock()
+	_, lost := m.hinted[path]
+	m.mu.Unlock()
+	if lost {
+		return m.keep(path, data)
+	}
+	stored, err := m.nvme.Offer(path, data)
+	m.filled(path, err)
+	return stored
+}
+
+// keep stores an object unless NVMe holds a copy, which is as new or
+// newer (storage.NVMe.PutIfAbsent), and reports whether NVMe holds one.
+func (m *Mover) keep(path string, data []byte) bool {
+	err := m.nvme.PutIfAbsent(path, data)
+	m.filled(path, err)
+	return err == nil
+}
+
+// Demote keeps an object that left the RAM tier, before it returns, and
 // counts it as enqueued whether or not the store succeeded (a failure is
 // counted as a fill error). It reports false, and counts a drop, only
 // after Close.
@@ -149,20 +159,20 @@ func (m *Mover) Demote(path string, data []byte) bool {
 		m.dropped.Add(1)
 		return false
 	}
-	m.FillSync(path, data)
+	m.keep(path, data)
 	m.enqueued.Add(1)
 	return true
 }
 
 // Recache queues paths this node inherited from failed for prefetch.
-// Paths already hinted (every client of a
-// job hints the same plan), already resident, or beyond the queue bound
-// are skipped: the first two cost a map probe each, the last is counted
-// as a drop and left to the demand path.
+// Paths already hinted (every client of a job hints the same plan),
+// already resident in either tier, or beyond the queue bound are
+// skipped: the first two cost a map probe or two each, the last is
+// counted as a drop and left to the demand path.
 func (m *Mover) Recache(failed string, paths []string) {
 	accepted, dropped := 0, 0
 	m.mu.Lock()
-	if m.closed || m.fetch == nil {
+	if m.closed || m.srv == nil {
 		m.mu.Unlock()
 		return
 	}
@@ -171,7 +181,7 @@ func (m *Mover) Recache(failed string, paths []string) {
 		// In this order, under mu: a worker stores a path before it takes
 		// mu to unhint it, so a path found unhinted here is either resident
 		// or was never fetched — never fetched-and-about-to-be-requeued.
-		if _, dup := m.hinted[p]; dup || m.nvme.Has(p) {
+		if _, dup := m.hinted[p]; dup || m.srv.resident(p) {
 			continue
 		}
 		if len(m.rq) >= m.recacheCap {
@@ -209,7 +219,7 @@ func (m *Mover) recacheLoop() {
 			m.rq = nil // let the drained backing array go
 		}
 		m.mu.Unlock()
-		n, fetched := m.fetch(job.path)
+		n, fetched := m.srv.prefetch(job.path)
 		m.mu.Lock()
 		delete(m.hinted, job.path)
 		run := job.run

@@ -45,9 +45,9 @@ type ServerConfig struct {
 	// RAMCapacity, when > 0, enables the RAM tier: a sharded in-memory
 	// object cache (internal/memtier) above NVMe on the read path. Every
 	// device-served read is offered to it; the tier fills its budget and
-	// then keeps what is read most often. Hits skip the device model
-	// entirely and serve zero-copy from the slice the tier holds by
-	// reference. 0 (the default) disables the tier.
+	// then keeps what is read most often, moving it up from NVMe. Hits
+	// skip the device model entirely and serve zero-copy from the slice
+	// the tier holds by reference. 0 (the default) disables the tier.
 	RAMCapacity int64
 }
 
@@ -75,9 +75,9 @@ type Server struct {
 	// fill is the one flight every NVMe miss goes through, keyed by
 	// path: a demand read, a herd of them, and the recache stage's
 	// prefetch of the same path share a single PFS fetch, and the leader
-	// stores to NVMe before the flight completes — so a fetched object is
-	// at every instant either in flight or cached, and nothing fetches it
-	// twice.
+	// offers it to NVMe before the flight completes — so a fetched object
+	// NVMe takes is at every instant either in flight or cached, and
+	// nothing fetches it twice.
 	fill *loadctl.Group
 
 	// ram is the RAM tier (nil when RAMCapacity == 0); it decides for
@@ -110,7 +110,7 @@ func NewServer(cfg ServerConfig, pfs storage.Store) *Server {
 	if cfg.RAMCapacity > 0 {
 		s.ram = memtier.New(cfg.RAMCapacity, s.demoteRAM)
 	}
-	s.mover = NewMover(s.nvme, string(cfg.Node), s.prefetch)
+	s.mover = NewMover(s.nvme, string(cfg.Node), s)
 	s.rpc = rpc.NewServer(s)
 	s.registerTelemetry()
 	return s
@@ -126,15 +126,42 @@ func (s *Server) RAM() *memtier.Tier { return s.ram }
 // RAM falls back to NVMe so its bytes stay node-local (RAM → NVMe →
 // PFS, the paper's tier order). The slice is the immutable one the tier
 // held by reference, so the mover stores it as is, before the eviction
-// returns. Objects already on NVMe (promotion never removed them) cost
-// one Has. Invalidation and Clear never demote: stale bytes must not
-// resurrect into a lower tier.
-func (s *Server) demoteRAM(path string, data []byte) {
-	if s.nvme.Has(path) {
-		return
+// returns, never over a copy NVMe holds. Invalidation and Clear never
+// demote: stale bytes must not resurrect into a lower tier.
+func (s *Server) demoteRAM(path string, data []byte) { s.mover.Demote(path, data) }
+
+// promote offers an object served from below to the RAM tier. A
+// promotion moves it: NVMe's copy goes, so the tiers hold distinct
+// objects.
+func (s *Server) promote(path string, data []byte) bool {
+	ok := s.ram.Admit(path, data)
+	if ok {
+		s.nvme.Delete(path)
+		s.settle(path, data)
 	}
-	s.mover.Demote(path, data)
+	return ok
 }
+
+// settle re-checks RAM once a promotion dropped NVMe's copy: an
+// eviction in between found that copy and demoted nothing, so an object
+// RAM no longer holds goes back to NVMe, never over a newer copy.
+func (s *Server) settle(path string, data []byte) {
+	if !s.ram.Has(path) {
+		s.mover.Demote(path, data)
+	}
+}
+
+// cachedSize is the one residency check (stat, prefetch, recache dedup):
+// after a promotion, RAM holds an object's only copy.
+func (s *Server) cachedSize(path string) (int64, bool) {
+	size, ok := s.nvme.Size(path)
+	if !ok && s.ram != nil {
+		size, ok = s.ram.Size(path)
+	}
+	return size, ok
+}
+
+func (s *Server) resident(path string) bool { _, ok := s.cachedSize(path); return ok }
 
 // Mover exposes the data mover (tests flush it for determinism).
 func (s *Server) Mover() *Mover { return s.mover }
@@ -293,10 +320,9 @@ func (s *Server) handlePutBatch(payload []byte, connWait time.Duration) (uint16,
 			continue // acked as OK without re-storing
 		}
 		if s.ram != nil {
-			// A path new to NVMe may carry bytes that differ from a stale
-			// RAM copy (promoted earlier, then evicted from NVMe), so that
-			// copy goes before the fill; a deduped path's RAM and NVMe
-			// copies still agree.
+			// A path new to NVMe may carry bytes that differ from a RAM
+			// copy (a promotion moved it there), so that copy goes before
+			// the fill: the write is the object's one copy again.
 			s.ram.Invalidate(req.Entries[i].Path)
 		}
 		fills = append(fills, storage.BatchEntry{Path: req.Entries[i].Path, Data: req.Entries[i].Data})
@@ -519,7 +545,7 @@ func (r *readOp) ramHit(lease *memtier.Lease) rpc.LeasedResp {
 
 // serve answers with a stored object, offering it to the RAM tier.
 func (r *readOp) serve(data []byte, source uint8) rpc.LeasedResp {
-	if r.s.ram != nil && r.s.ram.Admit(r.req.Path, data) {
+	if r.s.ram != nil && r.s.promote(r.req.Path, data) {
 		r.st.Annotate("promoted", "ram")
 	}
 	r.st.Annotate("source", sourceName(source))
@@ -560,9 +586,9 @@ func (r *readOp) unwind() {
 type missFetcher Server
 
 // Fetch implements loadctl.Fetcher as the flight leader: one PFS read
-// and one NVMe fill, stored before the flight completes, however many
-// demand reads and prefetches piled onto it. The returned bytes are
-// shared read-only with every waiter.
+// and one NVMe fill, offered (under the admission rule) before the
+// flight completes, however many demand reads and prefetches piled onto
+// it. The returned bytes are shared read-only with every waiter.
 func (f *missFetcher) Fetch(_ context.Context, path string) ([]byte, error) {
 	s := (*Server)(f)
 	// A caller that missed just before an earlier flight for path landed
@@ -580,7 +606,7 @@ func (f *missFetcher) Fetch(_ context.Context, path string) ([]byte, error) {
 	// failed fill. Only this fill is traced: puts and RAM demotions also
 	// store through the mover, and an event each would flush the bounded
 	// trace of the failure events around them.
-	if s.mover.FillSync(path, data) == nil {
+	if s.mover.OfferSync(path, data) {
 		telemetry.TraceEvent(telemetry.EventRecacheFileDone, string(s.cfg.Node), path, int64(len(data)))
 	}
 	return data, nil
@@ -588,16 +614,21 @@ func (f *missFetcher) Fetch(_ context.Context, path string) ([]byte, error) {
 
 // prefetch is the recache stage's fetch: it makes one hinted path
 // resident through the miss flight — joining a demand read's fetch if
-// one is open — and reports the bytes brought in. A path a demand read
-// already filled costs one map probe.
+// one is open — and reports the bytes brought in. A path either tier
+// already holds costs a map probe or two. A hinted path's fill always
+// lands (Mover.OfferSync); one whose hint came after the flight's leader
+// chose is stored here, so a lost file costs one PFS read.
 func (s *Server) prefetch(path string) (int, bool) {
-	if s.nvme.Has(path) {
+	if s.resident(path) {
 		return 0, false
 	}
 	_, sp := trace.StartTrace(s.baseCtx, "mover.recache")
 	sp.Annotate("node", string(s.cfg.Node))
 	sp.Annotate("path", path)
 	data, err, _ := s.fill.Do(s.baseCtx, path, (*missFetcher)(s))
+	if err == nil && !s.resident(path) {
+		s.mover.keep(path, data)
+	}
 	sp.SetError(err)
 	sp.End()
 	return len(data), err == nil
@@ -649,7 +680,7 @@ func (s *Server) handleStat(payload []byte) (uint16, []byte) {
 	}
 	// Metadata only: a stat must not look like a read to either tier's
 	// counters, refresh LRU recency, or pay the PFS read delay.
-	size, cached := s.nvme.Size(req.Path)
+	size, cached := s.cachedSize(req.Path)
 	if !cached {
 		var ok bool
 		if size, ok = s.pfs.Size(req.Path); !ok {

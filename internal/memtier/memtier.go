@@ -7,7 +7,8 @@
 // while the tier has free bytes every object offered to Admit becomes
 // resident; once it is full a candidate displaces the least-recently-
 // used object of its shard only if the candidate has recently been
-// read clearly more often (see admitMargin). The read counts come from
+// read clearly more often. That is shardcache's admission rule (Offer),
+// the one NVMe's demand miss fills pass too: the read counts come from
 // a small aging count-min sketch per shard that Get updates under the
 // shard lock it already holds. A uniform scan of a dataset larger than
 // the tier therefore leaves the resident set alone, while under skew
@@ -22,7 +23,7 @@
 //
 // The structure underneath is the byte-budgeted sharded LRU of package
 // shardcache, the one storage.NVMe is built on; what is the tier's own
-// is the admission rule, the lease, and demotion. Demotion is
+// is the lease and demotion. Demotion is
 // RAM→NVMe→PFS: every eviction hands the object to the OnDemote
 // callback, which the server uses to guarantee the next tier down still
 // holds it before the RAM reference dies.
@@ -34,14 +35,11 @@ import (
 	"repro/internal/shardcache"
 )
 
-// admitMargin is the hysteresis of the admission rule: into a full tier
-// a candidate is admitted only if its estimated read count exceeds the
-// victim's by more than this. One of the margin is the very read that
-// is offering the candidate (Get counted it before Admit runs); the
-// other keeps near-ties at the cold edge of the resident set from
-// trading places on every read, which is what a uniform scan would
-// otherwise turn into per-read churn.
-const admitMargin = 2
+// sketchGrain sizes the admission sketch from the byte budget: one
+// 4-bit counter per 64 bytes of capacity in each of its four rows, 64 a
+// row for each resident 4 KiB object, so the sketch costs capacity/32
+// bytes and its window is never cut short by its width.
+const sketchGrain = 64
 
 // OnDemote is called for every object evicted by admission pressure,
 // outside any shard lock. The server's demotion hook re-fills NVMe when
@@ -53,11 +51,9 @@ type OnDemote func(path string, data []byte)
 // Tier is the sharded RAM cache. The zero value is not usable; use New.
 type Tier struct {
 	cache    *shardcache.Cache
-	freq     []sketch // per shard: read counts of its keys, resident or not
 	onDemote OnDemote // nil = no demotion hook
 
 	admits        atomic.Int64
-	rejected      atomic.Int64 // Admit calls the frequency rule turned away
 	demotions     atomic.Int64 // evictions that ran the OnDemote hook
 	invalidations atomic.Int64
 	leases        atomic.Int64 // currently outstanding leases (gauge)
@@ -76,37 +72,8 @@ func New(capacity int64, onDemote OnDemote) *Tier {
 // global LRU order, which the eviction-order tests rely on.
 func NewShards(capacity int64, shards int, onDemote OnDemote) *Tier {
 	t := &Tier{onDemote: onDemote}
-	t.cache = shardcache.New(capacity, shards, (*frequency)(t), t.demote)
-	t.freq = make([]sketch, t.cache.Shards())
-	for i := range t.freq {
-		t.freq[i] = newSketch(capacity / int64(len(t.freq)))
-	}
+	t.cache = shardcache.New(capacity, shards, sketchGrain, t.demote)
 	return t
-}
-
-// frequency is the tier as its cache's shardcache.Admission, which runs
-// each method under the lock of the shard whose sketch it uses.
-type frequency Tier
-
-// Touch counts one read toward hash's admission frequency.
-func (f *frequency) Touch(shard int, hash uint64) {
-	if f.freq[shard].touch(hash) {
-		// The next window is agePerObject reads for each object the
-		// shard holds on average, so it tracks the resident set whatever
-		// the object size (the sketch caps it at what its width can tell
-		// apart).
-		objects, _ := f.cache.StatsAtomic()
-		f.freq[shard].age(int(objects) * agePerObject / len(f.freq))
-	}
-}
-
-// Weigh is the candidate's estimated read count.
-func (f *frequency) Weigh(shard int, hash uint64) int { return f.freq[shard].estimate(hash) }
-
-// Displaces is the admission rule: a victim goes only to a candidate
-// read more than admitMargin more often.
-func (f *frequency) Displaces(count int, shard int, victim uint64) bool {
-	return f.freq[shard].estimate(victim)+admitMargin < count
 }
 
 // demote is the cache's eviction hook.
@@ -137,6 +104,9 @@ func (t *Tier) Get(path string) (*Lease, bool) {
 // Has reports residency without perturbing recency or counters.
 func (t *Tier) Has(path string) bool { return t.cache.Has(path) }
 
+// Size returns the byte size of a resident object, as purely as Has.
+func (t *Tier) Size(path string) (int64, bool) { return t.cache.Size(path) }
+
 // Admit offers data for residency under path and reports whether the
 // tier took it. data is kept by reference: it must be immutable and
 // owned by the store (the slice NVMe or the miss flight hands out),
@@ -144,24 +114,20 @@ func (t *Tier) Has(path string) bool { return t.cache.Has(path) }
 //
 // While the budget has room the object is simply inserted. Into a full
 // tier it displaces least-recently-used objects of its own shard (of
-// the next non-empty shard when its own has none to give), and only
-// while each victim's estimated read count is more than admitMargin
-// below the candidate's; at the first victim that is not, the candidate
-// is refused. Objects larger than the whole tier are always refused —
-// they live on NVMe only. Admitting an already-resident path replaces
-// its bytes under the same rule, paying only for the size difference;
-// a refusal leaves the resident copy where it was.
+// the next non-empty shard when its own has none to give) under the
+// admission rule (shardcache.Cache.Offer): only while each victim is
+// read clearly less often than the candidate; at the first victim that
+// is not, the candidate is refused. Objects larger than the whole tier
+// are always refused — they live on NVMe only. Admitting an
+// already-resident path replaces its bytes under the same rule, paying
+// only for the size difference; a refusal leaves the resident copy
+// where it was.
 func (t *Tier) Admit(path string, data []byte) bool {
-	if capacity := t.cache.Capacity(); capacity <= 0 || int64(len(data)) > capacity {
+	if t.cache.Capacity() <= 0 || !t.cache.Offer(path, data) {
 		return false
 	}
-	admitted := t.cache.Put(path, data)
-	if admitted {
-		t.admits.Add(1)
-	} else {
-		t.rejected.Add(1)
-	}
-	return admitted
+	t.admits.Add(1)
+	return true
 }
 
 // Invalidate removes path if resident, reporting whether it was. The
@@ -192,11 +158,6 @@ func (t *Tier) Counters() (hits, misses, admits, evictions, demotions, invalidat
 	return s.Hits, s.Misses, t.admits.Load(),
 		s.Evictions, t.demotions.Load(), t.invalidations.Load()
 }
-
-// Rejected returns how many Admit calls the frequency rule refused — a
-// full tier turning candidates away is working; a tier that is neither
-// full nor admitting is not being offered anything.
-func (t *Tier) Rejected() int64 { return t.rejected.Load() }
 
 // ActiveLeases returns the number of leases handed out by Get and not
 // yet released — the leak observable the chaos soak asserts is zero

@@ -105,7 +105,7 @@ func TestModelSequential(t *testing.T) {
 		for seed := int64(1); seed <= 8; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			var evicted []string
-			c := New(capacity, shards, nil, func(path string, data []byte) {
+			c := New(capacity, shards, 0, func(path string, data []byte) {
 				evicted = append(evicted, path)
 			})
 			m := &model{capacity: capacity, data: map[string][]byte{}, batch: map[string]uint64{}}

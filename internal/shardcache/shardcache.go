@@ -13,10 +13,13 @@
 // There is one insert step, putLocked: reserve the object's bytes from
 // the budget, displacing least-recently-used residents to make room,
 // and only then make the object visible — so occupancy never exceeds
-// capacity, not even transiently. A tier varies it in two places, fixed
-// at construction: whether a candidate may displace a given victim
-// (Admission; nil means always) and what happens to a displaced object
-// (the onEvict hook; nil means it is dropped).
+// capacity, not even transiently. Whether a candidate may displace a
+// victim is decided per insert, not per tier: Put and PutBatch always
+// may, and Offer may only where the admission rule (sketch.go) says the
+// candidate is read clearly more often than the victim. A bounded cache
+// built with a sketch grain keeps that rule; any other cache has none,
+// and there Offer is Put. What happens to a displaced object is fixed
+// at construction: the onEvict hook, or nil to drop it.
 package shardcache
 
 import (
@@ -34,23 +37,25 @@ import (
 // per-cache footprint.
 const DefaultShards = 16
 
-// Hash picks a path's shard (its low bits) and is what an Admission is
-// handed. Its seed decorrelates it from the consistent-hash ring's key
-// hash, so ring placement does not concentrate a node's keys onto few
-// shards.
+// Hash picks a path's shard (its low bits) and is what the admission
+// rule counts. Its seed decorrelates it from the consistent-hash ring's
+// key hash, so ring placement does not concentrate a node's keys onto
+// few shards.
 func Hash(path string) uint64 { return xhash.XXH64String(path, 0x9E3779B97F4A7C15) }
 
-// Admission decides, once the budget is spent, whether a candidate may
-// displace a resident. Every method runs under the lock of the shard it
-// names, so an implementation may keep unsynchronised per-shard state.
-type Admission interface {
-	// Touch records one Get of the path hashing to hash, hit or miss.
-	Touch(shard int, hash uint64)
-	// Weigh returns a candidate's standing, read in its home shard.
-	Weigh(shard int, hash uint64) int
-	// Displaces reports whether a candidate that weighed w may displace
+// admission decides, once the budget is spent, whether an offered
+// candidate may displace a resident. Every method runs under the lock
+// of the shard it names, so an implementation may keep unsynchronised
+// per-shard state. frequency is the one rule; the tests substitute
+// exact counts.
+type admission interface {
+	// touch records one Get of the path hashing to hash, hit or miss.
+	touch(shard int, hash uint64)
+	// weigh returns a candidate's standing, read in its home shard.
+	weigh(shard int, hash uint64) int
+	// displaces reports whether a candidate that weighed w may displace
 	// the resident hashing to victim in shard.
-	Displaces(w int, shard int, victim uint64) bool
+	displaces(w int, shard int, victim uint64) bool
 }
 
 // Entry is one object of a PutBatch.
@@ -66,7 +71,7 @@ type Cache struct {
 	used      atomic.Int64
 	shards    []shard
 	mask      uint64
-	admission Admission
+	admission admission // nil: Offer is Put
 	onEvict   func(path string, data []byte)
 	batches   atomic.Uint64 // id of the latest PutBatch call
 
@@ -74,6 +79,7 @@ type Cache struct {
 	misses    atomic.Int64
 	evictions atomic.Int64
 	spills    atomic.Int64 // evictions performed outside the inserting shard
+	refused   atomic.Int64 // Offers the admission rule turned away
 }
 
 type shard struct {
@@ -107,22 +113,25 @@ func (sh *shard) pushFront(e *entry) {
 
 // New creates a cache with the given byte capacity (<= 0 is unbounded)
 // and shard count (rounded up to a power of two; non-positive selects
-// DefaultShards).
-func New(capacity int64, shards int, admission Admission, onEvict func(path string, data []byte)) *Cache {
+// DefaultShards). A bounded cache with grain > 0 keeps the admission
+// rule of Offer, its read-count sketch sized at one counter per grain
+// bytes of capacity in each of its rows; otherwise there is no rule.
+func New(capacity int64, shards int, grain int64, onEvict func(path string, data []byte)) *Cache {
 	if shards <= 0 {
 		shards = DefaultShards
 	}
 	n := 1 << bits.Len(uint(shards-1))
 	c := &Cache{
-		capacity:  capacity,
-		limit:     capacity,
-		shards:    make([]shard, n),
-		mask:      uint64(n - 1),
-		admission: admission,
-		onEvict:   onEvict,
+		capacity: capacity,
+		limit:    capacity,
+		shards:   make([]shard, n),
+		mask:     uint64(n - 1),
+		onEvict:  onEvict,
 	}
 	if capacity <= 0 {
 		c.limit = math.MaxInt64
+	} else if grain > 0 {
+		c.admission = newFrequency(c, grain)
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -141,7 +150,7 @@ func (c *Cache) Get(path string) ([]byte, bool) {
 	sh := &c.shards[h&c.mask]
 	sh.mu.Lock() //ftclint:ignore hotpathlock per-shard LRU lock is the sharded design; contention is 1/N by construction
 	if c.admission != nil {
-		c.admission.Touch(int(h&c.mask), h)
+		c.admission.touch(int(h&c.mask), h)
 	}
 	e := sh.items[path]
 	if e == nil {
@@ -184,11 +193,35 @@ func (c *Cache) Size(path string) (int64, bool) {
 }
 
 // Put makes data resident under path, replacing any resident copy (which
-// pays only for the size difference), and reports whether it did. It
-// does not when data is larger than the whole cache or Admission vetoed
-// a displacement — the resident copy, if any, then stays where it was.
+// pays only for the size difference), and reports whether it did: it
+// does not only when data is larger than the whole cache. It displaces
+// whatever it has to, whatever the admission rule would say.
 func (c *Cache) Put(path string, data []byte) bool {
-	var p put
+	return c.insert(put{}, path, data)
+}
+
+// Offer is Put under the admission rule: into a full cache the candidate
+// displaces a victim only if the rule says it is read clearly more
+// often, and at the first victim it does not, the offer is refused and
+// counted. A refused offer leaves every resident where it was, a
+// resident copy of path included. Without a rule Offer is Put.
+func (c *Cache) Offer(path string, data []byte) bool {
+	ok := c.insert(put{gated: c.admission != nil}, path, data)
+	if !ok && int64(len(data)) <= c.limit {
+		c.refused.Add(1)
+	}
+	return ok
+}
+
+// PutIfAbsent is Put for a copy that must not replace one already
+// resident — that one is as new or newer — and reports whether it
+// stored data.
+func (c *Cache) PutIfAbsent(path string, data []byte) bool {
+	return c.insert(put{absent: true}, path, data)
+}
+
+// insert is one Put, Offer or PutIfAbsent.
+func (c *Cache) insert(p put, path string, data []byte) bool {
 	h := Hash(path)
 	home := &c.shards[h&c.mask]
 	home.mu.Lock()
@@ -235,8 +268,10 @@ func (c *Cache) PutBatch(entries []Entry) (refused []int) {
 	return refused
 }
 
-// put is the state of one Put or PutBatch call.
+// put is the state of one Put, Offer, PutIfAbsent or PutBatch call.
 type put struct {
+	gated   bool     // an Offer under the admission rule
+	absent  bool     // a PutIfAbsent: a resident copy of the path wins
 	batch   uint64   // non-zero: the PutBatch call, whose members are not to be evicted
 	home    *shard   // of the object being inserted
 	victims []*entry // objects displaced so far, collected only when there is a hook to hand them to
@@ -245,7 +280,7 @@ type put struct {
 // Outcomes of trying to reserve budget in one shard.
 const (
 	reserved  = iota
-	vetoed    // Admission protected the next victim
+	vetoed    // the admission rule protected the next victim
 	exhausted // the shard ran out of victims
 )
 
@@ -261,11 +296,14 @@ func (c *Cache) putLocked(p *put, h uint64, path string, data []byte) bool {
 	p.home = home
 	old := home.items[path] // nil when path is not resident
 	if old != nil {
+		if p.absent {
+			return false
+		}
 		need -= int64(len(old.data))
 	}
 	w := 0
-	if c.admission != nil {
-		w = c.admission.Weigh(int(h&c.mask), h)
+	if p.gated {
+		w = c.admission.weigh(int(h&c.mask), h)
 	}
 	spilled := false
 	for out := c.displaceLocked(p, home, old, w, need); out != reserved; {
@@ -298,6 +336,10 @@ func (c *Cache) putLocked(p *put, h uint64, path string, data []byte) bool {
 	}
 	if spilled {
 		if cur := home.items[path]; cur != nil {
+			if p.absent {
+				c.used.Add(-need) // a racing insert got there first
+				return false
+			}
 			c.removeLocked(home, cur)
 		}
 	}
@@ -327,7 +369,7 @@ func (c *Cache) displaceLocked(p *put, sh *shard, keep *entry, w int, need int64
 		if v == &sh.lru {
 			return exhausted
 		}
-		if c.admission != nil && !c.admission.Displaces(w, int(v.hash&c.mask), v.hash) {
+		if p.gated && !c.admission.displaces(w, int(v.hash&c.mask), v.hash) {
 			return vetoed
 		}
 		next := v.prev
@@ -418,9 +460,6 @@ func (c *Cache) Paths() []string {
 // Capacity returns the configured byte budget.
 func (c *Cache) Capacity() int64 { return c.capacity }
 
-// Shards returns the shard count.
-func (c *Cache) Shards() int { return len(c.shards) }
-
 // Snapshot is a cache's observable state: what every metric, debug row
 // and counter of either tier is read from, without a lock, so a scrape
 // never contends with the request path (and may be mid-update-skewed).
@@ -428,6 +467,7 @@ type Snapshot struct {
 	Capacity, Bytes, Objects int64
 	Hits, Misses, Evictions  int64
 	Spills                   int64   // evictions outside the inserting shard: one shard's pressure eating the others' budget
+	Refused                  int64   // Offers the admission rule turned away: a full cache defending its residents
 	ShardBytes               []int64 // per-shard occupancy, the balance observable of /debug/ftcache
 }
 
@@ -440,7 +480,7 @@ func (c *Cache) Snapshot() Snapshot {
 		Capacity: c.capacity, Bytes: bytes, Objects: objects,
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
 		Evictions: c.evictions.Load(), Spills: c.spills.Load(),
-		ShardBytes: c.ShardBytes(),
+		Refused: c.refused.Load(), ShardBytes: c.ShardBytes(),
 	}
 }
 

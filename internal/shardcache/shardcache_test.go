@@ -16,10 +16,11 @@ func TestShardIsCacheLinePadded(t *testing.T) {
 }
 
 // readCounts is the suite's frequency policy: exact per-shard read
-// counts under the RAM tier's rule (a victim goes only to a candidate
-// read more than margin more often). The lists are unsynchronised on
-// purpose — the race detector then checks that the cache calls an
-// Admission only under the lock of the shard it names.
+// counts under the admission rule (a victim goes only to a candidate
+// read more than margin more often), so a test can say exactly who
+// displaces whom; sketch_test.go holds the sketch itself. The lists are
+// unsynchronised on purpose — the race detector then checks that the
+// cache calls its admission only under the lock of the shard it names.
 type readCounts [][]readCount
 
 type readCount struct {
@@ -39,25 +40,33 @@ func (r readCounts) of(shard int, hash uint64) *int {
 	return &r[shard][len(r[shard])-1].n
 }
 
-func (r readCounts) Touch(shard int, hash uint64)     { *r.of(shard, hash)++ }
-func (r readCounts) Weigh(shard int, hash uint64) int { return *r.of(shard, hash) }
-func (r readCounts) Displaces(w int, shard int, victim uint64) bool {
+func (r readCounts) touch(shard int, hash uint64)     { *r.of(shard, hash)++ }
+func (r readCounts) weigh(shard int, hash uint64) int { return *r.of(shard, hash) }
+func (r readCounts) displaces(w int, shard int, victim uint64) bool {
 	return *r.of(shard, victim)+margin < w
 }
 
-// policies are the two a tier is built with: NVMe's (admit always) and
-// the RAM tier's (frequency-ranked once full).
+// policies are the two an Offer meets: none (an unbounded cache, or one
+// built without a sketch, where Offer is Put) and the frequency rule.
 var policies = []struct {
 	name      string
-	admission func(shards int) Admission
+	admission func(shards int) admission
 }{
-	{"always", func(int) Admission { return nil }},
-	{"frequency", func(shards int) Admission { return make(readCounts, shards) }},
+	{"always", func(int) admission { return nil }},
+	{"frequency", func(shards int) admission { return make(readCounts, shards) }},
+}
+
+// newWith is New with the admission replaced by adm.
+func newWith(capacity int64, shards int, adm admission, onEvict func(path string, data []byte)) *Cache {
+	c := New(capacity, shards, 0, onEvict)
+	c.admission = adm
+	return c
 }
 
 // TestChurnConcurrent hammers a cache from many goroutines with capacity
 // set to half the working set, so displacement and cross-shard spill run
-// constantly while Gets, Deletes and scrapes race them. The byte budget
+// constantly while Offers, Puts-if-absent, batches, Gets, Deletes and
+// scrapes race them. The byte budget
 // is checked inside the race, on every operation; afterwards the books
 // must balance (deleting everything returns used to 0), every displaced
 // object must have reached the hook once, and no object may be corrupt.
@@ -71,7 +80,7 @@ func TestChurnConcurrent(t *testing.T) {
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
 			var handed atomic.Int64
-			c := New(capacity, 8, pol.admission(8), func(path string, data []byte) {
+			c := newWith(capacity, 8, pol.admission(8), func(path string, data []byte) {
 				handed.Add(1)
 			})
 			keys := make([]string, files)
@@ -96,7 +105,7 @@ func TestChurnConcurrent(t *testing.T) {
 						switch i % 5 {
 						case 0, 1, 2:
 							if data, ok := c.Get(keys[k]); !ok {
-								if !c.Put(keys[k], vals[k]) {
+								if !c.Offer(keys[k], vals[k]) {
 									refused.Add(1)
 								}
 							} else if len(data) != fileSize || data[0] != byte(k) || data[fileSize-1] != byte(k) {
@@ -108,6 +117,8 @@ func TestChurnConcurrent(t *testing.T) {
 						case 4:
 							if i%50 == 4 {
 								c.Delete(keys[k])
+							} else {
+								c.PutIfAbsent(keys[k], vals[k])
 							}
 						}
 						if _, used := c.StatsAtomic(); used > capacity {
@@ -147,7 +158,7 @@ func TestChurnConcurrent(t *testing.T) {
 func TestSpillEvictsOtherShards(t *testing.T) {
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
-			c := New(1024, 16, pol.admission(16), nil)
+			c := newWith(1024, 16, pol.admission(16), nil)
 			for i := 0; i < 200; i++ {
 				path := fmt.Sprintf("f%03d", i)
 				// Each candidate is read clearly more often than the
@@ -155,7 +166,7 @@ func TestSpillEvictsOtherShards(t *testing.T) {
 				for n := 0; n < (i+1)*(margin+1); n++ {
 					c.Get(path)
 				}
-				if !c.Put(path, make([]byte, 256)) {
+				if !c.Offer(path, make([]byte, 256)) {
 					t.Fatalf("put %d refused", i)
 				}
 				if objects, used := c.StatsAtomic(); used > 1024 || (i >= 3 && objects != 4) {
@@ -178,7 +189,7 @@ func TestClearConcurrentWithPuts(t *testing.T) {
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
 			const capacity = 64 * 64
-			c := New(capacity, 8, pol.admission(8), nil)
+			c := newWith(capacity, 8, pol.admission(8), nil)
 			var wg sync.WaitGroup
 			stop := make(chan struct{})
 			for w := 0; w < 4; w++ {
@@ -191,7 +202,7 @@ func TestClearConcurrentWithPuts(t *testing.T) {
 							return
 						default:
 						}
-						c.Put(fmt.Sprintf("w%d/f%d", w, i%64), make([]byte, 64))
+						c.Offer(fmt.Sprintf("w%d/f%d", w, i%64), make([]byte, 64))
 						if _, used := c.StatsAtomic(); used > capacity {
 							t.Errorf("budget overshot mid-race: used=%d > capacity=%d", used, capacity)
 							return
@@ -216,23 +227,24 @@ func TestClearConcurrentWithPuts(t *testing.T) {
 	}
 }
 
-// TestAdmissionAndEvictHook pins the two points a tier varies, on one
-// shard so the victim is deterministic: a full cache asks its Admission
-// before each displacement and a veto leaves everything where it was;
-// what is displaced goes to the hook, what is deleted or cleared does
-// not.
+// TestAdmissionAndEvictHook pins the two points an insert varies, on
+// one shard so the victim is deterministic: a full cache asks its
+// admission before each displacement an Offer makes, a veto leaves
+// everything where it was and is counted, and a Put displaces whatever
+// the rule would say; what is displaced goes to the hook, what is
+// deleted or cleared does not.
 func TestAdmissionAndEvictHook(t *testing.T) {
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
 			var handed []string
-			c := New(30, 1, pol.admission(1), func(path string, data []byte) {
+			c := newWith(30, 1, pol.admission(1), func(path string, data []byte) {
 				handed = append(handed, path)
 			})
 			for _, p := range []string{"a", "b", "c"} {
 				c.Put(p, make([]byte, 10))
 			}
 			c.Get("a") // so b is the LRU victim
-			unread := c.Put("e", make([]byte, 10))
+			unread := c.Offer("e", make([]byte, 10))
 			if vetoed := pol.name == "frequency"; unread == vetoed {
 				t.Fatalf("unread candidate admitted=%v into a full cache", unread)
 			} else if vetoed && (!c.Has("b") || len(handed) != 0 || c.Snapshot().Bytes != 30) {
@@ -241,11 +253,19 @@ func TestAdmissionAndEvictHook(t *testing.T) {
 			for n := 0; n <= 2*margin; n++ {
 				c.Get("d")
 			}
-			if !c.Put("d", make([]byte, 10)) {
+			if !c.Offer("d", make([]byte, 10)) {
 				t.Fatal("hotter candidate refused")
 			}
 			if c.Has("b") || !c.Has("a") || !c.Has("d") || len(handed) == 0 || handed[0] != "b" {
 				t.Fatalf("wrong victim: b=%v a=%v d=%v handed=%v", c.Has("b"), c.Has("a"), c.Has("d"), handed)
+			}
+			if refused, vetoed := c.Snapshot().Refused, pol.name == "frequency"; refused != map[bool]int64{true: 1}[vetoed] {
+				t.Fatalf("%d offers counted refused", refused)
+			}
+			// Nothing reads "f", so an Offer of it would lose to the LRU
+			// victim; a Put stores it all the same.
+			if !c.Put("f", make([]byte, 10)) || c.Has("c") || !c.Has("f") {
+				t.Fatalf("a Put into a full cache: f=%v c=%v", c.Has("f"), c.Has("c"))
 			}
 			before := len(handed)
 			c.Delete("a")
@@ -263,7 +283,7 @@ func TestAdmissionAndEvictHook(t *testing.T) {
 // than overshoot or give up.
 func TestOneObjectBudgetConcurrent(t *testing.T) {
 	for _, shards := range []int{1, 8} {
-		c := New(128, shards, nil, nil)
+		c := New(128, shards, 0, nil)
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -285,5 +305,34 @@ func TestOneObjectBudgetConcurrent(t *testing.T) {
 		if s := c.Snapshot(); s.Objects != 1 || s.Bytes != 128 || s.Evictions != 8*5000-1 {
 			t.Errorf("shards=%d: %+v, want the last object and every other one evicted", shards, s)
 		}
+	}
+}
+
+// TestPutIfAbsentKeepsResident: a resident copy of the path wins — it is
+// as new or newer — and an absent path is stored like a Put, displacing
+// whatever it has to even where the admission rule would refuse an
+// Offer.
+func TestPutIfAbsentKeepsResident(t *testing.T) {
+	c := newWith(20, 1, make(readCounts, 1), nil)
+	c.Put("a", []byte("newer-copy"))
+	if c.PutIfAbsent("a", []byte("older-one")) {
+		t.Fatal("PutIfAbsent replaced a resident copy")
+	}
+	if got, _ := c.Peek("a"); string(got) != "newer-copy" {
+		t.Fatalf("resident holds %q", got)
+	}
+	c.Put("b", make([]byte, 10))
+	for n := 0; n < 4*margin; n++ {
+		c.Get("a")
+		c.Get("b")
+	}
+	if c.Offer("c", make([]byte, 10)) {
+		t.Fatal("an unread Offer displaced a hotter resident")
+	}
+	if !c.PutIfAbsent("c", make([]byte, 10)) || !c.Has("c") || c.Has("a") {
+		t.Fatalf("absent path: c=%v a=%v, want c stored over the LRU victim a", c.Has("c"), c.Has("a"))
+	}
+	if c.PutIfAbsent("big", make([]byte, 21)) {
+		t.Fatal("PutIfAbsent stored an object larger than the cache")
 	}
 }

@@ -25,6 +25,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -68,12 +69,21 @@ type Store interface {
 
 // NVMe is the node-local cache store: bounded capacity with LRU eviction
 // on insert pressure (the cache holds a *replaceable copy* of PFS data,
-// so evicting is always safe). It is a shardcache.Cache that admits
-// every object and drops what it displaces; Peek, Has, Size, Clear, Paths,
-// Capacity, StatsAtomic, ShardBytes and Snapshot are the cache's own.
+// so evicting is always safe). It is a shardcache.Cache that drops what
+// it displaces. Put and PutBatch always store; Offer, the demand miss
+// fill's insert, stores into a full bounded store only under the
+// admission rule the RAM tier uses too (shardcache.Cache.Offer). Peek,
+// Has, Size, Clear, Paths, Capacity, StatsAtomic, ShardBytes and
+// Snapshot are the cache's own.
 type NVMe struct {
 	*shardcache.Cache
 }
+
+// sketchGrain sizes a bounded store's admission sketch from its byte
+// budget: one 4-bit counter per 512 bytes of capacity in each of its
+// four rows, 8 a row for each resident 4 KiB object, so the sketch
+// costs capacity/256 bytes.
+const sketchGrain = 512
 
 // NewNVMe creates a store with the given byte capacity and
 // shardcache.DefaultShards shards. capacity <= 0 means unbounded (useful
@@ -87,7 +97,7 @@ func NewNVMe(capacity int64) *NVMe {
 // the exact global LRU order of an unsharded cache, which the
 // eviction-order tests rely on.
 func NewNVMeShards(capacity int64, shards int) *NVMe {
-	return &NVMe{shardcache.New(capacity, shards, nil, nil)}
+	return &NVMe{shardcache.New(capacity, shards, sketchGrain, nil)}
 }
 
 func (n *NVMe) tooLarge(data []byte) error {
@@ -97,6 +107,38 @@ func (n *NVMe) tooLarge(data []byte) error {
 // Put implements Store, evicting least-recently-used objects as needed.
 func (n *NVMe) Put(path string, data []byte) error {
 	if !n.Cache.Put(path, data) {
+		return n.tooLarge(data)
+	}
+	return nil
+}
+
+// Offer stores data under path if the admission rule lets it displace
+// what it has to, and reports whether it did. A refusal is no error —
+// the object is still served, just not cached — so the one error is
+// ErrTooLarge.
+func (n *NVMe) Offer(path string, data []byte) (bool, error) {
+	if n.Cache.Offer(path, data) {
+		return true, nil
+	}
+	if int64(len(data)) > n.limit() {
+		return false, n.tooLarge(data)
+	}
+	return false, nil
+}
+
+// limit is the largest object the store can hold.
+func (n *NVMe) limit() int64 {
+	if capacity := n.Capacity(); capacity > 0 {
+		return capacity
+	}
+	return math.MaxInt64
+}
+
+// PutIfAbsent is Put for a copy that must not replace one already
+// resident, which is as new or newer; an object that finds its path
+// resident is dropped without error.
+func (n *NVMe) PutIfAbsent(path string, data []byte) error {
+	if !n.Cache.PutIfAbsent(path, data) && int64(len(data)) > n.limit() {
 		return n.tooLarge(data)
 	}
 	return nil
@@ -170,7 +212,7 @@ type PFS struct {
 // NewPFS creates an empty PFS, sharded to spread the read traffic of a
 // whole job faulting in its first epoch.
 func NewPFS() *PFS {
-	return &PFS{objects: shardcache.New(0, 0, nil, nil)}
+	return &PFS{objects: shardcache.New(0, 0, 0, nil)}
 }
 
 // Put implements Store (dataset staging, done before training).
