@@ -308,15 +308,22 @@ func (c *Cluster) FlushMovers() {
 	}
 }
 
-// WarmCache places every dataset file on its healthy-state owner's NVMe
-// (and, with Replication > 1, on the secondary owners too), emulating a
-// completed first epoch ("all data is cached before the failure event",
-// §V-A.3). It uses a fresh strategy instance so the placement matches
-// what clients will compute.
+// WarmCache emulates a completed first epoch ("all data is cached before
+// the failure event", §V-A.3): every dataset file goes to its
+// healthy-state owner's NVMe (and, with Replication > 1, to the
+// secondary owners too). What it places is the PFS's own object, looked
+// up with PFS.Peek — the slice a first epoch's miss fill leaves in NVMe —
+// so warming generates no bytes and counts no PFS access; a file Stage
+// did not put on the PFS is an error. A fresh strategy instance computes
+// the placement, so it matches what clients will compute.
 func (c *Cluster) WarmCache(ds workload.Dataset) error {
 	router := ftcache.NewRouter(c.cfg.Strategy, c.Nodes(), c.cfg.VirtualNodes)
 	for i := 0; i < ds.NumFiles; i++ {
 		path := ds.FilePath(i)
+		body, ok := c.pfs.Peek(path)
+		if !ok {
+			return fmt.Errorf("core: warm %s: not staged on the PFS", path)
+		}
 		var targets []NodeID
 		if c.cfg.Replication > 1 {
 			targets = router.Replicas(path, c.cfg.Replication)
@@ -328,7 +335,6 @@ func (c *Cluster) WarmCache(ds workload.Dataset) error {
 			}
 			targets = []NodeID{d.Node}
 		}
-		body := ds.SampleContent(i)
 		for _, node := range targets {
 			srv := c.servers[node]
 			if srv == nil {

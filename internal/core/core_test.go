@@ -99,6 +99,27 @@ func TestWarmCacheMatchesClientPlacement(t *testing.T) {
 	if err := c.WarmCache(ds); err != nil {
 		t.Fatal(err)
 	}
+	// Warming is set-up, not an epoch: it costs the PFS no read and no
+	// metadata op, and what each owner holds is the PFS's own slice, as
+	// a first epoch's miss fill would leave it.
+	if reads, _, meta := c.PFS().Counters(); reads != 0 || meta != 0 {
+		t.Errorf("warming cost %d PFS reads and %d metadata ops, want 0 and 0", reads, meta)
+	}
+	for i := 0; i < ds.NumFiles; i++ {
+		staged, _ := c.PFS().Peek(ds.FilePath(i))
+		holders := 0
+		for _, n := range c.Nodes() {
+			if got, ok := c.Server(n).NVMe().Peek(ds.FilePath(i)); ok {
+				holders++
+				if &got[0] != &staged[0] {
+					t.Errorf("%s on %s is a copy, not the PFS's object", ds.FilePath(i), n)
+				}
+			}
+		}
+		if holders != 1 {
+			t.Errorf("%s warmed on %d nodes, want 1", ds.FilePath(i), holders)
+		}
+	}
 	cli, _, _ := c.NewClient()
 	defer cli.Close()
 	ctx := context.Background()

@@ -141,8 +141,9 @@ func New(capacity int64, shards int, grain int64, onEvict func(path string, data
 	return c
 }
 
-// Get returns the object at path and refreshes its recency, counting a
-// hit or a miss. The slice is the stored one: read-only.
+// Get returns the object at path and, in a bounded cache, refreshes its
+// recency, counting a hit or a miss. The slice is the stored one:
+// read-only.
 //
 //ftc:hotpath
 func (c *Cache) Get(path string) ([]byte, bool) {
@@ -158,7 +159,8 @@ func (c *Cache) Get(path string) ([]byte, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	if sh.lru.next != e {
+	// An unbounded cache never evicts, so nothing reads its order.
+	if c.capacity > 0 && sh.lru.next != e {
 		sh.unlink(e)
 		sh.pushFront(e)
 	}

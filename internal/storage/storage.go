@@ -238,6 +238,13 @@ func (p *PFS) Get(path string) ([]byte, error) {
 	return data, nil
 }
 
+// Peek returns the object stored at path as a pure lookup: it counts no
+// read and no metadata op and waits out no read delay. It is how set-up
+// places the PFS's own object in a cache (core.Cluster.WarmCache), as a
+// first epoch's miss fill would, without charging the PFS for an access
+// no run made. The slice is the stored one: read-only.
+func (p *PFS) Peek(path string) ([]byte, bool) { return p.objects.Peek(path) }
+
 // sizeOf is the byte size a modelled read of path is charged for (0 when
 // absent: a miss pays the access, not a transfer).
 func (p *PFS) sizeOf(path string) int64 {

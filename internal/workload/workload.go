@@ -8,7 +8,10 @@ package workload
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/storage"
 	"repro/internal/xhash"
@@ -83,9 +86,12 @@ func (d Dataset) AllPaths() []string {
 // without storing a golden copy. Each SplitMix64 draw fills eight bytes,
 // little-endian; a tail shorter than a word takes the low bytes of one
 // more draw.
-func (d Dataset) SampleContent(i int) []byte {
+func (d Dataset) SampleContent(i int) []byte { return d.content(d.FilePath(i)) }
+
+// content is SampleContent for the sample at path, which seeds it.
+func (d Dataset) content(path string) []byte {
 	buf := make([]byte, d.FileBytes)
-	state := xhash.XXH64String(d.FilePath(i), 0x5EED)
+	state := xhash.XXH64String(path, 0x5EED)
 	off := 0
 	for ; off+8 <= len(buf); off += 8 {
 		binary.LittleEndian.PutUint64(buf[off:], xhash.SplitMix64(&state))
@@ -99,16 +105,37 @@ func (d Dataset) SampleContent(i int) []byte {
 }
 
 // Stage writes the whole dataset into the PFS — the "dataset is stored on
-// the Orion file system before any training run" step. Returns the byte
-// total staged.
+// the Orion file system before any training run" step — and returns the
+// byte total staged. Generating the bytes is the whole cost, so it runs
+// on runtime.GOMAXPROCS(0) goroutines, each taking every n-th index, and
+// stores into the sharded PFS as it goes; each path is formatted once.
+// Whatever the order of the stores, FilePath(i) ends up holding
+// SampleContent(i), and the PFS keeps that slice: it is the object every
+// cache tier is filled with later, never a copy of it.
 func (d Dataset) Stage(pfs *storage.PFS) (int64, error) {
-	var total int64
-	for i := 0; i < d.NumFiles; i++ {
-		body := d.SampleContent(i)
-		if err := pfs.Put(d.FilePath(i), body); err != nil {
-			return total, fmt.Errorf("stage %s: %w", d.FilePath(i), err)
-		}
-		total += int64(len(body))
+	workers := min(runtime.GOMAXPROCS(0), d.NumFiles)
+	staged := make([]int64, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < d.NumFiles; i += workers {
+				path := d.FilePath(i)
+				body := d.content(path)
+				if err := pfs.Put(path, body); err != nil {
+					errs[w] = fmt.Errorf("stage %s: %w", path, err)
+					return
+				}
+				staged[w] += int64(len(body))
+			}
+		}(w)
 	}
-	return total, nil
+	wg.Wait()
+	var total int64
+	for _, n := range staged {
+		total += n
+	}
+	return total, errors.Join(errs...)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -144,23 +145,33 @@ func TestSampleContentGolden(t *testing.T) {
 	}
 }
 
+// TestStage: whatever the number of staging goroutines, and with fewer
+// files than goroutines, FilePath(i) holds exactly SampleContent(i) and
+// Stage returns NumFiles × FileBytes.
 func TestStage(t *testing.T) {
-	d := Dataset{Prefix: "s", NumFiles: 8, FileBytes: 64}
-	pfs := storage.NewPFS()
-	n, err := d.Stage(pfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8*64 {
-		t.Errorf("staged %d bytes, want %d", n, 8*64)
-	}
-	objs, b := pfs.Stats()
-	if objs != 8 || b != 8*64 {
-		t.Errorf("pfs stats = %d, %d", objs, b)
-	}
-	got, err := pfs.Get(d.FilePath(3))
-	if err != nil || !bytes.Equal(got, d.SampleContent(3)) {
-		t.Errorf("staged content mismatch: %v", err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, files := range []int{0, 1, 2, 37} {
+			d := Dataset{Prefix: "s", NumFiles: files, FileBytes: 61}
+			pfs := storage.NewPFS()
+			n, err := d.Stage(pfs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(files) * d.FileBytes; n != want {
+				t.Errorf("procs %d, %d files: staged %d bytes, want %d", procs, files, n, want)
+			}
+			if objs, b := pfs.Stats(); objs != files || b != n {
+				t.Errorf("procs %d, %d files: pfs stats = %d, %d", procs, files, objs, b)
+			}
+			for i := 0; i < files; i++ {
+				got, ok := pfs.Peek(d.FilePath(i))
+				if !ok || !bytes.Equal(got, d.SampleContent(i)) {
+					t.Errorf("procs %d, %d files: %s is not SampleContent(%d)", procs, files, d.FilePath(i), i)
+				}
+			}
+		}
 	}
 }
 
