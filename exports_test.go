@@ -43,8 +43,6 @@ var testOnlyExports = map[string]string{
 	"partition.NewMultiHash":                 "ROADMAP item 5: the placement comparison becomes an experiment, or the baselines go",
 	"partition.NewRange":                     "ROADMAP item 5: the placement comparison becomes an experiment, or the baselines go",
 	"storage.NVMeModel.WriteTime":            "ROADMAP item 18: writes cost device time",
-	"telemetry.EventTrace.Seq":               "test helper: marks where the events one action produced begin",
-	"telemetry.EventTrace.Since":             "test helper: reads the events one action produced",
 	"telemetry.Registry.Trace":               "test helper: the registry's event trace, read by the failure-path tests",
 	"trace.SeedIDs":                          "test helper: seeded replay tests make span ids repeatable",
 }

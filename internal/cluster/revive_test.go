@@ -55,7 +55,10 @@ func TestDoubleReviveIdempotent(t *testing.T) {
 
 func TestReviveListenerOrderingInTrace(t *testing.T) {
 	trace := telemetry.Default().Trace()
-	since := trace.Seq()
+	var since uint64 // the last event before this test's
+	if last := trace.Recent(1); len(last) > 0 {
+		since = last[0].Seq
+	}
 	tr := NewTracker([]NodeID{"trace-node-a", "trace-node-b"}, 1)
 	recovered := make(chan NodeID, 1)
 	tr.OnRecovery(func(n NodeID) { recovered <- n })
@@ -76,8 +79,8 @@ func TestReviveListenerOrderingInTrace(t *testing.T) {
 	// revived event: consumers replaying the trace reconstruct membership
 	// and a reordered pair would resurrect a node before it died.
 	var deadSeq, revivedSeq uint64
-	for _, ev := range trace.Since(since) {
-		if ev.Node != "trace-node-a" {
+	for _, ev := range trace.Recent(0) {
+		if ev.Seq <= since || ev.Node != "trace-node-a" {
 			continue
 		}
 		switch ev.Type {

@@ -55,7 +55,10 @@ func TestFailureRecachesWithoutReads(t *testing.T) {
 	if err := c.Fail(victim, FailUnresponsive); err != nil {
 		t.Fatal(err)
 	}
-	since := telemetry.Default().Trace().Seq()
+	var since uint64 // the last event before the declarations
+	if last := telemetry.Default().Trace().Recent(1); len(last) > 0 {
+		since = last[0].Seq
+	}
 	reads0, _, _ := c.PFS().Counters()
 
 	var wg sync.WaitGroup
@@ -108,8 +111,8 @@ func TestFailureRecachesWithoutReads(t *testing.T) {
 
 	plan := ftcache.NewRingRecache(c.Nodes(), 0).PlanRecache(victim, ds.AllPaths())
 	files := map[string]int{}
-	for _, e := range telemetry.Default().Trace().Since(since) {
-		if e.Type != telemetry.EventRecacheComplete || !strings.HasPrefix(e.Detail, string(victim)+" ") {
+	for _, e := range telemetry.Default().Trace().Recent(0) {
+		if e.Seq <= since || e.Type != telemetry.EventRecacheComplete || !strings.HasPrefix(e.Detail, string(victim)+" ") {
 			continue
 		}
 		if _, dup := files[e.Node]; dup {

@@ -66,7 +66,10 @@ func TestFailureEventOrdering(t *testing.T) {
 		t.Fatalf("no file owned by %s", victim)
 	}
 
-	since := telemetry.Default().Trace().Seq()
+	var since uint64 // the last event before the failure
+	if last := telemetry.Default().Trace().Recent(1); len(last) > 0 {
+		since = last[0].Seq
+	}
 	if err := c.Fail(victim, FailUnresponsive); err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +78,10 @@ func TestFailureEventOrdering(t *testing.T) {
 	}
 	c.FlushMovers()
 
-	events := telemetry.Default().Trace().Since(since)
+	events := telemetry.Default().Trace().Recent(0)
 	seqOf := func(typ telemetry.EventType) uint64 {
 		for _, e := range events {
-			if e.Type == typ && (e.Node == string(victim) || typ == telemetry.EventRecacheFileDone) {
+			if e.Seq > since && e.Type == typ && (e.Node == string(victim) || typ == telemetry.EventRecacheFileDone) {
 				return e.Seq
 			}
 		}
@@ -149,7 +152,7 @@ func TestFailureEventOrdering(t *testing.T) {
 	}
 	body := string(raw)
 	for _, want := range []string{
-		"ftc_client_served_nvme_total",
+		"ftc_server_nvme_hits_total",
 		"ftc_server_pfs_fallbacks_total",
 		"ftc_detect_declared_dead_total",
 		"ftc_rpc_roundtrip_seconds_count",

@@ -271,10 +271,8 @@ type Controller struct {
 	failures   atomic.Int64
 	recoveries atomic.Int64
 
-	// lastSignals is the latest tick's aggregate for gauges/debug.
+	// lastSignals is the latest tick's aggregate, for the debug section.
 	lastSignals atomic.Pointer[Signals]
-
-	metrics *policyMetrics
 }
 
 type attachedClient struct {
@@ -294,7 +292,7 @@ func New(cfg Config) *Controller {
 	c := &Controller{cfg: cfg.withDefaults()}
 	c.st.active = ftcache.KindNVMe
 	c.st.lastSwitch = -int64(c.cfg.CooldownTicks) // first switch is never cooldown-blocked
-	c.metrics = newPolicyMetrics(c)
+	attachTelemetry(c)
 	return c
 }
 
@@ -342,7 +340,6 @@ func (c *Controller) recordEscape(from, to ftcache.StrategyKind) {
 	for _, t := range c.targets {
 		t.SwitchTo(to)
 	}
-	c.metrics.switches.Inc()
 }
 
 func (c *Controller) snapshotSignals() Signals {
@@ -431,7 +428,6 @@ func (c *Controller) Tick() {
 	for _, t := range targets {
 		t.SwitchTo(to)
 	}
-	c.metrics.switches.Inc()
 	telemetry.TraceEvent(telemetry.EventPolicySwitch, "", string(from)+"->"+string(to)+" ("+reason+")", c.seq.Load())
 }
 
@@ -456,7 +452,6 @@ func (c *Controller) commit(to ftcache.StrategyKind, reason string, forced bool)
 	for _, t := range targets {
 		t.SwitchTo(to)
 	}
-	c.metrics.switches.Inc()
 }
 
 // gather aggregates one tick's signals across attached clients.

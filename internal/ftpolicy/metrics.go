@@ -9,70 +9,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// current is the controller the process-global metric callbacks read.
-// Registry func-metrics register once per series name (first wins), so
-// the callbacks indirect through this pointer and the newest controller
-// takes over the series — the same latest-wins contract the debug
-// sections use. Tests that build many controllers thus never leak
-// stale gauges.
+// current is the controller the process-global debug section and
+// control action read. They register once, so they indirect through
+// this pointer and the newest controller takes them over — the same
+// latest-wins contract the other debug sections use.
 var current atomic.Pointer[Controller]
 
-// policyMetrics bundles the controller's registry handles.
-type policyMetrics struct {
-	switches *telemetry.Counter
-}
+var registerOnce sync.Once
 
-var (
-	metricsOnce sync.Once
-	metricsInst *policyMetrics
-)
-
-// newPolicyMetrics registers (once) the policy metric series and debug
-// section, points them at c, and returns the shared handles:
-//
-//   - ftc_policy_switches_total — committed strategy switches
-//   - ftc_policy_active{strategy=...} — 1 on the active strategy, 0 off
-//   - ftc_policy_forced — 1 while an operator override pins the policy
-//   - ftc_policy_signal_*— the last tick's aggregated signal snapshot
-//   - /debug/ftcache "policy" section — active strategy, live signals,
-//     and the last decisions with their triggering reasons
-func newPolicyMetrics(c *Controller) *policyMetrics {
+// attachTelemetry points the "policy" /debug/ftcache section (active
+// strategy, live signals, switch count and the last decisions with
+// their reasons, which ftcctl policy reads) and the policy-force control
+// at c, registering both on first use. The policy publishes no series:
+// the section and Switches are the one home of its state.
+func attachTelemetry(c *Controller) {
 	current.Store(c)
-	metricsOnce.Do(func() {
+	registerOnce.Do(func() {
 		r := telemetry.Default()
-		metricsInst = &policyMetrics{
-			switches: r.Counter("ftc_policy_switches_total"),
-		}
-		for _, k := range []ftcache.StrategyKind{ftcache.KindNoFT, ftcache.KindPFS, ftcache.KindNVMe} {
-			kind := k
-			r.GaugeFunc("ftc_policy_active", func() int64 {
-				if cc := current.Load(); cc != nil && cc.Active() == kind {
-					return 1
-				}
-				return 0
-			}, "strategy", string(kind))
-		}
-		r.GaugeFunc("ftc_policy_forced", func() int64 {
-			if cc := current.Load(); cc != nil && cc.Forced() != "" {
-				return 1
-			}
-			return 0
-		})
-		signal := func(name string, pick func(Signals) int64) {
-			r.GaugeFunc(name, func() int64 {
-				if cc := current.Load(); cc != nil {
-					return pick(cc.snapshotSignals())
-				}
-				return 0
-			})
-		}
-		signal("ftc_policy_signal_failures", func(s Signals) int64 { return int64(s.Failures) })
-		signal("ftc_policy_signal_recoveries", func(s Signals) int64 { return int64(s.Recoveries) })
-		signal("ftc_policy_signal_timeouts", func(s Signals) int64 { return int64(s.Timeouts) })
-		signal("ftc_policy_signal_direct_pfs", func(s Signals) int64 { return int64(s.DirectPFS) })
-		signal("ftc_policy_signal_served_pfs", func(s Signals) int64 { return int64(s.ServedPFS) })
-		signal("ftc_policy_signal_failed_down", func(s Signals) int64 { return int64(s.FailedDown) })
-		signal("ftc_policy_signal_pfs_latency_us", func(s Signals) int64 { return int64(s.PFSLatMs * 1000) })
 		r.RegisterDebug("policy", func() any {
 			cc := current.Load()
 			if cc == nil {
@@ -88,7 +41,6 @@ func newPolicyMetrics(c *Controller) *policyMetrics {
 			return cc.Force(ftcache.StrategyKind(arg))
 		})
 	})
-	return metricsInst
 }
 
 // DebugSnapshot is the "policy" /debug/ftcache section: the active

@@ -213,9 +213,8 @@ type Client struct {
 	hinting map[cluster.NodeID]context.CancelFunc
 	hintWG  sync.WaitGroup
 
-	// latency is this client's own read-latency histogram (ns), the
-	// source of Latency(); the process-wide one in cliMetrics aggregates
-	// every client.
+	// latency is this client's read-latency histogram (ns), the source
+	// of Latency().
 	latency telemetry.Histogram
 }
 
@@ -492,7 +491,6 @@ func (c *Client) sendRecache(ctx context.Context, receiver, failed cluster.NodeI
 // the failure listeners when the threshold is crossed.
 func (c *Client) noteTimeout(node cluster.NodeID) {
 	c.timeouts.Add(1)
-	cliMetrics().timeouts.Inc()
 	c.tracker.RecordTimeout(node)
 }
 
@@ -505,7 +503,6 @@ func (c *Client) Read(ctx context.Context, path string) ([]byte, error) {
 // ReadRange returns [offset, offset+length) of path; length < 0 means to
 // EOF.
 func (c *Client) ReadRange(ctx context.Context, path string, offset, length int64) (data []byte, err error) {
-	m := cliMetrics()
 	start := time.Now()
 	// "client.read" is the root of the whole request DAG: every attempt,
 	// coalesced flight, fan-out leg, and server fragment hangs under it.
@@ -513,10 +510,7 @@ func (c *Client) ReadRange(ctx context.Context, path string, offset, length int6
 	ctx, sp := trace.StartTrace(ctx, "client.read")
 	sp.Annotate("path", path)
 	defer func() {
-		elapsed := int64(time.Since(start))
-		m.reads.Inc()
-		m.readLatency.Observe(elapsed)
-		c.latency.Observe(elapsed)
+		c.latency.Observe(int64(time.Since(start)))
 		sp.SetError(err)
 		sp.End()
 	}()
@@ -569,7 +563,6 @@ func (c *Client) readCoalesced(ctx context.Context, path string) ([]byte, error)
 				sp.AnnotateInt("leader_id", int64(leader))
 			}
 			c.coalescedReads.Add(1)
-			cliMetrics().coalesced.Inc()
 		} else {
 			sp.Annotate("role", "leader")
 		}
@@ -598,11 +591,9 @@ func (c *Client) readCoalesced(ctx context.Context, path string) ([]byte, error)
 // first attempt's RPC counts its timeout from it instead of reading the
 // clock again; every later attempt takes a fresh reading.
 func (c *Client) readAttempts(ctx context.Context, path string, offset, length int64, now time.Time) ([]byte, error) {
-	m := cliMetrics()
 	for attempt := 0; attempt < c.tracker.Limit()+8; attempt++ {
 		if attempt == 1 {
 			c.failoverReads.Add(1)
-			m.failovers.Inc()
 		}
 		if attempt > 0 {
 			now = time.Now()
@@ -613,7 +604,7 @@ func (c *Client) readAttempts(ctx context.Context, path string, offset, length i
 		case RoutePFS:
 			return c.readPFS(ctx, path, offset, length)
 		case RouteAbort:
-			m.aborts.Inc()
+			cliMetrics().aborts.Inc()
 			return nil, ErrAborted
 		default:
 			return nil, fmt.Errorf("hvac: unknown routing kind %d", d.Kind)
@@ -639,7 +630,6 @@ func (c *Client) readAttempts(ctx context.Context, path string, offset, length i
 				// overload wall into bounded extra PFS traffic; without one,
 				// re-route (the shed queue drains in milliseconds).
 				c.shedRedirects.Add(1)
-				m.shedRedirects.Inc()
 				if c.cfg.PFS != nil {
 					return c.readPFS(ctx, path, offset, length)
 				}
@@ -653,7 +643,8 @@ func (c *Client) readAttempts(ctx context.Context, path string, offset, length i
 	return nil, fmt.Errorf("%w: %s", ErrExhausted, path)
 }
 
-// readPFS serves a read directly from the parallel filesystem.
+// readPFS serves a read directly from the parallel filesystem, into a
+// copy the caller owns.
 func (c *Client) readPFS(ctx context.Context, path string, offset, length int64) (data []byte, err error) {
 	_, sp := trace.StartSpan(ctx, "pfs.read")
 	defer func() {
@@ -677,9 +668,10 @@ func (c *Client) readPFS(ctx context.Context, path string, offset, length int64)
 		return nil, fmt.Errorf("hvac: range out of bounds for %s", path)
 	}
 	c.directPFS.Add(1)
-	cliMetrics().directPFS.Inc()
 	c.directBytes.Add(int64(len(body)))
-	return body, nil
+	// The PFS's stored slice is shared with every tier that holds the
+	// file (DESIGN §8.2): the caller gets bytes of its own.
+	return slices.Clone(body), nil
 }
 
 // observePFSLatency folds one direct-PFS read latency into the EWMA.
@@ -760,7 +752,6 @@ func (c *Client) readLegs(ctx context.Context, owner cluster.NodeID, path string
 // first other failure (a shed, a server error), which is never evidence.
 // The legs themselves note nothing: that is the attempt loop's call.
 func (c *Client) raceLegs(ctx context.Context, legs []cluster.NodeID, path string, offset, length int64) ([]byte, error, errClass) {
-	m := cliMetrics()
 	// The p2c pick goes first; the rest keep their ring order.
 	first := c.load.Latency.Pick(legs)
 	i := slices.Index(legs, first)
@@ -824,7 +815,6 @@ func (c *Client) raceLegs(ctx context.Context, legs []cluster.NodeID, path strin
 			hedgeC = nil
 			if launched < len(legs) {
 				c.hedgedReads.Add(1)
-				m.hedges.Inc()
 				asp.Annotate("hedge", "fired")
 				launch(true)
 				outstanding++
@@ -836,7 +826,6 @@ func (c *Client) raceLegs(ctx context.Context, legs []cluster.NodeID, path strin
 			case classOK:
 				if r.hedged {
 					c.hedgeWins.Add(1)
-					m.hedgeWins.Inc()
 					asp.Annotate("hedge", "win")
 				}
 				asp.Annotate("winner", string(r.node))
@@ -847,7 +836,6 @@ func (c *Client) raceLegs(ctx context.Context, legs []cluster.NodeID, path strin
 				}
 				if errors.Is(r.err, ErrOverloaded) {
 					c.shedRedirects.Add(1)
-					m.shedRedirects.Inc()
 				}
 				if err == nil || class == classTimeout || class == classConn {
 					err, class = r.err, r.class
@@ -968,17 +956,13 @@ func (c *Client) readReply(sp *trace.Span, node cluster.NodeID, path string, off
 	sp.Annotate("source", sourceName(resp.Source))
 	c.remoteReads.Add(1)
 	c.remoteBytes.Add(int64(len(resp.Data)))
-	m := cliMetrics()
 	switch resp.Source {
 	case SourceRAM:
 		c.servedRAM.Add(1)
-		m.servedRAM.Inc()
 	case SourceNVMe:
 		c.servedNVMe.Add(1)
-		m.servedNVMe.Inc()
 	default:
 		c.servedPFS.Add(1)
-		m.servedPFS.Inc()
 		if c.cfg.ReplicationFactor > 1 && offset == 0 && length < 0 {
 			c.pushCopies(path, resp.Data, c.cfg.Router.Replicas(path, c.cfg.ReplicationFactor), false)
 		}
@@ -1031,14 +1015,13 @@ func (c *Client) pushCopies(path string, data []byte, owners []cluster.NodeID, h
 	if len(owners) < 2 || c.closed.Load() {
 		return
 	}
-	pushes, metric := &c.replicaPushes, cliMetrics().replicaPush
+	pushes := &c.replicaPushes
 	if hot {
-		pushes, metric = &c.hotPushes, cliMetrics().hotPush
+		pushes = &c.hotPushes
 	}
 	for _, node := range owners[1:] {
 		if c.tracker.IsAlive(node) && c.ingest.enqueue(node, path, data, true) == nil {
 			pushes.Add(1)
-			metric.Inc()
 		}
 	}
 }

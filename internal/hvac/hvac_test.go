@@ -142,6 +142,54 @@ func TestReadMissThenHit(t *testing.T) {
 	}
 }
 
+// pfsRouter sends every read straight to the PFS, as the redirection
+// strategy does for a failed node's files.
+type pfsRouter struct{ noPlans }
+
+func (pfsRouter) Name() string              { return "pfs" }
+func (pfsRouter) Route(string) Decision     { return Decision{Kind: RoutePFS} }
+func (pfsRouter) NodeFailed(cluster.NodeID) {}
+
+// TestDirectPFSReadIsTheCallersOwn: after a miss fill the PFS and its
+// NVMe owner hold one stored slice (DESIGN §8.2), so a direct-PFS read
+// must hand the caller a copy: writing into the result changes neither
+// the PFS object nor the cached one.
+func TestDirectPFSReadIsTheCallersOwn(t *testing.T) {
+	const want = "stored-object-bytes"
+	tc := newTestCluster(t, 1)
+	tc.pfs.Put("f", []byte(want))
+	cached := tc.client(staticRouter{node: "node-00"}, time.Second)
+	direct := tc.client(pfsRouter{}, time.Second)
+	ctx := context.Background()
+	if _, err := cached.Read(ctx, "f"); err != nil {
+		t.Fatal(err)
+	}
+	tc.servers["node-00"].Mover().Flush() // the fill stores the PFS's slice
+
+	for _, rng := range [][2]int64{{0, -1}, {7, 6}} {
+		got, err := direct.ReadRange(ctx, "f", rng[0], rng[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			got[i] = 'X'
+		}
+	}
+	if st := direct.Stats(); st.DirectPFS != 2 {
+		t.Fatalf("%d direct PFS reads, want 2: %+v", st.DirectPFS, st)
+	}
+	if got, err := tc.pfs.Get("f"); err != nil || string(got) != want {
+		t.Errorf("PFS object after a caller wrote its read: %q, %v; want %q", got, err, want)
+	}
+	got, err := cached.Read(ctx, "f")
+	if err != nil || string(got) != want {
+		t.Errorf("owner's copy after a caller wrote its read: %q, %v; want %q", got, err, want)
+	}
+	if st := cached.Stats(); st.ServedNVMe != 1 {
+		t.Errorf("the re-read was not an NVMe hit: %+v", st)
+	}
+}
+
 func TestReadRange(t *testing.T) {
 	tc := newTestCluster(t, 1)
 	tc.pfs.Put("f", []byte("0123456789"))

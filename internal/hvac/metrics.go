@@ -7,22 +7,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// clientMetrics are shared by every HVAC client in the process: in a
-// training job each rank runs one client and the aggregate over ranks
-// is the paper-relevant signal (per-client detail stays available via
-// Client.Stats). Handles resolve once; the read path never touches the
-// registry.
+// clientMetrics are the client series that no per-client counter
+// holds, shared by every HVAC client in the process. What a read was
+// served from, how long it took and what it cost in failovers, hedges
+// and pushes lives in each client's ClientStats and Latency, the one
+// home of those counts. Handles resolve once; the read path never
+// touches the registry.
 type clientMetrics struct {
-	reads       *telemetry.Counter   // completed Read/ReadRange calls (any outcome)
-	readLatency *telemetry.Histogram // end-to-end read latency incl. failover
-	servedRAM   *telemetry.Counter   // remote reads served from the owner's RAM tier
-	servedNVMe  *telemetry.Counter   // remote reads served from owner NVMe (cache hit)
-	servedPFS   *telemetry.Counter   // remote reads the server fell back to PFS for (cache miss)
-	directPFS   *telemetry.Counter   // client-side PFS bypass reads (redirection strategy)
-	timeouts    *telemetry.Counter   // detection-timer expiries observed
-	failovers   *telemetry.Counter   // reads that needed more than one attempt
-	replicaPush *telemetry.Counter   // replica writes issued
-	aborts      *telemetry.Counter   // reads terminated by RouteAbort (NoFT)
+	aborts *telemetry.Counter // reads terminated by RouteAbort (NoFT)
 
 	// Retry / rejoin series (zero until a connection fails / Rejoin is used).
 	retries         *telemetry.Counter // conn-class attempts retried with backoff
@@ -38,13 +30,6 @@ type clientMetrics struct {
 	ingestBatchEntries *telemetry.Histogram  // batch size (entries) at seal
 	ingestFlush        [3]*telemetry.Counter // batches sealed, indexed by flush reason
 	ingestErrors       *telemetry.Counter    // objects whose batched delivery failed
-
-	// Load-control series (all zero unless ClientConfig.LoadControl set).
-	coalesced     *telemetry.Counter // reads served by joining another caller's flight
-	hedges        *telemetry.Counter // hedge legs launched
-	hedgeWins     *telemetry.Counter // reads won by the hedged leg
-	hotPush       *telemetry.Counter // hot-object replica pushes issued
-	shedRedirects *telemetry.Counter // overload sheds redirected to replica/PFS
 }
 
 var (
@@ -56,16 +41,7 @@ func cliMetrics() *clientMetrics {
 	cliMetricsOnce.Do(func() {
 		reg := telemetry.Default()
 		cliMetricsInst = &clientMetrics{
-			reads:       reg.Counter("ftc_client_reads_total"),
-			readLatency: reg.Histogram("ftc_client_read_latency_seconds"),
-			servedRAM:   reg.Counter("ftc_client_served_ram_total"),
-			servedNVMe:  reg.Counter("ftc_client_served_nvme_total"),
-			servedPFS:   reg.Counter("ftc_client_served_pfs_total"),
-			directPFS:   reg.Counter("ftc_client_direct_pfs_total"),
-			timeouts:    reg.Counter("ftc_client_timeouts_total"),
-			failovers:   reg.Counter("ftc_client_failover_reads_total"),
-			replicaPush: reg.Counter("ftc_client_replica_pushes_total"),
-			aborts:      reg.Counter("ftc_client_aborts_total"),
+			aborts: reg.Counter("ftc_client_aborts_total"),
 
 			retries:         reg.Counter("ftc_client_retry_attempts_total"),
 			retryExhausted:  reg.Counter("ftc_client_retry_exhausted_total"),
@@ -82,34 +58,7 @@ func cliMetrics() *clientMetrics {
 				flushReasonSync: reg.Counter("ftc_client_ingest_flush_sync_total"),
 			},
 			ingestErrors: reg.Counter("ftc_client_ingest_errors_total"),
-
-			coalesced:     reg.Counter("ftc_client_coalesced_reads_total"),
-			hedges:        reg.Counter("ftc_client_hedged_reads_total"),
-			hedgeWins:     reg.Counter("ftc_client_hedge_wins_total"),
-			hotPush:       reg.Counter("ftc_client_hot_pushes_total"),
-			shedRedirects: reg.Counter("ftc_client_shed_redirects_total"),
 		}
-		m := cliMetricsInst
-		reg.RegisterDebug("ingest", func() any {
-			return map[string]any{
-				"entries":     m.ingestEntries.Load(),
-				"batches":     m.ingestBatches.Load(),
-				"flush_size":  m.ingestFlush[flushReasonSize].Load(),
-				"flush_age":   m.ingestFlush[flushReasonAge].Load(),
-				"flush_sync":  m.ingestFlush[flushReasonSync].Load(),
-				"errors":      m.ingestErrors.Load(),
-				"batch_sizes": m.ingestBatchEntries.Snapshot(),
-			}
-		})
-		reg.RegisterDebug("rejoin", func() any {
-			return map[string]any{
-				"retry_attempts":    m.retries.Load(),
-				"retry_exhausted":   m.retryExhausted.Load(),
-				"rejoins":           m.rejoins.Load(),
-				"rejoin_warm_files": m.rejoinWarmFiles.Load(),
-				"rejoin_warm_bytes": m.rejoinWarmBytes.Load(),
-			}
-		})
 	})
 	return cliMetricsInst
 }
@@ -165,39 +114,25 @@ func (s *Server) registerTelemetry() {
 	reg.RegisterDebug("server:"+node, s.debugSnapshot)
 }
 
-// debugSnapshot is this server's section of /debug/ftcache.
+// debugSnapshot is this server's section of /debug/ftcache: the state
+// that no ftc_server_* series carries (the per-shard bytes, the last
+// fill error, the unresponsive switch, the admission limit and its
+// lifetime admitted/queued counts) and the tier rows ftcctl tiers reads.
 func (s *Server) debugSnapshot() any {
 	nvme := s.nvme.Snapshot()
-	enq, drop := s.mover.Counters()
-	fillErrs, lastErr := s.mover.FillStats()
+	_, lastErr := s.mover.FillStats()
 	snap := map[string]any{
 		"node":            string(s.cfg.Node),
-		"nvme_objects":    nvme.Objects,
-		"nvme_bytes":      nvme.Bytes,
-		"nvme_capacity":   nvme.Capacity,
-		"nvme_hits":       nvme.Hits,
-		"nvme_misses":     nvme.Misses,
-		"nvme_evictions":  nvme.Evictions,
-		"nvme_spills":     nvme.Spills,
 		"shard_bytes":     nvme.ShardBytes,
-		"pfs_fallbacks":   s.pfsFallbacks.Load(),
-		"fills_enqueued":  enq,
-		"fills_dropped":   drop,
-		"fill_errors":     fillErrs,
 		"last_fill_error": lastErr,
-		"batch_puts":      s.batchPuts.Load(),
-		"batch_entries":   s.batchEntries.Load(),
-		"batch_sheds":     s.batchSheds.Load(),
 		"unresponsive":    s.Unresponsive(),
 	}
 	if s.limiter != nil {
-		admitted, queued, shed := s.limiter.Stats()
+		admitted, queued, _ := s.limiter.Stats()
 		snap["admission"] = map[string]any{
 			"limit":    s.cfg.AdmissionLimit,
-			"inflight": s.limiter.Inflight(),
 			"admitted": admitted,
 			"queued":   queued,
-			"shed":     shed,
 		}
 	}
 	snap["tiers"] = s.tierSnapshot(nvme)

@@ -148,7 +148,10 @@ func TestMoverTracesOnlyMissFills(t *testing.T) {
 	c := tc.ingestClient(staticRouter{node: "node-00"}, nil, 0)
 	srv := tc.servers["node-00"]
 	trace := telemetry.Default().Trace()
-	seq := trace.Seq()
+	var seq uint64 // the last event before this test's
+	if last := trace.Recent(1); len(last) > 0 {
+		seq = last[0].Seq
+	}
 	declare(c.Tracker(), "node-01")
 	for i := 0; i < 2000; i++ {
 		if err := c.PutAsync(fmt.Sprintf("put/%04d", i), []byte("p")); err != nil {
@@ -164,7 +167,10 @@ func TestMoverTracesOnlyMissFills(t *testing.T) {
 	}
 	declared := false
 	var fills []string
-	for _, e := range trace.Since(seq) {
+	for _, e := range trace.Recent(0) {
+		if e.Seq <= seq {
+			continue
+		}
 		declared = declared || e.Type == telemetry.EventNodeDead && e.Node == "node-01"
 		if e.Type == telemetry.EventRecacheFileDone && e.Node == "node-00" {
 			fills = append(fills, e.Detail)

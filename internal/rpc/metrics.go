@@ -51,21 +51,6 @@ func metrics() *rpcMetrics {
 			serverCoalesced: reg.Counter("ftc_rpc_server_coalesced_frames_total"),
 			respDropped:     reg.Counter("ftc_rpc_resp_write_errors_total"),
 		}
-		m := metricsInst
-		reg.RegisterDebug("rpc", func() any {
-			return map[string]any{
-				"calls":                   m.calls.Load(),
-				"timeouts":                m.timeouts.Load(),
-				"failures":                m.failures.Load(),
-				"responses_dropped":       m.respDropped.Load(),
-				"client_flushes":          m.clientFlushes.Load(),
-				"client_frames":           m.clientFrames.Load(),
-				"client_coalesced_frames": m.clientCoalesced.Load(),
-				"server_flushes":          m.serverFlushes.Load(),
-				"server_frames":           m.serverFrames.Load(),
-				"server_coalesced_frames": m.serverCoalesced.Load(),
-			}
-		})
 	})
 	return metricsInst
 }

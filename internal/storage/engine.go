@@ -97,15 +97,6 @@ var (
 
 func init() {
 	engine.poke = make(chan struct{}, 1)
-	telemetry.Default().RegisterDebug("device", func() any {
-		o := waitOvershoot.Snapshot()
-		return map[string]any{
-			"waits":            o.Count,
-			"overshoot_p50_ns": o.Quantile(0.5),
-			"overshoot_p99_ns": o.Quantile(0.99),
-			"engine_busy_ns":   engineBusy.Load(),
-		}
-	})
 }
 
 // Wait blocks the caller for d, to the accuracy of the engine rather

@@ -141,50 +141,20 @@ func (t *EventTrace) Emit(typ EventType, node, detail string, value int64) {
 	t.mu.Unlock()
 }
 
-// Seq returns the sequence number of the most recently emitted event
-// (0 before any). Record it before an action, then pass it to Since to
-// read only the events that action produced.
-func (t *EventTrace) Seq() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
-}
-
-// Since returns retained events with Seq > seq, oldest first.
-func (t *EventTrace) Since(seq uint64) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.copyLocked(seq, len(t.buf))
-}
-
-// Recent returns up to max retained events, oldest first.
+// Recent returns up to max retained events, oldest first (max <= 0:
+// every retained event). A caller that wants the events one action
+// produced keeps the Seq of Recent(1)'s event from before the action
+// and filters on Event.Seq.
 func (t *EventTrace) Recent(max int) []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if max <= 0 || max > len(t.buf) {
-		max = len(t.buf)
-	}
-	lo := uint64(0)
-	if t.next > uint64(max) {
-		lo = t.next - uint64(max)
-	}
-	return t.copyLocked(lo, max)
-}
-
-// copyLocked gathers retained events with Seq > seq (capped at max).
-func (t *EventTrace) copyLocked(seq uint64, max int) []Event {
 	cap64 := uint64(len(t.buf))
-	lo := seq
-	if t.next > cap64 && lo < t.next-cap64 {
-		lo = t.next - cap64 // older entries were overwritten
-	}
-	n := int(t.next - lo)
-	if n > max {
-		lo = t.next - uint64(max)
-		n = max
+	n := min(t.next, cap64)
+	if max > 0 && uint64(max) < n {
+		n = uint64(max)
 	}
 	out := make([]Event, 0, n)
-	for s := lo + 1; s <= t.next; s++ {
+	for s := t.next - n + 1; s <= t.next; s++ {
 		out = append(out, t.buf[(s-1)%cap64])
 	}
 	return out

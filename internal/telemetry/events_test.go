@@ -2,15 +2,23 @@ package telemetry
 
 import "testing"
 
+// TestEventTraceOrderAndSince reads the events emitted since a mark,
+// the Seq of the last event before them, in emission order.
 func TestEventTraceOrderAndSince(t *testing.T) {
 	tr := NewEventTrace(8)
-	base := tr.Seq()
+	tr.Emit(EventPFSFallback, "n1", "", 0)
+	base := tr.Recent(1)[0].Seq
 	tr.Emit(EventNodeSuspected, "n0", "", 0)
 	tr.Emit(EventNodeDead, "n0", "", 42)
 	tr.Emit(EventRecachePlanned, "n0", "", 10)
-	got := tr.Since(base)
+	var got []Event
+	for _, e := range tr.Recent(0) {
+		if e.Seq > base {
+			got = append(got, e)
+		}
+	}
 	if len(got) != 3 {
-		t.Fatalf("Since returned %d events, want 3", len(got))
+		t.Fatalf("%d events since the mark, want 3", len(got))
 	}
 	wantTypes := []EventType{EventNodeSuspected, EventNodeDead, EventRecachePlanned}
 	for i, e := range got {
@@ -40,14 +48,15 @@ func TestEventTraceBounded(t *testing.T) {
 			t.Fatalf("retained event %d value = %d, want %d", i, e.Value, 6+i)
 		}
 	}
-	// Since a sequence point that was overwritten returns only what is
-	// still retained.
-	if got := tr.Since(1); len(got) != 4 {
-		t.Fatalf("Since(1) returned %d events, want 4", len(got))
+	// Recent(0) is everything retained; a smaller max keeps the newest.
+	if got := tr.Recent(0); len(got) != 4 || got[0].Seq != 7 {
+		t.Fatalf("Recent(0) = %+v, want the 4 events from seq 7", got)
 	}
-	// Since the current head returns nothing.
-	if got := tr.Since(tr.Seq()); len(got) != 0 {
-		t.Fatalf("Since(head) returned %d events, want 0", len(got))
+	if got := tr.Recent(1); len(got) != 1 || got[0].Seq != 10 {
+		t.Fatalf("Recent(1) = %+v, want the event of seq 10", got)
+	}
+	if got := NewEventTrace(4).Recent(1); len(got) != 0 {
+		t.Fatalf("Recent(1) of an empty trace returned %d events", len(got))
 	}
 }
 

@@ -7,8 +7,9 @@
 //
 // Primitives:
 //
-//   - Counter / Gauge: single atomic words. Incrementing costs the same
-//     as the ad-hoc atomic stats counters the repo already kept.
+//   - Counter / Gauge: single atomic words, for facts no component
+//     already counts for its own reader (those surface through
+//     CounterFunc, or not at all).
 //   - Histogram (histogram.go): striped, lock-free, fixed log-scale
 //     buckets — Observe is one atomic add into a stripe picked from the
 //     caller's stack address, so concurrent observers do not share a
@@ -29,7 +30,8 @@
 //
 // A process-wide Default registry wires the whole stack together: every
 // instrumented layer publishes into it, ftcserver serves it over HTTP
-// (http.go), and the benchmark suite (bench/) reads it after each run.
+// (http.go), and the benchmark suite (bench/) reads its rpc flush
+// series after each run.
 // Tests that need isolation construct private registries.
 package telemetry
 
@@ -247,8 +249,10 @@ func TraceEvent(typ EventType, node, detail string, value int64) {
 }
 
 // RegisterDebug attaches a named section provider to the /debug/ftcache
-// snapshot. fn is evaluated at snapshot time and must be goroutine-safe
-// and lock-light. Re-registering a name replaces the provider (latest
+// snapshot. A section holds state that no series carries (membership,
+// a last error, a decision log); counts belong on /metrics. fn is
+// evaluated at snapshot time and must be goroutine-safe and
+// lock-light. Re-registering a name replaces the provider (latest
 // wins).
 func (r *Registry) RegisterDebug(name string, fn func() any) {
 	r.debugMu.Lock()

@@ -13,7 +13,11 @@
 # with their split per analyzer, and the config fields: the exported
 # fields of every struct type whose name ends in Config, each name of a
 # grouped declaration (A, B int) counted once. The config fields are in the same non-test file set as
-# the first line. Hidden directories such as .bench_build are skipped.
+# the first line. The telemetry lines count the distinct ftc_* series
+# names that non-test code quotes (a name is quoted only to register or
+# read its series) and the non-test RegisterDebug call sites, one per
+# /debug/ftcache section. Hidden directories such as .bench_build are
+# skipped.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -62,9 +66,14 @@ in_cfg {
 }
 END { print count + 0 }')
 
+series=$(gofiles . | grep -v '_test\.go$' | xargs -r grep -ho '"ftc_[a-z0-9_]*"' | sort -u | grep -c . || true)
+sections=$(gofiles . | grep -v '_test\.go$' | xargs -r grep -h '\.RegisterDebug(' | grep -c . || true)
+
 printf 'non-test Go lines      %6d\n' "$nontest"
 printf 'test Go lines          %6d\n' "$tests"
 printf 'placement group lines  %6d  (%s)\n' "$placement" "${group# }"
 printf 'analyzer suite lines   %6d  (internal/analysis cmd/ftclint)\n' "$suite"
 printf 'product ftclint:ignore %6d  (%s)\n' "$ignores" "$split"
 printf 'config fields          %6d\n' "$fields"
+printf 'telemetry series       %6d\n' "$series"
+printf 'debug sections         %6d\n' "$sections"
