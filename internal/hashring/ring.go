@@ -19,6 +19,7 @@
 package hashring
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -314,7 +315,6 @@ func (r *Ring) Owners(key string, n int) ([]NodeID, bool) {
 	if start == len(pts) {
 		start = 0
 	}
-	seen := make(map[NodeID]struct{}, n)
 	out := make([]NodeID, 0, n)
 	// Walk with an explicit index reset at the wrap instead of a modulo
 	// per step: one predictable branch, not an integer division.
@@ -325,11 +325,9 @@ func (r *Ring) Owners(key string, n int) ([]NodeID, bool) {
 		if i == len(pts) {
 			i = 0
 		}
-		if _, dup := seen[p.node]; dup {
-			continue
+		if !slices.Contains(out, p.node) { // n is a handful: a scan beats a set
+			out = append(out, p.node)
 		}
-		seen[p.node] = struct{}{}
-		out = append(out, p.node)
 	}
 	return out, true
 }

@@ -704,26 +704,20 @@ const (
 	classCtx              // the caller's context ended
 )
 
-// readLegs is the legs stage. A read's legs are normally [owner]; with
-// load control, a sketch-hot key's are the live Router.Replicas set,
-// raced by raceLegs, and a won whole-file race pushes the object to the
-// owner's successors once per ring epoch. One leg runs inline: no
-// goroutine, slice or allocation. Under load control every reply feeds
-// the p2c latency estimate, and single-leg successes the hedge's p99
-// (raced legs finish near the hedge delay by construction and would
-// ratchet it downward).
+// readLegs is the legs stage. A read's legs are normally [owner], read
+// inline; with load control, a sketch-hot key's are the live
+// Router.Replicas set, raced by raceLegs, and a won whole-file race
+// pushes the object to the owner's successors once per ring epoch. Under
+// load control every reply feeds the p2c latency estimate, and
+// single-leg successes the hedge's p99 (raced legs finish near the hedge
+// delay by construction and would ratchet it downward).
 func (c *Client) readLegs(ctx context.Context, owner cluster.NodeID, path string, offset, length int64, now time.Time) ([]byte, error, errClass) {
 	if c.load == nil {
 		return c.readNode(ctx, owner, path, offset, length, now)
 	}
 	if c.load.Sketch.Touch(path) {
 		owners := c.cfg.Router.Replicas(path, 1+c.load.Replicas())
-		legs := make([]cluster.NodeID, 0, len(owners))
-		for _, n := range owners {
-			if c.tracker.IsAlive(n) {
-				legs = append(legs, n)
-			}
-		}
+		legs := slices.DeleteFunc(slices.Clone(owners), func(n cluster.NodeID) bool { return !c.tracker.IsAlive(n) })
 		if len(legs) > 1 {
 			data, err, class := c.raceLegs(ctx, legs, path, offset, length)
 			if class == classOK && offset == 0 && length < 0 && c.load.MarkPushed(path) {
@@ -744,13 +738,12 @@ func (c *Client) readLegs(ctx context.Context, owner cluster.NodeID, path string
 	return data, err, class
 }
 
-// raceLegs races a hot read over legs. The p2c pick over observed
-// latency launches first; the hedge timer or a failed leg launches the
-// next. The first success wins and cancels the rest; ErrNotFound is
-// definitive. When every leg fails, the race fails timeout- or
-// conn-class only if every leg failed that way; otherwise it returns the
-// first other failure (a shed, a server error), which is never evidence.
-// The legs themselves note nothing: that is the attempt loop's call.
+// raceLegs races a hot read over legs: the p2c pick inline on the
+// caller's goroutine like a single leg, each later leg on a goroutine the
+// hedge timer or a failed leg starts. The first success wins; ErrNotFound
+// is definitive. If every leg fails, the race fails timeout- or
+// conn-class only if every leg failed that way, else with the first other
+// failure (a shed, a server error). Evidence is the attempt loop's call.
 func (c *Client) raceLegs(ctx context.Context, legs []cluster.NodeID, path string, offset, length int64) ([]byte, error, errClass) {
 	// The p2c pick goes first; the rest keep their ring order.
 	first := c.load.Latency.Pick(legs)
@@ -758,103 +751,160 @@ func (c *Client) raceLegs(ctx context.Context, legs []cluster.NodeID, path strin
 	copy(legs[1:i+1], legs[:i])
 	legs[0] = first
 
-	// asp is the enclosing read.attempt span; raceLegs runs on the
-	// goroutine that created it, so annotating it here is race-free.
-	// Leg goroutines get their own child spans instead — a losing leg
-	// that outlives the root is simply dropped at End.
-	asp := trace.FromContext(ctx)
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type legResult struct {
-		node   cluster.NodeID
-		data   []byte
-		err    error
-		class  errClass
-		hedged bool
+	r := racePool.Get().(*race)
+	*r = race{Context: ctx, c: c, legs: legs, path: path, offset: offset, length: length, launched: 1, timer: r.timer, done: r.done, wake: nop}
+	delay, armed := c.load.Hedge.Delay()
+	if armed {
+		r.timer.Reset(delay)
 	}
-	// Buffered to the race width: losing legs complete into the buffer
-	// after we return and their goroutines exit — no leak.
-	results := make(chan legResult, len(legs))
-	launched := 0
-	launch := func(hedged bool) {
-		node := legs[launched]
-		launched++
-		go func() {
-			lctx, lsp := trace.StartSpan(raceCtx, "read.leg")
-			lsp.Annotate("node", string(node))
-			if hedged {
-				lsp.Annotate("hedged", "true")
-			}
-			t0 := time.Now()
-			data, err, class := c.readNode(lctx, node, path, offset, length, t0)
-			if class == classOK || class == classApp {
-				c.load.Latency.Observe(node, time.Since(t0))
-			}
-			lsp.SetError(err)
-			lsp.End()
-			results <- legResult{node: node, data: data, err: err, class: class, hedged: hedged}
-		}()
+	if ctx.Done() != nil { // the caller's end decides the race
+		defer context.AfterFunc(ctx, func() { r.settle("", nil, ctx.Err(), classCtx, false) })()
 	}
-	launch(false)
-
-	var hedgeC <-chan time.Time
-	if delay, ok := c.load.Hedge.Delay(); ok {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		hedgeC = t.C
+	if !r.leg(r, first, false) {
+		<-r.Done() // a goroutine leg decides
 	}
+	data, err, class, solo := r.data, r.err, r.class, r.launched == 1
+	stopped := !armed || r.timer.Stop()
+	// Nothing else holds a race its inline leg ran alone, hedge unfired,
+	// under a ctx that cannot end and without a span (whose ctx wraps r).
+	if solo && stopped && ctx.Done() == nil && trace.FromContext(ctx) == nil {
+		*r = race{timer: r.timer, done: r.done}
+		racePool.Put(r)
+	}
+	return data, err, class
+}
 
-	var err error
-	class := classOK
-	for outstanding := 1; ; {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err(), classCtx
+// race is one raceLegs call and its inline leg's context: Done and Err
+// say the race is decided, and the leg's rpc read hands its interrupt to
+// AfterFunc. One its inline leg decides alone returns to racePool with
+// its timer and Done, allocating nothing. Goroutine legs use legCtx.
+type race struct {
+	context.Context // the attempt's: Deadline and Value
+	c               *Client
+	legs            []cluster.NodeID
+	path            string
+	offset, length  int64
+	timer           *time.Timer   // the hedge's; stopped in the pool
+	done            chan struct{} // closed when decided, unless by the inline leg alone
 
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < len(legs) {
-				c.hedgedReads.Add(1)
-				asp.Annotate("hedge", "fired")
-				launch(true)
-				outstanding++
-			}
+	mu               sync.Mutex
+	launched, failed int
+	over             bool   // decided: data, err and class are final
+	wake             func() // the inline leg's rpc read interrupt, or nop
+	data             []byte
+	err              error
+	class            errClass
+}
 
-		case r := <-results:
-			outstanding--
-			switch r.class {
-			case classOK:
-				if r.hedged {
-					c.hedgeWins.Add(1)
-					asp.Annotate("hedge", "win")
-				}
-				asp.Annotate("winner", string(r.node))
-				return r.data, nil, classOK
-			case classApp, classCtx:
-				if errors.Is(r.err, ErrNotFound) {
-					return nil, r.err, classApp
-				}
-				if errors.Is(r.err, ErrOverloaded) {
-					c.shedRedirects.Add(1)
-				}
-				if err == nil || class == classTimeout || class == classConn {
-					err, class = r.err, r.class
-				}
-			case classTimeout, classConn:
-				if err == nil {
-					err, class = r.err, r.class
-				}
-			}
-			// A failed leg is an immediate go-signal for the next one —
-			// no point waiting for the hedge timer.
-			if launched < len(legs) {
-				launch(r.hedged)
-				outstanding++
-			} else if outstanding == 0 {
-				return nil, err, class
-			}
+var racePool = sync.Pool{New: func() any {
+	r := &race{done: make(chan struct{})}
+	r.timer = time.AfterFunc(time.Hour, func() { // the hedge
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if !r.over && r.launched < len(r.legs) {
+			r.launched++
+			r.c.hedgedReads.Add(1)
+			trace.FromContext(r).Annotate("hedge", "fired")
+			go r.leg(legCtx{r}, r.legs[r.launched-1], true)
 		}
+	})
+	r.timer.Stop()
+	return r
+}}
+
+// legCtx hides race.AfterFunc, whose one slot is the inline leg's.
+type legCtx struct{ context.Context }
+
+func (r *race) Done() <-chan struct{} { return r.done }
+
+func (r *race) Err() error {
+	select {
+	case <-r.done:
+		return context.Canceled
+	default:
+		return nil
 	}
+}
+
+// AfterFunc has f, the inline leg's rpc read interrupt, run when the race
+// is decided first. Run between reads, f only has the next reader read on.
+func (r *race) AfterFunc(f func()) (stop func() bool) {
+	r.mu.Lock()
+	r.wake = f
+	over := r.over
+	r.mu.Unlock()
+	if over {
+		f()
+	}
+	return func() bool { return false }
+}
+
+// settle folds an outcome into the race and reports whether it is
+// decided: by a leg's success or ErrNotFound, by the caller's ctx ending
+// (no node), or by the last leg's failure, with the failure that counts;
+// an earlier failure starts the next leg at once. Deciding closes Done
+// and interrupts the inline leg's read. Until then, and only under r.mu,
+// legs annotate the read.attempt span.
+func (r *race) settle(node cluster.NodeID, data []byte, err error, class errClass, hedged bool) bool {
+	wake := nop
+	defer func() { wake() }() // after the unlock
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.over {
+		return true
+	}
+	if node == r.legs[0] {
+		r.wake = nop // the inline leg's read is over
+	}
+	if class != classOK && node != "" && !errors.Is(err, ErrNotFound) {
+		if errors.Is(err, ErrOverloaded) {
+			r.c.shedRedirects.Add(1)
+		}
+		if r.err == nil || (r.class == classTimeout || r.class == classConn) && class != classTimeout && class != classConn {
+			r.err, r.class = err, class
+		}
+		if r.failed++; r.failed < len(r.legs) {
+			if r.launched < len(r.legs) {
+				r.launched++
+				go r.leg(legCtx{r}, r.legs[r.launched-1], hedged)
+			}
+			return false
+		}
+		err, class = r.err, r.class
+	} else if class == classOK {
+		asp := trace.FromContext(r)
+		if hedged {
+			r.c.hedgeWins.Add(1)
+			asp.Annotate("hedge", "win")
+		}
+		asp.Annotate("winner", string(node))
+	}
+	r.over = true
+	r.data, r.err, r.class = data, err, class
+	if r.launched > 1 || node != r.legs[0] { // someone may wait on Done
+		close(r.done)
+	}
+	wake = r.wake
+	return true
+}
+
+func nop() {}
+
+// leg reads from node under ctx, feeds p2c any reply, and settles.
+func (r *race) leg(ctx context.Context, node cluster.NodeID, hedged bool) bool {
+	lctx, lsp := trace.StartSpan(ctx, "read.leg")
+	lsp.Annotate("node", string(node))
+	if hedged {
+		lsp.Annotate("hedged", "true")
+	}
+	t0 := time.Now()
+	data, err, class := r.c.readNode(lctx, node, r.path, r.offset, r.length, t0)
+	if class == classOK || class == classApp {
+		r.c.load.Latency.Observe(node, time.Since(t0))
+	}
+	lsp.SetError(err)
+	lsp.End()
+	return r.settle(node, data, err, class, hedged)
 }
 
 // readNode is the node-read stage: one read of path from node, with

@@ -293,6 +293,72 @@ func TestLoadctlFanoutUnresponsiveOwner(t *testing.T) {
 	}
 }
 
+// TestLoadctlHedgeBeatsUnresponsiveFirstLeg: once the hedge estimator
+// is warm, a hot read whose first leg goes to a node that stopped
+// answering is served by the hedged leg at the hedge delay, well before
+// RPCTimeout. The winner interrupts the first leg, which is neither a
+// timeout nor evidence, and no leg's goroutine outlives the read.
+func TestLoadctlHedgeBeatsUnresponsiveFirstLeg(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	tc := newLoadctlCluster(t, 2, ServerConfig{})
+	body := []byte("hot-payload")
+	for _, n := range tc.nodes {
+		tc.servers[n].NVMe().Put("data/hot", body)
+	}
+	const rpcTimeout = 5 * time.Second
+	c := tc.client(ClientConfig{
+		Router:       newReplRouter(tc.nodes),
+		RPCTimeout:   rpcTimeout,
+		TimeoutLimit: 1, // one noted timeout would declare the node dead
+		LoadControl:  &loadctl.Config{SampleRate: 1, Replicas: 1},
+	})
+	ctx := context.Background()
+	// Single-leg reads of cold keys warm the hedge estimator; then the
+	// hot key takes the traffic.
+	for i := 0; i < 512; i++ {
+		p := fmt.Sprintf("data/cold%d", i)
+		tc.servers["node-00"].NVMe().Put(p, body)
+		if _, err := c.Read(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		if _, err := c.Read(ctx, "data/hot"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delay, ok := c.load.Hedge.Delay()
+	if !ok || !c.load.Sketch.IsHot("data/hot") {
+		t.Fatalf("hedge ready %v, hot %v; want both", ok, c.load.Sketch.IsHot("data/hot"))
+	}
+	// p2c sends the first leg to the node with the lower latency
+	// estimate: node-00, once node-01 looks an hour slow.
+	for range 32 {
+		c.load.Latency.Observe("node-01", time.Hour)
+	}
+	before := c.Stats()
+	tc.servers["node-00"].SetUnresponsive(true)
+	start := time.Now()
+	data, err := c.Read(ctx, "data/hot")
+	took := time.Since(start)
+	if err != nil || string(data) != string(body) {
+		t.Fatalf("read with the first leg unresponsive: %q, %v", data, err)
+	}
+	t.Logf("hedge delay %v, read %v", delay, took)
+	if took > rpcTimeout/5 {
+		t.Errorf("read took %v; the hedge (delay %v) should answer well before RPCTimeout %v", took, delay, rpcTimeout)
+	}
+	st := c.Stats()
+	if st.HedgedReads-before.HedgedReads != 1 || st.HedgeWins-before.HedgeWins != 1 {
+		t.Errorf("hedged reads +%d, hedge wins +%d; want +1 each",
+			st.HedgedReads-before.HedgedReads, st.HedgeWins-before.HedgeWins)
+	}
+	if st.Timeouts != 0 || !c.Tracker().IsAlive("node-00") {
+		t.Errorf("the interrupted first leg was taken as evidence: %d timeouts, node-00 alive %v",
+			st.Timeouts, c.Tracker().IsAlive("node-00"))
+	}
+}
+
 // TestLoadctlOverloadShedIsNotFailureEvidence saturates a server whose
 // admission limiter sheds aggressively: every shed must surface as an
 // explicit redirect (served via PFS), never as failure evidence — the
@@ -421,6 +487,12 @@ func TestHotReplicaSetUnreachableFailsOver(t *testing.T) {
 			}
 			if !c.load.Sketch.IsHot("data/hot") {
 				t.Fatal("key not flagged hot after warmup")
+			}
+			// The won race's hot push rides an async put batch, which
+			// holds an admission slot while a server stores it: land it
+			// before the fault takes the slots.
+			if err := c.Flush(ctx); err != nil {
+				t.Fatal(err)
 			}
 
 			tt.fault(t, tc)

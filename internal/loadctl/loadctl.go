@@ -113,8 +113,12 @@ func New(cfg Config, nodes []cluster.NodeID) *Controller {
 func (c *Controller) Replicas() int { return c.cfg.Replicas }
 
 // MarkPushed records the replica fan-out of key; it returns true only
-// for the first caller, making the push idempotent per ring epoch.
+// for the first caller, making the push idempotent per ring epoch. A
+// pushed key costs a Load, which unlike LoadOrStore boxes nothing.
 func (c *Controller) MarkPushed(key string) bool {
+	if _, ok := c.pushed.Load(key); ok {
+		return false
+	}
 	_, loaded := c.pushed.LoadOrStore(key, struct{}{})
 	return !loaded
 }

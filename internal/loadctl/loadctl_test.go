@@ -175,9 +175,35 @@ func TestControllerMarkPushedAndInvalidate(t *testing.T) {
 	if c.MarkPushed("k") {
 		t.Fatal("second MarkPushed returned true")
 	}
+	// Every won whole-file race on a hot key asks again: a pushed key
+	// answers from a Load, which allocates nothing.
+	key := string([]byte("data/hot"))
+	c.MarkPushed(key)
+	if n := testing.AllocsPerRun(100, func() { c.MarkPushed(key) }); n != 0 {
+		t.Errorf("MarkPushed on a pushed key: %v allocs, want 0", n)
+	}
 	c.InvalidateReplicas()
 	if !c.MarkPushed("k") {
 		t.Fatal("MarkPushed after invalidation returned false")
+	}
+	// Racing first callers: exactly one is told to push.
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	firsts := 0
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c.MarkPushed("race") {
+				mu.Lock()
+				firsts++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if firsts != 1 {
+		t.Errorf("%d racing callers were first to push, want 1", firsts)
 	}
 	snap := c.DebugSnapshot()
 	if _, ok := snap["top_keys"]; !ok {

@@ -422,16 +422,27 @@ type Client struct {
 	// watched is the flush expire last saw in flight with an overdue call
 	// still inside the writer; zero (no flush has that ordinal) otherwise.
 	watched uint64
+	// interrupt wakes whoever reads, ending a reading caller's wait when
+	// its ctx ends; fired late, it only has the next reader read on.
+	interrupt func()
 }
 
 // NewClient wraps an established connection. It starts no goroutine.
 func NewClient(conn net.Conn) *Client {
-	return &Client{
+	c := &Client{
 		conn:    conn,
 		cw:      wire.NewCoalescedWriter(conn, clientFlushObserver(metrics())),
 		fr:      wire.NewFrameReader(conn, 0),
 		pending: make(map[uint64]*pendingCall),
 	}
+	c.interrupt = func() {
+		c.mu.Lock()
+		if c.reader != nil {
+			c.interruptLocked()
+		}
+		c.mu.Unlock()
+	}
+	return c
 }
 
 // failAll marks the connection failed with err (the first error wins),
@@ -486,16 +497,6 @@ func (c *Client) uninterruptLocked() {
 		c.interrupted = false
 		_ = c.conn.SetReadDeadline(time.Time{})
 	}
-}
-
-// interrupt wakes p's read, if p is the reader: how a reading caller's
-// ctx ends its wait.
-func (c *Client) interrupt(p *pendingCall) {
-	c.mu.Lock()
-	if c.reader == p {
-		c.interruptLocked()
-	}
-	c.mu.Unlock()
 }
 
 // handoffLocked gives the reading role to one written call still in the
@@ -699,6 +700,11 @@ func (c *Client) call(ctx context.Context, op uint16, payload []byte, deadline t
 	return c.wait(ctx, id, p)
 }
 
+// afterFuncer is a ctx with the method context.AfterFunc looks for.
+type afterFuncer interface {
+	AfterFunc(func()) (stop func() bool)
+}
+
 // wait parks a written call until another goroutine settles its outcome
 // or hands it the reading role.
 func (c *Client) wait(ctx context.Context, id uint64, p *pendingCall) ([]byte, uint16, error) {
@@ -721,11 +727,13 @@ func (c *Client) wait(ctx context.Context, id uint64, p *pendingCall) ([]byte, u
 // read holds the reading role for p: it reads frames, handing every
 // other caller's reply to its row, until p's own outcome is settled,
 // and then passes the role on. A cancellable ctx is watched by an
-// interrupt, so a lone reader still returns when it ends.
+// interrupt, so a lone reader still returns when it ends; an afterFuncer
+// is handed the interrupt directly.
 func (c *Client) read(ctx context.Context, id uint64, p *pendingCall) ([]byte, uint16, error) {
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() { c.interrupt(p) })
-		defer stop()
+	if a, ok := ctx.(afterFuncer); ok {
+		defer a.AfterFunc(c.interrupt)()
+	} else if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, c.interrupt)()
 	}
 	for {
 		f, err := c.fr.ReadFrame()
