@@ -8,74 +8,68 @@ import (
 	"repro"
 )
 
-// TestPublicAPIQuickstart exercises the root package the way the README
-// quickstart does, and checks the PFS accesses it prints: boot a
-// cluster, read everything once (cold), again (cached: no PFS access),
-// fail a node, read again (one PFS access per file the victim held),
-// and once more (healed: no PFS access).
+// TestPublicAPIQuickstart drives the root package exactly as
+// examples/quickstart does and checks the figures it prints: 4 ranks
+// on 4 nodes train 4 epochs, node 1 fails at the start of epoch index
+// 2, and the epochs read every file from the PFS (cold), none (cached),
+// one per file the victim held (recaching: one rollback, 3 ranks left)
+// and none again (healed).
 func TestPublicAPIQuickstart(t *testing.T) {
 	cluster, err := repro.NewCluster(repro.ClusterConfig{
 		Nodes:        4,
 		Strategy:     repro.StrategyNVMe,
-		RPCTimeout:   60 * time.Millisecond,
+		RPCTimeout:   100 * time.Millisecond,
 		TimeoutLimit: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-
-	ds := repro.CosmoFlowTrain().Scaled(16384).WithFileBytes(512)
+	ds := repro.CosmoFlowTrain().Scaled(4096).WithFileBytes(4096)
 	if _, err := cluster.Stage(ds); err != nil {
 		t.Fatal(err)
 	}
-	client, _, err := cluster.NewClient()
+	victim := cluster.Nodes()[1]
+	trainer, err := repro.NewTrainer(repro.TrainConfig{
+		Cluster:   cluster,
+		Dataset:   ds,
+		Workers:   4,
+		Epochs:    4,
+		BatchSize: 4,
+		Seed:      1,
+		Failures:  []repro.FailureEvent{{Epoch: 2, Node: string(victim)}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-
-	ctx := context.Background()
-	// pass reads every file, lets the movers settle, and returns the
-	// PFS reads it caused.
-	pass := func(label string) int64 {
-		t.Helper()
-		cluster.PFS().ResetCounters()
-		for i := 0; i < ds.NumFiles; i++ {
-			if _, err := client.Read(ctx, ds.FilePath(i)); err != nil {
-				t.Fatalf("%s: read %d: %v", label, i, err)
-			}
-		}
-		cluster.FlushMovers()
-		reads, _, _ := cluster.PFS().Counters()
-		return reads
+	defer trainer.Close()
+	rep, err := trainer.Run(context.Background())
+	if err != nil || rep.Aborted {
+		t.Fatalf("run: %v aborted=%v (%v)", err, rep.Aborted, rep.AbortErr)
+	}
+	if len(rep.Epochs) != 4 {
+		t.Fatalf("epochs = %d, want 4", len(rep.Epochs))
 	}
 
-	if got := pass("cold"); got != int64(ds.NumFiles) {
-		t.Errorf("cold pass: %d PFS reads, want %d", got, ds.NumFiles)
-	}
-	if got := pass("cached"); got != 0 {
-		t.Errorf("cached pass: %d PFS reads, want 0", got)
-	}
-
-	victim := cluster.Nodes()[1]
 	lost, _ := cluster.Server(victim).NVMe().Stats()
 	if lost == 0 {
 		t.Fatalf("victim %s holds no files", victim)
 	}
-	if err := cluster.Fail(victim, repro.FailUnresponsive); err != nil {
-		t.Fatal(err)
-	}
 	// pfs_reads_per_lost_file == 1: each lost file is fetched once, by
 	// its new owner.
-	if got := pass("after failure"); got != int64(lost) {
-		t.Errorf("pass after failure: %d PFS reads, want %d (one per lost file)", got, lost)
+	want := []int64{int64(ds.NumFiles), 0, int64(lost), 0}
+	for i, e := range rep.Epochs {
+		if e.PFSReads != want[i] || e.Samples != ds.NumFiles {
+			t.Errorf("epoch %d: %d PFS reads and %d samples, want %d and %d", i, e.PFSReads, e.Samples, want[i], ds.NumFiles)
+		}
 	}
-	if got := pass("healed"); got != 0 {
-		t.Errorf("healed pass: %d PFS reads, want 0", got)
+	if e := rep.Epochs[2]; e.Restarts != 1 || e.Workers != 3 {
+		t.Errorf("epoch 2: %d restarts on %d ranks, want 1 on 3", e.Restarts, e.Workers)
 	}
 }
 
+// TestPublicAPITraining runs repro.NewTrainer on a failure-free
+// cluster and checks that every epoch it was asked for completes.
 func TestPublicAPITraining(t *testing.T) {
 	cluster, err := repro.NewCluster(repro.ClusterConfig{
 		Nodes:        3,
@@ -88,7 +82,9 @@ func TestPublicAPITraining(t *testing.T) {
 	}
 	defer cluster.Close()
 	ds := repro.CosmoFlowTrain().Scaled(32768).WithFileBytes(128)
-	cluster.Stage(ds)
+	if _, err := cluster.Stage(ds); err != nil {
+		t.Fatal(err)
+	}
 
 	trainer, err := repro.NewTrainer(repro.TrainConfig{
 		Cluster:   cluster,
@@ -108,23 +104,5 @@ func TestPublicAPITraining(t *testing.T) {
 	}
 	if len(rep.Epochs) != 2 {
 		t.Errorf("epochs = %d", len(rep.Epochs))
-	}
-}
-
-func TestPublicAPIRing(t *testing.T) {
-	nodes := []repro.NodeID{"a", "b", "c"}
-	ring := repro.NewRing(repro.RingConfig{VirtualNodes: 50}, nodes)
-	owner, ok := ring.Owner("some/file")
-	if !ok {
-		t.Fatal("no owner")
-	}
-	found := false
-	for _, n := range nodes {
-		if n == owner {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("owner %q not in node set", owner)
 	}
 }

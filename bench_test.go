@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/failure"
 	"repro/internal/ftcache"
+	"repro/internal/hashring"
 	"repro/internal/partition"
 	"repro/internal/trainsim"
 )
@@ -108,13 +110,13 @@ func BenchmarkFig6b(b *testing.B) {
 func BenchmarkAblationVirtualNodeCost(b *testing.B) {
 	for _, v := range []int{10, 100, 1000} {
 		b.Run("vnodes="+itoa(v), func(b *testing.B) {
-			nodes := make([]repro.NodeID, 256)
+			nodes := make([]hashring.NodeID, 256)
 			for i := range nodes {
-				nodes[i] = repro.NodeID(itoa(i))
+				nodes[i] = hashring.NodeID(itoa(i))
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ring := repro.NewRing(repro.RingConfig{VirtualNodes: v}, nodes)
+				ring := hashring.NewWithNodes(hashring.Config{VirtualNodes: v}, nodes)
 				ring.Owner("cosmoUniverse/train/univ_0001234.tfrecord")
 			}
 		})
@@ -224,7 +226,7 @@ func measureDetection(b *testing.B, proactive bool) time.Duration {
 	}
 	victim := cluster.Nodes()[1]
 	start := time.Now()
-	cluster.Fail(victim, repro.FailUnresponsive)
+	cluster.Fail(victim, core.FailUnresponsive)
 	if proactive {
 		// Give the prober the same observation window a read would get.
 		for client.Tracker().IsAlive(victim) {
@@ -263,7 +265,7 @@ func BenchmarkLiveReadFailover(b *testing.B) {
 	for i := 0; i < ds.NumFiles; i++ {
 		client.Read(ctx, ds.FilePath(i))
 	}
-	cluster.Fail(cluster.Nodes()[0], repro.FailUnresponsive)
+	cluster.Fail(cluster.Nodes()[0], core.FailUnresponsive)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := client.Read(ctx, ds.FilePath(i%ds.NumFiles)); err != nil {

@@ -4,15 +4,16 @@
 // distributed node-local NVMe cache for large-scale deep-learning
 // training.
 //
-// The root package re-exports the library surface:
+// The root package re-exports what README and examples/quickstart use:
 //
 //   - Cluster boots an HVAC server fleet (in-process or TCP) over a
-//     shared PFS and hands out fault-tolerant clients.
-//   - The three strategies the paper evaluates are selected with
-//     StrategyNoFT, StrategyPFS and StrategyNVMe.
-//   - Training runs against the live cluster via repro/internal/dltrain,
-//     and at Frontier scale (64–1024 nodes) via the discrete-event model
-//     in repro/internal/trainsim.
+//     shared PFS and hands out fault-tolerant clients; StrategyNVMe
+//     selects the paper's hash-ring recaching.
+//   - Trainer runs the paper's step-synchronous, elastic training loop
+//     against the live cluster, failing nodes from a plan of
+//     FailureEvents; the discrete-event model in repro/internal/trainsim
+//     models the same loop at Frontier scale (64–1024 nodes).
+//   - NewHeartbeat adds proactive failure probing to a client.
 //   - Every table and figure of the paper regenerates through
 //     repro/internal/experiments (CLI: cmd/ftcbench).
 //

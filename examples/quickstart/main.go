@@ -1,7 +1,10 @@
 // Quickstart: boot a 4-node FT-Cache cluster in-process, stage a small
-// dataset on the PFS, read everything through the fault-tolerant client
-// (populating the NVMe caches), kill a node, and watch the hash ring
-// recache the lost files with exactly one extra PFS read per file.
+// dataset on the PFS, and train 4 epochs on 4 ranks the way the paper's
+// CosmoFlow job does: each step every rank reads a shuffled batch
+// through its fault-tolerant client, then all ranks meet at a barrier.
+// Node 1 goes silent at the start of epoch 3. Its rank dies with it,
+// the epoch rolls back and reruns on 3 ranks, and the hash ring
+// recaches the lost files with exactly one extra PFS read per file.
 //
 //	go run ./examples/quickstart
 package main
@@ -33,50 +36,35 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("staged %d files (%d bytes) on the PFS\n", ds.NumFiles, staged)
+	victim := cluster.Nodes()[1]
+	fmt.Printf("staged %d files (%d bytes) on the PFS; %s fails in epoch 3\n\n", ds.NumFiles, staged, victim)
 
-	client, _, err := cluster.NewClient()
+	// Rank i runs on node i. Epoch 1 misses everywhere and each owner
+	// caches what it fetched; the failure plan counts epochs from 0.
+	trainer, err := repro.NewTrainer(repro.TrainConfig{
+		Cluster:   cluster,
+		Dataset:   ds,
+		Workers:   4,
+		Epochs:    4,
+		BatchSize: 4,
+		Seed:      1,
+		Failures:  []repro.FailureEvent{{Epoch: 2, Node: string(victim)}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer client.Close()
-	ctx := context.Background()
-
-	// Epoch 1: every read misses the cache, falls back to the PFS, and
-	// is recached on its owner's NVMe by the data mover.
-	readAll := func(label string) {
-		start := time.Now()
-		for i := 0; i < ds.NumFiles; i++ {
-			if _, err := client.Read(ctx, ds.FilePath(i)); err != nil {
-				log.Fatalf("%s: read %d: %v", label, i, err)
-			}
-		}
-		reads, _, _ := cluster.PFS().Counters()
-		fmt.Printf("%-22s %4d reads in %-8v PFS accesses: %d\n",
-			label, ds.NumFiles, time.Since(start).Round(time.Millisecond), reads)
-		cluster.PFS().ResetCounters()
+	defer trainer.Close()
+	rep, err := trainer.Run(context.Background())
+	if err != nil || rep.Aborted {
+		log.Fatalf("training: %v %v", err, rep.AbortErr)
 	}
-	readAll("epoch 1 (cold):")
-	cluster.FlushMovers()
-	readAll("epoch 2 (cached):")
 
-	// Kill a node. The client's timeout detector will notice, drop it
-	// from the hash ring, and re-route its files to ring successors.
-	victim := cluster.Nodes()[1]
+	for i, label := range []string{"cold", "cached", "recaching", "healed"} {
+		e := rep.Epochs[i]
+		epoch := fmt.Sprintf("epoch %d (%s):", i+1, label)
+		fmt.Printf("%-21s ranks: %d  rollbacks: %d  time: %-7v PFS accesses: %d\n",
+			epoch, e.Workers, e.Restarts, e.Duration.Round(time.Millisecond), e.PFSReads)
+	}
 	lost, _ := cluster.Server(victim).NVMe().Stats()
-	fmt.Printf("\nkilling %s (it caches %d files)\n", victim, lost)
-	if err := cluster.Fail(victim, repro.FailUnresponsive); err != nil {
-		log.Fatal(err)
-	}
-
-	// Epoch 3: the lost files are fetched from the PFS exactly once by
-	// their new owners and recached.
-	readAll("epoch 3 (recaching):")
-	cluster.FlushMovers()
-	// Epoch 4: the cache has healed — zero PFS traffic again.
-	readAll("epoch 4 (healed):")
-
-	st := client.Stats()
-	fmt.Printf("\nclient stats: remote=%d nvme=%d pfs-fallback=%d timeouts=%d failovers=%d\n",
-		st.RemoteReads, st.ServedNVMe, st.ServedPFS, st.Timeouts, st.FailoverReads)
+	fmt.Printf("\n%s cached %d files: each was read from the PFS once more\n", victim, lost)
 }

@@ -30,7 +30,6 @@ var testOnlyExports = map[string]string{
 	"analysistest":                           "test helper: runs an analyzer over its fixtures",
 	"testutil":                               "test helper: goroutine-leak checks and the race-build switch",
 	"core.VerifyRead":                        "test reference: checks a read against the dataset generator",
-	"dltrain.Trainer.Run":                    "ROADMAP item 28: the live trainer gets a product caller, or it goes",
 	"experiments.WriteCSV":                   "golden writer: only TestPaperCSVs -update runs it",
 	"hvac.Client.Open":                       "ROADMAP item 15: the live trainer's loader reads through File.ReadAt",
 	"hvac.Client.Prefetch":                   "ROADMAP item 8: item 16's minibatch reads consume it, or it goes",

@@ -191,7 +191,7 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 	for i, name := range counters {
 		counts[i] = -reg.Counter(name).Load()
 	}
-	cl.PFS().ResetCounters() // count only the fallbacks during the run
+	pfsBefore, _, _ := cl.PFS().Counters() // count only the fallbacks during the run
 
 	var (
 		reads      atomic.Int64
@@ -343,6 +343,7 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 	close(stop)
 	readers.Wait()
 	pfsFallbacks, _, _ := cl.PFS().Counters()
+	pfsFallbacks -= pfsBefore
 	for i, name := range counters {
 		counts[i] += reg.Counter(name).Load()
 	}

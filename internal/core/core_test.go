@@ -175,6 +175,16 @@ func TestStrategyNoFTAborts(t *testing.T) {
 	}
 }
 
+// pfsReadsSince returns a function that reports the PFS reads made
+// since pfsReadsSince was called.
+func pfsReadsSince(c *Cluster) func() int64 {
+	before, _, _ := c.PFS().Counters()
+	return func() int64 {
+		reads, _, _ := c.PFS().Counters()
+		return reads - before
+	}
+}
+
 // TestStrategyPFSRedirect reproduces §IV-A: after detection, victim
 // traffic goes to the PFS on every epoch, surviving placement untouched.
 func TestStrategyPFSRedirect(t *testing.T) {
@@ -188,7 +198,7 @@ func TestStrategyPFSRedirect(t *testing.T) {
 
 	victim := c.Nodes()[2]
 	c.Fail(victim, FailUnresponsive)
-	c.PFS().ResetCounters()
+	pfsReads := pfsReadsSince(c)
 
 	// "Epoch" 2: everything still readable.
 	for i := 0; i < ds.NumFiles; i++ {
@@ -196,18 +206,18 @@ func TestStrategyPFSRedirect(t *testing.T) {
 			t.Fatalf("epoch2 verify %d: %v", i, err)
 		}
 	}
-	epoch2Reads, _, _ := c.PFS().Counters()
+	epoch2Reads := pfsReads()
 	if epoch2Reads == 0 {
 		t.Fatal("expected PFS redirection traffic")
 	}
 	// "Epoch" 3: the same files hit PFS AGAIN — redirection never heals.
-	c.PFS().ResetCounters()
+	pfsReads = pfsReadsSince(c)
 	for i := 0; i < ds.NumFiles; i++ {
 		if err := VerifyRead(ctx, cli, ds, i); err != nil {
 			t.Fatalf("epoch3 verify %d: %v", i, err)
 		}
 	}
-	epoch3Reads, _, _ := c.PFS().Counters()
+	epoch3Reads := pfsReads()
 	if epoch3Reads != epoch2Reads {
 		t.Errorf("PFS reads: epoch2=%d epoch3=%d; redirection should repeat identically",
 			epoch2Reads, epoch3Reads)
@@ -235,7 +245,7 @@ func TestStrategyRingRecache(t *testing.T) {
 		t.Fatal("victim caches nothing; degenerate test")
 	}
 	c.Fail(victim, FailUnresponsive)
-	c.PFS().ResetCounters()
+	pfsReads := pfsReadsSince(c)
 
 	// Post-failure epoch: lost files are fetched from PFS exactly once
 	// by their new owners and recached.
@@ -244,19 +254,19 @@ func TestStrategyRingRecache(t *testing.T) {
 			t.Fatalf("recache epoch verify %d: %v", i, err)
 		}
 	}
-	reads, _, _ := c.PFS().Counters()
+	reads := pfsReads()
 	if reads != int64(lostObjects) {
 		t.Errorf("PFS reads = %d, want exactly the %d lost files", reads, lostObjects)
 	}
 	// Next epoch: zero PFS traffic — the cache healed.
 	c.FlushMovers()
-	c.PFS().ResetCounters()
+	pfsReads = pfsReadsSince(c)
 	for i := 0; i < ds.NumFiles; i++ {
 		if err := VerifyRead(ctx, cli, ds, i); err != nil {
 			t.Fatalf("healed epoch verify %d: %v", i, err)
 		}
 	}
-	reads, _, _ = c.PFS().Counters()
+	reads = pfsReads()
 	if reads != 0 {
 		t.Errorf("PFS reads after heal = %d, want 0", reads)
 	}

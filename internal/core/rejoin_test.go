@@ -68,13 +68,13 @@ func TestRejoinWarmsKilledNode(t *testing.T) {
 	// The warmed node serves its reclaimed arcs from NVMe: a full epoch
 	// with zero PFS traffic, even though the node rebooted empty.
 	c.FlushMovers()
-	c.PFS().ResetCounters()
+	pfsReads := pfsReadsSince(c)
 	for i := 0; i < ds.NumFiles; i++ {
 		if err := VerifyRead(ctx, cli, ds, i); err != nil {
 			t.Fatalf("post-rejoin read %d: %v", i, err)
 		}
 	}
-	if reads, _, _ := c.PFS().Counters(); reads != 0 {
+	if reads := pfsReads(); reads != 0 {
 		t.Errorf("PFS reads after warm rejoin = %d, want 0", reads)
 	}
 

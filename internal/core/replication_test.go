@@ -47,14 +47,14 @@ func TestReplicationZeroPFSFailover(t *testing.T) {
 		t.Fatal("victim holds nothing; degenerate")
 	}
 	c.Fail(victim, FailUnresponsive)
-	c.PFS().ResetCounters()
+	pfsReads := pfsReadsSince(c)
 
 	for i := 0; i < ds.NumFiles; i++ {
 		if err := VerifyRead(ctx, cli, ds, i); err != nil {
 			t.Fatalf("post-failure read %d: %v", i, err)
 		}
 	}
-	reads, _, _ := c.PFS().Counters()
+	reads := pfsReads()
 	if reads != 0 {
 		t.Errorf("PFS reads after failover = %d, want 0 (replication)", reads)
 	}
@@ -133,7 +133,7 @@ func TestReplicationSurvivesSequentialFailures(t *testing.T) {
 	defer cli.Close()
 	ctx := context.Background()
 
-	c.PFS().ResetCounters()
+	pfsReads := pfsReadsSince(c)
 	for round := 0; round < 2; round++ {
 		victim := c.aliveNodes()[0]
 		c.Fail(victim, FailUnresponsive)
@@ -143,7 +143,7 @@ func TestReplicationSurvivesSequentialFailures(t *testing.T) {
 			}
 		}
 	}
-	reads, _, _ := c.PFS().Counters()
+	reads := pfsReads()
 	if reads != 0 {
 		t.Errorf("PFS reads across two failovers = %d, want 0 with R=3", reads)
 	}

@@ -50,13 +50,13 @@ func TestReviveUnresponsiveNode(t *testing.T) {
 	// whole epoch is PFS-free (the ring's minimal-movement property
 	// applies symmetrically on re-add).
 	c.FlushMovers()
-	c.PFS().ResetCounters()
+	pfsReads := pfsReadsSince(c)
 	for i := 0; i < ds.NumFiles; i++ {
 		if err := VerifyRead(ctx, cli, ds, i); err != nil {
 			t.Fatalf("post-revival read %d: %v", i, err)
 		}
 	}
-	if reads, _, _ := c.PFS().Counters(); reads != 0 {
+	if reads := pfsReads(); reads != 0 {
 		t.Errorf("PFS reads after unresponsive-revival = %d, want 0", reads)
 	}
 	if !cli.Tracker().IsAlive(victim) {
@@ -89,7 +89,7 @@ func TestReviveKilledNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli.ReviveNode(victim)
-	c.PFS().ResetCounters()
+	pfsReads := pfsReadsSince(c)
 	for i := 0; i < ds.NumFiles; i++ {
 		if err := VerifyRead(ctx, cli, ds, i); err != nil {
 			t.Fatalf("post-revival read %d: %v", i, err)
@@ -97,7 +97,7 @@ func TestReviveKilledNode(t *testing.T) {
 	}
 	// The replacement daemon's cache was empty; only files on its arcs
 	// may have refetched, and only once each.
-	reads, _, _ := c.PFS().Counters()
+	reads := pfsReads()
 	objs, _ := c.Server(victim).NVMe().Stats()
 	if reads == 0 {
 		t.Error("expected re-warm traffic for the rebooted node")
@@ -110,11 +110,11 @@ func TestReviveKilledNode(t *testing.T) {
 	}
 	// Heal check: next epoch is PFS-free again.
 	c.FlushMovers()
-	c.PFS().ResetCounters()
+	pfsReads = pfsReadsSince(c)
 	for i := 0; i < ds.NumFiles; i++ {
 		VerifyRead(ctx, cli, ds, i)
 	}
-	if reads, _, _ := c.PFS().Counters(); reads != 0 {
+	if reads := pfsReads(); reads != 0 {
 		t.Errorf("PFS reads after heal = %d", reads)
 	}
 }
@@ -154,7 +154,6 @@ func TestPFSRedirectRecovery(t *testing.T) {
 	c.Revive(victim)
 	cli.ReviveNode(victim)
 	before := cli.Stats().DirectPFS
-	c.PFS().ResetCounters()
 	for i := 0; i < ds.NumFiles; i++ {
 		if err := VerifyRead(ctx, cli, ds, i); err != nil {
 			t.Fatal(err)

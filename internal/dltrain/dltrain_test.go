@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -376,16 +377,24 @@ func TestTrainingContextCancel(t *testing.T) {
 	}
 }
 
-func TestValidationPass(t *testing.T) {
-	c, ds := liveCluster(t, 3, ftcache.KindNVMe)
-	val := workload.Dataset{Name: "val", Prefix: "val", NumFiles: 18, FileBytes: 32}
-	if _, err := c.Stage(val); err != nil {
+// TestClientStatsSumEveryRank: the report's client stats are the sum of
+// every rank's counters, field by field, the RAM tier's hits included.
+func TestClientStatsSumEveryRank(t *testing.T) {
+	c, err := core.NewCluster(core.ClusterConfig{
+		Nodes:       3,
+		Strategy:    ftcache.KindNVMe,
+		RPCTimeout:  60 * time.Millisecond,
+		RAMCapacity: 1 << 20,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(Config{
-		Cluster: c, Dataset: ds, Validation: val,
-		Workers: 3, Epochs: 2, BatchSize: 4, Seed: 5,
-	})
+	t.Cleanup(c.Close)
+	ds := workload.Dataset{Name: "t", Prefix: "t", NumFiles: 48, FileBytes: 64}
+	if _, err := c.Stage(ds); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(Config{Cluster: c, Dataset: ds, Workers: 3, Epochs: 3, BatchSize: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,39 +403,17 @@ func TestValidationPass(t *testing.T) {
 	if err != nil || rep.Aborted {
 		t.Fatalf("run: %v aborted=%v", err, rep.Aborted)
 	}
-	for _, e := range rep.Epochs {
-		if e.ValidationSamples != val.NumFiles {
-			t.Errorf("epoch %d validation samples = %d, want %d",
-				e.Epoch, e.ValidationSamples, val.NumFiles)
+	if rep.ClientStats.ServedRAM == 0 {
+		t.Error("no read was served from the RAM tier")
+	}
+	got := reflect.ValueOf(rep.ClientStats)
+	for i := 0; i < got.NumField(); i++ {
+		var want int64
+		for _, r := range tr.ranks {
+			want += reflect.ValueOf(r.client.Stats()).Field(i).Int()
 		}
-	}
-	// Train (48) + val (18) per epoch × 2 epochs, all through the cache.
-	want := int64(2 * (ds.NumFiles + val.NumFiles))
-	if rep.ClientStats.RemoteReads != want {
-		t.Errorf("remote reads = %d, want %d", rep.ClientStats.RemoteReads, want)
-	}
-}
-
-func TestValidationSurvivesFailure(t *testing.T) {
-	c, ds := liveCluster(t, 3, ftcache.KindNVMe)
-	val := workload.Dataset{Name: "val", Prefix: "val", NumFiles: 12, FileBytes: 32}
-	c.Stage(val)
-	tr, err := New(Config{
-		Cluster: c, Dataset: ds, Validation: val,
-		Workers: 3, Epochs: 3, BatchSize: 4, Seed: 5,
-		Failures: []failure.Event{{Epoch: 1, Frac: 0.4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	rep, err := tr.Run(context.Background())
-	if err != nil || rep.Aborted {
-		t.Fatalf("run: %v aborted=%v", err, rep.Aborted)
-	}
-	for _, e := range rep.Epochs {
-		if e.ValidationSamples != val.NumFiles {
-			t.Errorf("epoch %d validation incomplete: %d", e.Epoch, e.ValidationSamples)
+		if got.Field(i).Int() != want {
+			t.Errorf("ClientStats.%s = %d, want %d (the sum over ranks)", got.Type().Field(i).Name, got.Field(i).Int(), want)
 		}
 	}
 }

@@ -32,12 +32,6 @@ type Config struct {
 	// Failures is the injection plan. An event that names no node fails
 	// a live node other than rank 0's, keeping the run observable.
 	Failures []failure.Event
-
-	// Validation, when it has files, is read in full (unshuffled,
-	// sharded across live ranks) after every training epoch — the
-	// CosmoFlow validation pass over the 65,536-sample split. A zero
-	// NumFiles skips the pass.
-	Validation workload.Dataset
 }
 
 // EpochReport describes one completed epoch.
@@ -50,8 +44,9 @@ type EpochReport struct {
 	Restarts int
 	// Samples actually read in the final (successful) pass.
 	Samples int
-	// ValidationSamples read after the epoch (0 when no validation set).
-	ValidationSamples int
+	// PFSReads is the growth of the cluster's PFS read counter over the
+	// epoch, rolled-back attempts included.
+	PFSReads int64
 }
 
 // Report is the outcome of a training run.
@@ -151,98 +146,91 @@ func (t *Trainer) Run(ctx context.Context) (Report, error) {
 	var rep Report
 	sched := failure.NewSchedule(t.cfg.Failures)
 	start := time.Now()
-	n := t.cfg.Dataset.NumFiles
-
+	var err error
 	for epoch := 0; epoch < t.cfg.Epochs; epoch++ {
-		epochStart := time.Now()
-		restarts := 0
-
-	restartEpoch:
-		workers := t.aliveRanks()
-		if len(workers) == 0 {
-			rep.Aborted = true
-			rep.AbortErr = errors.New("dltrain: no surviving ranks")
+		var e EpochReport
+		if e, err = t.runEpoch(ctx, sched, start, epoch); err != nil {
 			break
 		}
-		order := Shuffle(n, t.cfg.Seed, epoch)
-		steps := Steps(n, len(workers), t.cfg.BatchSize)
-		samples := 0
-
-		for step := 0; step < steps; step++ {
-			if err := ctx.Err(); err != nil {
-				return rep, err
-			}
-			// Failure injection at the batch boundary.
-			if ev, ok := sched.Next(time.Since(start), epoch, step, steps); ok {
-				node := core.NodeID(ev.Node)
-				if node == "" {
-					node = t.pickVictim()
-				}
-				if node != "" {
-					mode := core.FailUnresponsive
-					if ev.Kill {
-						mode = core.FailKill
-					}
-					if err := t.cfg.Cluster.Fail(node, mode); err != nil {
-						return rep, err
-					}
-					t.killRanksOn(node)
-					restarts++
-					if restarts > maxRestarts {
-						return rep, ErrTooManyRestarts
-					}
-					// Horovod elastic: roll back to the epoch start with
-					// the shrunken communicator.
-					goto restartEpoch
-				}
-			}
-
-			read, err := t.runStep(ctx, workers, order, step)
-			samples += read
-			if err != nil {
-				if errors.Is(err, hvac.ErrAborted) {
-					rep.Aborted = true
-					rep.AbortErr = err
-					rep.Total = time.Since(start)
-					rep.FinalWorkers = len(t.aliveRanks())
-					rep.ClientStats = t.aggregateStats()
-					return rep, nil
-				}
-				return rep, err
-			}
-		}
-
-		valSamples := 0
-		if t.cfg.Validation.NumFiles > 0 {
-			var err error
-			valSamples, err = t.runValidation(ctx, workers)
-			if err != nil {
-				if errors.Is(err, hvac.ErrAborted) {
-					rep.Aborted = true
-					rep.AbortErr = err
-					rep.Total = time.Since(start)
-					rep.FinalWorkers = len(t.aliveRanks())
-					rep.ClientStats = t.aggregateStats()
-					return rep, nil
-				}
-				return rep, err
-			}
-		}
-
-		rep.Epochs = append(rep.Epochs, EpochReport{
-			Epoch:             epoch,
-			Duration:          time.Since(epochStart),
-			Workers:           len(workers),
-			Restarts:          restarts,
-			Samples:           samples,
-			ValidationSamples: valSamples,
-		})
+		rep.Epochs = append(rep.Epochs, e)
 	}
-
+	if errors.Is(err, hvac.ErrAborted) || errors.Is(err, errNoRanks) {
+		rep.Aborted, rep.AbortErr, err = true, err, nil
+	}
 	rep.Total = time.Since(start)
 	rep.FinalWorkers = len(t.aliveRanks())
 	rep.ClientStats = t.aggregateStats()
-	return rep, nil
+	return rep, err
+}
+
+// errNoRanks aborts a run whose every rank has died.
+var errNoRanks = errors.New("dltrain: no surviving ranks")
+
+// runEpoch runs one epoch to completion. A failure at a step boundary
+// kills the ranks on the victim node and, as Horovod elastic does,
+// rolls the epoch back to its start with the shrunken communicator.
+func (t *Trainer) runEpoch(ctx context.Context, sched *failure.Schedule, start time.Time, epoch int) (EpochReport, error) {
+	e := EpochReport{Epoch: epoch}
+	epochStart := time.Now()
+	pfsBefore, _, _ := t.cfg.Cluster.PFS().Counters()
+	order := Shuffle(t.cfg.Dataset.NumFiles, t.cfg.Seed, epoch)
+attempt:
+	for {
+		workers := t.aliveRanks()
+		if len(workers) == 0 {
+			return e, errNoRanks
+		}
+		steps := Steps(len(order), len(workers), t.cfg.BatchSize)
+		e.Workers, e.Samples = len(workers), 0
+		for step := 0; step < steps; step++ {
+			if err := ctx.Err(); err != nil {
+				return e, err
+			}
+			if ev, ok := sched.Next(time.Since(start), epoch, step, steps); ok {
+				failed, err := t.fail(ev)
+				if err != nil {
+					return e, err
+				}
+				if failed {
+					if e.Restarts++; e.Restarts > maxRestarts {
+						return e, ErrTooManyRestarts
+					}
+					continue attempt
+				}
+			}
+			read, err := t.runStep(ctx, workers, order, step)
+			e.Samples += read
+			if err != nil {
+				return e, err
+			}
+		}
+		break
+	}
+	e.Duration = time.Since(epochStart)
+	pfsAfter, _, _ := t.cfg.Cluster.PFS().Counters()
+	e.PFSReads = pfsAfter - pfsBefore
+	return e, nil
+}
+
+// fail injects ev at a batch boundary and kills the ranks co-located
+// with its victim. It reports false when no live node is left to fail.
+func (t *Trainer) fail(ev failure.Event) (bool, error) {
+	node := core.NodeID(ev.Node)
+	if node == "" {
+		node = t.pickVictim()
+	}
+	if node == "" {
+		return false, nil
+	}
+	mode := core.FailUnresponsive
+	if ev.Kill {
+		mode = core.FailKill
+	}
+	if err := t.cfg.Cluster.Fail(node, mode); err != nil {
+		return false, err
+	}
+	t.killRanksOn(node)
+	return true, nil
 }
 
 // runStep executes one synchronized step: every live rank reads its
@@ -276,32 +264,6 @@ func (t *Trainer) runStep(ctx context.Context, workers []*rank, order []int, ste
 	return total, nil
 }
 
-// runValidation reads the validation split once, sharded across the live
-// ranks in fixed order (validation is never shuffled).
-func (t *Trainer) runValidation(ctx context.Context, workers []*rank) (int, error) {
-	n := t.cfg.Validation.NumFiles
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(workers))
-	for w, r := range workers {
-		wg.Add(1)
-		go func(w int, r *rank) {
-			defer wg.Done()
-			for i := w; i < n; i += len(workers) {
-				if _, err := r.client.Read(ctx, t.cfg.Validation.FilePath(i)); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w, r)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return 0, err
-	}
-	return n, nil
-}
-
 // pickVictim chooses a live node that still hosts a rank, rank 0's only
 // when no other is left.
 func (t *Trainer) pickVictim() core.NodeID {
@@ -324,12 +286,19 @@ func (t *Trainer) aggregateStats() hvac.ClientStats {
 		s := r.client.Stats()
 		agg.RemoteReads += s.RemoteReads
 		agg.RemoteBytes += s.RemoteBytes
+		agg.ServedRAM += s.ServedRAM
 		agg.ServedNVMe += s.ServedNVMe
 		agg.ServedPFS += s.ServedPFS
 		agg.DirectPFS += s.DirectPFS
 		agg.DirectBytes += s.DirectBytes
 		agg.Timeouts += s.Timeouts
 		agg.FailoverReads += s.FailoverReads
+		agg.ReplicaPushes += s.ReplicaPushes
+		agg.CoalescedReads += s.CoalescedReads
+		agg.HedgedReads += s.HedgedReads
+		agg.HedgeWins += s.HedgeWins
+		agg.HotPushes += s.HotPushes
+		agg.ShedRedirects += s.ShedRedirects
 	}
 	return agg
 }

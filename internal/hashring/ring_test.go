@@ -139,6 +139,8 @@ func TestMinimalMovementQuick(t *testing.T) {
 	}
 }
 
+// TestOwnersDistinctAndPrefixed: Owners(k, n) starts with Owner(k) and
+// lists n distinct members of the ring.
 func TestOwnersDistinctAndPrefixed(t *testing.T) {
 	nodes := nodeNames(10)
 	r := NewWithNodes(Config{VirtualNodes: 30}, nodes)
@@ -155,6 +157,9 @@ func TestOwnersDistinctAndPrefixed(t *testing.T) {
 		for _, o := range owners {
 			if seen[o] {
 				t.Fatalf("duplicate owner %q in %v", o, owners)
+			}
+			if !r.Contains(o) {
+				t.Fatalf("owner %q of %q is not a member", o, k)
 			}
 			seen[o] = true
 		}

@@ -287,13 +287,6 @@ func (p *PFS) Counters() (reads, readBytes, metadataOps int64) {
 	return p.reads.Load(), p.readBytes.Load(), p.metadataOps.Load()
 }
 
-// ResetCounters zeroes the access counters (between experiment phases).
-func (p *PFS) ResetCounters() {
-	p.reads.Store(0)
-	p.readBytes.Store(0)
-	p.metadataOps.Store(0)
-}
-
 // SetReadDelay injects a per-Get service delay (contention model): an
 // unqueued constant Device; d <= 0 clears it. Takes effect on the next
 // read — one already waiting keeps the delay it was admitted with —

@@ -217,10 +217,6 @@ func TestPFSCounters(t *testing.T) {
 	if meta != 4 {
 		t.Errorf("metadataOps=%d, want 4", meta)
 	}
-	p.ResetCounters()
-	if r, b, m := p.Counters(); r != 0 || b != 0 || m != 0 {
-		t.Error("counters not reset")
-	}
 }
 
 // Size is a metadata op: no data read is counted and the injected read

@@ -26,7 +26,6 @@ var unsetKnobs = map[string]string{
 	"ftpolicy.Config.CooldownTicks":                     "DESIGN §16.2: tests pin the commit cooldown",
 	"hvac.IngestConfig.MaxDelay":                        "DESIGN §13.3: ingest tests hold it at a minute so only the Flush barrier makes puts visible",
 	"partition.RedistributeConfig.SimultaneousFailures": "DESIGN §6: correlated-failure redistribution, checked by TestMultiFailure",
-	"dltrain.Config":                                    "the live trainer's run inputs; only tests run it until ROADMAP item 28 gives it a product consumer",
 }
 
 // TestEveryConfigFieldIsSet walks the module and fails on an exported
@@ -38,12 +37,14 @@ var unsetKnobs = map[string]string{
 // package name, type and field; the scan has no types, so assignments
 // and the keys of literals with an elided type match by field name,
 // and only fields of the setter's own package or of a package it
-// imports.
+// imports. A literal of an alias (repro.TrainConfig) keys the aliased
+// type's fields (dltrain.Config).
 func TestEveryConfigFieldIsSet(t *testing.T) {
 	fields := map[string]token.Pos{}     // "pkg.Type.Field" → declaration
 	set := map[string]bool{}             // "pkg.Type.Field" keyed
 	byName := map[string][]string{}      // ".Field" → directories that set it by name
 	sees := map[string]map[string]bool{} // directory → its package and those it imports
+	aliases := map[string]string{}       // "pkg.Alias" → "pkg.Type"
 	for _, p := range parseModule(t) {
 		sees[p.dir] = map[string]bool{}
 		for _, f := range p.files {
@@ -52,7 +53,13 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 				path := strings.Trim(imp.Path.Value, `"`)
 				sees[p.dir][path[strings.LastIndexByte(path, '/')+1:]] = true
 			}
-			scanKnobs(f, fields, set, func(name string) { byName[name] = append(byName[name], p.dir) })
+			scanKnobs(f, fields, set, aliases, func(name string) { byName[name] = append(byName[name], p.dir) })
+		}
+	}
+	for key := range set {
+		dot := strings.LastIndexByte(key, '.')
+		if typ, ok := aliases[key[:dot]]; ok {
+			set[typ+key[dot:]] = true
 		}
 	}
 	keys := make([]string, 0, len(fields))
@@ -85,9 +92,10 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	checkAllowlist(t, "unsetKnobs", unsetKnobs, used)
 }
 
-// scanKnobs records f's *Config struct fields and every setter in f,
-// passing each one that names only the field (".Field") to setByName.
-func scanKnobs(f *ast.File, fields map[string]token.Pos, set map[string]bool, setByName func(string)) {
+// scanKnobs records f's *Config struct fields, its aliases of another
+// package's type and every setter in f, passing each one that names
+// only the field (".Field") to setByName.
+func scanKnobs(f *ast.File, fields map[string]token.Pos, set map[string]bool, aliases map[string]string, setByName func(string)) {
 	pkg := f.Name.Name
 	var stack []ast.Node
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -98,6 +106,11 @@ func scanKnobs(f *ast.File, fields map[string]token.Pos, set map[string]bool, se
 		stack = append(stack, n)
 		switch n := n.(type) {
 		case *ast.TypeSpec:
+			if sel, ok := n.Type.(*ast.SelectorExpr); ok && n.Assign.IsValid() {
+				if x, ok := sel.X.(*ast.Ident); ok {
+					aliases[pkg+"."+n.Name.Name] = x.Name + "." + sel.Sel.Name
+				}
+			}
 			st, ok := n.Type.(*ast.StructType)
 			if !ok || !strings.HasSuffix(n.Name.Name, "Config") {
 				break
