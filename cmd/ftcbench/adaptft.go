@@ -272,11 +272,10 @@ func runAdaptFTOne(cfg adaptftConfig, phases []chaos.Phase, seed int64, policy f
 		}
 		bc := &benchClient{cli: cli}
 		bc.hb = cluster.NewHeartbeat(cli.Tracker(), cli, cluster.HeartbeatConfig{
-			Interval:        15 * time.Millisecond,
-			Timeout:         rpcTimeout,
-			ReviveThreshold: 2,
+			Interval: 15 * time.Millisecond,
+			Timeout:  rpcTimeout,
 			OnRevive: func(n cluster.NodeID) {
-				go cli.Rejoin(context.Background(), n, hvac.RejoinOptions{Probes: 1, Keys: paths})
+				go cli.Rejoin(context.Background(), n, hvac.RejoinOptions{Keys: paths})
 			},
 		})
 		bc.hb.Start()

@@ -158,15 +158,14 @@ func runSoak(t *testing.T, seed int64, ingest *hvac.IngestConfig, ramCapacity in
 		}
 		sc := &soakClient{cli: cli, router: router, ring: router.(*ftcache.Strategy).Ring()}
 		sc.hb = cluster.NewHeartbeat(cli.Tracker(), cli, cluster.HeartbeatConfig{
-			Interval:        15 * time.Millisecond,
-			Timeout:         rpcTimeout,
-			ReviveThreshold: 2,
+			Interval: 15 * time.Millisecond,
+			Timeout:  rpcTimeout,
 			OnRevive: func(n cluster.NodeID) {
 				// Fire-and-forget: convergence is polled below, and a
 				// rejoin losing a race (node flapped again, concurrent
-				// rejoin) just retries on the next threshold crossing.
+				// rejoin) just retries on a later answered probe.
 				go cli.Rejoin(context.Background(), n,
-					hvac.RejoinOptions{Probes: 1, Keys: paths})
+					hvac.RejoinOptions{Keys: paths})
 			},
 		})
 		sc.hb.Start()

@@ -13,8 +13,9 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/hashring"
@@ -31,100 +32,58 @@ type detectorMetrics struct {
 	suspectToDead *telemetry.Histogram // first timeout → declaration latency
 }
 
-var (
-	detMetricsOnce sync.Once
-	detMetricsInst *detectorMetrics
-)
-
-func detMetrics() *detectorMetrics {
-	detMetricsOnce.Do(func() {
-		reg := telemetry.Default()
-		detMetricsInst = &detectorMetrics{
-			suspected:     reg.Counter("ftc_detect_suspected_total"),
-			declared:      reg.Counter("ftc_detect_declared_dead_total"),
-			resets:        reg.Counter("ftc_detect_suspect_resets_total"),
-			suspectToDead: reg.Histogram("ftc_detect_suspect_to_dead_seconds"),
-		}
-	})
-	return detMetricsInst
-}
+var detMetrics = sync.OnceValue(func() *detectorMetrics {
+	reg := telemetry.Default()
+	return &detectorMetrics{
+		suspected:     reg.Counter("ftc_detect_suspected_total"),
+		declared:      reg.Counter("ftc_detect_declared_dead_total"),
+		resets:        reg.Counter("ftc_detect_suspect_resets_total"),
+		suspectToDead: reg.Histogram("ftc_detect_suspect_to_dead_seconds"),
+	}
+})
 
 // NodeID aliases the cluster-wide node identifier.
 type NodeID = hashring.NodeID
 
 // DefaultTimeoutLimit mirrors the artifact's TIMEOUT_LIMIT knob: the
-// number of consecutive RPC timeouts after which a node is declared
-// failed.
+// consecutive RPC timeouts that declare a node failed.
 const DefaultTimeoutLimit = 3
 
-// Status describes a tracked node.
-type Status uint8
-
-// Node statuses.
-const (
-	// Alive is a node with no outstanding suspicion.
-	Alive Status = iota
-	// Suspect is a node with 1..limit-1 consecutive timeouts.
-	Suspect
-	// Failed is a node past the timeout threshold.
-	Failed
-)
-
-// String implements fmt.Stringer.
-func (s Status) String() string {
-	switch s {
-	case Alive:
-		return "alive"
-	case Suspect:
-		return "suspect"
-	case Failed:
-		return "failed"
-	default:
-		return "unknown"
-	}
+// Placement is what a membership decision reshapes: a client's router.
+// Tracker calls it under its lock, so a drop and a re-add of one node
+// apply in the order the membership decided them.
+type Placement interface {
+	NodeFailed(NodeID)
+	NodeRecovered(NodeID)
 }
 
-// Tracker is a goroutine-safe failure detector over a fixed initial
-// membership. Failure listeners fire exactly once per node, outside the
-// tracker lock, in declaration order.
+// Tracker is one client's goroutine-safe failure detector: a Membership
+// behind a mutex, the placement it reshapes, and listeners, which run
+// outside the lock — failure ones once per declaration, in order,
+// recovery ones on each Revive.
 type Tracker struct {
-	limit int
-
-	mu        sync.Mutex
-	counts    map[NodeID]int
-	failed    map[NodeID]bool
-	suspectAt map[NodeID]time.Time // first-timeout instant, while suspect
-	members   []NodeID             // sorted, fixed at construction
-	memberSet map[NodeID]bool
-	listeners []func(NodeID)
-	// recovery listeners fire when a failed node is explicitly revived
-	// (elastic scale-up; never triggered by late responses).
-	recoveryListeners []func(NodeID)
+	mu                           sync.Mutex
+	m                            *Membership
+	place                        Placement
+	suspects                     atomic.Int32 // m.suspects, for RecordSuccess's lock-free path
+	listeners, recoveryListeners []func(NodeID)
 }
 
-// NewTracker creates a Tracker over nodes. limit <= 0 selects
-// DefaultTimeoutLimit.
+// NewTracker creates a Tracker over nodes (limit as in NewMembership).
 func NewTracker(nodes []NodeID, limit int) *Tracker {
-	if limit <= 0 {
-		limit = DefaultTimeoutLimit
-	}
-	t := &Tracker{
-		limit:     limit,
-		counts:    make(map[NodeID]int, len(nodes)),
-		failed:    make(map[NodeID]bool),
-		suspectAt: make(map[NodeID]time.Time),
-		memberSet: make(map[NodeID]bool, len(nodes)),
-	}
-	t.members = append(t.members, nodes...)
-	sort.Slice(t.members, func(i, j int) bool { return t.members[i] < t.members[j] })
-	for _, n := range t.members {
-		t.memberSet[n] = true
-	}
-	return t
+	return &Tracker{m: NewMembership(nodes, limit)}
 }
 
-// Limit returns the configured timeout threshold.
-func (t *Tracker) Limit() int { return t.limit }
+// Limit returns the timeouts that declare a node, also the probe streak
+// that lets it back.
+func (t *Tracker) Limit() int { return t.m.limit }
+
+// Place registers the placement Drop and Revive reshape.
+func (t *Tracker) Place(p Placement) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.place = p
+}
 
 // OnFailure registers fn to be called when a node is declared failed.
 // Listeners registered after a node already failed are NOT retroactively
@@ -146,36 +105,18 @@ func (t *Tracker) OnFailure(fn func(NodeID)) {
 func (t *Tracker) RecordTimeout(node NodeID) bool {
 	now := time.Now()
 	t.mu.Lock()
-	if !t.memberSet[node] || t.failed[node] {
-		t.mu.Unlock()
-		return false
-	}
-	t.counts[node]++
-	count := t.counts[node]
-	suspected := count == 1
-	if suspected {
-		t.suspectAt[node] = now
-	}
-	if count < t.limit {
-		t.mu.Unlock()
-		if suspected {
-			detMetrics().suspected.Inc()
-			telemetry.TraceEvent(telemetry.EventNodeSuspected, string(node), "timeout", int64(count))
-		}
-		return false
-	}
-	t.failed[node] = true
-	firstTimeout := t.suspectAt[node]
-	delete(t.suspectAt, node)
-	listeners := append(make([]func(NodeID), 0, len(t.listeners)), t.listeners...)
+	eff, count, latency := t.m.Timeout(node, now)
+	t.suspects.Store(int32(t.m.suspects))
+	listeners := slices.Clone(t.listeners) // a timeout is rare: clone without asking
 	t.mu.Unlock()
 	m := detMetrics()
-	if suspected {
-		// limit == 1: the same timeout both suspects and declares.
+	if count == 1 {
 		m.suspected.Inc()
 		telemetry.TraceEvent(telemetry.EventNodeSuspected, string(node), "timeout", int64(count))
 	}
-	latency := now.Sub(firstTimeout)
+	if eff != Declare {
+		return false
+	}
 	m.declared.Inc()
 	m.suspectToDead.Observe(int64(latency))
 	telemetry.TraceEvent(telemetry.EventNodeDead, string(node), "timeout-limit", int64(latency))
@@ -186,49 +127,84 @@ func (t *Tracker) RecordTimeout(node NodeID) bool {
 }
 
 // RecordSuccess resets node's timeout counter: a transient delay followed
-// by a response must not accumulate toward failure. Successes from
-// already-failed nodes are ignored — the paper's design never resurrects
-// a node mid-job (a rejoin arrives via elastic restart instead).
+// by a response must not accumulate toward failure. While no node is
+// suspect it takes no lock. Successes from already-failed nodes are
+// ignored — one late packet never resurrects a node (a rejoin does).
 func (t *Tracker) RecordSuccess(node NodeID) {
-	t.mu.Lock()
-	wasSuspect := t.counts[node] > 0 && !t.failed[node]
-	if !t.failed[node] {
-		t.counts[node] = 0
-		delete(t.suspectAt, node)
+	if t.suspects.Load() == 0 {
+		return
 	}
+	t.mu.Lock()
+	reset := t.m.Success(node)
+	t.suspects.Store(int32(t.m.suspects))
 	t.mu.Unlock()
-	if wasSuspect {
-		// A transient delay survived: the detection timer ran but did
-		// not fire — the false-positive-mitigation outcome.
+	if reset { // a transient delay survived: false-positive mitigation
 		detMetrics().resets.Inc()
 	}
 }
 
-// OnRecovery registers fn to be called when a failed node is revived via
-// Revive. Like failure listeners, recovery listeners run outside the
-// tracker lock.
+// Drop is Membership.Drop, the placement dropping the node under the lock.
+func (t *Tracker) Drop(node NodeID, shares []int, stop func()) (gen uint32, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if gen, ok = t.m.Drop(node, shares, stop); ok && t.place != nil {
+		t.place.NodeFailed(node)
+	}
+	return gen, ok
+}
+
+// NextHint, ProbeResult, BeginRejoin and AbortRejoin are Membership's,
+// under the lock.
+func (t *Tracker) NextHint(node NodeID, gen uint32, failed bool) (recv, chunk int, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m.NextHint(node, gen, failed)
+}
+
+func (t *Tracker) ProbeResult(node NodeID, answered bool) Effect {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m.ProbeResult(node, answered)
+}
+
+func (t *Tracker) BeginRejoin(node NodeID) (Effect, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m.BeginRejoin(node)
+}
+
+func (t *Tracker) AbortRejoin(node NodeID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.m.AbortRejoin(node)
+}
+
+// OnRecovery registers fn to be called when a failed node is revived.
 func (t *Tracker) OnRecovery(fn func(NodeID)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.recoveryListeners = append(t.recoveryListeners, fn)
 }
 
-// Revive re-admits a previously failed member: elastic scale-up after
-// the scheduler hands the job a replacement (or repaired) node. This is
-// an explicit administrative action — unlike RecordSuccess, which never
-// resurrects, because a single late packet must not undo a declaration.
-// Returns true if the node transitioned back to Alive.
+// Revive re-admits a failed member (elastic scale-up: a replacement or
+// repaired node), an explicit action where RecordSuccess never
+// resurrects. The placement takes it back under the lock, and a hint
+// sender still shipping its shares is stopped. It reports whether the
+// node was failed.
 func (t *Tracker) Revive(node NodeID) bool {
 	t.mu.Lock()
-	if !t.memberSet[node] || !t.failed[node] {
-		t.mu.Unlock()
+	ok, readd, stop := t.m.Revive(node)
+	if readd && t.place != nil {
+		t.place.NodeRecovered(node)
+	}
+	listeners := slices.Clone(t.recoveryListeners)
+	t.mu.Unlock()
+	if !ok {
 		return false
 	}
-	delete(t.failed, node)
-	t.counts[node] = 0
-	delete(t.suspectAt, node)
-	listeners := append(make([]func(NodeID), 0, len(t.recoveryListeners)), t.recoveryListeners...)
-	t.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
 	telemetry.TraceEvent(telemetry.EventNodeRevived, string(node), "", 0)
 	for _, fn := range listeners {
 		fn(node)
@@ -236,58 +212,25 @@ func (t *Tracker) Revive(node NodeID) bool {
 	return true
 }
 
-// statusOf returns node's current status; unknown nodes report Failed so
-// callers never route to them.
-func (t *Tracker) statusOf(node NodeID) Status {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch {
-	case !t.memberSet[node] || t.failed[node]:
-		return Failed
-	case t.counts[node] > 0:
-		return Suspect
-	default:
-		return Alive
-	}
-}
-
 // IsAlive reports whether node is a member not declared failed
 // (Suspect counts as alive — it still receives traffic).
 func (t *Tracker) IsAlive(node NodeID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.memberSet[node] && !t.failed[node]
+	st := t.m.at(node)
+	return st != nil && st.phase < Failed
 }
 
 // Alive returns the live members in sorted order.
 func (t *Tracker) Alive() []NodeID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]NodeID, 0, len(t.members))
-	for _, n := range t.members {
-		if !t.failed[n] {
-			out = append(out, n)
-		}
-	}
-	return out
+	return t.m.list(true)
 }
 
 // FailedNodes returns the declared-failed members in sorted order.
 func (t *Tracker) FailedNodes() []NodeID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]NodeID, 0, len(t.failed))
-	for _, n := range t.members {
-		if t.failed[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// timeoutCount returns node's current consecutive-timeout count.
-func (t *Tracker) timeoutCount(node NodeID) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counts[node]
+	return t.m.list(false)
 }

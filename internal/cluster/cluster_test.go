@@ -7,6 +7,23 @@ import (
 	"testing"
 )
 
+// statusOf returns node's status; unknown nodes report Failed.
+func (t *Tracker) statusOf(node NodeID) Status {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if st := t.m.at(node); st != nil {
+		return min(st.phase, Failed)
+	}
+	return Failed
+}
+
+// timeoutCount returns node's current consecutive-timeout count.
+func (t *Tracker) timeoutCount(node NodeID) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m.at(node).count
+}
+
 func members(n int) []NodeID {
 	out := make([]NodeID, n)
 	for i := range out {
@@ -178,6 +195,19 @@ func BenchmarkRecordSuccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.RecordSuccess("node-07")
 	}
+}
+
+// BenchmarkRecordSuccessParallel is the reply of a healthy read from
+// every worker sharing one client: no node is suspect.
+func BenchmarkRecordSuccessParallel(b *testing.B) {
+	nodes := members(16)
+	tr := NewTracker(nodes, 3)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			tr.RecordSuccess(nodes[i%len(nodes)])
+		}
+	})
 }
 
 func BenchmarkIsAlive(b *testing.B) {

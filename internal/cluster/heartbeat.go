@@ -17,25 +17,17 @@ import (
 // two; production FT-Cache can run both against one Tracker since the
 // evidence model (consecutive timeouts, success resets) is shared.
 //
-// Heartbeat is also the recovery sensor: with ReviveThreshold > 0 it
-// keeps probing *declared-failed* nodes, and when one answers K
-// consecutive probes the OnRevive hook fires — the trigger for the
-// elastic rejoin path (Tracker.Revive → ring re-add → NVMe warmup).
-// Requiring K consecutive successes mirrors the failure side's
-// consecutive-timeout threshold: a single lucky packet from a flapping
-// node must not re-admit it, just as a single lost packet must not
-// declare it dead.
+// Heartbeat is also the recovery sensor: with OnRevive set it keeps
+// probing declared-failed nodes into the tracker's probe streak, the one
+// Client.Rejoin's pings extend, and at Limit answers in a row OnRevive
+// starts the elastic rejoin. Limit successes to re-admit mirror Limit
+// timeouts to declare: one lucky packet from a flapping node must not
+// re-admit it, just as one lost packet must not declare it dead.
 
 // Pinger probes a node; a non-nil error is failure evidence.
 type Pinger interface {
 	Ping(ctx context.Context, node NodeID) error
 }
-
-// PingerFunc adapts a function to Pinger.
-type PingerFunc func(ctx context.Context, node NodeID) error
-
-// Ping implements Pinger.
-func (f PingerFunc) Ping(ctx context.Context, node NodeID) error { return f(ctx, node) }
 
 // HeartbeatConfig tunes the prober.
 type HeartbeatConfig struct {
@@ -43,29 +35,17 @@ type HeartbeatConfig struct {
 	Interval time.Duration
 	// Timeout per probe; <= 0 selects Interval/2.
 	Timeout time.Duration
-	// ReviveThreshold enables recovery probing: failed nodes keep being
-	// probed, and after this many consecutive successful probes OnRevive
-	// fires for the node. 0 disables recovery probing (failed nodes are
-	// never probed — the pre-rejoin behavior).
-	ReviveThreshold int
-	// OnRevive is invoked (from a prober goroutine) when a failed node
-	// passes ReviveThreshold consecutive probes. The streak then resets,
-	// so while the node *stays* failed — e.g. the triggered rejoin lost a
-	// race with a still-active fault — OnRevive re-fires after every
-	// further ReviveThreshold consecutive successes rather than latching
-	// shut; handlers running a multi-step rejoin should dedup in-flight
-	// work (hvac.Client.Rejoin does). nil selects Tracker.Revive
-	// directly; the HVAC client wires its warmup-then-revive rejoin here
-	// instead.
+	// OnRevive, when set, enables recovery probing: it is invoked (from a
+	// prober goroutine) on each answered probe of a failed node whose
+	// streak has reached the tracker's Limit, unless a rejoin of it is in
+	// flight. The HVAC client's Rejoin goes here. nil probes no failed node.
 	OnRevive func(NodeID)
 }
 
 const (
-	// heartbeatJitter is the fraction of Interval each round's wait is
-	// randomly shifted by (uniform in ±heartbeatJitter×Interval). After
-	// a mass event every client's prober fires on the same schedule;
-	// without jitter those synchronized probe storms hit the surviving
-	// nodes as one pulse per interval.
+	// heartbeatJitter shifts each round's wait uniformly within ±this
+	// fraction of Interval, so after a mass event the clients' probe
+	// rounds do not hit the survivors as one pulse per interval.
 	heartbeatJitter = 0.1
 	// heartbeatParallelism bounds concurrent probes per round.
 	heartbeatParallelism = 8
@@ -83,8 +63,6 @@ type Heartbeat struct {
 	rounds  int
 	started bool
 	rng     *rand.Rand
-	// reviveStreak counts consecutive successful probes of failed nodes.
-	reviveStreak map[NodeID]int
 }
 
 // NewHeartbeat creates a prober bound to tracker and pinger.
@@ -96,11 +74,10 @@ func NewHeartbeat(tracker *Tracker, pinger Pinger, cfg HeartbeatConfig) *Heartbe
 		cfg.Timeout = cfg.Interval / 2
 	}
 	return &Heartbeat{
-		cfg:          cfg,
-		tracker:      tracker,
-		pinger:       pinger,
-		rng:          rand.New(rand.NewSource(rand.Int63())),
-		reviveStreak: make(map[NodeID]int),
+		cfg:     cfg,
+		tracker: tracker,
+		pinger:  pinger,
+		rng:     rand.New(rand.NewSource(rand.Int63())),
 	}
 }
 
@@ -134,21 +111,11 @@ func (h *Heartbeat) Stop() {
 	<-done
 }
 
-// completedRounds returns how many probe rounds have completed.
-func (h *Heartbeat) completedRounds() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.rounds
-}
-
 // nextWait returns the jittered inter-round wait.
 func (h *Heartbeat) nextWait() time.Duration {
-	d := h.cfg.Interval
 	h.mu.Lock()
-	f := h.rng.Float64()
-	h.mu.Unlock()
-	shift := time.Duration((2*f - 1) * heartbeatJitter * float64(d))
-	return d + shift
+	defer h.mu.Unlock()
+	return h.cfg.Interval + time.Duration((2*h.rng.Float64()-1)*heartbeatJitter*float64(h.cfg.Interval))
 }
 
 func (h *Heartbeat) loop(ctx context.Context) {
@@ -170,14 +137,18 @@ func (h *Heartbeat) loop(ctx context.Context) {
 }
 
 // probeRound pings every live member and feeds the tracker; with
-// recovery probing enabled it also pings failed members and fires
-// OnRevive when one has answered ReviveThreshold rounds in a row.
+// recovery probing enabled it also pings failed members, feeds their
+// probe streak and fires OnRevive when the tracker asks for a rejoin.
 func (h *Heartbeat) probeRound(ctx context.Context) {
-	alive := h.tracker.Alive()
+	nodes := h.tracker.Alive()
+	live := len(nodes)
+	if h.cfg.OnRevive != nil {
+		nodes = append(nodes, h.tracker.FailedNodes()...)
+	}
 	sem := make(chan struct{}, heartbeatParallelism)
 	var wg sync.WaitGroup
-	for _, node := range alive {
-		node := node
+	for i, node := range nodes {
+		failed := i >= live
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -185,50 +156,19 @@ func (h *Heartbeat) probeRound(ctx context.Context) {
 			defer func() { <-sem }()
 			probeCtx, cancel := context.WithTimeout(ctx, h.cfg.Timeout)
 			defer cancel()
-			if err := h.pinger.Ping(probeCtx, node); err != nil {
-				if ctx.Err() == nil { // don't count shutdown as evidence
-					h.tracker.RecordTimeout(node)
+			err := h.pinger.Ping(probeCtx, node)
+			switch {
+			case ctx.Err() != nil: // don't count shutdown as evidence
+			case failed:
+				if h.tracker.ProbeResult(node, err == nil) == StartRejoin {
+					h.cfg.OnRevive(node)
 				}
-				return
+			case err != nil:
+				h.tracker.RecordTimeout(node)
+			default:
+				h.tracker.RecordSuccess(node)
 			}
-			h.tracker.RecordSuccess(node)
 		}()
-	}
-	if h.cfg.ReviveThreshold > 0 {
-		for _, node := range h.tracker.FailedNodes() {
-			node := node
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				probeCtx, cancel := context.WithTimeout(ctx, h.cfg.Timeout)
-				defer cancel()
-				err := h.pinger.Ping(probeCtx, node)
-				if ctx.Err() != nil {
-					return
-				}
-				h.mu.Lock()
-				if err != nil {
-					h.reviveStreak[node] = 0
-					h.mu.Unlock()
-					return
-				}
-				h.reviveStreak[node]++
-				fire := h.reviveStreak[node] >= h.cfg.ReviveThreshold
-				if fire {
-					h.reviveStreak[node] = 0
-				}
-				h.mu.Unlock()
-				if fire {
-					if h.cfg.OnRevive != nil {
-						h.cfg.OnRevive(node)
-					} else {
-						h.tracker.Revive(node)
-					}
-				}
-			}()
-		}
 	}
 	wg.Wait()
 }

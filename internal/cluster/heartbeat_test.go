@@ -8,6 +8,13 @@ import (
 	"time"
 )
 
+// completedRounds returns how many probe rounds have completed.
+func (h *Heartbeat) completedRounds() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.rounds
+}
+
 // fakePinger fails for nodes in the dead set.
 type fakePinger struct {
 	mu    sync.Mutex
@@ -236,12 +243,11 @@ func TestHeartbeatJitterVariesIntervals(t *testing.T) {
 }
 
 func TestHeartbeatRevivesAfterThreshold(t *testing.T) {
-	tr := NewTracker(members(2), 1)
+	tr := NewTracker(members(2), 3) // the limit is also the revive streak
 	p := newFakePinger()
 	revived := make(chan NodeID, 4)
 	hb := NewHeartbeat(tr, p, HeartbeatConfig{
-		Interval:        3 * time.Millisecond,
-		ReviveThreshold: 3,
+		Interval: 3 * time.Millisecond,
 		OnRevive: func(n NodeID) {
 			tr.Revive(n)
 			revived <- n
@@ -261,8 +267,8 @@ func TestHeartbeatRevivesAfterThreshold(t *testing.T) {
 		}
 	}
 
-	// Node restarts: revival probes must see ReviveThreshold consecutive
-	// successes and then fire OnRevive exactly once.
+	// Node restarts: revival probes must see Limit consecutive successes
+	// and then fire OnRevive exactly once.
 	p.mu.Lock()
 	p.dead["node-01"] = false
 	callsAtRestart := p.calls["node-01"]
@@ -293,10 +299,13 @@ func TestHeartbeatRevivesAfterThreshold(t *testing.T) {
 	}
 }
 
-func TestHeartbeatDefaultOnReviveUsesTracker(t *testing.T) {
+// TestHeartbeatWithoutOnReviveLeavesFailedNodes: with no OnRevive there
+// is no recovery probing — a declared node is never pinged again and
+// stays declared after it comes back.
+func TestHeartbeatWithoutOnReviveLeavesFailedNodes(t *testing.T) {
 	tr := NewTracker(members(1), 1)
 	p := newFakePinger()
-	hb := NewHeartbeat(tr, p, HeartbeatConfig{Interval: 2 * time.Millisecond, ReviveThreshold: 2})
+	hb := NewHeartbeat(tr, p, HeartbeatConfig{Interval: 2 * time.Millisecond})
 	p.kill("node-00")
 	hb.Start()
 	defer hb.Stop()
@@ -311,26 +320,30 @@ func TestHeartbeatDefaultOnReviveUsesTracker(t *testing.T) {
 	}
 	p.mu.Lock()
 	p.dead["node-00"] = false
+	calls := p.calls["node-00"]
 	p.mu.Unlock()
-	deadline = time.After(2 * time.Second)
-	for !tr.IsAlive("node-00") {
-		select {
-		case <-deadline:
-			t.Fatal("nil OnRevive never revived via the tracker")
-		default:
-			time.Sleep(time.Millisecond)
-		}
+	rounds := hb.completedRounds()
+	for hb.completedRounds() < rounds+5 {
+		time.Sleep(time.Millisecond)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.calls["node-00"] > calls+1 { // one probe may have been in flight
+		t.Errorf("declared node probed %d more times without OnRevive", p.calls["node-00"]-calls)
+	}
+	if tr.IsAlive("node-00") {
+		t.Error("declared node revived without OnRevive")
 	}
 }
 
 func TestHeartbeatFlappingNodeResetsStreak(t *testing.T) {
-	tr := NewTracker(members(1), 1)
+	// A streak of 8 is out of reach of the ~2 probes an up phase lasts.
+	tr := NewTracker(members(1), 8)
 	p := newFakePinger()
 	var fired int
 	var firedMu sync.Mutex
 	hb := NewHeartbeat(tr, p, HeartbeatConfig{
-		Interval:        2 * time.Millisecond,
-		ReviveThreshold: 1000, // unreachably high: OnRevive must never fire
+		Interval: 2 * time.Millisecond,
 		OnRevive: func(NodeID) {
 			firedMu.Lock()
 			fired++

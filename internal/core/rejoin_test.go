@@ -51,8 +51,8 @@ func TestRejoinWarmsKilledNode(t *testing.T) {
 	if !rep.Revived {
 		t.Fatal("rejoin did not revive the node")
 	}
-	if rep.Probes < 3 {
-		t.Errorf("probes = %d, want >= 3", rep.Probes)
+	if rep.Probes != cli.Tracker().Limit() {
+		t.Errorf("probes = %d, want the tracker's limit %d", rep.Probes, cli.Tracker().Limit())
 	}
 	if rep.PlannedKeys == 0 || rep.WarmedFiles != rep.PlannedKeys || rep.WarmErrors != 0 {
 		t.Fatalf("warmup incomplete: planned=%d warmed=%d errors=%d",
@@ -99,13 +99,12 @@ func TestHeartbeatDrivenAutoRejoin(t *testing.T) {
 
 	rejoined := make(chan hvac.RejoinReport, 1)
 	hb := cluster.NewHeartbeat(cli.Tracker(), cli, cluster.HeartbeatConfig{
-		Interval:        10 * time.Millisecond,
-		Timeout:         60 * time.Millisecond,
-		ReviveThreshold: 2,
+		Interval: 10 * time.Millisecond,
+		Timeout:  60 * time.Millisecond,
 		OnRevive: func(n cluster.NodeID) {
 			// No Keys: the warm set is planned from the client's manifest,
 			// the listing the failure path plans over.
-			rep, err := cli.Rejoin(context.Background(), n, hvac.RejoinOptions{Probes: 1})
+			rep, err := cli.Rejoin(context.Background(), n, hvac.RejoinOptions{})
 			if err == nil {
 				rejoined <- rep
 			}
@@ -146,5 +145,91 @@ func TestHeartbeatDrivenAutoRejoin(t *testing.T) {
 		if err := VerifyRead(context.Background(), cli, ds, i); err != nil {
 			t.Fatalf("post-auto-rejoin read %d: %v", i, err)
 		}
+	}
+}
+
+// declareKilled kills victim and declares it on cli's tracker directly,
+// so no read touches the connection cli holds to it.
+func declareKilled(t *testing.T, c *Cluster, cli *hvac.Client, victim NodeID) {
+	t.Helper()
+	if err := c.Fail(victim, FailKill); err != nil {
+		t.Fatal(err)
+	}
+	for cli.Tracker().IsAlive(victim) {
+		cli.Tracker().RecordTimeout(victim)
+	}
+	if err := c.Revive(victim); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRejoinCancelledMidWarmStaysDeclared: a rejoin whose context ends
+// during the warm-up does not re-admit the node — it stays declared and
+// off the ring, with the objects already pushed kept — and the next
+// Rejoin completes it.
+func TestRejoinCancelledMidWarmStaysDeclared(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	c := newTestCluster(t, 4, ftcache.KindNVMe)
+	ds := smallDataset(200)
+	c.Stage(ds)
+	cli, router, _ := c.NewClient()
+	defer cli.Close()
+	ring := router.(*ftcache.Strategy).Ring()
+	victim := c.Nodes()[1]
+	declareKilled(t, c, cli, victim)
+
+	// Every warm read is a PFS fill on the current owner, one at a time,
+	// so the warm-up lasts long enough to be cut mid-way.
+	c.PFS().SetReadDelay(5 * time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for objs := 0; objs == 0; objs, _ = c.Server(victim).NVMe().Stats() {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	rep, err := cli.Rejoin(ctx, victim, hvac.RejoinOptions{Keys: ds.AllPaths(), WarmConcurrency: 1})
+	if err == nil || rep.Revived {
+		t.Fatalf("cancelled rejoin: err %v, revived %v; want the context's error and no revive", err, rep.Revived)
+	}
+	if rep.WarmedFiles == 0 || rep.WarmedFiles >= rep.PlannedKeys {
+		t.Fatalf("warmed %d of %d planned keys: the cancel did not land mid-warm", rep.WarmedFiles, rep.PlannedKeys)
+	}
+	if cli.Tracker().IsAlive(victim) || ring.Contains(victim) {
+		t.Fatalf("after a cancelled rejoin: alive %v, on the ring %v; want declared and off", cli.Tracker().IsAlive(victim), ring.Contains(victim))
+	}
+
+	c.PFS().SetReadDelay(0)
+	rep, err = cli.Rejoin(context.Background(), victim, hvac.RejoinOptions{Keys: ds.AllPaths()})
+	if err != nil || !rep.Revived || !ring.Contains(victim) {
+		t.Fatalf("second rejoin: err %v, revived %v, on the ring %v", err, rep.Revived, ring.Contains(victim))
+	}
+}
+
+// TestRejoinAfterRestartDialsFresh: the client still holds the
+// connection that died with the killed process; the first Rejoin after
+// the restart must probe over a fresh one and succeed.
+func TestRejoinAfterRestartDialsFresh(t *testing.T) {
+	c := newTestCluster(t, 4, ftcache.KindNVMe)
+	ds := smallDataset(40)
+	c.Stage(ds)
+	c.WarmCache(ds)
+	cli, _, _ := c.NewClient()
+	defer cli.Close()
+	ctx := context.Background()
+	for i := 0; i < ds.NumFiles; i++ { // dial every node
+		if err := VerifyRead(ctx, cli, ds, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := c.Nodes()[2]
+	declareKilled(t, c, cli, victim)
+	rep, err := cli.Rejoin(ctx, victim, hvac.RejoinOptions{Keys: ds.AllPaths()})
+	if err != nil || !rep.Revived {
+		t.Fatalf("first rejoin after the restart: err %v, revived %v", err, rep.Revived)
+	}
+	if rep.Probes != cli.Tracker().Limit() {
+		t.Errorf("probes = %d, want the tracker's limit %d", rep.Probes, cli.Tracker().Limit())
 	}
 }

@@ -125,12 +125,11 @@ func runAdaptiveSoak(t *testing.T, seed int64, phases []chaos.Phase) {
 		}
 		sc := &soakClient{cli: cli, sw: sw}
 		sc.hb = cluster.NewHeartbeat(cli.Tracker(), cli, cluster.HeartbeatConfig{
-			Interval:        15 * time.Millisecond,
-			Timeout:         rpcTimeout,
-			ReviveThreshold: 2,
+			Interval: 15 * time.Millisecond,
+			Timeout:  rpcTimeout,
 			OnRevive: func(n cluster.NodeID) {
 				go cli.Rejoin(context.Background(), n,
-					hvac.RejoinOptions{Probes: 1, Keys: paths})
+					hvac.RejoinOptions{Keys: paths})
 			},
 		})
 		sc.hb.Start()

@@ -52,12 +52,9 @@ type Router interface {
 	Name() string
 	// Route decides where to read path from.
 	Route(path string) Decision
-	// NodeFailed informs the policy that node was declared failed.
-	NodeFailed(node cluster.NodeID)
-	// NodeRecovered informs the policy that a failed node was revived, so
-	// placement can re-admit it (the ring adds it back; the redirection
-	// strategy stops bypassing it).
-	NodeRecovered(node cluster.NodeID)
+	// NodeFailed and NodeRecovered drop a declared node from placement
+	// and re-admit a revived one, as the client's tracker orders them.
+	cluster.Placement
 	// Replicas returns up to n distinct live nodes for path, the primary
 	// owner first. With ReplicationFactor > 1, objects fetched from the
 	// PFS are pushed to the secondaries so a primary failure costs no PFS
@@ -156,18 +153,9 @@ type Client struct {
 	cfg     ClientConfig
 	tracker *cluster.Tracker
 
+	// mu guards conns, and orders Close against starting a hint sender.
 	mu    sync.Mutex
 	conns map[cluster.NodeID]*connSlot
-
-	// reactMu serializes this client's reactions to a declaration
-	// (nodeFailed) and a revive (nodeRecovered), which the tracker runs
-	// outside its lock and in no order relative to each other.
-	reactMu sync.Mutex
-
-	// rejoinMu/rejoining dedup concurrent Rejoin calls per node (the
-	// heartbeat can fire OnRevive again while a warmup is in flight).
-	rejoinMu  sync.Mutex
-	rejoining map[cluster.NodeID]bool
 
 	remoteReads   atomic.Int64
 	remoteBytes   atomic.Int64
@@ -206,12 +194,7 @@ type Client struct {
 	baseCtx   context.Context
 	closeBase context.CancelFunc
 
-	// Recache hint senders: one goroutine per declared failure ships the
-	// plan to its receivers. hinting holds each one's cancel, keyed by
-	// failed node, so re-adding the node drops what is still unsent.
-	hintMu  sync.Mutex
-	hinting map[cluster.NodeID]context.CancelFunc
-	hintWG  sync.WaitGroup
+	hintWG sync.WaitGroup // the recache hint senders, one per dropped node
 
 	// latency is this client's read-latency histogram (ns), the source
 	// of Latency().
@@ -233,16 +216,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		nodes = append(nodes, n)
 	}
 	c := &Client{
-		cfg:       cfg,
-		tracker:   cluster.NewTracker(nodes, cfg.TimeoutLimit),
-		conns:     make(map[cluster.NodeID]*connSlot),
-		rejoining: make(map[cluster.NodeID]bool),
-		hinting:   make(map[cluster.NodeID]context.CancelFunc),
+		cfg:     cfg,
+		tracker: cluster.NewTracker(nodes, cfg.TimeoutLimit),
+		conns:   make(map[cluster.NodeID]*connSlot),
 	}
 	//ftclint:ignore ctxflow client lifetime root; Close cancels it, and the hint senders it bounds have no caller context to inherit
 	c.baseCtx, c.closeBase = context.WithCancel(context.Background())
+	c.tracker.Place(cfg.Router)
 	c.tracker.OnFailure(c.nodeFailed)
-	c.tracker.OnRecovery(c.nodeRecovered)
 	if cfg.LoadControl != nil {
 		c.load = loadctl.New(*cfg.LoadControl, nodes)
 		telemetry.Default().RegisterDebug("loadctl", func() any { return c.load.DebugSnapshot() })
@@ -258,7 +239,11 @@ func (c *Client) ReviveNode(node cluster.NodeID) bool {
 	// Drop any stale connection so the next request dials fresh (a
 	// rebooted node has new sockets).
 	c.dropConn(node)
-	return c.tracker.Revive(node)
+	if !c.tracker.Revive(node) {
+		return false
+	}
+	c.load.InvalidateReplicas()
+	return true
 }
 
 // Tracker exposes the client's failure detector.
@@ -354,6 +339,11 @@ func (c *Client) dropConn(node cluster.NodeID) {
 	c.mu.Lock()
 	s := c.conns[node]
 	c.mu.Unlock()
+	s.drop()
+}
+
+// drop closes the slot's connection, if any; the next call dials fresh.
+func (s *connSlot) drop() {
 	if s == nil {
 		return
 	}
@@ -385,46 +375,39 @@ func (c *Client) callNode(ctx context.Context, node cluster.NodeID, op uint16, p
 }
 
 // nodeFailed is the detector's failure listener: plan the recache against
-// the placement the node is still part of, then, under reactMu and only
-// if the tracker still holds the node failed (a revive during planning
-// wins), reshape routing, hand the plan to a sender goroutine and
-// invalidate the fan-out record. Only the planning runs on the reading
-// goroutine that tripped the detector (about a millisecond per ten
-// thousand keys); the hint RPCs never do.
+// the placement the node is still in, hand the plan to Tracker.Drop,
+// which drops the node unless a revive got there first, and start the
+// sender. Only the planning runs on the reading goroutine that tripped
+// the detector (about a millisecond per ten thousand keys).
 func (c *Client) nodeFailed(node cluster.NodeID) {
 	var plan map[cluster.NodeID][]string
 	if c.cfg.Manifest != nil {
 		plan = c.cfg.Router.PlanRecache(node, c.cfg.Manifest())
 	}
-	c.reactMu.Lock()
-	defer c.reactMu.Unlock()
-	if c.tracker.IsAlive(node) {
+	var receivers []cluster.NodeID
+	var shares []int // chunks per receiver
+	for r := range plan {
+		receivers = append(receivers, r)
+	}
+	slices.Sort(receivers)
+	for _, r := range receivers {
+		shares = append(shares, (len(plan[r])+recacheChunk-1)/recacheChunk)
+	}
+	ctx, stop := context.WithCancel(c.baseCtx)
+	gen, ok := c.tracker.Drop(node, shares, stop)
+	if !ok {
+		stop()
 		return
 	}
-	c.cfg.Router.NodeFailed(node)
-	if len(plan) > 0 {
-		c.hintRecache(node, plan)
-	}
 	c.load.InvalidateReplicas()
-}
-
-// nodeRecovered is the recovery listener, nodeFailed's mirror: unless
-// the node failed again first, cancel its unsent hints (it is back in
-// the placement), re-admit it to routing, invalidate the fan-out record.
-func (c *Client) nodeRecovered(node cluster.NodeID) {
-	c.reactMu.Lock()
-	defer c.reactMu.Unlock()
-	if !c.tracker.IsAlive(node) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() || len(receivers) == 0 {
+		stop()
 		return
 	}
-	c.hintMu.Lock()
-	if cancel := c.hinting[node]; cancel != nil {
-		cancel()
-		delete(c.hinting, node)
-	}
-	c.hintMu.Unlock()
-	c.cfg.Router.NodeRecovered(node)
-	c.load.InvalidateReplicas()
+	c.hintWG.Add(1) // under mu with closed false: Close has not reached hintWG.Wait
+	go c.hintRecache(ctx, stop, node, gen, receivers, plan)
 }
 
 // recacheChunk bounds the paths in one OpRecache frame, so a large share
@@ -432,66 +415,27 @@ func (c *Client) nodeRecovered(node cluster.NodeID) {
 // decode and queue in a single step.
 const recacheChunk = 1024
 
-// hintRecache starts the sender that ships plan — failed's keys by new
-// owner — to the receivers. Hints are best-effort and never detector
-// evidence, like replica pushes: a receiver that does not take its hint
-// (down, slow, queue full) recaches those paths on demand, and its
-// silence here says nothing the read path will not find out for itself.
-// Receivers are served in sorted order, so one seed ships its shares in
-// one order; an error skips the rest of that receiver's share.
-func (c *Client) hintRecache(failed cluster.NodeID, plan map[cluster.NodeID][]string) {
-	ctx, cancel := context.WithCancel(c.baseCtx)
-	c.hintMu.Lock()
-	if c.closed.Load() {
-		c.hintMu.Unlock()
-		cancel()
-		return
-	}
-	if prev := c.hinting[failed]; prev != nil {
-		prev()
-	}
-	c.hinting[failed] = cancel
-	c.hintWG.Add(1) // under hintMu with closed false: Close has not reached hintWG.Wait
-	c.hintMu.Unlock()
-	go func() {
-		defer c.hintWG.Done()
-		defer cancel() // release the context; the stale entry in hinting is harmless
-		receivers := make([]cluster.NodeID, 0, len(plan))
-		for receiver := range plan {
-			receivers = append(receivers, receiver)
+// hintRecache ships plan — failed's keys by new owner — to the receivers
+// one chunk at a time, as Tracker.NextHint permits. Hints are best-effort
+// and never detector evidence, like replica pushes: a receiver that does
+// not take its hint (down, slow, queue full) recaches those paths on
+// demand, and the read path finds out for itself if it is down.
+func (c *Client) hintRecache(ctx context.Context, stop context.CancelFunc, failed cluster.NodeID, gen uint32, receivers []cluster.NodeID, plan map[cluster.NodeID][]string) {
+	defer c.hintWG.Done()
+	defer stop() // release ctx once done; a Revive may have cancelled it already
+	var err error
+	for {
+		r, chunk, ok := c.tracker.NextHint(failed, gen, err != nil)
+		if !ok {
+			return
 		}
-		slices.Sort(receivers)
-		for _, receiver := range receivers {
-			paths := plan[receiver]
-			for len(paths) > 0 && ctx.Err() == nil {
-				n := min(len(paths), recacheChunk)
-				if c.sendRecache(ctx, receiver, failed, paths[:n]) != nil {
-					break
-				}
-				paths = paths[n:]
-			}
+		paths := plan[receivers[r]][chunk*recacheChunk:]
+		req := RecacheReq{Failed: string(failed), Paths: paths[:min(len(paths), recacheChunk)]}
+		var status uint16
+		if _, status, err = c.callNode(ctx, receivers[r], OpRecache, req.Marshal()); err == nil && status != rpc.StatusOK {
+			err = fmt.Errorf("hvac: recache hint status %d", status)
 		}
-	}()
-}
-
-// sendRecache delivers one hint frame to receiver.
-func (c *Client) sendRecache(ctx context.Context, receiver, failed cluster.NodeID, paths []string) error {
-	req := RecacheReq{Failed: string(failed), Paths: paths}
-	_, status, err := c.callNode(ctx, receiver, OpRecache, req.Marshal())
-	if err != nil {
-		return err
 	}
-	if status != rpc.StatusOK {
-		return fmt.Errorf("hvac: recache hint status %d", status)
-	}
-	return nil
-}
-
-// noteTimeout records failure evidence against node; the tracker invokes
-// the failure listeners when the threshold is crossed.
-func (c *Client) noteTimeout(node cluster.NodeID) {
-	c.timeouts.Add(1)
-	c.tracker.RecordTimeout(node)
 }
 
 // Read returns the full contents of path, applying the configured
@@ -619,7 +563,8 @@ func (c *Client) readAttempts(ctx context.Context, path string, offset, length i
 		case classOK:
 			return data, nil
 		case classTimeout, classConn:
-			c.noteTimeout(d.Node)
+			c.timeouts.Add(1)
+			c.tracker.RecordTimeout(d.Node)
 		case classApp:
 			if errors.Is(err, ErrNotFound) {
 				return nil, err
@@ -1132,22 +1077,14 @@ func (c *Client) Ping(ctx context.Context, node cluster.NodeID) error {
 // and recache hint senders (both fail fast once the lifetime context is
 // cancelled and their connections drop).
 func (c *Client) Close() {
-	c.hintMu.Lock()
-	c.closed.Store(true)
-	c.hintMu.Unlock()
-	c.closeBase()
 	c.mu.Lock()
+	c.closed.Store(true)
 	slots := c.conns
 	c.conns = make(map[cluster.NodeID]*connSlot)
 	c.mu.Unlock()
+	c.closeBase()
 	for _, s := range slots {
-		s.mu.Lock()
-		cli := s.cli
-		s.cli = nil
-		s.mu.Unlock()
-		if cli != nil {
-			cli.Close()
-		}
+		s.drop()
 	}
 	c.ingest.close()
 	c.hintWG.Wait()

@@ -117,7 +117,7 @@ func (s *Server) registerTelemetry() {
 // debugSnapshot is this server's section of /debug/ftcache: the state
 // that no ftc_server_* series carries (the per-shard bytes, the last
 // fill error, the unresponsive switch, the admission limit and its
-// lifetime admitted/queued counts) and the tier rows ftcctl tiers reads.
+// lifetime admitted/queued counts, each tier's capacity).
 func (s *Server) debugSnapshot() any {
 	nvme := s.nvme.Snapshot()
 	_, lastErr := s.mover.FillStats()
@@ -139,49 +139,14 @@ func (s *Server) debugSnapshot() any {
 	return snap
 }
 
-// tierSnapshot is the per-tier breakdown of /debug/ftcache's storage
-// section: capacity, occupancy, and hit ratio for each serving tier in
-// paper order (RAM → NVMe → PFS), plus the admissions each cache tier
-// refused (RAM promotions, NVMe miss fills) — occupancy far below
-// capacity with nothing rejected is a tier not being offered objects; a
-// full tier rejecting is one defending its residents. The PFS tier is the shared backstop —
-// it has no node-local capacity, and every read it serves is by
-// definition a miss of the tiers above, so its "hit ratio" is the
-// fallback fraction.
+// tierSnapshot lists the serving tiers in paper order (RAM → NVMe →
+// PFS) with the one fact about each that no ftc_server_* series
+// carries, its capacity; ftcctl tiers joins them with /metrics for the
+// counts. The PFS is the shared backstop, with no node-local capacity.
 func (s *Server) tierSnapshot(nvme shardcache.Snapshot) []map[string]any {
-	row := func(tier string, c shardcache.Snapshot) map[string]any {
-		return map[string]any{
-			"tier":      tier,
-			"capacity":  c.Capacity,
-			"bytes":     c.Bytes,
-			"objects":   c.Objects,
-			"hits":      c.Hits,
-			"misses":    c.Misses,
-			"hit_ratio": ratio(c.Hits, c.Hits+c.Misses),
-			"rejected":  c.Refused,
-		}
-	}
 	tiers := make([]map[string]any, 0, 3)
 	if s.ram != nil {
-		ram := row("ram", s.ram.Snapshot())
-		ram["served"] = s.ramServed.Load()
-		ram["leases"] = s.ram.ActiveLeases()
-		tiers = append(tiers, ram)
+		tiers = append(tiers, map[string]any{"tier": "ram", "capacity": s.ram.Snapshot().Capacity})
 	}
-	tiers = append(tiers, row("nvme", nvme))
-	fallbacks := s.pfsFallbacks.Load()
-	tiers = append(tiers, map[string]any{
-		"tier":      "pfs",
-		"served":    fallbacks,
-		"hit_ratio": ratio(fallbacks, s.reads.Load()),
-	})
-	return tiers
-}
-
-// ratio renders num/den as a float, 0 when den is zero.
-func ratio(num, den int64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
+	return append(tiers, map[string]any{"tier": "nvme", "capacity": nvme.Capacity}, map[string]any{"tier": "pfs"})
 }

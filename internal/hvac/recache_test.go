@@ -208,7 +208,7 @@ func TestStatIsMetadataOnly(t *testing.T) {
 // keep their latency and the failure detector hears none of it.
 func TestHintToUnresponsiveReceiver(t *testing.T) {
 	tc := newTestCluster(t, 3)
-	paths := stage(tc, 3*recacheChunk) // several frames' worth for the silent receiver
+	paths := stage(tc, 8*recacheChunk) // frames enough that sending them all outlasts the bound below
 	tc.servers["node-02"].SetUnresponsive(true)
 	const ttl = 300 * time.Millisecond
 	c := tc.planClient(planRouter{
@@ -301,7 +301,7 @@ func TestHintsShipInReceiverOrder(t *testing.T) {
 }
 
 // TestReAddDropsOutstandingHints: re-adding the failed node cancels what
-// its sender has not delivered yet.
+// its sender has not delivered yet, the frame in flight included.
 func TestReAddDropsOutstandingHints(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	paths := stage(tc, 8)
@@ -311,6 +311,7 @@ func TestReAddDropsOutstandingHints(t *testing.T) {
 		plan:         map[cluster.NodeID][]string{"node-02": paths},
 	}, time.Minute)
 	declare(c.Tracker(), "node-01")
+	time.Sleep(50 * time.Millisecond) // the first frame waits on the silent receiver
 	start := time.Now()
 	if !c.ReviveNode("node-01") {
 		t.Fatal("ReviveNode did not transition node-01")
